@@ -193,8 +193,9 @@ def run_suite(
     results = []
     try:
         for entry in entries:
-            experiment_id = str(entry.get("id", f"experiment_{len(results)}"))
-            study = str(entry.get("study", "unknown"))
+            named = entry if isinstance(entry, dict) else {}
+            experiment_id = str(named.get("id", f"experiment_{len(results)}"))
+            study = str(named.get("study", "unknown"))
             xc = None
             input_files: list[Path] = [suite_path]
             try:
@@ -209,7 +210,8 @@ def run_suite(
                 input_files += paths
                 configs = [parse_tuning(p.read_text()) for p in paths]
                 outcome = run_experiment(xc, configs, pool)
-            except (OSError, PlaytestError, ValueError, KeyError) as exc:
+            # a wrong-typed entry field surfaces as a TypeError
+            except (OSError, PlaytestError, ValueError, KeyError, TypeError) as exc:
                 outcome = _failed_outcome(
                     experiment_id, study, f"{type(exc).__name__}: {exc}"
                 )

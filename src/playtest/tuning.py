@@ -6,6 +6,8 @@ relationship event chains, and purchasable objects. Parsing is strict
 (unknown or missing fields are schema errors); semantic rules such as
 reference resolution and monotone thresholds are reported as
 diagnostics. The file format is documented in docs/tuning-schema.md.
+The parser, the serializer and the differ all walk one field plan per
+dataclass, so the three cannot disagree about the schema.
 
 Configs are immutable after parse and safe to share across concurrent
 simulation trials.
@@ -13,10 +15,14 @@ simulation trials.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from types import UnionType
+from typing import (
+    Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints,
+)
 
 from .errors import (
     DanglingReference,
@@ -27,17 +33,6 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
-
-REQUIRED_TOP_LEVEL = (
-    "schema_version",
-    "build_id",
-    "resources",
-    "actions",
-    "events",
-    "careers",
-    "relationships",
-    "objects",
-)
 
 EVENT_KINDS = ("career", "relationship")
 
@@ -229,8 +224,80 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
-# Parsing (strict: unknown or missing fields are schema errors)
+# Codec: one field plan per class drives parse, serialize and diff
 # ---------------------------------------------------------------------------
+
+class _Field(NamedTuple):
+    attr: str
+    key: str  # the JSON name
+    # int | str | bool | a planned class | (list, kind) | (dict, key type, kind)
+    # | ("choice", allowed values)
+    kind: Any
+    default: Callable[[], Any] | None  # None: the field is required
+
+
+class _Plan(NamedTuple):
+    fields: tuple[_Field, ...]
+    keys: frozenset[str]
+
+
+# Where the JSON differs from the dataclasses' own fields.
+_JSON_NAMES = {(ObjectUnlock, "object_id"): "object"}
+_CHOICES = {(EventSpec, "kind"): ("choice", EVENT_KINDS)}
+# Optional in the file although the dataclass has no default.
+_OPTIONAL = {(EventSpec, "action_ids"): list, (EventStep, "reward"): RewardBundle}
+_SCALARS = (int, str, bool)
+
+
+def _kind(tp: Any) -> Any:
+    origin = get_origin(tp)
+    if origin is list:
+        return (list, _kind(get_args(tp)[0]))
+    if origin is dict:
+        key, value = get_args(tp)
+        return (dict, key, _kind(value))
+    if origin is Union or origin is UnionType:  # X | None: null is never accepted
+        (inner,) = [arg for arg in get_args(tp) if arg is not type(None)]
+        return _kind(inner)
+    return tp
+
+
+def _plan(cls: type) -> _Plan:
+    hints = get_type_hints(cls)
+    fields = []
+    for f in dataclasses.fields(cls):
+        if f.name.startswith("_"):
+            continue
+        if f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory
+        elif f.default is not dataclasses.MISSING:
+            default = lambda value=f.default: value
+        else:
+            default = _OPTIONAL.get((cls, f.name))
+        kind = _CHOICES.get((cls, f.name)) or _kind(hints[f.name])
+        key = _JSON_NAMES.get((cls, f.name), f.name)
+        fields.append(_Field(f.name, key, kind, default))
+    return _Plan(tuple(fields), frozenset(f.key for f in fields))
+
+
+_PLANS = {
+    cls: _plan(cls)
+    for cls in (
+        RewardBundle, RequirementSet, ResourceSpec, ActionSpec, EventStep,
+        EventSpec, ObjectUnlock, CareerSpec, RelationshipCategorySpec,
+        ObjectSpec, TuningConfig,
+    )
+}
+# A rate travels as {"num": ..., "den": ...} with den > 0.
+_PLANS[Fraction] = _Plan(
+    (_Field("numerator", "num", int, None), _Field("denominator", "den", int, None)),
+    frozenset(("num", "den")),
+)
+
+REQUIRED_TOP_LEVEL = (
+    "schema_version", *(f.key for f in _PLANS[TuningConfig].fields)
+)
+
 
 def _expect(obj: Any, path: str, kind: type) -> Any:
     if not isinstance(obj, kind) or (kind is int and isinstance(obj, bool)):
@@ -240,198 +307,85 @@ def _expect(obj: Any, path: str, kind: type) -> Any:
     return obj
 
 
-def _take(obj: dict, path: str, key: str, kind: type, *, default: Any = ...) -> Any:
-    if key not in obj:
-        if default is ...:
+def _level(key: str, path: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise SchemaError(
+            f"{path}: level key {key!r} is not an integer"
+        ) from None
+
+
+def _decode(kind: Any, value: Any, path: str) -> Any:
+    """Decode JSON value as kind; a SchemaError names path and the first defect."""
+    if kind in _SCALARS:
+        return _expect(value, path, kind)
+    if type(kind) is tuple:
+        if kind[0] is list:
+            return [
+                _decode(kind[1], item, f"{path}[{i}]")
+                for i, item in enumerate(_expect(value, path, list))
+            ]
+        if kind[0] is dict:
+            return {
+                key if kind[1] is str else _level(key, path):
+                    _decode(kind[2], item, f"{path}.{key}")
+                for key, item in _expect(value, path, dict).items()
+            }
+        if _expect(value, path, str) not in kind[1]:
+            raise SchemaError(f"{path}: must be one of {kind[1]}")
+        return value
+    plan = _PLANS[kind]
+    _expect(value, path, dict)
+    if not plan.keys.issuperset(value):
+        extras = sorted(value.keys() - plan.keys)
+        raise SchemaError(f"{path}: unknown field(s) {extras}")
+    args = {}
+    for attr, key, field_kind, default in plan.fields:
+        if key in value:
+            args[attr] = _decode(field_kind, value[key], f"{path}.{key}")
+        elif default is None:
             raise SchemaError(f"{path}: missing required field {key!r}")
-        return default
-    return _expect(obj[key], f"{path}.{key}", kind)
-
-
-def _check_no_extras(obj: dict, path: str, allowed: set[str]) -> None:
-    extras = set(obj) - allowed
-    if extras:
-        raise SchemaError(f"{path}: unknown field(s) {sorted(extras)}")
-
-
-def _int_map(obj: Any, path: str) -> dict[str, int]:
-    _expect(obj, path, dict)
-    out = {}
-    for key, value in obj.items():
-        out[key] = _expect(value, f"{path}.{key}", int)
-    return out
-
-
-def _str_list(obj: Any, path: str) -> list[str]:
-    _expect(obj, path, list)
-    return [_expect(x, f"{path}[{i}]", str) for i, x in enumerate(obj)]
-
-
-def _parse_rewards(obj: Any, path: str) -> RewardBundle:
-    _expect(obj, path, dict)
-    allowed = {"career_xp", "event_xp", "relationship_xp", "resources", "items"}
-    _check_no_extras(obj, path, allowed)
-    return RewardBundle(
-        career_xp=_take(obj, path, "career_xp", int, default=0),
-        event_xp=_take(obj, path, "event_xp", int, default=0),
-        relationship_xp=_take(obj, path, "relationship_xp", int, default=0),
-        resources=_int_map(obj.get("resources", {}), f"{path}.resources"),
-        items=_int_map(obj.get("items", {}), f"{path}.items"),
-    )
-
-
-def _parse_requires(obj: Any, path: str) -> RequirementSet:
-    _expect(obj, path, dict)
-    allowed = {"career", "min_level", "owned_object", "during_event"}
-    _check_no_extras(obj, path, allowed)
-    return RequirementSet(
-        career=_take(obj, path, "career", str, default=None),
-        min_level=_take(obj, path, "min_level", int, default=1),
-        owned_object=_take(obj, path, "owned_object", str, default=None),
-        during_event=_take(obj, path, "during_event", bool, default=False),
-    )
-
-
-def _parse_rate(obj: Any, path: str) -> Fraction:
-    _expect(obj, path, dict)
-    _check_no_extras(obj, path, {"num", "den"})
-    num = _take(obj, path, "num", int)
-    den = _take(obj, path, "den", int)
-    if den <= 0:
+        else:
+            args[attr] = default()
+    if kind is Fraction and args["denominator"] <= 0:
         raise SchemaError(f"{path}: den must be positive")
-    return Fraction(num, den)
+    return kind(**args)
 
 
-def _parse_resource(obj: Any, path: str) -> ResourceSpec:
-    _expect(obj, path, dict)
-    _check_no_extras(obj, path, {"id", "capacity", "regen_rate", "initial"})
-    return ResourceSpec(
-        id=_take(obj, path, "id", str),
-        capacity=_take(obj, path, "capacity", int),
-        regen_rate=_parse_rate(obj.get("regen_rate"), f"{path}.regen_rate"),
-        initial=_take(obj, path, "initial", int),
-    )
+def _encode(value: Any) -> Any:
+    """JSON form of a parsed value; fields equal to their default are left out."""
+    plan = _PLANS.get(type(value))
+    if plan is not None:
+        out = {}
+        for f in plan.fields:
+            item = getattr(value, f.attr)
+            if f.default is None or item != f.default():
+                out[f.key] = _encode(item)
+        return out
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _encode(item) for key, item in sorted(value.items())}
+    return value
 
 
-def _parse_action(obj: Any, path: str) -> ActionSpec:
-    _expect(obj, path, dict)
-    allowed = {
-        "id", "duration", "cooldown", "costs", "consumes_items",
-        "rewards", "requires", "category_tag", "delayed_effect",
-    }
-    _check_no_extras(obj, path, allowed)
-    return ActionSpec(
-        id=_take(obj, path, "id", str),
-        duration=_take(obj, path, "duration", int),
-        cooldown=_take(obj, path, "cooldown", int, default=0),
-        costs=_int_map(obj.get("costs", {}), f"{path}.costs"),
-        consumes_items=_int_map(
-            obj.get("consumes_items", {}), f"{path}.consumes_items"
-        ),
-        rewards=_parse_rewards(obj.get("rewards", {}), f"{path}.rewards"),
-        requires=_parse_requires(obj.get("requires", {}), f"{path}.requires"),
-        category_tag=_take(obj, path, "category_tag", str, default=""),
-        delayed_effect=_take(obj, path, "delayed_effect", str, default=None),
-    )
-
-
-def _parse_step(obj: Any, path: str) -> EventStep:
-    _expect(obj, path, dict)
-    _check_no_extras(obj, path, {"xp_threshold", "reward"})
-    return EventStep(
-        xp_threshold=_take(obj, path, "xp_threshold", int),
-        reward=_parse_rewards(obj.get("reward", {}), f"{path}.reward"),
-    )
-
-
-def _parse_event(obj: Any, path: str) -> EventSpec:
-    _expect(obj, path, dict)
-    allowed = {
-        "id", "kind", "owner_id", "time_limit",
-        "action_ids", "steps", "start_requires",
-    }
-    _check_no_extras(obj, path, allowed)
-    kind = _take(obj, path, "kind", str)
-    if kind not in EVENT_KINDS:
-        raise SchemaError(f"{path}.kind: must be one of {EVENT_KINDS}")
-    steps_raw = _expect(_take(obj, path, "steps", list), f"{path}.steps", list)
-    return EventSpec(
-        id=_take(obj, path, "id", str),
-        kind=kind,
-        owner_id=_take(obj, path, "owner_id", str),
-        time_limit=_take(obj, path, "time_limit", int),
-        action_ids=_str_list(obj.get("action_ids", []), f"{path}.action_ids"),
-        steps=[_parse_step(s, f"{path}.steps[{i}]") for i, s in enumerate(steps_raw)],
-        start_requires=_parse_requires(
-            obj.get("start_requires", {}), f"{path}.start_requires"
-        ),
-    )
-
-
-def _parse_unlock(obj: Any, path: str) -> ObjectUnlock:
-    _expect(obj, path, dict)
-    _check_no_extras(obj, path, {"object", "unlock_level", "price_rho"})
-    return ObjectUnlock(
-        object_id=_take(obj, path, "object", str),
-        unlock_level=_take(obj, path, "unlock_level", int),
-        price_rho=_take(obj, path, "price_rho", int),
-    )
-
-
-def _parse_career(obj: Any, path: str) -> CareerSpec:
-    _expect(obj, path, dict)
-    allowed = {
-        "id", "max_level", "xp_per_level", "events_by_level",
-        "craft_items", "object_unlocks",
-    }
-    _check_no_extras(obj, path, allowed)
-    levels_raw = _take(obj, path, "events_by_level", dict, default={})
-    events_by_level: dict[int, list[str]] = {}
-    for key, ids in levels_raw.items():
-        try:
-            level = int(key)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.events_by_level: level key {key!r} is not an integer"
-            ) from None
-        events_by_level[level] = _str_list(ids, f"{path}.events_by_level.{key}")
-    return CareerSpec(
-        id=_take(obj, path, "id", str),
-        max_level=_take(obj, path, "max_level", int),
-        xp_per_level=[
-            _expect(x, f"{path}.xp_per_level[{i}]", int)
-            for i, x in enumerate(_take(obj, path, "xp_per_level", list))
-        ],
-        events_by_level=events_by_level,
-        craft_items=_str_list(obj.get("craft_items", []), f"{path}.craft_items"),
-        object_unlocks=[
-            _parse_unlock(u, f"{path}.object_unlocks[{i}]")
-            for i, u in enumerate(obj.get("object_unlocks", []))
-        ],
-    )
-
-
-def _parse_relationship(obj: Any, path: str) -> RelationshipCategorySpec:
-    _expect(obj, path, dict)
-    _check_no_extras(obj, path, {"id", "event_chain"})
-    return RelationshipCategorySpec(
-        id=_take(obj, path, "id", str),
-        event_chain=_str_list(
-            _take(obj, path, "event_chain", list), f"{path}.event_chain"
-        ),
-    )
-
-
-def _parse_object(obj: Any, path: str) -> ObjectSpec:
-    _expect(obj, path, dict)
-    _check_no_extras(obj, path, {"id", "unlocked_action_ids"})
-    return ObjectSpec(
-        id=_take(obj, path, "id", str),
-        unlocked_action_ids=_str_list(
-            _take(obj, path, "unlocked_action_ids", list),
-            f"{path}.unlocked_action_ids",
-        ),
-    )
+def _flatten(value: Any, prefix: str, out: dict[str, Any]) -> None:
+    plan = _PLANS.get(type(value))
+    if plan is not None and type(value) is not Fraction:  # a rate diffs as one value
+        for f in plan.fields:
+            name = f"{prefix}.{f.attr}" if prefix else f.attr
+            _flatten(getattr(value, f.attr), name, out)
+    elif isinstance(value, dict):
+        for key in sorted(value, key=str):
+            _flatten(value[key], f"{prefix}.{key}", out)
+        out[f"{prefix}{'.' if prefix else ''}__keys__"] = tuple(sorted(value, key=str))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _flatten(item, f"{prefix}[{i}]", out)
+        out[f"{prefix}.__len__"] = len(value)
+    else:
+        out[prefix] = value
 
 
 def parse_tuning(text: str) -> TuningConfig:
@@ -465,41 +419,27 @@ def build_config(doc: Any) -> TuningConfig:
     missing = [k for k in REQUIRED_TOP_LEVEL if k not in doc]
     if missing:
         raise SchemaError(f"document: missing required field(s) {missing}")
-    _check_no_extras(doc, "document", set(REQUIRED_TOP_LEVEL))
+    extras = set(doc) - set(REQUIRED_TOP_LEVEL)
+    if extras:
+        raise SchemaError(f"document: unknown field(s) {sorted(extras)}")
     version = _expect(doc["schema_version"], "document.schema_version", int)
     if version != SCHEMA_VERSION:
         raise SchemaError(
             f"document.schema_version: expected {SCHEMA_VERSION}, got {version}"
         )
-    return TuningConfig(
-        build_id=_expect(doc["build_id"], "document.build_id", str),
-        resources=[
-            _parse_resource(r, f"resources[{i}]")
-            for i, r in enumerate(_expect(doc["resources"], "resources", list))
-        ],
-        actions=[
-            _parse_action(a, f"actions[{i}]")
-            for i, a in enumerate(_expect(doc["actions"], "actions", list))
-        ],
-        events=[
-            _parse_event(e, f"events[{i}]")
-            for i, e in enumerate(_expect(doc["events"], "events", list))
-        ],
-        careers=[
-            _parse_career(c, f"careers[{i}]")
-            for i, c in enumerate(_expect(doc["careers"], "careers", list))
-        ],
-        relationships=[
-            _parse_relationship(r, f"relationships[{i}]")
-            for i, r in enumerate(
-                _expect(doc["relationships"], "relationships", list)
-            )
-        ],
-        objects=[
-            _parse_object(o, f"objects[{i}]")
-            for i, o in enumerate(_expect(doc["objects"], "objects", list))
-        ],
-    )
+    _expect(doc["build_id"], "document.build_id", str)
+    return TuningConfig(**{
+        f.attr: _decode(f.kind, doc[f.key], f.key)
+        for f in _PLANS[TuningConfig].fields
+    })
+
+
+def config_to_dict(config: TuningConfig) -> dict:
+    return {"schema_version": SCHEMA_VERSION, **_encode(config)}
+
+
+def serialize_tuning(config: TuningConfig, indent: int = 2) -> str:
+    return json.dumps(config_to_dict(config), indent=indent) + "\n"
 
 # ---------------------------------------------------------------------------
 # Semantic validation
@@ -776,31 +716,6 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _flatten(value: Any, prefix: str, out: dict[str, Any]) -> None:
-    if isinstance(value, (RewardBundle, RequirementSet, EventStep, ObjectUnlock)):
-        for name in value.__dataclass_fields__:
-            _flatten(getattr(value, name), f"{prefix}.{name}" if prefix else name, out)
-    elif isinstance(value, dict):
-        for key in sorted(value, key=str):
-            _flatten(value[key], f"{prefix}.{key}", out)
-        out[f"{prefix}{'.' if prefix else ''}__keys__"] = tuple(sorted(value, key=str))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _flatten(item, f"{prefix}[{i}]", out)
-        out[f"{prefix}.__len__"] = len(value)
-    else:
-        out[prefix] = value
-
-
-def _flatten_spec(spec: Any) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for name in spec.__dataclass_fields__:
-        if name in ("id", "_index"):
-            continue
-        _flatten(getattr(spec, name), name, out)
-    return out
-
-
 def diff_builds(a: TuningConfig, b: TuningConfig) -> BuildDiff:
     """Structural diff of two builds: entities added, removed, and changed."""
     entries: list[DiffEntry] = []
@@ -823,8 +738,11 @@ def diff_builds(a: TuningConfig, b: TuningConfig) -> BuildDiff:
             elif eid not in lmap:
                 entries.append(DiffEntry(kind, eid, "added"))
             else:
-                flat_l = _flatten_spec(lmap[eid])
-                flat_r = _flatten_spec(rmap[eid])
+                # the shared "id" entry never differs, so it never shows
+                flat_l: dict[str, Any] = {}
+                flat_r: dict[str, Any] = {}
+                _flatten(lmap[eid], "", flat_l)
+                _flatten(rmap[eid], "", flat_r)
                 for fieldname in sorted(set(flat_l) | set(flat_r)):
                     old = flat_l.get(fieldname)
                     new = flat_r.get(fieldname)
@@ -896,110 +814,3 @@ def flag_step_anomalies(
                     f"{anomaly_ratio} of step 1 rate {base_ratio:.3f}",
                     "step-anomaly"))
     return diags
-
-
-# ---------------------------------------------------------------------------
-# Serialization (inverse of parse_tuning)
-# ---------------------------------------------------------------------------
-
-def _rewards_to_dict(r: RewardBundle) -> dict:
-    return {
-        "career_xp": r.career_xp,
-        "event_xp": r.event_xp,
-        "relationship_xp": r.relationship_xp,
-        "resources": dict(sorted(r.resources.items())),
-        "items": dict(sorted(r.items.items())),
-    }
-
-
-def _requires_to_dict(req: RequirementSet) -> dict:
-    out: dict[str, Any] = {}
-    if req.career is not None:
-        out["career"] = req.career
-        out["min_level"] = req.min_level
-    if req.owned_object is not None:
-        out["owned_object"] = req.owned_object
-    if req.during_event:
-        out["during_event"] = True
-    return out
-
-
-def config_to_dict(config: TuningConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "build_id": config.build_id,
-        "resources": [
-            {
-                "id": r.id,
-                "capacity": r.capacity,
-                "regen_rate": {
-                    "num": r.regen_rate.numerator,
-                    "den": r.regen_rate.denominator,
-                },
-                "initial": r.initial,
-            }
-            for r in config.resources
-        ],
-        "actions": [
-            {
-                "id": a.id,
-                "duration": a.duration,
-                "cooldown": a.cooldown,
-                "costs": dict(sorted(a.costs.items())),
-                "consumes_items": dict(sorted(a.consumes_items.items())),
-                "rewards": _rewards_to_dict(a.rewards),
-                "requires": _requires_to_dict(a.requires),
-                "category_tag": a.category_tag,
-                **({"delayed_effect": a.delayed_effect}
-                   if a.delayed_effect is not None else {}),
-            }
-            for a in config.actions
-        ],
-        "events": [
-            {
-                "id": e.id,
-                "kind": e.kind,
-                "owner_id": e.owner_id,
-                "time_limit": e.time_limit,
-                "action_ids": list(e.action_ids),
-                "steps": [
-                    {"xp_threshold": s.xp_threshold,
-                     "reward": _rewards_to_dict(s.reward)}
-                    for s in e.steps
-                ],
-                "start_requires": _requires_to_dict(e.start_requires),
-            }
-            for e in config.events
-        ],
-        "careers": [
-            {
-                "id": c.id,
-                "max_level": c.max_level,
-                "xp_per_level": list(c.xp_per_level),
-                "events_by_level": {
-                    str(level): list(ids)
-                    for level, ids in sorted(c.events_by_level.items())
-                },
-                "craft_items": list(c.craft_items),
-                "object_unlocks": [
-                    {"object": u.object_id,
-                     "unlock_level": u.unlock_level,
-                     "price_rho": u.price_rho}
-                    for u in c.object_unlocks
-                ],
-            }
-            for c in config.careers
-        ],
-        "relationships": [
-            {"id": r.id, "event_chain": list(r.event_chain)}
-            for r in config.relationships
-        ],
-        "objects": [
-            {"id": o.id, "unlocked_action_ids": list(o.unlocked_action_ids)}
-            for o in config.objects
-        ],
-    }
-
-
-def serialize_tuning(config: TuningConfig, indent: int = 2) -> str:
-    return json.dumps(config_to_dict(config), indent=indent) + "\n"

@@ -37,6 +37,18 @@ MINI_SUITE = [
 ]
 
 
+def write_unlocks_null(directory):
+    """desk_base with a career whose object_unlocks is null instead of a list."""
+    doc = json.loads(fixtures.path("desk_base").read_text())
+    doc["careers"][1]["object_unlocks"] = None
+    path = directory / "unlocks_null.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+UNLOCKS_NULL_ERROR = "careers[1].object_unlocks: expected list, got NoneType"
+
+
 @pytest.fixture()
 def suite_dir(tmp_path):
     for name in ("desk_base",):
@@ -70,6 +82,10 @@ class TestValidate:
         broken.write_text(json.dumps(doc))
         assert main(["validate", str(broken)]) == 1
         assert "xp_per_level" in capsys.readouterr().out
+
+    def test_non_list_object_unlocks_exit_two(self, tmp_path, capsys):
+        assert main(["validate", str(write_unlocks_null(tmp_path))]) == 2
+        assert UNLOCKS_NULL_ERROR in capsys.readouterr().err
 
     def test_json_format_is_parseable(self, capsys):
         assert main(["validate", "--format", "json",
@@ -105,8 +121,45 @@ class TestDiff:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
+    def test_non_list_object_unlocks_exit_two(self, tmp_path, capsys):
+        code = main(["diff", str(fixtures.path("desk_base")),
+                     str(write_unlocks_null(tmp_path))])
+        assert code == 2
+        assert UNLOCKS_NULL_ERROR in capsys.readouterr().err
+
 
 class TestRun:
+    def run_isolated(self, suite_dir, bad_entries):
+        """Run bad entries ahead of a good one; only the bad ones may fail."""
+        suite = suite_dir / "isolation.json"
+        suite.write_text(json.dumps([*bad_entries, MINI_SUITE[0]]))
+        out_dir = suite_dir / "isolation_out"
+        assert main(["run", str(suite), "--out", str(out_dir)]) == 1
+        ids = [entry["id"] if isinstance(entry, dict) else f"experiment_{i}"
+               for i, entry in enumerate([*bad_entries, MINI_SUITE[0]])]
+        stats = {
+            eid: json.loads((out_dir / eid / "stats.json").read_text())
+            for eid in ids
+        }
+        assert stats.pop("careers_mini")["status"] == "ok"
+        assert all(s["status"] == "failed" for s in stats.values())
+        return stats
+
+    def test_non_list_object_unlocks_fails_one_experiment(self, suite_dir):
+        write_unlocks_null(suite_dir)
+        bad = dict(MINI_SUITE[0], id="unlocks_null",
+                   tuning_ref="unlocks_null.json")
+        stats = self.run_isolated(suite_dir, [bad])
+        assert stats["unlocks_null"]["error"] == (
+            f"SchemaError: {UNLOCKS_NULL_ERROR}")
+
+    def test_malformed_entries_are_isolated(self, suite_dir):
+        self.run_isolated(suite_dir, [
+            dict(MINI_SUITE[0], id="string_trials", trials="3"),
+            dict(MINI_SUITE[0], id="list_goal", goal=[1]),
+            "not an entry",
+        ])
+
     def test_failures_are_isolated(self, suite_dir, capsys):
         out_dir = suite_dir / "out"
         code = main(["run", str(suite_dir / "suite.json"),

@@ -1,18 +1,39 @@
 """Tuning file parsing, validation, diffing, and the step-payoff linter."""
 
+import functools
+import itertools
 import json
+import operator
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from playtest import fixtures
 from playtest.errors import (
     DanglingReference,
     InvariantViolation,
+    PlaytestError,
     SchemaError,
     TuningSyntaxError,
     UnknownEvent,
 )
 from playtest.tuning import (
+    ActionSpec,
+    CareerSpec,
+    EventSpec,
+    EventStep,
+    ObjectSpec,
+    ObjectUnlock,
+    RelationshipCategorySpec,
+    RequirementSet,
+    ResourceSpec,
+    RewardBundle,
+    TuningConfig,
+    _decode,
     build_config,
     config_to_dict,
     diff_builds,
@@ -83,11 +104,17 @@ class TestParse:
         with pytest.raises(InvariantViolation):
             parse_tuning(json.dumps(doc))
 
-    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    @pytest.mark.parametrize("name", ALL_FIXTURES + ("min_level_without_career",))
     def test_round_trip(self, name):
-        config = fixtures.load(name)
+        if name == "min_level_without_career":
+            doc = desk_doc()
+            doc["actions"][0]["requires"] = {"min_level": 3}
+            config = parse_tuning(json.dumps(doc))
+        else:
+            config = fixtures.load(name)
         again = parse_tuning(serialize_tuning(config))
         assert again == config
+        assert diff_builds(config, again).is_empty
 
 
 class TestValidate:
@@ -288,3 +315,172 @@ class TestAnomalies:
 def test_config_to_dict_is_json_safe(desk_base):
     payload = config_to_dict(desk_base)
     assert json.loads(json.dumps(payload)) == payload
+
+
+# ---------------------------------------------------------------------------
+# Codec properties and the schema document
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+names = st.text(alphabet="abxyz_\u00e9", min_size=1, max_size=4)
+amounts = st.integers(0, 9)
+
+
+def maps_over(keys):
+    if not keys:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(keys), amounts, max_size=2)
+
+
+def refs_to(ids):
+    return st.none() | st.sampled_from(ids) if ids else st.none()
+
+
+@st.composite
+def rewards(draw, resource_ids):
+    return RewardBundle(draw(amounts), draw(amounts), draw(amounts),
+                        draw(maps_over(resource_ids)),
+                        draw(st.dictionaries(names, amounts, max_size=2)))
+
+
+@st.composite
+def requirements(draw, career_ids, object_ids):
+    return RequirementSet(draw(refs_to(career_ids)), draw(st.integers(1, 3)),
+                          draw(refs_to(object_ids)), draw(st.booleans()))
+
+
+@st.composite
+def small_builds(draw):
+    """A valid build of a few entities of every kind, cross-referenced."""
+    resource_ids = [f"r{i}" for i in range(draw(st.integers(0, 2)))]
+    max_levels = {f"c{i}": draw(st.integers(1, 3))
+                  for i in range(draw(st.integers(0, 2)))}
+    category_ids = [f"k{i}" for i in range(draw(st.integers(0, 2)))]
+    object_ids = [f"o{i}" for i in range(draw(st.integers(0, 2)))]
+    career_ids = list(max_levels)
+
+    resources = []
+    for rid in resource_ids:
+        capacity = draw(amounts)
+        rate = Fraction(draw(amounts), draw(st.integers(1, 4)))
+        resources.append(ResourceSpec(rid, capacity, rate,
+                                      draw(st.integers(0, capacity))))
+    actions = [
+        ActionSpec(f"a{i}", draw(amounts), draw(amounts),
+                   draw(maps_over(resource_ids)),
+                   draw(st.dictionaries(names, amounts, max_size=2)),
+                   draw(rewards(resource_ids)),
+                   draw(requirements(career_ids, object_ids)),
+                   draw(st.just("") | names), draw(st.none() | names))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    owners = ([("career", c) for c in career_ids]
+              + [("relationship", k) for k in category_ids])
+    events = []
+    for i, (kind, owner) in enumerate(
+            draw(st.lists(st.sampled_from(owners), max_size=4)) if owners else []):
+        thresholds = draw(st.sets(st.integers(1, 30), min_size=1, max_size=3))
+        events.append(EventSpec(
+            f"e{i}", kind, owner, draw(st.integers(1, 200)),
+            draw(st.lists(st.sampled_from([a.id for a in actions]),
+                          max_size=2, unique=True)),
+            [EventStep(t, draw(rewards(resource_ids))) for t in sorted(thresholds)],
+            draw(requirements(career_ids, object_ids)),
+        ))
+    careers = []
+    for cid, max_level in max_levels.items():
+        levels = st.integers(1, max_level)
+        gaps = draw(st.lists(st.integers(1, 50),
+                             min_size=max_level - 1, max_size=max_level - 1))
+        by_level: dict[int, list[str]] = {}
+        for event in events:
+            if event.owner_id == cid and draw(st.booleans()):
+                by_level.setdefault(draw(levels), []).append(event.id)
+        unlocked = draw(st.lists(st.sampled_from(object_ids), max_size=2)
+                        if object_ids else st.just([]))
+        careers.append(CareerSpec(
+            cid, max_level, list(itertools.accumulate(gaps, initial=0)), by_level,
+            draw(st.lists(names, max_size=2)),
+            [ObjectUnlock(o, draw(levels), draw(amounts)) for o in unlocked],
+        ))
+    chains = {k: [e.id for e in events if e.owner_id == k] for k in category_ids}
+    return TuningConfig(
+        draw(names), resources, actions, events, careers,
+        [RelationshipCategorySpec(k, chain) for k, chain in chains.items() if chain],
+        [ObjectSpec(o, [a.id for a in actions
+                        if a.requires.owned_object == o and draw(st.booleans())])
+         for o in object_ids],
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(small_builds())
+def test_generated_builds_round_trip(config):
+    again = parse_tuning(serialize_tuning(config))
+    assert again == config
+    assert diff_builds(config, again).is_empty
+
+
+FIXTURE_TEXT = {name: fixtures.path(name).read_text() for name in ALL_FIXTURES}
+DELETE = object()
+MUTANT_VALUES = (DELETE, None, "x", 7, True, [], {}, 1.5)
+
+
+def key_paths(node, path=()):
+    """Every key of every JSON object under node, plus one unknown key each."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from key_paths(value, path + (key,))
+        yield path + ("unknown_field",)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from key_paths(value, path + (i,))
+
+
+def single_defects():
+    """One (fixture, key path, new value) per schema position and defect."""
+    chosen = {}
+    for name, text in FIXTURE_TEXT.items():
+        for path in key_paths(json.loads(text)):
+            position = tuple("[]" if isinstance(k, int) else k for k in path)
+            values = (1,) if path[-1] == "unknown_field" else MUTANT_VALUES
+            for value in values:
+                chosen.setdefault((position, repr(value)), (name, path, value))
+    return list(chosen.values())
+
+
+SINGLE_DEFECTS = single_defects()
+
+
+# hypothesis skips values it has already tried, so this draws every listed defect
+@settings(PROPERTY_SETTINGS, max_examples=len(SINGLE_DEFECTS))
+@given(st.sampled_from(SINGLE_DEFECTS))
+def test_single_defects_build_or_raise_domain_errors(defect):
+    name, path, value = defect
+    doc = json.loads(FIXTURE_TEXT[name])
+    node = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    try:
+        parse_tuning(json.dumps(doc))
+    except PlaytestError:
+        pass
+
+
+SCHEMA_DOC = Path(__file__).parent.parent / "docs" / "tuning-schema.md"
+DOC_EXAMPLE_TYPES = (
+    ResourceSpec, ActionSpec, RewardBundle, EventSpec, CareerSpec,
+    RelationshipCategorySpec, ObjectSpec,
+)
+
+
+def test_schema_doc_examples_decode():
+    document, *examples = re.findall(r"```json\n(.*?)```", SCHEMA_DOC.read_text(),
+                                     re.DOTALL)
+    build_config(json.loads(document.replace("[...]", "[]")))
+    assert len(examples) == len(DOC_EXAMPLE_TYPES)
+    for kind, example in zip(DOC_EXAMPLE_TYPES, examples):
+        _decode(kind, json.loads(example), kind.__name__)
