@@ -5,7 +5,11 @@ committing only the first edge of the best plan found. Search edges are
 the legal actions plus at most one wait edge (to the next availability
 when idle, to the event deadline while an event runs). Frontier ties on
 f are broken by a uniform random draw from the caller's seeded rng, so
-identical seeds give identical decisions.
+identical seeds give identical decisions. Between moves the planner
+keeps the node expansions of its last search, keyed by the node's dedup
+key, action count and auto-grant flag, so a replan asks the engine only
+for states that search never expanded. The search itself is unchanged,
+and so is every decision; the memo holds at most one search's entries.
 
 The Softmax agent samples moves in proportion to exp(utility/temperature)
 where utility is a learned linear function of normalized action
@@ -393,77 +397,99 @@ def _astar_search(
     goal: GoalSpec,
     node_budget: int,
     rng: random.Random,
-) -> tuple[Decision, int]:
-    """Run one bounded best-first search; returns (decision, nodes expanded)."""
+    memo: dict,
+) -> tuple[Decision, int, dict]:
+    """Run one bounded best-first search.
+
+    `memo` maps a node's (dedup key, action count, auto-grant flag) to
+    its edge list, each edge a [decision, child, child key, child
+    heuristic or None] list, as an earlier search under the same config
+    built it. Returns (decision, nodes expanded, memo of the entries this
+    search used).
+    """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
     if goal_satisfied(goal, state):
-        return Decision.stop("goal_reached"), 0
+        return Decision.stop("goal_reached"), 0, {}
     if not _within_limits(goal, state):
-        return Decision.stop("hard_limit"), 0
+        return Decision.stop("hard_limit"), 0, {}
 
-    root_edges = decision_edges(config, state)
+    used: dict[tuple, list] = {}
+
+    def edges_of(key: tuple, node: GameState) -> list:
+        memo_key = (key, node.counters.total_actions, node.auto_grant_objects)
+        edges = memo.get(memo_key)
+        if edges is None:
+            edges = [[decision, child, child.dedup_key(), None]
+                     for decision, child in decision_edges(config, node)]
+        used[memo_key] = edges
+        return edges
+
+    root_key = state.dedup_key()
+    root_edges = edges_of(root_key, state)
     if not root_edges:
-        return Decision.stop("deadlock"), 0
+        return Decision.stop("deadlock"), 0, used
 
     evaluate = build_evaluator(heuristic, config, goal)
     root_actions = state.counters.total_actions
     root_clock = state.clock
 
-    # heap entries: (f, elapsed, tie, seq, g, state, first decision)
+    # heap entries: (f, elapsed, tie, seq, g, key, state, first decision)
     seq = 0
     heap: list[tuple] = []
-    closed: dict[tuple, int] = {state.dedup_key(): 0}
+    closed: dict[tuple, int] = {root_key: 0}
     expanded = 1  # the root expansion above
     out_of_budget = False
 
-    def push(decision, child, first) -> None:
+    def push(edge: list, first) -> None:
         nonlocal seq
+        decision, child, key, h = edge
         if not _within_limits(goal, child):
             return
         child_g = child.counters.total_actions - root_actions
-        best = closed.get(child.dedup_key())
+        best = closed.get(key)
         if best is not None and best <= child_g:
             return
+        if h is None:
+            h = edge[3] = evaluate(child)
         seq += 1
         heapq.heappush(heap, (
-            child_g + evaluate(child),
+            child_g + h,
             child.clock - root_clock,
             rng.random(),
             seq,
             child_g,
+            key,
             child,
             first if first is not None else decision,
         ))
 
-    for decision, child in root_edges:
-        push(decision, child, None)
+    for edge in root_edges:
+        push(edge, None)
 
     while heap:
-        f, elapsed, tie, _, g, node, first = heapq.heappop(heap)
-        key = node.dedup_key()
+        f, elapsed, tie, _, g, key, node, first = heapq.heappop(heap)
         best = closed.get(key)
         if best is not None and best <= g:
             continue
         if goal_satisfied(goal, node):
-            return first, expanded
+            return first, expanded, used
         if expanded >= node_budget:
-            heapq.heappush(heap, (f, elapsed, tie, -1, g, node, first))
+            heapq.heappush(heap, (f, elapsed, tie, -1, g, key, node, first))
             out_of_budget = True
             break
         closed[key] = g
         expanded += 1
-        for decision, child in decision_edges(config, node):
-            push(decision, child, first)
+        for edge in edges_of(key, node):
+            push(edge, first)
 
     # Budget ran out (or the goal is unreachable in the explored region):
     # head toward the best frontier node, ranked by f, then fewest actions,
     # then least elapsed time, then the random tie number already drawn.
     best_entry = None
-    for f, elapsed, tie, _, g, node, first in heap:
+    for f, elapsed, tie, _, g, key, node, first in heap:
         if first is None:
             continue
-        key = node.dedup_key()
         prev = closed.get(key)
         if prev is not None and prev <= g:
             continue
@@ -471,10 +497,10 @@ def _astar_search(
         if best_entry is None or rank < best_entry[0]:
             best_entry = (rank, first)
     if best_entry is not None:
-        return best_entry[1], expanded
+        return best_entry[1], expanded, used
     if out_of_budget:
-        return Decision.stop("budget_exhausted"), expanded
-    return Decision.stop("search_exhausted"), expanded
+        return Decision.stop("budget_exhausted"), expanded, used
+    return Decision.stop("search_exhausted"), expanded, used
 
 
 def astar_decide(
@@ -486,14 +512,29 @@ def astar_decide(
     rng: random.Random | None = None,
 ) -> Decision:
     """Pick the next move by bounded A* over game states."""
-    decision, _ = _astar_search(
-        config, state, heuristic, goal, node_budget, rng or random.Random(0)
+    decision, _, _ = _astar_search(
+        config, state, heuristic, goal, node_budget, rng or random.Random(0), {}
     )
     return decision
 
 
 class AStarPlanner:
-    """Receding-horizon planner: a fresh bounded search before every move."""
+    """Receding-horizon planner: a fresh bounded search before every move.
+
+    The planner keeps the node expansions of its last search. The next
+    search, rooted one move further on, takes a node's successors and
+    their heuristic values from there instead of asking the engine
+    again. The key is (dedup key, action count, auto-grant flag): the
+    dedup key holds everything that shapes future dynamics, the action
+    count fixes g and the action limit, and the auto-grant flag changes
+    successors without being part of the dedup key. So every lookup
+    yields the successors a fresh expansion would build, the search
+    pushes and pops in the same order and draws the same tie numbers,
+    and its decisions and expansion counts are those of `astar_decide`.
+    After each decision only the entries that search used are kept, at
+    most `last_expanded + 1` of them; a call with another config starts
+    from none.
+    """
 
     name = "astar"
 
@@ -507,12 +548,17 @@ class AStarPlanner:
         self.goal = goal
         self.node_budget = node_budget
         self.last_expanded = 0
+        self._memo_config: TuningConfig | None = None
+        self._memo: dict = {}
 
     def decide(
         self, config: TuningConfig, state: GameState, rng: random.Random
     ) -> Decision:
-        decision, self.last_expanded = _astar_search(
-            config, state, self.heuristic, self.goal, self.node_budget, rng
+        if config is not self._memo_config:
+            self._memo_config, self._memo = config, {}
+        decision, self.last_expanded, self._memo = _astar_search(
+            config, state, self.heuristic, self.goal, self.node_budget, rng,
+            self._memo,
         )
         return decision
 

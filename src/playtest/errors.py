@@ -72,6 +72,10 @@ class Deadlock(PlaytestError):
 
 # --- experiments ---
 
+class SuiteEntryError(PlaytestError):
+    """A suite entry, or one of its fields (<id>.<field>), has the wrong JSON type."""
+
+
 class NoRelationshipEvents(PlaytestError):
     pass
 

@@ -29,6 +29,7 @@ from .errors import (
     CareerMissingInBuild,
     NoRelationshipEvents,
     PlaytestError,
+    SuiteEntryError,
     TargetAboveCap,
     UnknownCareer,
 )
@@ -120,6 +121,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        _check_entry_types(data)
         ref = data["tuning_ref"]
         return cls(
             id=data["id"],
@@ -147,6 +149,35 @@ class ExperimentConfig:
             "agent": dict(self.agent),
             "careers": [dict(c) for c in self.careers],
         }
+
+
+# JSON types a suite entry's fields may have; an exact match, so a bool
+# is no int and an int no float
+_ENTRY_TYPES = {
+    "id": (str,),
+    "study": (str,),
+    "tuning_ref": (str, list),
+    "scenario": (dict,),
+    "heuristic": (dict,),
+    "goal": (dict,),
+    "trials": (int,),
+    "base_seed": (int,),
+    "agent": (dict,),
+    "careers": (list,),
+}
+
+
+def _check_entry_types(data) -> None:
+    if type(data) is not dict:
+        raise SuiteEntryError(f"entry: expected dict, got {type(data).__name__}")
+    entry = data["id"] if type(data.get("id")) is str else "entry"
+    for name, types in _ENTRY_TYPES.items():
+        if name in data and type(data[name]) not in types:
+            expected = " or ".join(t.__name__ for t in types)
+            raise SuiteEntryError(
+                f"{entry}.{name}: expected {expected}, "
+                f"got {type(data[name]).__name__}"
+            )
 
 
 def trial_seed(base_seed: int, index: int) -> int:

@@ -210,7 +210,7 @@ def run_suite(
                 input_files += paths
                 configs = [parse_tuning(p.read_text()) for p in paths]
                 outcome = run_experiment(xc, configs, pool)
-            # a wrong-typed entry field surfaces as a TypeError
+            # a wrong-typed field nested in an entry surfaces as a TypeError
             except (OSError, PlaytestError, ValueError, KeyError, TypeError) as exc:
                 outcome = _failed_outcome(
                     experiment_id, study, f"{type(exc).__name__}: {exc}"

@@ -308,12 +308,14 @@ def _expect(obj: Any, path: str, kind: type) -> Any:
 
 
 def _level(key: str, path: str) -> int:
+    """A level key in canonical decimal form, so no two keys name one level."""
     try:
-        return int(key)
+        level = int(key)
     except ValueError:
-        raise SchemaError(
-            f"{path}: level key {key!r} is not an integer"
-        ) from None
+        level = None
+    if level is None or str(level) != key:
+        raise SchemaError(f"{path}: level key {key!r} is not a canonical integer")
+    return level
 
 
 def _decode(kind: Any, value: Any, path: str) -> Any:

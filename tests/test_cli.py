@@ -154,11 +154,24 @@ class TestRun:
             f"SchemaError: {UNLOCKS_NULL_ERROR}")
 
     def test_malformed_entries_are_isolated(self, suite_dir):
-        self.run_isolated(suite_dir, [
+        stats = self.run_isolated(suite_dir, [
             dict(MINI_SUITE[0], id="string_trials", trials="3"),
             dict(MINI_SUITE[0], id="list_goal", goal=[1]),
+            dict(MINI_SUITE[0], id="bool_seed", base_seed=True),
+            dict(MINI_SUITE[0], id="number_scenario", scenario=5),
             "not an entry",
         ])
+        assert {eid: s["error"] for eid, s in stats.items()} == {
+            "string_trials":
+                "SuiteEntryError: string_trials.trials: expected int, got str",
+            "list_goal":
+                "SuiteEntryError: list_goal.goal: expected dict, got list",
+            "bool_seed":
+                "SuiteEntryError: bool_seed.base_seed: expected int, got bool",
+            "number_scenario":
+                "SuiteEntryError: number_scenario.scenario: expected dict, got int",
+            "experiment_4": "SuiteEntryError: entry: expected dict, got str",
+        }
 
     def test_failures_are_isolated(self, suite_dir, capsys):
         out_dir = suite_dir / "out"

@@ -3,12 +3,18 @@
 import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bfs_oracle import random_desk_config
 from playtest import fixtures
 from playtest.errors import Deadlock
 from playtest.agents import (
     AStarPlanner,
     GoalSpec,
     HeuristicSpec,
+    astar_decide,
+    goal_satisfied,
     run_episode,
 )
 from playtest.sim import (
@@ -213,3 +219,118 @@ class TestTieRealization:
             counts["chat" if first_act == "friendship" else "taunt"] += 1
         frequency = counts["chat"] / 1000
         assert abs(frequency - 0.5) <= 0.05
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+class CheckedPlanner:
+    """An AStarPlanner whose every decision is checked against a fresh search.
+
+    Before each decision the rng state is copied; a new planner (empty
+    memo) and `astar_decide` must then make the same decision with the
+    same expansion count and the same number of tie draws. The memo kept
+    afterwards must hold at most `last_expanded + 1` entries.
+    """
+
+    name = "astar"
+
+    def __init__(self, heuristic, goal, node_budget):
+        self.planner = AStarPlanner(heuristic, goal, node_budget)
+        self.last_expanded = 0
+
+    def decide(self, config, state, rng):
+        planner = self.planner
+        start = rng.getstate()
+        fresh_rng, decide_rng = random.Random(), random.Random()
+        fresh_rng.setstate(start)
+        decide_rng.setstate(start)
+        fresh = AStarPlanner(planner.heuristic, planner.goal, planner.node_budget)
+        expected = fresh.decide(config, state, fresh_rng)
+
+        decision = planner.decide(config, state, rng)
+        assert decision == expected
+        assert planner.last_expanded == fresh.last_expanded
+        assert rng.getstate() == fresh_rng.getstate()
+        assert astar_decide(config, state, planner.heuristic, planner.goal,
+                            planner.node_budget, decide_rng) == decision
+        assert len(planner._memo) <= planner.last_expanded + 1
+        self.last_expanded = planner.last_expanded
+        return decision
+
+
+def commit(config, state, decision):
+    """Apply a move the way run_episode does (its trace entry aside)."""
+    if decision.kind == "act":
+        return step_action(config, state, decision.action)
+    if legal_actions(config, state):
+        return advance_time(config, state, decision.until)
+    return close_session_if_idle(config, state)
+
+
+def play_in_lockstep(planner, runs, seed, max_decisions=400):
+    """One move per run in turn, all through one planner and its memo."""
+    states = [initial_state(config, scenario, seed) for config, scenario in runs]
+    rngs = [random.Random(seed) for _ in runs]
+    live = set(range(len(runs)))
+    for _ in range(max_decisions):
+        for i in sorted(live):
+            config = runs[i][0]
+            decision = planner.decide(config, states[i], rngs[i])
+            if decision.kind != "stop":
+                states[i] = commit(config, states[i], decision)
+            if (decision.kind == "stop"
+                    or goal_satisfied(planner.planner.goal, states[i])):
+                live.discard(i)
+        if not live:
+            return states
+    raise AssertionError("episodes did not end")
+
+
+class TestPlannerMemo:
+    """The cross-decision memo changes no decision of the A* planner."""
+
+    @PROPERTY_SETTINGS
+    @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1),
+           node_budget=st.integers(1, 40))
+    def test_memo_matches_fresh_search_on_generated_builds(
+            self, build_seed, seed, node_budget):
+        config, scenario, goal = random_desk_config(build_seed)
+        weights = ({"career_xp": 1.0, "event_xp": 0.5}
+                   if goal.kind == "career_level_reached" else
+                   {"relationship_event_complete": 1.0, "event_xp": 1.0})
+        planner = CheckedPlanner(HeuristicSpec(weights), goal, node_budget)
+        run_episode(config, scenario, seed, planner, goal)
+
+    @settings(PROPERTY_SETTINGS, max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), node_budget=st.integers(5, 60))
+    def test_reuse_across_grant_objects(self, desk_objects, seed, node_budget):
+        # unlocks come at level 2, so both runs start from one dedup key
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
+                        max_minutes=20_000, max_actions=400)
+        planner = CheckedPlanner(HeuristicSpec({"career_xp": 1.0}), goal,
+                                 node_budget)
+        base, granted = play_in_lockstep(planner, [
+            (desk_objects, ScenarioOverrides(career="barista")),
+            (desk_objects, ScenarioOverrides(career="barista",
+                                             grant_objects=True)),
+        ], seed)
+        assert granted.owned_objects and not base.owned_objects
+
+    @settings(PROPERTY_SETTINGS, max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), node_budget=st.integers(5, 60))
+    def test_reuse_across_configs(self, desk_base, seed, node_budget):
+        # same start state, different successors: serve pays more career XP
+        doc = json.loads(fixtures.path("desk_base").read_text())
+        serve = next(a for a in doc["actions"] if a["id"] == "serve")
+        serve["rewards"]["career_xp"] += 3
+        richer = parse_tuning(json.dumps(doc))
+        scenario = ScenarioOverrides(career="barista")
+        assert (initial_state(desk_base, scenario, 0).dedup_key()
+                == initial_state(richer, scenario, 0).dedup_key())
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
+                        max_minutes=20_000, max_actions=400)
+        planner = CheckedPlanner(HeuristicSpec({"career_xp": 1.0}), goal,
+                                 node_budget)
+        play_in_lockstep(planner, [(desk_base, scenario), (richer, scenario)],
+                         seed)

@@ -92,6 +92,18 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_tuning(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0"])
+    def test_level_key_must_be_canonical(self, key):
+        # "01" would otherwise merge with "1", the later list replacing it
+        doc = desk_doc()
+        index = next(i for i, c in enumerate(doc["careers"])
+                     if c["id"] == "barista")
+        doc["careers"][index]["events_by_level"][key] = []
+        with pytest.raises(SchemaError) as err:
+            parse_tuning(json.dumps(doc))
+        assert str(err.value) == (f"careers[{index}].events_by_level: "
+                                  f"level key {key!r} is not a canonical integer")
+
     def test_wrong_schema_version(self):
         doc = desk_doc()
         doc["schema_version"] = 2
