@@ -11,13 +11,22 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .errors import PlaytestError
-from .experiments import ExperimentConfig, ExperimentOutcome, run_experiment
-from .tuning import parse_tuning
+from .experiments import (
+    ExperimentConfig,
+    ExperimentOutcome,
+    Read,
+    failed_outcome,
+    run_experiment,
+    start_experiment,
+    trial_pool,
+)
+from .tuning import TuningConfig, parse_tuning
 
 TRIAL_FIELDS = (
     "experiment", "study", "group", "trial", "seed", "agent",
@@ -60,14 +69,20 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _stats_payload(xc: ExperimentConfig, outcome: ExperimentOutcome) -> dict:
-    return {
+def _stats_payload(
+    xc: ExperimentConfig | None, outcome: ExperimentOutcome,
+) -> dict:
+    payload = {
         "experiment": outcome.experiment_id,
         "study": outcome.study,
         "status": outcome.status,
         "error": outcome.error,
         "build_ids": list(outcome.build_ids),
-        "params": {
+        "groups": {k: s.to_dict() for k, s in outcome.groups.items()},
+        "extras": outcome.extras,
+    }
+    if xc is not None:
+        payload["params"] = {
             "trials": xc.trials,
             "base_seed": xc.base_seed,
             "agent": xc.agent,
@@ -76,22 +91,12 @@ def _stats_payload(xc: ExperimentConfig, outcome: ExperimentOutcome) -> dict:
             "heuristic": xc.heuristic.to_dict(),
             "careers": xc.careers,
             "tuning_ref": xc.tuning_ref,
-        },
-        "groups": {k: s.to_dict() for k, s in outcome.groups.items()},
-        "extras": outcome.extras,
-    }
+        }
+    return payload
 
 
-def write_experiment(
-    out_dir: Path,
-    xc: ExperimentConfig,
-    outcome: ExperimentOutcome,
-    input_files: list[Path],
-) -> ReportBundle:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _dump_json(out_dir / "stats.json", _stats_payload(xc, outcome))
-
-    with (out_dir / "trials.csv").open("w", newline="") as handle:
+def _write_trials(path: Path, outcome: ExperimentOutcome) -> None:
+    with path.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=TRIAL_FIELDS)
         writer.writeheader()
         for group, trial, record in outcome.records:
@@ -115,16 +120,34 @@ def write_experiment(
                 "digest": record.state_digest,
             })
 
-    _dump_json(out_dir / "chartdata.json", {
-        "experiment": outcome.experiment_id,
-        "charts": outcome.charts,
-    })
+
+def write_experiment(
+    out_dir: Path,
+    xc: ExperimentConfig | None,
+    outcome: ExperimentOutcome,
+    input_files: list[Path],
+) -> ReportBundle:
+    """Write one experiment's files.
+
+    An entry that never became an ExperimentConfig (xc is None) gets only
+    stats.json, without params, and bundle.json.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _dump_json(out_dir / "stats.json", _stats_payload(xc, outcome))
+    tables = ["stats.json"]
+    if xc is not None:
+        tables.append("trials.csv")
+        _write_trials(out_dir / "trials.csv", outcome)
+        _dump_json(out_dir / "chartdata.json", {
+            "experiment": outcome.experiment_id,
+            "charts": outcome.charts,
+        })
 
     bundle = ReportBundle(
         experiment_id=outcome.experiment_id,
         generated_at=datetime.now(timezone.utc).isoformat(),
         inputs_digest=inputs_digest(input_files),
-        tables=["stats.json", "trials.csv"],
+        tables=tables,
         charts=[chart["name"] for chart in outcome.charts],
     )
     _dump_json(out_dir / "bundle.json", bundle.to_dict())
@@ -135,41 +158,58 @@ def write_experiment(
 # Suite orchestration
 # ---------------------------------------------------------------------------
 
-def _failed_outcome(experiment_id: str, study: str, message: str) -> ExperimentOutcome:
-    return ExperimentOutcome(
-        experiment_id=experiment_id,
-        study=study,
-        build_ids=[],
-        groups={},
-        extras={},
-        charts=[],
-        records=[],
-        status="failed",
-        error=message,
-    )
+@dataclass
+class _Entry:
+    """One suite entry, loaded before the pool starts."""
+
+    id: str
+    study: str
+    files: list[Path]  # the suite file and the entry's tuning files
+    xc: ExperimentConfig | None = None
+    configs: list[TuningConfig] = field(default_factory=list)
+    error: Exception | None = None
 
 
-def _write_failed(
-    out_dir: Path, outcome: ExperimentOutcome, input_files: list[Path]
-) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _dump_json(out_dir / "stats.json", {
-        "experiment": outcome.experiment_id,
-        "study": outcome.study,
-        "status": outcome.status,
-        "error": outcome.error,
-        "build_ids": [],
-        "groups": {},
-        "extras": {},
-    })
-    bundle = ReportBundle(
-        experiment_id=outcome.experiment_id,
-        generated_at=datetime.now(timezone.utc).isoformat(),
-        inputs_digest=inputs_digest(input_files),
-        tables=["stats.json"],
-        charts=[],
+def _load(suite_path: Path, index: int, entry, seed_override: int | None) -> _Entry:
+    named = entry if isinstance(entry, dict) else {}
+    loaded = _Entry(
+        str(named.get("id", f"experiment_{index}")),
+        str(named.get("study", "unknown")),
+        [suite_path],
     )
-    _dump_json(out_dir / "bundle.json", bundle.to_dict())
+    try:
+        loaded.xc = ExperimentConfig.from_dict(entry)
+        if seed_override is not None:
+            loaded.xc = replace(loaded.xc, base_seed=seed_override)
+        paths = [
+            (suite_path.parent / ref).resolve()
+            if not Path(ref).is_absolute() else Path(ref)
+            for ref in loaded.xc.tuning_ref
+        ]
+        loaded.files += paths
+        loaded.configs = [parse_tuning(p.read_text()) for p in paths]
+    except Exception as exc:
+        loaded.error = exc
+    return loaded
+
+
+def _reader(entry: _Entry, pool: ProcessPoolExecutor | None) -> Read:
+    """Return the function that reads the entry's outcome.
+
+    Serially the experiment runs when it is read. On a pool its jobs are
+    submitted now. A bad value in the entry fails it alone; any other
+    exception while jobs are handed to the pool ends the suite, as a
+    broken pool does.
+    """
+    error = entry.error
+    if error is None and pool is None:
+        return partial(run_experiment, entry.xc, entry.configs)
+    if error is None:
+        try:
+            return start_experiment(entry.xc, entry.configs, pool)
+        except (KeyError, TypeError, ValueError) as exc:
+            error = exc
+    return partial(failed_outcome, entry.id, entry.study, error)
 
 
 def run_suite(
@@ -182,46 +222,41 @@ def run_suite(
 
     Tuning paths are resolved relative to the suite file. Results are
     written under out_dir/<experiment id>/ and also returned in suite
-    order for programmatic use.
+    order for programmatic use. Every entry and build is loaded first.
+    Serially, each experiment then runs and is written in turn. With
+    `parallel` > 1, every trial batch and training run of the suite is
+    handed to one process pool before any result is read; the
+    experiments are then read and written in suite order.
+
+    An exception while an experiment loads, runs or is read fails that
+    experiment alone, except on a pool: an exception other than a bad
+    entry value raised while jobs are submitted ends the suite, and a
+    worker that dies (BrokenProcessPool) fails every experiment not yet
+    read.
     """
     suite_path = Path(suite_path)
     entries = json.loads(suite_path.read_text())
     if not isinstance(entries, list):
         raise PlaytestError("suite file must contain a JSON list")
 
-    pool = ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else None
+    loaded = [
+        _load(suite_path, i, entry, seed_override) for i, entry in enumerate(entries)
+    ]
+    pool = None
+    if parallel > 1:
+        pool = trial_pool(parallel, [c for entry in loaded for c in entry.configs])
     results = []
     try:
-        for entry in entries:
-            named = entry if isinstance(entry, dict) else {}
-            experiment_id = str(named.get("id", f"experiment_{len(results)}"))
-            study = str(named.get("study", "unknown"))
-            xc = None
-            input_files: list[Path] = [suite_path]
+        readers = [_reader(entry, pool) for entry in loaded]
+        for entry, read in zip(loaded, readers):
             try:
-                xc = ExperimentConfig.from_dict(entry)
-                if seed_override is not None:
-                    xc = replace(xc, base_seed=seed_override)
-                paths = [
-                    (suite_path.parent / ref).resolve()
-                    if not Path(ref).is_absolute() else Path(ref)
-                    for ref in xc.tuning_ref
-                ]
-                input_files += paths
-                configs = [parse_tuning(p.read_text()) for p in paths]
-                outcome = run_experiment(xc, configs, pool)
-            # a wrong-typed field nested in an entry surfaces as a TypeError
-            except (OSError, PlaytestError, ValueError, KeyError, TypeError) as exc:
-                outcome = _failed_outcome(
-                    experiment_id, study, f"{type(exc).__name__}: {exc}"
-                )
-            existing = [p for p in input_files if p.exists()]
-            if xc is None:
-                _write_failed(out_dir / experiment_id, outcome, existing)
-            else:
-                write_experiment(out_dir / experiment_id, xc, outcome, existing)
-            results.append((xc, outcome))
+                outcome = read()
+            except Exception as exc:
+                outcome = failed_outcome(entry.id, entry.study, exc)
+            existing = [p for p in entry.files if p.exists()]
+            write_experiment(out_dir / entry.id, entry.xc, outcome, existing)
+            results.append((entry.xc, outcome))
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     return results

@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, output formats, suite execution."""
 
 import json
+import multiprocessing
 
 import pytest
 
-from playtest import fixtures
+from playtest import experiments, fixtures
 from playtest.cli import main
 
 MINI_SUITE = [
@@ -160,6 +161,15 @@ class TestRun:
             dict(MINI_SUITE[0], id="bool_seed", base_seed=True),
             dict(MINI_SUITE[0], id="number_scenario", scenario=5),
             "not an entry",
+            dict(MINI_SUITE[0], id="text_max_actions",
+                 goal=dict(MINI_SUITE[0]["goal"], max_actions="x")),
+            dict(MINI_SUITE[0], id="number_weights", heuristic={"weights": 5}),
+            dict(MINI_SUITE[0], id="number_resources",
+                 scenario={"initial_resources": 3}),
+            dict(MINI_SUITE[0], id="text_budget",
+                 agent={"kind": "astar", "node_budget": "x"}),
+            dict(MINI_SUITE[0], id="text_level",
+                 careers=[{"career": "barista", "target_level": "3"}]),
         ])
         assert {eid: s["error"] for eid, s in stats.items()} == {
             "string_trials":
@@ -171,6 +181,16 @@ class TestRun:
             "number_scenario":
                 "SuiteEntryError: number_scenario.scenario: expected dict, got int",
             "experiment_4": "SuiteEntryError: entry: expected dict, got str",
+            "text_max_actions": "SuiteEntryError: "
+                "text_max_actions.goal.max_actions: expected int, got str",
+            "number_weights": "SuiteEntryError: "
+                "number_weights.heuristic.weights: expected dict, got int",
+            "number_resources": "SuiteEntryError: "
+                "number_resources.scenario.initial_resources: expected dict, got int",
+            "text_budget": "SuiteEntryError: "
+                "text_budget.agent.node_budget: expected int, got str",
+            "text_level": "SuiteEntryError: "
+                "text_level.careers[0].target_level: expected int, got str",
         }
 
     def test_failures_are_isolated(self, suite_dir, capsys):
@@ -187,12 +207,47 @@ class TestRun:
         assert (out_dir / "careers_mini" / "bundle.json").exists()
 
     def test_seeded_runs_byte_identical(self, suite_dir):
-        for name in ("a", "b"):
+        runs = {"a": [], "b": [], "pooled": ["--parallel", "2"]}
+        for name, options in runs.items():
             main(["run", str(suite_dir / "suite.json"),
-                  "--out", str(suite_dir / name), "--seed", "42"])
-        first = (suite_dir / "a" / "careers_mini" / "stats.json").read_bytes()
-        second = (suite_dir / "b" / "careers_mini" / "stats.json").read_bytes()
-        assert first == second
+                  "--out", str(suite_dir / name), "--seed", "42", *options])
+        for experiment in ("careers_mini", "broken_ref"):
+            for output in ("stats.json", "chartdata.json"):
+                first, *others = [
+                    (suite_dir / name / experiment / output).read_bytes()
+                    for name in runs
+                ]
+                assert others == [first, first], (experiment, output)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="the patched run_episode reaches pool workers only by fork")
+    @pytest.mark.parametrize("parallel", ["0", "2"])
+    def test_trial_exception_fails_one_experiment(
+            self, suite_dir, monkeypatch, parallel):
+        doc = json.loads(fixtures.path("desk_base").read_text())
+        doc["build_id"] = "doomed"
+        (suite_dir / "doomed.json").write_text(json.dumps(doc))
+        doomed = dict(MINI_SUITE[0], id="doomed", tuning_ref="doomed.json")
+        run_episode = experiments.run_episode
+
+        def failing(config, *args):
+            if config.build_id == "doomed":
+                raise RuntimeError("trial failed")
+            return run_episode(config, *args)
+
+        monkeypatch.setattr(experiments, "run_episode", failing)
+        for name, suite in (("with", [doomed, MINI_SUITE[0]]),
+                            ("without", [MINI_SUITE[0]])):
+            (suite_dir / f"{name}.json").write_text(json.dumps(suite))
+            main(["run", str(suite_dir / f"{name}.json"), "--out",
+                  str(suite_dir / name), "--parallel", parallel])
+        stats = json.loads((suite_dir / "with/doomed/stats.json").read_text())
+        assert (stats["status"], stats["error"]) == (
+            "failed", "RuntimeError: trial failed")
+        for output in ("stats.json", "chartdata.json"):
+            assert ((suite_dir / "with/careers_mini" / output).read_bytes()
+                    == (suite_dir / "without/careers_mini" / output).read_bytes())
 
     def test_playtest_out_env_default(self, suite_dir, monkeypatch, capsys):
         target = suite_dir / "env_out"

@@ -1,5 +1,6 @@
 """Designer studies: grouping, aggregation, and reproducibility."""
 
+import pickle
 
 import pytest
 
@@ -22,6 +23,7 @@ from playtest.experiments import (
     run_experiment,
     run_relationship_balance,
     run_trials,
+    trial_pool,
     trial_seed,
 )
 from playtest.sim import ScenarioOverrides
@@ -318,3 +320,33 @@ class TestSuiteDispatch:
         assert outcome.groups["barista"].count == 2
         assert len(outcome.records) == 2
         assert outcome.max_nodes_expanded <= 2000
+
+
+class TestPooledTrials:
+    def test_pool_matches_serial_and_payloads_carry_no_build(self, desk_base):
+        xc = make_xc(
+            "agent_comparison", trials=4,
+            goal=GoalSpec(kind="career_level_reached",
+                          max_minutes=20_000, max_actions=400),
+            careers=[{"career": "fashion", "target_level": 2}],
+            agent={"kind": "comparison", "astar": {"node_budget": 2000},
+                   "softmax": {"train": {"episodes": 20, "step_size": 0.05,
+                                         "seed": 7}}})
+        sizes = []
+        with trial_pool(2, [desk_base]) as pool:
+            submit = pool.map
+
+            def recording_map(fn, payloads, **kwargs):
+                sizes.extend(len(pickle.dumps(p)) for p in payloads)
+                return submit(fn, payloads, **kwargs)
+
+            pool.map = recording_map
+            pooled = run_experiment(xc, [desk_base], pool)
+        serial = run_experiment(xc, [desk_base])
+        assert pooled.status == serial.status == "ok"
+        assert (pooled.groups, pooled.extras, pooled.charts) == (
+            serial.groups, serial.extras, serial.charts)
+        assert [(g, i, r.state_digest) for g, i, r in pooled.records] == [
+            (g, i, r.state_digest) for g, i, r in serial.records]
+        # the build text alone is about 15 KB
+        assert len(sizes) == 8 and max(sizes) < 1024
