@@ -11,9 +11,12 @@ key, action count and auto-grant flag, so a replan asks the engine only
 for states that search never expanded. The search itself is unchanged,
 and so is every decision; the memo holds at most one search's entries.
 
-The Softmax agent samples moves in proportion to exp(utility/temperature)
-where utility is a learned linear function of normalized action
-parameters; training is stochastic gradient ascent on episode return.
+The Softmax agent samples from the move list (the decisions alone, no
+successor states) in proportion to exp(utility/temperature), where
+utility is a learned linear function of normalized action parameters.
+Training is REINFORCE, stochastic gradient ascent on episode return: a
+learning agent plays every training episode through the same
+decide/commit loop as evaluation, so its traces carry wait entries too.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .sim import (
     TRACE_WAIT,
@@ -37,7 +41,7 @@ from .sim import (
     state_digest,
     step_action,
 )
-from .tuning import TuningConfig
+from .tuning import EventSpec, TuningConfig
 
 DEFAULT_NODE_BUDGET = 2000
 
@@ -122,7 +126,12 @@ class Decision:
 
     @classmethod
     def act(cls, action: str) -> "Decision":
-        return cls("act", action=action)
+        # one shared instance per action id: building a frozen dataclass
+        # takes about 1 us, a tenth of an engine step
+        decision = _ACT_DECISIONS.get(action)
+        if decision is None:
+            decision = _ACT_DECISIONS[action] = cls("act", action=action)
+        return decision
 
     @classmethod
     def wait(cls, until: int) -> "Decision":
@@ -131,6 +140,9 @@ class Decision:
     @classmethod
     def stop(cls, reason: str) -> "Decision":
         return cls("stop", reason=reason)
+
+
+_ACT_DECISIONS: dict[str, Decision] = {}
 
 
 def _timeout_pays(config: TuningConfig, event) -> bool:
@@ -145,43 +157,44 @@ def _timeout_pays(config: TuningConfig, event) -> bool:
     return False
 
 
-def decision_edges(
-    config: TuningConfig, state: GameState
-) -> list[tuple[Decision, GameState]]:
-    """Every move available from a state, with its successor.
+def available_moves(config: TuningConfig, state: GameState) -> list[Decision]:
+    """Every move available from a state: its legal actions and its wait.
 
-    Act edges apply the action and let its duration elapse. When some
-    action is playable there is additionally a wait edge to the active
-    event's deadline, offered once the event has banked a step that
-    would actually pay out (timing out an event for nothing is never
-    part of a deliberate plan, and pruning it keeps truncated searches
-    off junk branches). When nothing is playable the single wait edge
-    jumps to the next availability, which already accounts for the
+    When some action is playable there is additionally a wait to the
+    active event's deadline, offered once the event has banked a step
+    that would actually pay out (timing out an event for nothing is
+    never part of a deliberate plan, and pruning it keeps truncated
+    searches off junk branches). When nothing is playable the single
+    wait jumps to the next availability, which already accounts for the
     deadline.
     """
     acts = legal_actions(config, state)
-    out = []
     if acts:
-        for aid in acts:
-            out.append((Decision.act(aid), step_action(config, state, aid)))
+        moves = [Decision.act(aid) for aid in acts]
         event = state.active_event
         if (
             event is not None
             and event.deadline > state.clock
             and _timeout_pays(config, event)
         ):
-            out.append((
-                Decision.wait(event.deadline),
-                advance_time(config, state, event.deadline),
-            ))
-    else:
-        target = next_availability(config, state)
-        if target is not None and target > state.clock:
-            out.append((
-                Decision.wait(target),
-                advance_time(config, state, target),
-            ))
-    return out
+            moves.append(Decision.wait(event.deadline))
+        return moves
+    target = next_availability(config, state)
+    if target is not None and target > state.clock:
+        return [Decision.wait(target)]
+    return []
+
+
+def decision_edges(
+    config: TuningConfig, state: GameState
+) -> list[tuple[Decision, GameState]]:
+    """Every available move with its successor: an act applies the action
+    and lets its duration elapse, a wait advances the clock."""
+    return [
+        (move, step_action(config, state, move.action) if move.kind == "act"
+         else advance_time(config, state, move.until))
+        for move in available_moves(config, state)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -238,64 +251,40 @@ def _default_scale(term: str, config: TuningConfig) -> float:
     return 1.0
 
 
-def _chain_event_xp_remaining(
-    config: TuningConfig, state: GameState, goal: GoalSpec
-) -> int:
-    """Optimistic event XP still to accrue before the chain goal.
+# per-event costs for _chain_remaining
+_final_threshold = attrgetter("final_threshold")
 
-    Uses the cheapest qualifying category and credits accrued XP against
-    it unconditionally. Deliberately blind to the category lock: the
-    estimate never exceeds the locked chain's true remainder, and it
-    keeps same-depth search branches tied across symmetric categories,
-    which is what lets repeated seeded runs sample every category.
+
+def _relationship_xp(event: EventSpec) -> int:
+    return sum(step.reward.relationship_xp for step in event.steps)
+
+
+def _chain_remaining(
+    config: TuningConfig, state: GameState, goal: GoalSpec, cost
+) -> int:
+    """`cost(event)` summed over the chain events still to finish before
+    the chain goal.
+
+    A goal on one category counts the locked category, else the goal's.
+    A goal on any chain counts the cheapest category long enough,
+    deliberately blind to the category lock: the estimate never exceeds
+    the locked chain's true remainder, and it keeps same-depth search
+    branches tied across symmetric categories, which is what lets
+    repeated seeded runs sample every category.
     """
     idx = config.index()
-    rel = state.relationship
-    needed = goal.chain_length - rel.completed
-    if needed <= 0:
+    done = state.relationship.completed
+    if goal.chain_length <= done:
         return 0
 
     def chain_total(category: str) -> int:
-        chain = idx.relationships[category].event_chain
-        span = chain[rel.completed:goal.chain_length]
-        return sum(idx.events[eid].final_threshold for eid in span)
+        span = idx.relationships[category].event_chain[done:goal.chain_length]
+        return sum(map(cost, map(idx.events.__getitem__, span)))
 
     if goal.kind == "relationship_chain_done":
-        total = chain_total(rel.category or goal.category)
-    else:
-        total = min(
-            (chain_total(c.id) for c in config.relationships
-             if len(c.event_chain) >= goal.chain_length),
-            default=0,
-        )
-    event = state.active_event
-    if event is not None and idx.chain_position.get(event.event_id) is not None:
-        total -= event.accrued_xp
-    return max(0, total)
-
-
-def _chain_relationship_xp_remaining(
-    config: TuningConfig, state: GameState, goal: GoalSpec
-) -> int:
-    """Relationship XP still collectible from the chain steps before the goal."""
-    idx = config.index()
-    rel = state.relationship
-    needed = goal.chain_length - rel.completed
-    if needed <= 0:
-        return 0
-
-    def chain_steps(category: str) -> int:
-        chain = idx.relationships[category].event_chain
-        return sum(
-            step.reward.relationship_xp
-            for eid in chain[rel.completed:goal.chain_length]
-            for step in idx.events[eid].steps
-        )
-
-    if goal.kind == "relationship_chain_done":
-        return chain_steps(rel.category or goal.category)
+        return chain_total(state.relationship.category or goal.category)
     return min(
-        (chain_steps(c.id) for c in config.relationships
+        (chain_total(c.id) for c in config.relationships
          if len(c.event_chain) >= goal.chain_length),
         default=0,
     )
@@ -329,9 +318,14 @@ def _term_remaining(
         if term == "relationship_event_complete":
             return float(max(0, goal.chain_length - state.relationship.completed))
         if term == "event_xp":
-            return float(_chain_event_xp_remaining(config, state, goal))
+            # credits the accrued XP of an active chain event, whatever its category
+            total = _chain_remaining(config, state, goal, _final_threshold)
+            event = state.active_event
+            if event is not None and event.event_id in idx.chain_position:
+                total -= event.accrued_xp
+            return float(max(0, total))
         if term == "relationship_xp":
-            return float(_chain_relationship_xp_remaining(config, state, goal))
+            return float(_chain_remaining(config, state, goal, _relationship_xp))
         return 0.0
 
     # event_completed
@@ -593,16 +587,22 @@ class TrialRecord:
         return sum(self.wait_intervals) / len(self.wait_intervals)
 
 
-def run_episode(
+def _play(
     config: TuningConfig,
-    scenario: ScenarioOverrides,
-    seed: int,
+    state: GameState,
+    rng: random.Random,
     agent,
     goal: GoalSpec,
-) -> TrialRecord:
-    """Drive one playthrough: decide, apply, repeat until goal or stop."""
-    state = initial_state(config, scenario, seed)
-    rng = random.Random(seed)
+) -> tuple[GameState, bool, str, int, int, float]:
+    """The decide/commit loop of every episode, evaluated or trained.
+
+    Stops at the goal or a hard limit, else asks the agent for a move
+    and commits it. A wait while actions are legal is traced and moves
+    the clock; a wait while idle ends the session. Returns the final
+    state, whether the goal was reached, the stop reason, the decision
+    count, the most nodes one decision expanded and the longest
+    decision in seconds.
+    """
     reached = False
     reason = ""
     decisions = 0
@@ -644,7 +644,21 @@ def run_episode(
         else:
             reason = decision.reason or "stop"
             break
+    return state, reached, reason, decisions, max_expanded, max_seconds
 
+
+def run_episode(
+    config: TuningConfig,
+    scenario: ScenarioOverrides,
+    seed: int,
+    agent,
+    goal: GoalSpec,
+) -> TrialRecord:
+    """Drive one playthrough: decide, apply, repeat until goal or stop."""
+    state, reached, reason, decisions, max_expanded, max_seconds = _play(
+        config, initial_state(config, scenario, seed), random.Random(seed),
+        agent, goal,
+    )
     counters = state.counters
     return TrialRecord(
         seed=seed,
@@ -718,48 +732,24 @@ class SoftmaxPolicy:
 
 
 class FeatureExtractor:
-    """Normalized static action parameters; wait edges get a flag feature."""
+    """Static action parameters, each divided by its largest value over
+    the build's actions (0 where that is 0); waits get a flag feature."""
 
     def __init__(self, config: TuningConfig):
-        actions = config.actions
-        self._norms = {
-            "total_cost": max((sum(a.costs.values()) for a in actions), default=0),
-            "total_consumes": max(
-                (sum(a.consumes_items.values()) for a in actions), default=0),
-            "duration": max((a.duration for a in actions), default=0),
-            "cooldown": max((a.cooldown for a in actions), default=0),
-            "career_xp": max((a.rewards.career_xp for a in actions), default=0),
-            "event_xp": max((a.rewards.event_xp for a in actions), default=0),
-            "relationship_xp": max(
-                (a.rewards.relationship_xp for a in actions), default=0),
-            "reward_resources": max(
-                (sum(a.rewards.resources.values()) for a in actions), default=0),
-            "reward_items": max(
-                (sum(a.rewards.items.values()) for a in actions), default=0),
+        raw = {
+            a.id: (sum(a.costs.values()), sum(a.consumes_items.values()),
+                   a.duration, a.cooldown, a.rewards.career_xp,
+                   a.rewards.event_xp, a.rewards.relationship_xp,
+                   sum(a.rewards.resources.values()),
+                   sum(a.rewards.items.values()))
+            for a in config.actions
         }
-        self._by_action = {a.id: self._action_vector(a) for a in actions}
-        self._wait = [0.0] * len(FEATURE_NAMES)
-        self._wait[0] = 1.0
-        self._wait[-1] = 1.0
-
-    def _scaled(self, name: str, value: float) -> float:
-        norm = self._norms[name]
-        return value / norm if norm else 0.0
-
-    def _action_vector(self, action) -> list[float]:
-        return [
-            1.0,
-            self._scaled("total_cost", sum(action.costs.values())),
-            self._scaled("total_consumes", sum(action.consumes_items.values())),
-            self._scaled("duration", action.duration),
-            self._scaled("cooldown", action.cooldown),
-            self._scaled("career_xp", action.rewards.career_xp),
-            self._scaled("event_xp", action.rewards.event_xp),
-            self._scaled("relationship_xp", action.rewards.relationship_xp),
-            self._scaled("reward_resources", sum(action.rewards.resources.values())),
-            self._scaled("reward_items", sum(action.rewards.items.values())),
-            0.0,
-        ]
+        norms = [max(column) for column in zip(*raw.values())]
+        self._by_action = {
+            aid: [1.0, *(v / n if n else 0.0 for v, n in zip(values, norms)), 0.0]
+            for aid, values in raw.items()
+        }
+        self._wait = [1.0] + [0.0] * (len(FEATURE_NAMES) - 2) + [1.0]
 
     def vector(self, decision: Decision) -> list[float]:
         if decision.kind == "wait":
@@ -767,21 +757,25 @@ class FeatureExtractor:
         return self._by_action[decision.action]
 
 
-def _softmax_probs(utilities: list[float], temperature: float) -> list[float]:
+def _softmax_sample(
+    weights: list[float], temperature: float, vectors: list[list[float]],
+    rng: random.Random,
+) -> tuple[int, list[float]]:
+    """Draw one index with probability proportional to
+    exp(utility / temperature), utility being weights . vector; returns
+    the index and every probability."""
+    utilities = [sum(w * x for w, x in zip(weights, v)) for v in vectors]
     top = max(utilities)
     exps = [math.exp((u - top) / temperature) for u in utilities]
     total = sum(exps)
-    return [e / total for e in exps]
-
-
-def _sample(probs: list[float], rng: random.Random) -> int:
+    probs = [e / total for e in exps]
     draw = rng.random()
     running = 0.0
     for i, p in enumerate(probs):
         running += p
         if draw < running:
-            return i
-    return len(probs) - 1
+            return i, probs
+    return len(probs) - 1, probs
 
 
 def softmax_decide(
@@ -791,18 +785,16 @@ def softmax_decide(
     rng: random.Random,
     features: FeatureExtractor | None = None,
 ) -> Decision:
-    """Sample a move from softmax over utilities of the available edges."""
+    """Sample a move from softmax over utilities of the available moves."""
     features = features or FeatureExtractor(config)
-    options = [d for d, _ in decision_edges(config, state)]
-    if not options:
+    moves = available_moves(config, state)
+    if not moves:
         return Decision.stop("deadlock")
-    weights = policy.weights
-    utilities = [
-        sum(w * x for w, x in zip(weights, features.vector(d)))
-        for d in options
-    ]
-    probs = _softmax_probs(utilities, policy.temperature)
-    return options[_sample(probs, rng)]
+    chosen, _ = _softmax_sample(
+        policy.weights, policy.temperature,
+        [features.vector(m) for m in moves], rng,
+    )
+    return moves[chosen]
 
 
 class SoftmaxPlanner:
@@ -817,6 +809,29 @@ class SoftmaxPlanner:
         self, config: TuningConfig, state: GameState, rng: random.Random
     ) -> Decision:
         return softmax_decide(self.policy, config, state, rng, self.features)
+
+
+class _SoftmaxLearner(SoftmaxPlanner):
+    """A Softmax agent that learns as it plays: each decision samples a
+    move as `softmax_decide` does and adds that move's REINFORCE term,
+    the gradient of its log-probability in the weights, to `grad`."""
+
+    grad: list[float]
+
+    def decide(
+        self, config: TuningConfig, state: GameState, rng: random.Random
+    ) -> Decision:
+        moves = available_moves(config, state)
+        if not moves:
+            return Decision.stop("deadlock")
+        vectors = [self.features.vector(m) for m in moves]
+        temperature = self.policy.temperature
+        chosen, probs = _softmax_sample(self.policy.weights, temperature, vectors, rng)
+        grad = self.grad
+        for i in range(len(grad)):
+            expectation = sum(p * v[i] for p, v in zip(probs, vectors))
+            grad[i] += (vectors[chosen][i] - expectation) / temperature
+        return moves[chosen]
 
 
 FAILURE_RETURN = -1000.0
@@ -834,52 +849,24 @@ def train_softmax(
 ) -> tuple[SoftmaxPolicy, list[float]]:
     """REINFORCE on episode return (negative action count; big penalty on miss).
 
-    Returns the trained policy and the per-episode return curve.
+    Every episode runs through the evaluation loop with a learning
+    agent. Returns the trained policy and the per-episode return curve.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
 
-    features = FeatureExtractor(config)
-    weights = [0.0] * len(FEATURE_NAMES)
+    learner = _SoftmaxLearner(SoftmaxPolicy.zero(temperature), config)
+    weights = learner.policy.weights
     returns: list[float] = []
     baseline = 0.0
 
     for episode in range(episodes):
-        state = initial_state(config, scenario, episode)
-        grad = [0.0] * len(weights)
-        reached = False
-        while True:
-            if goal_satisfied(goal, state):
-                reached = True
-                break
-            if (state.clock >= goal.max_minutes
-                    or state.counters.total_actions >= goal.max_actions):
-                break
-            options = [d for d, _ in decision_edges(config, state)]
-            if not options:
-                break
-            vectors = [features.vector(d) for d in options]
-            utilities = [
-                sum(w * x for w, x in zip(weights, v)) for v in vectors
-            ]
-            probs = _softmax_probs(utilities, temperature)
-            chosen = _sample(probs, rng)
-            expectation = [
-                sum(p * v[i] for p, v in zip(probs, vectors))
-                for i in range(len(weights))
-            ]
-            for i in range(len(weights)):
-                grad[i] += (vectors[chosen][i] - expectation[i]) / temperature
-            decision = options[chosen]
-            if decision.kind == "act":
-                state = step_action(config, state, decision.action)
-            elif legal_actions(config, state):
-                state = advance_time(config, state, decision.until)
-            else:
-                state = close_session_if_idle(config, state)
-
+        learner.grad = grad = [0.0] * len(weights)
+        state, reached, *_ = _play(
+            config, initial_state(config, scenario, episode), rng, learner, goal
+        )
         episode_return = (
             -float(state.counters.total_actions) if reached else FAILURE_RETURN
         )
@@ -893,5 +880,4 @@ def train_softmax(
             elif weights[i] < -WEIGHT_CLIP:
                 weights[i] = -WEIGHT_CLIP
 
-    policy = SoftmaxPolicy(list(FEATURE_NAMES), weights, temperature)
-    return policy, returns
+    return SoftmaxPolicy(list(FEATURE_NAMES), weights, temperature), returns

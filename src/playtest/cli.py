@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override every experiment's base seed")
     p_run.add_argument("--parallel", type=int, default=0, metavar="K",
-                       help="run trials across K worker processes")
+                       help="run trials across K worker processes "
+                            "(at most one per available CPU)")
     p_run.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_run.set_defaults(func=_cmd_run)
 

@@ -19,6 +19,7 @@ of carrying it.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from collections.abc import Callable, Iterable
@@ -241,15 +242,25 @@ def _install_builds(builds: dict[int, TuningConfig]) -> None:
     _worker_builds.update(builds)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def trial_pool(workers: int, configs: list[TuningConfig]) -> ProcessPoolExecutor:
     """A process pool whose workers each receive `configs` once, at start.
 
-    Jobs name their build by its id() in this process, so only batches of
-    these configs may run on the pool, and the caller keeps them alive
-    until the pool is shut down.
+    It starts `workers` processes, or one per available CPU if that is
+    fewer: a worker beyond the CPU count only adds switching. Jobs name
+    their build by its id() in this process, so only batches of these
+    configs may run on the pool, and the caller keeps them alive until
+    the pool is shut down.
     """
     return ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(workers, _available_cpus()),
         initializer=_install_builds,
         initargs=({id(config): config for config in configs},),
     )

@@ -170,7 +170,30 @@ class _Entry:
     error: Exception | None = None
 
 
-def _load(suite_path: Path, index: int, entry, seed_override: int | None) -> _Entry:
+def _parse_once(
+    path: Path, builds: dict[Path, TuningConfig | Exception],
+) -> TuningConfig:
+    """The build at `path`, parsed on its first request only.
+
+    `builds` maps each path to its config or to the exception parsing
+    raised; a later request gets the same config, or the same exception
+    raised again.
+    """
+    if path not in builds:
+        try:
+            builds[path] = parse_tuning(path.read_text())
+        except Exception as exc:
+            builds[path] = exc
+    build = builds[path]
+    if isinstance(build, Exception):
+        raise build
+    return build
+
+
+def _load(
+    suite_path: Path, index: int, entry, seed_override: int | None,
+    builds: dict[Path, TuningConfig | Exception],
+) -> _Entry:
     named = entry if isinstance(entry, dict) else {}
     loaded = _Entry(
         str(named.get("id", f"experiment_{index}")),
@@ -187,7 +210,7 @@ def _load(suite_path: Path, index: int, entry, seed_override: int | None) -> _En
             for ref in loaded.xc.tuning_ref
         ]
         loaded.files += paths
-        loaded.configs = [parse_tuning(p.read_text()) for p in paths]
+        loaded.configs = [_parse_once(p, builds) for p in paths]
     except Exception as exc:
         loaded.error = exc
     return loaded
@@ -222,7 +245,8 @@ def run_suite(
 
     Tuning paths are resolved relative to the suite file. Results are
     written under out_dir/<experiment id>/ and also returned in suite
-    order for programmatic use. Every entry and build is loaded first.
+    order for programmatic use. Every entry and build is loaded first,
+    and a build file that several entries name is parsed once.
     Serially, each experiment then runs and is written in turn. With
     `parallel` > 1, every trial batch and training run of the suite is
     handed to one process pool before any result is read; the
@@ -239,8 +263,10 @@ def run_suite(
     if not isinstance(entries, list):
         raise PlaytestError("suite file must contain a JSON list")
 
+    builds: dict[Path, TuningConfig | Exception] = {}
     loaded = [
-        _load(suite_path, i, entry, seed_override) for i, entry in enumerate(entries)
+        _load(suite_path, i, entry, seed_override, builds)
+        for i, entry in enumerate(entries)
     ]
     pool = None
     if parallel > 1:

@@ -28,7 +28,7 @@ from .errors import (
     UnknownCareer,
     UnknownObject,
 )
-from .tuning import EventSpec, RewardBundle, TuningConfig
+from .tuning import ActionSpec, ConfigIndex, EventSpec, RewardBundle, TuningConfig
 
 TRACE_ACT = "act"
 TRACE_WAIT = "wait"
@@ -105,6 +105,11 @@ class ActiveEvent:
     deadline: int
     actions: int
     started_at: int
+
+    def accrue(self, xp: int) -> "ActiveEvent":
+        """The event after one more of its actions, which paid `xp`."""
+        return ActiveEvent(self.event_id, self.accrued_xp + xp, self.deadline,
+                           self.actions + 1, self.started_at)
 
 
 @dataclass(slots=True)
@@ -256,23 +261,23 @@ def initial_state(
 # Legality
 # ---------------------------------------------------------------------------
 
-def _event_startable(config: TuningConfig, state: GameState, event: EventSpec) -> bool:
-    idx = config.index()
-    req = event.start_requires
-    if req.career is not None:
-        if state.career is None or state.career.id != req.career:
+def _qualifies(
+    state: GameState, career: str | None, min_level: int,
+    owned_object: str | None = None,
+) -> bool:
+    """The requirement rule: with `career` set, the avatar follows that
+    career at `min_level` or above; with `owned_object` set, it owns it."""
+    if career is not None:
+        own = state.career
+        if own is None or own.id != career or own.level < min_level:
             return False
-        if state.career.level < req.min_level:
-            return False
-    if req.owned_object is not None and req.owned_object not in state.owned_objects:
-        return False
+    return owned_object is None or owned_object in state.owned_objects
+
+
+def _event_startable(idx: ConfigIndex, state: GameState, event: EventSpec) -> bool:
     if event.kind == "career":
         unlock = idx.event_unlock_level.get(event.id)
-        if unlock is None:
-            return False
-        if state.career is None or state.career.id != event.owner_id:
-            return False
-        if state.career.level < unlock:
+        if unlock is None or not _qualifies(state, event.owner_id, unlock):
             return False
     else:
         position = idx.chain_position.get(event.id)
@@ -280,11 +285,11 @@ def _event_startable(config: TuningConfig, state: GameState, event: EventSpec) -
             return False
         category, index = position
         rel = state.relationship
-        if rel.category is not None and rel.category != category:
+        if index != rel.completed + 1 or (
+                rel.category is not None and rel.category != category):
             return False
-        if index != rel.completed + 1:
-            return False
-    return True
+    req = event.start_requires
+    return _qualifies(state, req.career, req.min_level, req.owned_object)
 
 
 def startable_events(config: TuningConfig, state: GameState) -> list[str]:
@@ -293,44 +298,44 @@ def startable_events(config: TuningConfig, state: GameState) -> list[str]:
         return []
     return [
         e.id for e in sorted(config.events, key=lambda e: e.id)
-        if _event_startable(config, state, e)
+        if _event_startable(config.index(), state, e)
     ]
 
 
 def _implicit_start_target(
-    config: TuningConfig, state: GameState, action_id: str
+    idx: ConfigIndex, state: GameState, action_id: str
 ) -> str | None:
     """Startable event (smallest id) whose action list contains action_id."""
-    idx = config.index()
     for eid in idx.events_of_action.get(action_id, ()):
-        if _event_startable(config, state, idx.events[eid]):
+        if _event_startable(idx, state, idx.events[eid]):
             return eid
     return None
 
 
-def _action_legal(config: TuningConfig, state: GameState, action_id: str) -> bool:
-    idx = config.index()
-    action = idx.actions[action_id]
-    if state.cooldowns.get(action_id, 0) > state.clock:
+def _action_legal(
+    idx: ConfigIndex, state: GameState, action: ActionSpec, now: bool = True
+) -> bool:
+    """Whether the action may run at the current clock, the lock aside.
+
+    With `now` false the cooldown and the costs, which time alone lifts,
+    are not checked.
+    """
+    if now and state.cooldowns.get(action.id, 0) > state.clock:
         return False
     req = action.requires
-    if req.career is not None:
-        if state.career is None or state.career.id != req.career:
-            return False
-        if state.career.level < req.min_level:
-            return False
-    if req.owned_object is not None and req.owned_object not in state.owned_objects:
+    if not _qualifies(state, req.career, req.min_level, req.owned_object):
         return False
     if req.during_event:
         event = state.active_event
         if event is not None:
-            if action_id not in idx.events[event.event_id].action_ids:
+            if action.id not in idx.events[event.event_id].action_ids:
                 return False
-        elif _implicit_start_target(config, state, action_id) is None:
+        elif _implicit_start_target(idx, state, action.id) is None:
             return False
-    for rid, cost in action.costs.items():
-        if state.resources.get(rid, 0) < cost:
-            return False
+    if now:
+        for rid, cost in action.costs.items():
+            if state.resources.get(rid, 0) < cost:
+                return False
     for item, count in action.consumes_items.items():
         if state.inventory.get(item, 0) < count:
             return False
@@ -341,9 +346,10 @@ def legal_actions(config: TuningConfig, state: GameState) -> list[str]:
     """Actions executable right now, in lexicographic id order."""
     if state.locked_until > state.clock:
         return []
+    idx = config.index()
     return [
-        aid for aid in config.index().sorted_action_ids
-        if _action_legal(config, state, aid)
+        aid for aid in idx.sorted_action_ids
+        if _action_legal(idx, state, idx.actions[aid])
     ]
 
 
@@ -506,7 +512,7 @@ def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameSt
                 f"{event_id!r} is event #{index} of {category!r}; "
                 f"next is #{rel.completed + 1}"
             )
-    if not _event_startable(config, state, event):
+    if not _event_startable(idx, state, event):
         raise RequirementsUnmet(f"requirements for {event_id!r} are not met")
     active, relationship, trace = _begin_event(config, state, event_id)
     return replace(
@@ -526,7 +532,7 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
     idx = config.index()
     action = idx.actions.get(action_id)
     if action is None or state.locked_until > state.clock or not _action_legal(
-        config, state, action_id
+        idx, state, action
     ):
         raise IllegalAction(action_id)
 
@@ -552,14 +558,9 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
             inventory[item] -= count
 
     if action.requires.during_event and active is None:
-        target = _implicit_start_target(config, state, action_id)
-        event = idx.events[target]
-        if event.kind == "relationship" and relationship.category is None:
-            relationship = RelationshipState(
-                event.owner_id, relationship.completed, relationship.xp
-            )
-        active = ActiveEvent(target, 0, clock + event.time_limit, 0, clock)
-        trace = ((clock, TRACE_EVENT_START, target), trace)
+        active, relationship, trace = _begin_event(
+            config, state, _implicit_start_target(idx, state, action_id)
+        )
 
     event_actions = counters.event_actions
     if (
@@ -567,13 +568,7 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
         and action.rewards.event_xp > 0
         and action_id in idx.events[active.event_id].action_ids
     ):
-        active = ActiveEvent(
-            active.event_id,
-            active.accrued_xp + action.rewards.event_xp,
-            active.deadline,
-            active.actions + 1,
-            active.started_at,
-        )
+        active = active.accrue(action.rewards.event_xp)
         event_actions += 1
 
     career, relationship, resources, inventory, owned, trace = _grant_bundle(
@@ -724,25 +719,8 @@ def _static_ready_time(
     world only changes by time passing (event closures excluded)."""
     idx = config.index()
     action = idx.actions[action_id]
-    req = action.requires
-    if req.career is not None:
-        if state.career is None or state.career.id != req.career:
-            return None
-        if state.career.level < req.min_level:
-            return None
-    if req.owned_object is not None and req.owned_object not in state.owned_objects:
+    if not _action_legal(idx, state, action, now=False):
         return None
-    if req.during_event:
-        event = state.active_event
-        if event is not None:
-            if action_id not in idx.events[event.event_id].action_ids:
-                return None
-        elif _implicit_start_target(config, state, action_id) is None:
-            return None
-    for item, count in action.consumes_items.items():
-        if state.inventory.get(item, 0) < count:
-            return None
-
     ready = max(state.clock, state.locked_until, state.cooldowns.get(action_id, 0))
     for rid, cost in action.costs.items():
         res = idx.resources[rid]

@@ -86,8 +86,13 @@ def count_reachable_states(
     return len(seen)
 
 
-def random_desk_config(seed: int) -> tuple[TuningConfig, ScenarioOverrides, GoalSpec]:
-    """A small randomized build with a reachable goal and a tiny state space."""
+def random_desk_config(
+    seed: int, regen_num: int = 1,
+) -> tuple[TuningConfig, ScenarioOverrides, GoalSpec]:
+    """A small randomized build with a reachable goal and a tiny state space.
+
+    Energy regenerates `regen_num` units every 1 to 3 minutes.
+    """
     rng = random.Random(seed)
     style = rng.choice(("career", "craft", "relationship"))
 
@@ -99,7 +104,7 @@ def random_desk_config(seed: int) -> tuple[TuningConfig, ScenarioOverrides, Goal
         "resources": [{
             "id": "energy",
             "capacity": capacity,
-            "regen_rate": {"num": 1, "den": regen_den},
+            "regen_rate": {"num": regen_num, "den": regen_den},
             "initial": capacity,
         }],
         "actions": [],

@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from playtest import experiments, fixtures
+from playtest import experiments, fixtures, report
 from playtest.cli import main
 
 MINI_SUITE = [
@@ -248,6 +248,32 @@ class TestRun:
         for output in ("stats.json", "chartdata.json"):
             assert ((suite_dir / "with/careers_mini" / output).read_bytes()
                     == (suite_dir / "without/careers_mini" / output).read_bytes())
+
+    def test_shared_build_parsed_once(self, suite_dir, monkeypatch):
+        write_unlocks_null(suite_dir)
+        bad = dict(MINI_SUITE[0], id="unlocks_null", tuning_ref="unlocks_null.json")
+        suite = [MINI_SUITE[0], dict(MINI_SUITE[0], id="careers_again"),
+                 bad, dict(bad, id="unlocks_null_again"),
+                 MINI_SUITE[1], dict(MINI_SUITE[1], id="broken_again")]
+        (suite_dir / "shared.json").write_text(json.dumps(suite))
+        parsed = []
+        parse = report.parse_tuning
+
+        def counting(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(report, "parse_tuning", counting)
+        results = report.run_suite(suite_dir / "shared.json", suite_dir / "out")
+        # desk_base and unlocks_null once each; the missing file is never read
+        assert len(parsed) == 2
+        errors = {outcome.experiment_id: (outcome.status, outcome.error)
+                  for _, outcome in results}
+        assert errors["careers_mini"] == errors["careers_again"] == ("ok", None)
+        assert errors["unlocks_null"] == errors["unlocks_null_again"] == (
+            "failed", f"SchemaError: {UNLOCKS_NULL_ERROR}")
+        assert errors["broken_ref"][0] == "failed"
+        assert errors["broken_ref"] == errors["broken_again"]
 
     def test_playtest_out_env_default(self, suite_dir, monkeypatch, capsys):
         target = suite_dir / "env_out"

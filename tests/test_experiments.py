@@ -1,5 +1,6 @@
 """Designer studies: grouping, aggregation, and reproducibility."""
 
+import os
 import pickle
 
 import pytest
@@ -350,3 +351,20 @@ class TestPooledTrials:
             (g, i, r.state_digest) for g, i, r in serial.records]
         # the build text alone is about 15 KB
         assert len(sizes) == 8 and max(sizes) < 1024
+
+    @pytest.mark.parametrize("cpus, asked, started", [(1, 8, 1), (2, 8, 2),
+                                                      (4, 2, 2), (1, 2, 1)])
+    def test_pool_starts_at_most_one_worker_per_cpu(
+            self, monkeypatch, cpus, asked, started):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        pool = trial_pool(asked, [])  # no job is submitted: no process starts
+        assert pool._max_workers == started
+        pool.shutdown()
+
+    def test_pool_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        pool = trial_pool(8, [])
+        assert pool._max_workers == 3
+        pool.shutdown()

@@ -3,6 +3,7 @@
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +20,14 @@ from playtest.agents import (
 )
 from playtest.sim import (
     ScenarioOverrides,
+    _static_ready_time,
     advance_time,
+    apply_action,
     close_session_if_idle,
     event_log_entries,
     initial_state,
     legal_actions,
+    next_availability,
     step_action,
     trace_entries,
 )
@@ -334,3 +338,76 @@ class TestPlannerMemo:
                                  node_budget)
         play_in_lockstep(planner, [(desk_base, scenario), (richer, scenario)],
                          seed)
+
+
+def walk_states(config, scenario, seed, steps=40):
+    """The states of a random walk: each one it rests in, and the locked
+    state inside each act, before the act's duration elapses."""
+    state = initial_state(config, scenario, seed)
+    rng = random.Random(seed)
+    states = [state]
+    for _ in range(steps):
+        acts = legal_actions(config, state)
+        if acts and rng.random() < 0.85:
+            locked = apply_action(config, state, rng.choice(acts))
+            states.append(locked)
+            state = advance_time(config, locked, locked.locked_until)
+        elif acts:
+            state = advance_time(config, state, state.clock + rng.randint(1, 9))
+        else:
+            try:
+                state = close_session_if_idle(config, state)
+            except Deadlock:
+                break
+        states.append(state)
+    return states
+
+
+def first_legal_minute(config, state, horizon):
+    """Step one minute at a time; the first clock with a legal action."""
+    for _ in range(horizon + 1):
+        if legal_actions(config, state):
+            return state.clock
+        state = advance_time(config, state, state.clock + 1)
+    return None
+
+
+def check_availability(config, states, horizon):
+    for state in states:
+        if state.locked_until <= state.clock:
+            legal = set(legal_actions(config, state))
+            for aid in config.index().sorted_action_ids:
+                ready = _static_ready_time(config, state, aid)
+                assert (aid in legal) == (ready == state.clock), (aid, ready)
+        stepped = first_legal_minute(config, state, horizon)
+        jumped = next_availability(config, state)
+        if stepped is None:
+            assert jumped is None or jumped > state.clock + horizon
+        else:
+            assert jumped == stepped
+
+
+class TestAvailability:
+    """Legality, ready times and next_availability agree with each other
+    and with stepping the clock one minute at a time."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=150)
+    @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1),
+           regen_num=st.integers(1, 3))
+    def test_generated_builds(self, build_seed, seed, regen_num):
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        check_availability(config, walk_states(config, scenario, seed), 200)
+
+    @pytest.mark.parametrize("fixture, scenario", [
+        ("desk_base", {"career": "barista"}),
+        ("desk_objects", {"career": "culinary", "grant_objects": True}),
+        ("bugged_event", {"career": "clerk"}),
+        ("romance_outlier", {}),
+        ("build_b", {"career": "barista"}),
+    ])
+    def test_fixtures(self, fixture, scenario):
+        config = fixtures.load(fixture)
+        for seed in range(5):
+            states = walk_states(
+                config, ScenarioOverrides.from_dict(scenario), seed, steps=120)
+            check_availability(config, states, 1_000)
