@@ -5,11 +5,13 @@ committing only the first edge of the best plan found. Search edges are
 the legal actions plus at most one wait edge (to the next availability
 when idle, to the event deadline while an event runs). Frontier ties on
 f are broken by a uniform random draw from the caller's seeded rng, so
-identical seeds give identical decisions. Between moves the planner
-keeps the node expansions of its last search, keyed by the node's dedup
-key, action count and auto-grant flag, so a replan asks the engine only
-for states that search never expanded. The search itself is unchanged,
-and so is every decision; the memo holds at most one search's entries.
+identical seeds give identical decisions. A planner keeps every node
+expansion it makes, keyed by the node's dedup key, action count and
+auto-grant flag, across decisions and episodes for as long as it lives
+(a new config starts it afresh), so a replan or a repeated trajectory
+asks the engine only for states no earlier search expanded. The search
+itself is unchanged, and so is every decision. Past `_MEMO_LIMIT`
+entries the planner keeps only its last search's.
 
 The Softmax agent samples from the move list (the decisions alone, no
 successor states) in proportion to exp(utility/temperature), where
@@ -135,14 +137,22 @@ class Decision:
 
     @classmethod
     def wait(cls, until: int) -> "Decision":
-        return cls("wait", until=until)
+        decision = _WAIT_DECISIONS.get(until)
+        if decision is None:
+            decision = _WAIT_DECISIONS[until] = cls("wait", until=until)
+        return decision
 
     @classmethod
     def stop(cls, reason: str) -> "Decision":
-        return cls("stop", reason=reason)
+        decision = _STOP_DECISIONS.get(reason)
+        if decision is None:
+            decision = _STOP_DECISIONS[reason] = cls("stop", reason=reason)
+        return decision
 
 
 _ACT_DECISIONS: dict[str, Decision] = {}
+_WAIT_DECISIONS: dict[int, Decision] = {}
+_STOP_DECISIONS: dict[str, Decision] = {}
 
 
 def _timeout_pays(config: TuningConfig, event) -> bool:
@@ -397,9 +407,9 @@ def _astar_search(
 
     `memo` maps a node's (dedup key, action count, auto-grant flag) to
     its edge list, each edge a [decision, child, child key, child
-    heuristic or None] list, as an earlier search under the same config
-    built it. Returns (decision, nodes expanded, memo of the entries this
-    search used).
+    heuristic or None] list, as an earlier search under the same config,
+    heuristic and goal built it; the search adds the expansions it makes.
+    Returns (decision, nodes expanded, the memo entries this search used).
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
@@ -414,8 +424,9 @@ def _astar_search(
         memo_key = (key, node.counters.total_actions, node.auto_grant_objects)
         edges = memo.get(memo_key)
         if edges is None:
-            edges = [[decision, child, child.dedup_key(), None]
-                     for decision, child in decision_edges(config, node)]
+            edges = memo[memo_key] = [
+                [decision, child, child.dedup_key(), None]
+                for decision, child in decision_edges(config, node)]
         used[memo_key] = edges
         return edges
 
@@ -512,22 +523,29 @@ def astar_decide(
     return decision
 
 
+# Memo entries an AStarPlanner keeps between decisions before it falls
+# back to its last search's entries; an entry takes about 2 KB.
+_MEMO_LIMIT = 20_000
+
+
 class AStarPlanner:
     """Receding-horizon planner: a fresh bounded search before every move.
 
-    The planner keeps the node expansions of its last search. The next
-    search, rooted one move further on, takes a node's successors and
-    their heuristic values from there instead of asking the engine
-    again. The key is (dedup key, action count, auto-grant flag): the
-    dedup key holds everything that shapes future dynamics, the action
-    count fixes g and the action limit, and the auto-grant flag changes
-    successors without being part of the dedup key. So every lookup
-    yields the successors a fresh expansion would build, the search
-    pushes and pops in the same order and draws the same tie numbers,
-    and its decisions and expansion counts are those of `astar_decide`.
-    After each decision only the entries that search used are kept, at
-    most `last_expanded + 1` of them; a call with another config starts
-    from none.
+    The planner keeps every node expansion its searches make, across
+    decisions and episodes, for as long as it lives. A later search, one
+    move further on or in another trial that reaches the same state,
+    takes a node's successors and their heuristic values from there
+    instead of asking the engine again. The key is (dedup key, action
+    count, auto-grant flag): the dedup key holds everything that shapes
+    future dynamics, the action count fixes g and the action limit, and
+    the auto-grant flag changes successors without being part of the
+    dedup key. The heuristic and goal are the planner's own and never
+    change. So every lookup yields the successors a fresh expansion
+    would build, the search pushes and pops in the same order and draws
+    the same tie numbers, and its decisions and expansion counts are
+    those of `astar_decide`. A call with another config starts from an
+    empty memo. When a decision leaves more than `_MEMO_LIMIT` entries,
+    only the ones its search used are kept, at most `last_expanded + 1`.
     """
 
     name = "astar"
@@ -550,10 +568,12 @@ class AStarPlanner:
     ) -> Decision:
         if config is not self._memo_config:
             self._memo_config, self._memo = config, {}
-        decision, self.last_expanded, self._memo = _astar_search(
+        decision, self.last_expanded, used = _astar_search(
             config, state, self.heuristic, self.goal, self.node_budget, rng,
             self._memo,
         )
+        if len(self._memo) > _MEMO_LIMIT:
+            self._memo = used
         return decision
 
 

@@ -13,12 +13,16 @@ it returns reads the results and aggregates them. Without a pool a
 batch runs as it is started. On a pool from `trial_pool`, starting only
 submits jobs, so a suite can hand the pool every job before it reads
 any result. Each pool worker receives the suite's parsed builds once,
-through the pool initializer, and a job names its build by key instead
-of carrying it.
+through the pool initializer. A job carries one group (its build's key
+instead of the build, scenario, heuristic, goal and agent spec) and a
+slice of the batch's seeds. Serial and pooled batches run through one
+runner, which builds one agent for all the seeds it is given, so an A*
+planner's memo serves every trial of a chunk.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import time
@@ -279,11 +283,18 @@ def _agent_for(agent_spec: dict, heuristic: HeuristicSpec, goal: GoalSpec,
     raise ValueError(f"unknown agent kind {kind!r}")
 
 
-def _run_trial(payload: tuple) -> TrialRecord:
-    key, scenario, heuristic, goal, agent_spec, seed = payload
-    config = _worker_builds[key]
+def _run_seeds(
+    config: TuningConfig, scenario: ScenarioOverrides, heuristic: HeuristicSpec,
+    goal: GoalSpec, agent_spec: dict, seeds: list[int],
+) -> list[TrialRecord]:
+    """One group's trials for `seeds`, in order, all played by one agent."""
     agent = _agent_for(agent_spec, heuristic, goal, config)
-    return run_episode(config, scenario, seed, agent, goal)
+    return [run_episode(config, scenario, seed, agent, goal) for seed in seeds]
+
+
+def _run_seeds_in_worker(payload: tuple) -> list[TrialRecord]:
+    key, *group = payload
+    return _run_seeds(_worker_builds[key], *group)
 
 
 def run_trials(
@@ -299,25 +310,23 @@ def run_trials(
     """Run seeded trials; records come in trial index order either way.
 
     Without a pool the trials run now, one agent serving them all, and the
-    list of records is returned. With a pool from `trial_pool` they are
-    only submitted, and the returned iterator yields each record when it
-    is read, waiting for it if need be; read it once. A trial's exception
-    is raised when its record is read.
+    list of records is returned. With a pool from `trial_pool` the seeds
+    are cut into chunks of consecutive trials, about four per worker, and
+    each chunk is submitted as one job that plays its trials with one
+    agent. The returned iterator yields each record when it is read,
+    waiting for its chunk if need be; read it once. An exception in a
+    chunk is raised when the chunk's first record is read.
     """
+    seeds = [trial_seed(base_seed, i) for i in range(trials)]
     if pool is None:
-        agent = _agent_for(agent_spec, heuristic, goal, config)
-        return [
-            run_episode(config, scenario, trial_seed(base_seed, i), agent, goal)
-            for i in range(trials)
-        ]
-    payloads = [
-        (id(config), scenario, heuristic, goal, agent_spec,
-         trial_seed(base_seed, i))
-        for i in range(trials)
-    ]
-    # about four chunks per worker, sized as multiprocessing.Pool.map does
-    chunksize, extra = divmod(trials, 4 * pool._max_workers)
-    return pool.map(_run_trial, payloads, chunksize=max(1, chunksize + bool(extra)))
+        return _run_seeds(config, scenario, heuristic, goal, agent_spec, seeds)
+    # sized as multiprocessing.Pool.map sizes its chunks
+    size = max(1, -(-trials // (4 * pool._max_workers)))
+    chunks = pool.map(_run_seeds_in_worker, [
+        (id(config), scenario, heuristic, goal, agent_spec, seeds[i:i + size])
+        for i in range(0, trials, size)
+    ])
+    return itertools.chain.from_iterable(chunks)
 
 
 def _train_policy(

@@ -174,7 +174,6 @@ class GameState:
     events_completed: frozenset[str]
     auto_grant_objects: bool
     counters: Counters
-    rng_seed: int
 
     def dedup_key(self) -> tuple:
         """Hashable identity of everything that affects future dynamics.
@@ -253,7 +252,6 @@ def initial_state(
         events_completed=frozenset(),
         auto_grant_objects=scenario.grant_objects,
         counters=Counters(),
-        rng_seed=seed,
     )
 
 
@@ -274,22 +272,47 @@ def _qualifies(
     return owned_object is None or owned_object in state.owned_objects
 
 
-def _event_startable(idx: ConfigIndex, state: GameState, event: EventSpec) -> bool:
+# The rules an event start can break, in the order they are checked, with
+# the error start_event raises for each. A message may name the event, its
+# chain category and position, the locked category and the chain's next
+# position.
+_START_RULES = {
+    "chain": (RequirementsUnmet, "{event!r} is not part of any chain"),
+    "category": (CategoryLocked, "relationship is locked to {locked!r}, "
+                                 "{event!r} belongs to {category!r}"),
+    "order": (ChainOrderViolation, "{event!r} is event #{index} of "
+                                   "{category!r}; next is #{next}"),
+    "requirements": (RequirementsUnmet, "requirements for {event!r} are not met"),
+}
+
+
+def _start_rule_broken(
+    idx: ConfigIndex, state: GameState, event: EventSpec
+) -> str | None:
+    """The first rule of `_START_RULES` that starting the event now would
+    break, or None if it may start (an event already running aside)."""
     if event.kind == "career":
         unlock = idx.event_unlock_level.get(event.id)
         if unlock is None or not _qualifies(state, event.owner_id, unlock):
-            return False
+            return "requirements"
     else:
         position = idx.chain_position.get(event.id)
         if position is None:
-            return False
+            return "chain"
         category, index = position
-        rel = state.relationship
-        if index != rel.completed + 1 or (
-                rel.category is not None and rel.category != category):
-            return False
+        locked = state.relationship.category
+        if locked is not None and locked != category:
+            return "category"
+        if index != state.relationship.completed + 1:
+            return "order"
     req = event.start_requires
-    return _qualifies(state, req.career, req.min_level, req.owned_object)
+    if not _qualifies(state, req.career, req.min_level, req.owned_object):
+        return "requirements"
+    return None
+
+
+def _event_startable(idx: ConfigIndex, state: GameState, event: EventSpec) -> bool:
+    return _start_rule_broken(idx, state, event) is None
 
 
 def startable_events(config: TuningConfig, state: GameState) -> list[str]:
@@ -496,24 +519,14 @@ def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameSt
         raise RequirementsUnmet(f"unknown event {event_id!r}")
     if state.active_event is not None:
         raise EventInProgress(state.active_event.event_id)
-    if event.kind == "relationship":
-        position = idx.chain_position.get(event_id)
-        if position is None:
-            raise RequirementsUnmet(f"{event_id!r} is not part of any chain")
-        category, index = position
+    broken = _start_rule_broken(idx, state, event)
+    if broken is not None:
+        error, message = _START_RULES[broken]
+        category, index = idx.chain_position.get(event_id, (None, None))
         rel = state.relationship
-        if rel.category is not None and rel.category != category:
-            raise CategoryLocked(
-                f"relationship is locked to {rel.category!r}, "
-                f"{event_id!r} belongs to {category!r}"
-            )
-        if index != rel.completed + 1:
-            raise ChainOrderViolation(
-                f"{event_id!r} is event #{index} of {category!r}; "
-                f"next is #{rel.completed + 1}"
-            )
-    if not _event_startable(idx, state, event):
-        raise RequirementsUnmet(f"requirements for {event_id!r} are not met")
+        raise error(message.format(
+            event=event_id, category=category, index=index,
+            locked=rel.category, next=rel.completed + 1))
     active, relationship, trace = _begin_event(config, state, event_id)
     return replace(
         state,
@@ -617,7 +630,6 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
             trace=trace,
             event_log=event_log,
         ),
-        rng_seed=state.rng_seed,
     )
 
 
@@ -656,13 +668,26 @@ def advance_time(config: TuningConfig, state: GameState, until: int) -> GameStat
         raise ClockRegression(f"{until} < {state.clock}")
     if until == state.clock:
         return state
+    return _advance(config, state, until, state.counters)
 
+
+def _advance(
+    config: TuningConfig, state: GameState, until: int, counters: Counters
+) -> GameState:
+    """advance_time's successor for `until` >= the clock, carrying
+    `counters` in place of the state's own."""
+    clock = state.clock
+    resources = state.resources
+    remainders = state.regen_remainders
+    career = state.career
+    relationship = state.relationship
     active = state.active_event
+    inventory = state.inventory
+    owned = state.owned_objects
+    events_completed = state.events_completed
     if active is not None and active.deadline <= until:
         resources, remainders = _regen(
-            config, state.resources, state.regen_remainders,
-            active.deadline - state.clock,
-        )
+            config, resources, remainders, active.deadline - clock)
         completed = (
             active.accrued_xp
             >= config.index().events[active.event_id].final_threshold
@@ -672,33 +697,34 @@ def advance_time(config: TuningConfig, state: GameState, until: int) -> GameStat
             events_completed, trace, event_log,
         ) = _close_event(
             config, active.deadline, active, completed,
-            state.auto_grant_objects, state.career, state.relationship,
-            resources, state.inventory, state.owned_objects,
-            state.events_completed, state.counters.trace,
-            state.counters.event_log,
+            state.auto_grant_objects, career, relationship, resources,
+            inventory, owned, events_completed, counters.trace,
+            counters.event_log,
         )
-        resources, remainders = _regen(
-            config, resources, remainders, until - active.deadline
+        counters = Counters(
+            total_actions=counters.total_actions,
+            event_actions=counters.event_actions,
+            sessions=counters.sessions,
+            wait_intervals=counters.wait_intervals,
+            trace=trace,
+            event_log=event_log,
         )
-        return replace(
-            state,
-            clock=until,
-            resources=resources,
-            regen_remainders=remainders,
-            career=career,
-            relationship=relationship,
-            active_event=None,
-            inventory=inventory,
-            owned_objects=owned,
-            events_completed=events_completed,
-            counters=replace(state.counters, trace=trace, event_log=event_log),
-        )
-
-    resources, remainders = _regen(
-        config, state.resources, state.regen_remainders, until - state.clock
-    )
-    return replace(
-        state, clock=until, resources=resources, regen_remainders=remainders
+        clock, active = active.deadline, None
+    resources, remainders = _regen(config, resources, remainders, until - clock)
+    return GameState(
+        clock=until,
+        resources=resources,
+        regen_remainders=remainders,
+        locked_until=state.locked_until,
+        cooldowns=state.cooldowns,
+        career=career,
+        relationship=relationship,
+        active_event=active,
+        inventory=inventory,
+        owned_objects=owned,
+        events_completed=events_completed,
+        auto_grant_objects=state.auto_grant_objects,
+        counters=counters,
     )
 
 
@@ -773,11 +799,12 @@ def close_session_if_idle(config: TuningConfig, state: GameState) -> GameState:
     if target is None:
         raise Deadlock("no action can ever become legal")
     interval = target - state.clock
-    counters = replace(
-        state.counters,
-        sessions=state.counters.sessions + 1,
-        wait_intervals=state.counters.wait_intervals + (interval,),
-        trace=((state.clock, TRACE_SESSION_END, str(interval)),
-               state.counters.trace),
-    )
-    return advance_time(config, replace(state, counters=counters), target)
+    counters = state.counters
+    return _advance(config, state, target, Counters(
+        total_actions=counters.total_actions,
+        event_actions=counters.event_actions,
+        sessions=counters.sessions + 1,
+        wait_intervals=counters.wait_intervals + (interval,),
+        trace=((state.clock, TRACE_SESSION_END, str(interval)), counters.trace),
+        event_log=counters.event_log,
+    ))

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -351,6 +352,27 @@ class TestPooledTrials:
             (g, i, r.state_digest) for g, i, r in serial.records]
         # the build text alone is about 15 KB
         assert len(sizes) == 8 and max(sizes) < 1024
+
+    def test_uneven_chunks_match_serial(self, desk_base):
+        # chunks hold about trials / (4 workers) consecutive seeds, so these
+        # counts leave a short last chunk, or chunks of one trial each
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=2,
+                        max_minutes=20_000, max_actions=400)
+        args = (desk_base, ScenarioOverrides(career="barista"),
+                HeuristicSpec({"career_xp": 1.0}), goal,
+                {"kind": "astar", "node_budget": 200})
+        with trial_pool(2, [desk_base]) as pool:
+            for trials in (1, 3, 9, 17):
+                pooled = list(run_trials(*args, trials, 11, pool))
+                serial = run_trials(*args, trials, 11)
+                assert [r.seed for r in pooled] == [
+                    trial_seed(11, i) for i in range(trials)]
+                assert [replace(r, max_decision_seconds=0.0) for r in pooled] == [
+                    replace(r, max_decision_seconds=0.0) for r in serial]
+                assert [(r.state_digest, r.decisions, r.max_nodes_expanded)
+                        for r in pooled] == [
+                    (r.state_digest, r.decisions, r.max_nodes_expanded)
+                    for r in serial]
 
     @pytest.mark.parametrize("cpus, asked, started", [(1, 8, 1), (2, 8, 2),
                                                       (4, 2, 2), (1, 2, 1)])

@@ -2,13 +2,14 @@
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfs_oracle import random_desk_config
-from playtest import fixtures
+from playtest import agents, fixtures
 from playtest.errors import Deadlock
 from playtest.agents import (
     AStarPlanner,
@@ -234,7 +235,8 @@ class CheckedPlanner:
     Before each decision the rng state is copied; a new planner (empty
     memo) and `astar_decide` must then make the same decision with the
     same expansion count and the same number of tie draws. The memo kept
-    afterwards must hold at most `last_expanded + 1` entries.
+    afterwards may exceed `_MEMO_LIMIT` only by holding the last search's
+    entries alone, at most `last_expanded + 1`.
     """
 
     name = "astar"
@@ -258,7 +260,8 @@ class CheckedPlanner:
         assert rng.getstate() == fresh_rng.getstate()
         assert astar_decide(config, state, planner.heuristic, planner.goal,
                             planner.node_budget, decide_rng) == decision
-        assert len(planner._memo) <= planner.last_expanded + 1
+        assert len(planner._memo) <= max(agents._MEMO_LIMIT,
+                                         planner.last_expanded + 1)
         self.last_expanded = planner.last_expanded
         return decision
 
@@ -320,6 +323,41 @@ class TestPlannerMemo:
                                              grant_objects=True)),
         ], seed)
         assert granted.owned_objects and not base.owned_objects
+
+    @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
+    @settings(PROPERTY_SETTINGS, max_examples=10)
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3),
+           node_budget=st.integers(5, 60))
+    def test_episodes_in_a_row(self, desk_objects, memo_limit, seeds,
+                               node_budget):
+        # one planner for every episode, as a chunk of pooled trials has; a
+        # limit of 3 makes it fall back to the last search's entries
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
+                        max_minutes=20_000, max_actions=400)
+        planner = CheckedPlanner(HeuristicSpec({"career_xp": 1.0}), goal,
+                                 node_budget)
+        with mock.patch.object(agents, "_MEMO_LIMIT", memo_limit):
+            for seed in seeds:
+                for grant in (False, True):
+                    scenario = ScenarioOverrides(career="barista",
+                                                 grant_objects=grant)
+                    run_episode(desk_objects, scenario, seed, planner, goal)
+
+    def test_repeated_episode_asks_the_engine_nothing(self, desk_base,
+                                                      monkeypatch):
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
+                        max_minutes=20_000, max_actions=400)
+        planner = AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200)
+        scenario = ScenarioOverrides(career="barista")
+        first = run_episode(desk_base, scenario, 5, planner, goal)
+        calls = []
+        edges = agents.decision_edges
+        monkeypatch.setattr(agents, "decision_edges",
+                            lambda *args: calls.append(1) or edges(*args))
+        again = run_episode(desk_base, scenario, 5, planner, goal)
+        assert again.state_digest == first.state_digest
+        assert again.decisions == first.decisions > 1
+        assert not calls
 
     @settings(PROPERTY_SETTINGS, max_examples=15)
     @given(seed=st.integers(0, 2**32 - 1), node_budget=st.integers(5, 60))

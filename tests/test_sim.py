@@ -371,7 +371,6 @@ class TestDeterminismAndDigest:
             events_completed=state.events_completed,
             auto_grant_objects=state.auto_grant_objects,
             counters=step_action(desk_base, state, "brew").counters,
-            rng_seed=99,
         )
         assert stripped.dedup_key() == state.dedup_key()
 
