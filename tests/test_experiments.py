@@ -367,12 +367,9 @@ class TestPooledTrials:
                 serial = run_trials(*args, trials, 11)
                 assert [r.seed for r in pooled] == [
                     trial_seed(11, i) for i in range(trials)]
+                # whole records: digests, decisions and max_nodes_expanded too
                 assert [replace(r, max_decision_seconds=0.0) for r in pooled] == [
                     replace(r, max_decision_seconds=0.0) for r in serial]
-                assert [(r.state_digest, r.decisions, r.max_nodes_expanded)
-                        for r in pooled] == [
-                    (r.state_digest, r.decisions, r.max_nodes_expanded)
-                    for r in serial]
 
     @pytest.mark.parametrize("cpus, asked, started", [(1, 8, 1), (2, 8, 2),
                                                       (4, 2, 2), (1, 2, 1)])
