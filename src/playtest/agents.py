@@ -10,8 +10,8 @@ expansion it makes, keyed by the node's dedup key, action count and
 auto-grant flag, across decisions and episodes for as long as it lives
 (a new config starts it afresh), so a replan or a repeated trajectory
 asks the engine only for states no earlier search expanded. The search
-itself is unchanged, and so is every decision. Past `_MEMO_LIMIT`
-entries the planner keeps only its last search's.
+itself is unchanged, and so is every decision. A memo grown past
+`_MEMO_LIMIT` entries is emptied.
 
 The Softmax agent samples from the move list (the decisions alone, no
 successor states) in proportion to exp(utility/temperature), where
@@ -144,15 +144,11 @@ class Decision:
 
     @classmethod
     def stop(cls, reason: str) -> "Decision":
-        decision = _STOP_DECISIONS.get(reason)
-        if decision is None:
-            decision = _STOP_DECISIONS[reason] = cls("stop", reason=reason)
-        return decision
+        return cls("stop", reason=reason)
 
 
 _ACT_DECISIONS: dict[str, Decision] = {}
 _WAIT_DECISIONS: dict[int, Decision] = {}
-_STOP_DECISIONS: dict[str, Decision] = {}
 
 
 def _timeout_pays(config: TuningConfig, event) -> bool:
@@ -402,23 +398,21 @@ def _astar_search(
     node_budget: int,
     rng: random.Random,
     memo: dict,
-) -> tuple[Decision, int, dict]:
+) -> tuple[Decision, int]:
     """Run one bounded best-first search.
 
     `memo` maps a node's (dedup key, action count, auto-grant flag) to
     its edge list, each edge a [decision, child, child key, child
     heuristic or None] list, as an earlier search under the same config,
     heuristic and goal built it; the search adds the expansions it makes.
-    Returns (decision, nodes expanded, the memo entries this search used).
+    Returns (decision, nodes expanded).
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
     if goal_satisfied(goal, state):
-        return Decision.stop("goal_reached"), 0, {}
+        return Decision.stop("goal_reached"), 0
     if not _within_limits(goal, state):
-        return Decision.stop("hard_limit"), 0, {}
-
-    used: dict[tuple, list] = {}
+        return Decision.stop("hard_limit"), 0
 
     def edges_of(key: tuple, node: GameState) -> list:
         memo_key = (key, node.counters.total_actions, node.auto_grant_objects)
@@ -427,13 +421,12 @@ def _astar_search(
             edges = memo[memo_key] = [
                 [decision, child, child.dedup_key(), None]
                 for decision, child in decision_edges(config, node)]
-        used[memo_key] = edges
         return edges
 
     root_key = state.dedup_key()
     root_edges = edges_of(root_key, state)
     if not root_edges:
-        return Decision.stop("deadlock"), 0, used
+        return Decision.stop("deadlock"), 0
 
     evaluate = build_evaluator(heuristic, config, goal)
     root_actions = state.counters.total_actions
@@ -478,7 +471,7 @@ def _astar_search(
         if best is not None and best <= g:
             continue
         if goal_satisfied(goal, node):
-            return first, expanded, used
+            return first, expanded
         if expanded >= node_budget:
             heapq.heappush(heap, (f, elapsed, tie, -1, g, key, node, first))
             out_of_budget = True
@@ -502,10 +495,10 @@ def _astar_search(
         if best_entry is None or rank < best_entry[0]:
             best_entry = (rank, first)
     if best_entry is not None:
-        return best_entry[1], expanded, used
+        return best_entry[1], expanded
     if out_of_budget:
-        return Decision.stop("budget_exhausted"), expanded, used
-    return Decision.stop("search_exhausted"), expanded, used
+        return Decision.stop("budget_exhausted"), expanded
+    return Decision.stop("search_exhausted"), expanded
 
 
 def astar_decide(
@@ -517,14 +510,14 @@ def astar_decide(
     rng: random.Random | None = None,
 ) -> Decision:
     """Pick the next move by bounded A* over game states."""
-    decision, _, _ = _astar_search(
+    decision, _ = _astar_search(
         config, state, heuristic, goal, node_budget, rng or random.Random(0), {}
     )
     return decision
 
 
-# Memo entries an AStarPlanner keeps between decisions before it falls
-# back to its last search's entries. An entry takes about 2.6 KB (build_b
+# Memo entries an AStarPlanner keeps between decisions; a memo grown past
+# this is emptied. An entry takes about 2.6 KB (build_b
 # A* trials under tracemalloc), so a full memo holds about 50 MB.
 _MEMO_LIMIT = 20_000
 
@@ -545,8 +538,8 @@ class AStarPlanner:
     would build, the search pushes and pops in the same order and draws
     the same tie numbers, and its decisions and expansion counts are
     those of `astar_decide`. A call with another config starts from an
-    empty memo. When a decision leaves more than `_MEMO_LIMIT` entries,
-    only the ones its search used are kept, at most `last_expanded + 1`.
+    empty memo, and so does the decision after one that left more than
+    `_MEMO_LIMIT` entries.
     """
 
     name = "astar"
@@ -569,12 +562,12 @@ class AStarPlanner:
     ) -> Decision:
         if config is not self._memo_config:
             self._memo_config, self._memo = config, {}
-        decision, self.last_expanded, used = _astar_search(
+        decision, self.last_expanded = _astar_search(
             config, state, self.heuristic, self.goal, self.node_budget, rng,
             self._memo,
         )
         if len(self._memo) > _MEMO_LIMIT:
-            self._memo = used
+            self._memo = {}
         return decision
 
 

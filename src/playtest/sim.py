@@ -311,17 +311,13 @@ def _start_rule_broken(
     return None
 
 
-def _event_startable(idx: ConfigIndex, state: GameState, event: EventSpec) -> bool:
-    return _start_rule_broken(idx, state, event) is None
-
-
 def startable_events(config: TuningConfig, state: GameState) -> list[str]:
     """Events that start_event would accept right now, in id order."""
     if state.active_event is not None:
         return []
     return [
         e.id for e in sorted(config.events, key=lambda e: e.id)
-        if _event_startable(config.index(), state, e)
+        if _start_rule_broken(config.index(), state, e) is None
     ]
 
 
@@ -330,7 +326,7 @@ def _implicit_start_target(
 ) -> str | None:
     """Startable event (smallest id) whose action list contains action_id."""
     for eid in idx.events_of_action.get(action_id, ()):
-        if _event_startable(idx, state, idx.events[eid]):
+        if _start_rule_broken(idx, state, idx.events[eid]) is None:
             return eid
     return None
 
@@ -701,14 +697,7 @@ def _advance(
             inventory, owned, events_completed, counters.trace,
             counters.event_log,
         )
-        counters = Counters(
-            total_actions=counters.total_actions,
-            event_actions=counters.event_actions,
-            sessions=counters.sessions,
-            wait_intervals=counters.wait_intervals,
-            trace=trace,
-            event_log=event_log,
-        )
+        counters = replace(counters, trace=trace, event_log=event_log)
         clock, active = active.deadline, None
     resources, remainders = _regen(config, resources, remainders, until - clock)
     return GameState(
@@ -800,11 +789,9 @@ def close_session_if_idle(config: TuningConfig, state: GameState) -> GameState:
         raise Deadlock("no action can ever become legal")
     interval = target - state.clock
     counters = state.counters
-    return _advance(config, state, target, Counters(
-        total_actions=counters.total_actions,
-        event_actions=counters.event_actions,
+    return _advance(config, state, target, replace(
+        counters,
         sessions=counters.sessions + 1,
         wait_intervals=counters.wait_intervals + (interval,),
         trace=((state.clock, TRACE_SESSION_END, str(interval)), counters.trace),
-        event_log=counters.event_log,
     ))

@@ -235,8 +235,7 @@ class CheckedPlanner:
     Before each decision the rng state is copied; a new planner (empty
     memo) and `astar_decide` must then make the same decision with the
     same expansion count and the same number of tie draws. The memo kept
-    afterwards may exceed `_MEMO_LIMIT` only by holding the last search's
-    entries alone, at most `last_expanded + 1`.
+    afterwards must hold at most `_MEMO_LIMIT` entries.
     """
 
     name = "astar"
@@ -260,8 +259,7 @@ class CheckedPlanner:
         assert rng.getstate() == fresh_rng.getstate()
         assert astar_decide(config, state, planner.heuristic, planner.goal,
                             planner.node_budget, decide_rng) == decision
-        assert len(planner._memo) <= max(agents._MEMO_LIMIT,
-                                         planner.last_expanded + 1)
+        assert len(planner._memo) <= agents._MEMO_LIMIT
         self.last_expanded = planner.last_expanded
         return decision
 
@@ -331,7 +329,7 @@ class TestPlannerMemo:
     def test_episodes_in_a_row(self, desk_objects, memo_limit, seeds,
                                node_budget):
         # one planner for every episode, as a chunk of pooled trials has; a
-        # limit of 3 makes it fall back to the last search's entries
+        # limit of 3 makes it empty its memo again and again
         goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
                         max_minutes=20_000, max_actions=400)
         planner = CheckedPlanner(HeuristicSpec({"career_xp": 1.0}), goal,
