@@ -22,6 +22,7 @@ from .report import run_suite
 from .sim import ScenarioOverrides
 from .tuning import (
     Diagnostic,
+    TuningConfig,
     build_config,
     diff_builds,
     flag_step_anomalies,
@@ -77,17 +78,21 @@ def _cmd_validate(args) -> int:
     return status
 
 
+def _parse_file(path: Path) -> TuningConfig | None:
+    """The build in the tuning file at `path`, or None once the reason it
+    cannot be read or parsed is printed."""
+    try:
+        return parse_tuning(path.read_text())
+    except (OSError, PlaytestError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_diff(args) -> int:
     configs = []
     for name in (args.build_a, args.build_b):
-        path = Path(name)
-        try:
-            configs.append(parse_tuning(path.read_text()))
-        except OSError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except PlaytestError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+        configs.append(_parse_file(Path(name)))
+        if configs[-1] is None:
             return EXIT_USAGE
     diff = diff_builds(configs[0], configs[1])
     if args.format == "json":
@@ -150,14 +155,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    path = Path(args.tuning)
-    try:
-        config = parse_tuning(path.read_text())
-    except OSError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PlaytestError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+    config = _parse_file(Path(args.tuning))
+    if config is None:
         return EXIT_USAGE
     try:
         goal = GoalSpec.from_dict(json.loads(args.goal))

@@ -2,22 +2,22 @@
 
 Five studies are supported: relationship balance, career progression,
 object impact, build comparison, and the A*-versus-Softmax agent
-comparison. Per-trial seeds derive from the experiment's base seed
-(seed = base_seed XOR trial index) so trial-level parallelism can never
-change results; aggregation is an order-independent reduction over
-integer action counts.
+comparison. A study is a list of groups plus a reducer. A group is one
+cell of the study's grid (a key, build, scenario, goal and agent spec)
+and runs the experiment's trials, seeded base_seed XOR trial index, so
+parallelism can never change results. The reducer turns the records
+into statistics, extras and charts, reducing integer action counts in
+an order-independent way.
 
-A study runs in two steps. `start_experiment` checks its inputs and
-starts every trial batch (and every Softmax training run); the function
-it returns reads the results and aggregates them. Without a pool a
-batch runs as it is started. On a pool from `trial_pool`, starting only
-submits jobs, so a suite can hand the pool every job before it reads
-any result. Each pool worker receives the suite's parsed builds once,
-through the pool initializer. A job carries one group (its build's key
-instead of the build, scenario, heuristic, goal and agent spec) and a
-slice of the batch's seeds. Serial and pooled batches run through one
-runner, which builds one agent for all the seeds it is given, so an A*
-planner's memo serves every trial of a chunk.
+One runner serves every study. `start_experiment` starts each group
+whose agent is known; the function it returns starts the groups that
+waited for a trained Softmax policy, then reads every group in order and
+reduces. Without a pool a group runs as it is started. On a pool from
+`trial_pool`, starting only submits jobs, so a suite can hand the pool
+every job before it reads any result. Each worker receives the suite's
+parsed builds once, through the pool initializer. A job carries one
+group, with its build's key instead of the build, and a slice of its
+seeds, which one agent plays.
 """
 
 from __future__ import annotations
@@ -52,15 +52,6 @@ from .errors import (
 from .sim import ScenarioOverrides
 from .tuning import TuningConfig
 from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing.py
-
-STUDIES = (
-    "relationship_balance",
-    "career_progression",
-    "object_impact",
-    "build_comparison",
-    "agent_comparison",
-)
-
 
 # ---------------------------------------------------------------------------
 # Aggregation
@@ -387,20 +378,73 @@ def failed_outcome(
     )
 
 
-def _outcome(
+# ---------------------------------------------------------------------------
+# The study runner
+# ---------------------------------------------------------------------------
+# A study is a function (configs, xc, pool) -> (groups, reduce). A group is
+# (key, config, scenario, goal, agent spec); the spec may be a function of no
+# arguments that returns it, for an agent not known yet (a Softmax policy in
+# training). Each group runs xc.trials trials. `reduce` takes each group's
+# (key, records) in group order and returns (statistics, extras, charts,
+# (group key, trial index, record) tuples).
+
+Group = tuple[str, TuningConfig, ScenarioOverrides, GoalSpec,
+              "dict | Callable[[], dict]"]
+Done = list[tuple[str, list[TrialRecord]]]
+Reduction = tuple[dict[str, AggregateStats], dict, list[dict],
+                  list[tuple[str, int, TrialRecord]]]
+Study = Callable[[list[TuningConfig], ExperimentConfig, "ProcessPoolExecutor | None"],
+                 tuple[list[Group], Callable[[Done], Reduction]]]
+Read = Callable[[], ExperimentOutcome]
+
+
+def _start_study(
     xc: ExperimentConfig, configs: list[TuningConfig],
-    groups: dict[str, AggregateStats], extras: dict, charts: list[dict],
-    records: list[tuple[str, int, TrialRecord]],
+    pool: ProcessPoolExecutor | None,
+) -> Read:
+    """Start the study's groups; the returned function reads its outcome.
+
+    A group whose agent spec is known starts now. The others start when
+    the outcome is read, each after its spec is known and all before any
+    batch is read.
+    """
+    pair = xc.study == "build_comparison"
+    if len(configs) != (2 if pair else 1):
+        raise PlaytestError(f"{xc.study} needs exactly "
+                            f"{'two tuning files' if pair else 'one tuning file'}")
+    groups, reduce = _STUDIES[xc.study](configs, xc, pool)
+
+    def start(group: Group) -> Iterable[TrialRecord]:
+        _, config, scenario, goal, agent = group
+        return run_trials(config, scenario, xc.heuristic, goal,
+                          agent() if callable(agent) else agent,
+                          xc.trials, xc.base_seed, pool)
+
+    known = [None if callable(group[-1]) else start(group) for group in groups]
+
+    def read() -> ExperimentOutcome:
+        batches = [start(g) if b is None else b for g, b in zip(groups, known)]
+        stats, extras, charts, records = reduce(
+            [(group[0], list(batch)) for group, batch in zip(groups, batches)])
+        return ExperimentOutcome(
+            xc.id, xc.study, [c.build_id for c in configs],
+            stats, extras, charts, records,
+        )
+
+    return read
+
+
+def _run_study(
+    xc: ExperimentConfig, configs: list[TuningConfig],
+    careers: list[tuple[str, int]] | None = None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> ExperimentOutcome:
-    return ExperimentOutcome(
-        experiment_id=xc.id,
-        study=xc.study,
-        build_ids=[c.build_id for c in configs],
-        groups=groups,
-        extras=extras,
-        charts=charts,
-        records=records,
-    )
+    """Run one study now, raising its errors. `careers`, as (career,
+    target level) pairs, replace the experiment's careers."""
+    if careers is not None:
+        xc = replace(xc, careers=[
+            {"career": c, "target_level": level} for c, level in careers])
+    return _start_study(xc, configs, pool)()
 
 
 def _bar_chart(name: str, groups: dict[str, AggregateStats]) -> dict:
@@ -415,96 +459,56 @@ def _bar_chart(name: str, groups: dict[str, AggregateStats]) -> dict:
     }
 
 
-def _career_targets(config: TuningConfig, careers: list[dict]) -> list[tuple[str, int]]:
+def _action_reducer(
+    chart: str, extras: Callable[[Done, dict[str, AggregateStats]], dict],
+) -> Callable[[Done], Reduction]:
+    """A reducer whose statistics are each group's total actions, shown in
+    one bar chart named `chart`; `extras(done, statistics)` adds the rest."""
+    def reduce(done: Done) -> Reduction:
+        stats = {
+            key: AggregateStats.from_values(key, [r.total_actions for r in records])
+            for key, records in done
+        }
+        tagged = [(key, i, r) for key, records in done for i, r in enumerate(records)]
+        return stats, extras(done, stats), [_bar_chart(chart, stats)], tagged
+
+    return reduce
+
+
+def _career_groups(config: TuningConfig, xc: ExperimentConfig) -> list[Group]:
+    """One group per career of xc, keyed by the career: xc's scenario and
+    agent, starting in that career, with a goal of its target level."""
     idx = config.index()
-    out = []
-    for entry in careers:
-        cid = entry["career"]
-        spec = idx.careers.get(cid)
+    groups = []
+    for entry in xc.careers:
+        career = entry["career"]
+        spec = idx.careers.get(career)
         if spec is None:
-            raise UnknownCareer(cid)
-        target = entry.get("target_level", spec.max_level)
-        if target > spec.max_level:
-            raise TargetAboveCap(f"{cid}: level {target} > cap {spec.max_level}")
-        out.append((cid, target))
-    return out
-
-
-def _career_goal(template: GoalSpec, career: str, level: int) -> GoalSpec:
-    return GoalSpec(
-        kind="career_level_reached",
-        career=career,
-        level=level,
-        max_minutes=template.max_minutes,
-        max_actions=template.max_actions,
-    )
-
-
-# --- group batches -----------------------------------------------------------
-# The career-style studies run one batch of xc.trials trials per group:
-# (key, config, scenario, goal, agent spec). Each group's statistics are
-# over its trials' total actions.
-
-Batches = list[tuple[str, Iterable[TrialRecord]]]
-Done = list[tuple[str, list[TrialRecord]]]
-
-
-def _start_batches(
-    xc: ExperimentConfig, pool: ProcessPoolExecutor | None, groups: list[tuple],
-) -> Batches:
-    return [
-        (key, run_trials(config, scenario, xc.heuristic, goal, agent,
-                         xc.trials, xc.base_seed, pool))
-        for key, config, scenario, goal, agent in groups
-    ]
-
-
-def _read_batches(batches: Batches) -> Done:
-    return [(key, list(records)) for key, records in batches]
-
-
-def _action_stats(done: Done) -> dict[str, AggregateStats]:
-    return {
-        key: AggregateStats.from_values(key, [r.total_actions for r in records])
-        for key, records in done
-    }
-
-
-def _tagged(done: Done) -> list[tuple[str, int, TrialRecord]]:
-    return [(key, i, r) for key, records in done for i, r in enumerate(records)]
-
-
-Read = Callable[[], ExperimentOutcome]
-
-
-def _with_careers(
-    xc: ExperimentConfig, careers: list[tuple[str, int]],
-) -> ExperimentConfig:
-    """xc with its careers given as (career, target level) pairs."""
-    return replace(
-        xc, careers=[{"career": c, "target_level": lvl} for c, lvl in careers]
-    )
+            raise UnknownCareer(career)
+        level = entry.get("target_level", spec.max_level)
+        if level > spec.max_level:
+            raise TargetAboveCap(f"{career}: level {level} > cap {spec.max_level}")
+        goal = GoalSpec(kind="career_level_reached", career=career, level=level,
+                        max_minutes=xc.goal.max_minutes,
+                        max_actions=xc.goal.max_actions)
+        groups.append(
+            (career, config, replace(xc.scenario, career=career), goal, xc.agent))
+    return groups
 
 
 # --- relationship balance ---------------------------------------------------
 
-def _start_relationship_balance(
-    configs: list[TuningConfig], xc: ExperimentConfig,
-    pool: ProcessPoolExecutor | None,
-) -> Read:
+def _relationship_balance_study(configs, xc, pool):
     config = configs[0]
     if not any(e.kind == "relationship" for e in config.events):
         raise NoRelationshipEvents(config.build_id)
-    batch = run_trials(
-        config, xc.scenario, xc.heuristic, xc.goal, xc.agent,
-        xc.trials, xc.base_seed, pool,
-    )
 
-    def read() -> ExperimentOutcome:
+    def reduce(done: Done) -> Reduction:
+        [(_, records)] = done
         values: dict[str, list[int]] = {}
         category_counts: dict[str, int] = {}
         tagged = []
-        for i, record in enumerate(batch):
+        for i, record in enumerate(records):
             category = ""
             for outcome in record.event_log:
                 if outcome.kind != "relationship":
@@ -517,29 +521,25 @@ def _start_relationship_balance(
             category_counts[category] = category_counts.get(category, 0) + 1
             tagged.append((category, i, record))
         groups = {k: AggregateStats.from_values(k, v) for k, v in values.items()}
-        return _outcome(
-            xc, [config], groups,
-            {"category_trials": dict(sorted(category_counts.items()))},
-            [_bar_chart("event_actions_by_category_index", groups)], tagged,
-        )
+        return (groups, {"category_trials": dict(sorted(category_counts.items()))},
+                [_bar_chart("event_actions_by_category_index", groups)], tagged)
 
-    return read
+    return [("trials", config, xc.scenario, xc.goal, xc.agent)], reduce
 
 
 def run_relationship_balance(
     config: TuningConfig, xc: ExperimentConfig,
     pool: ProcessPoolExecutor | None = None,
 ) -> ExperimentOutcome:
-    return _start_relationship_balance([config], xc, pool)()
+    return _run_study(xc, [config], pool=pool)
 
 
 def relationship_balance(
     config: TuningConfig, xc: ExperimentConfig,
 ) -> dict[tuple[str, int], AggregateStats]:
     """Mean event actions grouped by (category, event index in the chain)."""
-    outcome = run_relationship_balance(config, xc)
     out = {}
-    for key, stats in outcome.groups.items():
+    for key, stats in run_relationship_balance(config, xc).groups.items():
         category, index = key.rsplit("/", 1)
         out[(category, int(index))] = stats
     return out
@@ -547,68 +547,39 @@ def relationship_balance(
 
 # --- career progression -----------------------------------------------------
 
-def _start_career_progression(
-    configs: list[TuningConfig], xc: ExperimentConfig,
-    pool: ProcessPoolExecutor | None,
-) -> Read:
-    config = configs[0]
-    targets = _career_targets(config, xc.careers)
-    batches = _start_batches(xc, pool, [
-        (career, config, replace(xc.scenario, career=career),
-         _career_goal(xc.goal, career, level), xc.agent)
-        for career, level in targets
-    ])
-
-    def read() -> ExperimentOutcome:
-        done = _read_batches(batches)
-        groups = _action_stats(done)
-        return _outcome(
-            xc, [config], groups, {"targets": dict(targets)},
-            [_bar_chart("total_actions_by_career", groups)], _tagged(done),
-        )
-
-    return read
+def _career_progression_study(configs, xc, pool):
+    groups = _career_groups(configs[0], xc)
+    targets = {career: goal.level for career, _, _, goal, _ in groups}
+    return groups, _action_reducer(
+        "total_actions_by_career", lambda done, stats: {"targets": targets})
 
 
 def career_progression(
     config: TuningConfig, careers: list[tuple[str, int]], xc: ExperimentConfig,
 ) -> dict[str, AggregateStats]:
     """Mean total actions to reach each career's target level."""
-    xc = _with_careers(xc, careers)
-    return _start_career_progression([config], xc, None)().groups
+    return _run_study(xc, [config], careers).groups
 
 
 # --- object impact -----------------------------------------------------------
 
-def _start_object_impact(
-    configs: list[TuningConfig], xc: ExperimentConfig,
-    pool: ProcessPoolExecutor | None,
-) -> Read:
+def _object_impact_study(configs, xc, pool):
     config = configs[0]
-    targets = _career_targets(config, xc.careers)
-    batches = _start_batches(xc, pool, [
-        (f"{career}/{label}", config,
-         replace(xc.scenario, career=career, grant_objects=grant),
-         _career_goal(xc.goal, career, level), xc.agent)
-        for career, level in targets
-        for label, grant in (("base", False), ("objects", True))
-    ])
+    careers = _career_groups(config, xc)
 
-    def read() -> ExperimentOutcome:
-        done = _read_batches(batches)
-        groups = _action_stats(done)
+    def impact(done: Done, stats: dict[str, AggregateStats]) -> dict:
         idx = config.index()
-        impact = {}
-        for career, level in targets:
-            base = groups[f"{career}/base"].mean
-            with_objects = groups[f"{career}/objects"].mean
+        out = {}
+        for career, _, _, goal, _ in careers:
+            base = stats[f"{career}/base"].mean
+            with_objects = stats[f"{career}/objects"].mean
             saved = base - with_objects
             granted = [
                 u for u in idx.careers[career].object_unlocks
-                if u.unlock_level <= level
+                if u.unlock_level <= goal.level
             ]
             price_total = sum(u.price_rho for u in granted)
-            impact[career] = {
+            out[career] = {
                 "base_mean": base,
                 "objects_mean": with_objects,
                 "actions_reduction_pct": (saved / base * 100.0) if base else 0.0,
@@ -616,12 +587,14 @@ def _start_object_impact(
                 "rho_spent": price_total,
                 "objects_granted": sorted(u.object_id for u in granted),
             }
-        return _outcome(
-            xc, [config], groups, {"impact": impact},
-            [_bar_chart("total_actions_base_vs_objects", groups)], _tagged(done),
-        )
+        return {"impact": out}
 
-    return read
+    return [
+        (f"{career}/{label}", config, replace(scenario, grant_objects=grant),
+         goal, agent)
+        for career, _, scenario, goal, agent in careers
+        for label, grant in (("base", False), ("objects", True))
+    ], _action_reducer("total_actions_base_vs_objects", impact)
 
 
 def object_impact(
@@ -632,21 +605,14 @@ def object_impact(
     The ratio is None ("n/a") when granting objects saves nothing, e.g.
     when every object unlocks above the target level.
     """
-    outcome = _start_object_impact([config], _with_careers(xc, careers), None)()
-    return {
-        career: (entry["actions_reduction_pct"], entry["rho_per_action_saved"])
-        for career, entry in outcome.extras["impact"].items()
-    }
+    impact = _run_study(xc, [config], careers).extras["impact"]
+    return {career: (entry["actions_reduction_pct"], entry["rho_per_action_saved"])
+            for career, entry in impact.items()}
 
 
 # --- build comparison --------------------------------------------------------
 
-def _start_build_comparison(
-    configs: list[TuningConfig], xc: ExperimentConfig,
-    pool: ProcessPoolExecutor | None,
-) -> Read:
-    if len(configs) != 2:
-        raise PlaytestError("build_comparison needs exactly two tuning files")
+def _build_comparison_study(configs, xc, pool):
     for cfg in configs:
         idx = cfg.index()
         for entry in xc.careers:
@@ -654,25 +620,19 @@ def _start_build_comparison(
                 raise CareerMissingInBuild(
                     f"{entry['career']!r} missing in {cfg.build_id!r}"
                 )
-    cells = [
-        (cfg, career, level)
+    groups = [
+        (f"{career}/{config.build_id}", config, *rest)
         for cfg in configs
-        for career, level in _career_targets(cfg, xc.careers)
+        for career, config, *rest in _career_groups(cfg, xc)
     ]
-    batches = _start_batches(xc, pool, [
-        (f"{career}/{cfg.build_id}", cfg, replace(xc.scenario, career=career),
-         _career_goal(xc.goal, career, level), xc.agent)
-        for cfg, career, level in cells
-    ])
 
-    def read() -> ExperimentOutcome:
-        done = _read_batches(batches)
-        rows = []
-        for (cfg, career, _), (_, records) in zip(cells, done):
+    def rows(done: Done, stats: dict[str, AggregateStats]) -> dict:
+        out = []
+        for (_, config, scenario, _, _), (_, records) in zip(groups, done):
             all_waits = [w for r in records for w in r.wait_intervals]
-            rows.append({
-                "build": cfg.build_id,
-                "career": career,
+            out.append({
+                "build": config.build_id,
+                "career": scenario.career,
                 "event_actions": sum(r.event_actions for r in records) / len(records),
                 "total_actions": sum(r.total_actions for r in records) / len(records),
                 "sessions": sum(r.sessions for r in records) / len(records),
@@ -680,13 +640,9 @@ def _start_build_comparison(
                     sum(all_waits) / len(all_waits) if all_waits else 0.0
                 ),
             })
-        groups = _action_stats(done)
-        return _outcome(
-            xc, configs, groups, {"rows": rows},
-            [_bar_chart("total_actions_by_career_and_build", groups)], _tagged(done),
-        )
+        return {"rows": out}
 
-    return read
+    return groups, _action_reducer("total_actions_by_career_and_build", rows)
 
 
 def build_comparison(
@@ -694,8 +650,7 @@ def build_comparison(
     careers: list[tuple[str, int]], xc: ExperimentConfig,
 ) -> list[dict]:
     """Table rows: career x build -> event/total actions, sessions, mean wait."""
-    xc = _with_careers(xc, careers)
-    return _start_build_comparison([config_a, config_b], xc, None)().extras["rows"]
+    return _run_study(xc, [config_a, config_b], careers).extras["rows"]
 
 
 # --- agent comparison --------------------------------------------------------
@@ -720,51 +675,43 @@ def _start_policy(
     return pool.submit(_train_in_worker, id(config), *args).result
 
 
-def _start_agent_comparison(
-    configs: list[TuningConfig], xc: ExperimentConfig,
-    pool: ProcessPoolExecutor | None,
-) -> Read:
-    config = configs[0]
-    astar_spec = {"kind": "astar", **xc.agent.get("astar", {})}
-    cells = []
-    for career, level in _career_targets(config, xc.careers):
-        goal = _career_goal(xc.goal, career, level)
-        scenario = replace(xc.scenario, career=career)
-        # training goes first: each Softmax batch waits for its policy
-        cells.append((career, scenario, goal,
-                      _start_policy(config, xc, scenario, goal, pool)))
-    astar = _start_batches(xc, pool, [
-        (f"{career}/astar", config, scenario, goal, astar_spec)
-        for career, scenario, goal, _ in cells
-    ])
+def _softmax_spec(policy: Callable[[], SoftmaxPolicy]) -> dict:
+    return {"kind": "softmax", "policy": policy().to_dict()}
 
-    def read() -> ExperimentOutcome:
-        policies = [policy() for *_, policy in cells]
-        softmax = _start_batches(xc, pool, [
-            (f"{career}/softmax", config, scenario, goal,
-             {"kind": "softmax", "policy": policy.to_dict()})
-            for (career, scenario, goal, _), policy in zip(cells, policies)
-        ])
-        done = _read_batches([b for pair in zip(astar, softmax) for b in pair])
-        groups = _action_stats(done)
-        charts = [_bar_chart("total_actions_by_career_and_agent", groups)] + [
+
+def _agent_comparison_study(configs, xc, pool):
+    config = configs[0]
+    astar = {"kind": "astar", **xc.agent.get("astar", {})}
+    groups, policies = [], {}
+    for career, _, scenario, goal, _ in _career_groups(config, xc):
+        # training starts here, before any A* group; each Softmax group
+        # starts once its policy is read
+        policy = policies[career] = _start_policy(config, xc, scenario, goal, pool)
+        groups += [(f"{career}/astar", config, scenario, goal, astar),
+                   (f"{career}/softmax", config, scenario, goal,
+                    partial(_softmax_spec, policy))]
+
+    def comparison(done: Done, stats: dict[str, AggregateStats]) -> dict:
+        return {"comparison": {
+            career: {
+                "astar": stats[f"{career}/astar"].to_dict(),
+                "softmax": stats[f"{career}/softmax"].to_dict(),
+                "policy": policy().to_dict(),
+            }
+            for career, policy in policies.items()
+        }}
+
+    by_group = _action_reducer("total_actions_by_career_and_agent", comparison)
+
+    def reduce(done: Done) -> Reduction:
+        stats, extras, charts, tagged = by_group(done)
+        return stats, extras, charts + [
             {"name": f"convergence/{key}", "kind": "series",
              "series": running_means([r.total_actions for r in records])}
             for key, records in done
-        ]
-        comparison = {
-            career: {
-                "astar": groups[f"{career}/astar"].to_dict(),
-                "softmax": groups[f"{career}/softmax"].to_dict(),
-                "policy": policy.to_dict(),
-            }
-            for (career, *_), policy in zip(cells, policies)
-        }
-        return _outcome(
-            xc, [config], groups, {"comparison": comparison}, charts, _tagged(done),
-        )
+        ], tagged
 
-    return read
+    return groups, reduce
 
 
 def agent_comparison(
@@ -772,26 +719,23 @@ def agent_comparison(
     trials: int, xc: ExperimentConfig,
 ) -> dict[str, tuple[AggregateStats, AggregateStats]]:
     """Per career: (A* stats, Softmax stats) of total actions."""
-    xc = replace(_with_careers(xc, careers), trials=trials)
-    outcome = _start_agent_comparison([config], xc, None)()
-    return {
-        career: (outcome.groups[f"{career}/astar"],
-                 outcome.groups[f"{career}/softmax"])
-        for career, _ in careers
-    }
+    groups = _run_study(replace(xc, trials=trials), [config], careers).groups
+    return {career: (groups[f"{career}/astar"], groups[f"{career}/softmax"])
+            for career, _ in careers}
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_STUDY_STARTS: dict[str, Callable[..., Read]] = {
-    "relationship_balance": _start_relationship_balance,
-    "career_progression": _start_career_progression,
-    "object_impact": _start_object_impact,
-    "build_comparison": _start_build_comparison,
-    "agent_comparison": _start_agent_comparison,
+_STUDIES: dict[str, Study] = {
+    "relationship_balance": _relationship_balance_study,
+    "career_progression": _career_progression_study,
+    "object_impact": _object_impact_study,
+    "build_comparison": _build_comparison_study,
+    "agent_comparison": _agent_comparison_study,
 }
+STUDIES = tuple(_STUDIES)
 
 
 def start_experiment(
@@ -811,7 +755,7 @@ def start_experiment(
         return failed_outcome(xc.id, xc.study, exc, [c.build_id for c in configs])
 
     try:
-        read = _STUDY_STARTS[xc.study](configs, xc, pool)
+        read = _start_study(xc, configs, pool)
     except PlaytestError as exc:
         read = partial(fail, exc)
 

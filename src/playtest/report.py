@@ -82,16 +82,8 @@ def _stats_payload(
         "extras": outcome.extras,
     }
     if xc is not None:
-        payload["params"] = {
-            "trials": xc.trials,
-            "base_seed": xc.base_seed,
-            "agent": xc.agent,
-            "goal": xc.goal.to_dict(),
-            "scenario": xc.scenario.to_dict(),
-            "heuristic": xc.heuristic.to_dict(),
-            "careers": xc.careers,
-            "tuning_ref": xc.tuning_ref,
-        }
+        params = payload["params"] = xc.to_dict()
+        del params["id"], params["study"]
     return payload
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from bfs_oracle import random_desk_config, shortest_actions
+from playtest import experiments
 from playtest.agents import GoalSpec, HeuristicSpec
 from playtest.errors import (
     CareerMissingInBuild,
@@ -25,6 +26,7 @@ from playtest.experiments import (
     run_experiment,
     run_relationship_balance,
     run_trials,
+    start_experiment,
     trial_pool,
     trial_seed,
 )
@@ -323,6 +325,22 @@ class TestSuiteDispatch:
         assert len(outcome.records) == 2
         assert outcome.max_nodes_expanded <= 2000
 
+    @pytest.mark.parametrize("study, builds", [
+        ("relationship_balance", 2), ("career_progression", 2),
+        ("object_impact", 2), ("agent_comparison", 2),
+        ("build_comparison", 1), ("build_comparison", 3),
+    ])
+    def test_wrong_build_count_fails(self, desk_base, desk_objects, study, builds):
+        # a build the study would not read fails it instead of being ignored
+        xc = make_xc(study, trials=1,
+                     careers=[{"career": "barista", "target_level": 2}])
+        outcome = run_experiment(xc, [desk_base, desk_objects, desk_base][:builds])
+        wanted = ("two tuning files" if study == "build_comparison"
+                  else "one tuning file")
+        assert (outcome.status, outcome.error) == (
+            "failed", f"PlaytestError: {study} needs exactly {wanted}")
+        assert outcome.records == []
+
 
 class TestPooledTrials:
     def test_pool_matches_serial_and_payloads_carry_no_build(self, desk_base):
@@ -352,6 +370,83 @@ class TestPooledTrials:
             (g, i, r.state_digest) for g, i, r in serial.records]
         # the build text alone is about 15 KB
         assert len(sizes) == 8 and max(sizes) < 1024
+
+    @pytest.mark.parametrize("study, builds, options", [
+        ("relationship_balance", ["romance_outlier"], dict(
+            trials=6,
+            heuristic=HeuristicSpec(weights={"relationship_event_complete": 1.0,
+                                             "event_xp": 1.0}),
+            goal=GoalSpec(kind="any_relationship_chain_done", chain_length=5,
+                          max_minutes=5000, max_actions=300))),
+        ("career_progression", ["desk_base"], dict(
+            trials=3, careers=[{"career": "barista", "target_level": 2},
+                               {"career": "culinary", "target_level": 2}])),
+        ("object_impact", ["desk_objects"], dict(
+            trials=3, careers=[{"career": "barista", "target_level": 3}])),
+        ("build_comparison", ["build_a", "build_b"], dict(
+            trials=2, careers=[{"career": "barista", "target_level": 2}],
+            agent={"kind": "astar", "node_budget": 400})),
+    ])
+    def test_every_study_pool_matches_serial(self, request, study, builds, options):
+        configs = [request.getfixturevalue(name) for name in builds]
+        xc = make_xc(study, **options)
+        with trial_pool(2, configs) as pool:
+            pooled = run_experiment(xc, configs, pool)
+        serial = run_experiment(xc, configs)
+        assert pooled.status == serial.status == "ok"
+        assert (pooled.groups, pooled.extras, pooled.charts) == (
+            serial.groups, serial.extras, serial.charts)
+        assert [(g, i, r.state_digest) for g, i, r in pooled.records] == [
+            (g, i, r.state_digest) for g, i, r in serial.records]
+
+    def test_training_first_and_each_softmax_group_after_its_policy(
+            self, desk_base):
+        xc = make_xc(
+            "agent_comparison", trials=2,
+            goal=GoalSpec(kind="career_level_reached",
+                          max_minutes=20_000, max_actions=400),
+            careers=[{"career": "fashion", "target_level": 2},
+                     {"career": "barista", "target_level": 2}],
+            agent={"kind": "comparison", "astar": {"node_budget": 2000},
+                   "softmax": {"train": {"episodes": 10, "step_size": 0.05,
+                                         "seed": 7}}})
+        events = []
+        with trial_pool(2, [desk_base]) as pool:
+            submit, map_ = pool.submit, pool.map
+
+            def recording_submit(fn, *args, **kwargs):
+                future = submit(fn, *args, **kwargs)
+                if fn is experiments._train_in_worker:
+                    career = args[1].career  # (build key, scenario, ...)
+                    events.append(("train", career))
+                    result = future.result
+
+                    def reading(*a, **k):
+                        events.append(("read", career))
+                        return result(*a, **k)
+
+                    future.result = reading
+                return future
+
+            def recording_map(fn, payloads, **kwargs):
+                payloads = list(payloads)
+                _, scenario, _, _, agent, _ = payloads[0]
+                events.append((agent["kind"], scenario.career))
+                return map_(fn, payloads, **kwargs)
+
+            pool.submit, pool.map = recording_submit, recording_map
+            read = start_experiment(xc, [desk_base], pool)
+            started = list(events)
+            outcome = read()
+        assert outcome.status == "ok"
+        # starting trains every policy, then starts every A* group, and
+        # waits for no policy
+        assert started == [("train", "fashion"), ("train", "barista"),
+                           ("astar", "fashion"), ("astar", "barista")]
+        softmax = [i for i, (kind, _) in enumerate(events) if kind == "softmax"]
+        assert len(softmax) == 2
+        for i in softmax:
+            assert ("read", events[i][1]) in events[len(started):i]
 
     def test_uneven_chunks_match_serial(self, desk_base):
         # chunks hold about trials / (4 workers) consecutive seeds, so these
