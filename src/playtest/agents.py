@@ -5,13 +5,16 @@ committing only the first edge of the best plan found. Search edges are
 the legal actions plus at most one wait edge (to the next availability
 when idle, to the event deadline while an event runs). Frontier ties on
 f are broken by a uniform random draw from the caller's seeded rng, so
-identical seeds give identical decisions. A planner keeps every node
-expansion it makes, keyed by the node's dedup key, action count and
-auto-grant flag, across decisions and episodes for as long as it lives
-(a new config starts it afresh), so a replan or a repeated trajectory
-asks the engine only for states no earlier search expanded. The search
-itself is unchanged, and so is every decision. A memo grown past
-`_MEMO_LIMIT` entries is emptied.
+identical seeds give identical decisions. A planner keeps the graph its
+searches build across decisions and episodes for as long as it lives (a
+new config starts it afresh): one node record per dedup key, action
+count and auto-grant flag, holding the node's interned state id, its
+limit and goal flags, its heuristic value and, once expanded, its
+successor records. So a replan or a repeated trajectory asks the engine
+only for states no earlier search expanded, evaluates the heuristic only
+on states no earlier search pushed, and hashes no state it has seen
+before. The search itself is unchanged, and so is every decision. A
+memo grown past `_MEMO_LIMIT` records is emptied.
 
 The Softmax agent samples from the move list (the decisions alone, no
 successor states) in proportion to exp(utility/temperature), where
@@ -390,6 +393,52 @@ def _within_limits(goal: GoalSpec, state: GameState) -> bool:
             and state.counters.total_actions <= goal.max_actions)
 
 
+class _Node:
+    """One node of a planner's search graph: a state under one memo key.
+
+    `sid` is the interned id of the state's dedup key, and the clock,
+    action count, limit and goal flags are the state's own. `h` is the
+    heuristic value, filled in when the node is first pushed, and `edges`
+    the (decision, child node) list, filled in when it is first expanded.
+    """
+
+    __slots__ = ("sid", "actions", "clock", "in_limits", "at_goal", "h",
+                 "state", "edges")
+
+    def __init__(self, sid: int, state: GameState, goal: GoalSpec):
+        self.sid = sid
+        self.actions = state.counters.total_actions
+        self.clock = state.clock
+        self.in_limits = _within_limits(goal, state)
+        self.at_goal = goal_satisfied(goal, state)
+        self.h: float | None = None
+        self.state = state
+        self.edges: list[tuple[Decision, _Node]] | None = None
+
+
+def _node(memo: dict, ids: dict, goal: GoalSpec, state: GameState) -> _Node:
+    """The node of `state`, made and filed on first sight.
+
+    `ids` interns dedup keys as small ints; `memo` maps (state id, action
+    count, auto-grant flag) to the node.
+    """
+    sid = ids.setdefault(state.dedup_key(), len(ids))
+    key = (sid, state.counters.total_actions, state.auto_grant_objects)
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = _Node(sid, state, goal)
+    return node
+
+
+def _expand(
+    config: TuningConfig, memo: dict, ids: dict, goal: GoalSpec, node: _Node
+) -> list[tuple[Decision, _Node]]:
+    """Fill in `node`'s edges from the engine and return them."""
+    node.edges = [(decision, _node(memo, ids, goal, child))
+                  for decision, child in decision_edges(config, node.state)]
+    return node.edges
+
+
 def _astar_search(
     config: TuningConfig,
     state: GameState,
@@ -398,107 +447,84 @@ def _astar_search(
     node_budget: int,
     rng: random.Random,
     memo: dict,
+    ids: dict,
 ) -> tuple[Decision, int]:
     """Run one bounded best-first search.
 
-    `memo` maps a node's (dedup key, action count, auto-grant flag) to
-    its edge list, each edge a [decision, child, child key, child
-    heuristic or None] list, as an earlier search under the same config,
-    heuristic and goal built it; the search adds the expansions it makes.
+    `memo` and `ids` hold the nodes that earlier searches under the same
+    config, heuristic and goal made (see `_node`); the search adds the
+    nodes and expansions it makes. A node expanded before is not handed
+    to the engine again, and a node pushed before is not evaluated again,
+    so pushing a known node's children hashes nothing but its state ids.
     Returns (decision, nodes expanded).
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
-    if goal_satisfied(goal, state):
+    root = _node(memo, ids, goal, state)
+    if root.at_goal:
         return Decision.stop("goal_reached"), 0
-    if not _within_limits(goal, state):
+    if not root.in_limits:
         return Decision.stop("hard_limit"), 0
-
-    def edges_of(key: tuple, node: GameState) -> list:
-        memo_key = (key, node.counters.total_actions, node.auto_grant_objects)
-        edges = memo.get(memo_key)
-        if edges is None:
-            edges = memo[memo_key] = [
-                [decision, child, child.dedup_key(), None]
-                for decision, child in decision_edges(config, node)]
-        return edges
-
-    root_key = state.dedup_key()
-    root_edges = edges_of(root_key, state)
-    if not root_edges:
+    if root.edges is None:
+        _expand(config, memo, ids, goal, root)
+    if not root.edges:
         return Decision.stop("deadlock"), 0
 
     evaluate = build_evaluator(heuristic, config, goal)
-    root_actions = state.counters.total_actions
-    root_clock = state.clock
+    draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
+    root_actions = root.actions
+    root_clock = root.clock
 
-    # heap entries: (f, elapsed, tie, seq, g, key, state, first decision)
+    # heap entries: (f, elapsed, tie, seq, g, node, first decision)
     seq = 0
     heap: list[tuple] = []
-    closed: dict[tuple, int] = {root_key: 0}
-    expanded = 1  # the root expansion above
-    out_of_budget = False
+    closed: dict[int, int] = {}  # state id -> fewest actions expanded at
+    expanded = 0
+    node, g, first = root, 0, None
+    while True:
+        closed[node.sid] = g
+        expanded += 1
+        edges = node.edges
+        if edges is None:
+            edges = _expand(config, memo, ids, goal, node)
+        for decision, child in edges:
+            if not child.in_limits:
+                continue
+            child_g = child.actions - root_actions
+            best = closed.get(child.sid)
+            if best is not None and best <= child_g:
+                continue
+            h = child.h
+            if h is None:
+                h = child.h = evaluate(child.state)
+            seq += 1
+            heappush(heap, (child_g + h, child.clock - root_clock, draw(), seq,
+                            child_g, child, first or decision))
 
-    def push(edge: list, first) -> None:
-        nonlocal seq
-        decision, child, key, h = edge
-        if not _within_limits(goal, child):
-            return
-        child_g = child.counters.total_actions - root_actions
-        best = closed.get(key)
-        if best is not None and best <= child_g:
-            return
-        if h is None:
-            h = edge[3] = evaluate(child)
-        seq += 1
-        heapq.heappush(heap, (
-            child_g + h,
-            child.clock - root_clock,
-            rng.random(),
-            seq,
-            child_g,
-            key,
-            child,
-            first if first is not None else decision,
-        ))
-
-    for edge in root_edges:
-        push(edge, None)
-
-    while heap:
-        f, elapsed, tie, _, g, key, node, first = heapq.heappop(heap)
-        best = closed.get(key)
-        if best is not None and best <= g:
-            continue
-        if goal_satisfied(goal, node):
+        while heap:
+            f, elapsed, tie, _, g, node, first = heappop(heap)
+            best = closed.get(node.sid)
+            if best is None or best > g:
+                break
+        else:
+            return Decision.stop("search_exhausted"), expanded
+        if node.at_goal:
             return first, expanded
         if expanded >= node_budget:
-            heapq.heappush(heap, (f, elapsed, tie, -1, g, key, node, first))
-            out_of_budget = True
             break
-        closed[key] = g
-        expanded += 1
-        for edge in edges_of(key, node):
-            push(edge, first)
 
-    # Budget ran out (or the goal is unreachable in the explored region):
-    # head toward the best frontier node, ranked by f, then fewest actions,
-    # then least elapsed time, then the random tie number already drawn.
-    best_entry = None
-    for f, elapsed, tie, _, g, key, node, first in heap:
-        if first is None:
-            continue
-        prev = closed.get(key)
+    # Budget ran out: head toward the best frontier node, ranked by f, then
+    # fewest actions, then least elapsed time, then the random tie number
+    # already drawn.
+    best_rank, best_first = (f, g, elapsed, tie), first
+    for f, elapsed, tie, _, g, node, first in heap:
+        prev = closed.get(node.sid)
         if prev is not None and prev <= g:
             continue
         rank = (f, g, elapsed, tie)
-        if best_entry is None or rank < best_entry[0]:
-            best_entry = (rank, first)
-    if best_entry is not None:
-        return best_entry[1], expanded
-    if out_of_budget:
-        return Decision.stop("budget_exhausted"), expanded
-    return Decision.stop("search_exhausted"), expanded
+        if rank < best_rank:
+            best_rank, best_first = rank, first
+    return best_first, expanded
 
 
 def astar_decide(
@@ -511,35 +537,39 @@ def astar_decide(
 ) -> Decision:
     """Pick the next move by bounded A* over game states."""
     decision, _ = _astar_search(
-        config, state, heuristic, goal, node_budget, rng or random.Random(0), {}
+        config, state, heuristic, goal, node_budget, rng or random.Random(0),
+        {}, {},
     )
     return decision
 
 
-# Memo entries an AStarPlanner keeps between decisions; a memo grown past
-# this is emptied. An entry takes about 2.6 KB (build_b
-# A* trials under tracemalloc), so a full memo holds about 50 MB.
+# Node records an AStarPlanner keeps between decisions; a memo grown past
+# this is emptied. A record, with its state and interned id, takes about
+# 1.8 KB (build_b A* trials under tracemalloc), so a full memo holds
+# about 36 MB.
 _MEMO_LIMIT = 20_000
 
 
 class AStarPlanner:
     """Receding-horizon planner: a fresh bounded search before every move.
 
-    The planner keeps every node expansion its searches make, across
-    decisions and episodes, for as long as it lives. A later search, one
-    move further on or in another trial that reaches the same state,
-    takes a node's successors and their heuristic values from there
-    instead of asking the engine again. The key is (dedup key, action
-    count, auto-grant flag): the dedup key holds everything that shapes
-    future dynamics, the action count fixes g and the action limit, and
-    the auto-grant flag changes successors without being part of the
-    dedup key. The heuristic and goal are the planner's own and never
-    change. So every lookup yields the successors a fresh expansion
-    would build, the search pushes and pops in the same order and draws
-    the same tie numbers, and its decisions and expansion counts are
-    those of `astar_decide`. A call with another config starts from an
-    empty memo, and so does the decision after one that left more than
-    `_MEMO_LIMIT` entries.
+    The planner keeps the graph its searches build, across decisions and
+    episodes, for as long as it lives: one node record per (dedup key,
+    action count, auto-grant flag), holding the state, its limit and goal
+    flags, its heuristic value once computed and its successor records
+    once expanded. The dedup key holds everything that shapes future
+    dynamics and everything the goal and heuristic read, the action count
+    fixes g and the action limit, and the auto-grant flag changes
+    successors without being part of the dedup key. Each distinct dedup
+    key is interned once as a small int, which keys `closed` and the
+    records. The heuristic and goal are the planner's own and never
+    change. So a later search, one move further on or in another trial
+    that reaches the same state, meets the nodes a fresh search would
+    build, pushes and pops in the same order and draws the same tie
+    numbers, and its decisions and expansion counts are those of
+    `astar_decide`. A call with another config starts from an empty
+    graph, and a decision that leaves more than `_MEMO_LIMIT` records
+    empties the records and the id table together.
     """
 
     name = "astar"
@@ -556,18 +586,19 @@ class AStarPlanner:
         self.last_expanded = 0
         self._memo_config: TuningConfig | None = None
         self._memo: dict = {}
+        self._ids: dict = {}
 
     def decide(
         self, config: TuningConfig, state: GameState, rng: random.Random
     ) -> Decision:
         if config is not self._memo_config:
-            self._memo_config, self._memo = config, {}
+            self._memo_config, self._memo, self._ids = config, {}, {}
         decision, self.last_expanded = _astar_search(
             config, state, self.heuristic, self.goal, self.node_budget, rng,
-            self._memo,
+            self._memo, self._ids,
         )
         if len(self._memo) > _MEMO_LIMIT:
-            self._memo = {}
+            self._memo, self._ids = {}, {}
         return decision
 
 

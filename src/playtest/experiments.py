@@ -398,6 +398,15 @@ Study = Callable[[list[TuningConfig], ExperimentConfig, "ProcessPoolExecutor | N
 Read = Callable[[], ExperimentOutcome]
 
 
+def check_build_count(study: str, count: int) -> None:
+    """Raise unless `count` is the number of builds `study` reads: two
+    for build_comparison, one for every other study."""
+    pair = study == "build_comparison"
+    if count != (2 if pair else 1):
+        raise PlaytestError(f"{study} needs exactly "
+                            f"{'two tuning files' if pair else 'one tuning file'}")
+
+
 def _start_study(
     xc: ExperimentConfig, configs: list[TuningConfig],
     pool: ProcessPoolExecutor | None,
@@ -408,10 +417,7 @@ def _start_study(
     the outcome is read, each after its spec is known and all before any
     batch is read.
     """
-    pair = xc.study == "build_comparison"
-    if len(configs) != (2 if pair else 1):
-        raise PlaytestError(f"{xc.study} needs exactly "
-                            f"{'two tuning files' if pair else 'one tuning file'}")
+    check_build_count(xc.study, len(configs))
     groups, reduce = _STUDIES[xc.study](configs, xc, pool)
 
     def start(group: Group) -> Iterable[TrialRecord]:

@@ -21,6 +21,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentOutcome,
     Read,
+    check_build_count,
     failed_outcome,
     run_experiment,
     start_experiment,
@@ -202,6 +203,7 @@ def _load(
             for ref in loaded.xc.tuning_ref
         ]
         loaded.files += paths
+        check_build_count(loaded.xc.study, len(paths))
         loaded.configs = [_parse_once(p, builds) for p in paths]
     except Exception as exc:
         loaded.error = exc
@@ -238,7 +240,9 @@ def run_suite(
     Tuning paths are resolved relative to the suite file. Results are
     written under out_dir/<experiment id>/ and also returned in suite
     order for programmatic use. Every entry and build is loaded first,
-    and a build file that several entries name is parsed once.
+    and a build file that several entries name is parsed once; an entry
+    that names the wrong number of builds for its study fails before any
+    of them is parsed.
     Serially, each experiment then runs and is written in turn. With
     `parallel` > 1, every trial batch and training run of the suite is
     handed to one process pool before any result is read; the

@@ -164,6 +164,32 @@ class TestAStarDecide:
         assert record.goal_reached
         assert record.total_actions == optimum
 
+    def test_exhaustive_search_expands_each_state_once(self):
+        # a 2-minute act and two 1-minute acts reach one state at two
+        # action counts; a zero-heuristic search that runs out of states
+        # expands each dedup key once, at its fewest actions, as the
+        # oracle settles it
+        idle = {"cooldown": 0, "costs": {}, "rewards": {}, "requires": {},
+                "category_tag": ""}
+        config = parse_tuning(json.dumps({
+            "schema_version": 1, "build_id": "idle",
+            "resources": [{"id": "energy", "capacity": 5,
+                           "regen_rate": {"num": 0, "den": 1}, "initial": 5}],
+            "actions": [dict(idle, id="tap", duration=1),
+                        dict(idle, id="hold", duration=2)],
+            "events": [], "careers": [], "relationships": [], "objects": [],
+        }))
+        goal = GoalSpec(kind="event_completed", event="never",
+                        max_minutes=6, max_actions=100)
+        optimum, settled = shortest_actions(config, ScenarioOverrides(), 1, goal)
+        planner = AStarPlanner(HeuristicSpec(weights={}), goal, 10_000)
+        decision = planner.decide(
+            config, initial_state(config, ScenarioOverrides(), 1),
+            random.Random(1))
+        assert optimum is None and settled == 7  # clock 0 to 6
+        assert decision == Decision.stop("search_exhausted")
+        assert planner.last_expanded == settled
+
     def test_rng_state_determinism(self, romance_outlier):
         goal = GoalSpec(kind="any_relationship_chain_done", chain_length=5,
                         max_minutes=5000, max_actions=300)

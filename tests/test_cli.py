@@ -275,6 +275,36 @@ class TestRun:
         assert errors["broken_ref"][0] == "failed"
         assert errors["broken_ref"] == errors["broken_again"]
 
+    def test_wrong_build_count_entry_is_neither_parsed_nor_shipped(
+            self, suite_dir, monkeypatch):
+        for name in ("desk_objects", "romance_outlier"):
+            (suite_dir / f"{name}.json").write_text(fixtures.path(name).read_text())
+        two_builds = dict(MINI_SUITE[0], id="two_builds",
+                          tuning_ref=["desk_objects.json", "romance_outlier.json"])
+        (suite_dir / "counts.json").write_text(
+            json.dumps([two_builds, MINI_SUITE[0]]))
+        parsed, shipped = [], []
+        parse, pool = report.parse_tuning, report.trial_pool
+
+        def counting(text):
+            parsed.append(json.loads(text)["build_id"])
+            return parse(text)
+
+        def recording(workers, configs):
+            shipped.append([config.build_id for config in configs])
+            return pool(workers, configs)
+
+        monkeypatch.setattr(report, "parse_tuning", counting)
+        monkeypatch.setattr(report, "trial_pool", recording)
+        results = report.run_suite(suite_dir / "counts.json", suite_dir / "out",
+                                   parallel=2)
+        assert parsed == ["desk_base"]
+        assert shipped == [["desk_base"]]
+        stats = json.loads((suite_dir / "out/two_builds/stats.json").read_text())
+        assert (stats["status"], stats["error"]) == (
+            "failed", "PlaytestError: career_progression needs exactly one tuning file")
+        assert [outcome.status for _, outcome in results] == ["failed", "ok"]
+
     def test_playtest_out_env_default(self, suite_dir, monkeypatch, capsys):
         target = suite_dir / "env_out"
         monkeypatch.setenv("PLAYTEST_OUT", str(target))

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bfs_oracle import random_desk_config
@@ -234,8 +234,9 @@ class CheckedPlanner:
 
     Before each decision the rng state is copied; a new planner (empty
     memo) and `astar_decide` must then make the same decision with the
-    same expansion count and the same number of tie draws. The memo kept
-    afterwards must hold at most `_MEMO_LIMIT` entries.
+    same expansion count and the same number of tie draws. The graph
+    kept afterwards must hold at most `_MEMO_LIMIT` node records, and its
+    state-id table no more ids than records.
     """
 
     name = "astar"
@@ -259,7 +260,7 @@ class CheckedPlanner:
         assert rng.getstate() == fresh_rng.getstate()
         assert astar_decide(config, state, planner.heuristic, planner.goal,
                             planner.node_budget, decide_rng) == decision
-        assert len(planner._memo) <= agents._MEMO_LIMIT
+        assert len(planner._ids) <= len(planner._memo) <= agents._MEMO_LIMIT
         self.last_expanded = planner.last_expanded
         return decision
 
@@ -294,6 +295,13 @@ def play_in_lockstep(planner, runs, seed, max_decisions=400):
 
 class TestPlannerMemo:
     """The cross-decision memo changes no decision of the A* planner."""
+
+    # These properties play whole episodes, so a failing example is
+    # reported unshrunk: shrinking one took minutes. The name is rebound
+    # here rather than renamed, because a method's decorator text seeds its
+    # derandomized examples, and those stay as they were.
+    PROPERTY_SETTINGS = settings(
+        PROPERTY_SETTINGS, phases=[p for p in Phase if p is not Phase.shrink])
 
     @PROPERTY_SETTINGS
     @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1),
@@ -348,14 +356,44 @@ class TestPlannerMemo:
         planner = AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200)
         scenario = ScenarioOverrides(career="barista")
         first = run_episode(desk_base, scenario, 5, planner, goal)
-        calls = []
-        edges = agents.decision_edges
+        calls, evaluations = [], []
+        edges, build = agents.decision_edges, agents.build_evaluator
+
+        def counting_build(*args):
+            evaluate = build(*args)
+            return lambda state: evaluations.append(1) or evaluate(state)
+
         monkeypatch.setattr(agents, "decision_edges",
                             lambda *args: calls.append(1) or edges(*args))
+        monkeypatch.setattr(agents, "build_evaluator", counting_build)
         again = run_episode(desk_base, scenario, 5, planner, goal)
         assert again.state_digest == first.state_digest
         assert again.decisions == first.decisions > 1
-        assert not calls
+        assert not calls and not evaluations
+
+    @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
+    def test_id_table_is_bounded_by_the_records(self, desk_objects, memo_limit,
+                                                monkeypatch):
+        # every interned id belongs to a node record, so emptying the
+        # records must empty the id table too
+        sizes = []
+
+        class SizedPlanner(AStarPlanner):
+            def decide(self, config, state, rng):
+                decision = super().decide(config, state, rng)
+                sizes.append((len(self._ids), len(self._memo)))
+                return decision
+
+        monkeypatch.setattr(agents, "_MEMO_LIMIT", memo_limit)
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
+                        max_minutes=20_000, max_actions=400)
+        planner = SizedPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 30)
+        for grant in (False, True):
+            run_episode(desk_objects, ScenarioOverrides(
+                career="barista", grant_objects=grant), 11, planner, goal)
+        assert len(sizes) > 10
+        assert all(ids <= records <= memo_limit for ids, records in sizes)
+        assert ((0, 0) in sizes) == (memo_limit == 3)
 
     @settings(PROPERTY_SETTINGS, max_examples=15)
     @given(seed=st.integers(0, 2**32 - 1), node_budget=st.integers(5, 60))
