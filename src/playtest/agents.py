@@ -16,6 +16,12 @@ on states no earlier search pushed, and hashes no state it has seen
 before. The search itself is unchanged, and so is every decision. A
 memo grown past `_MEMO_LIMIT` records is emptied.
 
+The heuristic is bound once per planner and build (`build_evaluator`):
+each term's scale, the career goal's XP target and, for a chain goal,
+every category's remaining final thresholds and relationship XP for each
+count of completed events are computed then, so evaluating a state is a
+few lookups per weighted term.
+
 The Softmax agent samples from the move list (the decisions alone, no
 successor states) in proportion to exp(utility/temperature), where
 utility is a learned linear function of normalized action parameters.
@@ -30,6 +36,7 @@ import heapq
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
@@ -269,10 +276,10 @@ def _relationship_xp(event: EventSpec) -> int:
 
 
 def _chain_remaining(
-    config: TuningConfig, state: GameState, goal: GoalSpec, cost
-) -> int:
-    """`cost(event)` summed over the chain events still to finish before
-    the chain goal.
+    config: TuningConfig, goal: GoalSpec, cost: Callable[[EventSpec], int],
+) -> Callable[[GameState], int]:
+    """A function of the state: `cost(event)` summed over the chain events
+    still to finish before the chain goal.
 
     A goal on one category counts the locked category, else the goal's.
     A goal on any chain counts the cheapest category long enough,
@@ -280,98 +287,143 @@ def _chain_remaining(
     the locked chain's true remainder, and it keeps same-depth search
     branches tied across symmetric categories, which is what lets
     repeated seeded runs sample every category.
+
+    Every category's sum for each count of completed events is computed
+    here, so the function only looks it up.
     """
     idx = config.index()
-    done = state.relationship.completed
-    if goal.chain_length <= done:
-        return 0
-
-    def chain_total(category: str) -> int:
-        span = idx.relationships[category].event_chain[done:goal.chain_length]
-        return sum(map(cost, map(idx.events.__getitem__, span)))
-
+    length = goal.chain_length
+    totals = {
+        c.id: [sum(map(cost, map(idx.events.__getitem__,
+                                 c.event_chain[done:length])))
+               for done in range(length)]
+        for c in config.relationships
+    }
     if goal.kind == "relationship_chain_done":
-        return chain_total(state.relationship.category or goal.category)
-    return min(
-        (chain_total(c.id) for c in config.relationships
-         if len(c.event_chain) >= goal.chain_length),
-        default=0,
-    )
+        def remaining(state: GameState) -> int:
+            rel = state.relationship
+            if rel.completed >= length:
+                return 0
+            return totals[rel.category or goal.category][rel.completed]
+        return remaining
+
+    long_enough = [totals[c.id] for c in config.relationships
+                   if len(c.event_chain) >= length]
+    cheapest = [min((chain[done] for chain in long_enough), default=0)
+                for done in range(length)]
+
+    def remaining_any(state: GameState) -> int:
+        done = state.relationship.completed
+        return cheapest[done] if done < length else 0
+    return remaining_any
 
 
-def _term_remaining(
-    term: str, config: TuningConfig, state: GameState, goal: GoalSpec
-) -> float:
+def _bind_term(
+    term: str, config: TuningConfig, goal: GoalSpec
+) -> Callable[[GameState], float] | None:
+    """One heuristic term's remaining quantity as a function of the state,
+    or None for a term that is 0 in every state under this goal.
+
+    The function is only called on states that do not satisfy the goal.
+    """
     idx = config.index()
     if term.startswith("crafted_item:"):
         item = term.split(":", 1)[1]
-        return float(max(0, 1 - state.inventory.get(item, 0)))
+        return lambda state: float(max(0, 1 - state.inventory.get(item, 0)))
 
     if goal.kind == "career_level_reached":
-        spec = idx.careers[goal.career]
-        if state.career is not None and state.career.id == goal.career:
-            level, xp = state.career.level, state.career.xp
-        else:
-            level, xp = 1, 0
+        career, level = goal.career, goal.level
         if term == "career_xp":
-            return float(max(0, spec.xp_for_level(goal.level) - xp))
+            target = idx.careers[career].xp_for_level(level)
+
+            def career_xp(state: GameState) -> float:
+                own = state.career
+                xp = own.xp if own is not None and own.id == career else 0
+                return float(max(0, target - xp))
+            return career_xp
         if term == "career_level":
-            return float(max(0, goal.level - level))
-        if term == "event_xp" and state.active_event is not None:
-            event = idx.events[state.active_event.event_id]
-            return float(max(0, event.final_threshold
-                             - state.active_event.accrued_xp))
-        return 0.0
+            def career_level(state: GameState) -> float:
+                own = state.career
+                reached = own.level if own is not None and own.id == career else 1
+                return float(max(0, level - reached))
+            return career_level
+        if term == "event_xp":
+            events = idx.events
+
+            def event_xp(state: GameState) -> float:
+                event = state.active_event
+                if event is None:
+                    return 0.0
+                return float(max(0, events[event.event_id].final_threshold
+                                 - event.accrued_xp))
+            return event_xp
+        return None
 
     if goal.kind in ("relationship_chain_done", "any_relationship_chain_done"):
+        length = goal.chain_length
         if term == "relationship_event_complete":
-            return float(max(0, goal.chain_length - state.relationship.completed))
+            return lambda state: float(max(0, length - state.relationship.completed))
         if term == "event_xp":
-            # credits the accrued XP of an active chain event, whatever its category
-            total = _chain_remaining(config, state, goal, _final_threshold)
-            event = state.active_event
-            if event is not None and event.event_id in idx.chain_position:
-                total -= event.accrued_xp
-            return float(max(0, total))
-        if term == "relationship_xp":
-            return float(_chain_remaining(config, state, goal, _relationship_xp))
-        return 0.0
+            chain_xp = _chain_remaining(config, goal, _final_threshold)
+            in_chain = idx.chain_position
 
-    # event_completed
-    if goal.event in state.events_completed:
-        return 0.0
-    event = idx.events[goal.event]
+            def chain_event_xp(state: GameState) -> float:
+                # credits the accrued XP of an active chain event, whatever
+                # its category
+                total = chain_xp(state)
+                event = state.active_event
+                if event is not None and event.event_id in in_chain:
+                    total -= event.accrued_xp
+                return float(max(0, total))
+            return chain_event_xp
+        if term == "relationship_xp":
+            chain_relationship_xp = _chain_remaining(config, goal, _relationship_xp)
+            return lambda state: float(chain_relationship_xp(state))
+        return None
+
+    # event_completed: the goal event is not completed yet
+    target = idx.events[goal.event]
     if term == "event_xp":
-        active = state.active_event
-        if active is not None and active.event_id == goal.event:
-            return float(max(0, event.final_threshold - active.accrued_xp))
-        return float(event.final_threshold)
-    if term == "career_event_complete" and event.kind == "career":
-        return 1.0
-    if term == "relationship_event_complete" and event.kind == "relationship":
-        return 1.0
-    return 0.0
+        final = target.final_threshold
+
+        def goal_event_xp(state: GameState) -> float:
+            active = state.active_event
+            if active is not None and active.event_id == target.id:
+                return float(max(0, final - active.accrued_xp))
+            return float(final)
+        return goal_event_xp
+    if (term == "career_event_complete" and target.kind == "career"
+            or term == "relationship_event_complete"
+            and target.kind == "relationship"):
+        return lambda state: 1.0
+    return None
 
 
 def build_evaluator(
     spec: HeuristicSpec, config: TuningConfig, goal: GoalSpec
 ):
-    """Bind a heuristic to one config and goal; returns state -> float."""
-    terms = [
-        (term, weight,
-         spec.normalization.get(term) or _default_scale(term, config))
-        for term, weight in sorted(spec.weights.items())
-        if weight != 0.0
-    ]
+    """Bind a heuristic to one config and goal; returns state -> float.
+
+    Every value that depends only on the build and the goal is computed
+    here, once: each term's scale, the career goal's XP target and the
+    chain totals. Terms with no weight, or 0 under this goal, are left
+    out, so an evaluation runs only lookups for the terms that count.
+    """
+    terms = []
+    for term, weight in sorted(spec.weights.items()):
+        remaining = _bind_term(term, config, goal) if weight != 0.0 else None
+        if remaining is not None:
+            terms.append((remaining, weight,
+                          spec.normalization.get(term) or _default_scale(term, config)))
 
     def evaluate(state: GameState) -> float:
         if goal_satisfied(goal, state):
             return 0.0
         total = 0.0
-        for term, weight, scale in terms:
-            remaining = _term_remaining(term, config, state, goal)
-            if remaining:
-                total += weight * remaining / scale
+        for remaining, weight, scale in terms:
+            value = remaining(state)
+            if value:
+                total += weight * value / scale
         return total
 
     return evaluate
@@ -442,7 +494,7 @@ def _expand(
 def _astar_search(
     config: TuningConfig,
     state: GameState,
-    heuristic: HeuristicSpec,
+    evaluate: Callable[[GameState], float],
     goal: GoalSpec,
     node_budget: int,
     rng: random.Random,
@@ -451,11 +503,12 @@ def _astar_search(
 ) -> tuple[Decision, int]:
     """Run one bounded best-first search.
 
-    `memo` and `ids` hold the nodes that earlier searches under the same
-    config, heuristic and goal made (see `_node`); the search adds the
-    nodes and expansions it makes. A node expanded before is not handed
-    to the engine again, and a node pushed before is not evaluated again,
-    so pushing a known node's children hashes nothing but its state ids.
+    `evaluate` is the heuristic bound to the config and goal. `memo` and
+    `ids` hold the nodes that earlier searches under the same config,
+    heuristic and goal made (see `_node`); the search adds the nodes and
+    expansions it makes. A node expanded before is not handed to the
+    engine again, and a node pushed before is not evaluated again, so
+    pushing a known node's children hashes nothing but its state ids.
     Returns (decision, nodes expanded).
     """
     if node_budget < 1:
@@ -470,7 +523,6 @@ def _astar_search(
     if not root.edges:
         return Decision.stop("deadlock"), 0
 
-    evaluate = build_evaluator(heuristic, config, goal)
     draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
     root_actions = root.actions
     root_clock = root.clock
@@ -537,8 +589,8 @@ def astar_decide(
 ) -> Decision:
     """Pick the next move by bounded A* over game states."""
     decision, _ = _astar_search(
-        config, state, heuristic, goal, node_budget, rng or random.Random(0),
-        {}, {},
+        config, state, build_evaluator(heuristic, config, goal), goal,
+        node_budget, rng or random.Random(0), {}, {},
     )
     return decision
 
@@ -563,11 +615,11 @@ class AStarPlanner:
     successors without being part of the dedup key. Each distinct dedup
     key is interned once as a small int, which keys `closed` and the
     records. The heuristic and goal are the planner's own and never
-    change. So a later search, one move further on or in another trial
-    that reaches the same state, meets the nodes a fresh search would
-    build, pushes and pops in the same order and draws the same tie
-    numbers, and its decisions and expansion counts are those of
-    `astar_decide`. A call with another config starts from an empty
+    change, and the planner binds its evaluator once per config. So a
+    later search, one move further on or in another trial that reaches
+    the same state, meets the nodes a fresh search would build, pushes
+    and pops in the same order and draws the same tie numbers, and its
+    decisions and expansion counts are those of `astar_decide`. A call with another config starts from an empty
     graph, and a decision that leaves more than `_MEMO_LIMIT` records
     empties the records and the id table together.
     """
@@ -585,6 +637,7 @@ class AStarPlanner:
         self.node_budget = node_budget
         self.last_expanded = 0
         self._memo_config: TuningConfig | None = None
+        self._evaluate: Callable[[GameState], float] | None = None
         self._memo: dict = {}
         self._ids: dict = {}
 
@@ -593,8 +646,9 @@ class AStarPlanner:
     ) -> Decision:
         if config is not self._memo_config:
             self._memo_config, self._memo, self._ids = config, {}, {}
+            self._evaluate = build_evaluator(self.heuristic, config, self.goal)
         decision, self.last_expanded = _astar_search(
-            config, state, self.heuristic, self.goal, self.node_budget, rng,
+            config, state, self._evaluate, self.goal, self.node_budget, rng,
             self._memo, self._ids,
         )
         if len(self._memo) > _MEMO_LIMIT:

@@ -17,7 +17,8 @@ reduces. Without a pool a group runs as it is started. On a pool from
 every job before it reads any result. Each worker receives the suite's
 parsed builds once, through the pool initializer. A job carries one
 group, with its build's key instead of the build, and a slice of its
-seeds, which one agent plays.
+seeds, which one agent plays; a worker keeps that agent for its next
+job of the same build, heuristic, goal and agent spec.
 """
 
 from __future__ import annotations
@@ -275,17 +276,28 @@ def _agent_for(agent_spec: dict, heuristic: HeuristicSpec, goal: GoalSpec,
 
 
 def _run_seeds(
-    config: TuningConfig, scenario: ScenarioOverrides, heuristic: HeuristicSpec,
-    goal: GoalSpec, agent_spec: dict, seeds: list[int],
+    config: TuningConfig, scenario: ScenarioOverrides, goal: GoalSpec, agent,
+    seeds: list[int],
 ) -> list[TrialRecord]:
-    """One group's trials for `seeds`, in order, all played by one agent."""
-    agent = _agent_for(agent_spec, heuristic, goal, config)
+    """One group's trials for `seeds`, in order, all played by `agent`."""
     return [run_episode(config, scenario, seed, agent, goal) for seed in seeds]
 
 
+# In a pool worker: the agent of the last chunk, under the (build key,
+# heuristic, goal, agent spec) it was made for
+_worker_agent: list = [None, None]
+
+
 def _run_seeds_in_worker(payload: tuple) -> list[TrialRecord]:
-    key, *group = payload
-    return _run_seeds(_worker_builds[key], *group)
+    """Play one chunk. The worker's last agent plays it if it was made for
+    the same build, heuristic, goal and agent spec: a planner's graph is
+    keyed by state, never by scenario, so keeping it changes no decision."""
+    key, scenario, heuristic, goal, agent_spec, seeds = payload
+    config = _worker_builds[key]
+    made_for = (key, heuristic, goal, agent_spec)
+    if _worker_agent[0] != made_for:
+        _worker_agent[:] = made_for, _agent_for(agent_spec, heuristic, goal, config)
+    return _run_seeds(config, scenario, goal, _worker_agent[1], seeds)
 
 
 def run_trials(
@@ -304,13 +316,16 @@ def run_trials(
     list of records is returned. With a pool from `trial_pool` the seeds
     are cut into chunks of consecutive trials, about four per worker, and
     each chunk is submitted as one job that plays its trials with one
-    agent. The returned iterator yields each record when it is read,
-    waiting for its chunk if need be; read it once. An exception in a
-    chunk is raised when the chunk's first record is read.
+    agent, the worker's agent of its last chunk if that was made for the
+    same build, heuristic, goal and agent spec. The returned iterator
+    yields each record when it is read, waiting for its chunk if need be;
+    read it once. An exception in a chunk is raised when the chunk's
+    first record is read.
     """
     seeds = [trial_seed(base_seed, i) for i in range(trials)]
     if pool is None:
-        return _run_seeds(config, scenario, heuristic, goal, agent_spec, seeds)
+        return _run_seeds(config, scenario, goal,
+                          _agent_for(agent_spec, heuristic, goal, config), seeds)
     # sized as multiprocessing.Pool.map sizes its chunks
     size = max(1, -(-trials // (4 * pool._max_workers)))
     chunks = pool.map(_run_seeds_in_worker, [
@@ -407,6 +422,29 @@ def check_build_count(study: str, count: int) -> None:
                             f"{'two tuning files' if pair else 'one tuning file'}")
 
 
+def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
+    """Raise if the study cannot run on `configs`: a wrong build count, a
+    build with no relationship event for relationship_balance, a career
+    missing in a build for build_comparison, or an unknown career or a
+    target level above its cap. The runner checks before it starts any
+    group, and a suite checks each entry as it loads it."""
+    check_build_count(xc.study, len(configs))
+    if xc.study == "relationship_balance":
+        if not any(e.kind == "relationship" for e in configs[0].events):
+            raise NoRelationshipEvents(configs[0].build_id)
+        return
+    if xc.study == "build_comparison":
+        for cfg in configs:
+            idx = cfg.index()
+            for entry in xc.careers:
+                if entry["career"] not in idx.careers:
+                    raise CareerMissingInBuild(
+                        f"{entry['career']!r} missing in {cfg.build_id!r}"
+                    )
+    for cfg in configs:
+        _career_groups(cfg, xc)
+
+
 def _start_study(
     xc: ExperimentConfig, configs: list[TuningConfig],
     pool: ProcessPoolExecutor | None,
@@ -417,7 +455,7 @@ def _start_study(
     the outcome is read, each after its spec is known and all before any
     batch is read.
     """
-    check_build_count(xc.study, len(configs))
+    check_entry(xc, configs)
     groups, reduce = _STUDIES[xc.study](configs, xc, pool)
 
     def start(group: Group) -> Iterable[TrialRecord]:
@@ -506,8 +544,6 @@ def _career_groups(config: TuningConfig, xc: ExperimentConfig) -> list[Group]:
 
 def _relationship_balance_study(configs, xc, pool):
     config = configs[0]
-    if not any(e.kind == "relationship" for e in config.events):
-        raise NoRelationshipEvents(config.build_id)
 
     def reduce(done: Done) -> Reduction:
         [(_, records)] = done
@@ -619,13 +655,6 @@ def object_impact(
 # --- build comparison --------------------------------------------------------
 
 def _build_comparison_study(configs, xc, pool):
-    for cfg in configs:
-        idx = cfg.index()
-        for entry in xc.careers:
-            if entry["career"] not in idx.careers:
-                raise CareerMissingInBuild(
-                    f"{entry['career']!r} missing in {cfg.build_id!r}"
-                )
     groups = [
         (f"{career}/{config.build_id}", config, *rest)
         for cfg in configs

@@ -22,6 +22,7 @@ from .experiments import (
     ExperimentOutcome,
     Read,
     check_build_count,
+    check_entry,
     failed_outcome,
     run_experiment,
     start_experiment,
@@ -205,6 +206,7 @@ def _load(
         loaded.files += paths
         check_build_count(loaded.xc.study, len(paths))
         loaded.configs = [_parse_once(p, builds) for p in paths]
+        check_entry(loaded.xc, loaded.configs)
     except Exception as exc:
         loaded.error = exc
     return loaded
@@ -218,15 +220,15 @@ def _reader(entry: _Entry, pool: ProcessPoolExecutor | None) -> Read:
     exception while jobs are handed to the pool ends the suite, as a
     broken pool does.
     """
-    error = entry.error
-    if error is None and pool is None:
+    if entry.error is not None:
+        return partial(failed_outcome, entry.id, entry.study, entry.error,
+                       [c.build_id for c in entry.configs])
+    if pool is None:
         return partial(run_experiment, entry.xc, entry.configs)
-    if error is None:
-        try:
-            return start_experiment(entry.xc, entry.configs, pool)
-        except (KeyError, TypeError, ValueError) as exc:
-            error = exc
-    return partial(failed_outcome, entry.id, entry.study, error)
+    try:
+        return start_experiment(entry.xc, entry.configs, pool)
+    except (KeyError, TypeError, ValueError) as exc:
+        return partial(failed_outcome, entry.id, entry.study, exc)
 
 
 def run_suite(
@@ -242,7 +244,9 @@ def run_suite(
     order for programmatic use. Every entry and build is loaded first,
     and a build file that several entries name is parsed once; an entry
     that names the wrong number of builds for its study fails before any
-    of them is parsed.
+    of them is parsed, and one its study cannot run on its builds
+    (`check_entry`) fails as it loads. A pool receives no build that
+    only failed entries name.
     Serially, each experiment then runs and is written in turn. With
     `parallel` > 1, every trial batch and training run of the suite is
     handed to one process pool before any result is read; the
@@ -266,7 +270,8 @@ def run_suite(
     ]
     pool = None
     if parallel > 1:
-        pool = trial_pool(parallel, [c for entry in loaded for c in entry.configs])
+        pool = trial_pool(parallel, [c for entry in loaded if entry.error is None
+                                     for c in entry.configs])
     results = []
     try:
         readers = [_reader(entry, pool) for entry in loaded]

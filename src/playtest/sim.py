@@ -182,26 +182,33 @@ class GameState:
         locks and cooldowns and empty inventory slots are normalized
         away so equivalent states collide.
         """
+        # The key is built once per new search state, so it is written for
+        # speed: each collection becomes its sorted tuple, and one of at
+        # most one entry, already in order, skips the sort.
+        clock = self.clock
+        career = self.career
+        rel = self.relationship
         event = self.active_event
+        resources = self.resources.items()
+        remainders = [kv for kv in self.regen_remainders.items() if kv[1]]
+        cooldowns = ([kv for kv in self.cooldowns.items() if kv[1] > clock]
+                     if self.cooldowns else ())
+        inventory = ([kv for kv in self.inventory.items() if kv[1]]
+                     if self.inventory else ())
+        owned = self.owned_objects
+        done = self.events_completed
         return (
-            self.clock,
-            tuple(sorted(self.resources.items())),
-            tuple(sorted(
-                (k, v) for k, v in self.regen_remainders.items() if v
-            )),
-            self.locked_until if self.locked_until > self.clock else 0,
-            tuple(sorted(
-                (a, t) for a, t in self.cooldowns.items() if t > self.clock
-            )),
-            (self.career.id, self.career.level, self.career.xp)
-            if self.career else None,
-            (self.relationship.category, self.relationship.completed,
-             self.relationship.xp),
-            (event.event_id, event.accrued_xp, event.deadline)
-            if event else None,
-            tuple(sorted((k, v) for k, v in self.inventory.items() if v)),
-            tuple(sorted(self.owned_objects)),
-            tuple(sorted(self.events_completed)),
+            clock,
+            tuple(sorted(resources) if len(resources) > 1 else resources),
+            tuple(sorted(remainders) if len(remainders) > 1 else remainders),
+            self.locked_until if self.locked_until > clock else 0,
+            tuple(sorted(cooldowns) if len(cooldowns) > 1 else cooldowns),
+            (career.id, career.level, career.xp) if career else None,
+            (rel.category, rel.completed, rel.xp),
+            (event.event_id, event.accrued_xp, event.deadline) if event else None,
+            tuple(sorted(inventory) if len(inventory) > 1 else inventory),
+            tuple(sorted(owned) if len(owned) > 1 else owned),
+            tuple(sorted(done) if len(done) > 1 else done),
         )
 
 
@@ -331,10 +338,11 @@ def _implicit_start_target(
     return None
 
 
-def _action_legal(
+def _legal_start(
     idx: ConfigIndex, state: GameState, action: ActionSpec, now: bool = True
-) -> bool:
-    """Whether the action may run at the current clock, the lock aside.
+) -> str | None | bool:
+    """False if the action may not run at the current clock, the lock
+    aside; else the event its run starts implicitly, or None if none.
 
     With `now` false the cooldown and the costs, which time alone lifts,
     are not checked.
@@ -344,13 +352,16 @@ def _action_legal(
     req = action.requires
     if not _qualifies(state, req.career, req.min_level, req.owned_object):
         return False
+    start = None
     if req.during_event:
         event = state.active_event
         if event is not None:
             if action.id not in idx.events[event.event_id].action_ids:
                 return False
-        elif _implicit_start_target(idx, state, action.id) is None:
-            return False
+        else:
+            start = _implicit_start_target(idx, state, action.id)
+            if start is None:
+                return False
     if now:
         for rid, cost in action.costs.items():
             if state.resources.get(rid, 0) < cost:
@@ -358,7 +369,7 @@ def _action_legal(
     for item, count in action.consumes_items.items():
         if state.inventory.get(item, 0) < count:
             return False
-    return True
+    return start
 
 
 def legal_actions(config: TuningConfig, state: GameState) -> list[str]:
@@ -368,7 +379,7 @@ def legal_actions(config: TuningConfig, state: GameState) -> list[str]:
     idx = config.index()
     return [
         aid for aid in idx.sorted_action_ids
-        if _action_legal(idx, state, idx.actions[aid])
+        if _legal_start(idx, state, idx.actions[aid]) is not False
     ]
 
 
@@ -377,7 +388,7 @@ def legal_actions(config: TuningConfig, state: GameState) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _grant_bundle(
-    config: TuningConfig,
+    idx: ConfigIndex,
     bundle: RewardBundle,
     clock: int,
     auto_grant: bool,
@@ -392,7 +403,6 @@ def _grant_bundle(
     frozenset[str], _Chain,
 ]:
     """Pay one reward bundle. Event XP accrual is handled by the caller."""
-    idx = config.index()
     if bundle.career_xp and career is not None:
         spec = idx.careers[career.id]
         xp = career.xp + bundle.career_xp
@@ -427,7 +437,7 @@ def _grant_bundle(
 
 
 def _close_event(
-    config: TuningConfig,
+    idx: ConfigIndex,
     at_clock: int,
     event_state: ActiveEvent,
     completed: bool,
@@ -442,12 +452,11 @@ def _close_event(
     event_log: _Chain,
 ):
     """Pay every reached step exactly once and record the outcome."""
-    idx = config.index()
     event = idx.events[event_state.event_id]
     for step in event.steps:
         if event_state.accrued_xp >= step.xp_threshold:
             career, relationship, resources, inventory, owned, trace = _grant_bundle(
-                config, step.reward, at_clock, auto_grant,
+                idx, step.reward, at_clock, auto_grant,
                 career, relationship, resources, inventory, owned, trace,
             )
     if event.kind == "relationship":
@@ -488,9 +497,9 @@ def _close_event(
 
 
 def _begin_event(
-    config: TuningConfig, state: GameState, event_id: str
+    idx: ConfigIndex, state: GameState, event_id: str
 ) -> tuple[ActiveEvent, RelationshipState, _Chain]:
-    event = config.index().events[event_id]
+    event = idx.events[event_id]
     relationship = state.relationship
     if event.kind == "relationship" and relationship.category is None:
         relationship = RelationshipState(
@@ -523,7 +532,7 @@ def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameSt
         raise error(message.format(
             event=event_id, category=category, index=index,
             locked=rel.category, next=rel.completed + 1))
-    active, relationship, trace = _begin_event(config, state, event_id)
+    active, relationship, trace = _begin_event(idx, state, event_id)
     return replace(
         state,
         active_event=active,
@@ -538,14 +547,26 @@ def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameSt
 
 def apply_action(config: TuningConfig, state: GameState, action_id: str) -> GameState:
     """Execute one legal action at the current clock (no time passes)."""
-    idx = config.index()
+    return _act(config.index(), state, action_id, False)
+
+
+def step_action(config: TuningConfig, state: GameState, action_id: str) -> GameState:
+    """Apply an action, then let its duration elapse (the planner's act edge)."""
+    return _act(config.index(), state, action_id, True)
+
+
+def _act(
+    idx: ConfigIndex, state: GameState, action_id: str, elapse: bool
+) -> GameState:
+    """apply_action's successor, or with `elapse` step_action's, built in
+    one pass: the acted state is never made when its duration elapses."""
     action = idx.actions.get(action_id)
-    if action is None or state.locked_until > state.clock or not _action_legal(
-        idx, state, action
-    ):
+    clock = state.clock
+    start = (False if action is None or state.locked_until > clock
+             else _legal_start(idx, state, action))
+    if start is False:
         raise IllegalAction(action_id)
 
-    clock = state.clock
     career = state.career
     relationship = state.relationship
     owned = state.owned_objects
@@ -566,10 +587,8 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
         for item, count in action.consumes_items.items():
             inventory[item] -= count
 
-    if action.requires.during_event and active is None:
-        active, relationship, trace = _begin_event(
-            config, state, _implicit_start_target(idx, state, action_id)
-        )
+    if start is not None:
+        active, relationship, trace = _begin_event(idx, state, start)
 
     event_actions = counters.event_actions
     if (
@@ -581,7 +600,7 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
         event_actions += 1
 
     career, relationship, resources, inventory, owned, trace = _grant_bundle(
-        config, action.rewards, clock, state.auto_grant_objects,
+        idx, action.rewards, clock, state.auto_grant_objects,
         career, relationship, resources, inventory, owned, trace,
     )
 
@@ -594,7 +613,7 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
                 career, relationship, resources, inventory, owned,
                 events_completed, trace, event_log,
             ) = _close_event(
-                config, clock, active, True, state.auto_grant_objects,
+                idx, clock, active, True, state.auto_grant_objects,
                 career, relationship, resources, inventory, owned,
                 events_completed, trace, event_log,
             )
@@ -605,27 +624,13 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
         cooldowns = dict(cooldowns)
         cooldowns[action_id] = clock + action.duration + action.cooldown
 
-    return GameState(
-        clock=clock,
-        resources=resources,
-        regen_remainders=state.regen_remainders,
-        locked_until=clock + action.duration,
-        cooldowns=cooldowns,
-        career=career,
-        relationship=relationship,
-        active_event=active,
-        inventory=inventory,
-        owned_objects=owned,
-        events_completed=events_completed,
-        auto_grant_objects=state.auto_grant_objects,
-        counters=Counters(
-            total_actions=counters.total_actions + 1,
-            event_actions=event_actions,
-            sessions=counters.sessions,
-            wait_intervals=counters.wait_intervals,
-            trace=trace,
-            event_log=event_log,
-        ),
+    locked_until = clock + action.duration
+    return _settle(
+        idx, clock, locked_until if elapse else clock, resources,
+        state.regen_remainders, locked_until, cooldowns, career, relationship,
+        active, inventory, owned, events_completed, state.auto_grant_objects,
+        Counters(counters.total_actions + 1, event_actions, counters.sessions,
+                 counters.wait_intervals, trace, event_log),
     )
 
 
@@ -634,23 +639,29 @@ def apply_action(config: TuningConfig, state: GameState, action_id: str) -> Game
 # ---------------------------------------------------------------------------
 
 def _regen(
-    config: TuningConfig,
+    regen: tuple[tuple[str, int, int, int], ...],
     resources: dict[str, int],
     remainders: dict[str, int],
     dt: int,
 ) -> tuple[dict[str, int], dict[str, int]]:
-    if dt == 0:
-        return resources, remainders
-    new_res = dict(resources)
-    new_rem = dict(remainders)
-    for res in config.resources:
-        rate = res.regen_rate
-        if rate == 0:
-            continue
-        acc = rate.numerator * dt + new_rem[res.id]
-        gain, new_rem[res.id] = divmod(acc, rate.denominator)
+    """Resources and remainders after `dt` minutes of the build's regen
+    table (`ConfigIndex.regen`); a dict none of whose values change is
+    returned as it is."""
+    new_res, new_rem = resources, remainders
+    for rid, numerator, denominator, capacity in regen:
+        held = remainders[rid]
+        gain, rem = divmod(numerator * dt + held, denominator)
+        if rem != held:
+            if new_rem is remainders:
+                new_rem = dict(remainders)
+            new_rem[rid] = rem
         if gain:
-            new_res[res.id] = min(res.capacity, new_res[res.id] + gain)
+            have = resources[rid]
+            value = min(capacity, have + gain)
+            if value != have:
+                if new_res is resources:
+                    new_res = dict(resources)
+                new_res[rid] = value
     return new_res, new_rem
 
 
@@ -672,55 +683,48 @@ def _advance(
 ) -> GameState:
     """advance_time's successor for `until` >= the clock, carrying
     `counters` in place of the state's own."""
-    clock = state.clock
-    resources = state.resources
-    remainders = state.regen_remainders
-    career = state.career
-    relationship = state.relationship
-    active = state.active_event
-    inventory = state.inventory
-    owned = state.owned_objects
-    events_completed = state.events_completed
-    if active is not None and active.deadline <= until:
-        resources, remainders = _regen(
-            config, resources, remainders, active.deadline - clock)
-        completed = (
-            active.accrued_xp
-            >= config.index().events[active.event_id].final_threshold
-        )
-        (
-            career, relationship, resources, inventory, owned,
-            events_completed, trace, event_log,
-        ) = _close_event(
-            config, active.deadline, active, completed,
-            state.auto_grant_objects, career, relationship, resources,
-            inventory, owned, events_completed, counters.trace,
-            counters.event_log,
-        )
-        counters = replace(counters, trace=trace, event_log=event_log)
-        clock, active = active.deadline, None
-    resources, remainders = _regen(config, resources, remainders, until - clock)
-    return GameState(
-        clock=until,
-        resources=resources,
-        regen_remainders=remainders,
-        locked_until=state.locked_until,
-        cooldowns=state.cooldowns,
-        career=career,
-        relationship=relationship,
-        active_event=active,
-        inventory=inventory,
-        owned_objects=owned,
-        events_completed=events_completed,
-        auto_grant_objects=state.auto_grant_objects,
-        counters=counters,
+    return _settle(
+        config.index(), state.clock, until, state.resources,
+        state.regen_remainders, state.locked_until, state.cooldowns,
+        state.career, state.relationship, state.active_event, state.inventory,
+        state.owned_objects, state.events_completed, state.auto_grant_objects,
+        counters,
     )
 
 
-def step_action(config: TuningConfig, state: GameState, action_id: str) -> GameState:
-    """Apply an action, then let its duration elapse (the planner's act edge)."""
-    after = apply_action(config, state, action_id)
-    return advance_time(config, after, after.locked_until)
+def _settle(
+    idx: ConfigIndex, clock: int, until: int,
+    resources: dict[str, int], remainders: dict[str, int], locked_until: int,
+    cooldowns: dict[str, int], career: CareerState | None,
+    relationship: RelationshipState, active: ActiveEvent | None,
+    inventory: dict[str, int], owned: frozenset[str],
+    events_completed: frozenset[str], auto_grant: bool, counters: Counters,
+) -> GameState:
+    """The state of these fields at `clock`, once the clock has run on to
+    `until` (no time passes when they are equal)."""
+    if until != clock:
+        if active is not None and active.deadline <= until:
+            resources, remainders = _regen(
+                idx.regen, resources, remainders, active.deadline - clock)
+            completed = (
+                active.accrued_xp >= idx.events[active.event_id].final_threshold
+            )
+            (
+                career, relationship, resources, inventory, owned,
+                events_completed, trace, event_log,
+            ) = _close_event(
+                idx, active.deadline, active, completed, auto_grant, career,
+                relationship, resources, inventory, owned, events_completed,
+                counters.trace, counters.event_log,
+            )
+            counters = replace(counters, trace=trace, event_log=event_log)
+            clock, active = active.deadline, None
+        resources, remainders = _regen(
+            idx.regen, resources, remainders, until - clock)
+    # positional: keyword arguments would triple the cost of the build
+    return GameState(until, resources, remainders, locked_until, cooldowns,
+                     career, relationship, active, inventory, owned,
+                     events_completed, auto_grant, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +738,7 @@ def _static_ready_time(
     world only changes by time passing (event closures excluded)."""
     idx = config.index()
     action = idx.actions[action_id]
-    if not _action_legal(idx, state, action, now=False):
+    if _legal_start(idx, state, action, now=False) is False:
         return None
     ready = max(state.clock, state.locked_until, state.cooldowns.get(action_id, 0))
     for rid, cost in action.costs.items():

@@ -174,6 +174,13 @@ class ConfigIndex:
         self.objects = {o.id: o for o in config.objects}
         self.sorted_action_ids = sorted(self.actions)
 
+        # (resource id, regen numerator, denominator, capacity) of each
+        # resource that regenerates, so the engine's clock runs on ints
+        self.regen = tuple(
+            (r.id, r.regen_rate.numerator, r.regen_rate.denominator, r.capacity)
+            for r in config.resources if r.regen_rate
+        )
+
         # event id -> sorted ids of events an action belongs to
         self.events_of_action: dict[str, list[str]] = {}
         for ev in config.events:

@@ -305,6 +305,39 @@ class TestRun:
             "failed", "PlaytestError: career_progression needs exactly one tuning file")
         assert [outcome.status for _, outcome in results] == ["failed", "ok"]
 
+    @pytest.mark.parametrize("changes, error", [
+        ({"careers": [{"career": "astronaut", "target_level": 2}]},
+         "UnknownCareer: astronaut"),
+        ({"careers": [{"career": "barista", "target_level": 9}]},
+         "TargetAboveCap: barista: level 9 > cap 5"),
+        ({"study": "build_comparison",
+          "tuning_ref": ["desk_objects.json", "romance_outlier.json"]},
+         "CareerMissingInBuild: 'barista' missing in 'romance_outlier'"),
+        ({"study": "relationship_balance"},
+         "NoRelationshipEvents: desk_objects"),
+    ])
+    def test_entry_its_study_cannot_run_is_not_shipped(
+            self, suite_dir, monkeypatch, changes, error):
+        for name in ("desk_objects", "romance_outlier"):
+            (suite_dir / f"{name}.json").write_text(fixtures.path(name).read_text())
+        bad = {**MINI_SUITE[0], "id": "bad", "tuning_ref": "desk_objects.json",
+               **changes}
+        (suite_dir / "checks.json").write_text(json.dumps([bad, MINI_SUITE[0]]))
+        shipped = []
+        pool = report.trial_pool
+
+        def recording(workers, configs):
+            shipped.append([config.build_id for config in configs])
+            return pool(workers, configs)
+
+        monkeypatch.setattr(report, "trial_pool", recording)
+        results = report.run_suite(suite_dir / "checks.json", suite_dir / "out",
+                                   parallel=2)
+        assert shipped == [["desk_base"]]
+        stats = json.loads((suite_dir / "out/bad/stats.json").read_text())
+        assert (stats["status"], stats["error"]) == ("failed", error)
+        assert [outcome.status for _, outcome in results] == ["failed", "ok"]
+
     def test_playtest_out_env_default(self, suite_dir, monkeypatch, capsys):
         target = suite_dir / "env_out"
         monkeypatch.setenv("PLAYTEST_OUT", str(target))

@@ -466,6 +466,37 @@ class TestPooledTrials:
                 assert [replace(r, max_decision_seconds=0.0) for r in pooled] == [
                     replace(r, max_decision_seconds=0.0) for r in serial]
 
+    def test_worker_keeps_its_agent_for_chunks_of_the_same_spec(
+            self, desk_objects, monkeypatch):
+        # run in this process as a worker would; desk_objects unlocks come
+        # at level 2, so granted and plain trials share states
+        made = []
+        agent_for = experiments._agent_for
+        monkeypatch.setattr(experiments, "_agent_for",
+                            lambda *args: made.append(args) or agent_for(*args))
+        monkeypatch.setattr(experiments, "_worker_builds", {7: desk_objects})
+        monkeypatch.setattr(experiments, "_worker_agent", [None, None])
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
+                        max_minutes=20_000, max_actions=400)
+        heuristic = HeuristicSpec({"career_xp": 1.0})
+        plain = ScenarioOverrides(career="barista")
+        granted = ScenarioOverrides(career="barista", grant_objects=True)
+        chunks = [
+            (plain, goal, [3, 4]), (granted, goal, [3]), (plain, goal, [5]),
+            (plain, replace(goal, level=2), [3]),
+        ]
+        kept = [experiments._run_seeds_in_worker(
+                    (7, scenario, heuristic, chunk_goal,
+                     {"kind": "astar", "node_budget": 30}, seeds))
+                for scenario, chunk_goal, seeds in chunks]
+        # a new agent for the first chunk and for the other goal only
+        assert [args[2] for args in made] == [goal, replace(goal, level=2)]
+        fresh = [run_trials(desk_objects, scenario, heuristic, chunk_goal,
+                            {"kind": "astar", "node_budget": 30}, 1, seed)
+                 for scenario, chunk_goal, seeds in chunks for seed in seeds]
+        assert [replace(r, max_decision_seconds=0.0) for rs in kept for r in rs] == [
+            replace(r, max_decision_seconds=0.0) for rs in fresh for r in rs]
+
     @pytest.mark.parametrize("cpus, asked, started", [(1, 8, 1), (2, 8, 2),
                                                       (4, 2, 2), (1, 2, 1)])
     def test_pool_starts_at_most_one_worker_per_cpu(

@@ -49,6 +49,11 @@ TRIALS = {
                           2000, 1006),
     "bugged_event_clerk": ("bugged_event", {"career": "clerk"}, CLERK_GOAL,
                            {"career_xp": 1.0}, 2000, 7),
+    # career_level is flat within a level, so a search reaches one dedup key
+    # at two action counts: this row fails if `closed` is keyed by anything
+    # but the state (the node record, say)
+    "bugged_event_clerk_level": ("bugged_event", {"career": "clerk"}, CLERK_GOAL,
+                                 {"career_level": 1.0}, 2000, 7),
     # a tight budget, so most decisions come from the frontier scan
     "desk_objects_granted": ("desk_objects",
                              {"career": "culinary", "grant_objects": True},

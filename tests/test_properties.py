@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -351,11 +352,8 @@ class TestPlannerMemo:
 
     def test_repeated_episode_asks_the_engine_nothing(self, desk_base,
                                                       monkeypatch):
-        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
-                        max_minutes=20_000, max_actions=400)
-        planner = AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200)
-        scenario = ScenarioOverrides(career="barista")
-        first = run_episode(desk_base, scenario, 5, planner, goal)
+        # the planner binds its evaluator once, so the counting one goes in
+        # before the planner's first decision
         calls, evaluations = [], []
         edges, build = agents.decision_edges, agents.build_evaluator
 
@@ -363,9 +361,16 @@ class TestPlannerMemo:
             evaluate = build(*args)
             return lambda state: evaluations.append(1) or evaluate(state)
 
+        monkeypatch.setattr(agents, "build_evaluator", counting_build)
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
+                        max_minutes=20_000, max_actions=400)
+        planner = AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200)
+        scenario = ScenarioOverrides(career="barista")
+        first = run_episode(desk_base, scenario, 5, planner, goal)
+        assert evaluations
+        evaluations.clear()
         monkeypatch.setattr(agents, "decision_edges",
                             lambda *args: calls.append(1) or edges(*args))
-        monkeypatch.setattr(agents, "build_evaluator", counting_build)
         again = run_episode(desk_base, scenario, 5, planner, goal)
         assert again.state_digest == first.state_digest
         assert again.decisions == first.decisions > 1
@@ -485,3 +490,225 @@ class TestAvailability:
             states = walk_states(
                 config, ScenarioOverrides.from_dict(scenario), seed, steps=120)
             check_availability(config, states, 1_000)
+
+
+# ---------------------------------------------------------------------------
+# Reference formulas: the heuristic and the dedup key computed term by term,
+# as plainly as possible, for the fast versions to match exactly
+# ---------------------------------------------------------------------------
+
+def reference_chain_remaining(config, state, goal, cost):
+    idx = config.index()
+    done = state.relationship.completed
+    if goal.chain_length <= done:
+        return 0
+
+    def chain_total(category):
+        span = idx.relationships[category].event_chain[done:goal.chain_length]
+        return sum(cost(idx.events[eid]) for eid in span)
+
+    if goal.kind == "relationship_chain_done":
+        return chain_total(state.relationship.category or goal.category)
+    return min((chain_total(c.id) for c in config.relationships
+                if len(c.event_chain) >= goal.chain_length), default=0)
+
+
+def reference_term(term, config, state, goal):
+    idx = config.index()
+    if term.startswith("crafted_item:"):
+        return float(max(0, 1 - state.inventory.get(term.split(":", 1)[1], 0)))
+    event = state.active_event
+    if goal.kind == "career_level_reached":
+        own = state.career
+        level, xp = ((own.level, own.xp) if own is not None and own.id == goal.career
+                     else (1, 0))
+        if term == "career_xp":
+            return float(max(0, idx.careers[goal.career].xp_for_level(goal.level) - xp))
+        if term == "career_level":
+            return float(max(0, goal.level - level))
+        if term == "event_xp" and event is not None:
+            return float(max(0, idx.events[event.event_id].final_threshold
+                             - event.accrued_xp))
+        return 0.0
+    if goal.kind in ("relationship_chain_done", "any_relationship_chain_done"):
+        if term == "relationship_event_complete":
+            return float(max(0, goal.chain_length - state.relationship.completed))
+        if term == "event_xp":
+            total = reference_chain_remaining(
+                config, state, goal, lambda e: e.final_threshold)
+            if event is not None and event.event_id in idx.chain_position:
+                total -= event.accrued_xp
+            return float(max(0, total))
+        if term == "relationship_xp":
+            return float(reference_chain_remaining(
+                config, state, goal,
+                lambda e: sum(s.reward.relationship_xp for s in e.steps)))
+        return 0.0
+    if goal.event in state.events_completed:
+        return 0.0
+    target = idx.events[goal.event]
+    if term == "event_xp":
+        if event is not None and event.event_id == goal.event:
+            return float(max(0, target.final_threshold - event.accrued_xp))
+        return float(target.final_threshold)
+    if term == "career_event_complete" and target.kind == "career":
+        return 1.0
+    if term == "relationship_event_complete" and target.kind == "relationship":
+        return 1.0
+    return 0.0
+
+
+def reference_heuristic(spec, config, goal, state):
+    if goal_satisfied(goal, state):
+        return 0.0
+    total = 0.0
+    for term, weight in sorted(spec.weights.items()):
+        scale = spec.normalization.get(term) or agents._default_scale(term, config)
+        remaining = reference_term(term, config, state, goal)
+        if weight != 0.0 and remaining:
+            total += weight * remaining / scale
+    return total
+
+
+def reference_dedup_key(state):
+    clock = state.clock
+    career, rel, event = state.career, state.relationship, state.active_event
+    return (
+        clock,
+        tuple(sorted(state.resources.items())),
+        tuple(sorted((k, v) for k, v in state.regen_remainders.items() if v)),
+        state.locked_until if state.locked_until > clock else 0,
+        tuple(sorted((a, t) for a, t in state.cooldowns.items() if t > clock)),
+        (career.id, career.level, career.xp) if career else None,
+        (rel.category, rel.completed, rel.xp),
+        (event.event_id, event.accrued_xp, event.deadline) if event else None,
+        tuple(sorted((k, v) for k, v in state.inventory.items() if v)),
+        tuple(sorted(state.owned_objects)),
+        tuple(sorted(state.events_completed)),
+    )
+
+
+def desk_style(build_seed):
+    """The style random_desk_config gives this seed's build."""
+    config, _, goal = random_desk_config(build_seed)
+    if goal.kind != "career_level_reached":
+        return "relationship"
+    return "craft" if "fabricate" in config.index().actions else "career"
+
+
+STYLE_SEEDS = {style: [s for s in range(60) if desk_style(s) == style]
+               for style in ("career", "craft", "relationship")}
+FIXTURES = ("desk_base", "desk_objects", "bugged_event", "romance_outlier",
+            "build_a", "build_b")
+
+
+def draw_goal(data, config):
+    """Any goal kind the build can name: chain lengths and career levels
+    run one past the build's longest chain and up to each career's cap."""
+    longest = max((len(c.event_chain) for c in config.relationships), default=0)
+    kinds = ["any_relationship_chain_done"]
+    kinds += ["career_level_reached"] * bool(config.careers)
+    kinds += ["relationship_chain_done"] * bool(config.relationships)
+    kinds += ["event_completed"] * bool(config.events)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "career_level_reached":
+        career = data.draw(st.sampled_from(config.careers))
+        return GoalSpec(kind=kind, career=career.id,
+                        level=data.draw(st.integers(1, career.max_level)))
+    if kind == "event_completed":
+        return GoalSpec(kind=kind, event=data.draw(
+            st.sampled_from([e.id for e in config.events])))
+    category = (data.draw(st.sampled_from([c.id for c in config.relationships]))
+                if kind == "relationship_chain_done" else None)
+    return GoalSpec(kind=kind, category=category,
+                    chain_length=data.draw(st.integers(0, longest + 1)))
+
+
+def draw_scenario(data, config):
+    careers = [None] + [c.id for c in config.careers]
+    categories = [None] + [c.id for c in config.relationships]
+    return ScenarioOverrides(
+        career=data.draw(st.sampled_from(careers)),
+        relationship_category=data.draw(st.sampled_from(categories)),
+        grant_objects=data.draw(st.booleans()))
+
+
+def check_bound_heuristic(data, config, scenario, goal):
+    items = sorted({item for a in config.actions for item in a.rewards.items})
+    terms = list(agents.HEURISTIC_TERMS) + [
+        f"crafted_item:{item}" for item in items + ["nothing"]]
+    weight = st.sampled_from([0.0, 1.0, 0.5, 2.0, -1.5, 0.3])
+    spec = HeuristicSpec(
+        weights=data.draw(st.dictionaries(st.sampled_from(terms), weight)),
+        normalization=data.draw(st.dictionaries(
+            st.sampled_from(terms), st.sampled_from([0.0, 0.7, 3.0, 12.0]))))
+    evaluate = agents.build_evaluator(spec, config, goal)
+    for state in walk_states(config, scenario, data.draw(st.integers(0, 2**32 - 1))):
+        assert evaluate(state) == reference_heuristic(spec, config, goal, state)
+
+
+class TestBoundHeuristic:
+    """The evaluator bound once per planner equals the per-term reference."""
+
+    @pytest.mark.parametrize("style", sorted(STYLE_SEEDS))
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(data=st.data())
+    def test_generated_builds(self, style, data):
+        config, scenario, goal = random_desk_config(
+            data.draw(st.sampled_from(STYLE_SEEDS[style])))
+        if data.draw(st.booleans()):
+            goal = draw_goal(data, config)
+        check_bound_heuristic(data, config, scenario, goal)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=15)
+    @given(data=st.data())
+    def test_fixtures(self, fixture, data):
+        config = fixtures.load(fixture)
+        check_bound_heuristic(data, config, draw_scenario(data, config),
+                              draw_goal(data, config))
+
+
+def shuffled(state, rng):
+    """The same state with every dict and set built in a random order."""
+    def mixed(mapping):
+        items = list(mapping.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    def mixed_set(values):
+        values = list(values)
+        rng.shuffle(values)
+        return frozenset(values)
+
+    return replace(
+        state, resources=mixed(state.resources),
+        regen_remainders=mixed(state.regen_remainders),
+        cooldowns=mixed(state.cooldowns), inventory=mixed(state.inventory),
+        owned_objects=mixed_set(state.owned_objects),
+        events_completed=mixed_set(state.events_completed))
+
+
+def check_dedup_key(config, scenario, seed):
+    rng = random.Random(seed)
+    for state in walk_states(config, scenario, seed):
+        for one in (state, shuffled(state, rng)):
+            assert one.dedup_key() == reference_dedup_key(one)
+
+
+class TestDedupKey:
+    """dedup_key equals the sorted-tuple formula, whatever the build order."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
+    def test_generated_builds(self, build_seed, seed):
+        config, scenario, _ = random_desk_config(build_seed)
+        check_dedup_key(config, scenario, seed)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=10)
+    @given(data=st.data())
+    def test_fixtures(self, fixture, data):
+        config = fixtures.load(fixture)
+        check_dedup_key(config, draw_scenario(data, config),
+                        data.draw(st.integers(0, 2**32 - 1)))
