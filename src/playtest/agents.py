@@ -16,6 +16,16 @@ on states no earlier search pushed, and hashes no state it has seen
 before. The search itself is unchanged, and so is every decision. A
 memo grown past `_MEMO_LIMIT` records is emptied.
 
+A record also serves as a transposition table over decisions. The second
+search from a record runs a tie test: could the random tie number have
+decided its result? If not, its decision, expansion count and number of
+tie draws depend on the record alone, and are stored on it. Every later
+search from that record returns the stored decision without searching,
+advances the rng past the stored draws and reports the stored expansion
+count. Most trials of a group replay one trajectory, so from the third
+trial on most of their decisions are served this way, and the rng
+stream, and so every later search, stays what it would have been.
+
 The heuristic is bound once per planner and build (`build_evaluator`):
 each term's scale, the career goal's XP target and, for a chain goal,
 every category's remaining final thresholds and relationship XP for each
@@ -445,6 +455,12 @@ def _within_limits(goal: GoalSpec, state: GameState) -> bool:
             and state.counters.total_actions <= goal.max_actions)
 
 
+# `_Node.answer` of a node searched from once, and of a node whose second
+# search was tie-sensitive
+_SEARCHED = "searched"
+_TIED = "tied"
+
+
 class _Node:
     """One node of a planner's search graph: a state under one memo key.
 
@@ -452,10 +468,14 @@ class _Node:
     action count, limit and goal flags are the state's own. `h` is the
     heuristic value, filled in when the node is first pushed, and `edges`
     the (decision, child node) list, filled in when it is first expanded.
+    `answer` is None until a search starts from the node, then
+    `_SEARCHED`; the second search's tie test (see `_astar_search`) then
+    sets it to `_TIED` or to that search's (decision, nodes expanded, tie
+    draws), which every later search from the node returns.
     """
 
     __slots__ = ("sid", "actions", "clock", "in_limits", "at_goal", "h",
-                 "state", "edges")
+                 "state", "edges", "answer")
 
     def __init__(self, sid: int, state: GameState, goal: GoalSpec):
         self.sid = sid
@@ -466,6 +486,7 @@ class _Node:
         self.h: float | None = None
         self.state = state
         self.edges: list[tuple[Decision, _Node]] | None = None
+        self.answer: str | tuple[Decision, int, int] | None = None
 
 
 def _node(memo: dict, ids: dict, goal: GoalSpec, state: GameState) -> _Node:
@@ -501,15 +522,31 @@ def _astar_search(
     memo: dict,
     ids: dict,
 ) -> tuple[Decision, int]:
-    """Run one bounded best-first search.
+    """Run one bounded best-first search, or return the stored answer of
+    an earlier one from the same node that no tie draw decided.
 
     `evaluate` is the heuristic bound to the config and goal. `memo` and
     `ids` hold the nodes that earlier searches under the same config,
-    heuristic and goal made (see `_node`); the search adds the nodes and
-    expansions it makes. A node expanded before is not handed to the
-    engine again, and a node pushed before is not evaluated again, so
-    pushing a known node's children hashes nothing but its state ids.
+    heuristic, goal and budget made (see `_node`); the search adds the
+    nodes and expansions it makes. A node expanded before is not handed
+    to the engine again, and a node pushed before is not evaluated again,
+    so pushing a known node's children hashes nothing but its state ids.
     Returns (decision, nodes expanded).
+
+    The random tie number orders two heap entries only if they share
+    (f, elapsed), and two frontier candidates only if they share
+    (f, g, elapsed). So the second search from a root runs a tie test: it
+    is tie-sensitive if the heap's new top after an accepted pop has the
+    popped entry's (f, elapsed), which every pop the tie number could
+    decide meets, or if a frontier candidate's (f, g, elapsed) equals the
+    best rank so far. A tie-free search's decision, expansion count and
+    tie draws (one per push) depend on the root alone, so it stores them
+    on the root, and every later search from that root returns them at
+    once: it advances `rng` by `getrandbits(64 * draws)`, which leaves the
+    state of `draws` calls to `rng.random()`, so every later search draws
+    what it would have drawn, and it reports the stored expansion count.
+    The first search from a root only marks it as searched, so a root met
+    once, as in a planner that plays one trial, pays for no test.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
@@ -522,6 +559,14 @@ def _astar_search(
         _expand(config, memo, ids, goal, root)
     if not root.edges:
         return Decision.stop("deadlock"), 0
+    answer = root.answer
+    if answer is None:
+        root.answer = _SEARCHED
+    elif type(answer) is tuple:
+        decision, expanded, draws = answer
+        rng.getrandbits(64 * draws)
+        return decision, expanded
+    check = answer is _SEARCHED  # the second search: run the tie test
 
     draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
     root_actions = root.actions
@@ -559,24 +604,32 @@ def _astar_search(
             if best is None or best > g:
                 break
         else:
-            return Decision.stop("search_exhausted"), expanded
+            decision = Decision.stop("search_exhausted")
+            break
+        if check and heap and heap[0][0] == f and heap[0][1] == elapsed:
+            check = False
         if node.at_goal:
-            return first, expanded
+            decision = first
+            break
         if expanded >= node_budget:
+            # Budget ran out: head toward the best frontier node, ranked by
+            # f, then fewest actions, then least elapsed time, then the
+            # random tie number already drawn.
+            best_rank, decision = (f, g, elapsed, tie), first
+            for f, elapsed, tie, _, g, node, first in heap:
+                prev = closed.get(node.sid)
+                if prev is not None and prev <= g:
+                    continue
+                if check and (f, g, elapsed) == best_rank[:3]:
+                    check = False
+                rank = (f, g, elapsed, tie)
+                if rank < best_rank:
+                    best_rank, decision = rank, first
             break
 
-    # Budget ran out: head toward the best frontier node, ranked by f, then
-    # fewest actions, then least elapsed time, then the random tie number
-    # already drawn.
-    best_rank, best_first = (f, g, elapsed, tie), first
-    for f, elapsed, tie, _, g, node, first in heap:
-        prev = closed.get(node.sid)
-        if prev is not None and prev <= g:
-            continue
-        rank = (f, g, elapsed, tie)
-        if rank < best_rank:
-            best_rank, best_first = rank, first
-    return best_first, expanded
+    if answer is _SEARCHED:
+        root.answer = (decision, expanded, seq) if check else _TIED
+    return decision, expanded
 
 
 def astar_decide(
@@ -614,14 +667,23 @@ class AStarPlanner:
     fixes g and the action limit, and the auto-grant flag changes
     successors without being part of the dedup key. Each distinct dedup
     key is interned once as a small int, which keys `closed` and the
-    records. The heuristic and goal are the planner's own and never
-    change, and the planner binds its evaluator once per config. So a
-    later search, one move further on or in another trial that reaches
+    records. The heuristic, goal and node budget are the planner's own and
+    never change, and the planner binds its evaluator once per config. So
+    a later search, one move further on or in another trial that reaches
     the same state, meets the nodes a fresh search would build, pushes
     and pops in the same order and draws the same tie numbers, and its
-    decisions and expansion counts are those of `astar_decide`. A call with another config starts from an empty
-    graph, and a decision that leaves more than `_MEMO_LIMIT` records
-    empties the records and the id table together.
+    decisions and expansion counts are those of `astar_decide`.
+
+    The second search from a record runs the tie test of `_astar_search`,
+    and a tie-free one leaves its answer on the record. A later decision
+    from that record is served from it: the same decision, the rng
+    advanced past the same tie draws, and `last_expanded` set to the
+    expansion count of the search it replays, though nothing is expanded.
+    A record searched only once pays for no test, so a planner that plays
+    one trial, or a new trajectory, runs as before. A call with another
+    config starts from an empty graph, and a decision that leaves more
+    than `_MEMO_LIMIT` records empties the records, their answers and the
+    id table together.
     """
 
     name = "astar"

@@ -73,7 +73,8 @@ class Deadlock(PlaytestError):
 # --- experiments ---
 
 class SuiteEntryError(PlaytestError):
-    """A suite entry, or one of its fields (<id>.<field>), has the wrong JSON type."""
+    """A suite entry, or one of its fields (<id>.<field>), has the wrong JSON
+    type, or a required field is missing."""
 
 
 class NoRelationshipEvents(PlaytestError):

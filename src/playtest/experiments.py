@@ -161,11 +161,18 @@ class ExperimentConfig:
         }
 
 
+class _Required:
+    """A field of a dict schema that must be present, of schema `of`."""
+
+    def __init__(self, of):
+        self.of = of
+
+
 # The JSON types of a suite entry, matched exactly, so a bool is no int and
 # an int no float. A type stands for itself; a dict of field names for an
-# object whose listed fields are checked when present; {str: schema} for an
-# object of any keys; [schema] for a list; a tuple for alternatives. Fields
-# that default to None may be null.
+# object whose listed fields are checked when present, and must be present
+# if _Required; {str: schema} for an object of any keys; [schema] for a
+# list; a tuple for alternatives. Fields that default to None may be null.
 _NUMBER = (float, int)
 _STR_OR_NULL = (str, type(None))
 _INT_OR_NULL = (int, type(None))
@@ -197,12 +204,15 @@ _ENTRY_SCHEMA = {
             "train": {"episodes": int, "step_size": _NUMBER, "seed": int},
         },
     },
-    "careers": [{"career": str, "target_level": int}],
+    "careers": [{"career": _Required(str), "target_level": int}],
 }
 
 
 def _check_json(value, schema, path: str) -> None:
-    """Raise SuiteEntryError("<path>: expected <type>, got <type>") on a mismatch."""
+    """Raise SuiteEntryError("<path>: expected <type>, got <type>") on a
+    mismatch, or SuiteEntryError("<path>: missing") for a missing field."""
+    if type(schema) is _Required:
+        schema = schema.of
     options = schema if type(schema) is tuple else (schema,)
     kinds = [option if type(option) is type else type(option) for option in options]
     for option, kind in zip(options, kinds):
@@ -212,6 +222,9 @@ def _check_json(value, schema, path: str) -> None:
             for i, item in enumerate(value):
                 _check_json(item, option[0], f"{path}[{i}]")
         elif kind is dict:
+            for key, inner in option.items():
+                if type(inner) is _Required and key not in value:
+                    raise SuiteEntryError(f"{path}.{key}: missing")
             for key, item in value.items():
                 inner = option.get(str, option.get(key))
                 if inner is not None:

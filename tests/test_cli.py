@@ -170,6 +170,8 @@ class TestRun:
                  agent={"kind": "astar", "node_budget": "x"}),
             dict(MINI_SUITE[0], id="text_level",
                  careers=[{"career": "barista", "target_level": "3"}]),
+            dict(MINI_SUITE[0], id="no_career",
+                 careers=[{"career": "barista"}, {"target_level": 2}]),
         ])
         assert {eid: s["error"] for eid, s in stats.items()} == {
             "string_trials":
@@ -191,7 +193,9 @@ class TestRun:
                 "text_budget.agent.node_budget: expected int, got str",
             "text_level": "SuiteEntryError: "
                 "text_level.careers[0].target_level: expected int, got str",
+            "no_career": "SuiteEntryError: no_career.careers[1].career: missing",
         }
+        assert stats["no_career"]["build_ids"] == []
 
     def test_failures_are_isolated(self, suite_dir, capsys):
         out_dir = suite_dir / "out"

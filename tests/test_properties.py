@@ -1,8 +1,11 @@
 """Invariant suites: randomized walks asserting the engine's contracts."""
 
+import heapq
 import json
 import random
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -230,14 +233,32 @@ class TestTieRealization:
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
 
+def answer_kind_of(memo, ids, state):
+    """What the record of `state` in a search graph holds as its answer:
+    None, `_SEARCHED`, `_TIED` or "stored" for a tie-free search's answer."""
+    node = memo.get((ids.get(state.dedup_key()), state.counters.total_actions,
+                     state.auto_grant_objects))
+    answer = None if node is None else node.answer
+    return "stored" if type(answer) is tuple else answer
+
+
+def answer_kind(planner, config, state):
+    """`answer_kind_of` the planner's record of `state` under `config`."""
+    if config is not planner._memo_config:
+        return None
+    return answer_kind_of(planner._memo, planner._ids, state)
+
+
 class CheckedPlanner:
     """An AStarPlanner whose every decision is checked against a fresh search.
 
     Before each decision the rng state is copied; a new planner (empty
     memo) and `astar_decide` must then make the same decision with the
-    same expansion count and the same number of tie draws. The graph
-    kept afterwards must hold at most `_MEMO_LIMIT` node records, and its
-    state-id table no more ids than records.
+    same expansion count and the same number of tie draws, whether the
+    planner searched or served a stored answer. The graph kept afterwards
+    must hold at most `_MEMO_LIMIT` node records, and its state-id table
+    no more ids than records. `answers` counts each decision's root
+    answer before and after it (see `answer_kind`).
     """
 
     name = "astar"
@@ -245,6 +266,7 @@ class CheckedPlanner:
     def __init__(self, heuristic, goal, node_budget):
         self.planner = AStarPlanner(heuristic, goal, node_budget)
         self.last_expanded = 0
+        self.answers = Counter()
 
     def decide(self, config, state, rng):
         planner = self.planner
@@ -255,7 +277,9 @@ class CheckedPlanner:
         fresh = AStarPlanner(planner.heuristic, planner.goal, planner.node_budget)
         expected = fresh.decide(config, state, fresh_rng)
 
+        before = answer_kind(planner, config, state)
         decision = planner.decide(config, state, rng)
+        self.answers[before, answer_kind(planner, config, state)] += 1
         assert decision == expected
         assert planner.last_expanded == fresh.last_expanded
         assert rng.getstate() == fresh_rng.getstate()
@@ -264,6 +288,15 @@ class CheckedPlanner:
         assert len(planner._ids) <= len(planner._memo) <= agents._MEMO_LIMIT
         self.last_expanded = planner.last_expanded
         return decision
+
+    def replay(self, config, scenario, seeds, goal):
+        """Play one episode per seed; the `answers` of each episode."""
+        counts = []
+        for seed in seeds:
+            self.answers = Counter()
+            run_episode(config, scenario, seed, self, goal)
+            counts.append(self.answers)
+        return counts
 
 
 def commit(config, state, decision):
@@ -376,6 +409,103 @@ class TestPlannerMemo:
         assert again.decisions == first.decisions > 1
         assert not calls and not evaluations
 
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1),
+           other=st.integers(0, 2**32 - 1), node_budget=st.integers(1, 40))
+    def test_replays_serve_tie_free_decisions(self, build_seed, seed, other,
+                                              node_budget):
+        config, scenario, goal = random_desk_config(build_seed)
+        weights = ({"career_xp": 1.0, "event_xp": 0.5}
+                   if goal.kind == "career_level_reached" else
+                   {"relationship_event_complete": 1.0, "event_xp": 1.0})
+        planner = CheckedPlanner(HeuristicSpec(weights), goal, node_budget)
+        first, second, third, _ = planner.replay(
+            config, scenario, [seed, seed, seed, other], goal)
+        check_replays(first, second, third)
+
+    def test_replays_serve_tie_free_decisions_on_barista(self, desk_base):
+        # barista's first decision is tie-sensitive: seeds 6 to 8 start
+        # from seed 5's first root with other tie draws, and a served
+        # answer there would differ from a fresh search's
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
+                        max_minutes=20_000, max_actions=400)
+        planner = CheckedPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200)
+        first, second, third, *_ = planner.replay(
+            desk_base, ScenarioOverrides(career="barista"), [5, 5, 5, 6, 7, 8],
+            goal)
+        check_replays(first, second, third)
+        assert second[agents._SEARCHED, "stored"] > 0
+        assert second[agents._SEARCHED, agents._TIED] > 0
+
+    @pytest.mark.parametrize("draws", [0, 1, 7, 113])
+    def test_served_answer_skips_its_tie_draws(self, draws):
+        # a served answer advances the rng as its search's draws would
+        skipped, drawn = random.Random(draws), random.Random(draws)
+        skipped.getrandbits(64 * draws)
+        for _ in range(draws):
+            drawn.random()
+        assert skipped.getstate() == drawn.getstate()
+
+    def test_frontier_tie_is_never_served(self, monkeypatch):
+        # A graph where no two heap entries share (f, elapsed) but two
+        # frontier candidates share (f, g, elapsed): after the root's
+        # expansion the budget is spent, the cheapest-in-time child is
+        # popped, and the tie number picks one of two waits that cost no
+        # action. Only the frontier scan's test sees this tie.
+        def state(name, clock, actions):
+            return SimpleNamespace(
+                name=name, clock=clock, auto_grant_objects=False,
+                counters=SimpleNamespace(total_actions=actions),
+                events_completed=(), dedup_key=lambda: name)
+
+        root = state("root", 0, 0)
+        children = {"act": (state("act", 1, 1), 0.5),
+                    "wait_a": (state("wait_a", 10, 0), 1.5),
+                    "wait_b": (state("wait_b", 10, 0), 1.5)}
+        monkeypatch.setattr(agents, "decision_edges", lambda config, at: [
+            (agents.Decision("act", action=name), child)
+            for name, (child, _) in children.items()] if at is root else [])
+        h = {child.name: value for child, value in children.values()}
+        goal = GoalSpec(kind="event_completed", event="never")
+
+        def search(memo, ids, seed):
+            rng = random.Random(seed)
+            decision, expanded = agents._astar_search(
+                None, root, lambda at: h[at.name], goal, 1, rng, memo, ids)
+            return decision.action, expanded, rng.getstate()
+
+        memo, ids = {}, {}
+        picked = set()
+        for seed in range(12):
+            decision = search(memo, ids, seed)
+            assert decision == search({}, {}, seed)
+            picked.add(decision[0])
+        assert picked == {"wait_a", "wait_b"}
+        assert answer_kind_of(memo, ids, root) == agents._TIED
+
+    def test_third_replay_pushes_nothing(self, build_b, monkeypatch):
+        # every search of this episode is tie-free: the first replay marks
+        # each root, the second searches again and stores its answer, and
+        # the third is served without a search
+        pushes = []
+        push = heapq.heappush
+        monkeypatch.setattr(agents.heapq, "heappush",
+                            lambda *args: pushes.append(1) or push(*args))
+        goal = GoalSpec(kind="career_level_reached", career="culinary",
+                        level=3, max_minutes=50_000, max_actions=3000)
+        planner = AStarPlanner(HeuristicSpec(
+            {"career_xp": 2.0, "crafted_item:coffee": 0.5,
+             "crafted_item:dish": 0.5}), goal, 400)
+        scenario = ScenarioOverrides(career="culinary")
+        counts, records = [], []
+        for _ in range(3):
+            pushes.clear()
+            records.append(run_episode(build_b, scenario, 5, planner, goal))
+            counts.append(len(pushes))
+        assert counts[0] == counts[1] > 0 and counts[2] == 0
+        assert len({r.state_digest for r in records}) == 1
+        assert len({r.max_nodes_expanded for r in records}) == 1
+
     @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
     def test_id_table_is_bounded_by_the_records(self, desk_objects, memo_limit,
                                                 monkeypatch):
@@ -417,6 +547,22 @@ class TestPlannerMemo:
                                  node_budget)
         play_in_lockstep(planner, [(desk_base, scenario), (richer, scenario)],
                          seed)
+
+
+def check_replays(first, second, third):
+    """Answers of three replays of one seed by one planner: the first marks
+    each root searched, the second runs the tie test on each and stores
+    the tie-free answers, and the third serves exactly those."""
+    unsearched = first[None, None]
+    assert first == Counter({(None, None): unsearched,
+                             (None, agents._SEARCHED): first.total() - unsearched})
+    assert second[None, None] == unsearched
+    assert second.total() == first.total()
+    stored = second[agents._SEARCHED, "stored"]
+    tied = second[agents._SEARCHED, agents._TIED]
+    assert stored + tied + unsearched == second.total()
+    assert third == Counter({(None, None): unsearched, ("stored", "stored"): stored,
+                             (agents._TIED, agents._TIED): tied})
 
 
 def walk_states(config, scenario, seed, steps=40):
