@@ -63,7 +63,7 @@ from .sim import (
     state_digest,
     step_action,
 )
-from .tuning import EventSpec, TuningConfig
+from .tuning import Codec, EventSpec, TuningConfig, absent
 
 DEFAULT_NODE_BUDGET = 2000
 
@@ -81,7 +81,7 @@ GOAL_KINDS = (
 
 
 @dataclass
-class GoalSpec:
+class GoalSpec(Codec):
     """Termination predicate for an experiment plus hard episode limits."""
 
     kind: str
@@ -98,28 +98,6 @@ class GoalSpec:
             raise ValueError(f"unknown goal kind {self.kind!r}")
         if self.max_minutes <= 0 or self.max_actions <= 0:
             raise ValueError("hard limits must be positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GoalSpec":
-        return cls(
-            kind=data["kind"],
-            career=data.get("career"),
-            level=data.get("level"),
-            category=data.get("category"),
-            chain_length=data.get("chain_length"),
-            event=data.get("event"),
-            max_minutes=data.get("max_minutes", 100_000),
-            max_actions=data.get("max_actions", 10_000),
-        )
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "max_minutes": self.max_minutes,
-               "max_actions": self.max_actions}
-        for key in ("career", "level", "category", "chain_length", "event"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
 
 def goal_satisfied(goal: GoalSpec, state: GameState) -> bool:
@@ -238,7 +216,7 @@ HEURISTIC_TERMS = (
 
 
 @dataclass
-class HeuristicSpec:
+class HeuristicSpec(Codec):
     """Weighted remaining-quantity terms; crafted items use crafted_item:<id>."""
 
     weights: dict[str, float]
@@ -248,19 +226,6 @@ class HeuristicSpec:
         for term, weight in self.weights.items():
             if not math.isfinite(weight):
                 raise ValueError(f"weight for {term!r} is not finite")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HeuristicSpec":
-        return cls(
-            weights=dict(data.get("weights", {})),
-            normalization=dict(data.get("normalization", {})),
-        )
-
-    def to_dict(self) -> dict:
-        out: dict = {"weights": dict(self.weights)}
-        if self.normalization:
-            out["normalization"] = dict(self.normalization)
-        return out
 
 
 def _default_scale(term: str, config: TuningConfig) -> float:
@@ -859,10 +824,10 @@ FEATURE_NAMES = (
 
 
 @dataclass
-class SoftmaxPolicy:
+class SoftmaxPolicy(Codec):
     feature_names: list[str]
     weights: list[float]
-    temperature: float = 1.0
+    temperature: float = absent(lambda: 1.0)
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -875,21 +840,6 @@ class SoftmaxPolicy:
     @classmethod
     def zero(cls, temperature: float = 1.0) -> "SoftmaxPolicy":
         return cls(list(FEATURE_NAMES), [0.0] * len(FEATURE_NAMES), temperature)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SoftmaxPolicy":
-        return cls(
-            feature_names=list(data["feature_names"]),
-            weights=[float(w) for w in data["weights"]],
-            temperature=float(data.get("temperature", 1.0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "weights": list(self.weights),
-            "temperature": self.temperature,
-        }
 
 
 class FeatureExtractor:

@@ -74,7 +74,7 @@ class Deadlock(PlaytestError):
 
 class SuiteEntryError(PlaytestError):
     """A suite entry, or one of its fields (<id>.<field>), has the wrong JSON
-    type, or a required field is missing."""
+    type, misses a required field or has an unknown one."""
 
 
 class NoRelationshipEvents(PlaytestError):

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .agents import (
+    DEFAULT_NODE_BUDGET,
     AStarPlanner,
     GoalSpec,
     HeuristicSpec,
@@ -46,12 +47,13 @@ from .errors import (
     CareerMissingInBuild,
     NoRelationshipEvents,
     PlaytestError,
+    SchemaError,
     SuiteEntryError,
     TargetAboveCap,
     UnknownCareer,
 )
 from .sim import ScenarioOverrides
-from .tuning import TuningConfig
+from .tuning import Codec, TuningConfig, absent
 from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing.py
 
 # ---------------------------------------------------------------------------
@@ -110,129 +112,85 @@ def running_means(values: list) -> list[float]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ExperimentConfig:
+class TrainSpec:  # REINFORCE settings of a trained Softmax policy
+    episodes: int = 500
+    step_size: float = 0.02
+    seed: int | None = None  # None: the experiment's base seed
+
+
+@dataclass
+class SoftmaxSpec:  # an agent comparison's Softmax half: a policy, or training
+    temperature: float | None = None  # None: 1.0
+    policy: SoftmaxPolicy | None = None
+    train: TrainSpec = field(default_factory=TrainSpec)
+
+
+@dataclass
+class AStarSpec:  # an agent comparison's A* half
+    node_budget: int | None = None  # None: DEFAULT_NODE_BUDGET
+
+
+@dataclass
+class AgentSpec:
+    """An A* planner of `node_budget` nodes (DEFAULT_NODE_BUDGET if none),
+    a Softmax `policy`, or for an agent comparison both halves."""
+
+    kind: str = absent(lambda: "astar")  # "astar" | "softmax" | "comparison"
+    node_budget: int | None = None
+    policy: SoftmaxPolicy | None = None
+    astar: AStarSpec = field(default_factory=AStarSpec)
+    softmax: SoftmaxSpec = field(default_factory=SoftmaxSpec)
+
+    def __post_init__(self):
+        if self.kind not in ("astar", "softmax", "comparison"):
+            raise ValueError(f"unknown agent kind {self.kind!r}")
+        if self.kind == "softmax" and self.policy is None:
+            raise ValueError("a softmax agent needs a policy")
+
+
+@dataclass
+class CareerTarget:  # one career of a career-style study
+    career: str
+    target_level: int | None = None  # None: the career's cap
+
+
+@dataclass
+class ExperimentConfig(Codec):
     id: str
     study: str
     tuning_ref: list[str]  # one path, or two for build comparison
-    scenario: ScenarioOverrides
-    heuristic: HeuristicSpec
+    scenario: ScenarioOverrides = absent(ScenarioOverrides)
+    heuristic: HeuristicSpec = absent(lambda: HeuristicSpec({}))
     goal: GoalSpec
-    trials: int
-    base_seed: int
-    agent: dict
-    careers: list[dict] = field(default_factory=list)  # {"career", "target_level"}
+    trials: int = absent(lambda: 1)
+    base_seed: int = absent(lambda: 0)
+    agent: AgentSpec = absent(partial(AgentSpec, "astar"))
+    careers: list[CareerTarget] = absent(list)
 
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.agent.kind == "comparison" and self.study != "agent_comparison":
+            raise ValueError("a comparison agent is for agent_comparison only")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        name = data.get("id") if type(data) is dict else None
-        _check_json(data, _ENTRY_SCHEMA, name if type(name) is str else "entry")
-        ref = data["tuning_ref"]
-        return cls(
-            id=data["id"],
-            study=data["study"],
-            tuning_ref=[ref] if isinstance(ref, str) else list(ref),
-            scenario=ScenarioOverrides.from_dict(data.get("scenario", {})),
-            heuristic=HeuristicSpec.from_dict(data.get("heuristic", {"weights": {}})),
-            goal=GoalSpec.from_dict(data["goal"]),
-            trials=data.get("trials", 1),
-            base_seed=data.get("base_seed", 0),
-            agent=dict(data.get("agent", {"kind": "astar"})),
-            careers=[dict(c) for c in data.get("careers", [])],
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "study": self.study,
-            "tuning_ref": list(self.tuning_ref),
-            "scenario": self.scenario.to_dict(),
-            "heuristic": self.heuristic.to_dict(),
-            "goal": self.goal.to_dict(),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "agent": dict(self.agent),
-            "careers": [dict(c) for c in self.careers],
-        }
-
-
-class _Required:
-    """A field of a dict schema that must be present, of schema `of`."""
-
-    def __init__(self, of):
-        self.of = of
-
-
-# The JSON types of a suite entry, matched exactly, so a bool is no int and
-# an int no float. A type stands for itself; a dict of field names for an
-# object whose listed fields are checked when present, and must be present
-# if _Required; {str: schema} for an object of any keys; [schema] for a
-# list; a tuple for alternatives. Fields that default to None may be null.
-_NUMBER = (float, int)
-_STR_OR_NULL = (str, type(None))
-_INT_OR_NULL = (int, type(None))
-_POLICY = {"feature_names": [str], "weights": [_NUMBER], "temperature": _NUMBER}
-_ENTRY_SCHEMA = {
-    "id": str,
-    "study": str,
-    "tuning_ref": (str, [str]),
-    "scenario": {
-        "career": _STR_OR_NULL, "relationship_category": _STR_OR_NULL,
-        "grant_objects": bool, "initial_resources": {str: int},
-    },
-    "heuristic": {"weights": {str: _NUMBER}, "normalization": {str: _NUMBER}},
-    "goal": {
-        "kind": str, "career": _STR_OR_NULL, "level": _INT_OR_NULL,
-        "category": _STR_OR_NULL, "chain_length": _INT_OR_NULL,
-        "event": _STR_OR_NULL, "max_minutes": int, "max_actions": int,
-    },
-    "trials": int,
-    "base_seed": int,
-    "agent": {
-        "kind": str,
-        "node_budget": int,
-        "policy": _POLICY,
-        "astar": {"node_budget": int},
-        "softmax": {
-            "temperature": _NUMBER,
-            "policy": _POLICY,
-            "train": {"episodes": int, "step_size": _NUMBER, "seed": int},
-        },
-    },
-    "careers": [{"career": _Required(str), "target_level": int}],
-}
-
-
-def _check_json(value, schema, path: str) -> None:
-    """Raise SuiteEntryError("<path>: expected <type>, got <type>") on a
-    mismatch, or SuiteEntryError("<path>: missing") for a missing field."""
-    if type(schema) is _Required:
-        schema = schema.of
-    options = schema if type(schema) is tuple else (schema,)
-    kinds = [option if type(option) is type else type(option) for option in options]
-    for option, kind in zip(options, kinds):
-        if type(value) is not kind:
-            continue
-        if kind is list:
-            for i, item in enumerate(value):
-                _check_json(item, option[0], f"{path}[{i}]")
-        elif kind is dict:
-            for key, inner in option.items():
-                if type(inner) is _Required and key not in value:
-                    raise SuiteEntryError(f"{path}.{key}: missing")
-            for key, item in value.items():
-                inner = option.get(str, option.get(key))
-                if inner is not None:
-                    _check_json(item, inner, f"{path}.{key}")
-        return
-    expected = " or ".join(kind.__name__ for kind in kinds)
-    raise SuiteEntryError(
-        f"{path}: expected {expected}, got {type(value).__name__}")
+    def from_dict(cls, data, path: str | None = None) -> "ExperimentConfig":
+        """Decode one suite entry at path, its id (or "entry" without one);
+        a string tuning_ref is a list of one."""
+        if type(data) is dict:
+            name, ref = data.get("id"), data.get("tuning_ref")
+            path = path or (name if type(name) is str else "entry")
+            if type(ref) is str:
+                data = {**data, "tuning_ref": [ref]}
+            elif "tuning_ref" in data and type(ref) is not list:
+                raise SuiteEntryError(f"{path}.tuning_ref: expected str or list, "
+                                      f"got {type(ref).__name__}")
+        try:
+            return super().from_dict(data, path or "entry")
+        except SchemaError as exc:
+            raise SuiteEntryError(str(exc)) from exc
 
 
 def trial_seed(base_seed: int, index: int) -> int:
@@ -275,17 +233,13 @@ def trial_pool(workers: int, configs: list[TuningConfig]) -> ProcessPoolExecutor
     )
 
 
-def _agent_for(agent_spec: dict, heuristic: HeuristicSpec, goal: GoalSpec,
+def _agent_for(agent: AgentSpec, heuristic: HeuristicSpec, goal: GoalSpec,
                config: TuningConfig):
-    kind = agent_spec.get("kind", "astar")
-    if kind == "astar":
-        return AStarPlanner(
-            heuristic, goal, agent_spec.get("node_budget", 2000)
-        )
-    if kind == "softmax":
-        policy = SoftmaxPolicy.from_dict(agent_spec["policy"])
-        return SoftmaxPlanner(policy, config)
-    raise ValueError(f"unknown agent kind {kind!r}")
+    if agent.kind == "softmax":
+        return SoftmaxPlanner(agent.policy, config)
+    budget = agent.node_budget
+    return AStarPlanner(heuristic, goal,
+                        DEFAULT_NODE_BUDGET if budget is None else budget)
 
 
 def _run_seeds(
@@ -318,7 +272,7 @@ def run_trials(
     scenario: ScenarioOverrides,
     heuristic: HeuristicSpec,
     goal: GoalSpec,
-    agent_spec: dict,
+    agent_spec: AgentSpec,
     trials: int,
     base_seed: int,
     pool: ProcessPoolExecutor | None = None,
@@ -417,7 +371,7 @@ def failed_outcome(
 # (group key, trial index, record) tuples).
 
 Group = tuple[str, TuningConfig, ScenarioOverrides, GoalSpec,
-              "dict | Callable[[], dict]"]
+              "AgentSpec | Callable[[], AgentSpec]"]
 Done = list[tuple[str, list[TrialRecord]]]
 Reduction = tuple[dict[str, AggregateStats], dict, list[dict],
                   list[tuple[str, int, TrialRecord]]]
@@ -450,9 +404,9 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
         for cfg in configs:
             idx = cfg.index()
             for entry in xc.careers:
-                if entry["career"] not in idx.careers:
+                if entry.career not in idx.careers:
                     raise CareerMissingInBuild(
-                        f"{entry['career']!r} missing in {cfg.build_id!r}"
+                        f"{entry.career!r} missing in {cfg.build_id!r}"
                     )
     for cfg in configs:
         _career_groups(cfg, xc)
@@ -499,8 +453,7 @@ def _run_study(
     """Run one study now, raising its errors. `careers`, as (career,
     target level) pairs, replace the experiment's careers."""
     if careers is not None:
-        xc = replace(xc, careers=[
-            {"career": c, "target_level": level} for c, level in careers])
+        xc = replace(xc, careers=[CareerTarget(*pair) for pair in careers])
     return _start_study(xc, configs, pool)()
 
 
@@ -538,11 +491,11 @@ def _career_groups(config: TuningConfig, xc: ExperimentConfig) -> list[Group]:
     idx = config.index()
     groups = []
     for entry in xc.careers:
-        career = entry["career"]
+        career = entry.career
         spec = idx.careers.get(career)
         if spec is None:
             raise UnknownCareer(career)
-        level = entry.get("target_level", spec.max_level)
+        level = spec.max_level if entry.target_level is None else entry.target_level
         if level > spec.max_level:
             raise TargetAboveCap(f"{career}: level {level} > cap {spec.max_level}")
         goal = GoalSpec(kind="career_level_reached", career=career, level=level,
@@ -708,14 +661,14 @@ def _start_policy(
     goal: GoalSpec, pool: ProcessPoolExecutor | None,
 ) -> Callable[[], SoftmaxPolicy]:
     """Start training one career's Softmax policy, unless the entry gives it."""
-    spec = xc.agent.get("softmax", {})
-    if "policy" in spec:
-        policy = SoftmaxPolicy.from_dict(spec["policy"])
-        return lambda: policy
-    train = spec.get("train", {})
+    spec = xc.agent.softmax
+    if spec.policy is not None:
+        return lambda: spec.policy
+    train = spec.train
     args = (
-        scenario, goal, train.get("episodes", 500), train.get("step_size", 0.02),
-        train.get("seed", xc.base_seed), spec.get("temperature", 1.0),
+        scenario, goal, train.episodes, train.step_size,
+        xc.base_seed if train.seed is None else train.seed,
+        1.0 if spec.temperature is None else spec.temperature,
     )
     if pool is None:
         policy = _train_policy(config, *args)
@@ -723,13 +676,13 @@ def _start_policy(
     return pool.submit(_train_in_worker, id(config), *args).result
 
 
-def _softmax_spec(policy: Callable[[], SoftmaxPolicy]) -> dict:
-    return {"kind": "softmax", "policy": policy().to_dict()}
+def _softmax_spec(policy: Callable[[], SoftmaxPolicy]) -> AgentSpec:
+    return AgentSpec("softmax", policy=policy())
 
 
 def _agent_comparison_study(configs, xc, pool):
     config = configs[0]
-    astar = {"kind": "astar", **xc.agent.get("astar", {})}
+    astar = AgentSpec("astar", node_budget=xc.agent.astar.node_budget)
     groups, policies = [], {}
     for career, _, scenario, goal, _ in _career_groups(config, xc):
         # training starts here, before any A* group; each Softmax group

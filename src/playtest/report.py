@@ -216,8 +216,8 @@ def _reader(entry: _Entry, pool: ProcessPoolExecutor | None) -> Read:
     """Return the function that reads the entry's outcome.
 
     Serially the experiment runs when it is read. On a pool its jobs are
-    submitted now. A bad value in the entry fails it alone; any other
-    exception while jobs are handed to the pool ends the suite, as a
+    submitted now; every value they use was checked as the entry loaded, so
+    an exception while they are handed to the pool ends the suite, as a
     broken pool does.
     """
     if entry.error is not None:
@@ -225,10 +225,7 @@ def _reader(entry: _Entry, pool: ProcessPoolExecutor | None) -> Read:
                        [c.build_id for c in entry.configs])
     if pool is None:
         return partial(run_experiment, entry.xc, entry.configs)
-    try:
-        return start_experiment(entry.xc, entry.configs, pool)
-    except (KeyError, TypeError, ValueError) as exc:
-        return partial(failed_outcome, entry.id, entry.study, exc)
+    return start_experiment(entry.xc, entry.configs, pool)
 
 
 def run_suite(
@@ -253,10 +250,9 @@ def run_suite(
     experiments are then read and written in suite order.
 
     An exception while an experiment loads, runs or is read fails that
-    experiment alone, except on a pool: an exception other than a bad
-    entry value raised while jobs are submitted ends the suite, and a
-    worker that dies (BrokenProcessPool) fails every experiment not yet
-    read.
+    experiment alone, except on a pool: an exception raised while jobs
+    are submitted ends the suite, and a worker that dies
+    (BrokenProcessPool) fails every experiment not yet read.
     """
     suite_path = Path(suite_path)
     entries = json.loads(suite_path.read_text())

@@ -28,7 +28,7 @@ from .errors import (
     UnknownCareer,
     UnknownObject,
 )
-from .tuning import ActionSpec, ConfigIndex, EventSpec, RewardBundle, TuningConfig
+from .tuning import ActionSpec, Codec, ConfigIndex, EventSpec, RewardBundle, TuningConfig
 
 TRACE_ACT = "act"
 TRACE_WAIT = "wait"
@@ -127,34 +127,13 @@ class RelationshipState:
 
 
 @dataclass
-class ScenarioOverrides:
+class ScenarioOverrides(Codec):
     """Per-experiment starting conditions applied without cost."""
 
     career: str | None = None
     relationship_category: str | None = None
     grant_objects: bool = False
     initial_resources: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioOverrides":
-        return cls(
-            career=data.get("career"),
-            relationship_category=data.get("relationship_category"),
-            grant_objects=bool(data.get("grant_objects", False)),
-            initial_resources=dict(data.get("initial_resources", {})),
-        )
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.career is not None:
-            out["career"] = self.career
-        if self.relationship_category is not None:
-            out["relationship_category"] = self.relationship_category
-        if self.grant_objects:
-            out["grant_objects"] = True
-        if self.initial_resources:
-            out["initial_resources"] = dict(self.initial_resources)
-        return out
 
 
 @dataclass(slots=True)

@@ -7,7 +7,9 @@ relationship event chains, and purchasable objects. Parsing is strict
 reference resolution and monotone thresholds are reported as
 diagnostics. The file format is documented in docs/tuning-schema.md.
 The parser, the serializer and the differ all walk one field plan per
-dataclass, so the three cannot disagree about the schema.
+dataclass, so the three cannot disagree about the schema. The same plan
+reads and writes the experiment suite's entries (`Codec`): goals,
+heuristics, scenarios, agents and policies.
 
 Configs are immutable after parse and safe to share across concurrent
 simulation trials.
@@ -16,6 +18,7 @@ simulation trials.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +38,12 @@ from .errors import (
 SCHEMA_VERSION = 1
 
 EVENT_KINDS = ("career", "relationship")
+
+
+def absent(factory: Callable[[], Any]) -> Any:
+    """A field with no dataclass default whose JSON key may be left out:
+    an absent key decodes as factory(). The field is always written."""
+    return field(metadata={"absent": factory})
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +91,16 @@ class ActionSpec:
 @dataclass
 class EventStep:
     xp_threshold: int
-    reward: RewardBundle
+    reward: RewardBundle = absent(RewardBundle)
 
 
 @dataclass
 class EventSpec:
     id: str
-    kind: str  # "career" | "relationship"
+    kind: str = field(metadata={"choices": EVENT_KINDS})
     owner_id: str
     time_limit: int
-    action_ids: list[str]
+    action_ids: list[str] = absent(list)
     steps: list[EventStep]
     start_requires: RequirementSet = field(default_factory=RequirementSet)
 
@@ -102,7 +111,7 @@ class EventSpec:
 
 @dataclass
 class ObjectUnlock:
-    object_id: str
+    object_id: str = field(metadata={"key": "object"})
     unlock_level: int
     price_rho: int  # units of the shared resource spent to buy it
 
@@ -237,10 +246,11 @@ class Diagnostic:
 class _Field(NamedTuple):
     attr: str
     key: str  # the JSON name
-    # int | str | bool | a planned class | (list, kind) | (dict, key type, kind)
-    # | ("choice", allowed values)
+    # int | float | str | bool | a dataclass | (list, kind)
+    # | (dict, key type, kind) | ("choice", allowed values)
     kind: Any
-    default: Callable[[], Any] | None  # None: the field is required
+    absent: Callable[[], Any] | None  # the value of an absent key; None: required
+    default: Any  # the dataclass default, never written; MISSING: none
 
 
 class _Plan(NamedTuple):
@@ -248,12 +258,7 @@ class _Plan(NamedTuple):
     keys: frozenset[str]
 
 
-# Where the JSON differs from the dataclasses' own fields.
-_JSON_NAMES = {(ObjectUnlock, "object_id"): "object"}
-_CHOICES = {(EventSpec, "kind"): ("choice", EVENT_KINDS)}
-# Optional in the file although the dataclass has no default.
-_OPTIONAL = {(EventSpec, "action_ids"): list, (EventStep, "reward"): RewardBundle}
-_SCALARS = (int, str, bool)
+_SCALARS = (int, float, str, bool)
 
 
 def _kind(tp: Any) -> Any:
@@ -263,51 +268,56 @@ def _kind(tp: Any) -> Any:
     if origin is dict:
         key, value = get_args(tp)
         return (dict, key, _kind(value))
-    if origin is Union or origin is UnionType:  # X | None: null is never accepted
+    if origin is Union or origin is UnionType:  # X | None: the field decides null
         (inner,) = [arg for arg in get_args(tp) if arg is not type(None)]
         return _kind(inner)
     return tp
 
 
+@functools.cache
 def _plan(cls: type) -> _Plan:
+    """The JSON fields of dataclass cls, read from its fields' types,
+    defaults and metadata ("key": JSON name, "choices": allowed strings,
+    "absent": see `absent`)."""
+    if cls is Fraction:  # a rate travels as {"num": ..., "den": ...}, den > 0
+        fields = tuple(_Field(attr, key, int, None, dataclasses.MISSING)
+                       for attr, key in (("numerator", "num"), ("denominator", "den")))
+        return _Plan(fields, frozenset(("num", "den")))
     hints = get_type_hints(cls)
     fields = []
     for f in dataclasses.fields(cls):
         if f.name.startswith("_"):
             continue
         if f.default_factory is not dataclasses.MISSING:
-            default = f.default_factory
+            default, make = f.default_factory(), f.default_factory
         elif f.default is not dataclasses.MISSING:
-            default = lambda value=f.default: value
+            default, make = f.default, lambda value=f.default: value
         else:
-            default = _OPTIONAL.get((cls, f.name))
-        kind = _CHOICES.get((cls, f.name)) or _kind(hints[f.name])
-        key = _JSON_NAMES.get((cls, f.name), f.name)
-        fields.append(_Field(f.name, key, kind, default))
+            default, make = dataclasses.MISSING, f.metadata.get("absent")
+        choices = f.metadata.get("choices")
+        kind = ("choice", choices) if choices else _kind(hints[f.name])
+        fields.append(_Field(f.name, f.metadata.get("key", f.name), kind, make,
+                             default))
     return _Plan(tuple(fields), frozenset(f.key for f in fields))
 
 
-_PLANS = {
-    cls: _plan(cls)
-    for cls in (
-        RewardBundle, RequirementSet, ResourceSpec, ActionSpec, EventStep,
-        EventSpec, ObjectUnlock, CareerSpec, RelationshipCategorySpec,
-        ObjectSpec, TuningConfig,
-    )
-}
-# A rate travels as {"num": ..., "den": ...} with den > 0.
-_PLANS[Fraction] = _Plan(
-    (_Field("numerator", "num", int, None), _Field("denominator", "den", int, None)),
-    frozenset(("num", "den")),
-)
+class Codec:
+    """A dataclass read from and written to JSON by its field plan."""
 
-REQUIRED_TOP_LEVEL = (
-    "schema_version", *(f.key for f in _PLANS[TuningConfig].fields)
-)
+    @classmethod
+    def from_dict(cls, data: Any, path: str | None = None):
+        """Decode data; a SchemaError names the path of the first defect."""
+        return _decode(cls, data, path or cls.__name__)
+
+    def to_dict(self) -> dict:
+        """The JSON form; a field equal to its dataclass default is left out."""
+        return _encode(self)
 
 
 def _expect(obj: Any, path: str, kind: type) -> Any:
-    if not isinstance(obj, kind) or (kind is int and isinstance(obj, bool)):
+    """obj, if it is a kind; a float may be an int, and a bool is no int."""
+    if (not isinstance(obj, (int, float) if kind is float else kind)
+            or (kind is not bool and isinstance(obj, bool))):
         raise SchemaError(
             f"{path}: expected {kind.__name__}, got {type(obj).__name__}"
         )
@@ -344,34 +354,34 @@ def _decode(kind: Any, value: Any, path: str) -> Any:
         if _expect(value, path, str) not in kind[1]:
             raise SchemaError(f"{path}: must be one of {kind[1]}")
         return value
-    plan = _PLANS[kind]
+    plan = _plan(kind)
     _expect(value, path, dict)
     if not plan.keys.issuperset(value):
         extras = sorted(value.keys() - plan.keys)
         raise SchemaError(f"{path}: unknown field(s) {extras}")
     args = {}
-    for attr, key, field_kind, default in plan.fields:
-        if key in value:
-            args[attr] = _decode(field_kind, value[key], f"{path}.{key}")
-        elif default is None:
-            raise SchemaError(f"{path}: missing required field {key!r}")
+    for f in plan.fields:
+        if f.key not in value:
+            if f.absent is None:
+                raise SchemaError(f"{path}.{f.key}: missing")
+            args[f.attr] = f.absent()
+        elif value[f.key] is None and f.default is None:  # null: the default
+            args[f.attr] = None
         else:
-            args[attr] = default()
+            args[f.attr] = _decode(f.kind, value[f.key], f"{path}.{f.key}")
     if kind is Fraction and args["denominator"] <= 0:
         raise SchemaError(f"{path}: den must be positive")
     return kind(**args)
 
 
 def _encode(value: Any) -> Any:
-    """JSON form of a parsed value; fields equal to their default are left out."""
-    plan = _PLANS.get(type(value))
-    if plan is not None:
-        out = {}
-        for f in plan.fields:
-            item = getattr(value, f.attr)
-            if f.default is None or item != f.default():
-                out[f.key] = _encode(item)
-        return out
+    """JSON form of a decoded value; fields equal to their default are left out."""
+    if dataclasses.is_dataclass(value) or type(value) is Fraction:
+        return {
+            f.key: _encode(item)
+            for f in _plan(type(value)).fields
+            if (item := getattr(value, f.attr)) != f.default
+        }
     if isinstance(value, list):
         return [_encode(item) for item in value]
     if isinstance(value, dict):
@@ -380,9 +390,8 @@ def _encode(value: Any) -> Any:
 
 
 def _flatten(value: Any, prefix: str, out: dict[str, Any]) -> None:
-    plan = _PLANS.get(type(value))
-    if plan is not None and type(value) is not Fraction:  # a rate diffs as one value
-        for f in plan.fields:
+    if dataclasses.is_dataclass(value):  # a rate diffs as one value
+        for f in _plan(type(value)).fields:
             name = f"{prefix}.{f.attr}" if prefix else f.attr
             _flatten(getattr(value, f.attr), name, out)
     elif isinstance(value, dict):
@@ -425,10 +434,12 @@ def parse_tuning(text: str) -> TuningConfig:
 def build_config(doc: Any) -> TuningConfig:
     """Build a TuningConfig from decoded JSON without semantic validation."""
     _expect(doc, "document", dict)
-    missing = [k for k in REQUIRED_TOP_LEVEL if k not in doc]
+    plan = _plan(TuningConfig)
+    required = ("schema_version", *(f.key for f in plan.fields))
+    missing = [k for k in required if k not in doc]
     if missing:
         raise SchemaError(f"document: missing required field(s) {missing}")
-    extras = set(doc) - set(REQUIRED_TOP_LEVEL)
+    extras = set(doc) - set(required)
     if extras:
         raise SchemaError(f"document: unknown field(s) {sorted(extras)}")
     version = _expect(doc["schema_version"], "document.schema_version", int)
@@ -439,7 +450,7 @@ def build_config(doc: Any) -> TuningConfig:
     _expect(doc["build_id"], "document.build_id", str)
     return TuningConfig(**{
         f.attr: _decode(f.kind, doc[f.key], f.key)
-        for f in _PLANS[TuningConfig].fields
+        for f in plan.fields
     })
 
 

@@ -172,6 +172,16 @@ class TestRun:
                  careers=[{"career": "barista", "target_level": "3"}]),
             dict(MINI_SUITE[0], id="no_career",
                  careers=[{"career": "barista"}, {"target_level": 2}]),
+            dict(MINI_SUITE[0], id="nested_typo",
+                 agent={"kind": "astar", "node_buget": 5}),
+            dict(MINI_SUITE[0], id="top_typo", trail=5),
+            {key: value for key, value in dict(MINI_SUITE[0], id="no_goal").items()
+             if key != "goal"},
+            dict(MINI_SUITE[0], id="no_goal_kind", goal={"max_actions": 20}),
+            dict(MINI_SUITE[0], id="agent_typo", agent={"kind": "astra"}),
+            dict(MINI_SUITE[0], id="no_policy", agent={"kind": "softmax"}),
+            dict(MINI_SUITE[0], id="number_ref", tuning_ref=5),
+            dict(MINI_SUITE[0], id="stray_comparison", agent={"kind": "comparison"}),
         ])
         assert {eid: s["error"] for eid, s in stats.items()} == {
             "string_trials":
@@ -194,8 +204,20 @@ class TestRun:
             "text_level": "SuiteEntryError: "
                 "text_level.careers[0].target_level: expected int, got str",
             "no_career": "SuiteEntryError: no_career.careers[1].career: missing",
+            "nested_typo": "SuiteEntryError: "
+                "nested_typo.agent: unknown field(s) ['node_buget']",
+            "top_typo": "SuiteEntryError: top_typo: unknown field(s) ['trail']",
+            "no_goal": "SuiteEntryError: no_goal.goal: missing",
+            "no_goal_kind": "SuiteEntryError: no_goal_kind.goal.kind: missing",
+            "agent_typo": "ValueError: unknown agent kind 'astra'",
+            "no_policy": "ValueError: a softmax agent needs a policy",
+            "number_ref": "SuiteEntryError: "
+                "number_ref.tuning_ref: expected str or list, got int",
+            "stray_comparison":
+                "ValueError: a comparison agent is for agent_comparison only",
         }
-        assert stats["no_career"]["build_ids"] == []
+        # each fails as it loads, before its build is parsed
+        assert all(s["build_ids"] == [] for s in stats.values())
 
     def test_failures_are_isolated(self, suite_dir, capsys):
         out_dir = suite_dir / "out"
@@ -410,6 +432,21 @@ class TestTrain:
                      "--goal", "{broken", "--episodes", "5",
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("level, error", [
+        ({"level": "x"}, "GoalSpec.level: expected int, got str"),
+        ({"levl": 2}, "GoalSpec: unknown field(s) ['levl']"),
+    ], ids=["text_level", "typo_level"])
+    def test_malformed_goal_exit_two(self, tmp_path, capsys, level, error):
+        # both used to start training and crash in it with a TypeError
+        goal = json.dumps({"kind": "career_level_reached", "career": "barista",
+                           **level})
+        code = main(["train", str(fixtures.path("desk_base")),
+                     "--goal", goal, "--episodes", "5",
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: invalid --goal: {error}\n"
+        assert not (tmp_path / "p.json").exists()
 
 
 def test_run_csv_summary(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Designer studies: grouping, aggregation, and reproducibility."""
 
+import functools
+import json
+import operator
 import os
 import pickle
 from dataclasses import replace
@@ -7,17 +10,23 @@ from dataclasses import replace
 import pytest
 
 from bfs_oracle import random_desk_config, shortest_actions
-from playtest import experiments
+from playtest import experiments, fixtures
 from playtest.agents import GoalSpec, HeuristicSpec
 from playtest.errors import (
     CareerMissingInBuild,
     NoRelationshipEvents,
+    PlaytestError,
     TargetAboveCap,
     UnknownCareer,
 )
 from playtest.experiments import (
+    AgentSpec,
     AggregateStats,
+    AStarSpec,
+    CareerTarget,
     ExperimentConfig,
+    SoftmaxSpec,
+    TrainSpec,
     agent_comparison,
     build_comparison,
     career_progression,
@@ -31,6 +40,7 @@ from playtest.experiments import (
     trial_seed,
 )
 from playtest.sim import ScenarioOverrides
+from test_tuning import DELETE, MUTANT_VALUES, key_paths
 
 
 def make_xc(study, trials=5, base_seed=100, goal=None, heuristic=None,
@@ -45,8 +55,8 @@ def make_xc(study, trials=5, base_seed=100, goal=None, heuristic=None,
                               max_minutes=20_000, max_actions=2_000),
         trials=trials,
         base_seed=base_seed,
-        agent=agent or {"kind": "astar", "node_budget": 2000},
-        careers=[dict(c) for c in careers],
+        agent=agent or AgentSpec("astar", node_budget=2000),
+        careers=[CareerTarget(**c) for c in careers],
     )
 
 
@@ -90,7 +100,7 @@ class TestTrialSeeding:
                         max_minutes=5000, max_actions=200)
         spec = HeuristicSpec(weights={"career_xp": 1.0})
         scenario = ScenarioOverrides(career="barista")
-        agent = {"kind": "astar", "node_budget": 2000}
+        agent = AgentSpec("astar", node_budget=2000)
         first = run_trials(desk_base, scenario, spec, goal, agent, 4, 42)
         second = run_trials(desk_base, scenario, spec, goal, agent, 4, 42)
         assert [(r.seed, r.total_actions, r.state_digest) for r in first] == \
@@ -184,7 +194,7 @@ class TestCareerProgression:
         optimum, _ = shortest_actions(config, scenario, trial_seed(50, 0), goal)
         xc = make_xc("career_progression", trials=2, base_seed=50, goal=goal,
                      heuristic=HeuristicSpec(weights={}),
-                     agent={"kind": "astar", "node_budget": 50_000})
+                     agent=AgentSpec("astar", node_budget=50_000))
         groups = career_progression(config, [("clerk", 2)], xc)
         assert groups["clerk"].mean == optimum
 
@@ -250,7 +260,7 @@ class TestBuildComparison:
 
     def test_identity_builds_identical_rows(self, build_a):
         xc = make_xc("build_comparison", trials=2, heuristic=self.heuristic(),
-                     agent={"kind": "astar", "node_budget": 400})
+                     agent=AgentSpec("astar", node_budget=400))
         rows = build_comparison(build_a, build_a, [("barista", 2)], xc)
         assert len(rows) == 2
         first, second = rows
@@ -262,7 +272,7 @@ class TestBuildComparison:
         xc = make_xc("build_comparison", trials=2, heuristic=self.heuristic(),
                      goal=GoalSpec(kind="career_level_reached",
                                    max_minutes=50_000, max_actions=3_000),
-                     agent={"kind": "astar", "node_budget": 400})
+                     agent=AgentSpec("astar", node_budget=400))
         rows = build_comparison(build_a, build_b, [("barista", 3)], xc)
         by_build = {row["build"]: row for row in rows}
         a, b = by_build["build_A"], by_build["build_B"]
@@ -292,13 +302,8 @@ class TestAgentComparison:
                         max_minutes=20_000, max_actions=400)
         xc = make_xc(
             "agent_comparison", trials=120, goal=goal,
-            agent={
-                "kind": "comparison",
-                "astar": {"node_budget": 2000},
-                "softmax": {"temperature": 1.0,
-                            "train": {"episodes": 300, "step_size": 0.05,
-                                      "seed": 7}},
-            })
+            agent=AgentSpec("comparison", astar=AStarSpec(2000),
+                            softmax=SoftmaxSpec(1.0, train=TrainSpec(300, 0.05, 7))))
         result = agent_comparison(desk_base, [("fashion", 2)], 120, xc)
         astar_stats, softmax_stats = result["fashion"]
         assert astar_stats.variance == 0.0
@@ -349,9 +354,8 @@ class TestPooledTrials:
             goal=GoalSpec(kind="career_level_reached",
                           max_minutes=20_000, max_actions=400),
             careers=[{"career": "fashion", "target_level": 2}],
-            agent={"kind": "comparison", "astar": {"node_budget": 2000},
-                   "softmax": {"train": {"episodes": 20, "step_size": 0.05,
-                                         "seed": 7}}})
+            agent=AgentSpec("comparison", astar=AStarSpec(2000),
+                            softmax=SoftmaxSpec(train=TrainSpec(20, 0.05, 7))))
         sizes = []
         with trial_pool(2, [desk_base]) as pool:
             submit = pool.map
@@ -385,7 +389,7 @@ class TestPooledTrials:
             trials=3, careers=[{"career": "barista", "target_level": 3}])),
         ("build_comparison", ["build_a", "build_b"], dict(
             trials=2, careers=[{"career": "barista", "target_level": 2}],
-            agent={"kind": "astar", "node_budget": 400})),
+            agent=AgentSpec("astar", node_budget=400))),
     ])
     def test_every_study_pool_matches_serial(self, request, study, builds, options):
         configs = [request.getfixturevalue(name) for name in builds]
@@ -407,9 +411,8 @@ class TestPooledTrials:
                           max_minutes=20_000, max_actions=400),
             careers=[{"career": "fashion", "target_level": 2},
                      {"career": "barista", "target_level": 2}],
-            agent={"kind": "comparison", "astar": {"node_budget": 2000},
-                   "softmax": {"train": {"episodes": 10, "step_size": 0.05,
-                                         "seed": 7}}})
+            agent=AgentSpec("comparison", astar=AStarSpec(2000),
+                            softmax=SoftmaxSpec(train=TrainSpec(10, 0.05, 7))))
         events = []
         with trial_pool(2, [desk_base]) as pool:
             submit, map_ = pool.submit, pool.map
@@ -431,7 +434,7 @@ class TestPooledTrials:
             def recording_map(fn, payloads, **kwargs):
                 payloads = list(payloads)
                 _, scenario, _, _, agent, _ = payloads[0]
-                events.append((agent["kind"], scenario.career))
+                events.append((agent.kind, scenario.career))
                 return map_(fn, payloads, **kwargs)
 
             pool.submit, pool.map = recording_submit, recording_map
@@ -455,7 +458,7 @@ class TestPooledTrials:
                         max_minutes=20_000, max_actions=400)
         args = (desk_base, ScenarioOverrides(career="barista"),
                 HeuristicSpec({"career_xp": 1.0}), goal,
-                {"kind": "astar", "node_budget": 200})
+                AgentSpec("astar", node_budget=200))
         with trial_pool(2, [desk_base]) as pool:
             for trials in (1, 3, 9, 17):
                 pooled = list(run_trials(*args, trials, 11, pool))
@@ -487,12 +490,12 @@ class TestPooledTrials:
         ]
         kept = [experiments._run_seeds_in_worker(
                     (7, scenario, heuristic, chunk_goal,
-                     {"kind": "astar", "node_budget": 30}, seeds))
+                     AgentSpec("astar", node_budget=30), seeds))
                 for scenario, chunk_goal, seeds in chunks]
         # a new agent for the first chunk and for the other goal only
         assert [args[2] for args in made] == [goal, replace(goal, level=2)]
         fresh = [run_trials(desk_objects, scenario, heuristic, chunk_goal,
-                            {"kind": "astar", "node_budget": 30}, 1, seed)
+                            AgentSpec("astar", node_budget=30), 1, seed)
                  for scenario, chunk_goal, seeds in chunks for seed in seeds]
         assert [replace(r, max_decision_seconds=0.0) for rs in kept for r in rs] == [
             replace(r, max_decision_seconds=0.0) for rs in fresh for r in rs]
@@ -513,3 +516,49 @@ class TestPooledTrials:
         pool = trial_pool(8, [])
         assert pool._max_workers == 3
         pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Suite entries: decoded and written by the tuning field plan
+# ---------------------------------------------------------------------------
+
+PAPER_SUITE = json.loads(fixtures.path("paper_suite").read_text())
+
+
+@pytest.mark.parametrize("entry", PAPER_SUITE, ids=lambda entry: entry["id"])
+def test_params_repeat_the_entry(entry):
+    # stats.json's params: the entry as written, with tuning_ref a list
+    ref = entry["tuning_ref"]
+    assert ExperimentConfig.from_dict(entry).to_dict() == {
+        **entry, "tuning_ref": [ref] if isinstance(ref, str) else ref,
+        "careers": entry.get("careers", []),
+    }
+
+
+def test_single_defect_entries_fail_cleanly_or_round_trip():
+    """Each one-key defect of a paper_suite entry (a deleted key, a value of
+    another JSON type, an unknown key) raises a domain error or a
+    ValueError, or decodes to a config that its own JSON form reproduces."""
+    tried, broken = 0, []
+    for entry in PAPER_SUITE:
+        for path in key_paths(entry):
+            for value in (1,) if path[-1] == "unknown_field" else MUTANT_VALUES:
+                doc = json.loads(json.dumps(entry))
+                node = functools.reduce(operator.getitem, path[:-1], doc)
+                if value is DELETE:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = value
+                tried += 1
+                try:
+                    xc = ExperimentConfig.from_dict(doc)
+                except (PlaytestError, ValueError):
+                    continue
+                except Exception as exc:
+                    broken.append((entry["id"], path, value, repr(exc)))
+                    continue
+                again = ExperimentConfig.from_dict(json.loads(json.dumps(xc.to_dict())))
+                if again != xc:
+                    broken.append((entry["id"], path, value, "round trip"))
+    assert tried > 900
+    assert broken == []

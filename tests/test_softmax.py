@@ -113,7 +113,7 @@ class TestSoftmaxDecide:
             SoftmaxPolicy(list(FEATURE_NAMES), [0.0] * len(FEATURE_NAMES),
                           temperature=0.0)
         with pytest.raises(ValueError):
-            SoftmaxPolicy(["bias"], [1.0, 2.0])
+            SoftmaxPolicy(["bias"], [1.0, 2.0], temperature=1.0)
 
 
 class TestTraining:
