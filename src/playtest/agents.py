@@ -16,6 +16,17 @@ on states no earlier search pushed, and hashes no state it has seen
 before. The search itself is unchanged, and so is every decision. A
 memo grown past `_MEMO_LIMIT` records is emptied.
 
+Search states carry no path history (see `sim`): each edge of a record
+holds the child record and the effects of committing that move. The
+planner hands the chosen edge over as `last_edge`, and the episode loop
+commits it by taking the child's state as it is and adding the effects
+to the episode's path, whose history `sim.record` writes when the
+episode ends. So a committed move costs no engine step, and the next
+search takes that child as its root without hashing it. A move from any
+other agent, or from a planner behind a wrapper, goes through the same
+edge transition (`_commit`) and the same history writer, and the
+episode's record is the same either way.
+
 A record also serves as a transposition table over decisions. The second
 search from a record runs a tie test: could the random tie number have
 decided its result? If not, its decision, expansion count and number of
@@ -47,23 +58,30 @@ import math
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
+from .errors import Deadlock, SchemaError
 from .sim import (
+    TRACE_SESSION_END,
     TRACE_WAIT,
+    Effects,
     GameState,
     ScenarioOverrides,
+    act_edge,
     advance_time,
-    close_session_if_idle,
+    checked_action,
     event_log_entries,
     initial_state,
-    legal_actions,
+    legal_moves,
     next_availability,
+    record,
     state_digest,
     step_action,
+    wait_edge,
+    with_history,
 )
-from .tuning import Codec, EventSpec, TuningConfig, absent
+from .tuning import ActionSpec, Codec, EventSpec, TuningConfig, absent
 
 DEFAULT_NODE_BUDGET = 2000
 
@@ -72,12 +90,13 @@ DEFAULT_NODE_BUDGET = 2000
 # Goals
 # ---------------------------------------------------------------------------
 
-GOAL_KINDS = (
-    "career_level_reached",
-    "relationship_chain_done",
-    "any_relationship_chain_done",
-    "event_completed",
-)
+# each goal kind with the fields it reads
+GOAL_KINDS = {
+    "career_level_reached": ("career", "level"),
+    "relationship_chain_done": ("category", "chain_length"),
+    "any_relationship_chain_done": ("chain_length",),
+    "event_completed": ("event",),
+}
 
 
 @dataclass
@@ -98,6 +117,15 @@ class GoalSpec(Codec):
             raise ValueError(f"unknown goal kind {self.kind!r}")
         if self.max_minutes <= 0 or self.max_actions <= 0:
             raise ValueError("hard limits must be positive")
+
+    def check_complete(self, path: str = "GoalSpec") -> None:
+        """Raise SchemaError, as `<path>.<field>: missing`, for the first
+        field the goal's kind reads that is None. A career study fills
+        `career` and `level` itself, so a goal is checked where it is used
+        as it stands, not when it is built."""
+        for name in GOAL_KINDS[self.kind]:
+            if getattr(self, name) is None:
+                raise SchemaError(f"{path}.{name}: missing")
 
 
 def goal_satisfied(goal: GoalSpec, state: GameState) -> bool:
@@ -161,6 +189,25 @@ def _timeout_pays(config: TuningConfig, event) -> bool:
     return False
 
 
+def _moves(
+    config: TuningConfig, state: GameState
+) -> tuple[list[tuple[ActionSpec, str | None]], int | None]:
+    """The moves of `available_moves`: the legal actions, each with the
+    event its run starts implicitly, and the wait's target, or None."""
+    legal = legal_moves(config.index(), state)
+    if legal:
+        event = state.active_event
+        if (
+            event is not None
+            and event.deadline > state.clock
+            and _timeout_pays(config, event)
+        ):
+            return legal, event.deadline
+        return legal, None
+    target = next_availability(config, state)
+    return legal, target if target is not None and target > state.clock else None
+
+
 def available_moves(config: TuningConfig, state: GameState) -> list[Decision]:
     """Every move available from a state: its legal actions and its wait.
 
@@ -172,21 +219,11 @@ def available_moves(config: TuningConfig, state: GameState) -> list[Decision]:
     wait jumps to the next availability, which already accounts for the
     deadline.
     """
-    acts = legal_actions(config, state)
-    if acts:
-        moves = [Decision.act(aid) for aid in acts]
-        event = state.active_event
-        if (
-            event is not None
-            and event.deadline > state.clock
-            and _timeout_pays(config, event)
-        ):
-            moves.append(Decision.wait(event.deadline))
-        return moves
-    target = next_availability(config, state)
-    if target is not None and target > state.clock:
-        return [Decision.wait(target)]
-    return []
+    legal, wait = _moves(config, state)
+    moves = [Decision.act(action.id) for action, _ in legal]
+    if wait is not None:
+        moves.append(Decision.wait(wait))
+    return moves
 
 
 def decision_edges(
@@ -199,6 +236,43 @@ def decision_edges(
          else advance_time(config, state, move.until))
         for move in available_moves(config, state)
     ]
+
+
+def _edges(
+    config: TuningConfig, state: GameState
+) -> list[tuple[Decision, GameState, Effects]]:
+    """Every available move with its successor without path history and
+    the effects of committing it (see `_commit`): an act takes the event
+    start its listing found, so its legality is checked once."""
+    idx = config.index()
+    legal, wait = _moves(config, state)
+    edges = [(Decision.act(action.id), *act_edge(idx, state, action, start))
+             for action, start in legal]
+    if wait is not None:
+        edges.append((Decision.wait(wait), *wait_edge(
+            idx, state, wait, TRACE_WAIT if legal else TRACE_SESSION_END)))
+    return edges
+
+
+def _commit(
+    config: TuningConfig, state: GameState, decision: Decision
+) -> tuple[GameState, Effects]:
+    """The edge of a move an agent chose without handing it over: its
+    successor without path history and its effects.
+
+    An act must be legal. A wait while actions are legal is traced and
+    moves the clock to `decision.until`; a wait while idle ends the
+    session at the next availability.
+    """
+    idx = config.index()
+    if decision.kind == "act":
+        return act_edge(idx, state, *checked_action(idx, state, decision.action))
+    if legal_moves(idx, state):
+        return wait_edge(idx, state, decision.until, TRACE_WAIT)
+    target = next_availability(config, state)
+    if target is None:
+        raise Deadlock("no action can ever become legal")
+    return wait_edge(idx, state, target, TRACE_SESSION_END)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +504,16 @@ class _Node:
     """One node of a planner's search graph: a state under one memo key.
 
     `sid` is the interned id of the state's dedup key, and the clock,
-    action count, limit and goal flags are the state's own. `h` is the
-    heuristic value, filled in when the node is first pushed, and `edges`
-    the (decision, child node) list, filled in when it is first expanded.
-    `answer` is None until a search starts from the node, then
-    `_SEARCHED`; the second search's tie test (see `_astar_search`) then
-    sets it to `_TIED` or to that search's (decision, nodes expanded, tie
-    draws), which every later search from the node returns.
+    action count, limit and goal flags are the state's own. `state` has
+    no path history (see `sim.act_edge`), except at a root an episode
+    started from. `h` is the heuristic value, filled in when the node is
+    first pushed, and `edges` the (decision, child node, effects) list,
+    filled in when it is first expanded; the effects are those an episode
+    records when it commits that edge. `answer` is None until a search
+    starts from the node, then `_SEARCHED`; the second search's tie test
+    (see `_astar_search`) then sets it to `_TIED` or to that search's
+    (decision, nodes expanded, tie draws, edge), which every later search
+    from the node returns.
     """
 
     __slots__ = ("sid", "actions", "clock", "in_limits", "at_goal", "h",
@@ -450,8 +527,8 @@ class _Node:
         self.at_goal = goal_satisfied(goal, state)
         self.h: float | None = None
         self.state = state
-        self.edges: list[tuple[Decision, _Node]] | None = None
-        self.answer: str | tuple[Decision, int, int] | None = None
+        self.edges: list[tuple[Decision, _Node, Effects]] | None = None
+        self.answer: str | tuple | None = None
 
 
 def _node(memo: dict, ids: dict, goal: GoalSpec, state: GameState) -> _Node:
@@ -470,25 +547,43 @@ def _node(memo: dict, ids: dict, goal: GoalSpec, state: GameState) -> _Node:
 
 def _expand(
     config: TuningConfig, memo: dict, ids: dict, goal: GoalSpec, node: _Node
-) -> list[tuple[Decision, _Node]]:
+) -> list[tuple[Decision, _Node, Effects]]:
     """Fill in `node`'s edges from the engine and return them."""
-    node.edges = [(decision, _node(memo, ids, goal, child))
-                  for decision, child in decision_edges(config, node.state)]
+    node.edges = [(decision, _node(memo, ids, goal, child), effects)
+                  for decision, child, effects in _edges(config, node.state)]
     return node.edges
+
+
+def _tie_noting_pop(closed: dict, ties: list) -> Callable[[list], tuple]:
+    """heappop for a search that runs the tie test: it also adds to `ties`
+    each entry the search will accept (its node is not closed at as few
+    actions) while the heap's new top has the entry's (f, elapsed)."""
+    heappop = heapq.heappop
+
+    def pop(heap: list) -> tuple:
+        entry = heappop(heap)
+        if heap:
+            top = heap[0]
+            if top[0] == entry[0] and top[1] == entry[1]:
+                best = closed.get(entry[5].sid)
+                if best is None or best > entry[4]:
+                    ties.append(entry)
+        return entry
+    return pop
 
 
 def _astar_search(
     config: TuningConfig,
-    state: GameState,
+    root: _Node,
     evaluate: Callable[[GameState], float],
     goal: GoalSpec,
     node_budget: int,
     rng: random.Random,
     memo: dict,
     ids: dict,
-) -> tuple[Decision, int]:
-    """Run one bounded best-first search, or return the stored answer of
-    an earlier one from the same node that no tie draw decided.
+) -> tuple[Decision, int, tuple | None]:
+    """Run one bounded best-first search from `root`, or return the stored
+    answer of an earlier one from it that no tie draw decided.
 
     `evaluate` is the heuristic bound to the config and goal. `memo` and
     `ids` hold the nodes that earlier searches under the same config,
@@ -496,7 +591,8 @@ def _astar_search(
     nodes and expansions it makes. A node expanded before is not handed
     to the engine again, and a node pushed before is not evaluated again,
     so pushing a known node's children hashes nothing but its state ids.
-    Returns (decision, nodes expanded).
+    Returns (decision, nodes expanded, the root's edge of the decision, or
+    None for a stop).
 
     The random tie number orders two heap entries only if they share
     (f, elapsed), and two frontier candidates only if they share
@@ -510,30 +606,29 @@ def _astar_search(
     once: it advances `rng` by `getrandbits(64 * draws)`, which leaves the
     state of `draws` calls to `rng.random()`, so every later search draws
     what it would have drawn, and it reports the stored expansion count.
-    The first search from a root only marks it as searched, so a root met
-    once, as in a planner that plays one trial, pays for no test.
+    Only the second search pops through `_tie_noting_pop`; the frontier
+    scan finds equal ranks in the comparison that ranks them. So every
+    other search, a root's first among them, pays nothing for the test.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
-    root = _node(memo, ids, goal, state)
     if root.at_goal:
-        return Decision.stop("goal_reached"), 0
+        return Decision.stop("goal_reached"), 0, None
     if not root.in_limits:
-        return Decision.stop("hard_limit"), 0
+        return Decision.stop("hard_limit"), 0, None
     if root.edges is None:
         _expand(config, memo, ids, goal, root)
     if not root.edges:
-        return Decision.stop("deadlock"), 0
+        return Decision.stop("deadlock"), 0, None
     answer = root.answer
     if answer is None:
         root.answer = _SEARCHED
     elif type(answer) is tuple:
-        decision, expanded, draws = answer
+        decision, expanded, draws, edge = answer
         rng.getrandbits(64 * draws)
-        return decision, expanded
-    check = answer is _SEARCHED  # the second search: run the tie test
+        return decision, expanded, edge
 
-    draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
+    draw, heappush = rng.random, heapq.heappush
     root_actions = root.actions
     root_clock = root.clock
 
@@ -541,6 +636,9 @@ def _astar_search(
     seq = 0
     heap: list[tuple] = []
     closed: dict[int, int] = {}  # state id -> fewest actions expanded at
+    ties: list = []
+    pop = (_tie_noting_pop(closed, ties) if answer is _SEARCHED
+           else heapq.heappop)
     expanded = 0
     node, g, first = root, 0, None
     while True:
@@ -549,7 +647,7 @@ def _astar_search(
         edges = node.edges
         if edges is None:
             edges = _expand(config, memo, ids, goal, node)
-        for decision, child in edges:
+        for decision, child, _ in edges:
             if not child.in_limits:
                 continue
             child_g = child.actions - root_actions
@@ -564,37 +662,45 @@ def _astar_search(
                             child_g, child, first or decision))
 
         while heap:
-            f, elapsed, tie, _, g, node, first = heappop(heap)
+            f, elapsed, tie, _, g, node, first = pop(heap)
             best = closed.get(node.sid)
             if best is None or best > g:
                 break
         else:
-            decision = Decision.stop("search_exhausted")
+            first = None
             break
-        if check and heap and heap[0][0] == f and heap[0][1] == elapsed:
-            check = False
         if node.at_goal:
-            decision = first
             break
         if expanded >= node_budget:
             # Budget ran out: head toward the best frontier node, ranked by
             # f, then fewest actions, then least elapsed time, then the
             # random tie number already drawn.
-            best_rank, decision = (f, g, elapsed, tie), first
+            best_key, best_tie, chosen = (f, g, elapsed), tie, first
             for f, elapsed, tie, _, g, node, first in heap:
                 prev = closed.get(node.sid)
                 if prev is not None and prev <= g:
                     continue
-                if check and (f, g, elapsed) == best_rank[:3]:
-                    check = False
-                rank = (f, g, elapsed, tie)
-                if rank < best_rank:
-                    best_rank, decision = rank, first
+                key = (f, g, elapsed)
+                if key <= best_key:
+                    if key == best_key:
+                        ties.append(first)
+                        if tie >= best_tie:
+                            continue
+                    best_key, best_tie, chosen = key, tie, first
+            first = chosen
             break
 
+    edge = None
+    if first is None:
+        decision = Decision.stop("search_exhausted")
+    else:
+        decision = first
+        for edge in root.edges:
+            if edge[0] is decision:
+                break
     if answer is _SEARCHED:
-        root.answer = (decision, expanded, seq) if check else _TIED
-    return decision, expanded
+        root.answer = _TIED if ties else (decision, expanded, seq, edge)
+    return decision, expanded, edge
 
 
 def astar_decide(
@@ -606,9 +712,11 @@ def astar_decide(
     rng: random.Random | None = None,
 ) -> Decision:
     """Pick the next move by bounded A* over game states."""
-    decision, _ = _astar_search(
-        config, state, build_evaluator(heuristic, config, goal), goal,
-        node_budget, rng or random.Random(0), {}, {},
+    memo, ids = {}, {}
+    decision, _, _ = _astar_search(
+        config, _node(memo, ids, goal, state),
+        build_evaluator(heuristic, config, goal), goal, node_budget,
+        rng or random.Random(0), memo, ids,
     )
     return decision
 
@@ -645,10 +753,18 @@ class AStarPlanner:
     advanced past the same tie draws, and `last_expanded` set to the
     expansion count of the search it replays, though nothing is expanded.
     A record searched only once pays for no test, so a planner that plays
-    one trial, or a new trajectory, runs as before. A call with another
-    config starts from an empty graph, and a decision that leaves more
-    than `_MEMO_LIMIT` records empties the records, their answers and the
-    id table together.
+    one trial, or a new trajectory, runs as before.
+
+    After each decision `last_edge` is the root's edge of that decision,
+    (decision, child record, effects), or None for a stop, the way
+    `last_expanded` is its expansion count: an episode commits the move by
+    taking the child's state as it is and keeping the effects, with no
+    engine step. A decision from the state of the child last handed over
+    (`state is` that state) takes the child as its root without hashing
+    the state. A call with another config starts from an empty graph, and
+    a decision that leaves more than `_MEMO_LIMIT` records empties the
+    records, their answers and the id table together; both also drop the
+    handed-over child, whose records carry ids of the old table.
     """
 
     name = "astar"
@@ -663,6 +779,7 @@ class AStarPlanner:
         self.goal = goal
         self.node_budget = node_budget
         self.last_expanded = 0
+        self.last_edge: tuple | None = None
         self._memo_config: TuningConfig | None = None
         self._evaluate: Callable[[GameState], float] | None = None
         self._memo: dict = {}
@@ -674,12 +791,18 @@ class AStarPlanner:
         if config is not self._memo_config:
             self._memo_config, self._memo, self._ids = config, {}, {}
             self._evaluate = build_evaluator(self.heuristic, config, self.goal)
-        decision, self.last_expanded = _astar_search(
-            config, state, self._evaluate, self.goal, self.node_budget, rng,
+            self.last_edge = None
+        edge = self.last_edge
+        if edge is not None and state is edge[1].state:
+            root = edge[1]
+        else:
+            root = _node(self._memo, self._ids, self.goal, state)
+        decision, self.last_expanded, self.last_edge = _astar_search(
+            config, root, self._evaluate, self.goal, self.node_budget, rng,
             self._memo, self._ids,
         )
         if len(self._memo) > _MEMO_LIMIT:
-            self._memo, self._ids = {}, {}
+            self._memo, self._ids, self.last_edge = {}, {}, None
         return decision
 
 
@@ -719,21 +842,28 @@ def _play(
     rng: random.Random,
     agent,
     goal: GoalSpec,
-) -> tuple[GameState, bool, str, int, int, float]:
+) -> tuple[GameState, list[Effects], bool, str, int, int, float]:
     """The decide/commit loop of every episode, evaluated or trained.
 
     Stops at the goal or a hard limit, else asks the agent for a move
     and commits it. A wait while actions are legal is traced and moves
-    the clock; a wait while idle ends the session. Returns the final
-    state, whether the goal was reached, the stop reason, the decision
-    count, the most nodes one decision expanded and the longest
-    decision in seconds.
+    the clock; a wait while idle ends the session. The agent sees states
+    without path history: the loop only collects each committed edge's
+    effects, and a caller that wants the history writes them with
+    `sim.record`. A move an AStarPlanner hands over as `last_edge` is
+    committed as the child state it reaches, with no engine step; any
+    other goes through `_commit`. Returns the final state, without the
+    history of the path, the committed edges' effects in order, whether
+    the goal was reached, the stop reason, the decision count, the most
+    nodes one decision expanded and the longest decision in seconds.
     """
     reached = False
     reason = ""
     decisions = 0
     max_expanded = 0
     max_seconds = 0.0
+    path = []
+    hands_edges = isinstance(agent, AStarPlanner)
 
     while True:
         if goal_satisfied(goal, state):
@@ -753,24 +883,16 @@ def _play(
         expanded = getattr(agent, "last_expanded", 0)
         if expanded > max_expanded:
             max_expanded = expanded
-        if decision.kind == "act":
-            state = step_action(config, state, decision.action)
-        elif decision.kind == "wait":
-            if legal_actions(config, state):
-                counters = replace(
-                    state.counters,
-                    trace=((state.clock, TRACE_WAIT, str(decision.until)),
-                           state.counters.trace),
-                )
-                state = advance_time(
-                    config, replace(state, counters=counters), decision.until
-                )
-            else:
-                state = close_session_if_idle(config, state)
-        else:
+        if decision.kind not in ("act", "wait"):
             reason = decision.reason or "stop"
             break
-    return state, reached, reason, decisions, max_expanded, max_seconds
+        edge = agent.last_edge if hands_edges else None
+        if edge is not None and edge[0] is decision:
+            state, effects = edge[1].state, edge[2]
+        else:
+            state, effects = _commit(config, state, decision)
+        path.append(effects)
+    return state, path, reached, reason, decisions, max_expanded, max_seconds
 
 
 def run_episode(
@@ -781,11 +903,13 @@ def run_episode(
     goal: GoalSpec,
 ) -> TrialRecord:
     """Drive one playthrough: decide, apply, repeat until goal or stop."""
-    state, reached, reason, decisions, max_expanded, max_seconds = _play(
-        config, initial_state(config, scenario, seed), random.Random(seed),
-        agent, goal,
+    start = initial_state(config, scenario, seed)
+    state, path, reached, reason, decisions, max_expanded, max_seconds = _play(
+        config, start, random.Random(seed), agent, goal,
     )
-    counters = state.counters
+    counters, running = record(start.counters, 0, state.counters.total_actions,
+                               path)
+    state = with_history(state, counters, running)
     return TrialRecord(
         seed=seed,
         agent=getattr(agent, "name", type(agent).__name__),
@@ -975,7 +1099,7 @@ def train_softmax(
 
     for episode in range(episodes):
         learner.grad = grad = [0.0] * len(weights)
-        state, reached, *_ = _play(
+        state, _, reached, *_ = _play(
             config, initial_state(config, scenario, episode), rng, learner, goal
         )
         episode_return = (

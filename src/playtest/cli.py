@@ -160,6 +160,7 @@ def _cmd_train(args) -> int:
         return EXIT_USAGE
     try:
         goal = GoalSpec.from_dict(json.loads(args.goal))
+        goal.check_complete()
     except (json.JSONDecodeError, PlaytestError, ValueError) as exc:
         print(f"error: invalid --goal: {exc}", file=sys.stderr)
         return EXIT_USAGE

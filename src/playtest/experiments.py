@@ -111,11 +111,25 @@ def running_means(values: list) -> list[float]:
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
+# The settings below are checked as they load, with the messages of the
+# checks that would otherwise fail them in a planner or in training.
+
+def _check_node_budget(node_budget: int | None) -> None:
+    if node_budget is not None and node_budget < 1:
+        raise ValueError("node_budget must be >= 1")
+
+
 @dataclass
 class TrainSpec:  # REINFORCE settings of a trained Softmax policy
     episodes: int = 500
     step_size: float = 0.02
     seed: int | None = None  # None: the experiment's base seed
+
+    def __post_init__(self):
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
+        if self.step_size <= 0:
+            raise ValueError("step_size must be > 0")
 
 
 @dataclass
@@ -124,10 +138,17 @@ class SoftmaxSpec:  # an agent comparison's Softmax half: a policy, or training
     policy: SoftmaxPolicy | None = None
     train: TrainSpec = field(default_factory=TrainSpec)
 
+    def __post_init__(self):
+        if self.temperature is not None and self.temperature <= 0:
+            raise ValueError("temperature must be > 0")
+
 
 @dataclass
 class AStarSpec:  # an agent comparison's A* half
     node_budget: int | None = None  # None: DEFAULT_NODE_BUDGET
+
+    def __post_init__(self):
+        _check_node_budget(self.node_budget)
 
 
 @dataclass
@@ -146,6 +167,7 @@ class AgentSpec:
             raise ValueError(f"unknown agent kind {self.kind!r}")
         if self.kind == "softmax" and self.policy is None:
             raise ValueError("a softmax agent needs a policy")
+        _check_node_budget(self.node_budget)
 
 
 @dataclass
@@ -391,14 +413,19 @@ def check_build_count(study: str, count: int) -> None:
 
 def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
     """Raise if the study cannot run on `configs`: a wrong build count, a
-    build with no relationship event for relationship_balance, a career
-    missing in a build for build_comparison, or an unknown career or a
-    target level above its cap. The runner checks before it starts any
+    build with no relationship event or a goal without a field its kind
+    reads for relationship_balance (career studies build their own
+    goals), a career missing in a build for build_comparison, or an
+    unknown career or a target level above its cap. The runner checks before it starts any
     group, and a suite checks each entry as it loads it."""
     check_build_count(xc.study, len(configs))
     if xc.study == "relationship_balance":
         if not any(e.kind == "relationship" for e in configs[0].events):
             raise NoRelationshipEvents(configs[0].build_id)
+        try:
+            xc.goal.check_complete(f"{xc.id}.goal")
+        except SchemaError as exc:
+            raise SuiteEntryError(str(exc)) from exc
         return
     if xc.study == "build_comparison":
         for cfg in configs:

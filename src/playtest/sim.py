@@ -6,15 +6,29 @@ Time is integer in-game minutes. Resource regeneration keeps an exact
 fractional remainder per resource, so regenerating over one long
 advance or many short ones yields identical results.
 
+Every transition runs in two steps. The edge step (`act_edge`,
+`wait_edge`) builds the successor without path history, whose counters
+hold only the action count, and returns it with the edge's effects: the
+trace entries it adds, whether an act counted toward the running event,
+the event run it closed and the session gap it ended. The record step
+(`record`) writes those effects into a path history: the trace, the
+event log, the event action, session and wait counters, and the running
+event's action count. The public transitions (`apply_action`,
+`step_action`, `advance_time`, `start_event`, `close_session_if_idle`)
+do both and return states with full counters. A search keeps only
+history-free states, so one state serves every path that reaches it,
+and an episode records the effects of the edges it commits.
+
 The trace and per-event log are persistent linked lists (cons cells)
-so that appending is O(1) and search trees can branch cheaply; use
-trace_entries()/event_log_entries() to materialize them in order.
+so that appending is O(1); use trace_entries()/event_log_entries() to
+materialize them in order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -67,6 +81,9 @@ class EventOutcome:
 
 @dataclass(slots=True)
 class Counters:
+    """A state's action count and its path history; a successor without
+    history (see `act_edge`) holds the action count alone."""
+
     total_actions: int = 0
     event_actions: int = 0
     sessions: int = 0  # completed session gaps; equals session_end entries
@@ -79,6 +96,15 @@ class Counters:
         if self.total_actions == 0:
             return 0
         return self.sessions + 1
+
+
+# The counters of a state without path history, by action count: they
+# hold nothing else, so every such state shares them.
+_BARE_COUNTERS: dict[int, Counters] = {}
+
+
+def _bare_counters(total_actions: int) -> Counters:
+    return _BARE_COUNTERS.setdefault(total_actions, Counters(total_actions))
 
 
 def trace_entries(state: "GameState") -> list[tuple[int, str, str]]:
@@ -103,13 +129,8 @@ class ActiveEvent:
     event_id: str
     accrued_xp: int
     deadline: int
-    actions: int
+    actions: int  # path history: set by the record step, not by an edge
     started_at: int
-
-    def accrue(self, xp: int) -> "ActiveEvent":
-        """The event after one more of its actions, which paid `xp`."""
-        return ActiveEvent(self.event_id, self.accrued_xp + xp, self.deadline,
-                           self.actions + 1, self.started_at)
 
 
 @dataclass(slots=True)
@@ -351,15 +372,37 @@ def _legal_start(
     return start
 
 
-def legal_actions(config: TuningConfig, state: GameState) -> list[str]:
-    """Actions executable right now, in lexicographic id order."""
+def legal_moves(
+    idx: ConfigIndex, state: GameState
+) -> list[tuple[ActionSpec, str | None]]:
+    """The actions executable right now, in lexicographic id order, each
+    with the event its run starts implicitly (None if none)."""
     if state.locked_until > state.clock:
         return []
-    idx = config.index()
-    return [
-        aid for aid in idx.sorted_action_ids
-        if _legal_start(idx, state, idx.actions[aid]) is not False
-    ]
+    moves = []
+    for action in idx.sorted_actions:
+        start = _legal_start(idx, state, action)
+        if start is not False:
+            moves.append((action, start))
+    return moves
+
+
+def legal_actions(config: TuningConfig, state: GameState) -> list[str]:
+    """Actions executable right now, in lexicographic id order."""
+    return [action.id for action, _ in legal_moves(config.index(), state)]
+
+
+def checked_action(
+    idx: ConfigIndex, state: GameState, action_id: str
+) -> tuple[ActionSpec, str | None]:
+    """The action and the event its run starts implicitly, as `act_edge`
+    takes them; raises IllegalAction if it may not run now."""
+    action = idx.actions.get(action_id)
+    start = (False if action is None or state.locked_until > state.clock
+             else _legal_start(idx, state, action))
+    if start is False:
+        raise IllegalAction(action_id)
+    return action, start
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +419,20 @@ def _grant_bundle(
     resources: dict[str, int],
     inventory: dict[str, int],
     owned: frozenset[str],
-    trace: _Chain,
+    entries: list,
 ) -> tuple[
     CareerState | None, RelationshipState, dict[str, int], dict[str, int],
-    frozenset[str], _Chain,
+    frozenset[str],
 ]:
-    """Pay one reward bundle. Event XP accrual is handled by the caller."""
+    """Pay one reward bundle, adding level-ups to the trace `entries`.
+    Event XP accrual is handled by the caller."""
     if bundle.career_xp and career is not None:
         spec = idx.careers[career.id]
         xp = career.xp + bundle.career_xp
         level = max(spec.level_for_xp(xp), career.level)
         if level > career.level:
             for reached in range(career.level + 1, level + 1):
-                trace = ((clock, TRACE_LEVEL_UP, f"{career.id}:{reached}"), trace)
+                entries.append((clock, TRACE_LEVEL_UP, f"{career.id}:{reached}"))
             if auto_grant:
                 granted = {
                     u.object_id for u in spec.object_unlocks
@@ -412,7 +456,7 @@ def _grant_bundle(
         inventory = dict(inventory)
         for item, count in bundle.items.items():
             inventory[item] = inventory.get(item, 0) + count
-    return career, relationship, resources, inventory, owned, trace
+    return career, relationship, resources, inventory, owned
 
 
 def _close_event(
@@ -427,57 +471,44 @@ def _close_event(
     inventory: dict[str, int],
     owned: frozenset[str],
     events_completed: frozenset[str],
-    trace: _Chain,
-    event_log: _Chain,
+    entries: list,
 ):
-    """Pay every reached step exactly once and record the outcome."""
+    """Pay every reached step exactly once and trace the end of the run.
+
+    Returns the fields it changes and the run's outcome as far as the
+    state knows it: a career event's `index` (its occurrence, counted in
+    the event log) and every run's `actions` are the record step's.
+    """
     event = idx.events[event_state.event_id]
     for step in event.steps:
         if event_state.accrued_xp >= step.xp_threshold:
-            career, relationship, resources, inventory, owned, trace = _grant_bundle(
+            career, relationship, resources, inventory, owned = _grant_bundle(
                 idx, step.reward, at_clock, auto_grant,
-                career, relationship, resources, inventory, owned, trace,
+                career, relationship, resources, inventory, owned, entries,
             )
+    index = 0
     if event.kind == "relationship":
         index = relationship.completed + 1
         if completed:
             relationship = RelationshipState(
                 relationship.category, relationship.completed + 1, relationship.xp
             )
-    else:
-        index = 1
-        log = event_log
-        while log is not None:
-            outcome, log = log
-            if outcome.event_id == event.id:
-                index += 1
     if completed:
         events_completed = events_completed | {event.id}
     status = "completed" if completed else "timeout"
-    trace = ((at_clock, TRACE_EVENT_END, f"{event.id}:{status}"), trace)
-    event_log = (
-        EventOutcome(
-            event_id=event.id,
-            kind=event.kind,
-            owner=event.owner_id,
-            index=index,
-            actions=event_state.actions,
-            accrued_xp=event_state.accrued_xp,
-            completed=completed,
-            started_at=event_state.started_at,
-            ended_at=at_clock,
-        ),
-        event_log,
-    )
+    entries.append((at_clock, TRACE_EVENT_END, f"{event.id}:{status}"))
+    outcome = EventOutcome(event.id, event.kind, event.owner_id, index, 0,
+                           event_state.accrued_xp, completed,
+                           event_state.started_at, at_clock)
     return (
-        career, relationship, resources, inventory, owned,
-        events_completed, trace, event_log,
+        career, relationship, resources, inventory, owned, events_completed,
+        outcome,
     )
 
 
 def _begin_event(
     idx: ConfigIndex, state: GameState, event_id: str
-) -> tuple[ActiveEvent, RelationshipState, _Chain]:
+) -> tuple[ActiveEvent, RelationshipState]:
     event = idx.events[event_id]
     relationship = state.relationship
     if event.kind == "relationship" and relationship.category is None:
@@ -491,8 +522,7 @@ def _begin_event(
         actions=0,
         started_at=state.clock,
     )
-    trace = ((state.clock, TRACE_EVENT_START, event_id), state.counters.trace)
-    return active, relationship, trace
+    return active, relationship
 
 
 def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameState:
@@ -511,13 +541,89 @@ def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameSt
         raise error(message.format(
             event=event_id, category=category, index=index,
             locked=rel.category, next=rel.completed + 1))
-    active, relationship, trace = _begin_event(idx, state, event_id)
-    return replace(
-        state,
-        active_event=active,
-        relationship=relationship,
-        counters=replace(state.counters, trace=trace),
-    )
+    active, relationship = _begin_event(idx, state, event_id)
+    successor = replace(
+        state, active_event=active, relationship=relationship,
+        counters=_bare_counters(state.counters.total_actions))
+    return _recorded(state, successor, (
+        ((state.clock, TRACE_EVENT_START, event_id),), 0, None, None))
+
+
+# ---------------------------------------------------------------------------
+# Path history
+# ---------------------------------------------------------------------------
+
+# An edge's effects: (its trace entries in order, 1 if its act counted
+# toward the running event else 0, the EventOutcome of a run it closed or
+# None, the session gap it ended or None). A search keeps them per edge,
+# so nothing may change them once made.
+Effects = tuple
+
+
+def record(
+    counters: Counters, running: int, total_actions: int, path: Iterable[Effects]
+) -> tuple[Counters, int]:
+    """The path history once the edges whose effects `path` lists, in
+    order, have reached a state with `total_actions` actions.
+
+    `counters` and `running` (the running event's action count) are the
+    history before those edges; returns both after them. This is the only
+    writer of path history: the engine's public transitions record one
+    edge, and an episode records its committed path when it ends.
+    """
+    trace = counters.trace
+    event_log = counters.event_log
+    event_actions = counters.event_actions
+    sessions = counters.sessions
+    waits = list(counters.wait_intervals)
+    for entries, counted, closed, gap in path:
+        for entry in entries:
+            trace = (entry, trace)
+        if counted:
+            event_actions += 1
+            running += 1
+        if closed is not None:
+            index = closed.index
+            if closed.kind != "relationship":
+                index = 1
+                log = event_log
+                while log is not None:
+                    outcome, log = log
+                    if outcome.event_id == closed.event_id:
+                        index += 1
+            event_log = (EventOutcome(
+                closed.event_id, closed.kind, closed.owner, index, running,
+                closed.accrued_xp, closed.completed, closed.started_at,
+                closed.ended_at), event_log)
+            running = 0
+        if gap is not None:
+            sessions += 1
+            waits.append(gap)
+    return Counters(total_actions, event_actions, sessions, tuple(waits), trace,
+                    event_log), running
+
+
+def with_history(state: GameState, counters: Counters, running: int) -> GameState:
+    """`state` carrying the path history `counters` and `running` (see
+    `record`)."""
+    event = state.active_event
+    if event is not None:
+        event = ActiveEvent(event.event_id, event.accrued_xp, event.deadline,
+                            running, event.started_at)
+    return GameState(state.clock, state.resources, state.regen_remainders,
+                     state.locked_until, state.cooldowns, state.career,
+                     state.relationship, event, state.inventory,
+                     state.owned_objects, state.events_completed,
+                     state.auto_grant_objects, counters)
+
+
+def _recorded(state: GameState, successor: GameState, effects: Effects) -> GameState:
+    """The successor of an edge from `state`, with `state`'s history
+    carried through the edge's effects."""
+    event = state.active_event
+    counters, running = record(state.counters, event.actions if event else 0,
+                               successor.counters.total_actions, (effects,))
+    return with_history(successor, counters, running)
 
 
 # ---------------------------------------------------------------------------
@@ -526,34 +632,36 @@ def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameSt
 
 def apply_action(config: TuningConfig, state: GameState, action_id: str) -> GameState:
     """Execute one legal action at the current clock (no time passes)."""
-    return _act(config.index(), state, action_id, False)
+    idx = config.index()
+    action, start = checked_action(idx, state, action_id)
+    return _recorded(state, *act_edge(idx, state, action, start, False))
 
 
 def step_action(config: TuningConfig, state: GameState, action_id: str) -> GameState:
     """Apply an action, then let its duration elapse (the planner's act edge)."""
-    return _act(config.index(), state, action_id, True)
+    idx = config.index()
+    action, start = checked_action(idx, state, action_id)
+    return _recorded(state, *act_edge(idx, state, action, start))
 
 
-def _act(
-    idx: ConfigIndex, state: GameState, action_id: str, elapse: bool
-) -> GameState:
-    """apply_action's successor, or with `elapse` step_action's, built in
-    one pass: the acted state is never made when its duration elapses."""
-    action = idx.actions.get(action_id)
+def act_edge(
+    idx: ConfigIndex, state: GameState, action: ActionSpec, start: str | None,
+    elapse: bool = True,
+) -> tuple[GameState, Effects]:
+    """step_action's successor without path history and its effects, or
+    with `elapse` false apply_action's, built in one pass: the acted state
+    is never made when its duration elapses.
+
+    The action must be legal now and `start` the event its run starts
+    implicitly, as `legal_moves` or `checked_action` give them.
+    """
     clock = state.clock
-    start = (False if action is None or state.locked_until > clock
-             else _legal_start(idx, state, action))
-    if start is False:
-        raise IllegalAction(action_id)
-
     career = state.career
     relationship = state.relationship
     owned = state.owned_objects
     events_completed = state.events_completed
     active = state.active_event
-    counters = state.counters
-    trace = counters.trace
-    event_log = counters.event_log
+    entries = []
 
     resources = state.resources
     if action.costs:
@@ -567,49 +675,52 @@ def _act(
             inventory[item] -= count
 
     if start is not None:
-        active, relationship, trace = _begin_event(idx, state, start)
+        active, relationship = _begin_event(idx, state, start)
+        entries.append((clock, TRACE_EVENT_START, start))
 
-    event_actions = counters.event_actions
+    counted = 0
+    xp = action.rewards.event_xp
     if (
         active is not None
-        and action.rewards.event_xp > 0
-        and action_id in idx.events[active.event_id].action_ids
+        and xp > 0
+        and action.id in idx.events[active.event_id].action_ids
     ):
-        active = active.accrue(action.rewards.event_xp)
-        event_actions += 1
+        active = ActiveEvent(active.event_id, active.accrued_xp + xp,
+                             active.deadline, active.actions, active.started_at)
+        counted = 1
 
-    career, relationship, resources, inventory, owned, trace = _grant_bundle(
+    career, relationship, resources, inventory, owned = _grant_bundle(
         idx, action.rewards, clock, state.auto_grant_objects,
-        career, relationship, resources, inventory, owned, trace,
+        career, relationship, resources, inventory, owned, entries,
     )
 
-    trace = ((clock, TRACE_ACT, action_id), trace)
+    entries.append((clock, TRACE_ACT, action.id))
 
+    closed = None
     if active is not None:
         final = idx.events[active.event_id].final_threshold
         if active.accrued_xp >= final:
             (
                 career, relationship, resources, inventory, owned,
-                events_completed, trace, event_log,
+                events_completed, closed,
             ) = _close_event(
                 idx, clock, active, True, state.auto_grant_objects,
                 career, relationship, resources, inventory, owned,
-                events_completed, trace, event_log,
+                events_completed, entries,
             )
             active = None
 
     cooldowns = state.cooldowns
     if action.cooldown > 0:
         cooldowns = dict(cooldowns)
-        cooldowns[action_id] = clock + action.duration + action.cooldown
+        cooldowns[action.id] = clock + action.duration + action.cooldown
 
     locked_until = clock + action.duration
     return _settle(
         idx, clock, locked_until if elapse else clock, resources,
         state.regen_remainders, locked_until, cooldowns, career, relationship,
         active, inventory, owned, events_completed, state.auto_grant_objects,
-        Counters(counters.total_actions + 1, event_actions, counters.sessions,
-                 counters.wait_intervals, trace, event_log),
+        state.counters.total_actions + 1, entries, counted, closed, None,
     )
 
 
@@ -650,24 +761,37 @@ def advance_time(config: TuningConfig, state: GameState, until: int) -> GameStat
     An active event whose deadline falls inside the advance is closed at
     the deadline: every reached step is paid, then time continues.
     """
-    if until < state.clock:
-        raise ClockRegression(f"{until} < {state.clock}")
     if until == state.clock:
         return state
-    return _advance(config, state, until, state.counters)
+    return _recorded(state, *wait_edge(config.index(), state, until))
 
 
-def _advance(
-    config: TuningConfig, state: GameState, until: int, counters: Counters
-) -> GameState:
-    """advance_time's successor for `until` >= the clock, carrying
-    `counters` in place of the state's own."""
+def wait_edge(
+    idx: ConfigIndex, state: GameState, until: int, marker: str | None = None,
+) -> tuple[GameState, Effects]:
+    """advance_time's successor without path history and its effects.
+
+    `marker` is the trace kind that opens the edge: TRACE_WAIT for a wait
+    while actions are legal (its detail is `until`), TRACE_SESSION_END for
+    the end of a session (its detail is the gap, which the effects count
+    as a session), or None for a bare advance.
+    """
+    clock = state.clock
+    if until < clock:
+        raise ClockRegression(f"{until} < {clock}")
+    entries = []
+    gap = None
+    if marker == TRACE_SESSION_END:
+        gap = until - clock
+        entries.append((clock, marker, str(gap)))
+    elif marker is not None:
+        entries.append((clock, marker, str(until)))
     return _settle(
-        config.index(), state.clock, until, state.resources,
-        state.regen_remainders, state.locked_until, state.cooldowns,
-        state.career, state.relationship, state.active_event, state.inventory,
-        state.owned_objects, state.events_completed, state.auto_grant_objects,
-        counters,
+        idx, clock, until, state.resources, state.regen_remainders,
+        state.locked_until, state.cooldowns, state.career, state.relationship,
+        state.active_event, state.inventory, state.owned_objects,
+        state.events_completed, state.auto_grant_objects,
+        state.counters.total_actions, entries, 0, None, gap,
     )
 
 
@@ -677,10 +801,13 @@ def _settle(
     cooldowns: dict[str, int], career: CareerState | None,
     relationship: RelationshipState, active: ActiveEvent | None,
     inventory: dict[str, int], owned: frozenset[str],
-    events_completed: frozenset[str], auto_grant: bool, counters: Counters,
-) -> GameState:
-    """The state of these fields at `clock`, once the clock has run on to
-    `until` (no time passes when they are equal)."""
+    events_completed: frozenset[str], auto_grant: bool, total_actions: int,
+    entries: list, counted: int, closed: EventOutcome | None, gap: int | None,
+) -> tuple[GameState, Effects]:
+    """The history-free state of these fields at `clock`, once the clock
+    has run on to `until` (no time passes when they are equal), and the
+    effects of the edge so far (`entries`, `counted`, `closed`, `gap`)
+    with those of an event run its deadline closes on the way."""
     if until != clock:
         if active is not None and active.deadline <= until:
             resources, remainders = _regen(
@@ -690,20 +817,21 @@ def _settle(
             )
             (
                 career, relationship, resources, inventory, owned,
-                events_completed, trace, event_log,
+                events_completed, closed,
             ) = _close_event(
                 idx, active.deadline, active, completed, auto_grant, career,
                 relationship, resources, inventory, owned, events_completed,
-                counters.trace, counters.event_log,
+                entries,
             )
-            counters = replace(counters, trace=trace, event_log=event_log)
             clock, active = active.deadline, None
         resources, remainders = _regen(
             idx.regen, resources, remainders, until - clock)
+    counters = _BARE_COUNTERS.get(total_actions) or _bare_counters(total_actions)
     # positional: keyword arguments would triple the cost of the build
     return GameState(until, resources, remainders, locked_until, cooldowns,
                      career, relationship, active, inventory, owned,
-                     events_completed, auto_grant, counters)
+                     events_completed, auto_grant, counters), (
+        entries, counted, closed, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -738,12 +866,13 @@ def _static_ready_time(
 
 def next_availability(config: TuningConfig, state: GameState) -> int | None:
     """Smallest future clock time at which some action is legal, or None."""
+    idx = config.index()
     scratch = state
     for _ in range(64):  # a few event closures at most on any sane config
-        if legal_actions(config, scratch):
+        if legal_moves(idx, scratch):
             return scratch.clock
         candidates = []
-        for aid in config.index().sorted_action_ids:
+        for aid in idx.sorted_action_ids:
             t = _static_ready_time(config, scratch, aid)
             if t is not None and t > scratch.clock:
                 candidates.append(t)
@@ -755,8 +884,8 @@ def next_availability(config: TuningConfig, state: GameState) -> int | None:
         if not candidates:
             return None
         target = min(candidates)
-        scratch = advance_time(config, scratch, target)
-        if legal_actions(config, scratch):
+        scratch, _ = wait_edge(idx, scratch, target)
+        if legal_moves(idx, scratch):
             return target
         if target != deadline:
             return None  # static promise failed and no event closed: dead
@@ -770,11 +899,5 @@ def close_session_if_idle(config: TuningConfig, state: GameState) -> GameState:
     target = next_availability(config, state)
     if target is None:
         raise Deadlock("no action can ever become legal")
-    interval = target - state.clock
-    counters = state.counters
-    return _advance(config, state, target, replace(
-        counters,
-        sessions=counters.sessions + 1,
-        wait_intervals=counters.wait_intervals + (interval,),
-        trace=((state.clock, TRACE_SESSION_END, str(interval)), counters.trace),
-    ))
+    return _recorded(state, *wait_edge(
+        config.index(), state, target, TRACE_SESSION_END))

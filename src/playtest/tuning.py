@@ -182,6 +182,7 @@ class ConfigIndex:
         self.relationships = {r.id: r for r in config.relationships}
         self.objects = {o.id: o for o in config.objects}
         self.sorted_action_ids = sorted(self.actions)
+        self.sorted_actions = [self.actions[aid] for aid in self.sorted_action_ids]
 
         # (resource id, regen numerator, denominator, capacity) of each
         # resource that regenerates, so the engine's clock runs on ints

@@ -182,6 +182,18 @@ class TestRun:
             dict(MINI_SUITE[0], id="no_policy", agent={"kind": "softmax"}),
             dict(MINI_SUITE[0], id="number_ref", tuning_ref=5),
             dict(MINI_SUITE[0], id="stray_comparison", agent={"kind": "comparison"}),
+            dict(MINI_SUITE[0], id="negative_budget",
+                 agent={"kind": "astar", "node_budget": -5}),
+            dict(MINI_SUITE[0], id="zero_astar_budget", study="agent_comparison",
+                 agent={"kind": "comparison", "astar": {"node_budget": 0}}),
+            dict(MINI_SUITE[0], id="zero_temperature", study="agent_comparison",
+                 agent={"kind": "comparison", "softmax": {"temperature": 0}}),
+            dict(MINI_SUITE[0], id="no_episodes", study="agent_comparison",
+                 agent={"kind": "comparison",
+                        "softmax": {"train": {"episodes": 0}}}),
+            dict(MINI_SUITE[0], id="zero_step", study="agent_comparison",
+                 agent={"kind": "comparison",
+                        "softmax": {"train": {"step_size": 0}}}),
         ])
         assert {eid: s["error"] for eid, s in stats.items()} == {
             "string_trials":
@@ -215,6 +227,11 @@ class TestRun:
                 "number_ref.tuning_ref: expected str or list, got int",
             "stray_comparison":
                 "ValueError: a comparison agent is for agent_comparison only",
+            "negative_budget": "ValueError: node_budget must be >= 1",
+            "zero_astar_budget": "ValueError: node_budget must be >= 1",
+            "zero_temperature": "ValueError: temperature must be > 0",
+            "no_episodes": "ValueError: episodes must be >= 1",
+            "zero_step": "ValueError: step_size must be > 0",
         }
         # each fails as it loads, before its build is parsed
         assert all(s["build_ids"] == [] for s in stats.values())
@@ -341,6 +358,9 @@ class TestRun:
          "CareerMissingInBuild: 'barista' missing in 'romance_outlier'"),
         ({"study": "relationship_balance"},
          "NoRelationshipEvents: desk_objects"),
+        ({"study": "relationship_balance", "tuning_ref": "romance_outlier.json",
+          "goal": {"kind": "any_relationship_chain_done", "max_actions": 300}},
+         "SuiteEntryError: bad.goal.chain_length: missing"),
     ])
     def test_entry_its_study_cannot_run_is_not_shipped(
             self, suite_dir, monkeypatch, changes, error):
@@ -436,7 +456,8 @@ class TestTrain:
     @pytest.mark.parametrize("level, error", [
         ({"level": "x"}, "GoalSpec.level: expected int, got str"),
         ({"levl": 2}, "GoalSpec: unknown field(s) ['levl']"),
-    ], ids=["text_level", "typo_level"])
+        ({}, "GoalSpec.level: missing"),
+    ], ids=["text_level", "typo_level", "no_level"])
     def test_malformed_goal_exit_two(self, tmp_path, capsys, level, error):
         # both used to start training and crash in it with a TypeError
         goal = json.dumps({"kind": "career_level_reached", "career": "barista",

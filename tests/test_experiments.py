@@ -562,3 +562,22 @@ def test_single_defect_entries_fail_cleanly_or_round_trip():
                     broken.append((entry["id"], path, value, "round trip"))
     assert tried > 900
     assert broken == []
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (("agent", "astar", "node_budget"), 0, "node_budget must be >= 1"),
+    (("agent", "softmax", "temperature"), 0, "temperature must be > 0"),
+    (("agent", "softmax", "train", "episodes"), 0, "episodes must be >= 1"),
+    (("agent", "softmax", "train", "step_size"), 0.0, "step_size must be > 0"),
+    (("agent",), {"kind": "astar", "node_budget": -5}, "node_budget must be >= 1"),
+], ids=["astar_budget", "temperature", "episodes", "step_size", "budget"])
+def test_agent_settings_that_cannot_run_fail_at_load(path, value, error):
+    # each used to load and fail only when its planner or training started,
+    # inside a pool worker at --parallel
+    doc = json.loads(json.dumps(next(
+        e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
+    if path == ("agent",):
+        doc["study"] = "career_progression"
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        ExperimentConfig.from_dict(doc)

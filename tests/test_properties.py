@@ -1,5 +1,6 @@
 """Invariant suites: randomized walks asserting the engine's contracts."""
 
+import functools
 import heapq
 import json
 import random
@@ -24,6 +25,7 @@ from playtest.agents import (
     run_episode,
 )
 from playtest.sim import (
+    GameState,
     ScenarioOverrides,
     _static_ready_time,
     advance_time,
@@ -388,7 +390,7 @@ class TestPlannerMemo:
         # the planner binds its evaluator once, so the counting one goes in
         # before the planner's first decision
         calls, evaluations = [], []
-        edges, build = agents.decision_edges, agents.build_evaluator
+        edges, build = agents._edges, agents.build_evaluator
 
         def counting_build(*args):
             evaluate = build(*args)
@@ -402,7 +404,7 @@ class TestPlannerMemo:
         first = run_episode(desk_base, scenario, 5, planner, goal)
         assert evaluations
         evaluations.clear()
-        monkeypatch.setattr(agents, "decision_edges",
+        monkeypatch.setattr(agents, "_edges",
                             lambda *args: calls.append(1) or edges(*args))
         again = run_episode(desk_base, scenario, 5, planner, goal)
         assert again.state_digest == first.state_digest
@@ -462,16 +464,17 @@ class TestPlannerMemo:
         children = {"act": (state("act", 1, 1), 0.5),
                     "wait_a": (state("wait_a", 10, 0), 1.5),
                     "wait_b": (state("wait_b", 10, 0), 1.5)}
-        monkeypatch.setattr(agents, "decision_edges", lambda config, at: [
-            (agents.Decision("act", action=name), child)
+        monkeypatch.setattr(agents, "_edges", lambda config, at: [
+            (agents.Decision("act", action=name), child, ())
             for name, (child, _) in children.items()] if at is root else [])
         h = {child.name: value for child, value in children.values()}
         goal = GoalSpec(kind="event_completed", event="never")
 
         def search(memo, ids, seed):
             rng = random.Random(seed)
-            decision, expanded = agents._astar_search(
-                None, root, lambda at: h[at.name], goal, 1, rng, memo, ids)
+            decision, expanded, _ = agents._astar_search(
+                None, agents._node(memo, ids, goal, root),
+                lambda at: h[at.name], goal, 1, rng, memo, ids)
             return decision.action, expanded, rng.getstate()
 
         memo, ids = {}, {}
@@ -563,6 +566,142 @@ def check_replays(first, second, third):
     assert stored + tied + unsearched == second.total()
     assert third == Counter({(None, None): unsearched, ("stored", "stored"): stored,
                              (agents._TIED, agents._TIED): tied})
+
+
+class ForwardingPlanner:
+    """Forwards `decide`, `name` and `last_expanded` to a planner, as the
+    benchmark's TimedAgent does, and nothing else: the planner's
+    `last_edge` stays behind, so every move is committed through the
+    engine and every root is hashed."""
+
+    def __init__(self, planner):
+        self.planner = planner
+        self.name = planner.name
+        self.last_expanded = 0
+
+    def decide(self, config, state, rng):
+        decision = self.planner.decide(config, state, rng)
+        self.last_expanded = self.planner.last_expanded
+        return decision
+
+
+def check_wrapped_records(config, scenario, goal, weights, budget, seeds):
+    """A bare planner, which hands its edges over, and the same planner
+    behind a ForwardingPlanner must give equal records, field for field
+    (the decision time aside), over every seed in turn."""
+    bare = AStarPlanner(HeuristicSpec(weights), goal, budget)
+    wrapped = ForwardingPlanner(AStarPlanner(HeuristicSpec(weights), goal, budget))
+    for seed in seeds:
+        records = [replace(run_episode(config, scenario, seed, agent, goal),
+                           max_decision_seconds=0.0)
+                   for agent in (bare, wrapped)]
+        assert records[0] == records[1]
+
+
+SHIPPED_GROUPS = {
+    "barista": ("desk_base", ScenarioOverrides(career="barista"), GoalSpec(
+        kind="career_level_reached", career="barista", level=3,
+        max_minutes=20_000, max_actions=400), {"career_xp": 1.0}, 200),
+    "clerk": ("bugged_event", ScenarioOverrides(career="clerk"), GoalSpec(
+        kind="career_level_reached", career="clerk", level=2,
+        max_minutes=2000, max_actions=100), {"career_xp": 1.0}, 2000),
+    "romance": ("romance_outlier", ScenarioOverrides(), GoalSpec(
+        kind="any_relationship_chain_done", chain_length=5,
+        max_minutes=5000, max_actions=300),
+        {"relationship_event_complete": 1.0, "event_xp": 1.0}, 300),
+    "chain": ("desk_base", ScenarioOverrides(), GoalSpec(
+        kind="relationship_chain_done", category="friendship", chain_length=3,
+        max_minutes=20_000, max_actions=400),
+        {"relationship_event_complete": 1.0, "event_xp": 1.0}, 100),
+    "granted": ("desk_objects", ScenarioOverrides(career="barista",
+                                                  grant_objects=True), GoalSpec(
+        kind="career_level_reached", career="barista", level=3,
+        max_minutes=20_000, max_actions=400), {"career_xp": 1.0}, 30),
+    "culinary": ("build_b", ScenarioOverrides(career="culinary"), GoalSpec(
+        kind="career_level_reached", career="culinary", level=3,
+        max_minutes=50_000, max_actions=3000),
+        {"career_xp": 2.0, "crafted_item:coffee": 0.5,
+         "crafted_item:dish": 0.5}, 400),
+}
+
+
+class TestHandedEdges:
+    """A move the planner hands over is committed as its child record's
+    state, with the edge's effects recorded; nothing else may change."""
+
+    @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
+    @settings(PROPERTY_SETTINGS, max_examples=25)
+    @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1),
+           other=st.integers(0, 2**32 - 1), node_budget=st.integers(1, 40))
+    def test_wrapped_planner_gives_equal_records(
+            self, memo_limit, build_seed, seed, other, node_budget):
+        # the third run of `seed` serves its tie-free roots; a limit of 3
+        # empties the memo again and again, dropping the handed-over child
+        config, scenario, goal = random_desk_config(build_seed)
+        weights = ({"career_xp": 1.0, "event_xp": 0.5}
+                   if goal.kind == "career_level_reached" else
+                   {"relationship_event_complete": 1.0, "event_xp": 1.0})
+        with mock.patch.object(agents, "_MEMO_LIMIT", memo_limit):
+            check_wrapped_records(config, scenario, goal, weights, node_budget,
+                                  [seed, seed, seed, other])
+
+    @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
+    @pytest.mark.parametrize("group", sorted(SHIPPED_GROUPS))
+    def test_wrapped_planner_gives_equal_records_on_fixtures(
+            self, group, memo_limit, monkeypatch):
+        fixture, scenario, goal, weights, budget = SHIPPED_GROUPS[group]
+        monkeypatch.setattr(agents, "_MEMO_LIMIT", memo_limit)
+        check_wrapped_records(fixtures.load(fixture), scenario, goal, weights,
+                              budget, [5, 5, 5, 6, 7])
+
+    def test_third_replay_hashes_no_root_and_steps_no_commit(
+            self, desk_base, monkeypatch):
+        hashes, engine, per_decision = [], [], []
+
+        class CountingPlanner(AStarPlanner):
+            def decide(self, config, state, rng):
+                before = len(hashes)
+                decision = super().decide(config, state, rng)
+                per_decision.append(len(hashes) - before)
+                return decision
+
+        goal = SHIPPED_GROUPS["barista"][2]
+        planner = CountingPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200)
+        scenario = ScenarioOverrides(career="barista")
+        records = [run_episode(desk_base, scenario, 5, planner, goal)
+                   for _ in range(2)]
+        key = GameState.dedup_key
+        monkeypatch.setattr(GameState, "dedup_key",
+                            lambda state: hashes.append(1) or key(state))
+        for name in ("act_edge", "wait_edge", "_commit"):
+            monkeypatch.setattr(agents, name, functools.partial(
+                lambda fn, *args: engine.append(fn) or fn(*args),
+                getattr(agents, name)))
+        per_decision.clear()
+        records.append(run_episode(desk_base, scenario, 5, planner, goal))
+        # only the episode's first root, a state no search made, is hashed
+        assert per_decision[0] == 1 and sum(per_decision) == 1
+        assert len(per_decision) == records[2].decisions > 1
+        assert not engine
+        assert records[2] == replace(records[0], max_decision_seconds=(
+            records[2].max_decision_seconds))
+
+    def test_wrapped_replay_commits_through_the_engine(self, desk_base,
+                                                       monkeypatch):
+        # the counter above sees commits: the same replay behind a wrapper,
+        # whose planner's edges are not handed over, commits every move
+        commits = []
+        commit = agents._commit
+        monkeypatch.setattr(agents, "_commit",
+                            lambda *args: commits.append(1) or commit(*args))
+        goal = SHIPPED_GROUPS["barista"][2]
+        wrapped = ForwardingPlanner(
+            AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200))
+        scenario = ScenarioOverrides(career="barista")
+        for _ in range(3):
+            commits.clear()
+            record = run_episode(desk_base, scenario, 5, wrapped, goal)
+        assert len(commits) == record.decisions - (record.reason != "goal")
 
 
 def walk_states(config, scenario, seed, steps=40):
