@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -103,6 +104,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.parallel < 0:
+        print("error: --parallel must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     suite = Path(args.suite)
     if not suite.exists():
         print(f"error: suite file {suite} not found", file=sys.stderr)
@@ -167,6 +171,11 @@ def _cmd_train(args) -> int:
     if args.episodes < 1:
         print("error: --episodes must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    for flag, value in (("--step-size", args.step_size),
+                        ("--temperature", args.temperature)):
+        if not (math.isfinite(value) and value > 0):
+            print(f"error: {flag} must be > 0", file=sys.stderr)
+            return EXIT_USAGE
 
     scenario = ScenarioOverrides(
         career=goal.career if goal.kind == "career_level_reached" else None,

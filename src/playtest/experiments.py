@@ -16,19 +16,18 @@ reduces. Without a pool a group runs as it is started. On a pool from
 `trial_pool`, starting only submits jobs, so a suite can hand the pool
 every job before it reads any result. Each worker receives the suite's
 parsed builds once, through the pool initializer. A job carries one
-group, with its build's key instead of the build, and a slice of its
-seeds, which one agent plays; a worker keeps that agent for its next
-job of the same build, heuristic, goal and agent spec.
+whole group, with its build's key instead of the build, and the worker
+plays its trials as a serial run does, with one agent, so a pooled suite
+does the serial suite's search work, spread over the workers by group.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import time
-from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -264,29 +263,23 @@ def _agent_for(agent: AgentSpec, heuristic: HeuristicSpec, goal: GoalSpec,
                         DEFAULT_NODE_BUDGET if budget is None else budget)
 
 
-def _run_seeds(
-    config: TuningConfig, scenario: ScenarioOverrides, goal: GoalSpec, agent,
-    seeds: list[int],
+def _run_group(
+    config: TuningConfig, scenario: ScenarioOverrides, heuristic: HeuristicSpec,
+    goal: GoalSpec, agent_spec: AgentSpec, trials: int, base_seed: int,
 ) -> list[TrialRecord]:
-    """One group's trials for `seeds`, in order, all played by `agent`."""
-    return [run_episode(config, scenario, seed, agent, goal) for seed in seeds]
+    """One group's trials in trial index order, all played by one agent."""
+    agent = _agent_for(agent_spec, heuristic, goal, config)
+    return [run_episode(config, scenario, trial_seed(base_seed, i), agent, goal)
+            for i in range(trials)]
 
 
-# In a pool worker: the agent of the last chunk, under the (build key,
-# heuristic, goal, agent spec) it was made for
-_worker_agent: list = [None, None]
+def _run_group_in_worker(key: int, *args) -> list[TrialRecord]:
+    return _run_group(_worker_builds[key], *args)
 
 
-def _run_seeds_in_worker(payload: tuple) -> list[TrialRecord]:
-    """Play one chunk. The worker's last agent plays it if it was made for
-    the same build, heuristic, goal and agent spec: a planner's graph is
-    keyed by state, never by scenario, so keeping it changes no decision."""
-    key, scenario, heuristic, goal, agent_spec, seeds = payload
-    config = _worker_builds[key]
-    made_for = (key, heuristic, goal, agent_spec)
-    if _worker_agent[0] != made_for:
-        _worker_agent[:] = made_for, _agent_for(agent_spec, heuristic, goal, config)
-    return _run_seeds(config, scenario, goal, _worker_agent[1], seeds)
+def _records(job: Future) -> Iterator[TrialRecord]:
+    # a generator function, so the job is not waited for until a read
+    yield from job.result()
 
 
 def run_trials(
@@ -302,26 +295,16 @@ def run_trials(
     """Run seeded trials; records come in trial index order either way.
 
     Without a pool the trials run now, one agent serving them all, and the
-    list of records is returned. With a pool from `trial_pool` the seeds
-    are cut into chunks of consecutive trials, about four per worker, and
-    each chunk is submitted as one job that plays its trials with one
-    agent, the worker's agent of its last chunk if that was made for the
-    same build, heuristic, goal and agent spec. The returned iterator
-    yields each record when it is read, waiting for its chunk if need be;
-    read it once. An exception in a chunk is raised when the chunk's
-    first record is read.
+    list of records is returned. With a pool from `trial_pool` the whole
+    group is submitted as one job, which a worker plays exactly as a
+    serial run does, so pooled and serial runs do the same search work.
+    The returned iterator waits for the job when its first record is
+    read, and raises the job's exception there; read it once.
     """
-    seeds = [trial_seed(base_seed, i) for i in range(trials)]
+    args = (scenario, heuristic, goal, agent_spec, trials, base_seed)
     if pool is None:
-        return _run_seeds(config, scenario, goal,
-                          _agent_for(agent_spec, heuristic, goal, config), seeds)
-    # sized as multiprocessing.Pool.map sizes its chunks
-    size = max(1, -(-trials // (4 * pool._max_workers)))
-    chunks = pool.map(_run_seeds_in_worker, [
-        (id(config), scenario, heuristic, goal, agent_spec, seeds[i:i + size])
-        for i in range(0, trials, size)
-    ])
-    return itertools.chain.from_iterable(chunks)
+        return _run_group(config, *args)
+    return _records(pool.submit(_run_group_in_worker, id(config), *args))
 
 
 def _train_policy(

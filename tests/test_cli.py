@@ -393,6 +393,15 @@ class TestRun:
     def test_missing_suite_exit_two(self):
         assert main(["run", "no_suite.json"]) == 2
 
+    def test_negative_parallel_exit_two(self, suite_dir, capsys):
+        # it used to run serially
+        out_dir = suite_dir / "negative_out"
+        code = main(["run", str(suite_dir / "suite.json"),
+                     "--out", str(out_dir), "--parallel", "-2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --parallel must be >= 0\n"
+        assert not out_dir.exists()
+
     def test_json_summary(self, suite_dir, capsys):
         main(["run", str(suite_dir / "suite.json"),
               "--out", str(suite_dir / "json_out"), "--format", "json"])
@@ -437,6 +446,20 @@ class TestTrain:
                      "--goal", self.GOAL, "--episodes", "0",
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step-size", "0"), ("--step-size", "-0.5"), ("--step-size", "nan"),
+        ("--step-size", "inf"), ("--temperature", "0"), ("--temperature", "nan"),
+    ])
+    def test_settings_that_cannot_run_exit_two(self, tmp_path, capsys,
+                                               flag, value):
+        # zero used to raise a ValueError out of training
+        code = main(["train", str(fixtures.path("desk_base")),
+                     "--goal", self.GOAL, "--episodes", "5", flag, value,
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be > 0\n"
+        assert not (tmp_path / "p.json").exists()
 
     def test_unreachable_goal_exit_one(self, tmp_path, capsys):
         goal = json.dumps({"kind": "career_level_reached", "career": "medical",

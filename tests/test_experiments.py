@@ -5,12 +5,13 @@ import json
 import operator
 import os
 import pickle
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 
 from bfs_oracle import random_desk_config, shortest_actions
-from playtest import experiments, fixtures
+from playtest import agents, experiments, fixtures
 from playtest.agents import GoalSpec, HeuristicSpec
 from playtest.errors import (
     CareerMissingInBuild,
@@ -41,6 +42,27 @@ from playtest.experiments import (
 )
 from playtest.sim import ScenarioOverrides
 from test_tuning import DELETE, MUTANT_VALUES, key_paths
+
+
+class InlinePool:
+    """Runs each job in this process as it is submitted, as a pool worker
+    would, and counts the jobs and the reads of their results."""
+
+    def __init__(self):
+        self.jobs = self.reads = 0
+
+    def submit(self, fn, *args):
+        self.jobs += 1
+        job = Future()
+        job.set_result(fn(*args))
+        result = job.result
+
+        def reading(*a, **k):
+            self.reads += 1
+            return result(*a, **k)
+
+        job.result = reading
+        return job
 
 
 def make_xc(study, trials=5, base_seed=100, goal=None, heuristic=None,
@@ -358,13 +380,14 @@ class TestPooledTrials:
                             softmax=SoftmaxSpec(train=TrainSpec(20, 0.05, 7))))
         sizes = []
         with trial_pool(2, [desk_base]) as pool:
-            submit = pool.map
+            submit = pool.submit
 
-            def recording_map(fn, payloads, **kwargs):
-                sizes.extend(len(pickle.dumps(p)) for p in payloads)
-                return submit(fn, payloads, **kwargs)
+            def recording_submit(fn, *args, **kwargs):
+                if fn is experiments._run_group_in_worker:
+                    sizes.append(len(pickle.dumps(args)))
+                return submit(fn, *args, **kwargs)
 
-            pool.map = recording_map
+            pool.submit = recording_submit
             pooled = run_experiment(xc, [desk_base], pool)
         serial = run_experiment(xc, [desk_base])
         assert pooled.status == serial.status == "ok"
@@ -372,8 +395,8 @@ class TestPooledTrials:
             serial.groups, serial.extras, serial.charts)
         assert [(g, i, r.state_digest) for g, i, r in pooled.records] == [
             (g, i, r.state_digest) for g, i, r in serial.records]
-        # the build text alone is about 15 KB
-        assert len(sizes) == 8 and max(sizes) < 1024
+        # one job per group; the build text alone is about 15 KB
+        assert len(sizes) == 2 and max(sizes) < 1024
 
     @pytest.mark.parametrize("study, builds, options", [
         ("relationship_balance", ["romance_outlier"], dict(
@@ -415,9 +438,12 @@ class TestPooledTrials:
                             softmax=SoftmaxSpec(train=TrainSpec(10, 0.05, 7))))
         events = []
         with trial_pool(2, [desk_base]) as pool:
-            submit, map_ = pool.submit, pool.map
+            submit = pool.submit
 
             def recording_submit(fn, *args, **kwargs):
+                if fn is experiments._run_group_in_worker:
+                    _, scenario, _, _, agent, _, _ = args
+                    events.append((agent.kind, scenario.career))
                 future = submit(fn, *args, **kwargs)
                 if fn is experiments._train_in_worker:
                     career = args[1].career  # (build key, scenario, ...)
@@ -431,13 +457,7 @@ class TestPooledTrials:
                     future.result = reading
                 return future
 
-            def recording_map(fn, payloads, **kwargs):
-                payloads = list(payloads)
-                _, scenario, _, _, agent, _ = payloads[0]
-                events.append((agent.kind, scenario.career))
-                return map_(fn, payloads, **kwargs)
-
-            pool.submit, pool.map = recording_submit, recording_map
+            pool.submit = recording_submit
             read = start_experiment(xc, [desk_base], pool)
             started = list(events)
             outcome = read()
@@ -452,8 +472,9 @@ class TestPooledTrials:
             assert ("read", events[i][1]) in events[len(started):i]
 
     def test_uneven_chunks_match_serial(self, desk_base):
-        # chunks hold about trials / (4 workers) consecutive seeds, so these
-        # counts leave a short last chunk, or chunks of one trial each
+        # a pooled group is one job whatever its trial count; the name dates
+        # from when these counts left a short last chunk of seeds, or chunks
+        # of one trial each
         goal = GoalSpec(kind="career_level_reached", career="barista", level=2,
                         max_minutes=20_000, max_actions=400)
         args = (desk_base, ScenarioOverrides(career="barista"),
@@ -469,36 +490,40 @@ class TestPooledTrials:
                 assert [replace(r, max_decision_seconds=0.0) for r in pooled] == [
                     replace(r, max_decision_seconds=0.0) for r in serial]
 
-    def test_worker_keeps_its_agent_for_chunks_of_the_same_spec(
-            self, desk_objects, monkeypatch):
-        # run in this process as a worker would; desk_objects unlocks come
-        # at level 2, so granted and plain trials share states
-        made = []
-        agent_for = experiments._agent_for
-        monkeypatch.setattr(experiments, "_agent_for",
-                            lambda *args: made.append(args) or agent_for(*args))
-        monkeypatch.setattr(experiments, "_worker_builds", {7: desk_objects})
-        monkeypatch.setattr(experiments, "_worker_agent", [None, None])
-        goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
-                        max_minutes=20_000, max_actions=400)
-        heuristic = HeuristicSpec({"career_xp": 1.0})
-        plain = ScenarioOverrides(career="barista")
-        granted = ScenarioOverrides(career="barista", grant_objects=True)
-        chunks = [
-            (plain, goal, [3, 4]), (granted, goal, [3]), (plain, goal, [5]),
-            (plain, replace(goal, level=2), [3]),
-        ]
-        kept = [experiments._run_seeds_in_worker(
-                    (7, scenario, heuristic, chunk_goal,
-                     AgentSpec("astar", node_budget=30), seeds))
-                for scenario, chunk_goal, seeds in chunks]
-        # a new agent for the first chunk and for the other goal only
-        assert [args[2] for args in made] == [goal, replace(goal, level=2)]
-        fresh = [run_trials(desk_objects, scenario, heuristic, chunk_goal,
-                            AgentSpec("astar", node_budget=30), 1, seed)
-                 for scenario, chunk_goal, seeds in chunks for seed in seeds]
-        assert [replace(r, max_decision_seconds=0.0) for rs in kept for r in rs] == [
-            replace(r, max_decision_seconds=0.0) for rs in fresh for r in rs]
+    CULINARY = (ScenarioOverrides(career="culinary"),
+                HeuristicSpec({"career_xp": 1.0, "crafted_item:dish": 0.5}),
+                GoalSpec(kind="career_level_reached", career="culinary", level=3,
+                         max_minutes=20_000, max_actions=2000),
+                AgentSpec("astar", node_budget=2000))
+
+    def test_pooled_group_does_the_serial_search_work(
+            self, desk_base, monkeypatch):
+        # jobs run in this process as a worker would run them
+        edges = agents._edges
+        calls = []
+        monkeypatch.setattr(agents, "_edges",
+                            lambda *args: calls.append(1) or edges(*args))
+        monkeypatch.setattr(experiments, "_worker_builds",
+                            {id(desk_base): desk_base})
+        serial = run_trials(desk_base, *self.CULINARY, 12, 2001)
+        serial_calls, calls[:] = len(calls), []
+        pool = InlinePool()
+        pooled = list(run_trials(desk_base, *self.CULINARY, 12, 2001, pool))
+        assert len(calls) == serial_calls
+        assert len({r.state_digest for r in serial}) > 1
+        assert [replace(r, max_decision_seconds=0.0) for r in pooled] == [
+            replace(r, max_decision_seconds=0.0) for r in serial]
+        assert pool.jobs == 1
+
+    def test_pooled_batch_waits_for_its_job_only_when_read(
+            self, desk_base, monkeypatch):
+        monkeypatch.setattr(experiments, "_worker_builds",
+                            {id(desk_base): desk_base})
+        pool = InlinePool()
+        batch = run_trials(desk_base, *self.CULINARY, 2, 2001, pool)
+        # a batch that waited here would keep the pool to one group at a time
+        assert (pool.jobs, pool.reads) == (1, 0)
+        assert len(list(batch)) == 2 and pool.reads == 1
 
     @pytest.mark.parametrize("cpus, asked, started", [(1, 8, 1), (2, 8, 2),
                                                       (4, 2, 2), (1, 2, 1)])
