@@ -43,12 +43,14 @@ every category's remaining final thresholds and relationship XP for each
 count of completed events are computed then, so evaluating a state is a
 few lookups per weighted term.
 
-The Softmax agent samples from the move list (the decisions alone, no
-successor states) in proportion to exp(utility/temperature), where
-utility is a learned linear function of normalized action parameters.
-Training is REINFORCE, stochastic gradient ascent on episode return: a
-learning agent plays every training episode through the same
-decide/commit loop as evaluation, so its traces carry wait entries too.
+The Softmax agent samples from the move list in proportion to
+exp(utility/temperature), where utility is a learned linear function of
+normalized action parameters, with float sums added left to right on
+every Python version. Training is REINFORCE, stochastic gradient ascent
+on episode return: a learning agent plays every training episode through
+the same decide/commit loop as evaluation, but takes its moves from a
+node graph like the planner's and hands its edges over, so the engine
+expands each distinct state once and steps no commit.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import Deadlock, SchemaError
 from .sim import (
@@ -721,31 +723,64 @@ def astar_decide(
     return decision
 
 
-# Node records an AStarPlanner keeps between decisions; a memo grown past
+# Node records a graph agent keeps between decisions; a memo grown past
 # this is emptied. A record, with its state and interned id, takes about
 # 1.8 KB (build_b A* trials under tracemalloc), so a full memo holds
 # about 36 MB.
 _MEMO_LIMIT = 20_000
 
 
-class AStarPlanner:
+class _GraphAgent:
+    """An agent that decides on a node graph (see `_node`) kept across
+    decisions and episodes, and hands each move over as `last_edge`, its
+    root's (decision, child record, effects) edge, or None for a stop: an
+    episode commits it by taking the child's state as it is, with no
+    engine step. A decision from that state (`state is` it) takes the
+    child as its root without hashing it. Another config starts an empty
+    graph (`_bind`), and a decision that leaves more than `_MEMO_LIMIT`
+    records empties the records and the id table; both drop the handed
+    child, whose records carry ids of the old table. A subclass picks the
+    move from the root in `_choose`.
+    """
+
+    def __init__(self, goal: GoalSpec):
+        self.goal = goal
+        self.last_edge: tuple | None = None
+        self._memo_config: TuningConfig | None = None
+        self._memo: dict = {}
+        self._ids: dict = {}
+
+    def _bind(self, config: TuningConfig) -> None:
+        self._memo_config, self._memo, self._ids = config, {}, {}
+        self.last_edge = None
+
+    def decide(
+        self, config: TuningConfig, state: GameState, rng: random.Random
+    ) -> Decision:
+        if config is not self._memo_config:
+            self._bind(config)
+        edge = self.last_edge
+        if edge is not None and state is edge[1].state:
+            root = edge[1]
+        else:
+            root = _node(self._memo, self._ids, self.goal, state)
+        decision, self.last_edge = self._choose(config, root, rng)
+        if len(self._memo) > _MEMO_LIMIT:
+            self._memo, self._ids, self.last_edge = {}, {}, None
+        return decision
+
+
+class AStarPlanner(_GraphAgent):
     """Receding-horizon planner: a fresh bounded search before every move.
 
-    The planner keeps the graph its searches build, across decisions and
-    episodes, for as long as it lives: one node record per (dedup key,
-    action count, auto-grant flag), holding the state, its limit and goal
-    flags, its heuristic value once computed and its successor records
-    once expanded. The dedup key holds everything that shapes future
-    dynamics and everything the goal and heuristic read, the action count
-    fixes g and the action limit, and the auto-grant flag changes
-    successors without being part of the dedup key. Each distinct dedup
-    key is interned once as a small int, which keys `closed` and the
-    records. The heuristic, goal and node budget are the planner's own and
-    never change, and the planner binds its evaluator once per config. So
-    a later search, one move further on or in another trial that reaches
-    the same state, meets the nodes a fresh search would build, pushes
-    and pops in the same order and draws the same tie numbers, and its
-    decisions and expansion counts are those of `astar_decide`.
+    The planner keeps the graph its searches build (see `_GraphAgent`).
+    A record's key (see `_node`) fixes everything that shapes future
+    dynamics and everything the goal and heuristic read, g and the action
+    limit; the heuristic, goal and node budget are the planner's own, and
+    it binds its evaluator once per config. So a later search that meets
+    known records pushes and pops in the same order and draws the same
+    tie numbers, and its decisions and expansion counts are those of
+    `astar_decide`.
 
     The second search from a record runs the tie test of `_astar_search`,
     and a tie-free one leaves its answer on the record. A later decision
@@ -754,17 +789,6 @@ class AStarPlanner:
     expansion count of the search it replays, though nothing is expanded.
     A record searched only once pays for no test, so a planner that plays
     one trial, or a new trajectory, runs as before.
-
-    After each decision `last_edge` is the root's edge of that decision,
-    (decision, child record, effects), or None for a stop, the way
-    `last_expanded` is its expansion count: an episode commits the move by
-    taking the child's state as it is and keeping the effects, with no
-    engine step. A decision from the state of the child last handed over
-    (`state is` that state) takes the child as its root without hashing
-    the state. A call with another config starts from an empty graph, and
-    a decision that leaves more than `_MEMO_LIMIT` records empties the
-    records, their answers and the id table together; both also drop the
-    handed-over child, whose records carry ids of the old table.
     """
 
     name = "astar"
@@ -775,35 +799,23 @@ class AStarPlanner:
         goal: GoalSpec,
         node_budget: int = DEFAULT_NODE_BUDGET,
     ):
+        super().__init__(goal)
         self.heuristic = heuristic
-        self.goal = goal
         self.node_budget = node_budget
         self.last_expanded = 0
-        self.last_edge: tuple | None = None
-        self._memo_config: TuningConfig | None = None
-        self._evaluate: Callable[[GameState], float] | None = None
-        self._memo: dict = {}
-        self._ids: dict = {}
 
-    def decide(
-        self, config: TuningConfig, state: GameState, rng: random.Random
-    ) -> Decision:
-        if config is not self._memo_config:
-            self._memo_config, self._memo, self._ids = config, {}, {}
-            self._evaluate = build_evaluator(self.heuristic, config, self.goal)
-            self.last_edge = None
-        edge = self.last_edge
-        if edge is not None and state is edge[1].state:
-            root = edge[1]
-        else:
-            root = _node(self._memo, self._ids, self.goal, state)
-        decision, self.last_expanded, self.last_edge = _astar_search(
+    def _bind(self, config: TuningConfig) -> None:
+        super()._bind(config)
+        self._evaluate = build_evaluator(self.heuristic, config, self.goal)
+
+    def _choose(
+        self, config: TuningConfig, root: _Node, rng: random.Random
+    ) -> tuple[Decision, tuple | None]:
+        decision, self.last_expanded, edge = _astar_search(
             config, root, self._evaluate, self.goal, self.node_budget, rng,
             self._memo, self._ids,
         )
-        if len(self._memo) > _MEMO_LIMIT:
-            self._memo, self._ids, self.last_edge = {}, {}, None
-        return decision
+        return decision, edge
 
 
 # ---------------------------------------------------------------------------
@@ -850,10 +862,10 @@ def _play(
     the clock; a wait while idle ends the session. The agent sees states
     without path history: the loop only collects each committed edge's
     effects, and a caller that wants the history writes them with
-    `sim.record`. A move an AStarPlanner hands over as `last_edge` is
-    committed as the child state it reaches, with no engine step; any
-    other goes through `_commit`. Returns the final state, without the
-    history of the path, the committed edges' effects in order, whether
+    `sim.record`. A move a `_GraphAgent` (an AStarPlanner or the Softmax
+    learner) hands over as `last_edge` is committed as the child state it
+    reaches, with no engine step; any other goes through `_commit`.
+    Returns the final state, without the history of the path, the committed edges' effects in order, whether
     the goal was reached, the stop reason, the decision count, the most
     nodes one decision expanded and the longest decision in seconds.
     """
@@ -863,7 +875,7 @@ def _play(
     max_expanded = 0
     max_seconds = 0.0
     path = []
-    hands_edges = isinstance(agent, AStarPlanner)
+    hands_edges = isinstance(agent, _GraphAgent)
 
     while True:
         if goal_satisfied(goal, state):
@@ -992,6 +1004,14 @@ class FeatureExtractor:
         return self._by_action[decision.action]
 
 
+def _sum(values) -> float:
+    """Add floats left to right, as `sum` did before Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _softmax_sample(
     weights: list[float], temperature: float, vectors: list[list[float]],
     rng: random.Random,
@@ -999,10 +1019,10 @@ def _softmax_sample(
     """Draw one index with probability proportional to
     exp(utility / temperature), utility being weights . vector; returns
     the index and every probability."""
-    utilities = [sum(w * x for w, x in zip(weights, v)) for v in vectors]
+    utilities = [_sum(map(mul, weights, v)) for v in vectors]
     top = max(utilities)
     exps = [math.exp((u - top) / temperature) for u in utilities]
-    total = sum(exps)
+    total = _sum(exps)
     probs = [e / total for e in exps]
     draw = rng.random()
     running = 0.0
@@ -1046,27 +1066,37 @@ class SoftmaxPlanner:
         return softmax_decide(self.policy, config, state, rng, self.features)
 
 
-class _SoftmaxLearner(SoftmaxPlanner):
+class _SoftmaxLearner(_GraphAgent):
     """A Softmax agent that learns as it plays: each decision samples a
     move as `softmax_decide` does and adds that move's REINFORCE term,
-    the gradient of its log-probability in the weights, to `grad`."""
+    the gradient of its log-probability in the weights, to `grad`. Its
+    moves are its root record's edges, in `available_moves` order, and it
+    hands the chosen edge over, so the engine expands each state once.
+    """
 
     grad: list[float]
 
-    def decide(
-        self, config: TuningConfig, state: GameState, rng: random.Random
-    ) -> Decision:
-        moves = available_moves(config, state)
-        if not moves:
-            return Decision.stop("deadlock")
-        vectors = [self.features.vector(m) for m in moves]
+    def __init__(self, policy: SoftmaxPolicy, config: TuningConfig,
+                 goal: GoalSpec):
+        super().__init__(goal)
+        self.policy = policy
+        self.features = FeatureExtractor(config)
+
+    def _choose(
+        self, config: TuningConfig, root: _Node, rng: random.Random
+    ) -> tuple[Decision, tuple | None]:
+        edges = root.edges
+        if edges is None:
+            edges = _expand(config, self._memo, self._ids, self.goal, root)
+        if not edges:
+            return Decision.stop("deadlock"), None
+        vectors = [self.features.vector(edge[0]) for edge in edges]
         temperature = self.policy.temperature
         chosen, probs = _softmax_sample(self.policy.weights, temperature, vectors, rng)
-        grad = self.grad
-        for i in range(len(grad)):
-            expectation = sum(p * v[i] for p, v in zip(probs, vectors))
-            grad[i] += (vectors[chosen][i] - expectation) / temperature
-        return moves[chosen]
+        grad, taken = self.grad, vectors[chosen]
+        for i, column in enumerate(zip(*vectors)):
+            grad[i] += (taken[i] - _sum(map(mul, probs, column))) / temperature
+        return edges[chosen][0], edges[chosen]
 
 
 FAILURE_RETURN = -1000.0
@@ -1092,7 +1122,7 @@ def train_softmax(
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
 
-    learner = _SoftmaxLearner(SoftmaxPolicy.zero(temperature), config)
+    learner = _SoftmaxLearner(SoftmaxPolicy.zero(temperature), config, goal)
     weights = learner.policy.weights
     returns: list[float] = []
     baseline = 0.0

@@ -40,6 +40,13 @@ from playtest.sim import (
 )
 from playtest.tuning import parse_tuning
 
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+# a generated build with energy regenerating 1 to 3 units per tick
+generated_builds = dict(build_seed=st.integers(0, 10_000),
+                        seed=st.integers(0, 2**32 - 1),
+                        regen_num=st.integers(1, 3))
+
 
 def random_walk(config, scenario, seed, steps=60):
     """Random legal play until the game deadlocks or the step budget ends."""
@@ -65,6 +72,15 @@ def capacities(config):
 
 
 class TestResourceBounds:
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(**generated_builds)
+    def test_generated_builds(self, build_seed, seed, regen_num):
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        caps = capacities(config)
+        for state in walk_states(config, scenario, seed):
+            for rid, value in state.resources.items():
+                assert 0 <= value <= caps[rid]
+
     def test_random_walks_stay_in_bounds(self, desk_base):
         caps = capacities(desk_base)
         for seed in range(25):
@@ -93,6 +109,25 @@ class TestResourceBounds:
 
 
 class TestRegenSplitExactness:
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(**generated_builds, data=st.data())
+    def test_generated_builds(self, build_seed, seed, regen_num, data):
+        # from a drained start and from states of a walk, events and
+        # locks included: any split of an advance equals one advance
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        drained = initial_state(
+            config, replace(scenario, initial_resources={"energy": 0}), seed)
+        for base in [drained, *walk_states(config, scenario, seed, 12)[::4]]:
+            target = base.clock + data.draw(st.integers(1, 120))
+            split = base
+            while split.clock < target:
+                split = advance_time(config, split, min(
+                    target, split.clock + data.draw(st.integers(1, 7))))
+            single = advance_time(config, base, target)
+            assert split.resources == single.resources
+            assert split.regen_remainders == single.regen_remainders
+            assert split.dedup_key() == single.dedup_key()
+
     def test_any_split_equals_single_advance(self, desk_base):
         base = initial_state(
             desk_base,
@@ -125,16 +160,32 @@ class TestRegenSplitExactness:
 
 
 class TestEventPayoutConservation:
-    def career_xp_from_actions(self, config, state):
-        per_action = {a.id: a.rewards.career_xp for a in config.actions}
+    def xp_from_actions(self, config, state, reward="career_xp"):
+        per_action = {a.id: getattr(a.rewards, reward) for a in config.actions}
         return sum(per_action.get(detail, 0)
                    for _, kind, detail in trace_entries(state)
                    if kind == "act")
 
-    def expected_step_payout(self, config, outcome):
+    def expected_step_payout(self, config, outcome, reward="career_xp"):
         event = config.index().events[outcome.event_id]
-        return sum(step.reward.career_xp for step in event.steps
+        return sum(getattr(step.reward, reward) for step in event.steps
                    if outcome.accrued_xp >= step.xp_threshold)
+
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(**generated_builds)
+    def test_generated_builds(self, build_seed, seed, regen_num):
+        # career XP on career builds, relationship XP on relationship ones
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        state = random_walk(config, scenario, seed, steps=40)
+        if state.active_event is not None:
+            state = advance_time(config, state, state.active_event.deadline)
+        held = {"career_xp": state.career.xp if state.career else 0,
+                "relationship_xp": state.relationship.xp}
+        for reward, xp in held.items():
+            from_steps = sum(self.expected_step_payout(config, outcome, reward)
+                             for outcome in event_log_entries(state))
+            assert xp == self.xp_from_actions(config, state, reward) \
+                + from_steps
 
     def test_total_career_xp_decomposes(self, bugged_event):
         scenario = ScenarioOverrides(career="clerk")
@@ -144,7 +195,7 @@ class TestEventPayoutConservation:
             if state.active_event is not None:
                 state = advance_time(bugged_event, state,
                                      state.active_event.deadline)
-            from_actions = self.career_xp_from_actions(bugged_event, state)
+            from_actions = self.xp_from_actions(bugged_event, state)
             from_steps = sum(self.expected_step_payout(bugged_event, outcome)
                              for outcome in event_log_entries(state))
             assert state.career.xp == from_actions + from_steps
@@ -230,9 +281,6 @@ class TestTieRealization:
             counts["chat" if first_act == "friendship" else "taunt"] += 1
         frequency = counts["chat"] / 1000
         assert abs(frequency - 0.5) <= 0.05
-
-
-PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
 
 def answer_kind_of(memo, ids, state):

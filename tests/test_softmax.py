@@ -3,22 +3,30 @@
 import json
 import random
 import statistics
+from unittest import mock
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from bfs_oracle import random_desk_config
+from playtest import agents, fixtures
 from playtest.agents import (
     FAILURE_RETURN,
     FEATURE_NAMES,
     AStarPlanner,
+    Decision,
+    FeatureExtractor,
     GoalSpec,
     HeuristicSpec,
     SoftmaxPlanner,
     SoftmaxPolicy,
+    available_moves,
     run_episode,
     softmax_decide,
     train_softmax,
 )
-from playtest.sim import ScenarioOverrides, initial_state
+from playtest.sim import GameState, ScenarioOverrides, initial_state
 from playtest.tuning import parse_tuning
 
 
@@ -108,6 +116,15 @@ class TestSoftmaxDecide:
         again = SoftmaxPolicy.from_dict(json.loads(json.dumps(policy.to_dict())))
         assert again == policy
 
+    def test_utilities_and_their_total_add_left_to_right(self):
+        # a compensated sum, as Python 3.12's `sum` is, gives utility 1.0 to
+        # the first move; left to right it is 0.0, as for the second move
+        assert agents._sum([1e16, 1.0, -1e16]) == 0.0
+        _, probs = agents._softmax_sample(
+            [1e16, 1.0, -1e16], 1.0, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+            random.Random(0))
+        assert probs == [0.5, 0.5]
+
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             SoftmaxPolicy(list(FEATURE_NAMES), [0.0] * len(FEATURE_NAMES),
@@ -169,3 +186,139 @@ class TestTraining:
         assert len(returns) == 50
         for value in returns:
             assert value == FAILURE_RETURN or -400 <= value <= 0
+
+
+class ReferenceLearner:
+    """The learner without a graph: it lists its moves with
+    `available_moves` and hands no edge over, so the episode loop commits
+    every move through `_commit`. Sampling and gradient are the learner's."""
+
+    def __init__(self, policy, config, goal):
+        self.policy = policy
+        self.features = FeatureExtractor(config)
+
+    def decide(self, config, state, rng):
+        moves = available_moves(config, state)
+        if not moves:
+            return Decision.stop("deadlock")
+        vectors = [self.features.vector(m) for m in moves]
+        temperature = self.policy.temperature
+        chosen, probs = agents._softmax_sample(
+            self.policy.weights, temperature, vectors, rng)
+        for i in range(len(self.grad)):
+            expectation = agents._sum(p * v[i] for p, v in zip(probs, vectors))
+            self.grad[i] += (vectors[chosen][i] - expectation) / temperature
+        return moves[chosen]
+
+
+def train_recorded(config, scenario, goal, episodes, step_size, seed,
+                   temperature, learner=None):
+    """`train_softmax`, optionally with another learner class, and each
+    episode's final action count and dedup key and the rng's last state."""
+    finals = []
+    play = agents._play
+
+    def recording_play(*args):
+        result = play(*args)
+        finals.append((result[0].counters.total_actions, result[0].dedup_key()))
+        return result
+
+    rng = random.Random(seed)
+    with mock.patch.object(agents, "_play", recording_play), \
+            mock.patch.object(agents, "_SoftmaxLearner",
+                              learner or agents._SoftmaxLearner):
+        policy, returns = train_softmax(config, scenario, goal, episodes,
+                                        step_size, rng, temperature)
+    return policy, returns, finals, rng.getstate()
+
+
+def check_graph_learner(config, scenario, goal, episodes, step_size, seed,
+                        temperature):
+    graph = train_recorded(config, scenario, goal, episodes, step_size, seed,
+                           temperature)
+    reference = train_recorded(config, scenario, goal, episodes, step_size,
+                               seed, temperature, ReferenceLearner)
+    assert graph == reference
+    assert len(graph[2]) == episodes
+
+
+GRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                          max_examples=60,
+                          phases=[p for p in Phase if p is not Phase.shrink])
+
+
+class TestGraphLearner:
+    """Training on the learner's node graph trains exactly what listing
+    moves and stepping the engine on every commit trains."""
+
+    # the memo limit is drawn, not parametrized: a parametrized @given
+    # method runs from one executor per parameter
+    @GRAPH_SETTINGS
+    @given(memo_limit=st.sampled_from([agents._MEMO_LIMIT, 3]),
+           build_seed=st.integers(0, 10_000), regen_num=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), episodes=st.integers(1, 30),
+           step_size=st.sampled_from([0.01, 0.05, 0.5]),
+           temperature=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_generated_builds(self, memo_limit, build_seed, regen_num, seed,
+                              episodes, step_size, temperature):
+        config, scenario, goal = random_desk_config(build_seed, regen_num)
+        with mock.patch.object(agents, "_MEMO_LIMIT", memo_limit):
+            check_graph_learner(config, scenario, goal, episodes, step_size,
+                                seed, temperature)
+
+    @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
+    @pytest.mark.parametrize("fixture, scenario, goal, temperature", [
+        # agent_comparison's training
+        ("desk_base", {"career": "fashion"},
+         {"kind": "career_level_reached", "career": "fashion", "level": 2,
+          "max_minutes": 20_000, "max_actions": 400}, 1.0),
+        # a tight action limit, so some episodes miss
+        ("bugged_event", {"career": "clerk"},
+         {"kind": "career_level_reached", "career": "clerk", "level": 2,
+          "max_minutes": 2_000, "max_actions": 10}, 0.5),
+    ])
+    def test_fixtures(self, fixture, scenario, goal, temperature, memo_limit,
+                      monkeypatch):
+        monkeypatch.setattr(agents, "_MEMO_LIMIT", memo_limit)
+        check_graph_learner(fixtures.load(fixture),
+                            ScenarioOverrides.from_dict(scenario),
+                            GoalSpec.from_dict(goal), 80, 0.05, 3, temperature)
+
+    def test_every_root_is_a_record_of_the_current_graph(self, desk_base,
+                                                         monkeypatch):
+        # a limit of 3 empties the graph again and again; a handed child
+        # kept across that would keep the old graph alive through its edges
+        roots = []
+        choose = agents._SoftmaxLearner._choose
+
+        def recording_choose(self, config, root, rng):
+            roots.append(any(node is root for node in self._memo.values()))
+            return choose(self, config, root, rng)
+
+        monkeypatch.setattr(agents, "_MEMO_LIMIT", 3)
+        monkeypatch.setattr(agents._SoftmaxLearner, "_choose", recording_choose)
+        train_softmax(desk_base, ScenarioOverrides(career="fashion"),
+                      TestTraining().goal(), episodes=20, step_size=0.05,
+                      rng=random.Random(42))
+        assert len(roots) > 20 and all(roots)
+
+    def test_engine_expands_each_state_once_and_commits_nothing(
+            self, desk_base, monkeypatch):
+        # agent_comparison's training: 3,633 decisions over 56 states, whose
+        # expansions make 112 edges; only each episode's start and each
+        # edge's child are hashed, never a handed-over child again
+        calls = {"_edges": 0, "_commit": 0, "dedup_key": 0}
+        for owner, name in ((agents, "_edges"), (agents, "_commit"),
+                            (GameState, "dedup_key")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name: (
+                calls.__setitem__(name, calls[name] + 1) or fn(*args)))
+        decide = agents._SoftmaxLearner.decide
+        decisions = []
+        monkeypatch.setattr(agents._SoftmaxLearner, "decide", lambda *args: (
+            decisions.append(1) or decide(*args)))
+        train_softmax(desk_base, ScenarioOverrides(career="fashion"),
+                      TestTraining().goal(), episodes=400, step_size=0.05,
+                      rng=random.Random(42))
+        assert len(decisions) == 3633
+        assert calls == {"_edges": 56, "_commit": 0, "dedup_key": 400 + 112}
