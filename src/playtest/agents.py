@@ -1,7 +1,8 @@
 """Planning agents: bounded receding-horizon A* and a Softmax baseline.
 
-The A* planner replans before every single move inside a node budget,
-committing only the first edge of the best plan found. Search edges are
+The A* planner decides every move by a search inside a node budget,
+committing only the first edge of the best plan found, unless an earlier
+search already answered for that move (see below). Search edges are
 the legal actions plus at most one wait edge (to the next availability
 when idle, to the event deadline while an event runs). Frontier ties on
 f are broken by a uniform random draw from the caller's seeded rng, so
@@ -27,15 +28,22 @@ other agent, or from a planner behind a wrapper, goes through the same
 edge transition (`_commit`) and the same history writer, and the
 episode's record is the same either way.
 
-A record also serves as a transposition table over decisions. The second
-search from a record runs a tie test: could the random tie number have
-decided its result? If not, its decision, expansion count and number of
-tie draws depend on the record alone, and are stored on it. Every later
-search from that record returns the stored decision without searching,
+A record also serves as a transposition table over decisions. Every
+search runs a tie test: could the random tie number have decided its
+result? If not, its decision, expansion count and number of tie draws
+depend on the record alone, and are stored on it. Every later search
+from that record returns the stored decision without searching,
 advances the rng past the stored draws and reports the stored expansion
-count. Most trials of a group replay one trajectory, so from the third
-trial on most of their decisions are served this way, and the rng
-stream, and so every later search, stays what it would have been.
+count. A search that runs straight down one path to the goal, each node
+it expands a child of the one before, stores the same kind of answer on
+the nodes of that path for which a search of their own would pop the
+same nodes in the same order: no tie, no rounding at their smaller path
+cost and no state the longer search had closed could order theirs
+otherwise. An episode commits that path's edges in turn, so its later
+decisions on the path are served. Most trials of a group replay one
+trajectory, so from the second trial on most of their decisions are
+served too, and the rng stream, and so every later search, stays what
+it would have been.
 
 The heuristic is bound once per planner and build (`build_evaluator`):
 each term's scale, the career goal's XP target and, for a chain goal,
@@ -496,10 +504,15 @@ def _within_limits(goal: GoalSpec, state: GameState) -> bool:
             and state.counters.total_actions <= goal.max_actions)
 
 
-# `_Node.answer` of a node searched from once, and of a node whose second
-# search was tie-sensitive
-_SEARCHED = "searched"
+# `_Node.answer` of a node whose first search was tie-sensitive
 _TIED = "tied"
+
+# A pop whose f is within this share of |f| + g of the heap's new top
+# counts as a tie for the chain answers: a search from a later chain node
+# computes f = g + h at a smaller g, where rounding can close a gap of a
+# few ulps. The share is 16 ulps of |f| + g, which bounds the shifted f
+# and the shift itself.
+_NEAR = 2.0 ** -48
 
 
 class _Node:
@@ -511,11 +524,12 @@ class _Node:
     started from. `h` is the heuristic value, filled in when the node is
     first pushed, and `edges` the (decision, child node, effects) list,
     filled in when it is first expanded; the effects are those an episode
-    records when it commits that edge. `answer` is None until a search
-    starts from the node, then `_SEARCHED`; the second search's tie test
-    (see `_astar_search`) then sets it to `_TIED` or to that search's
-    (decision, nodes expanded, tie draws, edge), which every later search
-    from the node returns.
+    records when it commits that edge. `answer` is None until the first
+    search from the node, which sets it to `_TIED` or to that search's
+    (decision, nodes expanded, tie draws, edge), unless a straight search
+    through the node stored that tuple first (see `_store_chain_answers`).
+    Every later search from the node returns a stored tuple; an answer,
+    once set, is never changed.
     """
 
     __slots__ = ("sid", "actions", "clock", "in_limits", "at_goal", "h",
@@ -556,22 +570,49 @@ def _expand(
     return node.edges
 
 
-def _tie_noting_pop(closed: dict, ties: list) -> Callable[[list], tuple]:
-    """heappop for a search that runs the tie test: it also adds to `ties`
-    each entry the search will accept (its node is not closed at as few
-    actions) while the heap's new top has the entry's (f, elapsed)."""
-    heappop = heapq.heappop
+def _store_chain_answers(chain: list[_Node], near: int) -> None:
+    """Store on the nodes of a straight search the answers that searches
+    from them would give.
 
-    def pop(heap: list) -> tuple:
-        entry = heappop(heap)
-        if heap:
-            top = heap[0]
-            if top[0] == entry[0] and top[1] == entry[1]:
-                best = closed.get(entry[5].sid)
-                if best is None or best > entry[4]:
-                    ties.append(entry)
-        return entry
-    return pop
+    `chain` holds the nodes p_0 … p_{m-1} a search expanded, each popped
+    as a child of the one before, and the goal p_m it then popped. A
+    search from p_j pushes a subset of the same entries, with f and
+    elapsed less by p_j's g and elapsed, so it pops p_{j+1} … p_m in
+    turn if two rules hold:
+
+    (a) no accepted pop after p_j's expansion came near the heap's new
+        top (see `_NEAR`; `near` <= j), so neither a tie number nor
+        rounding at the smaller g orders it otherwise;
+    (b) no in-limits child of p_j … p_{m-1} has the state id of p_0 …
+        p_{j-1}: this search had closed those ids, a search from p_j
+        would push the child.
+
+    Such a p_j's answer is its edge to p_{j+1}, m - j nodes expanded and
+    the pushes made while expanding p_j … p_{m-1}: one per in-limits
+    child, unless the child has the state id of its parent or of an
+    earlier chain node, closed at no more actions. An answer a node
+    holds is kept.
+    """
+    m = len(chain) - 1
+    position = {node.sid: i for i, node in enumerate(chain)}
+    low = m  # the earliest chain position of a child of p_j … p_{m-1}
+    draws = 0
+    for j in range(m - 1, near - 1, -1):
+        node, after = chain[j], chain[j + 1]
+        for edge in node.edges:
+            child = edge[1]
+            if child is after:
+                step = edge
+            if child.in_limits:
+                i = position.get(child.sid, m)
+                if i > j:
+                    draws += 1
+                elif i < low:
+                    low = i
+        if low < near:
+            return
+        if low >= j and node.answer is None:
+            node.answer = (step[0], m - j, draws, step)
 
 
 def _astar_search(
@@ -584,8 +625,8 @@ def _astar_search(
     memo: dict,
     ids: dict,
 ) -> tuple[Decision, int, tuple | None]:
-    """Run one bounded best-first search from `root`, or return the stored
-    answer of an earlier one from it that no tie draw decided.
+    """Run one bounded best-first search from `root`, or return the answer
+    stored on it, which no tie draw decided.
 
     `evaluate` is the heuristic bound to the config and goal. `memo` and
     `ids` hold the nodes that earlier searches under the same config,
@@ -598,22 +639,29 @@ def _astar_search(
 
     The random tie number orders two heap entries only if they share
     (f, elapsed), and two frontier candidates only if they share
-    (f, g, elapsed). So the second search from a root runs a tie test: it
-    is tie-sensitive if the heap's new top after an accepted pop has the
-    popped entry's (f, elapsed), which every pop the tie number could
-    decide meets, or if a frontier candidate's (f, g, elapsed) equals the
-    best rank so far. A tie-free search's decision, expansion count and
-    tie draws (one per push) depend on the root alone, so it stores them
-    on the root, and every later search from that root returns them at
-    once: it advances `rng` by `getrandbits(64 * draws)`, which leaves the
-    state of `draws` calls to `rng.random()`, so every later search draws
-    what it would have drawn, and it reports the stored expansion count.
-    Only the second search pops through `_tie_noting_pop`; the frontier
-    scan finds equal ranks in the comparison that ranks them. So every
-    other search, a root's first among them, pays nothing for the test.
+    (f, g, elapsed). So after each accepted pop the search compares the
+    popped f with the heap's new top, which every pop the tie number
+    could decide matches, and the frontier scan finds equal ranks in the
+    comparison that ranks them. A search with no such tie has a decision,
+    expansion count and tie draws (one per push) that depend on the root
+    alone, and stores them on it as its answer (see `_Node`); a later
+    search from the root returns them at once. It advances `rng` by
+    `getrandbits(64 * draws)`, which leaves the state of `draws` calls to
+    `rng.random()`, so every later search draws what it would have
+    drawn, and it reports the stored expansion count.
+
+    A search that runs straight to the goal, each accepted pop a child of
+    the node expanded just before it, also answers for the nodes on its
+    way (see `_store_chain_answers`): a receding-horizon episode commits
+    those edges in turn, and its later decisions are served.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
+    answer = root.answer
+    if type(answer) is tuple:
+        decision, expanded, draws, edge = answer
+        rng.getrandbits(64 * draws)
+        return decision, expanded, edge
     if root.at_goal:
         return Decision.stop("goal_reached"), 0, None
     if not root.in_limits:
@@ -622,15 +670,9 @@ def _astar_search(
         _expand(config, memo, ids, goal, root)
     if not root.edges:
         return Decision.stop("deadlock"), 0, None
-    answer = root.answer
-    if answer is None:
-        root.answer = _SEARCHED
-    elif type(answer) is tuple:
-        decision, expanded, draws, edge = answer
-        rng.getrandbits(64 * draws)
-        return decision, expanded, edge
 
-    draw, heappush = rng.random, heapq.heappush
+    draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
+    near_share = _NEAR
     root_actions = root.actions
     root_clock = root.clock
 
@@ -638,14 +680,15 @@ def _astar_search(
     seq = 0
     heap: list[tuple] = []
     closed: dict[int, int] = {}  # state id -> fewest actions expanded at
-    ties: list = []
-    pop = (_tie_noting_pop(closed, ties) if answer is _SEARCHED
-           else heapq.heappop)
+    chain = [root]  # the nodes popped, while each is a child of the last
+    near = 1  # no pop after p_j's expansion, for j >= near, was near a tie
+    tied = False
     expanded = 0
     node, g, first = root, 0, None
     while True:
         closed[node.sid] = g
         expanded += 1
+        mark = seq
         edges = node.edges
         if edges is None:
             edges = _expand(config, memo, ids, goal, node)
@@ -664,14 +707,27 @@ def _astar_search(
                             child_g, child, first or decision))
 
         while heap:
-            f, elapsed, tie, _, g, node, first = pop(heap)
+            f, elapsed, tie, pushed, g, node, first = heappop(heap)
             best = closed.get(node.sid)
             if best is None or best > g:
                 break
         else:
             first = None
             break
+        if chain is not None:
+            if pushed > mark:
+                chain.append(node)
+            else:
+                chain = None
+        if heap:
+            # off the chain only an exact tie counts
+            top = heap[0]
+            if top[0] - f <= ((abs(f) + g) * near_share if chain else 0.0):
+                near = expanded
+                tied = tied or top[0] == f and top[1] == elapsed
         if node.at_goal:
+            if chain is not None and near < expanded:
+                _store_chain_answers(chain, near)
             break
         if expanded >= node_budget:
             # Budget ran out: head toward the best frontier node, ranked by
@@ -685,7 +741,7 @@ def _astar_search(
                 key = (f, g, elapsed)
                 if key <= best_key:
                     if key == best_key:
-                        ties.append(first)
+                        tied = True
                         if tie >= best_tie:
                             continue
                     best_key, best_tie, chosen = key, tie, first
@@ -700,8 +756,8 @@ def _astar_search(
         for edge in root.edges:
             if edge[0] is decision:
                 break
-    if answer is _SEARCHED:
-        root.answer = _TIED if ties else (decision, expanded, seq, edge)
+    if answer is None:
+        root.answer = _TIED if tied else (decision, expanded, seq, edge)
     return decision, expanded, edge
 
 
@@ -771,7 +827,8 @@ class _GraphAgent:
 
 
 class AStarPlanner(_GraphAgent):
-    """Receding-horizon planner: a fresh bounded search before every move.
+    """Receding-horizon planner: a bounded search for every move that no
+    earlier search answered for.
 
     The planner keeps the graph its searches build (see `_GraphAgent`).
     A record's key (see `_node`) fixes everything that shapes future
@@ -782,13 +839,12 @@ class AStarPlanner(_GraphAgent):
     tie numbers, and its decisions and expansion counts are those of
     `astar_decide`.
 
-    The second search from a record runs the tie test of `_astar_search`,
-    and a tie-free one leaves its answer on the record. A later decision
-    from that record is served from it: the same decision, the rng
-    advanced past the same tie draws, and `last_expanded` set to the
-    expansion count of the search it replays, though nothing is expanded.
-    A record searched only once pays for no test, so a planner that plays
-    one trial, or a new trajectory, runs as before.
+    A tie-free search leaves its answer on its root, and a search that
+    runs straight to the goal also on the records of its path that
+    qualify (see `_astar_search`). A later decision from such a record is
+    served from it: the same decision, the rng advanced past the same tie
+    draws, and `last_expanded` set to the expansion count of the search
+    it replays, though nothing is expanded.
     """
 
     name = "astar"
@@ -865,9 +921,10 @@ def _play(
     `sim.record`. A move a `_GraphAgent` (an AStarPlanner or the Softmax
     learner) hands over as `last_edge` is committed as the child state it
     reaches, with no engine step; any other goes through `_commit`.
-    Returns the final state, without the history of the path, the committed edges' effects in order, whether
-    the goal was reached, the stop reason, the decision count, the most
-    nodes one decision expanded and the longest decision in seconds.
+    Returns the final state, without the history of the path, the
+    committed edges' effects in order, whether the goal was reached, the
+    stop reason, the decision count, the most nodes one decision expanded
+    and the longest decision in seconds.
     """
     reached = False
     reason = ""
