@@ -6,44 +6,48 @@ search already answered for that move (see below). Search edges are
 the legal actions plus at most one wait edge (to the next availability
 when idle, to the event deadline while an event runs). Frontier ties on
 f are broken by a uniform random draw from the caller's seeded rng, so
-identical seeds give identical decisions. A planner keeps the graph its
-searches build across decisions and episodes for as long as it lives (a
-new config starts it afresh): one node record per dedup key, action
-count and auto-grant flag, holding the node's interned state id, its
-limit and goal flags, its heuristic value and, once expanded, its
-successor records. So a replan or a repeated trajectory asks the engine
-only for states no earlier search expanded, evaluates the heuristic only
-on states no earlier search pushed, and hashes no state it has seen
-before. The search itself is unchanged, and so is every decision. A
-memo grown past `_MEMO_LIMIT` records is emptied.
+identical seeds give identical decisions.
+
+Every agent moves on one engine graph per build (`_graph`), kept on the
+build's `ConfigIndex` as long as the config lives, and shared by every
+planner, episode and training run on it, whether an agent is made per
+trial or per group: one record per dedup key, action count and
+auto-grant flag, holding the state's interned id, clock and action count
+and, once expanded, its edges. So the engine expands each distinct state
+once, however many agents reach it. A graph grown past `_MEMO_LIMIT`
+records is emptied. What depends on an agent's goal, heuristic or budget
+stays with the agent, keyed by record: a planner's heuristic values,
+goal flags and stored answers. Its limits are two comparisons on the
+record's clock and action count. No decision changes.
 
 Search states carry no path history (see `sim`): each edge of a record
 holds the child record and the effects of committing that move. The
-planner hands the chosen edge over as `last_edge`, and the episode loop
-commits it by taking the child's state as it is and adding the effects
-to the episode's path, whose history `sim.record` writes when the
-episode ends. So a committed move costs no engine step, and the next
-search takes that child as its root without hashing it. A move from any
-other agent, or from a planner behind a wrapper, goes through the same
-edge transition (`_commit`) and the same history writer, and the
-episode's record is the same either way.
+episode loop stands at a record, hands its state to the agent, which
+finds its root by identity, and commits the chosen move by that record's
+edge: it takes the child's state as it is and adds the effects to the
+episode's path, whose history `sim.record` writes when the episode ends.
+So a move costs no engine step, whether the agent is a planner, a
+wrapper around one or the Softmax agent. Only a move that is no edge of
+the record, a scripted wait to another time or an act that is not legal,
+goes through the engine's transition (`_commit`), which raises for the
+illegal act.
 
-A record also serves as a transposition table over decisions. Every
-search runs a tie test: could the random tie number have decided its
-result? If not, its decision, expansion count and number of tie draws
-depend on the record alone, and are stored on it. Every later search
-from that record returns the stored decision without searching,
-advances the rng past the stored draws and reports the stored expansion
-count. A search that runs straight down one path to the goal, each node
-it expands a child of the one before, stores the same kind of answer on
-the nodes of that path for which a search of their own would pop the
-same nodes in the same order: no tie, no rounding at their smaller path
-cost and no state the longer search had closed could order theirs
-otherwise. An episode commits that path's edges in turn, so its later
-decisions on the path are served. Most trials of a group replay one
-trajectory, so from the second trial on most of their decisions are
-served too, and the rng stream, and so every later search, stays what
-it would have been.
+A planner's answers serve as a transposition table over decisions.
+Every search runs a tie test: could the random tie number have decided
+its result? If not, its decision, expansion count and number of tie
+draws depend on the record alone, and the planner stores them for it.
+Every later search from that record returns the stored decision without
+searching, advances the rng past the stored draws and reports the stored
+expansion count. A search that runs straight down one path to the goal,
+each node it expands a child of the one before, stores the same kind of
+answer for the records of that path whose own search would pop the same
+nodes in the same order: no tie, no rounding at their smaller path cost
+and no state the longer search had closed could order theirs otherwise.
+An episode commits that path's edges in turn, so its later decisions on
+the path are served. Most trials of a group replay one trajectory, so
+from the second trial on most of their decisions are served too, and
+the rng stream, and so every later search, stays what it would have
+been.
 
 The heuristic is bound once per planner and build (`build_evaluator`):
 each term's scale, the career goal's XP target and, for a chain goal,
@@ -51,14 +55,12 @@ every category's remaining final thresholds and relationship XP for each
 count of completed events are computed then, so evaluating a state is a
 few lookups per weighted term.
 
-The Softmax agent samples from the move list in proportion to
+The Softmax agent samples its root record's edges in proportion to
 exp(utility/temperature), where utility is a learned linear function of
 normalized action parameters, with float sums added left to right on
 every Python version. Training is REINFORCE, stochastic gradient ascent
-on episode return: a learning agent plays every training episode through
-the same decide/commit loop as evaluation, but takes its moves from a
-node graph like the planner's and hands its edges over, so the engine
-expands each distinct state once and steps no commit.
+on episode return: the same agent, collecting its gradient, plays every
+training episode through the decide/commit loop that evaluation uses.
 """
 
 from __future__ import annotations
@@ -252,8 +254,9 @@ def _edges(
     config: TuningConfig, state: GameState
 ) -> list[tuple[Decision, GameState, Effects]]:
     """Every available move with its successor without path history and
-    the effects of committing it (see `_commit`): an act takes the event
-    start its listing found, so its legality is checked once."""
+    the effects of committing it, in `available_moves` order: an act
+    takes the event start its listing found, so its legality is checked
+    once."""
     idx = config.index()
     legal, wait = _moves(config, state)
     edges = [(Decision.act(action.id), *act_edge(idx, state, action, start))
@@ -267,8 +270,8 @@ def _edges(
 def _commit(
     config: TuningConfig, state: GameState, decision: Decision
 ) -> tuple[GameState, Effects]:
-    """The edge of a move an agent chose without handing it over: its
-    successor without path history and its effects.
+    """The edge of a move that is no edge of the state's record (see
+    `_play`): its successor without path history and its effects.
 
     An act must be legal. A wait while actions are legal is traced and
     moves the clock to `decision.until`; a wait while idle ends the
@@ -496,15 +499,107 @@ def heuristic_eval(
 
 
 # ---------------------------------------------------------------------------
+# The engine graph
+# ---------------------------------------------------------------------------
+
+# Records a build's graph keeps; a graph grown past this is emptied at
+# the next root lookup. A record, with its state and interned id, takes
+# about 1.8 KB (build_b A* trials under tracemalloc), so a full graph
+# holds about 36 MB.
+_MEMO_LIMIT = 20_000
+
+
+class _Record:
+    """One node of a build's engine graph: a state under one key (see
+    `_Graph.node`), numbered `n` in the order the graph filed them, with
+    the interned id `sid` of its dedup key and its own action count and
+    clock. `state` has no path history (see
+    `sim.act_edge`), except at a root an episode started from. `edges`,
+    filled in at the first expansion, lists (decision, child record,
+    effects an episode records when it commits the edge).
+    """
+
+    __slots__ = ("n", "sid", "actions", "clock", "state", "edges", "_digest")
+
+    def __init__(self, n: int, sid: int, state: GameState):
+        self.n = n
+        self.sid = sid
+        self.actions = state.counters.total_actions
+        self.clock = state.clock
+        self.state = state
+        self.edges: list[tuple[Decision, _Record, Effects]] | None = None
+        self._digest: str | None = None
+
+    def digest(self) -> str:
+        """`state_digest` of every episode that ends here, computed once:
+        it reads only the dedup key."""
+        if self._digest is None:
+            self._digest = state_digest(self.state)
+        return self._digest
+
+
+class _Graph:
+    """The engine layer of every agent's moves on one build (see `_graph`).
+
+    `ids` interns dedup keys as small ints, and `records` maps (state id,
+    action count, auto-grant flag) to the record. `at` is the record an
+    episode stands at (see `_play`), so a decision from its state finds
+    its root without hashing it. A root lookup that finds more than
+    `_MEMO_LIMIT` records empties the graph first, and the graph takes a
+    new `generation` token: data an agent keyed by the old records is
+    stale.
+    """
+
+    def __init__(self):
+        self._empty()
+
+    def _empty(self) -> None:
+        self.records: dict[tuple, _Record] = {}
+        self.ids: dict[tuple, int] = {}
+        self.at: _Record | None = None
+        self.generation = object()
+
+    def node(self, state: GameState) -> _Record:
+        """The record of `state`, made and filed on first sight."""
+        sid = self.ids.setdefault(state.dedup_key(), len(self.ids))
+        key = (sid, state.counters.total_actions, state.auto_grant_objects)
+        record = self.records.get(key)
+        if record is None:
+            record = self.records[key] = _Record(len(self.records), sid, state)
+        return record
+
+    def root(self, state: GameState) -> _Record:
+        """The record of a decision's root `state`: `at` if `state` is its
+        state, else the record found by hashing, which becomes `at`."""
+        if len(self.records) > _MEMO_LIMIT:
+            self._empty()
+        at = self.at
+        if at is None or at.state is not state:
+            at = self.at = self.node(state)
+        return at
+
+    def expand(self, config: TuningConfig, record: _Record) -> list[tuple]:
+        """Fill in `record`'s edges from the engine and return them."""
+        node = self.node
+        record.edges = [(decision, node(child), effects)
+                        for decision, child, effects in _edges(config, record.state)]
+        return record.edges
+
+
+def _graph(config: TuningConfig) -> _Graph:
+    """The engine graph of `config`'s build, made on first use."""
+    idx = config.index()
+    graph = idx.graph
+    if graph is None:
+        graph = idx.graph = _Graph()
+    return graph
+
+
+# ---------------------------------------------------------------------------
 # Bounded A*
 # ---------------------------------------------------------------------------
 
-def _within_limits(goal: GoalSpec, state: GameState) -> bool:
-    return (state.clock <= goal.max_minutes
-            and state.counters.total_actions <= goal.max_actions)
-
-
-# `_Node.answer` of a node whose first search was tie-sensitive
+# a planner's answer for a root whose first search was tie-sensitive
 _TIED = "tied"
 
 # A pop whose f is within this share of |f| + g of the heap's new top
@@ -515,66 +610,13 @@ _TIED = "tied"
 _NEAR = 2.0 ** -48
 
 
-class _Node:
-    """One node of a planner's search graph: a state under one memo key.
+def _store_chain_answers(
+    chain: list[_Record], near: int, goal: GoalSpec, answers: dict
+) -> None:
+    """Store in `answers` the answers that searches from the records of a
+    straight search would give.
 
-    `sid` is the interned id of the state's dedup key, and the clock,
-    action count, limit and goal flags are the state's own. `state` has
-    no path history (see `sim.act_edge`), except at a root an episode
-    started from. `h` is the heuristic value, filled in when the node is
-    first pushed, and `edges` the (decision, child node, effects) list,
-    filled in when it is first expanded; the effects are those an episode
-    records when it commits that edge. `answer` is None until the first
-    search from the node, which sets it to `_TIED` or to that search's
-    (decision, nodes expanded, tie draws, edge), unless a straight search
-    through the node stored that tuple first (see `_store_chain_answers`).
-    Every later search from the node returns a stored tuple; an answer,
-    once set, is never changed.
-    """
-
-    __slots__ = ("sid", "actions", "clock", "in_limits", "at_goal", "h",
-                 "state", "edges", "answer")
-
-    def __init__(self, sid: int, state: GameState, goal: GoalSpec):
-        self.sid = sid
-        self.actions = state.counters.total_actions
-        self.clock = state.clock
-        self.in_limits = _within_limits(goal, state)
-        self.at_goal = goal_satisfied(goal, state)
-        self.h: float | None = None
-        self.state = state
-        self.edges: list[tuple[Decision, _Node, Effects]] | None = None
-        self.answer: str | tuple | None = None
-
-
-def _node(memo: dict, ids: dict, goal: GoalSpec, state: GameState) -> _Node:
-    """The node of `state`, made and filed on first sight.
-
-    `ids` interns dedup keys as small ints; `memo` maps (state id, action
-    count, auto-grant flag) to the node.
-    """
-    sid = ids.setdefault(state.dedup_key(), len(ids))
-    key = (sid, state.counters.total_actions, state.auto_grant_objects)
-    node = memo.get(key)
-    if node is None:
-        node = memo[key] = _Node(sid, state, goal)
-    return node
-
-
-def _expand(
-    config: TuningConfig, memo: dict, ids: dict, goal: GoalSpec, node: _Node
-) -> list[tuple[Decision, _Node, Effects]]:
-    """Fill in `node`'s edges from the engine and return them."""
-    node.edges = [(decision, _node(memo, ids, goal, child), effects)
-                  for decision, child, effects in _edges(config, node.state)]
-    return node.edges
-
-
-def _store_chain_answers(chain: list[_Node], near: int) -> None:
-    """Store on the nodes of a straight search the answers that searches
-    from them would give.
-
-    `chain` holds the nodes p_0 … p_{m-1} a search expanded, each popped
+    `chain` holds the records p_0 … p_{m-1} a search expanded, each popped
     as a child of the one before, and the goal p_m it then popped. A
     search from p_j pushes a subset of the same entries, with f and
     elapsed less by p_j's g and elapsed, so it pops p_{j+1} … p_m in
@@ -587,23 +629,23 @@ def _store_chain_answers(chain: list[_Node], near: int) -> None:
         p_{j-1}: this search had closed those ids, a search from p_j
         would push the child.
 
-    Such a p_j's answer is its edge to p_{j+1}, m - j nodes expanded and
+    Such a p_j's answer is its move to p_{j+1}, m - j nodes expanded and
     the pushes made while expanding p_j … p_{m-1}: one per in-limits
     child, unless the child has the state id of its parent or of an
-    earlier chain node, closed at no more actions. An answer a node
+    earlier chain record, closed at no more actions. An answer a record
     holds is kept.
     """
+    max_minutes, max_actions = goal.max_minutes, goal.max_actions
     m = len(chain) - 1
     position = {node.sid: i for i, node in enumerate(chain)}
     low = m  # the earliest chain position of a child of p_j … p_{m-1}
     draws = 0
     for j in range(m - 1, near - 1, -1):
         node, after = chain[j], chain[j + 1]
-        for edge in node.edges:
-            child = edge[1]
+        for move, child, _ in node.edges:
             if child is after:
-                step = edge
-            if child.in_limits:
+                step = move
+            if child.clock <= max_minutes and child.actions <= max_actions:
                 i = position.get(child.sid, m)
                 if i > j:
                     draws += 1
@@ -611,240 +653,28 @@ def _store_chain_answers(chain: list[_Node], near: int) -> None:
                     low = i
         if low < near:
             return
-        if low >= j and node.answer is None:
-            node.answer = (step[0], m - j, draws, step)
+        if low >= j and node not in answers:
+            answers[node] = (step, m - j, draws)
 
 
-def _astar_search(
-    config: TuningConfig,
-    root: _Node,
-    evaluate: Callable[[GameState], float],
-    goal: GoalSpec,
-    node_budget: int,
-    rng: random.Random,
-    memo: dict,
-    ids: dict,
-) -> tuple[Decision, int, tuple | None]:
-    """Run one bounded best-first search from `root`, or return the answer
-    stored on it, which no tie draw decided.
-
-    `evaluate` is the heuristic bound to the config and goal. `memo` and
-    `ids` hold the nodes that earlier searches under the same config,
-    heuristic, goal and budget made (see `_node`); the search adds the
-    nodes and expansions it makes. A node expanded before is not handed
-    to the engine again, and a node pushed before is not evaluated again,
-    so pushing a known node's children hashes nothing but its state ids.
-    Returns (decision, nodes expanded, the root's edge of the decision, or
-    None for a stop).
-
-    The random tie number orders two heap entries only if they share
-    (f, elapsed), and two frontier candidates only if they share
-    (f, g, elapsed). So after each accepted pop the search compares the
-    popped f with the heap's new top, which every pop the tie number
-    could decide matches, and the frontier scan finds equal ranks in the
-    comparison that ranks them. A search with no such tie has a decision,
-    expansion count and tie draws (one per push) that depend on the root
-    alone, and stores them on it as its answer (see `_Node`); a later
-    search from the root returns them at once. It advances `rng` by
-    `getrandbits(64 * draws)`, which leaves the state of `draws` calls to
-    `rng.random()`, so every later search draws what it would have
-    drawn, and it reports the stored expansion count.
-
-    A search that runs straight to the goal, each accepted pop a child of
-    the node expanded just before it, also answers for the nodes on its
-    way (see `_store_chain_answers`): a receding-horizon episode commits
-    those edges in turn, and its later decisions are served.
-    """
-    if node_budget < 1:
-        raise ValueError("node_budget must be >= 1")
-    answer = root.answer
-    if type(answer) is tuple:
-        decision, expanded, draws, edge = answer
-        rng.getrandbits(64 * draws)
-        return decision, expanded, edge
-    if root.at_goal:
-        return Decision.stop("goal_reached"), 0, None
-    if not root.in_limits:
-        return Decision.stop("hard_limit"), 0, None
-    if root.edges is None:
-        _expand(config, memo, ids, goal, root)
-    if not root.edges:
-        return Decision.stop("deadlock"), 0, None
-
-    draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
-    near_share = _NEAR
-    root_actions = root.actions
-    root_clock = root.clock
-
-    # heap entries: (f, elapsed, tie, seq, g, node, first decision)
-    seq = 0
-    heap: list[tuple] = []
-    closed: dict[int, int] = {}  # state id -> fewest actions expanded at
-    chain = [root]  # the nodes popped, while each is a child of the last
-    near = 1  # no pop after p_j's expansion, for j >= near, was near a tie
-    tied = False
-    expanded = 0
-    node, g, first = root, 0, None
-    while True:
-        closed[node.sid] = g
-        expanded += 1
-        mark = seq
-        edges = node.edges
-        if edges is None:
-            edges = _expand(config, memo, ids, goal, node)
-        for decision, child, _ in edges:
-            if not child.in_limits:
-                continue
-            child_g = child.actions - root_actions
-            best = closed.get(child.sid)
-            if best is not None and best <= child_g:
-                continue
-            h = child.h
-            if h is None:
-                h = child.h = evaluate(child.state)
-            seq += 1
-            heappush(heap, (child_g + h, child.clock - root_clock, draw(), seq,
-                            child_g, child, first or decision))
-
-        while heap:
-            f, elapsed, tie, pushed, g, node, first = heappop(heap)
-            best = closed.get(node.sid)
-            if best is None or best > g:
-                break
-        else:
-            first = None
-            break
-        if chain is not None:
-            if pushed > mark:
-                chain.append(node)
-            else:
-                chain = None
-        if heap:
-            # off the chain only an exact tie counts
-            top = heap[0]
-            if top[0] - f <= ((abs(f) + g) * near_share if chain else 0.0):
-                near = expanded
-                tied = tied or top[0] == f and top[1] == elapsed
-        if node.at_goal:
-            if chain is not None and near < expanded:
-                _store_chain_answers(chain, near)
-            break
-        if expanded >= node_budget:
-            # Budget ran out: head toward the best frontier node, ranked by
-            # f, then fewest actions, then least elapsed time, then the
-            # random tie number already drawn.
-            best_key, best_tie, chosen = (f, g, elapsed), tie, first
-            for f, elapsed, tie, _, g, node, first in heap:
-                prev = closed.get(node.sid)
-                if prev is not None and prev <= g:
-                    continue
-                key = (f, g, elapsed)
-                if key <= best_key:
-                    if key == best_key:
-                        tied = True
-                        if tie >= best_tie:
-                            continue
-                    best_key, best_tie, chosen = key, tie, first
-            first = chosen
-            break
-
-    edge = None
-    if first is None:
-        decision = Decision.stop("search_exhausted")
-    else:
-        decision = first
-        for edge in root.edges:
-            if edge[0] is decision:
-                break
-    if answer is None:
-        root.answer = _TIED if tied else (decision, expanded, seq, edge)
-    return decision, expanded, edge
-
-
-def astar_decide(
-    config: TuningConfig,
-    state: GameState,
-    heuristic: HeuristicSpec,
-    goal: GoalSpec,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    rng: random.Random | None = None,
-) -> Decision:
-    """Pick the next move by bounded A* over game states."""
-    memo, ids = {}, {}
-    decision, _, _ = _astar_search(
-        config, _node(memo, ids, goal, state),
-        build_evaluator(heuristic, config, goal), goal, node_budget,
-        rng or random.Random(0), memo, ids,
-    )
-    return decision
-
-
-# Node records a graph agent keeps between decisions; a memo grown past
-# this is emptied. A record, with its state and interned id, takes about
-# 1.8 KB (build_b A* trials under tracemalloc), so a full memo holds
-# about 36 MB.
-_MEMO_LIMIT = 20_000
-
-
-class _GraphAgent:
-    """An agent that decides on a node graph (see `_node`) kept across
-    decisions and episodes, and hands each move over as `last_edge`, its
-    root's (decision, child record, effects) edge, or None for a stop: an
-    episode commits it by taking the child's state as it is, with no
-    engine step. A decision from that state (`state is` it) takes the
-    child as its root without hashing it. Another config starts an empty
-    graph (`_bind`), and a decision that leaves more than `_MEMO_LIMIT`
-    records empties the records and the id table; both drop the handed
-    child, whose records carry ids of the old table. A subclass picks the
-    move from the root in `_choose`.
-    """
-
-    def __init__(self, goal: GoalSpec):
-        self.goal = goal
-        self.last_edge: tuple | None = None
-        self._memo_config: TuningConfig | None = None
-        self._memo: dict = {}
-        self._ids: dict = {}
-
-    def _bind(self, config: TuningConfig) -> None:
-        self._memo_config, self._memo, self._ids = config, {}, {}
-        self.last_edge = None
-
-    def decide(
-        self, config: TuningConfig, state: GameState, rng: random.Random
-    ) -> Decision:
-        if config is not self._memo_config:
-            self._bind(config)
-        edge = self.last_edge
-        if edge is not None and state is edge[1].state:
-            root = edge[1]
-        else:
-            root = _node(self._memo, self._ids, self.goal, state)
-        decision, self.last_edge = self._choose(config, root, rng)
-        if len(self._memo) > _MEMO_LIMIT:
-            self._memo, self._ids, self.last_edge = {}, {}, None
-        return decision
-
-
-class AStarPlanner(_GraphAgent):
+class AStarPlanner:
     """Receding-horizon planner: a bounded search for every move that no
     earlier search answered for.
 
-    The planner keeps the graph its searches build (see `_GraphAgent`).
-    A record's key (see `_node`) fixes everything that shapes future
-    dynamics and everything the goal and heuristic read, g and the action
-    limit; the heuristic, goal and node budget are the planner's own, and
-    it binds its evaluator once per config. So a later search that meets
-    known records pushes and pops in the same order and draws the same
-    tie numbers, and its decisions and expansion counts are those of
-    `astar_decide`.
-
-    A tie-free search leaves its answer on its root, and a search that
-    runs straight to the goal also on the records of its path that
-    qualify (see `_astar_search`). A later decision from such a record is
-    served from it: the same decision, the rng advanced past the same tie
-    draws, and `last_expanded` set to the expansion count of the search
-    it replays, though nothing is expanded.
+    The planner searches the build's engine graph (see `_graph`) and
+    keeps its own data for the graph's current generation: the heuristic
+    value of each record within its limits that it met, in a list by
+    record number, so a push looks it up as cheaply as an attribute; the
+    records it found at its goal; and its answers by record. A record's
+    key fixes everything that shapes future dynamics and everything the
+    goal and heuristic read, g and the action limit. So a later search
+    that meets known records pushes and pops in the same order and draws
+    the same tie numbers, and its decisions and expansion counts are a
+    new planner's.
+    A decision from a record the planner holds an answer for is served:
+    the same decision, the rng advanced past the same tie draws, and
+    `last_expanded` set to the expansion count of the search it replays,
+    though nothing is expanded.
     """
 
     name = "astar"
@@ -855,23 +685,175 @@ class AStarPlanner(_GraphAgent):
         goal: GoalSpec,
         node_budget: int = DEFAULT_NODE_BUDGET,
     ):
-        super().__init__(goal)
         self.heuristic = heuristic
+        self.goal = goal
         self.node_budget = node_budget
         self.last_expanded = 0
+        self._config: TuningConfig | None = None
+        self._generation: object | None = None
 
-    def _bind(self, config: TuningConfig) -> None:
-        super()._bind(config)
-        self._evaluate = build_evaluator(self.heuristic, config, self.goal)
+    def decide(
+        self, config: TuningConfig, state: GameState, rng: random.Random
+    ) -> Decision:
+        """Run one bounded best-first search from the record of `state`, or
+        return the answer stored for it, which no tie draw decided, and
+        set `last_expanded`. A record expanded before is not handed to the
+        engine again, and one this planner met before is not evaluated
+        again.
 
-    def _choose(
-        self, config: TuningConfig, root: _Node, rng: random.Random
-    ) -> tuple[Decision, tuple | None]:
-        decision, self.last_expanded, edge = _astar_search(
-            config, root, self._evaluate, self.goal, self.node_budget, rng,
-            self._memo, self._ids,
-        )
-        return decision, edge
+        The random tie number orders two heap entries only if they share
+        (f, elapsed), and two frontier candidates only if they share
+        (f, g, elapsed). So after each accepted pop the search compares the
+        popped f with the heap's new top, which every pop the tie number
+        could decide matches, and the frontier scan finds equal ranks in
+        the comparison that ranks them. A search with no such tie has a
+        decision, expansion count and tie draws (one per push) that depend
+        on the root alone, and stores them as its answer (`_TIED`
+        otherwise); a later search from the root returns them at once. It
+        advances `rng` by `getrandbits(64 * draws)`, which leaves the state
+        of `draws` calls to `rng.random()`, so every later search draws
+        what it would have drawn, and it reports the stored expansion
+        count.
+
+        A search that runs straight to the goal, each accepted pop a child
+        of the record expanded just before it, also answers for the
+        records on its way (see `_store_chain_answers`).
+        """
+        node_budget = self.node_budget
+        if node_budget < 1:
+            raise ValueError("node_budget must be >= 1")
+        graph = _graph(config)
+        root = graph.root(state)
+        if graph.generation is not self._generation:
+            # another build, or this one's graph was emptied
+            if config is not self._config:
+                self._config = config
+                self._evaluate = build_evaluator(self.heuristic, config, self.goal)
+            self._generation = graph.generation
+            self._h: list[float | None] = []
+            self._at_goal: set[_Record] = set()
+            self._answers: dict[_Record, str | tuple] = {}
+        answers = self._answers
+        answer = answers.get(root)
+        if type(answer) is tuple:
+            decision, self.last_expanded, draws = answer
+            rng.getrandbits(64 * draws)
+            return decision
+        self.last_expanded = 0
+        goal = self.goal
+        max_minutes, max_actions = goal.max_minutes, goal.max_actions
+        if goal_satisfied(goal, root.state):
+            return Decision.stop("goal_reached")
+        if root.clock > max_minutes or root.actions > max_actions:
+            return Decision.stop("hard_limit")
+        if root.edges is None:
+            graph.expand(config, root)
+        if not root.edges:
+            return Decision.stop("deadlock")
+
+        evaluate, known, at_goal = self._evaluate, self._h, self._at_goal
+        records = graph.records
+        known.extend([None] * (len(records) - len(known)))
+        draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
+        near_share = _NEAR
+        root_actions = root.actions
+        root_clock = root.clock
+
+        # heap entries: (f, elapsed, tie, seq, g, record, first decision)
+        seq = 0
+        heap: list[tuple] = []
+        closed: dict[int, int] = {}  # state id -> fewest actions expanded at
+        chain = [root]  # the records popped, while each is a child of the last
+        near = 1  # no pop after p_j's expansion, for j >= near, was near a tie
+        tied = False
+        expanded = 0
+        node, g, first = root, 0, None
+        while True:
+            closed[node.sid] = g
+            expanded += 1
+            mark = seq
+            edges = node.edges
+            if edges is None:
+                edges = graph.expand(config, node)
+                known.extend([None] * (len(records) - len(known)))
+            for decision, child, _ in edges:
+                # None: not met yet, or beyond the limits
+                h = known[child.n]
+                if h is None:
+                    if child.actions > max_actions or child.clock > max_minutes:
+                        continue
+                    h = known[child.n] = evaluate(child.state)
+                    if goal_satisfied(goal, child.state):
+                        at_goal.add(child)
+                child_g = child.actions - root_actions
+                best = closed.get(child.sid)
+                if best is not None and best <= child_g:
+                    continue
+                seq += 1
+                heappush(heap, (child_g + h, child.clock - root_clock, draw(), seq,
+                                child_g, child, first or decision))
+
+            while heap:
+                f, elapsed, tie, pushed, g, node, first = heappop(heap)
+                best = closed.get(node.sid)
+                if best is None or best > g:
+                    break
+            else:
+                first = None
+                break
+            if chain is not None:
+                if pushed > mark:
+                    chain.append(node)
+                else:
+                    chain = None
+            if heap:
+                # off the chain only an exact tie counts
+                top = heap[0]
+                if top[0] - f <= ((abs(f) + g) * near_share if chain else 0.0):
+                    near = expanded
+                    tied = tied or top[0] == f and top[1] == elapsed
+            if at_goal and node in at_goal:
+                if chain is not None and near < expanded:
+                    _store_chain_answers(chain, near, goal, answers)
+                break
+            if expanded >= node_budget:
+                # Budget ran out: head toward the best frontier node, ranked by
+                # f, then fewest actions, then least elapsed time, then the
+                # random tie number already drawn.
+                best_key, best_tie, chosen = (f, g, elapsed), tie, first
+                for f, elapsed, tie, _, g, node, first in heap:
+                    prev = closed.get(node.sid)
+                    if prev is not None and prev <= g:
+                        continue
+                    key = (f, g, elapsed)
+                    if key <= best_key:
+                        if key == best_key:
+                            tied = True
+                            if tie >= best_tie:
+                                continue
+                        best_key, best_tie, chosen = key, tie, first
+                first = chosen
+                break
+
+        decision = Decision.stop("search_exhausted") if first is None else first
+        if answer is None:
+            answers[root] = _TIED if tied else (decision, expanded, seq)
+        self.last_expanded = expanded
+        return decision
+
+
+def astar_decide(
+    config: TuningConfig,
+    state: GameState,
+    heuristic: HeuristicSpec,
+    goal: GoalSpec,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    rng: random.Random | None = None,
+) -> Decision:
+    """Pick the next move by bounded A* over game states: the first
+    decision of a new planner."""
+    return AStarPlanner(heuristic, goal, node_budget).decide(
+        config, state, rng or random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -910,21 +892,20 @@ def _play(
     rng: random.Random,
     agent,
     goal: GoalSpec,
-) -> tuple[GameState, list[Effects], bool, str, int, int, float]:
+) -> tuple[_Record, list[Effects], bool, str, int, int, float]:
     """The decide/commit loop of every episode, evaluated or trained.
 
     Stops at the goal or a hard limit, else asks the agent for a move
-    and commits it. A wait while actions are legal is traced and moves
-    the clock; a wait while idle ends the session. The agent sees states
-    without path history: the loop only collects each committed edge's
-    effects, and a caller that wants the history writes them with
-    `sim.record`. A move a `_GraphAgent` (an AStarPlanner or the Softmax
-    learner) hands over as `last_edge` is committed as the child state it
-    reaches, with no engine step; any other goes through `_commit`.
-    Returns the final state, without the history of the path, the
-    committed edges' effects in order, whether the goal was reached, the
-    stop reason, the decision count, the most nodes one decision expanded
-    and the longest decision in seconds.
+    and commits it. The loop stands at a record of the build's graph
+    (see `_graph`), hashing only the start state. It hands the agent the
+    record's state, which an agent on the graph, wrapped or not, finds
+    its root by, and commits the move by the record's edge for it, with
+    no engine step; a move that is no edge goes through `_commit`. The
+    loop only collects each committed edge's effects: a caller that
+    wants the path history writes them with `sim.record`. Returns the
+    final record, the effects in order, whether the goal was reached,
+    the stop reason, the decision count, the most nodes one decision
+    expanded and the longest decision in seconds.
     """
     reached = False
     reason = ""
@@ -932,15 +913,16 @@ def _play(
     max_expanded = 0
     max_seconds = 0.0
     path = []
-    hands_edges = isinstance(agent, _GraphAgent)
+    graph = _graph(config)
+    node = graph.root(state)
 
     while True:
+        state = node.state
         if goal_satisfied(goal, state):
             reached = True
             reason = "goal"
             break
-        if (state.clock >= goal.max_minutes
-                or state.counters.total_actions >= goal.max_actions):
+        if node.clock >= goal.max_minutes or node.actions >= goal.max_actions:
             reason = "hard_limit"
             break
         t0 = time.perf_counter()
@@ -955,13 +937,20 @@ def _play(
         if decision.kind not in ("act", "wait"):
             reason = decision.reason or "stop"
             break
-        edge = agent.last_edge if hands_edges else None
-        if edge is not None and edge[0] is decision:
-            state, effects = edge[1].state, edge[2]
+        # the agent's root, unless the graph was emptied since
+        node = graph.root(state)
+        edges = node.edges
+        if edges is None:
+            edges = graph.expand(config, node)
+        for move, child, effects in edges:
+            if move is decision:
+                break
         else:
-            state, effects = _commit(config, state, decision)
+            successor, effects = _commit(config, state, decision)
+            child = graph.node(successor)
+        graph.at = node = child
         path.append(effects)
-    return state, path, reached, reason, decisions, max_expanded, max_seconds
+    return node, path, reached, reason, decisions, max_expanded, max_seconds
 
 
 def run_episode(
@@ -973,12 +962,11 @@ def run_episode(
 ) -> TrialRecord:
     """Drive one playthrough: decide, apply, repeat until goal or stop."""
     start = initial_state(config, scenario, seed)
-    state, path, reached, reason, decisions, max_expanded, max_seconds = _play(
+    node, path, reached, reason, decisions, max_expanded, max_seconds = _play(
         config, start, random.Random(seed), agent, goal,
     )
-    counters, running = record(start.counters, 0, state.counters.total_actions,
-                               path)
-    state = with_history(state, counters, running)
+    counters, running = record(start.counters, 0, node.actions, path)
+    state = with_history(node.state, counters, running)
     return TrialRecord(
         seed=seed,
         agent=getattr(agent, "name", type(agent).__name__),
@@ -993,7 +981,7 @@ def run_episode(
         decisions=decisions,
         max_nodes_expanded=max_expanded,
         max_decision_seconds=max_seconds,
-        state_digest=state_digest(state),
+        state_digest=node.digest(),
     )
 
 
@@ -1110,8 +1098,18 @@ def softmax_decide(
 
 
 class SoftmaxPlanner:
+    """The Softmax agent: each decision samples one of its root record's
+    edges (see `_graph`), which come in `available_moves` order, as
+    `softmax_decide` samples moves, so the engine expands each state once.
+
+    A learner (see `train_softmax`) sets `grad`; each decision then adds
+    its move's REINFORCE term, the gradient of its log-probability in the
+    weights, to it.
+    """
+
     name = "softmax"
     last_expanded = 0
+    grad: list[float] | None = None
 
     def __init__(self, policy: SoftmaxPolicy, config: TuningConfig):
         self.policy = policy
@@ -1120,40 +1118,22 @@ class SoftmaxPlanner:
     def decide(
         self, config: TuningConfig, state: GameState, rng: random.Random
     ) -> Decision:
-        return softmax_decide(self.policy, config, state, rng, self.features)
-
-
-class _SoftmaxLearner(_GraphAgent):
-    """A Softmax agent that learns as it plays: each decision samples a
-    move as `softmax_decide` does and adds that move's REINFORCE term,
-    the gradient of its log-probability in the weights, to `grad`. Its
-    moves are its root record's edges, in `available_moves` order, and it
-    hands the chosen edge over, so the engine expands each state once.
-    """
-
-    grad: list[float]
-
-    def __init__(self, policy: SoftmaxPolicy, config: TuningConfig,
-                 goal: GoalSpec):
-        super().__init__(goal)
-        self.policy = policy
-        self.features = FeatureExtractor(config)
-
-    def _choose(
-        self, config: TuningConfig, root: _Node, rng: random.Random
-    ) -> tuple[Decision, tuple | None]:
+        graph = _graph(config)
+        root = graph.root(state)
         edges = root.edges
         if edges is None:
-            edges = _expand(config, self._memo, self._ids, self.goal, root)
+            edges = graph.expand(config, root)
         if not edges:
-            return Decision.stop("deadlock"), None
+            return Decision.stop("deadlock")
         vectors = [self.features.vector(edge[0]) for edge in edges]
         temperature = self.policy.temperature
         chosen, probs = _softmax_sample(self.policy.weights, temperature, vectors, rng)
-        grad, taken = self.grad, vectors[chosen]
-        for i, column in enumerate(zip(*vectors)):
-            grad[i] += (taken[i] - _sum(map(mul, probs, column))) / temperature
-        return edges[chosen][0], edges[chosen]
+        grad = self.grad
+        if grad is not None:
+            taken = vectors[chosen]
+            for i, column in enumerate(zip(*vectors)):
+                grad[i] += (taken[i] - _sum(map(mul, probs, column))) / temperature
+        return edges[chosen][0]
 
 
 FAILURE_RETURN = -1000.0
@@ -1171,27 +1151,26 @@ def train_softmax(
 ) -> tuple[SoftmaxPolicy, list[float]]:
     """REINFORCE on episode return (negative action count; big penalty on miss).
 
-    Every episode runs through the evaluation loop with a learning
-    agent. Returns the trained policy and the per-episode return curve.
+    Every episode runs through the evaluation loop with a Softmax agent
+    that collects its gradient. Returns the trained policy and the
+    per-episode return curve.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
 
-    learner = _SoftmaxLearner(SoftmaxPolicy.zero(temperature), config, goal)
+    learner = SoftmaxPlanner(SoftmaxPolicy.zero(temperature), config)
     weights = learner.policy.weights
     returns: list[float] = []
     baseline = 0.0
 
     for episode in range(episodes):
         learner.grad = grad = [0.0] * len(weights)
-        state, _, reached, *_ = _play(
+        node, _, reached, *_ = _play(
             config, initial_state(config, scenario, episode), rng, learner, goal
         )
-        episode_return = (
-            -float(state.counters.total_actions) if reached else FAILURE_RETURN
-        )
+        episode_return = -float(node.actions) if reached else FAILURE_RETURN
         returns.append(episode_return)
         advantage = episode_return - baseline
         baseline += (episode_return - baseline) / (episode + 1)

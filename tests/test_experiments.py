@@ -496,20 +496,21 @@ class TestPooledTrials:
                          max_minutes=20_000, max_actions=2000),
                 AgentSpec("astar", node_budget=2000))
 
-    def test_pooled_group_does_the_serial_search_work(
-            self, desk_base, monkeypatch):
-        # jobs run in this process as a worker would run them
+    def test_pooled_group_does_the_serial_search_work(self, monkeypatch):
+        # jobs run in this process as a worker would run them, on the
+        # build as a worker receives it: unpickled, with no graph
+        config = fixtures.load("desk_base")
         edges = agents._edges
         calls = []
         monkeypatch.setattr(agents, "_edges",
                             lambda *args: calls.append(1) or edges(*args))
         monkeypatch.setattr(experiments, "_worker_builds",
-                            {id(desk_base): desk_base})
-        serial = run_trials(desk_base, *self.CULINARY, 12, 2001)
+                            {id(config): pickle.loads(pickle.dumps(config))})
+        serial = run_trials(config, *self.CULINARY, 12, 2001)
         serial_calls, calls[:] = len(calls), []
         pool = InlinePool()
-        pooled = list(run_trials(desk_base, *self.CULINARY, 12, 2001, pool))
-        assert len(calls) == serial_calls
+        pooled = list(run_trials(config, *self.CULINARY, 12, 2001, pool))
+        assert len(calls) == serial_calls > 0
         assert len({r.state_digest for r in serial}) > 1
         assert [replace(r, max_decision_seconds=0.0) for r in pooled] == [
             replace(r, max_decision_seconds=0.0) for r in serial]
@@ -524,6 +525,24 @@ class TestPooledTrials:
         # a batch that waited here would keep the pool to one group at a time
         assert (pool.jobs, pool.reads) == (1, 0)
         assert len(list(batch)) == 2 and pool.reads == 1
+
+    def test_pickled_build_leaves_its_graph_behind(self):
+        # a pool worker receives each build pickled; the engine graph of
+        # the parent's own runs stays behind
+        config = fixtures.load("desk_base")
+        fresh = fixtures.load("desk_base")
+        fresh.index()
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=2,
+                        max_minutes=20_000, max_actions=400)
+        agents.run_episode(config, ScenarioOverrides(career="barista"), 1,
+                           agents.AStarPlanner(HeuristicSpec({"career_xp": 1.0}),
+                                               goal), goal)
+        assert agents._graph(config).records
+        data = pickle.dumps(config)
+        assert len(data) <= len(pickle.dumps(fresh))
+        copy = pickle.loads(data)
+        assert copy.index().graph is None and not agents._graph(copy).records
+        assert config.index().graph.records
 
     @pytest.mark.parametrize("cpus, asked, started", [(1, 8, 1), (2, 8, 2),
                                                       (4, 2, 2), (1, 2, 1)])

@@ -3,6 +3,7 @@
 import functools
 import heapq
 import json
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -20,6 +21,8 @@ from playtest.agents import (
     AStarPlanner,
     GoalSpec,
     HeuristicSpec,
+    SoftmaxPlanner,
+    SoftmaxPolicy,
     astar_decide,
     goal_satisfied,
     run_episode,
@@ -283,20 +286,18 @@ class TestTieRealization:
         assert abs(frequency - 0.5) <= 0.05
 
 
-def answer_kind_of(memo, ids, state):
-    """What the record of `state` in a search graph holds as its answer:
-    None, `_TIED` or "stored" for a tie-free search's answer."""
-    node = memo.get((ids.get(state.dedup_key()), state.counters.total_actions,
-                     state.auto_grant_objects))
-    answer = None if node is None else node.answer
-    return "stored" if type(answer) is tuple else answer
-
-
 def answer_kind(planner, config, state):
-    """`answer_kind_of` the planner's record of `state` under `config`."""
-    if config is not planner._memo_config:
+    """What `planner` holds as its answer for the record of `state` in
+    `config`'s graph: None, `_TIED` or "stored" for a tie-free search's
+    answer."""
+    graph = agents._graph(config)
+    if planner._generation is not graph.generation:
         return None
-    return answer_kind_of(planner._memo, planner._ids, state)
+    node = graph.records.get((graph.ids.get(state.dedup_key()),
+                              state.counters.total_actions,
+                              state.auto_grant_objects))
+    answer = planner._answers.get(node)
+    return "stored" if type(answer) is tuple else answer
 
 
 def hand_state(name, clock, actions, key=None, done=()):
@@ -311,41 +312,47 @@ def hand_state(name, clock, actions, key=None, done=()):
 class HandGraph:
     """A search graph of `hand_state`s, patched in for `agents._edges`:
     `children` maps a state's name to its children, each reached by an
-    act named after it, and `h` a child's name to its heuristic value.
-    The goal is the event "goal"."""
+    act named after it, and `h` a child's name to its heuristic value,
+    patched in for every planner's evaluator. The goal is the event
+    "goal"."""
 
     goal = GoalSpec(kind="event_completed", event="goal")
     SEEDS = 40
 
     def __init__(self, monkeypatch, children, h, budget=2000):
-        self.h, self.budget = h, budget
+        self.budget = budget
         monkeypatch.setattr(agents, "_edges", lambda config, at: [
             (agents.Decision("act", action=child.name), child, ())
             for child in children.get(at.name, ())])
+        monkeypatch.setattr(agents, "build_evaluator",
+                            lambda *args: lambda at: h[at.name])
 
-    def search(self, state, rng, memo=None, ids=None):
-        """(action, nodes expanded, rng state) of a search from `state` on
-        the graph `memo` and `ids` hold, or on a fresh one."""
-        if memo is None:
-            memo, ids = {}, {}
-        decision, expanded, _ = agents._astar_search(
-            None, agents._node(memo, ids, self.goal, state),
-            lambda at: self.h[at.name], self.goal, self.budget, rng, memo, ids)
-        return decision.action, expanded, rng.getstate()
+    def planner(self):
+        """A new planner and a build of its own, whose graph is empty."""
+        build = SimpleNamespace(graph=None)
+        return (AStarPlanner(HeuristicSpec({}), self.goal, self.budget),
+                SimpleNamespace(index=lambda: build))
+
+    def search(self, state, rng, planner=None):
+        """(action, nodes expanded, rng state) of a decision from `state`
+        by `planner`, a pair from `planner()`, or by a new one."""
+        planner, config = planner or self.planner()
+        decision = planner.decide(config, state, rng)
+        return decision.action, planner.last_expanded, rng.getstate()
 
     def check_served(self, start, later):
         """For each of `SEEDS` seeds, search from `start`, then from `later`
-        on the same graph: that must equal a fresh search from `later`
-        with the same rng state. Returns how many times `later` held a
-        stored answer, and so was served."""
+        with the same planner: that must equal a new planner's search
+        from `later` with the same rng state. Returns how many times
+        `later` held a stored answer, and so was served."""
         served = 0
         for seed in range(self.SEEDS):
-            memo, ids, rng = {}, {}, random.Random(seed)
-            self.search(start, rng, memo, ids)
+            planner, rng = self.planner(), random.Random(seed)
+            self.search(start, rng, planner)
             fresh_rng = random.Random()
             fresh_rng.setstate(rng.getstate())
-            served += answer_kind_of(memo, ids, later) == "stored"
-            assert (self.search(later, rng, memo, ids)
+            served += answer_kind(*planner, later) == "stored"
+            assert (self.search(later, rng, planner)
                     == self.search(later, fresh_rng))
         return served
 
@@ -353,13 +360,13 @@ class HandGraph:
 class CheckedPlanner:
     """An AStarPlanner whose every decision is checked against a fresh search.
 
-    Before each decision the rng state is copied; a new planner (empty
-    memo) and `astar_decide` must then make the same decision with the
-    same expansion count and the same number of tie draws, whether the
-    planner searched or served a stored answer. The graph kept afterwards
-    must hold at most `_MEMO_LIMIT` node records, and its state-id table
-    no more ids than records. `answers` counts each decision's root
-    answer before and after it (see `answer_kind`).
+    Before each decision the rng state is copied; a new planner, with no
+    data of its own on the build's graph, and `astar_decide` must then
+    make the same decision with the same expansion count and the same
+    number of tie draws, whether the planner searched or served a stored
+    answer. The graph's state-id table must hold no more ids than it has
+    records. `answers` counts each decision's root answer before and
+    after it (see `answer_kind`).
     """
 
     name = "astar"
@@ -386,7 +393,8 @@ class CheckedPlanner:
         assert rng.getstate() == fresh_rng.getstate()
         assert astar_decide(config, state, planner.heuristic, planner.goal,
                             planner.node_budget, decide_rng) == decision
-        assert len(planner._ids) <= len(planner._memo) <= agents._MEMO_LIMIT
+        graph = agents._graph(config)
+        assert len(graph.ids) <= len(graph.records)
         self.last_expanded = planner.last_expanded
         return decision
 
@@ -558,14 +566,14 @@ class TestPlannerMemo:
             hand_state("act", 1, 1), hand_state("wait_a", 10, 0),
             hand_state("wait_b", 10, 0)]},
             {"act": 0.5, "wait_a": 1.5, "wait_b": 1.5}, budget=1)
-        memo, ids = {}, {}
+        planner = graph.planner()
         picked = set()
         for seed in range(12):
-            decision = graph.search(root, random.Random(seed), memo, ids)
+            decision = graph.search(root, random.Random(seed), planner)
             assert decision == graph.search(root, random.Random(seed))
             picked.add(decision[0])
         assert picked == {"wait_a", "wait_b"}
-        assert answer_kind_of(memo, ids, root) == agents._TIED
+        assert answer_kind(*planner, root) == agents._TIED
 
     def test_tie_with_a_later_chain_push_is_never_served(self, monkeypatch):
         # The search from the root runs straight through a and b, then pops
@@ -607,9 +615,9 @@ class TestPlannerMemo:
         graph = HandGraph(monkeypatch, {"root": [a], "a": [x, y]},
                           {"a": 1.0, "x": hx, "y": hy})
         assert graph.check_served(root, a) == 0
-        memo, ids = {}, {}
-        graph.search(root, random.Random(0), memo, ids)
-        assert answer_kind_of(memo, ids, root) == "stored"
+        planner = graph.planner()
+        graph.search(root, random.Random(0), planner)
+        assert answer_kind(*planner, root) == "stored"
 
     def test_third_replay_pushes_nothing(self, build_b, monkeypatch):
         # every search of this episode is tie-free, and the first runs
@@ -656,28 +664,32 @@ class TestPlannerMemo:
         assert expanded == list(range(168, 0, -1))
 
     @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
-    def test_id_table_is_bounded_by_the_records(self, desk_objects, memo_limit,
+    def test_id_table_is_bounded_by_the_records(self, memo_limit,
                                                 monkeypatch):
-        # every interned id belongs to a node record, so emptying the
-        # records must empty the id table too
-        sizes = []
+        # every interned id belongs to a record, so emptying the records
+        # must empty the id table too; a root lookup empties a graph past
+        # the limit before it files the root
+        sizes, generations = [], set()
+        root = agents._Graph.root
 
-        class SizedPlanner(AStarPlanner):
-            def decide(self, config, state, rng):
-                decision = super().decide(config, state, rng)
-                sizes.append((len(self._ids), len(self._memo)))
-                return decision
+        def sized_root(graph, state):
+            record = root(graph, state)
+            sizes.append((len(graph.ids), len(graph.records)))
+            generations.add(graph.generation)
+            return record
 
+        monkeypatch.setattr(agents._Graph, "root", sized_root)
         monkeypatch.setattr(agents, "_MEMO_LIMIT", memo_limit)
+        config = fixtures.load("desk_objects")
         goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
                         max_minutes=20_000, max_actions=400)
-        planner = SizedPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 30)
+        planner = AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 30)
         for grant in (False, True):
-            run_episode(desk_objects, ScenarioOverrides(
+            run_episode(config, ScenarioOverrides(
                 career="barista", grant_objects=grant), 11, planner, goal)
         assert len(sizes) > 10
-        assert all(ids <= records <= memo_limit for ids, records in sizes)
-        assert ((0, 0) in sizes) == (memo_limit == 3)
+        assert all(ids <= records <= memo_limit + 1 for ids, records in sizes)
+        assert (len(generations) > 1) == (memo_limit == 3)
 
     @settings(PROPERTY_SETTINGS, max_examples=15)
     @given(seed=st.integers(0, 2**32 - 1), node_budget=st.integers(5, 60))
@@ -714,9 +726,7 @@ def check_replays(first, second, third):
 
 class ForwardingPlanner:
     """Forwards `decide`, `name` and `last_expanded` to a planner, as the
-    benchmark's TimedAgent does, and nothing else: the planner's
-    `last_edge` stays behind, so every move is committed through the
-    engine and every root is hashed."""
+    benchmark's TimedAgent does, and nothing else."""
 
     def __init__(self, planner):
         self.planner = planner
@@ -730,9 +740,9 @@ class ForwardingPlanner:
 
 
 def check_wrapped_records(config, scenario, goal, weights, budget, seeds):
-    """A bare planner, which hands its edges over, and the same planner
-    behind a ForwardingPlanner must give equal records, field for field
-    (the decision time aside), over every seed in turn."""
+    """A bare planner and the same planner behind a ForwardingPlanner must
+    give equal records, field for field (the decision time aside), over
+    every seed in turn."""
     bare = AStarPlanner(HeuristicSpec(weights), goal, budget)
     wrapped = ForwardingPlanner(AStarPlanner(HeuristicSpec(weights), goal, budget))
     for seed in seeds:
@@ -770,8 +780,9 @@ SHIPPED_GROUPS = {
 
 
 class TestHandedEdges:
-    """A move the planner hands over is committed as its child record's
-    state, with the edge's effects recorded; nothing else may change."""
+    """A move is committed as the child state of its record's edge, with
+    the edge's effects recorded, whether the planner is bare or wrapped;
+    nothing else may change."""
 
     @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
     @settings(PROPERTY_SETTINGS, max_examples=25)
@@ -780,7 +791,7 @@ class TestHandedEdges:
     def test_wrapped_planner_gives_equal_records(
             self, memo_limit, build_seed, seed, other, node_budget):
         # the third run of `seed` serves its tie-free roots; a limit of 3
-        # empties the memo again and again, dropping the handed-over child
+        # empties the graph again and again, under the episode's record
         config, scenario, goal = random_desk_config(build_seed)
         weights = ({"career_xp": 1.0, "event_xp": 0.5}
                    if goal.kind == "career_level_reached" else
@@ -823,29 +834,146 @@ class TestHandedEdges:
                 getattr(agents, name)))
         per_decision.clear()
         records.append(run_episode(desk_base, scenario, 5, planner, goal))
-        # only the episode's first root, a state no search made, is hashed
-        assert per_decision[0] == 1 and sum(per_decision) == 1
+        # only the episode's start, a state no search made, is hashed, once,
+        # by the episode loop; every root is found by identity
+        assert len(hashes) == 1 and sum(per_decision) == 0
         assert len(per_decision) == records[2].decisions > 1
         assert not engine
         assert records[2] == replace(records[0], max_decision_seconds=(
             records[2].max_decision_seconds))
 
-    def test_wrapped_replay_commits_through_the_engine(self, desk_base,
-                                                       monkeypatch):
-        # the counter above sees commits: the same replay behind a wrapper,
-        # whose planner's edges are not handed over, commits every move
-        commits = []
-        commit = agents._commit
-        monkeypatch.setattr(agents, "_commit",
-                            lambda *args: commits.append(1) or commit(*args))
+    def test_wrapped_replay_commits_with_no_engine_step(self, monkeypatch):
+        # behind a wrapper, which passes nothing on but the decision, every
+        # move is still committed by an edge of the episode's record: the
+        # first run steps the engine only to expand, the second not at all
+        config = fixtures.load("desk_base")
+        calls = Counter()
+        for name in ("_edges", "_commit"):
+            monkeypatch.setattr(agents, name, functools.partial(
+                lambda name, fn, *args: calls.update([name]) or fn(*args),
+                name, getattr(agents, name)))
         goal = SHIPPED_GROUPS["barista"][2]
         wrapped = ForwardingPlanner(
             AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200))
         scenario = ScenarioOverrides(career="barista")
-        for _ in range(3):
-            commits.clear()
-            record = run_episode(desk_base, scenario, 5, wrapped, goal)
-        assert len(commits) == record.decisions - (record.reason != "goal")
+        first = run_episode(config, scenario, 5, wrapped, goal)
+        assert first.decisions > 1
+        assert calls["_edges"] > 0 and calls["_commit"] == 0
+        calls.clear()
+        again = run_episode(config, scenario, 5, wrapped, goal)
+        assert not calls
+        assert again == replace(first, max_decision_seconds=(
+            again.max_decision_seconds))
+
+
+def other_goal(goal):
+    """A goal of another kind, with other limits, on the build of a
+    `random_desk_config` goal."""
+    if goal.kind == "career_level_reached":
+        return GoalSpec(kind="event_completed", event="shift",
+                        max_minutes=300, max_actions=8)
+    return GoalSpec(kind="relationship_chain_done", category="rivalry",
+                    chain_length=goal.chain_length, max_minutes=200,
+                    max_actions=8)
+
+
+def shared_graph_players(config, goal, budgets):
+    """Three agents with their own goals, heuristics and budgets: two
+    planners and a Softmax agent, each with the goal it plays to."""
+    weights = ({"career_xp": 1.0, "event_xp": 0.5}
+               if goal.kind == "career_level_reached" else
+               {"relationship_event_complete": 1.0, "event_xp": 1.0})
+    other = other_goal(goal)
+    return [
+        (AStarPlanner(HeuristicSpec(weights), goal, budgets[0]), goal),
+        (AStarPlanner(HeuristicSpec({"event_xp": 2.0, "relationship_xp": 1.0}),
+                      other, budgets[1]), other),
+        (SoftmaxPlanner(SoftmaxPolicy.zero(), config), goal),
+    ]
+
+
+class TestSharedGraph:
+    """Every agent on a build moves on the build's one engine graph; no
+    agent's play changes another's, and a replay asks the engine nothing."""
+
+    PROPERTY_SETTINGS = settings(
+        PROPERTY_SETTINGS, phases=[p for p in Phase if p is not Phase.shrink])
+
+    @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
+    @settings(PROPERTY_SETTINGS, max_examples=25)
+    @given(build_seed=st.integers(0, 10_000),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+           budgets=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    def test_agents_on_one_graph_play_as_each_alone(
+            self, memo_limit, build_seed, seeds, budgets):
+        # episodes of the three agents in turn on one build, against each
+        # agent's episodes on a build of its own; a limit of 3 empties the
+        # graph again and again while the other agents hold records
+        config, scenario, goal = random_desk_config(build_seed)
+        with mock.patch.object(agents, "_MEMO_LIMIT", memo_limit):
+            together = [[] for _ in range(3)]
+            players = shared_graph_players(config, goal, budgets)
+            for seed in seeds:
+                for records, (agent, agent_goal) in zip(together, players):
+                    records.append(run_episode(config, scenario, seed, agent,
+                                               agent_goal))
+            for i, records in enumerate(together):
+                own = pickle.loads(pickle.dumps(config))  # with no graph
+                agent, agent_goal = shared_graph_players(own, goal, budgets)[i]
+                alone = [run_episode(own, scenario, seed, agent, agent_goal)
+                         for seed in seeds]
+                assert [replace(r, max_decision_seconds=0.0) for r in alone] == [
+                    replace(r, max_decision_seconds=0.0) for r in records]
+
+    def test_emptied_graph_leaves_no_stale_records_with_an_agent(
+            self, monkeypatch):
+        # a planner holds its data for the barista episode's records when
+        # another planner's episode empties the graph again and again; its
+        # next decision drops that data, and its replay is unchanged
+        config = fixtures.load("desk_base")
+        fixture, scenario, goal, weights, budget = SHIPPED_GROUPS["barista"]
+        holder = CheckedPlanner(HeuristicSpec(weights), goal, budget)
+        first = run_episode(config, scenario, 5, holder, goal)
+        held = set(holder.planner._answers)
+        assert held
+
+        monkeypatch.setattr(agents, "_MEMO_LIMIT", 3)
+        _, scenario_b, goal_b, weights_b, budget_b = SHIPPED_GROUPS["chain"]
+        run_episode(config, scenario_b, 5,
+                    AStarPlanner(HeuristicSpec(weights_b), goal_b, budget_b),
+                    goal_b)
+        assert not held & set(agents._graph(config).records.values())
+        monkeypatch.undo()
+
+        again = run_episode(config, scenario, 5, holder, goal)
+        planner, current = holder.planner, set(agents._graph(config).records.values())
+        assert set(planner._answers) <= current and planner._at_goal <= current
+        assert len(planner._h) <= len(current)
+        assert again == replace(first, max_decision_seconds=(
+            again.max_decision_seconds))
+
+    def test_second_round_of_new_planners_asks_the_engine_nothing(
+            self, monkeypatch):
+        # the benchmark's short A* workload makes a planner per trial: from
+        # the second round on, every state is a record of the build's graph
+        config = fixtures.load("romance_outlier")
+        _, scenario, goal, weights, _ = SHIPPED_GROUPS["romance"]
+        calls = Counter()
+        for name in ("_edges", "_commit"):
+            monkeypatch.setattr(agents, name, functools.partial(
+                lambda name, fn, *args: calls.update([name]) or fn(*args),
+                name, getattr(agents, name)))
+
+        def play_round():
+            return [replace(run_episode(config, scenario, seed, AStarPlanner(
+                HeuristicSpec(weights), goal), goal), max_decision_seconds=0.0)
+                    for seed in range(10)]
+
+        first = play_round()
+        assert calls["_edges"] > 0 and calls["_commit"] == 0
+        calls.clear()
+        assert play_round() == first
+        assert not calls
 
 
 def walk_states(config, scenario, seed, steps=40):

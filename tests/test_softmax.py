@@ -3,6 +3,7 @@
 import json
 import random
 import statistics
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -190,10 +191,11 @@ class TestTraining:
 
 class ReferenceLearner:
     """The learner without a graph: it lists its moves with
-    `available_moves` and hands no edge over, so the episode loop commits
-    every move through `_commit`. Sampling and gradient are the learner's."""
+    `available_moves` and expands no record, so the episode loop expands
+    each record itself to commit the move by its edge. Sampling and
+    gradient are the learner's."""
 
-    def __init__(self, policy, config, goal):
+    def __init__(self, policy, config):
         self.policy = policy
         self.features = FeatureExtractor(config)
 
@@ -220,13 +222,13 @@ def train_recorded(config, scenario, goal, episodes, step_size, seed,
 
     def recording_play(*args):
         result = play(*args)
-        finals.append((result[0].counters.total_actions, result[0].dedup_key()))
+        finals.append((result[0].actions, result[0].state.dedup_key()))
         return result
 
     rng = random.Random(seed)
     with mock.patch.object(agents, "_play", recording_play), \
-            mock.patch.object(agents, "_SoftmaxLearner",
-                              learner or agents._SoftmaxLearner):
+            mock.patch.object(agents, "SoftmaxPlanner",
+                              learner or agents.SoftmaxPlanner):
         policy, returns = train_softmax(config, scenario, goal, episodes,
                                         step_size, rng, temperature)
     return policy, returns, finals, rng.getstate()
@@ -248,8 +250,8 @@ GRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None,
 
 
 class TestGraphLearner:
-    """Training on the learner's node graph trains exactly what listing
-    moves and stepping the engine on every commit trains."""
+    """Training on the build's graph trains exactly what listing moves
+    with `available_moves` trains."""
 
     # the memo limit is drawn, not parametrized: a parametrized @given
     # method runs from one executor per parameter
@@ -284,40 +286,70 @@ class TestGraphLearner:
                             ScenarioOverrides.from_dict(scenario),
                             GoalSpec.from_dict(goal), 80, 0.05, 3, temperature)
 
+    @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
+    def test_evaluation_samples_as_softmax_decide(self, memo_limit,
+                                                  monkeypatch):
+        # evaluation reads its root record's edges; `softmax_decide` lists
+        # moves with `available_moves`: every trial must come out the same
+        config = fixtures.load("bugged_event")
+        scenario = ScenarioOverrides(career="clerk")
+        goal = GoalSpec(kind="career_level_reached", career="clerk", level=2,
+                        max_minutes=2_000, max_actions=100)
+        policy, _ = train_softmax(config, scenario, goal, episodes=30,
+                                  step_size=0.05, rng=random.Random(3))
+        assert any(policy.weights)
+
+        class ListingAgent:
+            name = "softmax"
+
+            def decide(self, config, state, rng):
+                return softmax_decide(policy, config, state, rng)
+
+        monkeypatch.setattr(agents, "_MEMO_LIMIT", memo_limit)
+        for seed in range(20):
+            records = [
+                replace(run_episode(config, scenario, seed, agent, goal),
+                        max_decision_seconds=0.0)
+                for agent in (SoftmaxPlanner(policy, config), ListingAgent())]
+            assert records[0] == records[1]
+
     def test_every_root_is_a_record_of_the_current_graph(self, desk_base,
                                                          monkeypatch):
-        # a limit of 3 empties the graph again and again; a handed child
-        # kept across that would keep the old graph alive through its edges
+        # a limit of 3 empties the graph again and again; a record kept
+        # across that would keep the old graph alive through its edges
         roots = []
-        choose = agents._SoftmaxLearner._choose
+        root = agents._Graph.root
 
-        def recording_choose(self, config, root, rng):
-            roots.append(any(node is root for node in self._memo.values()))
-            return choose(self, config, root, rng)
+        def recording_root(graph, state):
+            record = root(graph, state)
+            roots.append(any(node is record for node in graph.records.values()))
+            return record
 
         monkeypatch.setattr(agents, "_MEMO_LIMIT", 3)
-        monkeypatch.setattr(agents._SoftmaxLearner, "_choose", recording_choose)
+        monkeypatch.setattr(agents._Graph, "root", recording_root)
         train_softmax(desk_base, ScenarioOverrides(career="fashion"),
                       TestTraining().goal(), episodes=20, step_size=0.05,
                       rng=random.Random(42))
         assert len(roots) > 20 and all(roots)
 
     def test_engine_expands_each_state_once_and_commits_nothing(
-            self, desk_base, monkeypatch):
-        # agent_comparison's training: 3,633 decisions over 56 states, whose
-        # expansions make 112 edges; only each episode's start and each
-        # edge's child are hashed, never a handed-over child again
+            self, monkeypatch):
+        # agent_comparison's training on a build no agent has played:
+        # 3,633 decisions over 56 states, whose expansions make 112 edges;
+        # only each episode's start and each edge's child are hashed, never
+        # a committed child again
         calls = {"_edges": 0, "_commit": 0, "dedup_key": 0}
         for owner, name in ((agents, "_edges"), (agents, "_commit"),
                             (GameState, "dedup_key")):
             fn = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name: (
                 calls.__setitem__(name, calls[name] + 1) or fn(*args)))
-        decide = agents._SoftmaxLearner.decide
+        decide = agents.SoftmaxPlanner.decide
         decisions = []
-        monkeypatch.setattr(agents._SoftmaxLearner, "decide", lambda *args: (
+        monkeypatch.setattr(agents.SoftmaxPlanner, "decide", lambda *args: (
             decisions.append(1) or decide(*args)))
-        train_softmax(desk_base, ScenarioOverrides(career="fashion"),
+        train_softmax(fixtures.load("desk_base"),
+                      ScenarioOverrides(career="fashion"),
                       TestTraining().goal(), episodes=400, step_size=0.05,
                       rng=random.Random(42))
         assert len(decisions) == 3633
