@@ -8,29 +8,26 @@ when idle, to the event deadline while an event runs). Frontier ties on
 f are broken by a uniform random draw from the caller's seeded rng, so
 identical seeds give identical decisions.
 
-Every agent moves on one engine graph per build (`_graph`), kept on the
-build's `ConfigIndex` as long as the config lives, and shared by every
-planner, episode and training run on it, whether an agent is made per
-trial or per group: one record per dedup key, action count and
-auto-grant flag, holding the state's interned id, clock and action count
-and, once expanded, its edges. So the engine expands each distinct state
-once, however many agents reach it. A graph grown past `_MEMO_LIMIT`
-records is emptied. What depends on an agent's goal, heuristic or budget
-stays with the agent, keyed by record: a planner's heuristic values,
-goal flags and stored answers. Its limits are two comparisons on the
-record's clock and action count. No decision changes.
+Agents move on an engine graph of the build (`_graph`): one record per
+dedup key, action count and auto-grant flag, holding the state's
+interned id, clock and action count and, once expanded, its edges. The
+agents and running episodes that use a graph hold it, and a table only
+refers to it weakly: the agents alive on a build share one graph, a
+group's agent keeps it for all the group's trials, and an agent made
+afresh starts on an empty one. A graph grown past `_MEMO_LIMIT` records
+is emptied. What depends on an agent's goal, heuristic or budget stays
+with the agent, keyed by record: a planner's heuristic values, goal
+flags and stored answers. No decision changes.
 
 Search states carry no path history (see `sim`): each edge of a record
 holds the child record and the effects of committing that move. The
-episode loop stands at a record, hands its state to the agent, which
-finds its root by identity, and commits the chosen move by that record's
-edge: it takes the child's state as it is and adds the effects to the
-episode's path, whose history `sim.record` writes when the episode ends.
-So a move costs no engine step, whether the agent is a planner, a
-wrapper around one or the Softmax agent. Only a move that is no edge of
-the record, a scripted wait to another time or an act that is not legal,
-goes through the engine's transition (`_commit`), which raises for the
-illegal act.
+episode loop commits a move by the edge of the record the agent found
+for its root (see `_play`): it takes the child's state as it is, hands
+it to the agent next, and adds the effects to the episode's path, whose
+history `sim.record` writes when the episode ends. So a planner's move
+costs no engine step or hash, bare or behind a wrapper. Any other move
+goes through the engine's transition (`_commit`), which raises for an
+act that is not legal.
 
 A planner's answers serve as a transposition table over decisions.
 Every search runs a tie test: could the random tie number have decided
@@ -55,12 +52,14 @@ every category's remaining final thresholds and relationship XP for each
 count of completed events are computed then, so evaluating a state is a
 few lookups per weighted term.
 
-The Softmax agent samples its root record's edges in proportion to
+The Softmax agent samples the available moves in proportion to
 exp(utility/temperature), where utility is a learned linear function of
 normalized action parameters, with float sums added left to right on
-every Python version. Training is REINFORCE, stochastic gradient ascent
-on episode return: the same agent, collecting its gradient, plays every
-training episode through the decide/commit loop that evaluation uses.
+every Python version; once its graph has served an earlier episode, it
+samples its root record's edges. Training is REINFORCE, stochastic
+gradient ascent on episode return: the same agent, collecting its
+gradient, plays every training episode through the decide/commit loop
+that evaluation uses.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import attrgetter, mul
+from weakref import WeakValueDictionary
 
 from .errors import Deadlock, SchemaError
 from .sim import (
@@ -93,7 +93,7 @@ from .sim import (
     wait_edge,
     with_history,
 )
-from .tuning import ActionSpec, Codec, EventSpec, TuningConfig, absent
+from .tuning import ActionSpec, Codec, ConfigIndex, EventSpec, TuningConfig, absent
 
 DEFAULT_NODE_BUDGET = 2000
 
@@ -513,10 +513,10 @@ class _Record:
     """One node of a build's engine graph: a state under one key (see
     `_Graph.node`), numbered `n` in the order the graph filed them, with
     the interned id `sid` of its dedup key and its own action count and
-    clock. `state` has no path history (see
-    `sim.act_edge`), except at a root an episode started from. `edges`,
-    filled in at the first expansion, lists (decision, child record,
-    effects an episode records when it commits the edge).
+    clock. `state` has no path history (see `sim.act_edge`), except at a
+    root an episode started from. `edges`, filled in at the first
+    expansion, lists (decision, child record, effects an episode records
+    when it commits the edge).
     """
 
     __slots__ = ("n", "sid", "actions", "clock", "state", "edges", "_digest")
@@ -539,24 +539,25 @@ class _Record:
 
 
 class _Graph:
-    """The engine layer of every agent's moves on one build (see `_graph`).
+    """The engine layer of agents' moves on one build (see `_graph`).
 
     `ids` interns dedup keys as small ints, and `records` maps (state id,
-    action count, auto-grant flag) to the record. `at` is the record an
-    episode stands at (see `_play`), so a decision from its state finds
-    its root without hashing it. A root lookup that finds more than
-    `_MEMO_LIMIT` records empties the graph first, and the graph takes a
-    new `generation` token: data an agent keyed by the old records is
-    stale.
+    action count, auto-grant flag) to the record. `at` pairs the state of
+    the last root lookup or committed edge (see `_play`) with its record,
+    so a decision from that state object finds its root with no hashing.
+    A root lookup that finds more than `_MEMO_LIMIT` records empties the
+    graph first, under a new `generation` token: data an agent keyed by
+    the old records is stale.
     """
 
     def __init__(self):
+        self.episodes = 0  # started on this graph (see `_play`)
         self._empty()
 
     def _empty(self) -> None:
         self.records: dict[tuple, _Record] = {}
         self.ids: dict[tuple, int] = {}
-        self.at: _Record | None = None
+        self.at: tuple[GameState, _Record] | None = None
         self.generation = object()
 
     def node(self, state: GameState) -> _Record:
@@ -569,14 +570,14 @@ class _Graph:
         return record
 
     def root(self, state: GameState) -> _Record:
-        """The record of a decision's root `state`: `at` if `state` is its
-        state, else the record found by hashing, which becomes `at`."""
+        """The record of a decision's root `state`: `at`'s if `state` is its
+        state, else the record found by hashing, which `at` then holds."""
         if len(self.records) > _MEMO_LIMIT:
             self._empty()
         at = self.at
-        if at is None or at.state is not state:
-            at = self.at = self.node(state)
-        return at
+        if at is None or at[0] is not state:
+            at = self.at = (state, self.node(state))
+        return at[1]
 
     def expand(self, config: TuningConfig, record: _Record) -> list[tuple]:
         """Fill in `record`'s edges from the engine and return them."""
@@ -586,12 +587,18 @@ class _Graph:
         return record.edges
 
 
+# The graph the live agents on each build share, by the build's index.
+# Agents and running episodes hold their graph; this table only finds it.
+_graphs: WeakValueDictionary[ConfigIndex, _Graph] = WeakValueDictionary()
+
+
 def _graph(config: TuningConfig) -> _Graph:
-    """The engine graph of `config`'s build, made on first use."""
+    """The engine graph that the live agents on `config`'s build use, or
+    a new one if none is alive."""
     idx = config.index()
-    graph = idx.graph
+    graph = _graphs.get(idx)
     if graph is None:
-        graph = idx.graph = _Graph()
+        graph = _graphs[idx] = _Graph()
     return graph
 
 
@@ -661,18 +668,16 @@ class AStarPlanner:
     """Receding-horizon planner: a bounded search for every move that no
     earlier search answered for.
 
-    The planner searches the build's engine graph (see `_graph`) and
-    keeps its own data for the graph's current generation: the heuristic
-    value of each record within its limits that it met, in a list by
+    The planner searches the build's engine graph (see `_graph`), which
+    it holds, and keeps its own data for the graph's current generation:
+    the heuristic value of each in-limits record it met, in a list by
     record number, so a push looks it up as cheaply as an attribute; the
     records it found at its goal; and its answers by record. A record's
     key fixes everything that shapes future dynamics and everything the
-    goal and heuristic read, g and the action limit. So a later search
-    that meets known records pushes and pops in the same order and draws
-    the same tie numbers, and its decisions and expansion counts are a
-    new planner's.
-    A decision from a record the planner holds an answer for is served:
-    the same decision, the rng advanced past the same tie draws, and
+    goal and heuristic read, so a later search that meets known records
+    pushes, pops and draws ties as a new planner's would. A decision from
+    a record the planner holds an answer for is served: the same
+    decision, the rng advanced past the same tie draws, and
     `last_expanded` set to the expansion count of the search it replays,
     though nothing is expanded.
     """
@@ -690,6 +695,7 @@ class AStarPlanner:
         self.node_budget = node_budget
         self.last_expanded = 0
         self._config: TuningConfig | None = None
+        self._graph: _Graph | None = None
         self._generation: object | None = None
 
     def decide(
@@ -722,13 +728,13 @@ class AStarPlanner:
         node_budget = self.node_budget
         if node_budget < 1:
             raise ValueError("node_budget must be >= 1")
-        graph = _graph(config)
+        if config is not self._config:
+            self._config, self._graph = config, _graph(config)
+            self._evaluate = build_evaluator(self.heuristic, config, self.goal)
+        graph = self._graph
         root = graph.root(state)
         if graph.generation is not self._generation:
-            # another build, or this one's graph was emptied
-            if config is not self._config:
-                self._config = config
-                self._evaluate = build_evaluator(self.heuristic, config, self.goal)
+            # a new graph, or this one was emptied
             self._generation = graph.generation
             self._h: list[float | None] = []
             self._at_goal: set[_Record] = set()
@@ -892,20 +898,21 @@ def _play(
     rng: random.Random,
     agent,
     goal: GoalSpec,
-) -> tuple[_Record, list[Effects], bool, str, int, int, float]:
+) -> tuple[GameState, _Record | None, list[Effects], bool, str, int, int, float]:
     """The decide/commit loop of every episode, evaluated or trained.
 
     Stops at the goal or a hard limit, else asks the agent for a move
-    and commits it. The loop stands at a record of the build's graph
-    (see `_graph`), hashing only the start state. It hands the agent the
-    record's state, which an agent on the graph, wrapped or not, finds
-    its root by, and commits the move by the record's edge for it, with
-    no engine step; a move that is no edge goes through `_commit`. The
-    loop only collects each committed edge's effects: a caller that
-    wants the path history writes them with `sim.record`. Returns the
-    final record, the effects in order, whether the goal was reached,
-    the stop reason, the decision count, the most nodes one decision
-    expanded and the longest decision in seconds.
+    and commits it. An agent on the build's graph (see `_graph`), wrapped
+    or not, leaves its root's state and record as the graph's `at`; the
+    loop, which holds the graph while it runs and hashes no state,
+    commits the move by that record's edge and hands the agent the
+    child's state next. Any other move goes through `_commit`. The loop
+    only collects each move's effects: a caller that wants the path
+    history writes them with `sim.record`. Returns the final state, its
+    record if the episode ended on one (else None), the effects in order,
+    whether the goal was reached, the stop reason, the decision count,
+    the most nodes one decision expanded and the longest decision in
+    seconds.
     """
     reached = False
     reason = ""
@@ -914,15 +921,15 @@ def _play(
     max_seconds = 0.0
     path = []
     graph = _graph(config)
-    node = graph.root(state)
+    graph.episodes += 1
 
     while True:
-        state = node.state
         if goal_satisfied(goal, state):
             reached = True
             reason = "goal"
             break
-        if node.clock >= goal.max_minutes or node.actions >= goal.max_actions:
+        if (state.clock >= goal.max_minutes
+                or state.counters.total_actions >= goal.max_actions):
             reason = "hard_limit"
             break
         t0 = time.perf_counter()
@@ -937,20 +944,19 @@ def _play(
         if decision.kind not in ("act", "wait"):
             reason = decision.reason or "stop"
             break
-        # the agent's root, unless the graph was emptied since
-        node = graph.root(state)
-        edges = node.edges
-        if edges is None:
-            edges = graph.expand(config, node)
-        for move, child, effects in edges:
+        at = graph.at
+        edges = at[1].edges if at is not None and at[0] is state else None
+        for move, child, effects in edges or ():
             if move is decision:
+                state = child.state
+                graph.at = (state, child)
                 break
         else:
-            successor, effects = _commit(config, state, decision)
-            child = graph.node(successor)
-        graph.at = node = child
+            state, effects = _commit(config, state, decision)
         path.append(effects)
-    return node, path, reached, reason, decisions, max_expanded, max_seconds
+    at = graph.at
+    node = at[1] if at is not None and at[0] is state else None
+    return state, node, path, reached, reason, decisions, max_expanded, max_seconds
 
 
 def run_episode(
@@ -962,11 +968,12 @@ def run_episode(
 ) -> TrialRecord:
     """Drive one playthrough: decide, apply, repeat until goal or stop."""
     start = initial_state(config, scenario, seed)
-    node, path, reached, reason, decisions, max_expanded, max_seconds = _play(
+    state, node, path, reached, reason, decisions, max_expanded, max_seconds = _play(
         config, start, random.Random(seed), agent, goal,
     )
-    counters, running = record(start.counters, 0, node.actions, path)
-    state = with_history(node.state, counters, running)
+    counters, running = record(start.counters, 0, state.counters.total_actions,
+                               path)
+    state = with_history(state, counters, running)
     return TrialRecord(
         seed=seed,
         agent=getattr(agent, "name", type(agent).__name__),
@@ -981,7 +988,7 @@ def run_episode(
         decisions=decisions,
         max_nodes_expanded=max_expanded,
         max_decision_seconds=max_seconds,
-        state_digest=node.digest(),
+        state_digest=state_digest(state) if node is None else node.digest(),
     )
 
 
@@ -1098,13 +1105,18 @@ def softmax_decide(
 
 
 class SoftmaxPlanner:
-    """The Softmax agent: each decision samples one of its root record's
-    edges (see `_graph`), which come in `available_moves` order, as
-    `softmax_decide` samples moves, so the engine expands each state once.
+    """The Softmax agent: each decision samples one available move, as
+    `softmax_decide` does. A learner (see `train_softmax`) sets `grad`;
+    each decision then adds its move's REINFORCE term, the gradient of
+    its log-probability in the weights, to it.
 
-    A learner (see `train_softmax`) sets `grad`; each decision then adds
-    its move's REINFORCE term, the gradient of its log-probability in the
-    weights, to it.
+    A learner, and a group's agent once its graph (see `_graph`) has
+    served an earlier episode, meet their states again: they sample their
+    root record's edges, in `available_moves` order, so the engine
+    expands each state once. Otherwise the agent decides by
+    `softmax_decide`: one made per trial has nothing to reuse, and
+    expanding every state it stands on costs several engine steps per
+    decision.
     """
 
     name = "softmax"
@@ -1114,11 +1126,18 @@ class SoftmaxPlanner:
     def __init__(self, policy: SoftmaxPolicy, config: TuningConfig):
         self.policy = policy
         self.features = FeatureExtractor(config)
+        self._config: TuningConfig | None = None
+        self._graph: _Graph | None = None
 
     def decide(
         self, config: TuningConfig, state: GameState, rng: random.Random
     ) -> Decision:
-        graph = _graph(config)
+        if config is not self._config:
+            self._config, self._graph = config, _graph(config)
+        graph = self._graph
+        grad = self.grad
+        if grad is None and graph.episodes < 2:
+            return softmax_decide(self.policy, config, state, rng, self.features)
         root = graph.root(state)
         edges = root.edges
         if edges is None:
@@ -1128,7 +1147,6 @@ class SoftmaxPlanner:
         vectors = [self.features.vector(edge[0]) for edge in edges]
         temperature = self.policy.temperature
         chosen, probs = _softmax_sample(self.policy.weights, temperature, vectors, rng)
-        grad = self.grad
         if grad is not None:
             taken = vectors[chosen]
             for i, column in enumerate(zip(*vectors)):
@@ -1167,10 +1185,12 @@ def train_softmax(
 
     for episode in range(episodes):
         learner.grad = grad = [0.0] * len(weights)
-        node, _, reached, *_ = _play(
+        state, _, _, reached, *_ = _play(
             config, initial_state(config, scenario, episode), rng, learner, goal
         )
-        episode_return = -float(node.actions) if reached else FAILURE_RETURN
+        episode_return = (
+            -float(state.counters.total_actions) if reached else FAILURE_RETURN
+        )
         returns.append(episode_return)
         advantage = episode_return - baseline
         baseline += (episode_return - baseline) / (episode + 1)

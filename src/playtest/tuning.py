@@ -227,15 +227,6 @@ class ConfigIndex:
                 if n > self.max_item_yield.get(item, 0):
                     self.max_item_yield[item] = n
 
-        # the agents' engine graph over this build's states, made on first
-        # use (see `agents._graph`)
-        self.graph = None
-
-    def __getstate__(self) -> dict:
-        # the graph is this process's cache of engine work: a worker that
-        # receives the build starts with none
-        return dict(vars(self), graph=None)
-
 
 @dataclass
 class Diagnostic:

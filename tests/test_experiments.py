@@ -528,21 +528,20 @@ class TestPooledTrials:
 
     def test_pickled_build_leaves_its_graph_behind(self):
         # a pool worker receives each build pickled; the engine graph of
-        # the parent's own runs stays behind
+        # a planner alive in the parent stays behind
         config = fixtures.load("desk_base")
         fresh = fixtures.load("desk_base")
         fresh.index()
         goal = GoalSpec(kind="career_level_reached", career="barista", level=2,
                         max_minutes=20_000, max_actions=400)
+        planner = agents.AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal)
         agents.run_episode(config, ScenarioOverrides(career="barista"), 1,
-                           agents.AStarPlanner(HeuristicSpec({"career_xp": 1.0}),
-                                               goal), goal)
+                           planner, goal)
         assert agents._graph(config).records
         data = pickle.dumps(config)
         assert len(data) <= len(pickle.dumps(fresh))
-        copy = pickle.loads(data)
-        assert copy.index().graph is None and not agents._graph(copy).records
-        assert config.index().graph.records
+        assert not agents._graph(pickle.loads(data)).records
+        assert agents._graph(config).records
 
     @pytest.mark.parametrize("cpus, asked, started", [(1, 8, 1), (2, 8, 2),
                                                       (4, 2, 2), (1, 2, 1)])

@@ -329,7 +329,7 @@ class HandGraph:
 
     def planner(self):
         """A new planner and a build of its own, whose graph is empty."""
-        build = SimpleNamespace(graph=None)
+        build = object()
         return (AStarPlanner(HeuristicSpec({}), self.goal, self.budget),
                 SimpleNamespace(index=lambda: build))
 
@@ -834,9 +834,9 @@ class TestHandedEdges:
                 getattr(agents, name)))
         per_decision.clear()
         records.append(run_episode(desk_base, scenario, 5, planner, goal))
-        # only the episode's start, a state no search made, is hashed, once,
-        # by the episode loop; every root is found by identity
-        assert len(hashes) == 1 and sum(per_decision) == 0
+        # only the episode's first root, a state no search made, is hashed;
+        # the final digest is its record's
+        assert per_decision[0] == 1 and sum(per_decision) == len(hashes) == 1
         assert len(per_decision) == records[2].decisions > 1
         assert not engine
         assert records[2] == replace(records[0], max_decision_seconds=(
@@ -893,8 +893,9 @@ def shared_graph_players(config, goal, budgets):
 
 
 class TestSharedGraph:
-    """Every agent on a build moves on the build's one engine graph; no
-    agent's play changes another's, and a replay asks the engine nothing."""
+    """The agents alive on a build at once move on one engine graph, and
+    no agent's play changes another's; an agent's replay asks the engine
+    nothing, and a graph goes with the last agent that holds it."""
 
     PROPERTY_SETTINGS = settings(
         PROPERTY_SETTINGS, phases=[p for p in Phase if p is not Phase.shrink])
@@ -913,10 +914,13 @@ class TestSharedGraph:
         with mock.patch.object(agents, "_MEMO_LIMIT", memo_limit):
             together = [[] for _ in range(3)]
             players = shared_graph_players(config, goal, budgets)
+            graph = agents._graph(config)
             for seed in seeds:
                 for records, (agent, agent_goal) in zip(together, players):
                     records.append(run_episode(config, scenario, seed, agent,
                                                agent_goal))
+            # every agent that decided moved on the one graph
+            assert {agent._graph for agent, _ in players} <= {graph, None}
             for i, records in enumerate(together):
                 own = pickle.loads(pickle.dumps(config))  # with no graph
                 agent, agent_goal = shared_graph_players(own, goal, budgets)[i]
@@ -952,28 +956,80 @@ class TestSharedGraph:
         assert again == replace(first, max_decision_seconds=(
             again.max_decision_seconds))
 
-    def test_second_round_of_new_planners_asks_the_engine_nothing(
-            self, monkeypatch):
-        # the benchmark's short A* workload makes a planner per trial: from
-        # the second round on, every state is a record of the build's graph
-        config = fixtures.load("romance_outlier")
-        _, scenario, goal, weights, _ = SHIPPED_GROUPS["romance"]
+    def test_agent_off_the_graph_steps_from_its_own_state(self):
+        # a planner's expanded root record, three brews in, is the graph's
+        # `at` while an agent off the graph plays from the start: each of
+        # its brews must be stepped from its own state
+        config = fixtures.load("desk_base")
+        _, scenario, goal, weights, budget = SHIPPED_GROUPS["barista"]
+        state = initial_state(config, scenario, 1)
+        for _ in range(3):
+            state = step_action(config, state, "brew")
+        planner = AStarPlanner(HeuristicSpec(weights), goal, budget)
+        planner.decide(config, state, random.Random(1))
+
+        class FirstMove:
+            def decide(self, config, state, rng):
+                return agents.available_moves(config, state)[0]
+
+        goal = replace(goal, max_actions=10)
+        alone = run_episode(pickle.loads(pickle.dumps(config)), scenario, 1,
+                            FirstMove(), goal)
+        assert replace(run_episode(config, scenario, 1, FirstMove(), goal),
+                       max_decision_seconds=0.0) == replace(
+            alone, max_decision_seconds=0.0)
+
+    @staticmethod
+    def count_engine_calls(monkeypatch) -> Counter:
         calls = Counter()
         for name in ("_edges", "_commit"):
             monkeypatch.setattr(agents, name, functools.partial(
                 lambda name, fn, *args: calls.update([name]) or fn(*args),
                 name, getattr(agents, name)))
+        key = GameState.dedup_key
+        monkeypatch.setattr(GameState, "dedup_key", lambda state: calls.update(
+            ["dedup_key"]) or key(state))
+        return calls
+
+    def test_second_round_of_one_planner_asks_the_engine_nothing(
+            self, monkeypatch):
+        # the trial runner's agent serves a whole group: from its second
+        # round on, every state is a record of the graph it holds
+        config = fixtures.load("romance_outlier")
+        _, scenario, goal, weights, _ = SHIPPED_GROUPS["romance"]
+        calls = self.count_engine_calls(monkeypatch)
+        planner = AStarPlanner(HeuristicSpec(weights), goal)
 
         def play_round():
-            return [replace(run_episode(config, scenario, seed, AStarPlanner(
-                HeuristicSpec(weights), goal), goal), max_decision_seconds=0.0)
-                    for seed in range(10)]
+            return [replace(run_episode(config, scenario, seed, planner, goal),
+                            max_decision_seconds=0.0) for seed in range(10)]
 
         first = play_round()
         assert calls["_edges"] > 0 and calls["_commit"] == 0
         calls.clear()
         assert play_round() == first
-        assert not calls
+        # one hash per episode: its start state
+        assert calls == Counter(dedup_key=10)
+
+    def test_planner_made_per_trial_starts_on_an_empty_graph(
+            self, monkeypatch):
+        # a planner made per trial keeps nothing on the build once it is
+        # gone, so a trial re-run after the round makes the engine calls
+        # it made at first, as the benchmark's traced re-run requires
+        config = fixtures.load("romance_outlier")
+        _, scenario, goal, weights, _ = SHIPPED_GROUPS["romance"]
+        calls = self.count_engine_calls(monkeypatch)
+
+        def play(seed):
+            calls.clear()
+            record = run_episode(config, scenario, seed, AStarPlanner(
+                HeuristicSpec(weights), goal), goal)
+            return replace(record, max_decision_seconds=0.0), Counter(calls)
+
+        first = [play(seed) for seed in range(10)]
+        assert not agents._graph(config).records
+        assert first[0][1]["_edges"] > 0
+        assert play(0) == first[0]
 
 
 def walk_states(config, scenario, seed, steps=40):

@@ -191,9 +191,9 @@ class TestTraining:
 
 class ReferenceLearner:
     """The learner without a graph: it lists its moves with
-    `available_moves` and expands no record, so the episode loop expands
-    each record itself to commit the move by its edge. Sampling and
-    gradient are the learner's."""
+    `available_moves` and finds no record, so the episode loop commits
+    every move through `_commit`. Sampling and gradient are the
+    learner's."""
 
     def __init__(self, policy, config):
         self.policy = policy
@@ -222,7 +222,7 @@ def train_recorded(config, scenario, goal, episodes, step_size, seed,
 
     def recording_play(*args):
         result = play(*args)
-        finals.append((result[0].actions, result[0].state.dedup_key()))
+        finals.append((result[0].counters.total_actions, result[0].dedup_key()))
         return result
 
     rng = random.Random(seed)
@@ -289,8 +289,9 @@ class TestGraphLearner:
     @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
     def test_evaluation_samples_as_softmax_decide(self, memo_limit,
                                                   monkeypatch):
-        # evaluation reads its root record's edges; `softmax_decide` lists
-        # moves with `available_moves`: every trial must come out the same
+        # a group's evaluation agent reads its root record's edges from its
+        # second trial on; `softmax_decide` lists moves with
+        # `available_moves`: every trial must come out the same
         config = fixtures.load("bugged_event")
         scenario = ScenarioOverrides(career="clerk")
         goal = GoalSpec(kind="career_level_reached", career="clerk", level=2,
@@ -306,12 +307,14 @@ class TestGraphLearner:
                 return softmax_decide(policy, config, state, rng)
 
         monkeypatch.setattr(agents, "_MEMO_LIMIT", memo_limit)
+        planner = SoftmaxPlanner(policy, config)
         for seed in range(20):
             records = [
                 replace(run_episode(config, scenario, seed, agent, goal),
                         max_decision_seconds=0.0)
-                for agent in (SoftmaxPlanner(policy, config), ListingAgent())]
+                for agent in (planner, ListingAgent())]
             assert records[0] == records[1]
+        assert planner._graph.records
 
     def test_every_root_is_a_record_of_the_current_graph(self, desk_base,
                                                          monkeypatch):
