@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, mul
 from weakref import WeakValueDictionary
 
-from .errors import Deadlock, SchemaError
+from .errors import SchemaError
 from .sim import (
     TRACE_SESSION_END,
     TRACE_WAIT,
@@ -88,6 +88,7 @@ from .sim import (
     legal_moves,
     next_availability,
     record,
+    session_end_edge,
     state_digest,
     step_action,
     wait_edge,
@@ -282,10 +283,7 @@ def _commit(
         return act_edge(idx, state, *checked_action(idx, state, decision.action))
     if legal_moves(idx, state):
         return wait_edge(idx, state, decision.until, TRACE_WAIT)
-    target = next_availability(config, state)
-    if target is None:
-        raise Deadlock("no action can ever become legal")
-    return wait_edge(idx, state, target, TRACE_SESSION_END)
+    return session_end_edge(config, state)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,6 @@ class UnknownCareer(PlaytestError):
     pass
 
 
-class UnknownObject(PlaytestError):
-    pass
-
-
 # --- simulation ---
 
 class IllegalAction(PlaytestError):

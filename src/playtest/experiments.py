@@ -51,7 +51,7 @@ from .errors import (
     TargetAboveCap,
     UnknownCareer,
 )
-from .sim import ScenarioOverrides
+from .sim import ScenarioOverrides, initial_state
 from .tuning import Codec, TuningConfig, absent
 from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing.py
 
@@ -398,8 +398,9 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
     """Raise if the study cannot run on `configs`: a wrong build count, a
     build with no relationship event or a goal without a field its kind
     reads for relationship_balance (career studies build their own
-    goals), a career missing in a build for build_comparison, or an
-    unknown career or a target level above its cap. The runner checks before it starts any
+    goals), a career missing in a build for build_comparison, an unknown
+    career or a target level above its cap, or a scenario `initial_state`
+    rejects on a group's build. The runner checks before it starts any
     group, and a suite checks each entry as it loads it."""
     check_build_count(xc.study, len(configs))
     if xc.study == "relationship_balance":
@@ -409,6 +410,7 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
             xc.goal.check_complete(f"{xc.id}.goal")
         except SchemaError as exc:
             raise SuiteEntryError(str(exc)) from exc
+        initial_state(configs[0], xc.scenario, xc.base_seed)
         return
     if xc.study == "build_comparison":
         for cfg in configs:
@@ -419,7 +421,8 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
                         f"{entry.career!r} missing in {cfg.build_id!r}"
                     )
     for cfg in configs:
-        _career_groups(cfg, xc)
+        for _, _, scenario, _, _ in _career_groups(cfg, xc):
+            initial_state(cfg, scenario, xc.base_seed)
 
 
 def _start_study(

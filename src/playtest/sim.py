@@ -1,23 +1,26 @@
 """Deterministic game-mechanics engine: states, transitions, and time.
 
-All transitions are pure: they never mutate the input state, so
-independent trials can share one TuningConfig and run in parallel.
-Time is integer in-game minutes. Resource regeneration keeps an exact
-fractional remainder per resource, so regenerating over one long
-advance or many short ones yields identical results.
+No transition changes its input state, so independent trials can share
+one TuningConfig and run in parallel, and a search can keep every state
+it reaches. Time is integer in-game minutes. Resource regeneration keeps
+an exact fractional remainder per resource, so regenerating over one
+long advance or many short ones yields identical results.
 
 Every transition runs in two steps. The edge step (`act_edge`,
-`wait_edge`) builds the successor without path history, whose counters
-hold only the action count, and returns it with the edge's effects: the
-trace entries it adds, whether an act counted toward the running event,
-the event run it closed and the session gap it ended. The record step
-(`record`) writes those effects into a path history: the trace, the
-event log, the event action, session and wait counters, and the running
-event's action count. The public transitions (`apply_action`,
-`step_action`, `advance_time`, `start_event`, `close_session_if_idle`)
-do both and return states with full counters. A search keeps only
-history-free states, so one state serves every path that reaches it,
-and an episode records the effects of the edges it commits.
+`wait_edge`, `session_end_edge`) makes one copy of its input
+(`_successor`) and fills in what the edge changes before anyone sees it,
+copying a dict before its first write. It returns that successor without
+path history, whose counters hold only the action count, and the edge's
+effects: the trace entries it adds, whether an act counted toward the
+running event, the event run it closed and the session gap it ended. The
+record step (`record`) writes those effects into a path history: the
+trace, the event log, the event action, session and wait counters, and
+the running event's action count. The public transitions
+(`apply_action`, `step_action`, `advance_time`, `start_event`,
+`close_session_if_idle`) do both and return states with full counters.
+A search keeps only history-free states, so one state serves every path
+that reaches it, and an episode records the effects of the edges it
+commits.
 
 The trace and per-event log are persistent linked lists (cons cells)
 so that appending is O(1); use trace_entries()/event_log_entries() to
@@ -29,18 +32,18 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     CategoryLocked,
     ChainOrderViolation,
     ClockRegression,
+    DanglingReference,
     Deadlock,
     EventInProgress,
     IllegalAction,
     RequirementsUnmet,
     UnknownCareer,
-    UnknownObject,
 )
 from .tuning import ActionSpec, Codec, ConfigIndex, EventSpec, RewardBundle, TuningConfig
 
@@ -103,10 +106,6 @@ class Counters:
 _BARE_COUNTERS: dict[int, Counters] = {}
 
 
-def _bare_counters(total_actions: int) -> Counters:
-    return _BARE_COUNTERS.setdefault(total_actions, Counters(total_actions))
-
-
 def trace_entries(state: "GameState") -> list[tuple[int, str, str]]:
     return _chain_entries(state.counters.trace)
 
@@ -159,7 +158,8 @@ class ScenarioOverrides(Codec):
 
 @dataclass(slots=True)
 class GameState:
-    """One avatar's complete simulation state. Treat as immutable."""
+    """One avatar's complete simulation state. Once the edge step that
+    makes it returns it, neither it nor its dicts change (see `_successor`)."""
 
     clock: int
     resources: dict[str, int]
@@ -237,14 +237,14 @@ def initial_state(
             )
     category = scenario.relationship_category
     if category is not None and category not in idx.relationships:
-        raise UnknownCareer(category)
+        raise DanglingReference("scenario.relationship_category", category)
     resources = {}
     for res in config.resources:
         value = scenario.initial_resources.get(res.id, res.initial)
         resources[res.id] = min(res.capacity, max(0, value))
     for rid in scenario.initial_resources:
         if rid not in idx.resources:
-            raise UnknownObject(rid)
+            raise DanglingReference("scenario.initial_resources", rid)
     return GameState(
         clock=0,
         resources=resources,
@@ -410,22 +410,12 @@ def checked_action(
 # ---------------------------------------------------------------------------
 
 def _grant_bundle(
-    idx: ConfigIndex,
-    bundle: RewardBundle,
-    clock: int,
-    auto_grant: bool,
-    career: CareerState | None,
-    relationship: RelationshipState,
-    resources: dict[str, int],
-    inventory: dict[str, int],
-    owned: frozenset[str],
+    idx: ConfigIndex, bundle: RewardBundle, clock: int, child: GameState,
     entries: list,
-) -> tuple[
-    CareerState | None, RelationshipState, dict[str, int], dict[str, int],
-    frozenset[str],
-]:
-    """Pay one reward bundle, adding level-ups to the trace `entries`.
-    Event XP accrual is handled by the caller."""
+) -> None:
+    """Pay one reward bundle into `child`, adding level-ups to the trace
+    `entries`. Event XP accrual is handled by the caller."""
+    career = child.career
     if bundle.career_xp and career is not None:
         spec = idx.careers[career.id]
         xp = career.xp + bundle.career_xp
@@ -433,96 +423,70 @@ def _grant_bundle(
         if level > career.level:
             for reached in range(career.level + 1, level + 1):
                 entries.append((clock, TRACE_LEVEL_UP, f"{career.id}:{reached}"))
-            if auto_grant:
+            if child.auto_grant_objects:
+                owned = child.owned_objects
                 granted = {
                     u.object_id for u in spec.object_unlocks
                     if u.unlock_level <= level and u.object_id not in owned
                 }
                 if granted:
-                    owned = owned | granted
-        career = CareerState(career.id, level, xp)
+                    child.owned_objects = owned | granted
+        child.career = CareerState(career.id, level, xp)
     if bundle.relationship_xp:
-        relationship = RelationshipState(
-            relationship.category,
-            relationship.completed,
-            relationship.xp + bundle.relationship_xp,
-        )
+        rel = child.relationship
+        child.relationship = RelationshipState(
+            rel.category, rel.completed, rel.xp + bundle.relationship_xp)
     if bundle.resources:
-        resources = dict(resources)
+        resources = child.resources = dict(child.resources)
         for rid, amount in bundle.resources.items():
             cap = idx.resources[rid].capacity
             resources[rid] = min(cap, resources.get(rid, 0) + amount)
     if bundle.items:
-        inventory = dict(inventory)
+        inventory = child.inventory = dict(child.inventory)
         for item, count in bundle.items.items():
             inventory[item] = inventory.get(item, 0) + count
-    return career, relationship, resources, inventory, owned
 
 
 def _close_event(
-    idx: ConfigIndex,
-    at_clock: int,
-    event_state: ActiveEvent,
-    completed: bool,
-    auto_grant: bool,
-    career: CareerState | None,
-    relationship: RelationshipState,
-    resources: dict[str, int],
-    inventory: dict[str, int],
-    owned: frozenset[str],
-    events_completed: frozenset[str],
-    entries: list,
-):
-    """Pay every reached step exactly once and trace the end of the run.
+    idx: ConfigIndex, at_clock: int, child: GameState, entries: list,
+) -> EventOutcome:
+    """End `child`'s running event at `at_clock`, completed if it reached
+    its final threshold: pay every reached step exactly once and trace the
+    end of the run.
 
-    Returns the fields it changes and the run's outcome as far as the
-    state knows it: a career event's `index` (its occurrence, counted in
-    the event log) and every run's `actions` are the record step's.
+    Returns the run's outcome as far as the state knows it: a career
+    event's `index` (its occurrence, counted in the event log) and every
+    run's `actions` are the record step's.
     """
-    event = idx.events[event_state.event_id]
+    run = child.active_event
+    event = idx.events[run.event_id]
+    completed = run.accrued_xp >= event.final_threshold
     for step in event.steps:
-        if event_state.accrued_xp >= step.xp_threshold:
-            career, relationship, resources, inventory, owned = _grant_bundle(
-                idx, step.reward, at_clock, auto_grant,
-                career, relationship, resources, inventory, owned, entries,
-            )
+        if run.accrued_xp >= step.xp_threshold:
+            _grant_bundle(idx, step.reward, at_clock, child, entries)
     index = 0
     if event.kind == "relationship":
-        index = relationship.completed + 1
+        rel = child.relationship
+        index = rel.completed + 1
         if completed:
-            relationship = RelationshipState(
-                relationship.category, relationship.completed + 1, relationship.xp
-            )
+            child.relationship = RelationshipState(rel.category, index, rel.xp)
     if completed:
-        events_completed = events_completed | {event.id}
+        child.events_completed = child.events_completed | {event.id}
+    child.active_event = None
     status = "completed" if completed else "timeout"
     entries.append((at_clock, TRACE_EVENT_END, f"{event.id}:{status}"))
-    outcome = EventOutcome(event.id, event.kind, event.owner_id, index, 0,
-                           event_state.accrued_xp, completed,
-                           event_state.started_at, at_clock)
-    return (
-        career, relationship, resources, inventory, owned, events_completed,
-        outcome,
-    )
+    return EventOutcome(event.id, event.kind, event.owner_id, index, 0,
+                        run.accrued_xp, completed, run.started_at, at_clock)
 
 
-def _begin_event(
-    idx: ConfigIndex, state: GameState, event_id: str
-) -> tuple[ActiveEvent, RelationshipState]:
+def _begin_event(idx: ConfigIndex, child: GameState, event_id: str) -> None:
+    """Start the event in `child`; a first relationship event locks its category."""
     event = idx.events[event_id]
-    relationship = state.relationship
-    if event.kind == "relationship" and relationship.category is None:
-        relationship = RelationshipState(
-            event.owner_id, relationship.completed, relationship.xp
-        )
-    active = ActiveEvent(
-        event_id=event_id,
-        accrued_xp=0,
-        deadline=state.clock + event.time_limit,
-        actions=0,
-        started_at=state.clock,
-    )
-    return active, relationship
+    rel = child.relationship
+    if event.kind == "relationship" and rel.category is None:
+        child.relationship = RelationshipState(event.owner_id, rel.completed, rel.xp)
+    child.active_event = ActiveEvent(event_id, 0, child.clock + event.time_limit,
+                                     0, child.clock)
 
 
 def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameState:
@@ -541,12 +505,11 @@ def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameSt
         raise error(message.format(
             event=event_id, category=category, index=index,
             locked=rel.category, next=rel.completed + 1))
-    active, relationship = _begin_event(idx, state, event_id)
-    successor = replace(
-        state, active_event=active, relationship=relationship,
-        counters=_bare_counters(state.counters.total_actions))
-    return _recorded(state, successor, (
-        ((state.clock, TRACE_EVENT_START, event_id),), 0, None, None))
+    child = _successor(state)
+    _begin_event(idx, child, event_id)
+    return _recorded(state, *_settle(
+        idx, child, state.clock, state.counters.total_actions,
+        [(state.clock, TRACE_EVENT_START, event_id)], 0, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -604,17 +567,14 @@ def record(
 
 
 def with_history(state: GameState, counters: Counters, running: int) -> GameState:
-    """`state` carrying the path history `counters` and `running` (see
-    `record`)."""
+    """`state` carrying the path history `counters` and `running` (see `record`)."""
+    child = _successor(state)
     event = state.active_event
     if event is not None:
-        event = ActiveEvent(event.event_id, event.accrued_xp, event.deadline,
-                            running, event.started_at)
-    return GameState(state.clock, state.resources, state.regen_remainders,
-                     state.locked_until, state.cooldowns, state.career,
-                     state.relationship, event, state.inventory,
-                     state.owned_objects, state.events_completed,
-                     state.auto_grant_objects, counters)
+        child.active_event = ActiveEvent(event.event_id, event.accrued_xp,
+                                         event.deadline, running, event.started_at)
+    child.counters = counters
+    return child
 
 
 def _recorded(state: GameState, successor: GameState, effects: Effects) -> GameState:
@@ -656,72 +616,54 @@ def act_edge(
     implicitly, as `legal_moves` or `checked_action` give them.
     """
     clock = state.clock
-    career = state.career
-    relationship = state.relationship
-    owned = state.owned_objects
-    events_completed = state.events_completed
-    active = state.active_event
+    child = _successor(state)
     entries = []
 
-    resources = state.resources
     if action.costs:
-        resources = dict(resources)
+        resources = child.resources = dict(state.resources)
         for rid, cost in action.costs.items():
             resources[rid] -= cost
-    inventory = state.inventory
     if action.consumes_items:
-        inventory = dict(inventory)
+        inventory = child.inventory = dict(state.inventory)
         for item, count in action.consumes_items.items():
             inventory[item] -= count
 
     if start is not None:
-        active, relationship = _begin_event(idx, state, start)
+        _begin_event(idx, child, start)
         entries.append((clock, TRACE_EVENT_START, start))
 
     counted = 0
+    active = child.active_event
     xp = action.rewards.event_xp
     if (
         active is not None
         and xp > 0
         and action.id in idx.events[active.event_id].action_ids
     ):
-        active = ActiveEvent(active.event_id, active.accrued_xp + xp,
-                             active.deadline, active.actions, active.started_at)
+        active = child.active_event = ActiveEvent(
+            active.event_id, active.accrued_xp + xp, active.deadline,
+            active.actions, active.started_at)
         counted = 1
 
-    career, relationship, resources, inventory, owned = _grant_bundle(
-        idx, action.rewards, clock, state.auto_grant_objects,
-        career, relationship, resources, inventory, owned, entries,
-    )
+    _grant_bundle(idx, action.rewards, clock, child, entries)
 
     entries.append((clock, TRACE_ACT, action.id))
 
     closed = None
-    if active is not None:
-        final = idx.events[active.event_id].final_threshold
-        if active.accrued_xp >= final:
-            (
-                career, relationship, resources, inventory, owned,
-                events_completed, closed,
-            ) = _close_event(
-                idx, clock, active, True, state.auto_grant_objects,
-                career, relationship, resources, inventory, owned,
-                events_completed, entries,
-            )
-            active = None
+    if (
+        active is not None
+        and active.accrued_xp >= idx.events[active.event_id].final_threshold
+    ):
+        closed = _close_event(idx, clock, child, entries)
 
-    cooldowns = state.cooldowns
     if action.cooldown > 0:
-        cooldowns = dict(cooldowns)
+        cooldowns = child.cooldowns = dict(state.cooldowns)
         cooldowns[action.id] = clock + action.duration + action.cooldown
 
-    locked_until = clock + action.duration
-    return _settle(
-        idx, clock, locked_until if elapse else clock, resources,
-        state.regen_remainders, locked_until, cooldowns, career, relationship,
-        active, inventory, owned, events_completed, state.auto_grant_objects,
-        state.counters.total_actions + 1, entries, counted, closed, None,
-    )
+    child.locked_until = clock + action.duration
+    return _settle(idx, child, child.locked_until if elapse else clock,
+                   state.counters.total_actions + 1, entries, counted, closed,
+                   None)
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +671,12 @@ def act_edge(
 # ---------------------------------------------------------------------------
 
 def _regen(
-    regen: tuple[tuple[str, int, int, int], ...],
-    resources: dict[str, int],
-    remainders: dict[str, int],
-    dt: int,
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Resources and remainders after `dt` minutes of the build's regen
-    table (`ConfigIndex.regen`); a dict none of whose values change is
-    returned as it is."""
+    regen: tuple[tuple[str, int, int, int], ...], child: GameState, dt: int,
+) -> None:
+    """Run `dt` minutes of the build's regen table (`ConfigIndex.regen`) on
+    `child`'s resources and remainders; a dict none of whose values change
+    stays shared."""
+    resources, remainders = child.resources, child.regen_remainders
     new_res, new_rem = resources, remainders
     for rid, numerator, denominator, capacity in regen:
         held = remainders[rid]
@@ -752,7 +692,7 @@ def _regen(
                 if new_res is resources:
                     new_res = dict(resources)
                 new_res[rid] = value
-    return new_res, new_rem
+    child.resources, child.regen_remainders = new_res, new_rem
 
 
 def advance_time(config: TuningConfig, state: GameState, until: int) -> GameState:
@@ -786,52 +726,42 @@ def wait_edge(
         entries.append((clock, marker, str(gap)))
     elif marker is not None:
         entries.append((clock, marker, str(until)))
-    return _settle(
-        idx, clock, until, state.resources, state.regen_remainders,
-        state.locked_until, state.cooldowns, state.career, state.relationship,
-        state.active_event, state.inventory, state.owned_objects,
-        state.events_completed, state.auto_grant_objects,
-        state.counters.total_actions, entries, 0, None, gap,
-    )
+    return _settle(idx, _successor(state), until, state.counters.total_actions,
+                   entries, 0, None, gap)
+
+
+def _successor(state: GameState) -> GameState:
+    """A copy of `state` for an edge step to fill in. It shares every dict
+    and value object of `state`, so the step writes new objects into it and
+    copies a dict before its first write: `state` never changes."""
+    # positional: keyword arguments would triple the cost of the build
+    return GameState(state.clock, state.resources, state.regen_remainders,
+                     state.locked_until, state.cooldowns, state.career,
+                     state.relationship, state.active_event, state.inventory,
+                     state.owned_objects, state.events_completed,
+                     state.auto_grant_objects, state.counters)
 
 
 def _settle(
-    idx: ConfigIndex, clock: int, until: int,
-    resources: dict[str, int], remainders: dict[str, int], locked_until: int,
-    cooldowns: dict[str, int], career: CareerState | None,
-    relationship: RelationshipState, active: ActiveEvent | None,
-    inventory: dict[str, int], owned: frozenset[str],
-    events_completed: frozenset[str], auto_grant: bool, total_actions: int,
+    idx: ConfigIndex, child: GameState, until: int, total_actions: int,
     entries: list, counted: int, closed: EventOutcome | None, gap: int | None,
 ) -> tuple[GameState, Effects]:
-    """The history-free state of these fields at `clock`, once the clock
-    has run on to `until` (no time passes when they are equal), and the
-    effects of the edge so far (`entries`, `counted`, `closed`, `gap`)
-    with those of an event run its deadline closes on the way."""
+    """`child` once its clock has run on to `until` (no time passes when
+    they are equal), without path history, and the effects of the edge so
+    far (`entries`, `counted`, `closed`, `gap`) with those of an event run
+    its deadline closes on the way."""
+    clock = child.clock
     if until != clock:
+        active = child.active_event
         if active is not None and active.deadline <= until:
-            resources, remainders = _regen(
-                idx.regen, resources, remainders, active.deadline - clock)
-            completed = (
-                active.accrued_xp >= idx.events[active.event_id].final_threshold
-            )
-            (
-                career, relationship, resources, inventory, owned,
-                events_completed, closed,
-            ) = _close_event(
-                idx, active.deadline, active, completed, auto_grant, career,
-                relationship, resources, inventory, owned, events_completed,
-                entries,
-            )
-            clock, active = active.deadline, None
-        resources, remainders = _regen(
-            idx.regen, resources, remainders, until - clock)
-    counters = _BARE_COUNTERS.get(total_actions) or _bare_counters(total_actions)
-    # positional: keyword arguments would triple the cost of the build
-    return GameState(until, resources, remainders, locked_until, cooldowns,
-                     career, relationship, active, inventory, owned,
-                     events_completed, auto_grant, counters), (
-        entries, counted, closed, gap)
+            _regen(idx.regen, child, active.deadline - clock)
+            closed = _close_event(idx, active.deadline, child, entries)
+            clock = active.deadline
+        _regen(idx.regen, child, until - clock)
+        child.clock = until
+    child.counters = (_BARE_COUNTERS.get(total_actions) or _BARE_COUNTERS.setdefault(
+        total_actions, Counters(total_actions)))
+    return child, (entries, counted, closed, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -896,8 +826,16 @@ def close_session_if_idle(config: TuningConfig, state: GameState) -> GameState:
     """End the session: record the wait gap and jump to the next availability."""
     if legal_actions(config, state):
         raise IllegalAction("session close while actions are legal")
+    return _recorded(state, *session_end_edge(config, state))
+
+
+def session_end_edge(
+    config: TuningConfig, state: GameState
+) -> tuple[GameState, Effects]:
+    """The successor without path history of an idle state's session end,
+    a wait to the next availability traced with its gap, and its effects;
+    raises Deadlock if no action can ever become legal."""
     target = next_availability(config, state)
     if target is None:
         raise Deadlock("no action can ever become legal")
-    return _recorded(state, *wait_edge(
-        config.index(), state, target, TRACE_SESSION_END))
+    return wait_edge(config.index(), state, target, TRACE_SESSION_END)

@@ -361,6 +361,15 @@ class TestRun:
         ({"study": "relationship_balance", "tuning_ref": "romance_outlier.json",
           "goal": {"kind": "any_relationship_chain_done", "max_actions": 300}},
          "SuiteEntryError: bad.goal.chain_length: missing"),
+        ({"study": "relationship_balance", "tuning_ref": "romance_outlier.json",
+          "goal": {"kind": "any_relationship_chain_done", "chain_length": 5,
+                   "max_actions": 300},
+          "scenario": {"relationship_category": "nosuch"}},
+         "DanglingReference: scenario.relationship_category references "
+         "unknown id 'nosuch'"),
+        ({"scenario": {"initial_resources": {"gold": 3}}},
+         "DanglingReference: scenario.initial_resources references "
+         "unknown id 'gold'"),
     ])
     def test_entry_its_study_cannot_run_is_not_shipped(
             self, suite_dir, monkeypatch, changes, error):

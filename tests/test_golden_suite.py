@@ -1,0 +1,84 @@
+"""Golden paper suite: the SHA-256 of every file a seeded suite run writes
+that must not change.
+
+`playtest run paper_suite.json --seed 42`, run serially, writes one
+`stats.json` and one `chartdata.json` per experiment. This test pins the
+SHA-256 of each, so a change meant to keep the suite's output (a
+refactor, an optimization) shows here as soon as one byte moves.
+Criterion 8 checks that runs agree with one another; this checks that
+they agree with the commit the digests were taken at.
+
+ROADMAP item 1 (the trial-seed change, which adds `distinct` to
+`stats.json`) is expected to change these bytes; it regenerates the table
+and reports the group means before and after. Regenerate, only for an
+intended change of the suite's output:
+    PYTHONPATH=src python tests/test_golden_suite.py
+prints the table to paste below.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from playtest import fixtures
+from playtest.report import run_suite
+
+FILES = ("stats.json", "chartdata.json")
+
+# experiment id: {file name: sha256}
+GOLDEN = {
+    "agent_comparison": {
+        "stats.json": "b5a4c46a7144b8ddc2fb3642b6c1401a64413e7bbbb47f47b658b7ed7f8dacac",
+        "chartdata.json": "0441a77012b821950f1c0b4555e8ec1069754ac8ad053645b8207442369c74ee",
+    },
+    "build_comparison": {
+        "stats.json": "0f145915dd9e1a7d8762c206b82d5520578c9afc5650fa6825bce0679205f3d9",
+        "chartdata.json": "625e4cb140630c4a1ed27d88b3ead31de9d541a1bdf75f47a99b195592c539d3",
+    },
+    "career_progression": {
+        "stats.json": "a3c791d83c282b27b785e3255ddeccc2421678acee7b1ceaa65615c91b54ce73",
+        "chartdata.json": "53ac8b3a372b3ce72c71830fb3c5a411b39b231a9540846fe3a076cf021e9e76",
+    },
+    "object_impact": {
+        "stats.json": "790be8da208fbd50232017f9627db19596b006a5c779bb5b4c2f36b469f7d216",
+        "chartdata.json": "3d9b83ddff1c70a246f2f2f60647aa0c50515f0ebf3212cdc3d96be988583c4c",
+    },
+    "relationship_balance": {
+        "stats.json": "a41d6496bdb65b3a20cfcf3f8082ebaad593dbe4b5202d7645f974f19b385457",
+        "chartdata.json": "5e237cc612b9e19f19244155dfcc9dbff671ed312374f78f60c50c46ef6a8d3e",
+    },
+}
+
+
+def suite_digests(out_dir: Path) -> dict[str, dict[str, str]]:
+    results = run_suite(fixtures.path("paper_suite"), out_dir, seed_override=42)
+    assert [outcome.status for _, outcome in results] == ["ok"] * len(results)
+    return {
+        experiment.name: {
+            name: hashlib.sha256((experiment / name).read_bytes()).hexdigest()
+            for name in FILES
+        }
+        for experiment in sorted(out_dir.iterdir()) if experiment.is_dir()
+    }
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return suite_digests(tmp_path_factory.mktemp("golden_suite"))
+
+
+def test_every_experiment_is_pinned(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("experiment", sorted(GOLDEN))
+def test_suite_output_matches_golden(digests, experiment):
+    assert digests[experiment] == GOLDEN[experiment]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        print(json.dumps(suite_digests(Path(out)), indent=4))

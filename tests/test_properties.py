@@ -6,7 +6,7 @@ import json
 import pickle
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -38,10 +38,12 @@ from playtest.sim import (
     initial_state,
     legal_actions,
     next_availability,
+    start_event,
+    startable_events,
     step_action,
     trace_entries,
 )
-from playtest.tuning import parse_tuning
+from playtest.tuning import parse_tuning, serialize_tuning
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -1325,3 +1327,88 @@ class TestDedupKey:
         config = fixtures.load(fixture)
         check_dedup_key(config, draw_scenario(data, config),
                         data.draw(st.integers(0, 2**32 - 1)))
+
+
+# ---------------------------------------------------------------------------
+# Edge steps: the state a step starts from never changes
+# ---------------------------------------------------------------------------
+
+def with_payouts(config):
+    """`config` with every reward bundle also paying one coin, a resource
+    no action costs and no walk fills, so every payout changes a dict:
+    a free action's, and those of event steps paid at a deadline, reach
+    dicts that no cost has copied yet."""
+    doc = json.loads(serialize_tuning(config))
+    doc["resources"].append({"id": "coin", "capacity": 10**6, "initial": 0,
+                             "regen_rate": {"num": 0, "den": 1}})
+    bundles = [action["rewards"] for action in doc["actions"]] + [
+        step["reward"] for event in doc["events"] for step in event["steps"]]
+    for bundle in bundles:
+        bundle.setdefault("resources", {})["coin"] = 1
+    return parse_tuning(json.dumps(doc))
+
+
+def snapshot(state):
+    """Every field of `state`, with its dicts copied and its value objects
+    (career, relationship, running event, counters) taken apart."""
+    out = []
+    for name in (f.name for f in fields(state)):
+        value = getattr(state, name)
+        if isinstance(value, dict):
+            value = dict(value)
+        elif is_dataclass(value):
+            value = tuple(getattr(value, f.name) for f in fields(value))
+        out.append(value)
+    return out
+
+
+def step_every_way(config, state):
+    """Every edge step and public transition the engine takes from `state`."""
+    for decision, _, _ in agents._edges(config, state):
+        agents._commit(config, state, decision)
+    legal = legal_actions(config, state)
+    for action_id in legal:
+        apply_action(config, state, action_id)
+        step_action(config, state, action_id)
+    untils = [state.clock + 1, state.clock + 50]
+    if state.active_event is not None:
+        untils.append(state.active_event.deadline)
+    for until in untils:
+        advance_time(config, state, until)
+    for event_id in startable_events(config, state):
+        start_event(config, state, event_id)
+    if not legal:
+        try:
+            close_session_if_idle(config, state)
+        except Deadlock:
+            pass
+
+
+def check_inputs_unchanged(config, scenario, seed):
+    states = walk_states(config, scenario, seed)
+    before = [snapshot(state) for state in states]
+    for state in states:
+        step_every_way(config, state)
+    assert [snapshot(state) for state in states] == before
+
+
+class TestEdgeStepsKeepTheirInput:
+    """No edge step or public transition changes the state it starts from,
+    nor a dict that state shares with the states before it."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(**generated_builds, payouts=st.booleans())
+    def test_generated_builds(self, build_seed, seed, regen_num, payouts):
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        check_inputs_unchanged(with_payouts(config) if payouts else config,
+                               scenario, seed)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=6)
+    @given(data=st.data())
+    def test_fixtures(self, fixture, data):
+        config = fixtures.load(fixture)
+        if data.draw(st.booleans()):
+            config = with_payouts(config)
+        check_inputs_unchanged(config, draw_scenario(data, config),
+                               data.draw(st.integers(0, 2**32 - 1)))
