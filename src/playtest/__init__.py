@@ -19,11 +19,6 @@ from .agents import (  # noqa: F401
 from .experiments import (  # noqa: F401
     AggregateStats,
     ExperimentConfig,
-    agent_comparison,
-    build_comparison,
-    career_progression,
-    object_impact,
-    relationship_balance,
 )
 from .sim import (  # noqa: F401
     GameState,

@@ -969,9 +969,8 @@ def run_episode(
     state, node, path, reached, reason, decisions, max_expanded, max_seconds = _play(
         config, start, random.Random(seed), agent, goal,
     )
-    counters, running = record(start.counters, 0, state.counters.total_actions,
-                               path)
-    state = with_history(state, counters, running)
+    counters = record(start.counters, state.counters.total_actions, path)
+    state = with_history(state, counters)
     return TrialRecord(
         seed=seed,
         agent=getattr(agent, "name", type(agent).__name__),

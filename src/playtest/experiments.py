@@ -398,10 +398,11 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
     """Raise if the study cannot run on `configs`: a wrong build count, a
     build with no relationship event or a goal without a field its kind
     reads for relationship_balance (career studies build their own
-    goals), a career missing in a build for build_comparison, an unknown
-    career or a target level above its cap, or a scenario `initial_state`
-    rejects on a group's build. The runner checks before it starts any
-    group, and a suite checks each entry as it loads it."""
+    goals), a scenario career for a career study (its groups take theirs
+    from `careers`), a career missing in a build for build_comparison, an
+    unknown career or a target level above its cap, or a scenario
+    `initial_state` rejects on a group's build. The runner checks before
+    it starts any group, and a suite checks each entry as it loads it."""
     check_build_count(xc.study, len(configs))
     if xc.study == "relationship_balance":
         if not any(e.kind == "relationship" for e in configs[0].events):
@@ -412,6 +413,9 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
             raise SuiteEntryError(str(exc)) from exc
         initial_state(configs[0], xc.scenario, xc.base_seed)
         return
+    if xc.scenario.career is not None:
+        raise SuiteEntryError(f"{xc.id}.scenario.career: {xc.study} takes each "
+                              "group's career from careers")
     if xc.study == "build_comparison":
         for cfg in configs:
             idx = cfg.index()
@@ -456,18 +460,6 @@ def _start_study(
         )
 
     return read
-
-
-def _run_study(
-    xc: ExperimentConfig, configs: list[TuningConfig],
-    careers: list[tuple[str, int]] | None = None,
-    pool: ProcessPoolExecutor | None = None,
-) -> ExperimentOutcome:
-    """Run one study now, raising its errors. `careers`, as (career,
-    target level) pairs, replace the experiment's careers."""
-    if careers is not None:
-        xc = replace(xc, careers=[CareerTarget(*pair) for pair in careers])
-    return _start_study(xc, configs, pool)()
 
 
 def _bar_chart(name: str, groups: dict[str, AggregateStats]) -> dict:
@@ -548,24 +540,6 @@ def _relationship_balance_study(configs, xc, pool):
     return [("trials", config, xc.scenario, xc.goal, xc.agent)], reduce
 
 
-def run_relationship_balance(
-    config: TuningConfig, xc: ExperimentConfig,
-    pool: ProcessPoolExecutor | None = None,
-) -> ExperimentOutcome:
-    return _run_study(xc, [config], pool=pool)
-
-
-def relationship_balance(
-    config: TuningConfig, xc: ExperimentConfig,
-) -> dict[tuple[str, int], AggregateStats]:
-    """Mean event actions grouped by (category, event index in the chain)."""
-    out = {}
-    for key, stats in run_relationship_balance(config, xc).groups.items():
-        category, index = key.rsplit("/", 1)
-        out[(category, int(index))] = stats
-    return out
-
-
 # --- career progression -----------------------------------------------------
 
 def _career_progression_study(configs, xc, pool):
@@ -573,13 +547,6 @@ def _career_progression_study(configs, xc, pool):
     targets = {career: goal.level for career, _, _, goal, _ in groups}
     return groups, _action_reducer(
         "total_actions_by_career", lambda done, stats: {"targets": targets})
-
-
-def career_progression(
-    config: TuningConfig, careers: list[tuple[str, int]], xc: ExperimentConfig,
-) -> dict[str, AggregateStats]:
-    """Mean total actions to reach each career's target level."""
-    return _run_study(xc, [config], careers).groups
 
 
 # --- object impact -----------------------------------------------------------
@@ -618,19 +585,6 @@ def _object_impact_study(configs, xc, pool):
     ], _action_reducer("total_actions_base_vs_objects", impact)
 
 
-def object_impact(
-    config: TuningConfig, careers: list[tuple[str, int]], xc: ExperimentConfig,
-) -> dict[str, tuple[float, float | None]]:
-    """Per career: (actions reduction %, shared-resource cost per action saved).
-
-    The ratio is None ("n/a") when granting objects saves nothing, e.g.
-    when every object unlocks above the target level.
-    """
-    impact = _run_study(xc, [config], careers).extras["impact"]
-    return {career: (entry["actions_reduction_pct"], entry["rho_per_action_saved"])
-            for career, entry in impact.items()}
-
-
 # --- build comparison --------------------------------------------------------
 
 def _build_comparison_study(configs, xc, pool):
@@ -657,14 +611,6 @@ def _build_comparison_study(configs, xc, pool):
         return {"rows": out}
 
     return groups, _action_reducer("total_actions_by_career_and_build", rows)
-
-
-def build_comparison(
-    config_a: TuningConfig, config_b: TuningConfig,
-    careers: list[tuple[str, int]], xc: ExperimentConfig,
-) -> list[dict]:
-    """Table rows: career x build -> event/total actions, sessions, mean wait."""
-    return _run_study(xc, [config_a, config_b], careers).extras["rows"]
 
 
 # --- agent comparison --------------------------------------------------------
@@ -726,16 +672,6 @@ def _agent_comparison_study(configs, xc, pool):
         ], tagged
 
     return groups, reduce
-
-
-def agent_comparison(
-    config: TuningConfig, careers: list[tuple[str, int]],
-    trials: int, xc: ExperimentConfig,
-) -> dict[str, tuple[AggregateStats, AggregateStats]]:
-    """Per career: (A* stats, Softmax stats) of total actions."""
-    groups = _run_study(replace(xc, trials=trials), [config], careers).groups
-    return {career: (groups[f"{career}/astar"], groups[f"{career}/softmax"])
-            for career, _ in careers}
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,8 @@ def run_suite(
             try:
                 outcome = read()
             except Exception as exc:
-                outcome = failed_outcome(entry.id, entry.study, exc)
+                outcome = failed_outcome(entry.id, entry.study, exc,
+                                         [c.build_id for c in entry.configs])
             existing = [p for p in entry.files if p.exists()]
             write_experiment(out_dir / entry.id, entry.xc, outcome, existing)
             results.append((entry.xc, outcome))

@@ -13,14 +13,14 @@ copying a dict before its first write. It returns that successor without
 path history, whose counters hold only the action count, and the edge's
 effects: the trace entries it adds, whether an act counted toward the
 running event, the event run it closed and the session gap it ended. The
-record step (`record`) writes those effects into a path history: the
-trace, the event log, the event action, session and wait counters, and
-the running event's action count. The public transitions
-(`apply_action`, `step_action`, `advance_time`, `start_event`,
-`close_session_if_idle`) do both and return states with full counters.
-A search keeps only history-free states, so one state serves every path
-that reaches it, and an episode records the effects of the edges it
-commits.
+record step (`record`) writes those effects into a path history, which
+lives in `Counters` alone: the trace, the event log, the event action,
+session and wait counters, and the running event's action count. The
+public transitions (`apply_action`, `step_action`, `advance_time`,
+`start_event`, `close_session_if_idle`) do both, giving the successor
+they build its full counters. A search keeps only history-free states,
+so one state serves every path that reaches it, and an episode records
+the effects of the edges it commits.
 
 The trace and per-event log are persistent linked lists (cons cells)
 so that appending is O(1); use trace_entries()/event_log_entries() to
@@ -84,8 +84,9 @@ class EventOutcome:
 
 @dataclass(slots=True)
 class Counters:
-    """A state's action count and its path history; a successor without
-    history (see `act_edge`) holds the action count alone."""
+    """A state's action count and all of its path history. A successor
+    without history (see `act_edge`) holds the action count alone, in
+    counters every such state shares, so no `Counters` changes once made."""
 
     total_actions: int = 0
     event_actions: int = 0
@@ -93,6 +94,7 @@ class Counters:
     wait_intervals: tuple[int, ...] = ()
     trace: _Chain = None  # entries are (clock, kind, detail)
     event_log: _Chain = None
+    running: int = 0  # actions counted toward the running event so far
 
     def session_count(self) -> int:
         """Sessions played: completed gaps plus the final open session."""
@@ -125,10 +127,11 @@ def trace_to_jsonl(state: "GameState") -> str:
 
 @dataclass(slots=True)
 class ActiveEvent:
+    """The running event's dynamics; its action count is `Counters.running`."""
+
     event_id: str
     accrued_xp: int
     deadline: int
-    actions: int  # path history: set by the record step, not by an edge
     started_at: int
 
 
@@ -486,7 +489,7 @@ def _begin_event(idx: ConfigIndex, child: GameState, event_id: str) -> None:
     if event.kind == "relationship" and rel.category is None:
         child.relationship = RelationshipState(event.owner_id, rel.completed, rel.xp)
     child.active_event = ActiveEvent(event_id, 0, child.clock + event.time_limit,
-                                     0, child.clock)
+                                     child.clock)
 
 
 def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameState:
@@ -524,21 +527,22 @@ Effects = tuple
 
 
 def record(
-    counters: Counters, running: int, total_actions: int, path: Iterable[Effects]
-) -> tuple[Counters, int]:
+    counters: Counters, total_actions: int, path: Iterable[Effects]
+) -> Counters:
     """The path history once the edges whose effects `path` lists, in
     order, have reached a state with `total_actions` actions.
 
-    `counters` and `running` (the running event's action count) are the
-    history before those edges; returns both after them. This is the only
-    writer of path history: the engine's public transitions record one
-    edge, and an episode records its committed path when it ends.
+    `counters` is the history before those edges; returns a new `Counters`
+    after them, never changing `counters`. This is the only writer of path
+    history: the engine's public transitions record one edge, and an
+    episode records its committed path when it ends.
     """
     trace = counters.trace
     event_log = counters.event_log
     event_actions = counters.event_actions
     sessions = counters.sessions
-    waits = list(counters.wait_intervals)
+    waits = counters.wait_intervals
+    running = counters.running
     for entries, counted, closed, gap in path:
         for entry in entries:
             trace = (entry, trace)
@@ -561,29 +565,25 @@ def record(
             running = 0
         if gap is not None:
             sessions += 1
-            waits.append(gap)
-    return Counters(total_actions, event_actions, sessions, tuple(waits), trace,
-                    event_log), running
+            waits += (gap,)
+    return Counters(total_actions, event_actions, sessions, waits, trace,
+                    event_log, running)
 
 
-def with_history(state: GameState, counters: Counters, running: int) -> GameState:
-    """`state` carrying the path history `counters` and `running` (see `record`)."""
+def with_history(state: GameState, counters: Counters) -> GameState:
+    """A copy of `state`, which others may hold (a search's, say), carrying
+    the path history `counters` (see `record`)."""
     child = _successor(state)
-    event = state.active_event
-    if event is not None:
-        child.active_event = ActiveEvent(event.event_id, event.accrued_xp,
-                                         event.deadline, running, event.started_at)
     child.counters = counters
     return child
 
 
 def _recorded(state: GameState, successor: GameState, effects: Effects) -> GameState:
-    """The successor of an edge from `state`, with `state`'s history
-    carried through the edge's effects."""
-    event = state.active_event
-    counters, running = record(state.counters, event.actions if event else 0,
-                               successor.counters.total_actions, (effects,))
-    return with_history(successor, counters, running)
+    """`successor`, which the edge step from `state` has just built and no one
+    else holds, given `state`'s history carried through the edge's effects."""
+    successor.counters = record(state.counters, successor.counters.total_actions,
+                                (effects,))
+    return successor
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +641,7 @@ def act_edge(
         and action.id in idx.events[active.event_id].action_ids
     ):
         active = child.active_event = ActiveEvent(
-            active.event_id, active.accrued_xp + xp, active.deadline,
-            active.actions, active.started_at)
+            active.event_id, active.accrued_xp + xp, active.deadline, active.started_at)
         counted = 1
 
     _grant_bundle(idx, action.rewards, clock, child, entries)

@@ -370,6 +370,9 @@ class TestRun:
         ({"scenario": {"initial_resources": {"gold": 3}}},
          "DanglingReference: scenario.initial_resources references "
          "unknown id 'gold'"),
+        ({"scenario": {"career": "barista"}},
+         "SuiteEntryError: bad.scenario.career: career_progression takes "
+         "each group's career from careers"),
     ])
     def test_entry_its_study_cannot_run_is_not_shipped(
             self, suite_dir, monkeypatch, changes, error):
@@ -392,6 +395,19 @@ class TestRun:
         stats = json.loads((suite_dir / "out/bad/stats.json").read_text())
         assert (stats["status"], stats["error"]) == ("failed", error)
         assert [outcome.status for _, outcome in results] == ["failed", "ok"]
+
+    def test_error_while_a_group_runs_names_the_builds(self, suite_dir,
+                                                       monkeypatch):
+        # an exception that is no PlaytestError leaves the experiment
+        # through its read, not through the study runner
+        def failing(*args):
+            raise RuntimeError("group failed")
+
+        monkeypatch.setattr(experiments, "_run_group", failing)
+        report.run_suite(suite_dir / "suite.json", suite_dir / "out")
+        stats = json.loads((suite_dir / "out/careers_mini/stats.json").read_text())
+        assert (stats["status"], stats["error"], stats["build_ids"]) == (
+            "failed", "RuntimeError: group failed", ["desk_base"])
 
     def test_playtest_out_env_default(self, suite_dir, monkeypatch, capsys):
         target = suite_dir / "env_out"

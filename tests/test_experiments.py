@@ -13,13 +13,7 @@ import pytest
 from bfs_oracle import random_desk_config, shortest_actions
 from playtest import agents, experiments, fixtures
 from playtest.agents import GoalSpec, HeuristicSpec
-from playtest.errors import (
-    CareerMissingInBuild,
-    NoRelationshipEvents,
-    PlaytestError,
-    TargetAboveCap,
-    UnknownCareer,
-)
+from playtest.errors import PlaytestError
 from playtest.experiments import (
     AgentSpec,
     AggregateStats,
@@ -28,13 +22,7 @@ from playtest.experiments import (
     ExperimentConfig,
     SoftmaxSpec,
     TrainSpec,
-    agent_comparison,
-    build_comparison,
-    career_progression,
-    object_impact,
-    relationship_balance,
     run_experiment,
-    run_relationship_balance,
     run_trials,
     start_experiment,
     trial_pool,
@@ -78,8 +66,23 @@ def make_xc(study, trials=5, base_seed=100, goal=None, heuristic=None,
         trials=trials,
         base_seed=base_seed,
         agent=agent or AgentSpec("astar", node_budget=2000),
-        careers=[CareerTarget(**c) for c in careers],
+        careers=[CareerTarget(*c) if isinstance(c, tuple) else CareerTarget(**c)
+                 for c in careers],
     )
+
+
+def run_ok(xc, *configs):
+    """The outcome of a study that must run: its groups, extras and records."""
+    outcome = run_experiment(xc, list(configs))
+    assert outcome.status == "ok", outcome.error
+    return outcome
+
+
+def failure(xc, *configs):
+    """The error of a study that must fail, as its stats.json gives it."""
+    outcome = run_experiment(xc, list(configs))
+    assert outcome.status == "failed"
+    return outcome.error
 
 
 class TestAggregateStats:
@@ -141,23 +144,20 @@ class TestRelationshipBalance:
     def test_outlier_event_dominates(self, romance_outlier):
         xc = make_xc("relationship_balance", trials=60,
                      goal=self.goal(), heuristic=self.heuristic())
-        groups = relationship_balance(romance_outlier, xc)
-        romance2 = groups[("romance", 2)].mean
+        groups = run_ok(xc, romance_outlier).groups
+        romance2 = groups["romance/2"].mean
         for category in ("friendship", "rivalry"):
-            assert romance2 >= 1.8 * groups[(category, 2)].mean
+            assert romance2 >= 1.8 * groups[f"{category}/2"].mean
 
     def test_every_category_sampled(self, romance_outlier):
         xc = make_xc("relationship_balance", trials=30,
                      goal=self.goal(), heuristic=self.heuristic())
-        outcome = run_relationship_balance(romance_outlier, xc)
-        counts = outcome.extras["category_trials"]
+        counts = run_ok(xc, romance_outlier).extras["category_trials"]
         assert set(counts) == {"friendship", "romance", "rivalry"}
         assert all(v >= 1 for v in counts.values())
 
     def test_symmetric_categories_close_means(self):
         # three byte-identical chains: every per-index mean must agree
-        import json
-        from playtest import fixtures
         from playtest.tuning import build_config
         doc = json.loads(fixtures.path("romance_outlier").read_text())
         for event in doc["events"]:
@@ -169,25 +169,23 @@ class TestRelationshipBalance:
         config = build_config(doc)
         xc = make_xc("relationship_balance", trials=30,
                      goal=self.goal(), heuristic=self.heuristic())
-        groups = relationship_balance(config, xc)
+        groups = run_ok(xc, config).groups
         for index in (1, 2, 3, 4, 5):
-            means = [groups[(c, index)].mean
+            means = [groups[f"{c}/{index}"].mean
                      for c in ("friendship", "romance", "rivalry")
-                     if (c, index) in groups]
+                     if f"{c}/{index}" in groups]
             assert len(means) >= 2
             assert max(means) <= 1.1 * min(means)
 
     def test_single_trial_single_category(self, romance_outlier):
         xc = make_xc("relationship_balance", trials=1,
                      goal=self.goal(), heuristic=self.heuristic())
-        outcome = run_relationship_balance(romance_outlier, xc)
-        assert len(outcome.extras["category_trials"]) == 1
+        assert len(run_ok(xc, romance_outlier).extras["category_trials"]) == 1
 
     def test_requires_relationship_events(self, build_a):
         xc = make_xc("relationship_balance", goal=self.goal(),
                      heuristic=self.heuristic())
-        with pytest.raises(NoRelationshipEvents):
-            relationship_balance(build_a, xc)
+        assert failure(xc, build_a).startswith("NoRelationshipEvents:")
 
 
 class TestCareerProgression:
@@ -197,81 +195,75 @@ class TestCareerProgression:
                          "career_xp": 1.0,
                          "crafted_item:coffee": 0.5,
                          "crafted_item:dish": 0.5,
-                     }))
-        groups = career_progression(
-            desk_base,
-            [("barista", 3), ("culinary", 4), ("fashion", 4), ("medical", 4)],
-            xc)
+                     }),
+                     careers=[("barista", 3), ("culinary", 4), ("fashion", 4),
+                              ("medical", 4)])
+        groups = run_ok(xc, desk_base).groups
         barista = groups["barista"].mean
         for career in ("culinary", "fashion", "medical"):
             assert barista < groups[career].mean
 
     def test_target_level_one_is_zero_actions(self, desk_base):
-        xc = make_xc("career_progression", trials=2)
-        groups = career_progression(desk_base, [("barista", 1)], xc)
-        assert groups["barista"].mean == 0.0
+        xc = make_xc("career_progression", trials=2, careers=[("barista", 1)])
+        assert run_ok(xc, desk_base).groups["barista"].mean == 0.0
 
     def test_tiny_career_matches_oracle(self):
         config, scenario, goal = random_desk_config(3)
         optimum, _ = shortest_actions(config, scenario, trial_seed(50, 0), goal)
         xc = make_xc("career_progression", trials=2, base_seed=50, goal=goal,
                      heuristic=HeuristicSpec(weights={}),
-                     agent=AgentSpec("astar", node_budget=50_000))
-        groups = career_progression(config, [("clerk", 2)], xc)
-        assert groups["clerk"].mean == optimum
+                     agent=AgentSpec("astar", node_budget=50_000),
+                     careers=[("clerk", 2)])
+        assert run_ok(xc, config).groups["clerk"].mean == optimum
 
     def test_raising_target_never_cheaper(self, desk_base):
-        xc = make_xc("career_progression", trials=3)
-        low = career_progression(desk_base, [("culinary", 2)], xc)["culinary"]
-        high = career_progression(desk_base, [("culinary", 3)], xc)["culinary"]
+        low, high = (
+            run_ok(make_xc("career_progression", trials=3,
+                           careers=[("culinary", level)]), desk_base)
+            .groups["culinary"] for level in (2, 3))
         assert high.mean >= low.mean
 
     def test_unknown_career(self, desk_base):
-        xc = make_xc("career_progression")
-        with pytest.raises(UnknownCareer):
-            career_progression(desk_base, [("astronaut", 2)], xc)
+        xc = make_xc("career_progression", careers=[("astronaut", 2)])
+        assert failure(xc, desk_base).startswith("UnknownCareer:")
 
     def test_target_above_cap(self, desk_base):
-        xc = make_xc("career_progression")
-        with pytest.raises(TargetAboveCap):
-            career_progression(desk_base, [("barista", 99)], xc)
+        xc = make_xc("career_progression", careers=[("barista", 99)])
+        assert failure(xc, desk_base).startswith("TargetAboveCap:")
 
 
 class TestObjectImpact:
     def test_desk_objects_regression_values(self, desk_objects):
-        xc = make_xc("object_impact", trials=3)
-        impact = object_impact(
-            desk_objects,
-            [("barista", 4), ("culinary", 3), ("fashion", 3), ("medical", 3)],
-            xc)
+        xc = make_xc("object_impact", trials=3,
+                     careers=[("barista", 4), ("culinary", 3), ("fashion", 3),
+                              ("medical", 3)])
+        impact = run_ok(xc, desk_objects).extras["impact"]
         # frozen pipeline values for the shipped fixture
-        assert impact["barista"][0] == pytest.approx(12.5)
-        assert impact["culinary"][0] == pytest.approx(22.2, abs=0.1)
-        assert impact["fashion"][0] == pytest.approx(20.0)
+        assert impact["barista"]["actions_reduction_pct"] == pytest.approx(12.5)
+        assert impact["culinary"]["actions_reduction_pct"] == pytest.approx(
+            22.2, abs=0.1)
+        assert impact["fashion"]["actions_reduction_pct"] == pytest.approx(20.0)
         for career in ("barista", "culinary", "fashion"):
-            assert impact[career][1] is not None and impact[career][1] > 0
+            rho = impact[career]["rho_per_action_saved"]
+            assert rho is not None and rho > 0
 
     def test_objects_above_target_report_na(self, desk_objects):
-        xc = make_xc("object_impact", trials=2)
-        impact = object_impact(desk_objects, [("medical", 3)], xc)
-        reduction, rho = impact["medical"]
-        assert reduction == 0.0
-        assert rho is None
+        xc = make_xc("object_impact", trials=2, careers=[("medical", 3)])
+        impact = run_ok(xc, desk_objects).extras["impact"]["medical"]
+        assert impact["actions_reduction_pct"] == 0.0
+        assert impact["rho_per_action_saved"] is None
 
     def test_useless_objects_zero_reduction(self, desk_objects):
-        import json
-        from playtest import fixtures
         from playtest.tuning import build_config
         doc = json.loads(fixtures.path("desk_objects").read_text())
         for action in doc["actions"]:
             if action["id"] == "pull_double":  # identical to the base action
                 action["rewards"] = {"career_xp": 2, "event_xp": 3}
         config = build_config(doc)
-        xc = make_xc("object_impact", trials=2)
-        impact = object_impact(config, [("barista", 4)], xc)
-        reduction, rho = impact["barista"]
-        assert reduction == 0.0
-        assert rho is None
+        xc = make_xc("object_impact", trials=2, careers=[("barista", 4)])
+        impact = run_ok(xc, config).extras["impact"]["barista"]
+        assert impact["actions_reduction_pct"] == 0.0
+        assert impact["rho_per_action_saved"] is None
 
 
 class TestBuildComparison:
@@ -282,8 +274,9 @@ class TestBuildComparison:
 
     def test_identity_builds_identical_rows(self, build_a):
         xc = make_xc("build_comparison", trials=2, heuristic=self.heuristic(),
-                     agent=AgentSpec("astar", node_budget=400))
-        rows = build_comparison(build_a, build_a, [("barista", 2)], xc)
+                     agent=AgentSpec("astar", node_budget=400),
+                     careers=[("barista", 2)])
+        rows = run_ok(xc, build_a, build_a).extras["rows"]
         assert len(rows) == 2
         first, second = rows
         for key in ("event_actions", "total_actions", "sessions",
@@ -294,8 +287,9 @@ class TestBuildComparison:
         xc = make_xc("build_comparison", trials=2, heuristic=self.heuristic(),
                      goal=GoalSpec(kind="career_level_reached",
                                    max_minutes=50_000, max_actions=3_000),
-                     agent=AgentSpec("astar", node_budget=400))
-        rows = build_comparison(build_a, build_b, [("barista", 3)], xc)
+                     agent=AgentSpec("astar", node_budget=400),
+                     careers=[("barista", 3)])
+        rows = run_ok(xc, build_a, build_b).extras["rows"]
         by_build = {row["build"]: row for row in rows}
         a, b = by_build["build_A"], by_build["build_B"]
         assert b["total_actions"] >= 4 * a["total_actions"]
@@ -304,18 +298,12 @@ class TestBuildComparison:
 
     def test_empty_careers_empty_table(self, build_a, build_b):
         xc = make_xc("build_comparison", trials=1)
-        assert build_comparison(build_a, build_b, [], xc) == []
+        assert run_ok(xc, build_a, build_b).extras["rows"] == []
 
     def test_missing_career_raises(self, build_a, desk_base):
-        xc = make_xc("build_comparison", trials=1)
-        with pytest.raises(CareerMissingInBuild):
-            build_comparison(build_a, desk_base, [("medical", 2)], xc)
-        # the suite dispatcher records the same failure instead of raising
         xc = make_xc("build_comparison", trials=1,
                      careers=[{"career": "medical", "target_level": 2}])
-        outcome = run_experiment(xc, [build_a, desk_base])
-        assert outcome.status == "failed"
-        assert "CareerMissingInBuild" in outcome.error
+        assert failure(xc, build_a, desk_base).startswith("CareerMissingInBuild:")
 
 
 class TestAgentComparison:
@@ -325,9 +313,10 @@ class TestAgentComparison:
         xc = make_xc(
             "agent_comparison", trials=120, goal=goal,
             agent=AgentSpec("comparison", astar=AStarSpec(2000),
-                            softmax=SoftmaxSpec(1.0, train=TrainSpec(300, 0.05, 7))))
-        result = agent_comparison(desk_base, [("fashion", 2)], 120, xc)
-        astar_stats, softmax_stats = result["fashion"]
+                            softmax=SoftmaxSpec(1.0, train=TrainSpec(300, 0.05, 7))),
+            careers=[("fashion", 2)])
+        groups = run_ok(xc, desk_base).groups
+        astar_stats, softmax_stats = groups["fashion/astar"], groups["fashion/softmax"]
         assert astar_stats.variance == 0.0
         assert softmax_stats.variance > 0.0
         assert softmax_stats.mean >= astar_stats.mean

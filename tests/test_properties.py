@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bfs_oracle import random_desk_config
-from playtest import agents, fixtures
+from playtest import agents, fixtures, sim
 from playtest.errors import Deadlock
 from playtest.agents import (
     AStarPlanner,
@@ -76,11 +76,28 @@ def capacities(config):
     return {r.id: r.capacity for r in config.resources}
 
 
+def with_payouts(config):
+    """`config` with every reward bundle also paying one coin, a resource
+    no action costs and no walk fills, so every payout changes a dict:
+    a free action's, and those of event steps paid at a deadline, reach
+    dicts that no cost has copied yet."""
+    doc = json.loads(serialize_tuning(config))
+    doc["resources"].append({"id": "coin", "capacity": 10**6, "initial": 0,
+                             "regen_rate": {"num": 0, "den": 1}})
+    bundles = [action["rewards"] for action in doc["actions"]] + [
+        step["reward"] for event in doc["events"] for step in event["steps"]]
+    for bundle in bundles:
+        bundle.setdefault("resources", {})["coin"] = 1
+    return parse_tuning(json.dumps(doc))
+
+
 class TestResourceBounds:
     @settings(PROPERTY_SETTINGS, max_examples=100)
-    @given(**generated_builds)
-    def test_generated_builds(self, build_seed, seed, regen_num):
+    @given(**generated_builds, payouts=st.booleans())
+    def test_generated_builds(self, build_seed, seed, regen_num, payouts):
         config, scenario, _ = random_desk_config(build_seed, regen_num)
+        if payouts:
+            config = with_payouts(config)
         caps = capacities(config)
         for state in walk_states(config, scenario, seed):
             for rid, value in state.resources.items():
@@ -191,6 +208,23 @@ class TestEventPayoutConservation:
                              for outcome in event_log_entries(state))
             assert xp == self.xp_from_actions(config, state, reward) \
                 + from_steps
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(**generated_builds)
+    def test_coins_on_generated_builds_with_payouts(self, build_seed, seed,
+                                                    regen_num):
+        # every act and every event step reached pays one coin
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        config = with_payouts(config)
+        state = random_walk(config, scenario, seed, steps=40)
+        if state.active_event is not None:
+            state = advance_time(config, state, state.active_event.deadline)
+        events = config.index().events
+        acts = sum(kind == "act" for _, kind, _ in trace_entries(state))
+        steps = sum(outcome.accrued_xp >= step.xp_threshold
+                    for outcome in event_log_entries(state)
+                    for step in events[outcome.event_id].steps)
+        assert state.resources["coin"] == acts + steps
 
     def test_total_career_xp_decomposes(self, bugged_event):
         scenario = ScenarioOverrides(career="clerk")
@@ -1333,21 +1367,6 @@ class TestDedupKey:
 # Edge steps: the state a step starts from never changes
 # ---------------------------------------------------------------------------
 
-def with_payouts(config):
-    """`config` with every reward bundle also paying one coin, a resource
-    no action costs and no walk fills, so every payout changes a dict:
-    a free action's, and those of event steps paid at a deadline, reach
-    dicts that no cost has copied yet."""
-    doc = json.loads(serialize_tuning(config))
-    doc["resources"].append({"id": "coin", "capacity": 10**6, "initial": 0,
-                             "regen_rate": {"num": 0, "den": 1}})
-    bundles = [action["rewards"] for action in doc["actions"]] + [
-        step["reward"] for event in doc["events"] for step in event["steps"]]
-    for bundle in bundles:
-        bundle.setdefault("resources", {})["coin"] = 1
-    return parse_tuning(json.dumps(doc))
-
-
 def snapshot(state):
     """Every field of `state`, with its dicts copied and its value objects
     (career, relationship, running event, counters) taken apart."""
@@ -1412,3 +1431,92 @@ class TestEdgeStepsKeepTheirInput:
             config = with_payouts(config)
         check_inputs_unchanged(config, draw_scenario(data, config),
                                data.draw(st.integers(0, 2**32 - 1)))
+
+
+# ---------------------------------------------------------------------------
+# Public transitions: one state each, with the path history in its counters
+# ---------------------------------------------------------------------------
+
+def public_transitions(config, state):
+    """Every public transition from `state` but close_session_if_idle,
+    each as a call of no arguments; every advance moves the clock."""
+    for action_id in legal_actions(config, state):
+        yield functools.partial(apply_action, config, state, action_id)
+        yield functools.partial(step_action, config, state, action_id)
+    untils = {state.clock + 1, state.clock + 50}
+    if state.active_event is not None:
+        untils.add(state.active_event.deadline)
+    for until in sorted(untils):
+        yield functools.partial(advance_time, config, state, until)
+    for event_id in startable_events(config, state):
+        yield functools.partial(start_event, config, state, event_id)
+
+
+def check_running_count(state):
+    """The running event's action count is every event action that no
+    closed run has logged, and 0 while no event runs."""
+    counters = state.counters
+    logged = sum(outcome.actions for outcome in event_log_entries(state))
+    assert counters.running == counters.event_actions - logged
+    if state.active_event is None:
+        assert counters.running == 0
+
+
+def check_one_state_per_transition(config, scenario, seed):
+    successor = sim._successor
+    built = []
+
+    def counting(state):
+        built.append(state)
+        return successor(state)
+
+    for state in walk_states(config, scenario, seed):
+        check_running_count(state)
+        with mock.patch.object(sim, "_successor", counting):
+            for transition in public_transitions(config, state):
+                built.clear()
+                check_running_count(transition())
+                assert len(built) == 1
+            if legal_actions(config, state):
+                continue
+            # a session end also steps next_availability's scratch states
+            built.clear()
+            if next_availability(config, state) is None:
+                continue
+            scratch, built[:] = len(built), []
+            check_running_count(close_session_if_idle(config, state))
+            assert len(built) == scratch + 1
+
+
+class TestOneStatePerTransition:
+    """A public transition builds one state, its edge step's successor, and
+    the running event's action count lives in that state's counters."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(**generated_builds, payouts=st.booleans())
+    def test_generated_builds(self, build_seed, seed, regen_num, payouts):
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        check_one_state_per_transition(
+            with_payouts(config) if payouts else config, scenario, seed)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=4)
+    @given(data=st.data())
+    def test_fixtures(self, fixture, data):
+        config = fixtures.load(fixture)
+        check_one_state_per_transition(config, draw_scenario(data, config),
+                                       data.draw(st.integers(0, 2**32 - 1)))
+
+    def test_running_count_survives_until_the_event_closes(self, desk_base):
+        state = initial_state(desk_base, ScenarioOverrides(career="barista"), 1)
+        for action_id in ("brew", "brew", "serve", "serve"):
+            state = step_action(desk_base, state, action_id)
+        assert (state.active_event.event_id, state.counters.running) == (
+            "barista_shift", 2)
+        later = advance_time(desk_base, state, state.clock + 1)
+        assert later.active_event is not None and later.counters.running == 2
+        closed = advance_time(desk_base, later, later.active_event.deadline)
+        assert closed.active_event is None and closed.counters.running == 0
+        [outcome] = event_log_entries(closed)
+        assert (outcome.event_id, outcome.actions, outcome.completed) == (
+            "barista_shift", 2, False)
