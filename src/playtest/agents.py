@@ -314,17 +314,16 @@ class HeuristicSpec(Codec):
 
 
 def _default_scale(term: str, config: TuningConfig) -> float:
-    idx = config.index()
-    if term == "career_xp":
-        return float(max(1, idx.max_career_xp))
-    if term == "event_xp":
-        return float(max(1, idx.max_event_xp))
-    if term == "relationship_xp":
-        return float(max(1, idx.max_relationship_xp))
-    if term.startswith("crafted_item:"):
+    """The most of term's quantity that one action yields, at least 1; 1
+    for a term no action yields (a level, a completed event)."""
+    if term in ("career_xp", "event_xp", "relationship_xp"):
+        yields = [getattr(a.rewards, term) for a in config.actions]
+    elif term.startswith("crafted_item:"):
         item = term.split(":", 1)[1]
-        return float(max(1, idx.max_item_yield.get(item, 0)))
-    return 1.0
+        yields = [a.rewards.items.get(item, 0) for a in config.actions]
+    else:
+        return 1.0
+    return float(max([1, *yields]))
 
 
 # per-event costs for _chain_remaining
@@ -1017,6 +1016,9 @@ class SoftmaxPolicy(Codec):
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
+        if self.feature_names != list(FEATURE_NAMES):
+            raise ValueError(f"feature_names must be the {len(FEATURE_NAMES)} "
+                             "features, in order")
         if len(self.weights) != len(self.feature_names):
             raise ValueError("one weight per feature required")
         if any(not math.isfinite(w) for w in self.weights):

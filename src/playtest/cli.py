@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
         results = run_suite(
             suite, out_dir, seed_override=args.seed, parallel=args.parallel
         )
-    except (PlaytestError, json.JSONDecodeError) as exc:
+    except (PlaytestError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

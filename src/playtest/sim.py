@@ -14,8 +14,8 @@ path history, whose counters hold only the action count, and the edge's
 effects: the trace entries it adds, whether an act counted toward the
 running event, the event run it closed and the session gap it ended. The
 record step (`record`) writes those effects into a path history, which
-lives in `Counters` alone: the trace, the event log, the event action,
-session and wait counters, and the running event's action count. The
+lives in `Counters` alone: the trace, the event log, the event action
+count, the session gaps and the running event's action count. The
 public transitions (`apply_action`, `step_action`, `advance_time`,
 `start_event`, `close_session_if_idle`) do both, giving the successor
 they build its full counters. A search keeps only history-free states,
@@ -90,8 +90,7 @@ class Counters:
 
     total_actions: int = 0
     event_actions: int = 0
-    sessions: int = 0  # completed session gaps; equals session_end entries
-    wait_intervals: tuple[int, ...] = ()
+    wait_intervals: tuple[int, ...] = ()  # one per session_end entry
     trace: _Chain = None  # entries are (clock, kind, detail)
     event_log: _Chain = None
     running: int = 0  # actions counted toward the running event so far
@@ -100,7 +99,7 @@ class Counters:
         """Sessions played: completed gaps plus the final open session."""
         if self.total_actions == 0:
             return 0
-        return self.sessions + 1
+        return len(self.wait_intervals) + 1
 
 
 # The counters of a state without path history, by action count: they
@@ -540,7 +539,6 @@ def record(
     trace = counters.trace
     event_log = counters.event_log
     event_actions = counters.event_actions
-    sessions = counters.sessions
     waits = counters.wait_intervals
     running = counters.running
     for entries, counted, closed, gap in path:
@@ -564,10 +562,9 @@ def record(
                 closed.ended_at), event_log)
             running = 0
         if gap is not None:
-            sessions += 1
             waits += (gap,)
-    return Counters(total_actions, event_actions, sessions, waits, trace,
-                    event_log, running)
+    return Counters(total_actions, event_actions, waits, trace, event_log,
+                    running)
 
 
 def with_history(state: GameState, counters: Counters) -> GameState:
@@ -768,15 +765,13 @@ def _settle(
 # ---------------------------------------------------------------------------
 
 def _static_ready_time(
-    config: TuningConfig, state: GameState, action_id: str
+    idx: ConfigIndex, state: GameState, action: ActionSpec
 ) -> int | None:
     """Earliest clock at which the action becomes legal, assuming the
     world only changes by time passing (event closures excluded)."""
-    idx = config.index()
-    action = idx.actions[action_id]
     if _legal_start(idx, state, action, now=False) is False:
         return None
-    ready = max(state.clock, state.locked_until, state.cooldowns.get(action_id, 0))
+    ready = max(state.clock, state.locked_until, state.cooldowns.get(action.id, 0))
     for rid, cost in action.costs.items():
         res = idx.resources[rid]
         have = state.resources.get(rid, 0)
@@ -801,8 +796,8 @@ def next_availability(config: TuningConfig, state: GameState) -> int | None:
         if legal_moves(idx, scratch):
             return scratch.clock
         candidates = []
-        for aid in idx.sorted_action_ids:
-            t = _static_ready_time(config, scratch, aid)
+        for action in idx.sorted_actions:
+            t = _static_ready_time(idx, scratch, action)
             if t is not None and t > scratch.clock:
                 candidates.append(t)
         deadline = (

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import UnionType
@@ -172,7 +173,9 @@ class TuningConfig:
 
 
 class ConfigIndex:
-    """Lookup tables derived once from an immutable TuningConfig."""
+    """The lookup tables that a build's readers share (`validate`, the
+    engine and the agents), derived once from an immutable TuningConfig.
+    Where an id is duplicated, a table keeps its last entry."""
 
     def __init__(self, config: TuningConfig):
         self.resources = {r.id: r for r in config.resources}
@@ -181,8 +184,7 @@ class ConfigIndex:
         self.careers = {c.id: c for c in config.careers}
         self.relationships = {r.id: r for r in config.relationships}
         self.objects = {o.id: o for o in config.objects}
-        self.sorted_action_ids = sorted(self.actions)
-        self.sorted_actions = [self.actions[aid] for aid in self.sorted_action_ids]
+        self.sorted_actions = [self.actions[aid] for aid in sorted(self.actions)]
 
         # (resource id, regen numerator, denominator, capacity) of each
         # resource that regenerates, so the engine's clock runs on ints
@@ -213,19 +215,6 @@ class ConfigIndex:
         for cat in config.relationships:
             for i, eid in enumerate(cat.event_chain):
                 self.chain_position[eid] = (cat.id, i + 1)
-
-        # best single-action yields, used as default heuristic scales
-        acts = config.actions
-        self.max_career_xp = max((a.rewards.career_xp for a in acts), default=0)
-        self.max_event_xp = max((a.rewards.event_xp for a in acts), default=0)
-        self.max_relationship_xp = max(
-            (a.rewards.relationship_xp for a in acts), default=0
-        )
-        self.max_item_yield: dict[str, int] = {}
-        for a in acts:
-            for item, n in a.rewards.items.items():
-                if n > self.max_item_yield.get(item, 0):
-                    self.max_item_yield[item] = n
 
 
 @dataclass
@@ -316,12 +305,15 @@ class Codec:
 
 
 def _expect(obj: Any, path: str, kind: type) -> Any:
-    """obj, if it is a kind; a float may be an int, and a bool is no int."""
+    """obj, if it is a kind; a float may be an int, and a bool is no int.
+    A float must be finite: `json` reads NaN, Infinity and 1e999."""
     if (not isinstance(obj, (int, float) if kind is float else kind)
             or (kind is not bool and isinstance(obj, bool))):
         raise SchemaError(
             f"{path}: expected {kind.__name__}, got {type(obj).__name__}"
         )
+    if type(obj) is float and not math.isfinite(obj):
+        raise SchemaError(f"{path}: expected a finite number, got {obj!r}")
     return obj
 
 
@@ -497,12 +489,7 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
                 out(_err(entry.id, f"duplicate {kind} id", "duplicate-id"))
             seen.add(entry.id)
 
-    resources = {r.id for r in config.resources}
-    actions = {a.id for a in config.actions}
-    events = {e.id: e for e in config.events}
-    careers = {c.id for c in config.careers}
-    categories = {r.id for r in config.relationships}
-    objects = {o.id for o in config.objects}
+    idx = config.index()
 
     def check_amounts(entity: str, amounts: dict[str, int], label: str) -> None:
         for key, value in amounts.items():
@@ -520,13 +507,13 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
         check_amounts(entity, rewards.resources, "resource reward")
         check_amounts(entity, rewards.items, "item reward")
         for rid in rewards.resources:
-            if rid not in resources:
+            if rid not in idx.resources:
                 out(_dangling(entity, rid, "resource"))
 
     def check_requires(entity: str, req: RequirementSet) -> None:
-        if req.career is not None and req.career not in careers:
+        if req.career is not None and req.career not in idx.careers:
             out(_dangling(entity, req.career, "career"))
-        if req.owned_object is not None and req.owned_object not in objects:
+        if req.owned_object is not None and req.owned_object not in idx.objects:
             out(_dangling(entity, req.owned_object, "object"))
         if req.min_level < 1:
             out(_err(entity, "min_level must be >= 1", "bad-level"))
@@ -540,7 +527,6 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
         if res.regen_rate < 0:
             out(_err(res.id, "regen_rate must be >= 0", "negative-amount"))
 
-    capacity = {r.id: r.capacity for r in config.resources}
     for act in config.actions:
         if act.duration < 0:
             out(_err(act.id, "duration must be >= 0", "negative-amount"))
@@ -549,9 +535,9 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
         check_amounts(act.id, act.costs, "cost")
         check_amounts(act.id, act.consumes_items, "item consumption")
         for rid, cost in act.costs.items():
-            if rid not in resources:
+            if rid not in idx.resources:
                 out(_dangling(act.id, rid, "resource"))
-            elif cost > capacity[rid]:
+            elif cost > idx.resources[rid].capacity:
                 out(_warn(act.id,
                           f"cost {cost} exceeds capacity of {rid!r}; "
                           "the action can never be afforded",
@@ -559,9 +545,8 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
         check_rewards(act.id, act.rewards)
         check_requires(act.id, act.requires)
 
-    member_of_event = {aid for e in config.events for aid in e.action_ids}
     for act in config.actions:
-        if act.requires.during_event and act.id not in member_of_event:
+        if act.requires.during_event and act.id not in idx.events_of_action:
             out(_warn(act.id, "requires an event but belongs to none;"
                               " the action can never be legal",
                       "orphan-event-action"))
@@ -582,19 +567,18 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
             prev = step.xp_threshold
             check_rewards(event.id, step.reward)
         if event.kind == "career":
-            if event.owner_id not in careers:
+            if event.owner_id not in idx.careers:
                 out(_dangling(event.id, event.owner_id, "career"))
-        elif event.owner_id not in categories:
+        elif event.owner_id not in idx.relationships:
             out(_dangling(event.id, event.owner_id, "relationship category"))
         for aid in event.action_ids:
-            if aid not in actions:
+            if aid not in idx.actions:
                 out(_dangling(event.id, aid, "action"))
         check_requires(event.id, event.start_requires)
 
-    action_specs = {a.id: a for a in config.actions}
     for event in config.events:
         for aid in event.action_ids:
-            spec = action_specs.get(aid)
+            spec = idx.actions.get(aid)
             if spec is not None and spec.rewards.event_xp == 0:
                 out(_warn(event.id,
                           f"member action {aid!r} rewards zero event XP",
@@ -624,7 +608,7 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
                          "bad-level"))
             for eid in ids:
                 listed.add(eid)
-                event = events.get(eid)
+                event = idx.events.get(eid)
                 if event is None:
                     out(_dangling(career.id, eid, "event"))
                 elif event.kind != "career" or event.owner_id != career.id:
@@ -637,7 +621,7 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
             out(_warn(career.id, f"career event {eid!r} is never unlocked",
                       "event-never-unlocked"))
         for unlock in career.object_unlocks:
-            if unlock.object_id not in objects:
+            if unlock.object_id not in idx.objects:
                 out(_dangling(career.id, unlock.object_id, "object"))
             if unlock.unlock_level < 1 or unlock.unlock_level > career.max_level:
                 out(_err(career.id,
@@ -652,7 +636,7 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
         if not cat.event_chain:
             out(_err(cat.id, "event_chain must be non-empty", "empty-chain"))
         for eid in cat.event_chain:
-            event = events.get(eid)
+            event = idx.events.get(eid)
             if event is None:
                 out(_dangling(cat.id, eid, "event"))
             elif event.kind != "relationship" or event.owner_id != cat.id:
@@ -662,7 +646,7 @@ def validate(config: TuningConfig) -> list[Diagnostic]:
 
     for obj in config.objects:
         for aid in obj.unlocked_action_ids:
-            spec = action_specs.get(aid)
+            spec = idx.actions.get(aid)
             if spec is None:
                 out(_dangling(obj.id, aid, "action"))
             elif spec.requires.owned_object != obj.id:

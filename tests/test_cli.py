@@ -236,6 +236,34 @@ class TestRun:
         # each fails as it loads, before its build is parsed
         assert all(s["build_ids"] == [] for s in stats.values())
 
+    def test_non_finite_numbers_fail_alone(self, suite_dir):
+        # each used to run, and its stats.json held Infinity or NaN
+        stats = self.run_isolated(suite_dir, [
+            dict(MINI_SUITE[0], id="infinite_temperature",
+                 study="agent_comparison",
+                 agent={"kind": "comparison",
+                        "softmax": {"temperature": float("inf")}}),
+            dict(MINI_SUITE[0], id="nan_normalization",
+                 heuristic={"weights": {"career_xp": 1.0},
+                            "normalization": {"career_xp": float("nan")}}),
+        ])
+        assert {eid: (s["error"], s["build_ids"]) for eid, s in stats.items()} == {
+            "infinite_temperature": (
+                "SuiteEntryError: infinite_temperature.agent.softmax."
+                "temperature: expected a finite number, got inf", []),
+            "nan_normalization": (
+                "SuiteEntryError: nan_normalization.heuristic.normalization."
+                "career_xp: expected a finite number, got nan", []),
+        }
+
+        def reject(constant):
+            raise ValueError(f"stats.json holds {constant}")
+
+        written = list((suite_dir / "isolation_out").glob("*/stats.json"))
+        assert len(written) == 3
+        for path in written:
+            json.loads(path.read_text(), parse_constant=reject)
+
     def test_failures_are_isolated(self, suite_dir, capsys):
         out_dir = suite_dir / "out"
         code = main(["run", str(suite_dir / "suite.json"),
@@ -417,6 +445,12 @@ class TestRun:
 
     def test_missing_suite_exit_two(self):
         assert main(["run", "no_suite.json"]) == 2
+
+    def test_directory_suite_exit_two(self, suite_dir, capsys):
+        # it used to end in an IsADirectoryError traceback
+        assert main(["run", str(suite_dir), "--out",
+                     str(suite_dir / "dir_out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_negative_parallel_exit_two(self, suite_dir, capsys):
         # it used to run serially

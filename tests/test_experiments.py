@@ -5,6 +5,7 @@ import json
 import operator
 import os
 import pickle
+import re
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ import pytest
 from bfs_oracle import random_desk_config, shortest_actions
 from playtest import agents, experiments, fixtures
 from playtest.agents import GoalSpec, HeuristicSpec
-from playtest.errors import PlaytestError
+from playtest.errors import PlaytestError, SuiteEntryError
 from playtest.experiments import (
     AgentSpec,
     AggregateStats,
@@ -602,7 +603,11 @@ def test_single_defect_entries_fail_cleanly_or_round_trip():
     (("agent", "softmax", "train", "episodes"), 0, "episodes must be >= 1"),
     (("agent", "softmax", "train", "step_size"), 0.0, "step_size must be > 0"),
     (("agent",), {"kind": "astar", "node_budget": -5}, "node_budget must be >= 1"),
-], ids=["astar_budget", "temperature", "episodes", "step_size", "budget"])
+    (("agent",), {"kind": "softmax", "policy": {
+        "feature_names": ["a", "b"], "weights": [1.0, 2.0]}},
+     "feature_names must be the 11 features, in order"),
+], ids=["astar_budget", "temperature", "episodes", "step_size", "budget",
+        "feature_names"])
 def test_agent_settings_that_cannot_run_fail_at_load(path, value, error):
     # each used to load and fail only when its planner or training started,
     # inside a pool worker at --parallel
@@ -612,4 +617,27 @@ def test_agent_settings_that_cannot_run_fail_at_load(path, value, error):
         doc["study"] = "career_progression"
     functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
     with pytest.raises(ValueError, match=f"^{error}$"):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("path", [
+    ("agent", "softmax", "temperature"),
+    ("agent", "softmax", "train", "step_size"),
+    ("heuristic", "weights", "career_xp"),
+    ("heuristic", "normalization", "career_xp"),
+], ids=["temperature", "step_size", "weight", "normalization"])
+def test_non_finite_numbers_fail_at_load(path, value):
+    # json reads NaN, Infinity and 1e999; such an entry used to run and
+    # write Infinity into stats.json, which strict JSON parsers reject
+    doc = json.loads(json.dumps(next(
+        e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    with pytest.raises(SuiteEntryError, match=(
+            f"^agent_comparison\\.{re.escape('.'.join(path))}: "
+            f"expected a finite number, got {value!r}$")):
         ExperimentConfig.from_dict(doc)

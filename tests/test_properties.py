@@ -283,7 +283,7 @@ class TestCounterConservation:
                 desk_base, ScenarioOverrides(career="culinary"), seed)
             kinds = [k for _, k, _ in trace_entries(state)]
             assert state.counters.total_actions == kinds.count("act")
-            assert state.counters.sessions == kinds.count("session_end")
+            assert len(state.counters.wait_intervals) == kinds.count("session_end")
             if state.counters.total_actions:
                 assert state.counters.session_count() == \
                     kinds.count("session_end") + 1
@@ -1101,12 +1101,14 @@ def first_legal_minute(config, state, horizon):
 
 
 def check_availability(config, states, horizon):
+    idx = config.index()
     for state in states:
         if state.locked_until <= state.clock:
             legal = set(legal_actions(config, state))
-            for aid in config.index().sorted_action_ids:
-                ready = _static_ready_time(config, state, aid)
-                assert (aid in legal) == (ready == state.clock), (aid, ready)
+            for action in idx.sorted_actions:
+                ready = _static_ready_time(idx, state, action)
+                assert (action.id in legal) == (ready == state.clock), (
+                    action.id, ready)
         stepped = first_legal_minute(config, state, horizon)
         jumped = next_availability(config, state)
         if stepped is None:

@@ -132,6 +132,14 @@ class TestSoftmaxDecide:
                           temperature=0.0)
         with pytest.raises(ValueError):
             SoftmaxPolicy(["bias"], [1.0, 2.0], temperature=1.0)
+        # each used to load; a policy scored only its first two features
+        with pytest.raises(ValueError, match="^feature_names must be"):
+            SoftmaxPolicy.from_dict(
+                {"feature_names": ["a", "b"], "weights": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="^feature_names must be"):
+            SoftmaxPolicy.from_dict({
+                "feature_names": list(reversed(FEATURE_NAMES)),
+                "weights": [0.0] * len(FEATURE_NAMES)})
 
 
 class TestTraining:
