@@ -132,7 +132,8 @@ class TestSoftmaxDecide:
                           temperature=0.0)
         with pytest.raises(ValueError):
             SoftmaxPolicy(["bias"], [1.0, 2.0], temperature=1.0)
-        # each used to load; a policy scored only its first two features
+        # each used to load, and its weights were applied to the features
+        # in FEATURE_NAMES order whatever the names said
         with pytest.raises(ValueError, match="^feature_names must be"):
             SoftmaxPolicy.from_dict(
                 {"feature_names": ["a", "b"], "weights": [1.0, 2.0]})
