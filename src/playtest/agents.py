@@ -73,26 +73,23 @@ from dataclasses import dataclass, field
 from operator import attrgetter, mul
 from weakref import WeakValueDictionary
 
-from .errors import SchemaError
+from .errors import Deadlock, SchemaError
 from .sim import (
-    TRACE_SESSION_END,
     TRACE_WAIT,
     Effects,
     GameState,
     ScenarioOverrides,
+    _chain_entries,
     act_edge,
     advance_time,
     checked_action,
-    event_log_entries,
     initial_state,
     legal_moves,
-    next_availability,
     record,
     session_end_edge,
     state_digest,
     step_action,
     wait_edge,
-    with_history,
 )
 from .tuning import ActionSpec, Codec, ConfigIndex, EventSpec, TuningConfig, absent
 
@@ -204,9 +201,10 @@ def _timeout_pays(config: TuningConfig, event) -> bool:
 
 def _moves(
     config: TuningConfig, state: GameState
-) -> tuple[list[tuple[ActionSpec, str | None]], int | None]:
+) -> tuple[list[tuple[ActionSpec, str | None]], int | None, tuple | None]:
     """The moves of `available_moves`: the legal actions, each with the
-    event its run starts implicitly, and the wait's target, or None."""
+    event its run starts implicitly, the wait's target, or None, and when
+    idle the wait's edge (`sim.session_end_edge`), or None."""
     legal = legal_moves(config.index(), state)
     if legal:
         event = state.active_event
@@ -215,10 +213,10 @@ def _moves(
             and event.deadline > state.clock
             and _timeout_pays(config, event)
         ):
-            return legal, event.deadline
-        return legal, None
-    target = next_availability(config, state)
-    return legal, target if target is not None and target > state.clock else None
+            return legal, event.deadline, None
+        return legal, None, None
+    edge = session_end_edge(config.index(), state)
+    return legal, None if edge is None else edge[0].clock, edge
 
 
 def available_moves(config: TuningConfig, state: GameState) -> list[Decision]:
@@ -232,7 +230,7 @@ def available_moves(config: TuningConfig, state: GameState) -> list[Decision]:
     wait jumps to the next availability, which already accounts for the
     deadline.
     """
-    legal, wait = _moves(config, state)
+    legal, wait, _ = _moves(config, state)
     moves = [Decision.act(action.id) for action, _ in legal]
     if wait is not None:
         moves.append(Decision.wait(wait))
@@ -257,14 +255,14 @@ def _edges(
     """Every available move with its successor without path history and
     the effects of committing it, in `available_moves` order: an act
     takes the event start its listing found, so its legality is checked
-    once."""
+    once, and an idle state's wait is the edge its listing walked."""
     idx = config.index()
-    legal, wait = _moves(config, state)
+    legal, wait, session_end = _moves(config, state)
     edges = [(Decision.act(action.id), *act_edge(idx, state, action, start))
              for action, start in legal]
     if wait is not None:
-        edges.append((Decision.wait(wait), *wait_edge(
-            idx, state, wait, TRACE_WAIT if legal else TRACE_SESSION_END)))
+        edges.append((Decision.wait(wait),
+                      *(session_end or wait_edge(idx, state, wait, TRACE_WAIT))))
     return edges
 
 
@@ -283,7 +281,10 @@ def _commit(
         return act_edge(idx, state, *checked_action(idx, state, decision.action))
     if legal_moves(idx, state):
         return wait_edge(idx, state, decision.until, TRACE_WAIT)
-    return session_end_edge(config, state)
+    edge = session_end_edge(idx, state)
+    if edge is None:
+        raise Deadlock("no action can ever become legal")
+    return edge
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,10 @@ class HeuristicSpec(Codec):
     normalization: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for term in (*self.weights, *self.normalization):
+            prefix, _, item = term.partition(":")
+            if term not in HEURISTIC_TERMS and not (prefix == "crafted_item" and item):
+                raise ValueError(f"unknown heuristic term {term!r}")
         for term, weight in self.weights.items():
             if not math.isfinite(weight):
                 raise ValueError(f"weight for {term!r} is not finite")
@@ -969,7 +974,6 @@ def run_episode(
         config, start, random.Random(seed), agent, goal,
     )
     counters = record(start.counters, state.counters.total_actions, path)
-    state = with_history(state, counters)
     return TrialRecord(
         seed=seed,
         agent=getattr(agent, "name", type(agent).__name__),
@@ -980,7 +984,7 @@ def run_episode(
         sessions=counters.session_count(),
         wait_intervals=list(counters.wait_intervals),
         clock=state.clock,
-        event_log=event_log_entries(state),
+        event_log=_chain_entries(counters.event_log),
         decisions=decisions,
         max_nodes_expanded=max_expanded,
         max_decision_seconds=max_seconds,

@@ -140,6 +140,8 @@ class SoftmaxSpec:  # an agent comparison's Softmax half: a policy, or training
     def __post_init__(self):
         if self.temperature is not None and self.temperature <= 0:
             raise ValueError("temperature must be > 0")
+        if self.temperature is not None and self.policy is not None:
+            raise ValueError("temperature is not read next to a literal policy")
 
 
 @dataclass
@@ -395,7 +397,9 @@ def check_build_count(study: str, count: int) -> None:
 
 
 def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
-    """Raise if the study cannot run on `configs`: a wrong build count, a
+    """Raise if the study cannot run on `configs`: a wrong build count,
+    `careers` for relationship_balance or an agent of another kind than
+    `comparison` for agent_comparison (the study reads neither), a
     build with no relationship event or a goal without a field its kind
     reads for relationship_balance (career studies build their own
     goals), a scenario career for a career study (its groups take theirs
@@ -404,6 +408,9 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
     `initial_state` rejects on a group's build. The runner checks before
     it starts any group, and a suite checks each entry as it loads it."""
     check_build_count(xc.study, len(configs))
+    if xc.study == "agent_comparison" and xc.agent.kind != "comparison":
+        raise SuiteEntryError(f"{xc.id}.agent.kind: agent_comparison reads a "
+                              f"comparison agent, not {xc.agent.kind!r}")
     if xc.study == "relationship_balance":
         if not any(e.kind == "relationship" for e in configs[0].events):
             raise NoRelationshipEvents(configs[0].build_id)
@@ -412,6 +419,9 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
         except SchemaError as exc:
             raise SuiteEntryError(str(exc)) from exc
         initial_state(configs[0], xc.scenario, xc.base_seed)
+        if xc.careers:
+            raise SuiteEntryError(f"{xc.id}.careers: relationship_balance "
+                                  "reads no careers")
         return
     if xc.scenario.career is not None:
         raise SuiteEntryError(f"{xc.id}.scenario.career: {xc.study} takes each "

@@ -38,24 +38,6 @@ TRIAL_FIELDS = (
 )
 
 
-@dataclass
-class ReportBundle:
-    experiment_id: str
-    generated_at: str
-    inputs_digest: str
-    tables: list[str]
-    charts: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment_id,
-            "generated_at": self.generated_at,
-            "inputs_digest": self.inputs_digest,
-            "tables": list(self.tables),
-            "charts": list(self.charts),
-        }
-
-
 def inputs_digest(files: list[Path]) -> str:
     """Content hash over the experiment's input files, order-independent."""
     digest = hashlib.sha256()
@@ -120,7 +102,7 @@ def write_experiment(
     xc: ExperimentConfig | None,
     outcome: ExperimentOutcome,
     input_files: list[Path],
-) -> ReportBundle:
+) -> None:
     """Write one experiment's files.
 
     An entry that never became an ExperimentConfig (xc is None) gets only
@@ -137,15 +119,13 @@ def write_experiment(
             "charts": outcome.charts,
         })
 
-    bundle = ReportBundle(
-        experiment_id=outcome.experiment_id,
-        generated_at=datetime.now(timezone.utc).isoformat(),
-        inputs_digest=inputs_digest(input_files),
-        tables=tables,
-        charts=[chart["name"] for chart in outcome.charts],
-    )
-    _dump_json(out_dir / "bundle.json", bundle.to_dict())
-    return bundle
+    _dump_json(out_dir / "bundle.json", {
+        "experiment": outcome.experiment_id,
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "inputs_digest": inputs_digest(input_files),
+        "tables": tables,
+        "charts": [chart["name"] for chart in outcome.charts],
+    })
 
 
 # ---------------------------------------------------------------------------

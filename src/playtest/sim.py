@@ -7,16 +7,18 @@ an exact fractional remainder per resource, so regenerating over one
 long advance or many short ones yields identical results.
 
 Every transition runs in two steps. The edge step (`act_edge`,
-`wait_edge`, `session_end_edge`) makes one copy of its input
-(`_successor`) and fills in what the edge changes before anyone sees it,
-copying a dict before its first write. It returns that successor without
-path history, whose counters hold only the action count, and the edge's
-effects: the trace entries it adds, whether an act counted toward the
-running event, the event run it closed and the session gap it ended. The
-record step (`record`) writes those effects into a path history, which
-lives in `Counters` alone: the trace, the event log, the event action
-count, the session gaps and the running event's action count. The
-public transitions (`apply_action`, `step_action`, `advance_time`,
+`wait_edge`) makes one copy of its input (`_successor`) and fills in
+what the edge changes before anyone sees it, copying a dict before its
+first write. It returns that successor without path history, whose
+counters hold only the action count, and the edge's effects: the trace
+entries it adds, whether an act counted toward the running event, the
+event run it closed and the session gap it ended. An idle state's
+session end (`session_end_edge`) takes at most two wait steps: a closure
+starts no event, so its walk meets one at most. The record step
+(`record`) writes the effects into a path history, which lives in
+`Counters` alone: the trace, the event log, the event action count, the
+session gaps and the running event's action count. The public
+transitions (`apply_action`, `step_action`, `advance_time`,
 `start_event`, `close_session_if_idle`) do both, giving the successor
 they build its full counters. A search keeps only history-free states,
 so one state serves every path that reaches it, and an episode records
@@ -567,14 +569,6 @@ def record(
                     running)
 
 
-def with_history(state: GameState, counters: Counters) -> GameState:
-    """A copy of `state`, which others may hold (a search's, say), carrying
-    the path history `counters` (see `record`)."""
-    child = _successor(state)
-    child.counters = counters
-    return child
-
-
 def _recorded(state: GameState, successor: GameState, effects: Effects) -> GameState:
     """`successor`, which the edge step from `state` has just built and no one
     else holds, given `state`'s history carried through the edge's effects."""
@@ -788,48 +782,53 @@ def _static_ready_time(
     return ready
 
 
+def _next_ready(idx: ConfigIndex, state: GameState) -> int | None:
+    """The earliest static ready time after the clock, or None."""
+    times = [_static_ready_time(idx, state, action) for action in idx.sorted_actions]
+    return min((t for t in times if t is not None and t > state.clock), default=None)
+
+
 def next_availability(config: TuningConfig, state: GameState) -> int | None:
-    """Smallest future clock time at which some action is legal, or None."""
-    idx = config.index()
-    scratch = state
-    for _ in range(64):  # a few event closures at most on any sane config
-        if legal_moves(idx, scratch):
-            return scratch.clock
-        candidates = []
-        for action in idx.sorted_actions:
-            t = _static_ready_time(idx, scratch, action)
-            if t is not None and t > scratch.clock:
-                candidates.append(t)
-        deadline = (
-            scratch.active_event.deadline if scratch.active_event else None
-        )
-        if deadline is not None:
-            candidates.append(deadline)
-        if not candidates:
-            return None
-        target = min(candidates)
-        scratch, _ = wait_edge(idx, scratch, target)
-        if legal_moves(idx, scratch):
-            return target
-        if target != deadline:
-            return None  # static promise failed and no event closed: dead
-    return None
+    """Smallest future clock time at which some action is legal, or None:
+    the clock if one is legal now, else the end of `session_end_edge`'s
+    walk, which meets at most one event closure (a closure starts none)."""
+    if legal_moves(config.index(), state):
+        return state.clock
+    edge = session_end_edge(config.index(), state)
+    return None if edge is None else edge[0].clock
 
 
 def close_session_if_idle(config: TuningConfig, state: GameState) -> GameState:
     """End the session: record the wait gap and jump to the next availability."""
     if legal_actions(config, state):
         raise IllegalAction("session close while actions are legal")
-    return _recorded(state, *session_end_edge(config, state))
+    edge = session_end_edge(config.index(), state)
+    if edge is None:
+        raise Deadlock("no action can ever become legal")
+    return _recorded(state, *edge)
 
 
 def session_end_edge(
-    config: TuningConfig, state: GameState
-) -> tuple[GameState, Effects]:
-    """The successor without path history of an idle state's session end,
-    a wait to the next availability traced with its gap, and its effects;
-    raises Deadlock if no action can ever become legal."""
-    target = next_availability(config, state)
-    if target is None:
-        raise Deadlock("no action can ever become legal")
-    return wait_edge(config.index(), state, target, TRACE_SESSION_END)
+    idx: ConfigIndex, state: GameState
+) -> tuple[GameState, Effects] | None:
+    """The session end of an idle state, a wait to the next availability
+    traced with its gap: its successor without path history and its
+    effects, or None if no action can ever become legal.
+
+    Only time, whose effect the static ready times give exactly, and the
+    running event's closure change what is legal, and a closure starts no
+    event, so the walk meets at most one closure. It takes at most two
+    waits from `state`: to the deadline, if no ready time comes before
+    it, and if the closure leaves nothing legal, on to the earliest ready
+    time after it.
+    """
+    ready = _next_ready(idx, state)
+    event = state.active_event
+    if event is not None and (ready is None or event.deadline <= ready):
+        edge = wait_edge(idx, state, event.deadline, TRACE_SESSION_END)
+        if legal_moves(idx, edge[0]):
+            return edge
+        ready = _next_ready(idx, edge[0])
+    if ready is None:
+        return None
+    return wait_edge(idx, state, ready, TRACE_SESSION_END)

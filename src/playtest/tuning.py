@@ -306,7 +306,8 @@ class Codec:
 
 def _expect(obj: Any, path: str, kind: type) -> Any:
     """obj, if it is a kind; a float may be an int, and a bool is no int.
-    A float must be finite: `json` reads NaN, Infinity and 1e999."""
+    A float must be finite: `json` reads NaN, Infinity and 1e999, and an
+    int too large for a float."""
     if (not isinstance(obj, (int, float) if kind is float else kind)
             or (kind is not bool and isinstance(obj, bool))):
         raise SchemaError(
@@ -314,6 +315,12 @@ def _expect(obj: Any, path: str, kind: type) -> Any:
         )
     if type(obj) is float and not math.isfinite(obj):
         raise SchemaError(f"{path}: expected a finite number, got {obj!r}")
+    if kind is float and type(obj) is int:
+        try:
+            float(obj)
+        except OverflowError:
+            raise SchemaError(f"{path}: expected a finite number, got an int "
+                              "too large for a float") from None
     return obj
 
 

@@ -236,6 +236,15 @@ class TestRun:
         # each fails as it loads, before its build is parsed
         assert all(s["build_ids"] == [] for s in stats.values())
 
+    def test_unknown_heuristic_term_fails_alone(self, suite_dir):
+        # it used to run, searching with the misspelt term's weight dropped
+        stats = self.run_isolated(suite_dir, [
+            dict(MINI_SUITE[0], id="misspelt_term",
+                 heuristic={"weights": {"carrer_xp": 1.0}})])
+        assert (stats["misspelt_term"]["error"],
+                stats["misspelt_term"]["build_ids"]) == (
+            "ValueError: unknown heuristic term 'carrer_xp'", [])
+
     def test_non_finite_numbers_fail_alone(self, suite_dir):
         # each used to run, and its stats.json held Infinity or NaN
         stats = self.run_isolated(suite_dir, [

@@ -359,6 +359,25 @@ class TestSuiteDispatch:
         assert outcome.records == []
 
 
+    @pytest.mark.parametrize("study, fixture, options, error", [
+        ("relationship_balance", "romance_outlier", dict(
+            goal=GoalSpec(kind="any_relationship_chain_done", chain_length=5,
+                          max_minutes=5000, max_actions=300),
+            careers=[{"career": "astronaut", "target_level": 99}]),
+         "careers: relationship_balance reads no careers"),
+        ("agent_comparison", "desk_base", dict(
+            careers=[{"career": "fashion", "target_level": 2}],
+            agent=AgentSpec("astar", node_budget=1)),
+         "agent.kind: agent_comparison reads a comparison agent, not 'astar'"),
+    ], ids=["careers", "agent_kind"])
+    def test_settings_the_study_never_reads_fail(
+            self, request, study, fixture, options, error):
+        # each used to run ok: the careers, or the agent's budget, unread
+        xc = make_xc(study, trials=1, **options)
+        assert failure(xc, request.getfixturevalue(fixture)) == (
+            f"SuiteEntryError: test_{study}.{error}")
+
+
 class TestPooledTrials:
     def test_pool_matches_serial_and_payloads_carry_no_build(self, desk_base):
         xc = make_xc(
@@ -620,8 +639,9 @@ def test_agent_settings_that_cannot_run_fail_at_load(path, value, error):
         ExperimentConfig.from_dict(doc)
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
-                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   10**400, -10**400],
+                         ids=["inf", "-inf", "nan", "huge_int", "-huge_int"])
 @pytest.mark.parametrize("path", [
     ("agent", "softmax", "temperature"),
     ("agent", "softmax", "train", "step_size"),
@@ -630,14 +650,56 @@ def test_agent_settings_that_cannot_run_fail_at_load(path, value, error):
 ], ids=["temperature", "step_size", "weight", "normalization"])
 def test_non_finite_numbers_fail_at_load(path, value):
     # json reads NaN, Infinity and 1e999; such an entry used to run and
-    # write Infinity into stats.json, which strict JSON parsers reject
+    # write Infinity into stats.json, which strict JSON parsers reject.
+    # An int too large for a float used to load as an int, or raise a
+    # bare OverflowError.
     doc = json.loads(json.dumps(next(
         e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
     node = doc
     for key in path[:-1]:
         node = node.setdefault(key, {})
     node[path[-1]] = value
+    got = (repr(value) if isinstance(value, float)
+           else "an int too large for a float")
     with pytest.raises(SuiteEntryError, match=(
             f"^agent_comparison\\.{re.escape('.'.join(path))}: "
-            f"expected a finite number, got {value!r}$")):
+            f"expected a finite number, got {got}$")):
         ExperimentConfig.from_dict(doc)
+
+
+def test_a_float_field_keeps_an_int_that_fits():
+    # params in stats.json repeat the entry as written
+    doc = json.loads(json.dumps(next(
+        e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
+    doc["agent"]["softmax"]["temperature"] = 2**1000
+    xc = ExperimentConfig.from_dict(doc)
+    assert type(xc.agent.softmax.temperature) is int
+    assert xc.to_dict()["agent"]["softmax"]["temperature"] == 2**1000
+
+
+@pytest.mark.parametrize("field", ["weights", "normalization"])
+@pytest.mark.parametrize("term", ["carrer_xp", "crafted_item:", "crafted_item"])
+def test_unknown_heuristic_term_fails_at_load(field, term):
+    # a misspelt term used to load, and the planner searched with h = 0
+    doc = json.loads(json.dumps(next(
+        e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
+    doc["heuristic"] = {"weights": {"career_xp": 1.0}}
+    doc["heuristic"].setdefault(field, {})[term] = 1.0
+    with pytest.raises(ValueError, match=f"^unknown heuristic term {term!r}$"):
+        ExperimentConfig.from_dict(doc)
+    doc["heuristic"][field] = {"crafted_item:coffee": 1.0, "event_xp": 2.0}
+    ExperimentConfig.from_dict(doc)
+
+
+def test_temperature_next_to_a_literal_policy_fails_at_load():
+    # the run used to take the policy's own temperature and ignore this one
+    doc = json.loads(json.dumps(next(
+        e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
+    doc["agent"]["softmax"] = {"temperature": 5.0, "policy": {
+        "feature_names": list(agents.FEATURE_NAMES),
+        "weights": [0.0] * len(agents.FEATURE_NAMES)}}
+    with pytest.raises(ValueError, match=(
+            "^temperature is not read next to a literal policy$")):
+        ExperimentConfig.from_dict(doc)
+    del doc["agent"]["softmax"]["temperature"]
+    ExperimentConfig.from_dict(doc)

@@ -1117,9 +1117,68 @@ def check_availability(config, states, horizon):
             assert jumped == stepped
 
 
+def closing_build(regen, payout):
+    """A build whose one action, `serve`, runs only during the clerk's
+    `shift`, which its first run starts at minute 0 and which times out 30
+    minutes later, and costs all 5 energy, regenerating `regen` per 10
+    minutes. With `payout` the shift's first step pays the energy back at
+    its timeout. So the state a first serve leaves is idle until the shift
+    closes at least, and its session end walks to the deadline first."""
+    serve = {"id": "serve", "duration": 1, "cooldown": 0,
+             "costs": {"energy": 5}, "rewards": {"career_xp": 1, "event_xp": 1},
+             "requires": {"career": "clerk", "min_level": 1, "during_event": True},
+             "category_tag": "clerk"}
+    steps = [{"xp_threshold": 9, "reward": {"career_xp": 5}}]
+    if payout:
+        steps.insert(0, {"xp_threshold": 1, "reward": {"resources": {"energy": 5}}})
+    return parse_tuning(json.dumps({
+        "schema_version": 1,
+        "build_id": "closing",
+        "resources": [{"id": "energy", "capacity": 5,
+                       "regen_rate": {"num": regen, "den": 10}, "initial": 5}],
+        "actions": [serve],
+        "events": [{
+            "id": "shift", "kind": "career", "owner_id": "clerk",
+            "time_limit": 30, "action_ids": ["serve"], "steps": steps,
+            "start_requires": {"career": "clerk", "min_level": 1},
+        }],
+        "careers": [{
+            "id": "clerk", "max_level": 2, "xp_per_level": [0, 30],
+            "events_by_level": {"1": ["shift"]},
+            "craft_items": [], "object_unlocks": [],
+        }],
+        "relationships": [],
+        "objects": [],
+    }))
+
+
 class TestAvailability:
     """Legality, ready times and next_availability agree with each other
     and with stepping the clock one minute at a time."""
+
+    @pytest.mark.parametrize("regen, payout, available", [
+        (1, False, 50),  # the shift times out at 30, serve is ready at 50
+        (0, False, None),  # the shift times out and no energy ever comes
+        (0, True, 30),  # the timeout pays the energy back
+    ])
+    def test_session_end_walks_past_an_event_closure(
+            self, regen, payout, available):
+        config = closing_build(regen, payout)
+        state = step_action(config, initial_state(
+            config, ScenarioOverrides(career="clerk"), 1), "serve")
+        assert (state.clock, state.active_event.deadline) == (1, 30)
+        assert legal_actions(config, state) == []
+        assert next_availability(config, state) == available
+        check_availability(config, [state], 200)
+        if available is None:
+            with pytest.raises(Deadlock):
+                close_session_if_idle(config, state)
+            return
+        after = close_session_if_idle(config, state)
+        assert after.counters.wait_intervals == (available - 1,)
+        [outcome] = event_log_entries(after)
+        assert (outcome.event_id, outcome.completed, outcome.ended_at) == (
+            "shift", False, 30)
 
     @settings(PROPERTY_SETTINGS, max_examples=150)
     @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1),
@@ -1479,15 +1538,22 @@ def check_one_state_per_transition(config, scenario, seed):
                 built.clear()
                 check_running_count(transition())
                 assert len(built) == 1
+            # one state per search edge; an idle state's wait walks its
+            # session end, which may first step to the event's deadline
+            built.clear()
+            edges = agents._edges(config, state)
+            steps = len(built) - len(edges)
+            assert steps == 0 or (steps == 1 and not legal_actions(config, state)
+                                  and state.active_event is not None)
             if legal_actions(config, state):
                 continue
-            # a session end also steps next_availability's scratch states
+            # a session end builds the states of next_availability's walk
             built.clear()
             if next_availability(config, state) is None:
                 continue
-            scratch, built[:] = len(built), []
+            walked, built[:] = len(built), []
             check_running_count(close_session_if_idle(config, state))
-            assert len(built) == scratch + 1
+            assert len(built) == walked
 
 
 class TestOneStatePerTransition:
@@ -1508,6 +1574,33 @@ class TestOneStatePerTransition:
         config = fixtures.load(fixture)
         check_one_state_per_transition(config, draw_scenario(data, config),
                                        data.draw(st.integers(0, 2**32 - 1)))
+
+    @pytest.mark.parametrize("regen, payout", [(1, False), (0, False), (0, True)])
+    def test_closing_build(self, regen, payout):
+        check_one_state_per_transition(closing_build(regen, payout),
+                                       ScenarioOverrides(career="clerk"), 1)
+
+    def test_an_episode_builds_no_state_after_its_play(self, desk_base):
+        successor, play = sim._successor, agents._play
+        built, after_play = [], []
+
+        def counting(state):
+            built.append(state)
+            return successor(state)
+
+        def playing(*args):
+            result = play(*args)
+            after_play.append(len(built))
+            return result
+
+        goal = GoalSpec(kind="career_level_reached", career="barista", level=2)
+        with mock.patch.object(sim, "_successor", counting), \
+                mock.patch.object(agents, "_play", playing):
+            record = run_episode(
+                desk_base, ScenarioOverrides(career="barista"), 1,
+                AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal), goal)
+        assert record.goal_reached and record.event_log
+        assert after_play == [len(built)] and built
 
     def test_running_count_survives_until_the_event_closes(self, desk_base):
         state = initial_state(desk_base, ScenarioOverrides(career="barista"), 1)
