@@ -38,13 +38,14 @@ searching, advances the rng past the stored draws and reports the stored
 expansion count. A search that runs straight down one path to the goal,
 each node it expands a child of the one before, stores the same kind of
 answer for the records of that path whose own search would pop the same
-nodes in the same order: no tie, no rounding at their smaller path cost
-and no state the longer search had closed could order theirs otherwise.
-An episode commits that path's edges in turn, so its later decisions on
-the path are served. Most trials of a group replay one trajectory, so
-from the second trial on most of their decisions are served too, and
-the rng stream, and so every later search, stays what it would have
-been.
+nodes in the same order: no state the longer search had closed orders
+theirs otherwise, and every heap entry near a popped node's f was either
+pushed before the record's place on the path or, by its exact g + h and
+later elapsed time, cannot go first at any path cost. An episode commits
+that path's edges in turn, so its later decisions on the path are
+served. Most trials of a group replay one trajectory, so from the second
+trial on most of their decisions are served too, and the rng stream, and
+so every later search, stays what it would have been.
 
 The heuristic is bound once per planner and build (`build_evaluator`):
 each term's scale, the career goal's XP target and, for a chain goal,
@@ -68,6 +69,7 @@ import heapq
 import math
 import random
 import time
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import attrgetter, mul
@@ -611,8 +613,8 @@ def _graph(config: TuningConfig) -> _Graph:
 # a planner's answer for a root whose first search was tie-sensitive
 _TIED = "tied"
 
-# A pop whose f is within this share of |f| + g of the heap's new top
-# counts as a tie for the chain answers: a search from a later chain node
+# A heap entry whose f is within this share of |f| + g of a chain pop's f
+# is near it for the chain answers: a search from a later chain node
 # computes f = g + h at a smaller g, where rounding can close a gap of a
 # few ulps. The share is 16 ulps of |f| + g, which bounds the shifted f
 # and the shift itself.
@@ -631,9 +633,14 @@ def _store_chain_answers(
     elapsed less by p_j's g and elapsed, so it pops p_{j+1} … p_m in
     turn if two rules hold:
 
-    (a) no accepted pop after p_j's expansion came near the heap's new
-        top (see `_NEAR`; `near` <= j), so neither a tie number nor
-        rounding at the smaller g orders it otherwise;
+    (a) at each accepted pop p_k after p_j's expansion, every heap entry
+        near p_k's f (see `_NEAR`) either was pushed by a record before
+        p_j, or has an exact g + h no lower than p_k's and a later
+        elapsed (`near` <= j). A search from p_j never pushes the first
+        kind. The second keeps f >= p_k's f at any g, since the sums are
+        compared exactly and rounding is monotone, and on equal f its
+        elapsed puts p_k first. So neither a tie number nor rounding at
+        the smaller g orders the pop otherwise;
     (b) no in-limits child of p_j … p_{m-1} has the state id of p_0 …
         p_{j-1}: this search had closed those ids, a search from p_j
         would push the child.
@@ -725,7 +732,10 @@ class AStarPlanner:
 
         A search that runs straight to the goal, each accepted pop a child
         of the record expanded just before it, also answers for the
-        records on its way (see `_store_chain_answers`).
+        records on its way (see `_store_chain_answers`). At a pop with
+        entries near its f, the records up to the pusher of any entry that
+        could go first at a smaller g get no answer (`math.fsum` gives the
+        exact sign of a difference of two g + h).
         """
         node_budget = self.node_budget
         if node_budget < 1:
@@ -763,7 +773,7 @@ class AStarPlanner:
         records = graph.records
         known.extend([None] * (len(records) - len(known)))
         draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
-        near_share = _NEAR
+        near_share, fsum = _NEAR, math.fsum
         root_actions = root.actions
         root_clock = root.clock
 
@@ -772,7 +782,8 @@ class AStarPlanner:
         heap: list[tuple] = []
         closed: dict[int, int] = {}  # state id -> fewest actions expanded at
         chain = [root]  # the records popped, while each is a child of the last
-        near = 1  # no pop after p_j's expansion, for j >= near, was near a tie
+        marks = []  # seq before p_i's expansion: p_i pushed (marks[i], marks[i + 1]]
+        near = 1  # no near entry could reorder a search from p_j, for j >= near
         tied = False
         expanded = 0
         node, g, first = root, 0, None
@@ -812,14 +823,26 @@ class AStarPlanner:
             if chain is not None:
                 if pushed > mark:
                     chain.append(node)
+                    marks.append(mark)
                 else:
                     chain = None
             if heap:
                 # off the chain only an exact tie counts
                 top = heap[0]
-                if top[0] - f <= ((abs(f) + g) * near_share if chain else 0.0):
-                    near = expanded
+                band = (abs(f) + g) * near_share if chain else 0.0
+                if top[0] - f <= band:
                     tied = tied or top[0] == f and top[1] == elapsed
+                    if chain:
+                        # an entry near f can reorder the searches from its
+                        # pusher and the chain records before it, unless its
+                        # exact g + h is no lower and its later elapsed puts
+                        # this pop first
+                        h = known[node.n]
+                        for e in heap:
+                            if e[0] - f <= band and (
+                                    e[1] <= elapsed
+                                    or fsum((g, h, -e[4], -known[e[5].n])) > 0):
+                                near = max(near, bisect_left(marks, e[3]))
             if at_goal and node in at_goal:
                 if chain is not None and near < expanded:
                     _store_chain_answers(chain, near, goal, answers)

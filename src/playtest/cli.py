@@ -51,6 +51,10 @@ def _load_document(path: Path):
 
 
 def _cmd_validate(args) -> int:
+    if not (math.isfinite(args.anomaly_ratio) and args.anomaly_ratio >= 0):
+        print("error: --anomaly-ratio must be a finite number >= 0",
+              file=sys.stderr)
+        return EXIT_USAGE
     status = EXIT_OK
     collected: list[tuple[str, Diagnostic]] = []
     for name in args.paths:

@@ -88,6 +88,27 @@ class TestValidate:
         assert main(["validate", str(write_unlocks_null(tmp_path))]) == 2
         assert UNLOCKS_NULL_ERROR in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_anomaly_ratio_that_cannot_apply_exit_two(self, capsys, value):
+        # nan and -1 used to turn the rate check off, and inf to flag
+        # every later step
+        code = main(["validate", f"--anomaly-ratio={value}",
+                     str(fixtures.path("bugged_event"))])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --anomaly-ratio must be a finite "
+                                "number >= 0\n")
+        assert captured.out == ""
+
+    def test_anomaly_ratio_zero_flags_only_unpaid_steps(self, capsys):
+        # zero is the lowest ratio that applies: only a step that pays
+        # nothing for its effort is flagged
+        path = str(fixtures.path("bugged_event"))
+        assert main(["validate", "--anomaly-ratio=0", path]) == 0
+        assert capsys.readouterr().out == (
+            f"{path}: warning: audit: step 2 adds 8 XP of effort for zero "
+            "marginal reward\n")
+
     def test_json_format_is_parseable(self, capsys):
         assert main(["validate", "--format", "json",
                      str(fixtures.path("bugged_event"))]) == 0

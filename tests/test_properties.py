@@ -655,6 +655,78 @@ class TestPlannerMemo:
         graph.search(root, random.Random(0), planner)
         assert answer_kind(*planner, root) == "stored"
 
+    def test_near_entry_with_a_lower_exact_cost_is_never_served(
+            self, monkeypatch):
+        # y's f equals x's at the root, where 2 + 2**-52 rounds to 2, and
+        # its elapsed is later, so the root's search pops x first; but y's
+        # exact g + h is the lower, and at a, where f = 1 + h, y's f rounds
+        # below x's and a's search pops y.
+        root, a = hand_state("root", 0, 0), hand_state("a", 1, 1)
+        x = hand_state("x", 2, 2, done=("goal",))
+        y = hand_state("y", 3, 2, done=("goal",))
+        hx, hy = 2.0 ** -52, 0.0
+        assert 2 + hx == 2 + hy and 1 + hy < 1 + hx
+        graph = HandGraph(monkeypatch, {"root": [a], "a": [x, y]},
+                          {"a": 1.0, "x": hx, "y": hy})
+        assert graph.check_served(root, a) == 0
+        planner = graph.planner()
+        graph.search(root, random.Random(0), planner)
+        assert answer_kind(*planner, root) == "stored"
+
+    def test_near_entry_withholds_answers_up_to_its_pusher(self, monkeypatch):
+        # a pushes y, which the root's search finds one ulp above x when it
+        # pops x; at a the two round to one f and tie on (f, elapsed). A
+        # search from b never pushes y, so b is answered for and a is not.
+        root, a, b = (hand_state(name, n, n) for name, n in
+                      (("root", 0), ("a", 1), ("b", 2)))
+        x = hand_state("x", 3, 2, done=("goal",))
+        y = hand_state("y", 3, 2, done=("goal",))
+        hx, hy = 2.0 ** -52 - 2.0 ** -60, 2.0 ** -52 + 2.0 ** -60
+        assert 2 + hx < 2 + hy and 1 + hx == 1 + hy
+        graph = HandGraph(monkeypatch, {"root": [a], "a": [b, y], "b": [x]},
+                          {"a": 1.0, "b": 0.0, "x": hx, "y": hy})
+        assert graph.check_served(root, a) == 0
+        assert graph.check_served(root, b) == graph.SEEDS
+
+    def test_equal_f_at_a_later_elapsed_is_served(self, monkeypatch):
+        # The benchmark's short episodes: y has x's f with one action fewer
+        # and a later elapsed. Its exact g + h is no lower, so at every g
+        # its f rounds to x's or above and elapsed puts x first: the
+        # root's search answers for a.
+        root, a = hand_state("root", 0, 0), hand_state("a", 1, 1)
+        x = hand_state("x", 2, 3, done=("goal",))
+        y = hand_state("y", 5, 2)
+        graph = HandGraph(monkeypatch, {"root": [a], "a": [x, y]},
+                          {"a": 2.0, "x": 0.0, "y": 1.0})
+        assert graph.check_served(root, a) == graph.SEEDS
+
+    @settings(PROPERTY_SETTINGS, max_examples=250)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_short_episodes_match_fresh_search(self, romance_outlier, seed):
+        # the benchmark's short episodes, each with a new planner, reach the
+        # equal f, later elapsed entries that the generated builds may not
+        planner = CheckedPlanner(*SHORT_EPISODES)
+        run_episode(romance_outlier, ScenarioOverrides(), seed, planner,
+                    planner.planner.goal)
+
+    def test_short_episodes_search_twice(self, romance_outlier):
+        # Seeds 0 to 99, a new planner each: each episode's first search
+        # leaves its path; the second runs straight to the goal past many
+        # entries of equal f and later elapsed, and answers for the 18
+        # decisions after it. Which answers are stored rests on float
+        # comparisons, so the count is pinned on every Python version.
+        searches, served = Counter(), 0
+        for seed in range(100):
+            planner = CheckedPlanner(*SHORT_EPISODES)
+            run_episode(romance_outlier, ScenarioOverrides(), seed, planner,
+                        planner.planner.goal)
+            hits = sum(n for (before, _), n in planner.answers.items()
+                       if before == "stored")
+            searches[planner.answers.total() - hits] += 1
+            served += hits
+        assert searches == Counter({2: 100})
+        assert served == 1800
+
     def test_third_replay_pushes_nothing(self, build_b, monkeypatch):
         # every search of this episode is tie-free, and the first runs
         # straight to the goal: it answers for every later root, so the
@@ -787,6 +859,14 @@ def check_wrapped_records(config, scenario, goal, weights, budget, seeds):
                    for agent in (bare, wrapped)]
         assert records[0] == records[1]
 
+
+# heuristic, goal and node budget of the benchmark's short A* episodes on
+# romance_outlier (relationship_balance's settings)
+SHORT_EPISODES = (
+    HeuristicSpec({"relationship_event_complete": 1.0, "event_xp": 1.0}),
+    GoalSpec(kind="any_relationship_chain_done", chain_length=5,
+             max_minutes=5000, max_actions=300),
+    2000)
 
 SHIPPED_GROUPS = {
     "barista": ("desk_base", ScenarioOverrides(career="barista"), GoalSpec(
