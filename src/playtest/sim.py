@@ -24,6 +24,17 @@ they build its full counters. A search keeps only history-free states,
 so one state serves every path that reaches it, and an episode records
 the effects of the edges it commits.
 
+Legality has two parts. The static part is each action's requirements,
+the running event's action list and, for an implicit start, the chain
+rules. It reads only the career and its level, the owned objects, the
+running event's id and the relationship's category and completed count,
+which change far less often than the clock. `_gates` computes it once per
+build for each combination of those fields and keeps the passing actions
+in the build's index. The per-state part is the lock, the cooldown, the
+costs and the consumed items. `legal_moves`, `checked_action` and the
+ready times of a session end (`_static_ready_time`) read the gate rows
+and check only the per-state part themselves.
+
 The trace and per-event log are persistent linked lists (cons cells)
 so that appending is O(1); use trace_entries()/event_log_entries() to
 materialize them in order.
@@ -343,16 +354,11 @@ def _implicit_start_target(
 
 
 def _legal_start(
-    idx: ConfigIndex, state: GameState, action: ActionSpec, now: bool = True
+    idx: ConfigIndex, state: GameState, action: ActionSpec
 ) -> str | None | bool:
-    """False if the action may not run at the current clock, the lock
-    aside; else the event its run starts implicitly, or None if none.
-
-    With `now` false the cooldown and the costs, which time alone lifts,
-    are not checked.
-    """
-    if now and state.cooldowns.get(action.id, 0) > state.clock:
-        return False
+    """The static rule of one action: False if its requirements or the
+    running event bar it, else the event its run starts implicitly, or
+    None if none. It reads only the fields of `_gates`' key."""
     req = action.requires
     if not _qualifies(state, req.career, req.min_level, req.owned_object):
         return False
@@ -366,14 +372,50 @@ def _legal_start(
             start = _implicit_start_target(idx, state, action.id)
             if start is None:
                 return False
-    if now:
-        for rid, cost in action.costs.items():
-            if state.resources.get(rid, 0) < cost:
-                return False
-    for item, count in action.consumes_items.items():
-        if state.inventory.get(item, 0) < count:
-            return False
     return start
+
+
+def _gates(idx: ConfigIndex, state: GameState) -> dict[str, tuple]:
+    """The gate rows of `state`, by action id in id order: one per action
+    that passes the static rule (`_legal_start`), as (action, the event
+    its run starts implicitly or None, its costs and its consumed items
+    as (id, amount) pairs). Kept in `idx.gates` by the fields the rule
+    reads, and computed once per build for each combination of them."""
+    career = state.career
+    event = state.active_event
+    rel = state.relationship
+    key = (career.id if career is not None else None,
+           career.level if career is not None else 0,
+           state.owned_objects,
+           event.event_id if event is not None else None,
+           rel.category, rel.completed)
+    rows = idx.gates.get(key)
+    if rows is None:
+        rows = idx.gates[key] = {}
+        for action in idx.sorted_actions:
+            start = _legal_start(idx, state, action)
+            if start is not False:
+                rows[action.id] = (action, start, tuple(action.costs.items()),
+                                   tuple(action.consumes_items.items()))
+    return rows
+
+
+def _affordable(state: GameState, row: tuple) -> bool:
+    """Whether the per-state rule lets a gate row's action run at the
+    current clock, the lock aside: its cooldown is over, and the state
+    holds its costs and its consumed items."""
+    action, _, costs, consumes = row
+    if state.cooldowns.get(action.id, 0) > state.clock:
+        return False
+    resources = state.resources
+    for rid, cost in costs:
+        if resources.get(rid, 0) < cost:
+            return False
+    inventory = state.inventory
+    for item, count in consumes:
+        if inventory.get(item, 0) < count:
+            return False
+    return True
 
 
 def legal_moves(
@@ -381,13 +423,24 @@ def legal_moves(
 ) -> list[tuple[ActionSpec, str | None]]:
     """The actions executable right now, in lexicographic id order, each
     with the event its run starts implicitly (None if none)."""
-    if state.locked_until > state.clock:
+    clock = state.clock
+    if state.locked_until > clock:
         return []
+    cooldowns, resources, inventory = state.cooldowns, state.resources, state.inventory
     moves = []
-    for action in idx.sorted_actions:
-        start = _legal_start(idx, state, action)
-        if start is not False:
-            moves.append((action, start))
+    # `_affordable` inlined: this loop runs for every state a search expands
+    for action, start, costs, consumes in _gates(idx, state).values():
+        if cooldowns and cooldowns.get(action.id, 0) > clock:
+            continue
+        for rid, cost in costs:
+            if resources.get(rid, 0) < cost:
+                break
+        else:
+            for item, count in consumes:
+                if inventory.get(item, 0) < count:
+                    break
+            else:
+                moves.append((action, start))
     return moves
 
 
@@ -400,13 +453,13 @@ def checked_action(
     idx: ConfigIndex, state: GameState, action_id: str
 ) -> tuple[ActionSpec, str | None]:
     """The action and the event its run starts implicitly, as `act_edge`
-    takes them; raises IllegalAction if it may not run now."""
-    action = idx.actions.get(action_id)
-    start = (False if action is None or state.locked_until > state.clock
-             else _legal_start(idx, state, action))
-    if start is False:
+    takes them, read from its gate row (see `_gates`); raises
+    IllegalAction if it has none, or the lock or the per-state rule bars
+    it now."""
+    row = None if state.locked_until > state.clock else _gates(idx, state).get(action_id)
+    if row is None or not _affordable(state, row):
         raise IllegalAction(action_id)
-    return action, start
+    return row[0], row[1]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +517,7 @@ def _close_event(
     """
     run = child.active_event
     event = idx.events[run.event_id]
-    completed = run.accrued_xp >= event.final_threshold
+    completed = run.accrued_xp >= idx.final_threshold[event.id]
     for step in event.steps:
         if run.accrued_xp >= step.xp_threshold:
             _grant_bundle(idx, step.reward, at_clock, child, entries)
@@ -625,25 +678,20 @@ def act_edge(
 
     counted = 0
     active = child.active_event
-    xp = action.rewards.event_xp
-    if (
-        active is not None
-        and xp > 0
-        and action.id in idx.events[active.event_id].action_ids
-    ):
+    if active is not None and (active.event_id, action.id) in idx.counted:
         active = child.active_event = ActiveEvent(
-            active.event_id, active.accrued_xp + xp, active.deadline, active.started_at)
+            active.event_id, active.accrued_xp + action.rewards.event_xp,
+            active.deadline, active.started_at)
         counted = 1
 
-    _grant_bundle(idx, action.rewards, clock, child, entries)
+    if action.id in idx.granting:
+        _grant_bundle(idx, action.rewards, clock, child, entries)
 
     entries.append((clock, TRACE_ACT, action.id))
 
     closed = None
-    if (
-        active is not None
-        and active.accrued_xp >= idx.events[active.event_id].final_threshold
-    ):
+    if (active is not None
+            and active.accrued_xp >= idx.final_threshold[active.event_id]):
         closed = _close_event(idx, clock, child, entries)
 
     if action.cooldown > 0:
@@ -762,11 +810,21 @@ def _static_ready_time(
     idx: ConfigIndex, state: GameState, action: ActionSpec
 ) -> int | None:
     """Earliest clock at which the action becomes legal, assuming the
-    world only changes by time passing (event closures excluded)."""
-    if _legal_start(idx, state, action, now=False) is False:
-        return None
+    world only changes by time passing (event closures excluded): None if
+    its static rule bars it (it has no gate row, see `_gates`), it lacks a
+    consumed item, or its costs never regenerate."""
+    row = _gates(idx, state).get(action.id)
+    return None if row is None else _ready_time(idx, state, row)
+
+
+def _ready_time(idx: ConfigIndex, state: GameState, row: tuple) -> int | None:
+    """`_static_ready_time` of a gate row's action."""
+    action, _, costs, consumes = row
+    for item, count in consumes:
+        if state.inventory.get(item, 0) < count:
+            return None
     ready = max(state.clock, state.locked_until, state.cooldowns.get(action.id, 0))
-    for rid, cost in action.costs.items():
+    for rid, cost in costs:
         res = idx.resources[rid]
         have = state.resources.get(rid, 0)
         if have >= cost:
@@ -784,7 +842,7 @@ def _static_ready_time(
 
 def _next_ready(idx: ConfigIndex, state: GameState) -> int | None:
     """The earliest static ready time after the clock, or None."""
-    times = [_static_ready_time(idx, state, action) for action in idx.sorted_actions]
+    times = [_ready_time(idx, state, row) for row in _gates(idx, state).values()]
     return min((t for t in times if t is not None and t > state.clock), default=None)
 
 

@@ -175,7 +175,15 @@ class TuningConfig:
 class ConfigIndex:
     """The lookup tables that a build's readers share (`validate`, the
     engine and the agents), derived once from an immutable TuningConfig.
-    Where an id is duplicated, a table keeps its last entry."""
+    Where an id is duplicated, a table keeps its last entry. The tables
+    hold for invalid builds too, since `validate` reads them.
+
+    `gates` is the engine's legality memo (see `sim._gates`): the actions
+    that pass the static rules, by the fields those rules read. It is
+    filled per process, holds at most one entry per combination of those
+    fields that the build's play reaches, and is never pickled: a build
+    sent to a worker arrives with an empty memo.
+    """
 
     def __init__(self, config: TuningConfig):
         self.resources = {r.id: r for r in config.resources}
@@ -215,6 +223,28 @@ class ConfigIndex:
         for cat in config.relationships:
             for i, eid in enumerate(cat.event_chain):
                 self.chain_position[eid] = (cat.id, i + 1)
+
+        # event id -> XP at which its run completes; an event with no
+        # steps (an invalid build) has none
+        self.final_threshold = {
+            eid: e.steps[-1].xp_threshold for eid, e in self.events.items() if e.steps
+        }
+        # (event id, action id) of each action whose run adds event XP to
+        # that event's run
+        self.counted = frozenset(
+            (eid, aid) for eid, e in self.events.items() for aid in e.action_ids
+            if aid in self.actions and self.actions[aid].rewards.event_xp > 0
+        )
+        # ids of the actions whose rewards pay anything besides event XP
+        self.granting = frozenset(
+            aid for aid, a in self.actions.items()
+            if a.rewards.career_xp or a.rewards.relationship_xp
+            or a.rewards.resources or a.rewards.items
+        )
+        self.gates: dict[tuple, dict[str, tuple]] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "gates": {}}
 
 
 @dataclass

@@ -14,16 +14,25 @@ and reports the group means before and after. Regenerate, only for an
 intended change of the suite's output:
     PYTHONPATH=src python tests/test_golden_suite.py
 prints the table to paste below.
+
+The same run counts the engine work the serial suite does: the searches'
+`agents._edges` expansions, the episodes' `agents._commit` steps, the
+states `sim._successor` builds and the `GameState.dedup_key` calls. A
+change meant to make the engine faster without changing its work keeps
+these counts; one that changes the work updates them and says why.
 """
 
 import hashlib
 import json
 import tempfile
+from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from playtest import fixtures
+from playtest import agents, fixtures, sim
 from playtest.report import run_suite
 
 FILES = ("stats.json", "chartdata.json")
@@ -53,8 +62,24 @@ GOLDEN = {
 }
 
 
-def suite_digests(out_dir: Path) -> dict[str, dict[str, str]]:
-    results = run_suite(fixtures.path("paper_suite"), out_dir, seed_override=42)
+# engine calls counted in the same serial run: (owner, name) -> calls
+WORK = {
+    (agents, "_edges"): 2_061,
+    (agents, "_commit"): 9,
+    (sim, "_successor"): 3_403,
+    (sim.GameState, "dedup_key"): 5_433,
+}
+
+
+def suite_digests(out_dir: Path, work: Counter | None = None) -> dict[str, dict[str, str]]:
+    """The SHA-256 of each pinned file of a serial `paper_suite --seed 42`
+    run; with `work` given, the calls of each `WORK` entry are added to it."""
+    with ExitStack() as stack:
+        if work is not None:
+            for owner, name in WORK:
+                stack.enter_context(mock.patch.object(
+                    owner, name, counting(getattr(owner, name), work, name)))
+        results = run_suite(fixtures.path("paper_suite"), out_dir, seed_override=42)
     assert [outcome.status for _, outcome in results] == ["ok"] * len(results)
     return {
         experiment.name: {
@@ -65,13 +90,30 @@ def suite_digests(out_dir: Path) -> dict[str, dict[str, str]]:
     }
 
 
+def counting(function, work: Counter, name: str):
+    def counted(*args, **kwargs):
+        work[name] += 1
+        return function(*args, **kwargs)
+    return counted
+
+
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return suite_digests(tmp_path_factory.mktemp("golden_suite"))
+def suite_run(tmp_path_factory):
+    work = Counter()
+    return suite_digests(tmp_path_factory.mktemp("golden_suite"), work), work
+
+
+@pytest.fixture(scope="module")
+def digests(suite_run):
+    return suite_run[0]
 
 
 def test_every_experiment_is_pinned(digests):
     assert sorted(digests) == sorted(GOLDEN)
+
+
+def test_engine_work_is_pinned(suite_run):
+    assert suite_run[1] == {name: calls for (_, name), calls in WORK.items()}
 
 
 @pytest.mark.parametrize("experiment", sorted(GOLDEN))

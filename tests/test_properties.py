@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from bfs_oracle import random_desk_config
 from playtest import agents, fixtures, sim
-from playtest.errors import Deadlock
+from playtest.errors import Deadlock, IllegalAction
 from playtest.agents import (
     AStarPlanner,
     GoalSpec,
@@ -28,7 +28,10 @@ from playtest.agents import (
     run_episode,
 )
 from playtest.sim import (
+    ActiveEvent,
+    CareerState,
     GameState,
+    RelationshipState,
     ScenarioOverrides,
     _static_ready_time,
     advance_time,
@@ -1502,6 +1505,207 @@ class TestDedupKey:
         config = fixtures.load(fixture)
         check_dedup_key(config, draw_scenario(data, config),
                         data.draw(st.integers(0, 2**32 - 1)))
+
+
+# ---------------------------------------------------------------------------
+# Legality gates: the memoized static rule equals the rule applied per action
+# ---------------------------------------------------------------------------
+
+def reference_start(config, state, action):
+    """The static rule of one action, written from the build's lists:
+    False if its requirements or the running event bar it, else the
+    startable event of smallest id that lists it, which its run starts,
+    or None if it needs no event."""
+    def qualifies(career, level, owned_object):
+        own = state.career
+        if career is not None and (own is None or own.id != career
+                                   or own.level < level):
+            return False
+        return owned_object is None or owned_object in state.owned_objects
+
+    def startable(event):
+        if event.kind == "career":
+            levels = [level for career in config.careers
+                      for level, ids in career.events_by_level.items()
+                      if event.id in ids]
+            if not levels or not qualifies(event.owner_id, min(levels), None):
+                return False
+        else:
+            positions = [(chain.id, i + 1) for chain in config.relationships
+                         for i, eid in enumerate(chain.event_chain) if eid == event.id]
+            if not positions:
+                return False
+            category, index = positions[-1]
+            rel = state.relationship
+            if rel.category not in (None, category) or index != rel.completed + 1:
+                return False
+        req = event.start_requires
+        return qualifies(req.career, req.min_level, req.owned_object)
+
+    req = action.requires
+    if not qualifies(req.career, req.min_level, req.owned_object):
+        return False
+    if not req.during_event:
+        return None
+    if state.active_event is not None:
+        [running] = [e for e in config.events if e.id == state.active_event.event_id]
+        return None if action.id in running.action_ids else False
+    starts = sorted(e.id for e in config.events
+                    if action.id in e.action_ids and startable(e))
+    return starts[0] if starts else False
+
+
+def holds_items(state, action):
+    return all(state.inventory.get(item, 0) >= count
+               for item, count in action.consumes_items.items())
+
+
+def reference_moves(config, state):
+    """legal_moves by id: every action the static rule lets through whose
+    cooldown is over and whose costs and items the state holds, unlocked."""
+    if state.locked_until > state.clock:
+        return []
+    moves = []
+    for action in sorted(config.actions, key=lambda a: a.id):
+        start = reference_start(config, state, action)
+        if (start is not False
+                and state.cooldowns.get(action.id, 0) <= state.clock
+                and all(state.resources.get(rid, 0) >= cost
+                        for rid, cost in action.costs.items())
+                and holds_items(state, action)):
+            moves.append((action.id, start))
+    return moves
+
+
+def reference_never_ready(config, state, action):
+    """Whether time alone can never make the action legal: the static rule
+    bars it, it lacks a consumed item, or a cost it lacks never refills."""
+    if reference_start(config, state, action) is False or not holds_items(state, action):
+        return True
+    specs = {r.id: r for r in config.resources}
+    return any(state.resources.get(rid, 0) < cost
+               and (cost > specs[rid].capacity or specs[rid].regen_rate == 0)
+               for rid, cost in action.costs.items())
+
+
+def check_gates(config, states):
+    """legal_moves, checked_action and _static_ready_time on each state in
+    turn, all reading the one gate memo of the build, agree with the rule
+    applied per action."""
+    idx = config.index()
+    for state in states:
+        moves = reference_moves(config, state)
+        assert [(a.id, start) for a, start in sim.legal_moves(idx, state)] == moves
+        legal = dict(moves)
+        for action in idx.sorted_actions:
+            if action.id in legal:
+                assert sim.checked_action(idx, state, action.id) == (
+                    action, legal[action.id])
+            else:
+                with pytest.raises(IllegalAction):
+                    sim.checked_action(idx, state, action.id)
+            assert (_static_ready_time(idx, state, action) is None) == (
+                reference_never_ready(config, state, action))
+        with pytest.raises(IllegalAction):
+            sim.checked_action(idx, state, "no_such_action")
+
+
+def gate_build():
+    """A build whose static rules each read one field of the gate key:
+    `work` needs the clerk career, `promote` clerk level 2, `study` the
+    desk, `work` and `chat` the running shift or a friendship event, `chat`
+    and `taunt` a start in their category's chain, whose next event the
+    completed count picks."""
+    def action(aid, **requires):
+        return {"id": aid, "duration": 2, "cooldown": 0, "costs": {"energy": 1},
+                "rewards": {"career_xp": 1, "event_xp": 1},
+                "requires": requires, "category_tag": ""}
+
+    def event(eid, kind, owner, actions):
+        return {"id": eid, "kind": kind, "owner_id": owner, "time_limit": 30,
+                "action_ids": actions, "steps": [{"xp_threshold": 2}]}
+
+    return parse_tuning(json.dumps({
+        "schema_version": 1,
+        "build_id": "gates",
+        "resources": [{"id": "energy", "capacity": 5,
+                       "regen_rate": {"num": 1, "den": 1}, "initial": 5}],
+        "actions": [
+            action("promote", career="clerk", min_level=2),
+            action("study", owned_object="desk"),
+            action("work", career="clerk", during_event=True),
+            action("chat", during_event=True),
+            action("taunt", during_event=True),
+        ],
+        "events": [
+            event("shift", "career", "clerk", ["work"]),
+            event("friendship_1", "relationship", "friendship", ["chat"]),
+            event("friendship_2", "relationship", "friendship", ["chat"]),
+            event("rivalry_1", "relationship", "rivalry", ["taunt"]),
+        ],
+        "careers": [{"id": "clerk", "max_level": 2, "xp_per_level": [0, 5],
+                     "events_by_level": {"1": ["shift"]},
+                     "object_unlocks": [{"object": "desk", "unlock_level": 2,
+                                         "price_rho": 0}]},
+                    {"id": "barista", "max_level": 2, "xp_per_level": [0, 5]}],
+        "relationships": [
+            {"id": "friendship", "event_chain": ["friendship_1", "friendship_2"]},
+            {"id": "rivalry", "event_chain": ["rivalry_1"]},
+        ],
+        "objects": [{"id": "desk", "unlocked_action_ids": ["study"]}],
+    }))
+
+
+def gate_pair(config, field):
+    """Two states of `gate_build` that differ only in one field of the gate
+    key, and whose legal moves differ because of it."""
+    state = initial_state(config, ScenarioOverrides(career="clerk"), 0)
+    if field == "career":
+        return state, replace(state, career=CareerState("barista", 1, 0))
+    if field == "career level":
+        return state, replace(state, career=CareerState("clerk", 2, 0))
+    if field == "owned object":
+        return state, replace(state, owned_objects=frozenset({"desk"}))
+    if field == "active event":
+        return tuple(replace(state, active_event=ActiveEvent(eid, 0, 30, 0))
+                     for eid in ("shift", "friendship_1"))
+    if field == "relationship category":
+        return tuple(replace(state, relationship=RelationshipState(category, 0, 0))
+                     for category in ("friendship", "rivalry"))
+    assert field == "completed count"
+    return tuple(replace(state, relationship=RelationshipState("friendship", done, 0))
+                 for done in (0, 1))
+
+
+class TestLegalityGates:
+    """The gate memo (`sim._gates`), shared by every state of a build,
+    gives legal_moves, checked_action and _static_ready_time the same
+    answers as the static rule applied to each action of each state."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(**generated_builds)
+    def test_generated_builds(self, build_seed, seed, regen_num):
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        check_gates(config, walk_states(config, scenario, seed))
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=8)
+    @given(data=st.data())
+    def test_fixtures(self, fixture, data):
+        config = fixtures.load(fixture)
+        check_gates(config, walk_states(config, draw_scenario(data, config),
+                                        data.draw(st.integers(0, 2**32 - 1)),
+                                        steps=80))
+
+    @pytest.mark.parametrize("field", ["career", "career level", "owned object",
+                                       "active event", "relationship category",
+                                       "completed count"])
+    def test_states_differing_in_one_key_field(self, field):
+        config = gate_build()
+        pair = gate_pair(config, field)
+        assert reference_moves(config, pair[0]) != reference_moves(config, pair[1])
+        check_gates(config, pair)
+        check_gates(gate_build(), pair[::-1])
 
 
 # ---------------------------------------------------------------------------
