@@ -30,10 +30,11 @@ rules. It reads only the career and its level, the owned objects, the
 running event's id and the relationship's category and completed count,
 which change far less often than the clock. `_gates` computes it once per
 build for each combination of those fields and keeps the passing actions
-in the build's index. The per-state part is the lock, the cooldown, the
-costs and the consumed items. `legal_moves`, `checked_action` and the
-ready times of a session end (`_static_ready_time`) read the gate rows
-and check only the per-state part themselves.
+in the build's index. The per-state part is the lock, which
+`legal_moves` and `checked_action` check first, then the cooldown, the
+costs and the consumed items, which `_affordable` checks for both. The
+ready times of a session end (`_next_ready`, `_ready_time`) read the
+gate rows too.
 
 The trace and per-event log are persistent linked lists (cons cells)
 so that appending is O(1); use trace_entries()/event_log_entries() to
@@ -378,9 +379,9 @@ def _legal_start(
 def _gates(idx: ConfigIndex, state: GameState) -> dict[str, tuple]:
     """The gate rows of `state`, by action id in id order: one per action
     that passes the static rule (`_legal_start`), as (action, the event
-    its run starts implicitly or None, its costs and its consumed items
-    as (id, amount) pairs). Kept in `idx.gates` by the fields the rule
-    reads, and computed once per build for each combination of them."""
+    its run starts implicitly or None). Kept in `idx.gates` by the fields
+    the rule reads, and computed once per build for each combination of
+    them."""
     career = state.career
     event = state.active_event
     rel = state.relationship
@@ -391,31 +392,36 @@ def _gates(idx: ConfigIndex, state: GameState) -> dict[str, tuple]:
            rel.category, rel.completed)
     rows = idx.gates.get(key)
     if rows is None:
-        rows = idx.gates[key] = {}
+        rows = {}
         for action in idx.sorted_actions:
             start = _legal_start(idx, state, action)
             if start is not False:
-                rows[action.id] = (action, start, tuple(action.costs.items()),
-                                   tuple(action.consumes_items.items()))
+                rows[action.id] = (action, start)
+        idx.gates[key] = rows
     return rows
 
 
-def _affordable(state: GameState, row: tuple) -> bool:
-    """Whether the per-state rule lets a gate row's action run at the
-    current clock, the lock aside: its cooldown is over, and the state
-    holds its costs and its consumed items."""
-    action, _, costs, consumes = row
-    if state.cooldowns.get(action.id, 0) > state.clock:
-        return False
-    resources = state.resources
-    for rid, cost in costs:
-        if resources.get(rid, 0) < cost:
-            return False
-    inventory = state.inventory
-    for item, count in consumes:
-        if inventory.get(item, 0) < count:
-            return False
-    return True
+def _affordable(state: GameState, rows: Iterable[tuple]) -> list[tuple]:
+    """The gate rows whose actions the per-state rule lets run at the
+    current clock, the lock aside: their cooldown is over, and the state
+    holds their costs and their consumed items."""
+    clock = state.clock
+    cooldowns, resources, inventory = state.cooldowns, state.resources, state.inventory
+    passing = []
+    for row in rows:
+        action = row[0]
+        if cooldowns and cooldowns.get(action.id, 0) > clock:
+            continue
+        for rid, cost in action.costs.items():
+            if resources.get(rid, 0) < cost:
+                break
+        else:
+            for item, count in action.consumes_items.items():
+                if inventory.get(item, 0) < count:
+                    break
+            else:
+                passing.append(row)
+    return passing
 
 
 def legal_moves(
@@ -423,25 +429,9 @@ def legal_moves(
 ) -> list[tuple[ActionSpec, str | None]]:
     """The actions executable right now, in lexicographic id order, each
     with the event its run starts implicitly (None if none)."""
-    clock = state.clock
-    if state.locked_until > clock:
+    if state.locked_until > state.clock:
         return []
-    cooldowns, resources, inventory = state.cooldowns, state.resources, state.inventory
-    moves = []
-    # `_affordable` inlined: this loop runs for every state a search expands
-    for action, start, costs, consumes in _gates(idx, state).values():
-        if cooldowns and cooldowns.get(action.id, 0) > clock:
-            continue
-        for rid, cost in costs:
-            if resources.get(rid, 0) < cost:
-                break
-        else:
-            for item, count in consumes:
-                if inventory.get(item, 0) < count:
-                    break
-            else:
-                moves.append((action, start))
-    return moves
+    return _affordable(state, _gates(idx, state).values())
 
 
 def legal_actions(config: TuningConfig, state: GameState) -> list[str]:
@@ -457,9 +447,9 @@ def checked_action(
     IllegalAction if it has none, or the lock or the per-state rule bars
     it now."""
     row = None if state.locked_until > state.clock else _gates(idx, state).get(action_id)
-    if row is None or not _affordable(state, row):
+    if row is None or not _affordable(state, (row,)):
         raise IllegalAction(action_id)
-    return row[0], row[1]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +507,7 @@ def _close_event(
     """
     run = child.active_event
     event = idx.events[run.event_id]
-    completed = run.accrued_xp >= idx.final_threshold[event.id]
+    completed = run.accrued_xp >= event.final_threshold
     for step in event.steps:
         if run.accrued_xp >= step.xp_threshold:
             _grant_bundle(idx, step.reward, at_clock, child, entries)
@@ -812,19 +802,21 @@ def _static_ready_time(
     """Earliest clock at which the action becomes legal, assuming the
     world only changes by time passing (event closures excluded): None if
     its static rule bars it (it has no gate row, see `_gates`), it lacks a
-    consumed item, or its costs never regenerate."""
-    row = _gates(idx, state).get(action.id)
-    return None if row is None else _ready_time(idx, state, row)
+    consumed item, or its costs never regenerate. The session end calls
+    `_ready_time` on the gate rows directly (`_next_ready`); this
+    per-action form exists for the tests."""
+    if action.id not in _gates(idx, state):
+        return None
+    return _ready_time(idx, state, action)
 
 
-def _ready_time(idx: ConfigIndex, state: GameState, row: tuple) -> int | None:
-    """`_static_ready_time` of a gate row's action."""
-    action, _, costs, consumes = row
-    for item, count in consumes:
+def _ready_time(idx: ConfigIndex, state: GameState, action: ActionSpec) -> int | None:
+    """`_static_ready_time` of an action that passes the static rule."""
+    for item, count in action.consumes_items.items():
         if state.inventory.get(item, 0) < count:
             return None
     ready = max(state.clock, state.locked_until, state.cooldowns.get(action.id, 0))
-    for rid, cost in costs:
+    for rid, cost in action.costs.items():
         res = idx.resources[rid]
         have = state.resources.get(rid, 0)
         if have >= cost:
@@ -842,7 +834,7 @@ def _ready_time(idx: ConfigIndex, state: GameState, row: tuple) -> int | None:
 
 def _next_ready(idx: ConfigIndex, state: GameState) -> int | None:
     """The earliest static ready time after the clock, or None."""
-    times = [_ready_time(idx, state, row) for row in _gates(idx, state).values()]
+    times = [_ready_time(idx, state, action) for action, _ in _gates(idx, state).values()]
     return min((t for t in times if t is not None and t > state.clock), default=None)
 
 

@@ -177,6 +177,8 @@ class ConfigIndex:
     engine and the agents), derived once from an immutable TuningConfig.
     Where an id is duplicated, a table keeps its last entry. The tables
     hold for invalid builds too, since `validate` reads them.
+    `final_threshold`, `counted` and `granting` serve the engine's
+    checks after each act (`sim.act_edge`).
 
     `gates` is the engine's legality memo (see `sim._gates`): the actions
     that pass the static rules, by the fields those rules read. It is

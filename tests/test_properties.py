@@ -1707,6 +1707,16 @@ class TestLegalityGates:
         check_gates(config, pair)
         check_gates(gate_build(), pair[::-1])
 
+    def test_a_failed_gate_build_is_not_kept(self):
+        """A state whose running event the build lacks raises every time,
+        not once and then an empty list of moves from a half-built row."""
+        config = gate_build()
+        state = replace(initial_state(config, ScenarioOverrides(career="clerk"), 0),
+                        active_event=ActiveEvent("ghost", 0, 30, 0))
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                sim.legal_moves(config.index(), state)
+
 
 # ---------------------------------------------------------------------------
 # Edge steps: the state a step starts from never changes
