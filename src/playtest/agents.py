@@ -55,12 +55,17 @@ few lookups per weighted term.
 
 The Softmax agent samples the available moves in proportion to
 exp(utility/temperature), where utility is a learned linear function of
-normalized action parameters, with float sums added left to right on
-every Python version; once its graph has served an earlier episode, it
-samples its root record's edges. Training is REINFORCE, stochastic
-gradient ascent on episode return: the same agent, collecting its
-gradient, plays every training episode through the decide/commit loop
-that evaluation uses.
+normalized action parameters; once its graph has served an earlier
+episode, it samples its root record's edges. Training is REINFORCE,
+stochastic gradient ascent on episode return: the same agent, collecting
+its gradient, plays every training episode through the decide/commit
+loop that evaluation uses. Each build's feature table (`_features`) is
+computed once and lists every move's nonzero features, 4 to 6 of the 11
+on the shipped builds. Utilities and REINFORCE terms add only those
+terms, left to right on every Python version: with finite weights and
+probabilities a zero feature's term is ±0.0, which leaves a float sum
+that starts at +0.0 unchanged, so the sums equal the dense ones bit for
+bit.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import attrgetter, mul
+from operator import attrgetter
 from weakref import WeakValueDictionary
 
 from .errors import Deadlock, SchemaError
@@ -1041,8 +1046,8 @@ class SoftmaxPolicy(Codec):
     temperature: float = absent(lambda: 1.0)
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be a finite number > 0")
         if self.feature_names != list(FEATURE_NAMES):
             raise ValueError(f"feature_names must be the {len(FEATURE_NAMES)} "
                              "features, in order")
@@ -1056,11 +1061,18 @@ class SoftmaxPolicy(Codec):
         return cls(list(FEATURE_NAMES), [0.0] * len(FEATURE_NAMES), temperature)
 
 
-class FeatureExtractor:
-    """Static action parameters, each divided by its largest value over
-    the build's actions (0 where that is 0); waits get a flag feature."""
+def _features(config: TuningConfig) -> dict[str | None, tuple]:
+    """The build's feature table, computed at its first use and kept in
+    its index: by action id, and None for the wait, the move's vector and
+    its nonzero (index, value) pairs in index order.
 
-    def __init__(self, config: TuningConfig):
+    An action's features are its static parameters, each divided by its
+    largest value over the build's actions (0 where that is 0); a wait
+    has the bias and its flag.
+    """
+    idx = config.index()
+    table = idx.features
+    if table is None:
         raw = {
             a.id: (sum(a.costs.values()), sum(a.consumes_items.values()),
                    a.duration, a.cooldown, a.rewards.career_xp,
@@ -1070,16 +1082,16 @@ class FeatureExtractor:
             for a in config.actions
         }
         norms = [max(column) for column in zip(*raw.values())]
-        self._by_action = {
-            aid: [1.0, *(v / n if n else 0.0 for v, n in zip(values, norms)), 0.0]
+        vectors = {
+            aid: (1.0, *(v / n if n else 0.0 for v, n in zip(values, norms)), 0.0)
             for aid, values in raw.items()
         }
-        self._wait = [1.0] + [0.0] * (len(FEATURE_NAMES) - 2) + [1.0]
-
-    def vector(self, decision: Decision) -> list[float]:
-        if decision.kind == "wait":
-            return self._wait
-        return self._by_action[decision.action]
+        vectors[None] = (1.0,) + (0.0,) * (len(FEATURE_NAMES) - 2) + (1.0,)
+        table = idx.features = {
+            key: (vector, tuple((i, v) for i, v in enumerate(vector) if v))
+            for key, vector in vectors.items()
+        }
+    return table
 
 
 def _sum(values) -> float:
@@ -1090,14 +1102,28 @@ def _sum(values) -> float:
     return total
 
 
+def _utilities(weights: list[float], rows: list[tuple]) -> list[float]:
+    """weights . vector of each move, from its nonzero (index, value)
+    pairs added left to right: with finite weights, the dense
+    left-to-right sum bit for bit (see the module docstring)."""
+    utilities = []
+    for pairs in rows:
+        utility = 0.0
+        for i, value in pairs:
+            utility += weights[i] * value
+        utilities.append(utility)
+    return utilities
+
+
 def _softmax_sample(
-    weights: list[float], temperature: float, vectors: list[list[float]],
+    weights: list[float], temperature: float, rows: list[tuple],
     rng: random.Random,
 ) -> tuple[int, list[float]]:
     """Draw one index with probability proportional to
-    exp(utility / temperature), utility being weights . vector; returns
-    the index and every probability."""
-    utilities = [_sum(map(mul, weights, v)) for v in vectors]
+    exp(utility / temperature), each move's utility from its nonzero
+    feature pairs (see `_utilities`); returns the index and every
+    probability."""
+    utilities = _utilities(weights, rows)
     top = max(utilities)
     exps = [math.exp((u - top) / temperature) for u in utilities]
     total = _sum(exps)
@@ -1111,21 +1137,47 @@ def _softmax_sample(
     return len(probs) - 1, probs
 
 
+def _columns(rows: list[tuple]) -> list[tuple[int, list[tuple[int, float]]]]:
+    """The features some move has nonzero, in index order, each with its
+    (move index, value) pairs in move order."""
+    columns: dict[int, list[tuple[int, float]]] = {}
+    for j, pairs in enumerate(rows):
+        for i, value in pairs:
+            columns.setdefault(i, []).append((j, value))
+    return sorted(columns.items())
+
+
+def _reinforce(
+    grad: list[float], temperature: float, probs: list[float],
+    taken: tuple[float, ...], columns: list[tuple],
+) -> None:
+    """Add one decision's REINFORCE term, the gradient of the taken
+    move's log-probability, to `grad`: (taken value - expected value) /
+    temperature for each feature of `columns`, the expectation added left
+    to right over the moves with the feature nonzero. A feature no move
+    has adds +0.0, which changes nothing, so it is skipped."""
+    for i, entries in columns:
+        expectation = 0.0
+        for j, value in entries:
+            expectation += probs[j] * value
+        grad[i] += (taken[i] - expectation) / temperature
+
+
 def softmax_decide(
     policy: SoftmaxPolicy,
     config: TuningConfig,
     state: GameState,
     rng: random.Random,
-    features: FeatureExtractor | None = None,
 ) -> Decision:
-    """Sample a move from softmax over utilities of the available moves."""
-    features = features or FeatureExtractor(config)
+    """Sample a move from softmax over utilities of the available moves,
+    their features read from the build's table (see `_features`)."""
     moves = available_moves(config, state)
     if not moves:
         return Decision.stop("deadlock")
+    features = _features(config)
     chosen, _ = _softmax_sample(
         policy.weights, policy.temperature,
-        [features.vector(m) for m in moves], rng,
+        [features[m.action][1] for m in moves], rng,
     )
     return moves[chosen]
 
@@ -1136,13 +1188,17 @@ class SoftmaxPlanner:
     each decision then adds its move's REINFORCE term, the gradient of
     its log-probability in the weights, to it.
 
+    Every decision reads the graph and feature table of the build it is
+    given; `config`, the build the agent is made for, is not kept.
+
     A learner, and a group's agent once its graph (see `_graph`) has
     served an earlier episode, meet their states again: they sample their
     root record's edges, in `available_moves` order, so the engine
-    expands each state once. Otherwise the agent decides by
-    `softmax_decide`: one made per trial has nothing to reuse, and
-    expanding every state it stands on costs several engine steps per
-    decision.
+    expands each state once. They keep each record's feature rows and
+    nonzero columns for the graph's current generation. Otherwise the
+    agent decides by `softmax_decide`: one made per trial has nothing to
+    reuse, and expanding every state it stands on costs several engine
+    steps per decision.
     """
 
     name = "softmax"
@@ -1151,9 +1207,9 @@ class SoftmaxPlanner:
 
     def __init__(self, policy: SoftmaxPolicy, config: TuningConfig):
         self.policy = policy
-        self.features = FeatureExtractor(config)
         self._config: TuningConfig | None = None
         self._graph: _Graph | None = None
+        self._generation: object | None = None
 
     def decide(
         self, config: TuningConfig, state: GameState, rng: random.Random
@@ -1163,20 +1219,29 @@ class SoftmaxPlanner:
         graph = self._graph
         grad = self.grad
         if grad is None and graph.episodes < 2:
-            return softmax_decide(self.policy, config, state, rng, self.features)
+            return softmax_decide(self.policy, config, state, rng)
         root = graph.root(state)
-        edges = root.edges
-        if edges is None:
-            edges = graph.expand(config, root)
+        if graph.generation is not self._generation:
+            # a new graph, or this one was emptied
+            self._generation = graph.generation
+            self._moves: dict[_Record, tuple] = {}
+        moves = self._moves.get(root)
+        if moves is None:
+            edges = root.edges
+            if edges is None:
+                edges = graph.expand(config, root)
+            features = _features(config)
+            table = [features[edge[0].action] for edge in edges]
+            rows = [pairs for _, pairs in table]
+            moves = self._moves[root] = (
+                edges, rows, [vector for vector, _ in table], _columns(rows))
+        edges, rows, vectors, columns = moves
         if not edges:
             return Decision.stop("deadlock")
-        vectors = [self.features.vector(edge[0]) for edge in edges]
         temperature = self.policy.temperature
-        chosen, probs = _softmax_sample(self.policy.weights, temperature, vectors, rng)
+        chosen, probs = _softmax_sample(self.policy.weights, temperature, rows, rng)
         if grad is not None:
-            taken = vectors[chosen]
-            for i, column in enumerate(zip(*vectors)):
-                grad[i] += (taken[i] - _sum(map(mul, probs, column))) / temperature
+            _reinforce(grad, temperature, probs, vectors[chosen], columns)
         return edges[chosen][0]
 
 
@@ -1201,8 +1266,8 @@ def train_softmax(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    if step_size <= 0:
-        raise ValueError("step_size must be > 0")
+    if not (math.isfinite(step_size) and step_size > 0):
+        raise ValueError("step_size must be a finite number > 0")
 
     learner = SoftmaxPlanner(SoftmaxPolicy.zero(temperature), config)
     weights = learner.policy.weights

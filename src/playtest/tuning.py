@@ -182,9 +182,11 @@ class ConfigIndex:
 
     `gates` is the engine's legality memo (see `sim._gates`): the actions
     that pass the static rules, by the fields those rules read. It is
-    filled per process, holds at most one entry per combination of those
-    fields that the build's play reaches, and is never pickled: a build
-    sent to a worker arrives with an empty memo.
+    filled per process and holds at most one entry per combination of
+    those fields that the build's play reaches. `features` is the Softmax
+    agent's feature table (see `agents._features`), filled at its first
+    use. Neither is pickled: a build sent to a worker arrives with both
+    empty.
     """
 
     def __init__(self, config: TuningConfig):
@@ -244,9 +246,10 @@ class ConfigIndex:
             or a.rewards.resources or a.rewards.items
         )
         self.gates: dict[tuple, dict[str, tuple]] = {}
+        self.features: dict[str | None, tuple] | None = None
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "gates": {}}
+        return {**self.__dict__, "gates": {}, "features": None}
 
 
 @dataclass

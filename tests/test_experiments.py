@@ -537,7 +537,8 @@ class TestPooledTrials:
 
     def test_pickled_build_leaves_its_graph_behind(self):
         # a pool worker receives each build pickled; the engine graph of
-        # a planner alive in the parent stays behind
+        # a planner alive in the parent stays behind, and so do the
+        # index's memos
         config = fixtures.load("desk_base")
         fresh = fixtures.load("desk_base")
         fresh.index()
@@ -546,7 +547,11 @@ class TestPooledTrials:
         planner = agents.AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal)
         agents.run_episode(config, ScenarioOverrides(career="barista"), 1,
                            planner, goal)
+        agents.run_episode(config, ScenarioOverrides(career="barista"), 1,
+                           agents.SoftmaxPlanner(agents.SoftmaxPolicy.zero(),
+                                                 config), goal)
         assert agents._graph(config).records
+        assert config.index().gates and config.index().features
         data = pickle.dumps(config)
         assert len(data) <= len(pickle.dumps(fresh))
         assert not agents._graph(pickle.loads(data)).records

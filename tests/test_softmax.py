@@ -1,6 +1,7 @@
 """Softmax baseline: sampling behavior, features, and REINFORCE training."""
 
 import json
+import math
 import random
 import statistics
 from dataclasses import replace
@@ -17,7 +18,6 @@ from playtest.agents import (
     FEATURE_NAMES,
     AStarPlanner,
     Decision,
-    FeatureExtractor,
     GoalSpec,
     HeuristicSpec,
     SoftmaxPlanner,
@@ -119,10 +119,11 @@ class TestSoftmaxDecide:
 
     def test_utilities_and_their_total_add_left_to_right(self):
         # a compensated sum, as Python 3.12's `sum` is, gives utility 1.0 to
-        # the first move; left to right it is 0.0, as for the second move
+        # the first move; left to right it is 0.0, as for the second move,
+        # which has no nonzero feature
         assert agents._sum([1e16, 1.0, -1e16]) == 0.0
         _, probs = agents._softmax_sample(
-            [1e16, 1.0, -1e16], 1.0, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+            [1e16, 1.0, -1e16], 1.0, [((0, 1.0), (1, 1.0), (2, 1.0)), ()],
             random.Random(0))
         assert probs == [0.5, 0.5]
 
@@ -141,6 +142,34 @@ class TestSoftmaxDecide:
             SoftmaxPolicy.from_dict({
                 "feature_names": list(reversed(FEATURE_NAMES)),
                 "weights": [0.0] * len(FEATURE_NAMES)})
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, temperature):
+        # a NaN temperature used to load, and every draw took the last move
+        with pytest.raises(ValueError, match="^temperature must be a finite"):
+            SoftmaxPolicy(list(FEATURE_NAMES), [0.0] * len(FEATURE_NAMES),
+                          temperature=temperature)
+
+    def test_features_follow_the_build_decided_on(self, desk_base):
+        # build_b shares its four actions with desk_base but normalizes
+        # them by its own largest values; an agent made on desk_base that
+        # plays build_b must read build_b's features, on its first trial
+        # (`softmax_decide`) and on later ones (its graph's records)
+        build_b = fixtures.load("build_b")
+        policy = SoftmaxPolicy(
+            list(FEATURE_NAMES),
+            [0.5 * (i % 4) - 0.75 for i in range(len(FEATURE_NAMES))], 1.0)
+        scenario = ScenarioOverrides(career="barista")
+        goal = GoalSpec(kind="career_level_reached", career="barista",
+                        level=3, max_minutes=20_000, max_actions=200)
+        planners = [SoftmaxPlanner(policy, made_on)
+                    for made_on in (desk_base, build_b)]
+        for seed in range(10):
+            records = [
+                replace(run_episode(build_b, scenario, seed, planner, goal),
+                        max_decision_seconds=0.0)
+                for planner in planners]
+            assert records[0] == records[1]
 
 
 class TestTraining:
@@ -189,6 +218,19 @@ class TestTraining:
         assert reached, "policy should reach the goal at least once"
         assert statistics.mean(reached) >= optimal
 
+    @pytest.mark.parametrize("argument", ["step_size", "temperature"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected_before_any_episode(
+            self, desk_base, argument, value):
+        # each used to play every episode and then fail with "weights must
+        # be finite", or, for an infinite temperature, to train nothing
+        arguments = {"step_size": 0.05, "temperature": 1.0, argument: value}
+        with mock.patch.object(agents, "_play", side_effect=AssertionError), \
+                pytest.raises(ValueError, match=f"^{argument} must be a finite"):
+            train_softmax(desk_base, ScenarioOverrides(career="fashion"),
+                          self.goal(), episodes=10, rng=random.Random(0),
+                          **arguments)
+
     def test_return_curve_shape(self, desk_base):
         _, returns = train_softmax(
             desk_base, ScenarioOverrides(career="fashion"), self.goal(),
@@ -198,27 +240,78 @@ class TestTraining:
             assert value == FAILURE_RETURN or -400 <= value <= 0
 
 
+def reference_vectors(config):
+    """Each action's dense feature vector by id, and the wait's under
+    None: the action's static parameters, each divided by its largest
+    value over the build's actions (0 where that is 0)."""
+    raw = {}
+    for a in config.actions:
+        rewards = a.rewards
+        raw[a.id] = [sum(a.costs.values()), sum(a.consumes_items.values()),
+                     a.duration, a.cooldown, rewards.career_xp,
+                     rewards.event_xp, rewards.relationship_xp,
+                     sum(rewards.resources.values()),
+                     sum(rewards.items.values())]
+    largest = [max(values[k] for values in raw.values()) for k in range(9)]
+    vectors = {aid: [1.0] + [v / n if n else 0.0
+                             for v, n in zip(values, largest)] + [0.0]
+               for aid, values in raw.items()}
+    vectors[None] = [1.0] + [0.0] * 9 + [1.0]
+    return vectors
+
+
+def dense_utilities(weights, vectors):
+    """weights . vector over all features, added left to right."""
+    utilities = []
+    for vector in vectors:
+        utility = 0.0
+        for weight, value in zip(weights, vector):
+            utility += weight * value
+        utilities.append(utility)
+    return utilities
+
+
+def dense_reinforce(grad, temperature, probs, vectors, chosen):
+    """One decision's REINFORCE term over all features, each expectation
+    added left to right over every move."""
+    for i in range(len(grad)):
+        expectation = 0.0
+        for p, vector in zip(probs, vectors):
+            expectation += p * vector[i]
+        grad[i] += (vectors[chosen][i] - expectation) / temperature
+
+
 class ReferenceLearner:
-    """The learner without a graph: it lists its moves with
-    `available_moves` and finds no record, so the episode loop commits
-    every move through `_commit`. Sampling and gradient are the
-    learner's."""
+    """The learner without a graph, with dense arithmetic of its own: it
+    lists its moves with `available_moves` and finds no record, so the
+    episode loop commits every move through `_commit`, and it computes
+    utilities, probabilities and the REINFORCE term over all features."""
 
     def __init__(self, policy, config):
         self.policy = policy
-        self.features = FeatureExtractor(config)
+        self.vectors = reference_vectors(config)
 
     def decide(self, config, state, rng):
         moves = available_moves(config, state)
         if not moves:
             return Decision.stop("deadlock")
-        vectors = [self.features.vector(m) for m in moves]
+        vectors = [self.vectors[m.action] for m in moves]
         temperature = self.policy.temperature
-        chosen, probs = agents._softmax_sample(
-            self.policy.weights, temperature, vectors, rng)
-        for i in range(len(self.grad)):
-            expectation = agents._sum(p * v[i] for p, v in zip(probs, vectors))
-            self.grad[i] += (vectors[chosen][i] - expectation) / temperature
+        utilities = dense_utilities(self.policy.weights, vectors)
+        top = max(utilities)
+        exps = [math.exp((u - top) / temperature) for u in utilities]
+        total = 0.0
+        for e in exps:
+            total += e
+        probs = [e / total for e in exps]
+        draw = rng.random()
+        chosen, running = len(probs) - 1, 0.0
+        for i, p in enumerate(probs):
+            running += p
+            if draw < running:
+                chosen = i
+                break
+        dense_reinforce(self.grad, temperature, probs, vectors, chosen)
         return moves[chosen]
 
 
@@ -366,3 +459,61 @@ class TestGraphLearner:
                       rng=random.Random(42))
         assert len(decisions) == 3633
         assert calls == {"_edges": 56, "_commit": 0, "dedup_key": 400 + 112}
+
+
+# finite weights as training clips them, with both zeros and subnormals
+WEIGHTS = st.one_of(
+    st.floats(-100.0, 100.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308]))
+# feature values, most of them zero
+VALUES = st.one_of(st.just(0.0), st.just(0.0), st.just(-0.0),
+                   st.floats(-10.0, 10.0), st.sampled_from([1.0, 5e-324]))
+VECTORS = st.lists(
+    st.lists(VALUES, min_size=len(FEATURE_NAMES), max_size=len(FEATURE_NAMES)),
+    min_size=1, max_size=6)
+
+
+SPARSE_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=100)
+
+
+def nonzero(vector):
+    return tuple((i, v) for i, v in enumerate(vector) if v)
+
+
+def hexes(values):
+    return [float.hex(v) for v in values]
+
+
+class TestSparseSums:
+    """Sums over each move's nonzero features equal the dense
+    left-to-right sums over all features, bit for bit."""
+
+    @SPARSE_SETTINGS
+    @given(weights=st.lists(WEIGHTS, min_size=len(FEATURE_NAMES),
+                            max_size=len(FEATURE_NAMES)),
+           vectors=VECTORS)
+    def test_utilities(self, weights, vectors):
+        rows = [nonzero(v) for v in vectors]
+        assert (hexes(agents._utilities(weights, rows))
+                == hexes(dense_utilities(weights, vectors)))
+
+    @SPARSE_SETTINGS
+    @given(decisions=st.lists(
+               st.tuples(VECTORS, st.lists(st.floats(0.0, 1.0), min_size=6,
+                                           max_size=6),
+                         st.integers(0, 5)),
+               min_size=1, max_size=4),
+           temperature=st.sampled_from([0.5, 1.0, 2.0, 1e-3, 3.7]))
+    def test_reinforce_terms(self, decisions, temperature):
+        # a learner's gradient starts at +0.0 and takes one term per decision
+        sparse = [0.0] * len(FEATURE_NAMES)
+        dense = [0.0] * len(FEATURE_NAMES)
+        for vectors, probs, chosen in decisions:
+            probs = probs[:len(vectors)]
+            chosen %= len(vectors)
+            columns = agents._columns([nonzero(v) for v in vectors])
+            agents._reinforce(sparse, temperature, probs, vectors[chosen],
+                              columns)
+            dense_reinforce(dense, temperature, probs, vectors, chosen)
+            assert hexes(sparse) == hexes(dense)
