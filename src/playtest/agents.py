@@ -77,6 +77,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import attrgetter
 from weakref import WeakValueDictionary
 
@@ -194,35 +195,41 @@ _ACT_DECISIONS: dict[str, Decision] = {}
 _WAIT_DECISIONS: dict[int, Decision] = {}
 
 
-def _timeout_pays(config: TuningConfig, event) -> bool:
-    spec = config.index().events[event.event_id]
-    for step in spec.steps:
-        if step.xp_threshold > event.accrued_xp:
-            break
-        reward = step.reward
-        if (reward.career_xp or reward.relationship_xp
-                or reward.resources or reward.items):
-            return True
-    return False
+def _timeouts(idx: ConfigIndex) -> dict[str, float]:
+    """The least accrued XP at which each event's timeout pays anything
+    besides event XP, by event id (inf if it never does), computed once
+    per build and kept in `idx.timeouts`. A timeout pays every step its
+    run reached (`sim._close_event`), so this is the least threshold of a
+    step whose reward pays something."""
+    table = idx.timeouts
+    if table is None:
+        table = idx.timeouts = {
+            eid: min((step.xp_threshold for step in event.steps
+                      if step.reward.career_xp or step.reward.relationship_xp
+                      or step.reward.resources or step.reward.items),
+                     default=math.inf)
+            for eid, event in idx.events.items()
+        }
+    return table
 
 
 def _moves(
-    config: TuningConfig, state: GameState
+    idx: ConfigIndex, state: GameState
 ) -> tuple[list[tuple[ActionSpec, str | None]], int | None, tuple | None]:
     """The moves of `available_moves`: the legal actions, each with the
     event its run starts implicitly, the wait's target, or None, and when
     idle the wait's edge (`sim.session_end_edge`), or None."""
-    legal = legal_moves(config.index(), state)
+    legal = legal_moves(idx, state)
     if legal:
         event = state.active_event
         if (
             event is not None
             and event.deadline > state.clock
-            and _timeout_pays(config, event)
+            and event.accrued_xp >= (idx.timeouts or _timeouts(idx))[event.event_id]
         ):
             return legal, event.deadline, None
         return legal, None, None
-    edge = session_end_edge(config.index(), state)
+    edge = session_end_edge(idx, state)
     return legal, None if edge is None else edge[0].clock, edge
 
 
@@ -237,7 +244,7 @@ def available_moves(config: TuningConfig, state: GameState) -> list[Decision]:
     wait jumps to the next availability, which already accounts for the
     deadline.
     """
-    legal, wait, _ = _moves(config, state)
+    legal, wait, _ = _moves(config.index(), state)
     moves = [Decision.act(action.id) for action, _ in legal]
     if wait is not None:
         moves.append(Decision.wait(wait))
@@ -264,7 +271,7 @@ def _edges(
     takes the event start its listing found, so its legality is checked
     once, and an idle state's wait is the edge its listing walked."""
     idx = config.index()
-    legal, wait, session_end = _moves(config, state)
+    legal, wait, session_end = _moves(idx, state)
     edges = [(Decision.act(action.id), *act_edge(idx, state, action, start))
              for action, start in legal]
     if wait is not None:
@@ -323,6 +330,10 @@ class HeuristicSpec(Codec):
         for term, weight in self.weights.items():
             if not math.isfinite(weight):
                 raise ValueError(f"weight for {term!r} is not finite")
+        for term, scale in self.normalization.items():
+            if not (math.isfinite(scale) and scale > 0):
+                raise ValueError(
+                    f"normalization.{term} must be a finite number > 0")
 
 
 def _default_scale(term: str, config: TuningConfig) -> float:
@@ -360,16 +371,16 @@ def _chain_remaining(
     repeated seeded runs sample every category.
 
     Every category's sum for each count of completed events is computed
-    here, so the function only looks it up.
+    here, so the function only looks it up: each chain's costs summed
+    from its end, which equals summing them in order, since they are ints.
     """
     idx = config.index()
     length = goal.chain_length
-    totals = {
-        c.id: [sum(map(cost, map(idx.events.__getitem__,
-                                 c.event_chain[done:length])))
-               for done in range(length)]
-        for c in config.relationships
-    }
+    totals = {}
+    for c in config.relationships:
+        costs = [cost(idx.events[eid]) for eid in c.event_chain[:length]]
+        costs += [0] * (length - len(costs))
+        totals[c.id] = list(accumulate(reversed(costs)))[::-1]
     if goal.kind == "relationship_chain_done":
         def remaining(state: GameState) -> int:
             rel = state.relationship
@@ -380,8 +391,7 @@ def _chain_remaining(
 
     long_enough = [totals[c.id] for c in config.relationships
                    if len(c.event_chain) >= length]
-    cheapest = [min((chain[done] for chain in long_enough), default=0)
-                for done in range(length)]
+    cheapest = list(map(min, zip(*long_enough))) if long_enough else [0] * length
 
     def remaining_any(state: GameState) -> int:
         done = state.relationship.completed
@@ -589,11 +599,19 @@ class _Graph:
         return at[1]
 
     def expand(self, config: TuningConfig, record: _Record) -> list[tuple]:
-        """Fill in `record`'s edges from the engine and return them."""
-        node = self.node
-        record.edges = [(decision, node(child), effects)
-                        for decision, child, effects in _edges(config, record.state)]
-        return record.edges
+        """Fill in `record`'s edges from the engine, filing each child as
+        `node` does, and return them."""
+        ids, records = self.ids, self.records
+        edges = []
+        for decision, child, effects in _edges(config, record.state):
+            sid = ids.setdefault(child.dedup_key(), len(ids))
+            key = (sid, child.counters.total_actions, child.auto_grant_objects)
+            node = records.get(key)
+            if node is None:
+                node = records[key] = _Record(len(records), sid, child)
+            edges.append((decision, node, effects))
+        record.edges = edges
+        return edges
 
 
 # The graph the live agents on each build share, by the build's index.

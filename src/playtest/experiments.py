@@ -23,13 +23,14 @@ does the serial suite's search work, spread over the workers by group.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .agents import (
     DEFAULT_NODE_BUDGET,
@@ -54,6 +55,9 @@ from .errors import (
 from .sim import ScenarioOverrides, initial_state
 from .tuning import Codec, TuningConfig, absent
 from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing.py
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 # ---------------------------------------------------------------------------
 # Aggregation
@@ -127,8 +131,8 @@ class TrainSpec:  # REINFORCE settings of a trained Softmax policy
     def __post_init__(self):
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step_size must be a finite number > 0")
 
 
 @dataclass
@@ -138,8 +142,9 @@ class SoftmaxSpec:  # an agent comparison's Softmax half: a policy, or training
     train: TrainSpec = field(default_factory=TrainSpec)
 
     def __post_init__(self):
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if self.temperature is not None and not (
+                math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be a finite number > 0")
         if self.temperature is not None and self.policy is not None:
             raise ValueError("temperature is not read next to a literal policy")
 
@@ -249,6 +254,9 @@ def trial_pool(workers: int, configs: list[TuningConfig]) -> ProcessPoolExecutor
     configs may run on the pool, and the caller keeps them alive until
     the pool is shut down.
     """
+    # imported here: it loads multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(
         max_workers=min(workers, _available_cpus()),
         initializer=_install_builds,

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import PlaytestError
 from .experiments import (
@@ -29,6 +29,9 @@ from .experiments import (
     trial_pool,
 )
 from .tuning import TuningConfig, parse_tuning
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 TRIAL_FIELDS = (
     "experiment", "study", "group", "trial", "seed", "agent",

@@ -32,9 +32,11 @@ which change far less often than the clock. `_gates` computes it once per
 build for each combination of those fields and keeps the passing actions
 in the build's index. The per-state part is the lock, which
 `legal_moves` and `checked_action` check first, then the cooldown, the
-costs and the consumed items, which `_affordable` checks for both. The
-ready times of a session end (`_next_ready`, `_ready_time`) read the
-gate rows too.
+costs and the consumed items, which `_affordable` checks for both. A
+session end's next ready time (`_next_ready`) reads the gate rows too,
+with each action's items, costs and regen rates from a second table the
+build computes once (`_ready_inputs`), so no ready time is found per
+action by a call of its own.
 
 The trace and per-event log are persistent linked lists (cons cells)
 so that appending is O(1); use trace_entries()/event_log_entries() to
@@ -466,7 +468,10 @@ def _grant_bundle(
     if bundle.career_xp and career is not None:
         spec = idx.careers[career.id]
         xp = career.xp + bundle.career_xp
-        level = max(spec.level_for_xp(xp), career.level)
+        level = career.level
+        # level_for_xp stops below the next level's threshold
+        if level < spec.max_level and xp >= spec.xp_per_level[level]:
+            level = max(spec.level_for_xp(xp), level)
         if level > career.level:
             for reached in range(career.level + 1, level + 1):
                 entries.append((clock, TRACE_LEVEL_UP, f"{career.id}:{reached}"))
@@ -796,46 +801,58 @@ def _settle(
 # Availability
 # ---------------------------------------------------------------------------
 
-def _static_ready_time(
-    idx: ConfigIndex, state: GameState, action: ActionSpec
-) -> int | None:
-    """Earliest clock at which the action becomes legal, assuming the
-    world only changes by time passing (event closures excluded): None if
-    its static rule bars it (it has no gate row, see `_gates`), it lacks a
-    consumed item, or its costs never regenerate. The session end calls
-    `_ready_time` on the gate rows directly (`_next_ready`); this
-    per-action form exists for the tests."""
-    if action.id not in _gates(idx, state):
-        return None
-    return _ready_time(idx, state, action)
-
-
-def _ready_time(idx: ConfigIndex, state: GameState, action: ActionSpec) -> int | None:
-    """`_static_ready_time` of an action that passes the static rule."""
-    for item, count in action.consumes_items.items():
-        if state.inventory.get(item, 0) < count:
-            return None
-    ready = max(state.clock, state.locked_until, state.cooldowns.get(action.id, 0))
-    for rid, cost in action.costs.items():
-        res = idx.resources[rid]
-        have = state.resources.get(rid, 0)
-        if have >= cost:
-            continue
-        if cost > res.capacity:
-            return None
-        rate = res.regen_rate
-        if rate == 0:
-            return None
-        need = (cost - have) * rate.denominator - state.regen_remainders.get(rid, 0)
-        dt = -(-need // rate.numerator)  # ceil division
-        ready = max(ready, state.clock + dt)
-    return ready
+def _ready_inputs(idx: ConfigIndex) -> dict[str, tuple]:
+    """Each action's ready-time inputs, by id, computed once per build and
+    kept in `idx.ready`: its consumed items as (item, count) pairs, and its
+    costs as (resource id, cost, regen numerator, denominator), where a
+    numerator of 0 marks a cost that never refills (its resource does not
+    regenerate, or its capacity is below the cost)."""
+    table = idx.ready
+    if table is None:
+        table = {}
+        for aid, action in idx.actions.items():
+            costs = []
+            for rid, cost in action.costs.items():
+                res = idx.resources[rid]
+                rate = res.regen_rate
+                costs.append((rid, cost, 0 if cost > res.capacity else rate.numerator,
+                              rate.denominator))
+            table[aid] = (tuple(action.consumes_items.items()), tuple(costs))
+        idx.ready = table
+    return table
 
 
 def _next_ready(idx: ConfigIndex, state: GameState) -> int | None:
-    """The earliest static ready time after the clock, or None."""
-    times = [_ready_time(idx, state, action) for action, _ in _gates(idx, state).values()]
-    return min((t for t in times if t is not None and t > state.clock), default=None)
+    """The earliest clock after the current one at which an action with a
+    gate row (see `_gates`) becomes legal, assuming the world only changes
+    by time passing (event closures excluded), or None. An action is
+    ready once its lock and cooldown are over and its costs have
+    regenerated; one that lacks a consumed item, or a cost that never
+    refills, never is."""
+    inputs = idx.ready or _ready_inputs(idx)
+    clock = state.clock
+    base = max(clock, state.locked_until)
+    cooldowns, inventory = state.cooldowns, state.inventory
+    resources, remainders = state.resources, state.regen_remainders
+    best = None
+    for aid in _gates(idx, state):
+        items, costs = inputs[aid]
+        ready = max(base, cooldowns.get(aid, 0)) if cooldowns else base
+        for item, count in items:
+            if inventory.get(item, 0) < count:
+                break
+        else:
+            for rid, cost, numerator, denominator in costs:
+                have = resources.get(rid, 0)
+                if have < cost:
+                    if not numerator:
+                        break
+                    need = (cost - have) * denominator - remainders.get(rid, 0)
+                    ready = max(ready, clock - (need // -numerator))  # ceil division
+            else:
+                if clock < ready and (best is None or ready < best):
+                    best = ready
+    return best
 
 
 def next_availability(config: TuningConfig, state: GameState) -> int | None:

@@ -183,10 +183,12 @@ class ConfigIndex:
     `gates` is the engine's legality memo (see `sim._gates`): the actions
     that pass the static rules, by the fields those rules read. It is
     filled per process and holds at most one entry per combination of
-    those fields that the build's play reaches. `features` is the Softmax
-    agent's feature table (see `agents._features`), filled at its first
-    use. Neither is pickled: a build sent to a worker arrives with both
-    empty.
+    those fields that the build's play reaches. Three tables are filled
+    at their first use: `ready`, each action's ready-time inputs (see
+    `sim._next_ready`); `timeouts`, the least XP at which each event's
+    timeout pays (see `agents._moves`); and `features`, the Softmax
+    agent's feature table (see `agents._features`). None of the four is
+    pickled: a build sent to a worker arrives with each empty.
     """
 
     def __init__(self, config: TuningConfig):
@@ -246,10 +248,13 @@ class ConfigIndex:
             or a.rewards.resources or a.rewards.items
         )
         self.gates: dict[tuple, dict[str, tuple]] = {}
+        self.ready: dict[str, tuple] | None = None
+        self.timeouts: dict[str, float] | None = None
         self.features: dict[str | None, tuple] | None = None
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "gates": {}, "features": None}
+        return {**self.__dict__, "gates": {}, "ready": None, "timeouts": None,
+                "features": None}
 
 
 @dataclass

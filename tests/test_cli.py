@@ -250,9 +250,10 @@ class TestRun:
                 "ValueError: a comparison agent is for agent_comparison only",
             "negative_budget": "ValueError: node_budget must be >= 1",
             "zero_astar_budget": "ValueError: node_budget must be >= 1",
-            "zero_temperature": "ValueError: temperature must be > 0",
+            "zero_temperature":
+                "ValueError: temperature must be a finite number > 0",
             "no_episodes": "ValueError: episodes must be >= 1",
-            "zero_step": "ValueError: step_size must be > 0",
+            "zero_step": "ValueError: step_size must be a finite number > 0",
         }
         # each fails as it loads, before its build is parsed
         assert all(s["build_ids"] == [] for s in stats.values())

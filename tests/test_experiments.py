@@ -2,17 +2,21 @@
 
 import functools
 import json
+import math
 import operator
 import os
 import pickle
 import re
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 from dataclasses import replace
 
 import pytest
 
 from bfs_oracle import random_desk_config, shortest_actions
-from playtest import agents, experiments, fixtures
+from playtest import agents, experiments, fixtures, sim
 from playtest.agents import GoalSpec, HeuristicSpec
 from playtest.errors import PlaytestError, SuiteEntryError
 from playtest.experiments import (
@@ -551,7 +555,11 @@ class TestPooledTrials:
                            agents.SoftmaxPlanner(agents.SoftmaxPolicy.zero(),
                                                  config), goal)
         assert agents._graph(config).records
-        assert config.index().gates and config.index().features
+        # a drained start is idle: its session end reads the ready times
+        drained = ScenarioOverrides(career="barista", initial_resources={"energy": 0})
+        assert sim.next_availability(config, sim.initial_state(config, drained, 1))
+        idx = config.index()
+        assert idx.gates and idx.ready and idx.timeouts and idx.features
         data = pickle.dumps(config)
         assert len(data) <= len(pickle.dumps(fresh))
         assert not agents._graph(pickle.loads(data)).records
@@ -623,9 +631,11 @@ def test_single_defect_entries_fail_cleanly_or_round_trip():
 
 @pytest.mark.parametrize("path, value, error", [
     (("agent", "astar", "node_budget"), 0, "node_budget must be >= 1"),
-    (("agent", "softmax", "temperature"), 0, "temperature must be > 0"),
+    (("agent", "softmax", "temperature"), 0,
+     "temperature must be a finite number > 0"),
     (("agent", "softmax", "train", "episodes"), 0, "episodes must be >= 1"),
-    (("agent", "softmax", "train", "step_size"), 0.0, "step_size must be > 0"),
+    (("agent", "softmax", "train", "step_size"), 0.0,
+     "step_size must be a finite number > 0"),
     (("agent",), {"kind": "astar", "node_budget": -5}, "node_budget must be >= 1"),
     (("agent",), {"kind": "softmax", "policy": {
         "feature_names": ["a", "b"], "weights": [1.0, 2.0]}},
@@ -708,3 +718,47 @@ def test_temperature_next_to_a_literal_policy_fails_at_load():
         ExperimentConfig.from_dict(doc)
     del doc["agent"]["softmax"]["temperature"]
     ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make, error", [
+    (lambda value: TrainSpec(step_size=value), "step_size must be a finite number > 0"),
+    (lambda value: SoftmaxSpec(temperature=value),
+     "temperature must be a finite number > 0"),
+], ids=["step_size", "temperature"])
+def test_non_finite_spec_numbers_fail_in_the_python_api(make, error, value):
+    # the JSON loader rejects them first; built in Python, each used to load
+    # and fail only when training or a decision ran
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        make(value)
+
+
+@pytest.mark.parametrize("scale", [-2.0, 0, 0.0, -0.0], ids=["negative", "zero_int",
+                                                          "zero", "negative_zero"])
+def test_normalization_scale_must_be_positive(scale):
+    # a negative scale used to load and turn its term into a reward for
+    # moving away from the goal, and a zero one fell back to the default
+    # scale without a word
+    error = r"^normalization\.career_xp must be a finite number > 0$"
+    doc = json.loads(json.dumps(next(
+        e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
+    doc["heuristic"] = {"weights": {"career_xp": 1.0},
+                        "normalization": {"career_xp": scale}}
+    with pytest.raises(ValueError, match=error):
+        ExperimentConfig.from_dict(doc)
+    with pytest.raises(ValueError, match=error):
+        HeuristicSpec({"career_xp": 1.0}, {"career_xp": scale})
+    doc["heuristic"]["normalization"]["career_xp"] = 0.5
+    ExperimentConfig.from_dict(doc)
+
+
+def test_importing_the_package_leaves_the_process_pool_out():
+    # only trial_pool starts a pool; importing it with the package loaded
+    # multiprocessing, about 20 ms, into every serial run
+    code = ("import sys, playtest, playtest.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent.futures.process'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(agents.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

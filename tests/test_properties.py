@@ -3,10 +3,12 @@
 import functools
 import heapq
 import json
+import math
 import pickle
 import random
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -33,7 +35,6 @@ from playtest.sim import (
     GameState,
     RelationshipState,
     ScenarioOverrides,
-    _static_ready_time,
     advance_time,
     apply_action,
     close_session_if_idle,
@@ -1189,9 +1190,10 @@ def check_availability(config, states, horizon):
         if state.locked_until <= state.clock:
             legal = set(legal_actions(config, state))
             for action in idx.sorted_actions:
-                ready = _static_ready_time(idx, state, action)
+                ready = reference_ready(config, state, action)
                 assert (action.id in legal) == (ready == state.clock), (
                     action.id, ready)
+        assert sim._next_ready(idx, state) == reference_next_ready(config, state)
         stepped = first_legal_minute(config, state, horizon)
         jumped = next_availability(config, state)
         if stepped is None:
@@ -1434,7 +1436,7 @@ def check_bound_heuristic(data, config, scenario, goal):
     spec = HeuristicSpec(
         weights=data.draw(st.dictionaries(st.sampled_from(terms), weight)),
         normalization=data.draw(st.dictionaries(
-            st.sampled_from(terms), st.sampled_from([0.0, 0.7, 3.0, 12.0]))))
+            st.sampled_from(terms), st.sampled_from([0.7, 1.0, 3.0, 12.0]))))
     evaluate = agents.build_evaluator(spec, config, goal)
     for state in walk_states(config, scenario, data.draw(st.integers(0, 2**32 - 1))):
         assert evaluate(state) == reference_heuristic(spec, config, goal, state)
@@ -1588,9 +1590,33 @@ def reference_never_ready(config, state, action):
                for rid, cost in action.costs.items())
 
 
+def reference_ready(config, state, action):
+    """The earliest clock at which time alone makes the action legal, or
+    None if it never does: its lock and cooldown are over, and the regen
+    since the clock has refilled every cost it lacks."""
+    if reference_never_ready(config, state, action):
+        return None
+    specs = {r.id: r for r in config.resources}
+    ready = max(state.clock, state.locked_until, state.cooldowns.get(action.id, 0))
+    for rid, cost in action.costs.items():
+        lack = cost - state.resources.get(rid, 0)
+        if lack > 0:
+            # the fewest minutes whose regen, with the remainder held, is lack
+            rate = specs[rid].regen_rate
+            held = Fraction(state.regen_remainders.get(rid, 0), rate.denominator)
+            ready = max(ready, state.clock + math.ceil((lack - held) / rate))
+    return ready
+
+
+def reference_next_ready(config, state):
+    """The earliest ready time of any action after the clock, or None."""
+    times = [reference_ready(config, state, action) for action in config.actions]
+    return min((t for t in times if t is not None and t > state.clock), default=None)
+
+
 def check_gates(config, states):
-    """legal_moves, checked_action and _static_ready_time on each state in
-    turn, all reading the one gate memo of the build, agree with the rule
+    """legal_moves, checked_action and _next_ready on each state in turn,
+    all reading the one gate memo of the build, agree with the rule
     applied per action."""
     idx = config.index()
     for state in states:
@@ -1604,8 +1630,7 @@ def check_gates(config, states):
             else:
                 with pytest.raises(IllegalAction):
                     sim.checked_action(idx, state, action.id)
-            assert (_static_ready_time(idx, state, action) is None) == (
-                reference_never_ready(config, state, action))
+        assert sim._next_ready(idx, state) == reference_next_ready(config, state)
         with pytest.raises(IllegalAction):
             sim.checked_action(idx, state, "no_such_action")
 
@@ -1679,8 +1704,8 @@ def gate_pair(config, field):
 
 class TestLegalityGates:
     """The gate memo (`sim._gates`), shared by every state of a build,
-    gives legal_moves, checked_action and _static_ready_time the same
-    answers as the static rule applied to each action of each state."""
+    gives legal_moves, checked_action and _next_ready the same answers as
+    the static rule applied to each action of each state."""
 
     @settings(PROPERTY_SETTINGS, max_examples=100)
     @given(**generated_builds)
@@ -1716,6 +1741,78 @@ class TestLegalityGates:
         for _ in range(2):
             with pytest.raises(KeyError):
                 sim.legal_moves(config.index(), state)
+
+
+# ---------------------------------------------------------------------------
+# Build tables: the per-build timeout and ready-time tables equal the rules
+# written from the build's lists
+# ---------------------------------------------------------------------------
+
+def reference_timeout_pays(event, xp):
+    """Whether a timeout with `xp` accrued pays anything besides event XP:
+    some step it reached pays career or relationship XP, resources or
+    items."""
+    return any(xp >= step.xp_threshold
+               and (step.reward.career_xp or step.reward.relationship_xp
+                    or step.reward.resources or step.reward.items)
+               for step in event.steps)
+
+
+def check_tables(config, states):
+    """The build's timeout table, at every XP up to past each event's final
+    threshold, the deadline waits `available_moves` offers on each state
+    and `_next_ready` on it and on its drained copy, all reading the
+    build's one index, agree with the rules applied per step and per
+    action."""
+    idx = config.index()
+    for event in config.events:
+        for xp in range(event.steps[-1].xp_threshold + 2):
+            assert (xp >= agents._timeouts(idx)[event.id]) == (
+                reference_timeout_pays(event, xp)), (event.id, xp)
+    events = {event.id: event for event in config.events}
+    for state in states:
+        # drained, every action with a cost waits for its regen
+        drained = replace(state, resources=dict.fromkeys(state.resources, 0))
+        for each in (state, drained):
+            assert sim._next_ready(idx, each) == reference_next_ready(config, each)
+        run = state.active_event
+        if run is not None and legal_actions(config, state):
+            waits = [m for m in agents.available_moves(config, state) if m.kind == "wait"]
+            pays = (run.deadline > state.clock
+                    and reference_timeout_pays(events[run.event_id], run.accrued_xp))
+            assert waits == ([agents.Decision.wait(run.deadline)] if pays else [])
+
+
+class TestBuildTables:
+    """The tables a build fills at their first use, shared by every state
+    of the build: the least XP at which each event's timeout pays
+    (`agents._timeouts`) and each action's ready-time inputs, which
+    `sim._next_ready` reads for the gate rows of a state."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(**generated_builds)
+    def test_generated_builds(self, build_seed, seed, regen_num):
+        config, scenario, _ = random_desk_config(build_seed, regen_num)
+        check_tables(config, walk_states(config, scenario, seed))
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=8)
+    @given(data=st.data())
+    def test_fixtures(self, fixture, data):
+        config = fixtures.load(fixture)
+        check_tables(config, walk_states(config, draw_scenario(data, config),
+                                         data.draw(st.integers(0, 2**32 - 1)),
+                                         steps=80))
+
+    @pytest.mark.parametrize("regen, payout", [(1, False), (0, False), (0, True)])
+    def test_states_waiting_out_a_shift(self, regen, payout):
+        # idle until the shift closes, then ready at a regen time, never,
+        # or at once since the timeout pays the energy back
+        config = closing_build(regen, payout)
+        state = step_action(config, initial_state(
+            config, ScenarioOverrides(career="clerk"), 1), "serve")
+        check_tables(config, walk_states(config, ScenarioOverrides(career="clerk"), 1)
+                     + [state, advance_time(config, state, 30)])
 
 
 # ---------------------------------------------------------------------------
