@@ -10,8 +10,6 @@ from .agents import (  # noqa: F401
     SoftmaxPlanner,
     SoftmaxPolicy,
     TrialRecord,
-    astar_decide,
-    heuristic_eval,
     run_episode,
     softmax_decide,
     train_softmax,
@@ -29,7 +27,6 @@ from .sim import (  # noqa: F401
     initial_state,
     legal_actions,
     next_availability,
-    start_event,
     state_digest,
     step_action,
     trace_to_jsonl,

@@ -99,7 +99,9 @@ from .sim import (
     step_action,
     wait_edge,
 )
-from .tuning import ActionSpec, Codec, ConfigIndex, EventSpec, TuningConfig, absent
+from .tuning import (
+    ActionSpec, Codec, ConfigIndex, EventSpec, InvalidField, TuningConfig, absent,
+)
 
 DEFAULT_NODE_BUDGET = 2000
 
@@ -108,13 +110,15 @@ DEFAULT_NODE_BUDGET = 2000
 # Goals
 # ---------------------------------------------------------------------------
 
-# each goal kind with the fields it reads
+# each goal kind with the fields it reads; a goal sets no other of them
 GOAL_KINDS = {
     "career_level_reached": ("career", "level"),
     "relationship_chain_done": ("category", "chain_length"),
     "any_relationship_chain_done": ("chain_length",),
     "event_completed": ("event",),
 }
+_GOAL_FIELDS = tuple(dict.fromkeys(name for names in GOAL_KINDS.values()
+                                   for name in names))
 
 
 @dataclass
@@ -135,6 +139,14 @@ class GoalSpec(Codec):
             raise ValueError(f"unknown goal kind {self.kind!r}")
         if self.max_minutes <= 0 or self.max_actions <= 0:
             raise ValueError("hard limits must be positive")
+        for name in _GOAL_FIELDS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if name not in GOAL_KINDS[self.kind]:
+                raise InvalidField(name, f"not read by a {self.kind!r} goal")
+            if name in ("level", "chain_length") and value < 1:
+                raise InvalidField(name, "must be >= 1")
 
     def check_complete(self, path: str = "GoalSpec") -> None:
         """Raise SchemaError, as `<path>.<field>: missing`, for the first
@@ -508,13 +520,6 @@ def build_evaluator(
         return total
 
     return evaluate
-
-
-def heuristic_eval(
-    spec: HeuristicSpec, config: TuningConfig, state: GameState, goal: GoalSpec
-) -> float:
-    """Estimated actions remaining to the goal; 0 iff the goal is satisfied."""
-    return build_evaluator(spec, config, goal)(state)
 
 
 # ---------------------------------------------------------------------------
@@ -894,20 +899,6 @@ class AStarPlanner:
             answers[root] = _TIED if tied else (decision, expanded, seq)
         self.last_expanded = expanded
         return decision
-
-
-def astar_decide(
-    config: TuningConfig,
-    state: GameState,
-    heuristic: HeuristicSpec,
-    goal: GoalSpec,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    rng: random.Random | None = None,
-) -> Decision:
-    """Pick the next move by bounded A* over game states: the first
-    decision of a new planner."""
-    return AStarPlanner(heuristic, goal, node_budget).decide(
-        config, state, rng or random.Random(0))
 
 
 # ---------------------------------------------------------------------------

@@ -46,22 +46,6 @@ class ClockRegression(PlaytestError):
     """Attempt to advance the clock backwards."""
 
 
-class EventInProgress(PlaytestError):
-    pass
-
-
-class CategoryLocked(PlaytestError):
-    """Relationship category already fixed by the first event chosen."""
-
-
-class ChainOrderViolation(PlaytestError):
-    """Relationship events must be started in chain order."""
-
-
-class RequirementsUnmet(PlaytestError):
-    pass
-
-
 class Deadlock(PlaytestError):
     """No action can ever become legal from this state."""
 
@@ -70,7 +54,8 @@ class Deadlock(PlaytestError):
 
 class SuiteEntryError(PlaytestError):
     """A suite entry, or one of its fields (<id>.<field>), has the wrong JSON
-    type, misses a required field or has an unknown one."""
+    type, misses a required field, has one its kind does not read, or holds
+    a value its checks reject."""
 
 
 class NoRelationshipEvents(PlaytestError):

@@ -30,7 +30,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from .agents import (
     DEFAULT_NODE_BUDGET,
@@ -53,7 +53,7 @@ from .errors import (
     UnknownCareer,
 )
 from .sim import ScenarioOverrides, initial_state
-from .tuning import Codec, TuningConfig, absent
+from .tuning import Codec, InvalidField, TuningConfig, absent
 from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing.py
 
 if TYPE_CHECKING:
@@ -115,12 +115,9 @@ def running_means(values: list) -> list[float]:
 # ---------------------------------------------------------------------------
 
 # The settings below are checked as they load, with the messages of the
-# checks that would otherwise fail them in a planner or in training.
-
-def _check_node_budget(node_budget: int | None) -> None:
-    if node_budget is not None and node_budget < 1:
-        raise ValueError("node_budget must be >= 1")
-
+# checks that would otherwise fail them in a planner or in training. An
+# agent spec has one class per kind, so a field its kind does not read
+# fails at load as unknown.
 
 @dataclass
 class TrainSpec:  # REINFORCE settings of a trained Softmax policy
@@ -136,44 +133,56 @@ class TrainSpec:  # REINFORCE settings of a trained Softmax policy
 
 
 @dataclass
-class SoftmaxSpec:  # an agent comparison's Softmax half: a policy, or training
-    temperature: float | None = None  # None: 1.0
+class SoftmaxSpec:
+    """An agent comparison's Softmax half: a literal `policy`, or a policy
+    trained with `train` (TrainSpec() if none) at `temperature` (1.0 if
+    none), never both."""
+
+    temperature: float | None = None
     policy: SoftmaxPolicy | None = None
-    train: TrainSpec = field(default_factory=TrainSpec)
+    train: TrainSpec | None = None
 
     def __post_init__(self):
         if self.temperature is not None and not (
                 math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError("temperature must be a finite number > 0")
-        if self.temperature is not None and self.policy is not None:
-            raise ValueError("temperature is not read next to a literal policy")
+        if self.policy is not None:
+            for name in ("temperature", "train"):
+                if getattr(self, name) is not None:
+                    raise InvalidField(name, "not read next to a literal policy")
 
 
 @dataclass
-class AStarSpec:  # an agent comparison's A* half
-    node_budget: int | None = None  # None: DEFAULT_NODE_BUDGET
+class AStarAgent:  # also an agent comparison's A* half
+    """An A* planner of `node_budget` nodes (DEFAULT_NODE_BUDGET if none)."""
+
+    kind: ClassVar[str] = "astar"
+    node_budget: int | None = None
 
     def __post_init__(self):
-        _check_node_budget(self.node_budget)
+        if self.node_budget is not None and self.node_budget < 1:
+            raise ValueError("node_budget must be >= 1")
 
 
 @dataclass
-class AgentSpec:
-    """An A* planner of `node_budget` nodes (DEFAULT_NODE_BUDGET if none),
-    a Softmax `policy`, or for an agent comparison both halves."""
+class SoftmaxAgent:
+    """A Softmax agent that plays `policy`."""
 
-    kind: str = absent(lambda: "astar")  # "astar" | "softmax" | "comparison"
-    node_budget: int | None = None
-    policy: SoftmaxPolicy | None = None
-    astar: AStarSpec = field(default_factory=AStarSpec)
+    kind: ClassVar[str] = "softmax"
+    policy: SoftmaxPolicy
+
+
+@dataclass
+class ComparisonAgent:
+    """An agent comparison's two agents: an A* planner and a Softmax policy."""
+
+    kind: ClassVar[str] = "comparison"
+    astar: AStarAgent = field(default_factory=AStarAgent)
     softmax: SoftmaxSpec = field(default_factory=SoftmaxSpec)
 
-    def __post_init__(self):
-        if self.kind not in ("astar", "softmax", "comparison"):
-            raise ValueError(f"unknown agent kind {self.kind!r}")
-        if self.kind == "softmax" and self.policy is None:
-            raise ValueError("a softmax agent needs a policy")
-        _check_node_budget(self.node_budget)
+
+# decoded by its `kind`, "astar" when the key is absent
+AgentSpec = AStarAgent | SoftmaxAgent | ComparisonAgent
 
 
 @dataclass
@@ -181,9 +190,16 @@ class CareerTarget:  # one career of a career-style study
     career: str
     target_level: int | None = None  # None: the career's cap
 
+    def __post_init__(self):
+        if self.target_level is not None and self.target_level < 1:
+            raise InvalidField("target_level", "must be >= 1")
+
 
 @dataclass
 class ExperimentConfig(Codec):
+    """One suite entry. Its agent is a `comparison` agent exactly when the
+    study is agent_comparison, the one study that reads both halves."""
+
     id: str
     study: str
     tuning_ref: list[str]  # one path, or two for build comparison
@@ -192,7 +208,7 @@ class ExperimentConfig(Codec):
     goal: GoalSpec
     trials: int = absent(lambda: 1)
     base_seed: int = absent(lambda: 0)
-    agent: AgentSpec = absent(partial(AgentSpec, "astar"))
+    agent: AgentSpec = absent(AStarAgent)
     careers: list[CareerTarget] = absent(list)
 
     def __post_init__(self):
@@ -200,8 +216,11 @@ class ExperimentConfig(Codec):
             raise ValueError(f"unknown study {self.study!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.agent.kind == "comparison" and self.study != "agent_comparison":
-            raise ValueError("a comparison agent is for agent_comparison only")
+        pair = self.study == "agent_comparison"
+        if pair != (self.agent.kind == "comparison"):
+            wanted = "a comparison agent" if pair else "an astar or softmax agent"
+            raise InvalidField("agent.kind", f"{self.study} reads {wanted}, "
+                                             f"not {self.agent.kind!r}")
 
     @classmethod
     def from_dict(cls, data, path: str | None = None) -> "ExperimentConfig":
@@ -264,8 +283,8 @@ def trial_pool(workers: int, configs: list[TuningConfig]) -> ProcessPoolExecutor
     )
 
 
-def _agent_for(agent: AgentSpec, heuristic: HeuristicSpec, goal: GoalSpec,
-               config: TuningConfig):
+def _agent_for(agent: AStarAgent | SoftmaxAgent, heuristic: HeuristicSpec,
+               goal: GoalSpec, config: TuningConfig):
     if agent.kind == "softmax":
         return SoftmaxPlanner(agent.policy, config)
     budget = agent.node_budget
@@ -406,19 +425,17 @@ def check_build_count(study: str, count: int) -> None:
 
 def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
     """Raise if the study cannot run on `configs`: a wrong build count,
-    `careers` for relationship_balance or an agent of another kind than
-    `comparison` for agent_comparison (the study reads neither), a
-    build with no relationship event or a goal without a field its kind
-    reads for relationship_balance (career studies build their own
-    goals), a scenario career for a career study (its groups take theirs
-    from `careers`), a career missing in a build for build_comparison, an
+    `careers` for relationship_balance (the study reads none), a build
+    with no relationship event or a goal without a field its kind reads
+    for relationship_balance (career studies build their own goals), a
+    scenario career for a career study (its groups take theirs from
+    `careers`), a career missing in a build for build_comparison, an
     unknown career or a target level above its cap, or a scenario
-    `initial_state` rejects on a group's build. The runner checks before
-    it starts any group, and a suite checks each entry as it loads it."""
+    `initial_state` rejects on a group's build. The agent's kind is
+    checked as the entry is built (see `ExperimentConfig`). The runner
+    checks before it starts any group, and a suite checks each entry as
+    it loads it."""
     check_build_count(xc.study, len(configs))
-    if xc.study == "agent_comparison" and xc.agent.kind != "comparison":
-        raise SuiteEntryError(f"{xc.id}.agent.kind: agent_comparison reads a "
-                              f"comparison agent, not {xc.agent.kind!r}")
     if xc.study == "relationship_balance":
         if not any(e.kind == "relationship" for e in configs[0].events):
             raise NoRelationshipEvents(configs[0].build_id)
@@ -641,7 +658,7 @@ def _start_policy(
     spec = xc.agent.softmax
     if spec.policy is not None:
         return lambda: spec.policy
-    train = spec.train
+    train = spec.train or TrainSpec()
     args = (
         scenario, goal, train.episodes, train.step_size,
         xc.base_seed if train.seed is None else train.seed,
@@ -653,13 +670,13 @@ def _start_policy(
     return pool.submit(_train_in_worker, id(config), *args).result
 
 
-def _softmax_spec(policy: Callable[[], SoftmaxPolicy]) -> AgentSpec:
-    return AgentSpec("softmax", policy=policy())
+def _softmax_spec(policy: Callable[[], SoftmaxPolicy]) -> SoftmaxAgent:
+    return SoftmaxAgent(policy())
 
 
 def _agent_comparison_study(configs, xc, pool):
     config = configs[0]
-    astar = AgentSpec("astar", node_budget=xc.agent.astar.node_budget)
+    astar = xc.agent.astar
     groups, policies = [], {}
     for career, _, scenario, goal, _ in _career_groups(config, xc):
         # training starts here, before any A* group; each Softmax group

@@ -19,10 +19,13 @@ starts no event, so its walk meets one at most. The record step
 `Counters` alone: the trace, the event log, the event action count, the
 session gaps and the running event's action count. The public
 transitions (`apply_action`, `step_action`, `advance_time`,
-`start_event`, `close_session_if_idle`) do both, giving the successor
-they build its full counters. A search keeps only history-free states,
-so one state serves every path that reaches it, and an episode records
-the effects of the edges it commits.
+`close_session_if_idle`) do both, giving the successor they build its
+full counters. A search keeps only history-free states, so one state
+serves every path that reaches it, and an episode records the effects of
+the edges it commits. An event starts in one way only, implicitly: an
+act of an action that requires an event, taken while none runs, starts
+the first event by id that lists the action and may start
+(`_may_start`).
 
 Legality has two parts. The static part is each action's requirements,
 the running event's action list and, for an implicit start, the chain
@@ -51,14 +54,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import (
-    CategoryLocked,
-    ChainOrderViolation,
     ClockRegression,
     DanglingReference,
     Deadlock,
-    EventInProgress,
     IllegalAction,
-    RequirementsUnmet,
     UnknownCareer,
 )
 from .tuning import ActionSpec, Codec, ConfigIndex, EventSpec, RewardBundle, TuningConfig
@@ -297,53 +296,28 @@ def _qualifies(
     return owned_object is None or owned_object in state.owned_objects
 
 
-# The rules an event start can break, in the order they are checked, with
-# the error start_event raises for each. A message may name the event, its
-# chain category and position, the locked category and the chain's next
-# position.
-_START_RULES = {
-    "chain": (RequirementsUnmet, "{event!r} is not part of any chain"),
-    "category": (CategoryLocked, "relationship is locked to {locked!r}, "
-                                 "{event!r} belongs to {category!r}"),
-    "order": (ChainOrderViolation, "{event!r} is event #{index} of "
-                                   "{category!r}; next is #{next}"),
-    "requirements": (RequirementsUnmet, "requirements for {event!r} are not met"),
-}
-
-
-def _start_rule_broken(
-    idx: ConfigIndex, state: GameState, event: EventSpec
-) -> str | None:
-    """The first rule of `_START_RULES` that starting the event now would
-    break, or None if it may start (an event already running aside)."""
+def _may_start(idx: ConfigIndex, state: GameState, event: EventSpec) -> bool:
+    """Whether the event may start now, an event already running aside: a
+    career event once its career reaches the level that unlocks it, a
+    relationship event as the next of its chain in the state's category
+    (any category while none is locked), and either only once its own
+    start requirements hold."""
     if event.kind == "career":
         unlock = idx.event_unlock_level.get(event.id)
         if unlock is None or not _qualifies(state, event.owner_id, unlock):
-            return "requirements"
+            return False
     else:
         position = idx.chain_position.get(event.id)
         if position is None:
-            return "chain"
+            return False
         category, index = position
         locked = state.relationship.category
         if locked is not None and locked != category:
-            return "category"
+            return False
         if index != state.relationship.completed + 1:
-            return "order"
+            return False
     req = event.start_requires
-    if not _qualifies(state, req.career, req.min_level, req.owned_object):
-        return "requirements"
-    return None
-
-
-def startable_events(config: TuningConfig, state: GameState) -> list[str]:
-    """Events that start_event would accept right now, in id order."""
-    if state.active_event is not None:
-        return []
-    return [
-        e.id for e in sorted(config.events, key=lambda e: e.id)
-        if _start_rule_broken(config.index(), state, e) is None
-    ]
+    return _qualifies(state, req.career, req.min_level, req.owned_object)
 
 
 def _implicit_start_target(
@@ -351,7 +325,7 @@ def _implicit_start_target(
 ) -> str | None:
     """Startable event (smallest id) whose action list contains action_id."""
     for eid in idx.events_of_action.get(action_id, ()):
-        if _start_rule_broken(idx, state, idx.events[eid]) is None:
+        if _may_start(idx, state, idx.events[eid]):
             return eid
     return None
 
@@ -531,39 +505,6 @@ def _close_event(
                         run.accrued_xp, completed, run.started_at, at_clock)
 
 
-def _begin_event(idx: ConfigIndex, child: GameState, event_id: str) -> None:
-    """Start the event in `child`; a first relationship event locks its category."""
-    event = idx.events[event_id]
-    rel = child.relationship
-    if event.kind == "relationship" and rel.category is None:
-        child.relationship = RelationshipState(event.owner_id, rel.completed, rel.xp)
-    child.active_event = ActiveEvent(event_id, 0, child.clock + event.time_limit,
-                                     child.clock)
-
-
-def start_event(config: TuningConfig, state: GameState, event_id: str) -> GameState:
-    """Begin a timed event; the first relationship event locks the category."""
-    idx = config.index()
-    event = idx.events.get(event_id)
-    if event is None:
-        raise RequirementsUnmet(f"unknown event {event_id!r}")
-    if state.active_event is not None:
-        raise EventInProgress(state.active_event.event_id)
-    broken = _start_rule_broken(idx, state, event)
-    if broken is not None:
-        error, message = _START_RULES[broken]
-        category, index = idx.chain_position.get(event_id, (None, None))
-        rel = state.relationship
-        raise error(message.format(
-            event=event_id, category=category, index=index,
-            locked=rel.category, next=rel.completed + 1))
-    child = _successor(state)
-    _begin_event(idx, child, event_id)
-    return _recorded(state, *_settle(
-        idx, child, state.clock, state.counters.total_actions,
-        [(state.clock, TRACE_EVENT_START, event_id)], 0, None, None))
-
-
 # ---------------------------------------------------------------------------
 # Path history
 # ---------------------------------------------------------------------------
@@ -667,8 +608,13 @@ def act_edge(
         for item, count in action.consumes_items.items():
             inventory[item] -= count
 
-    if start is not None:
-        _begin_event(idx, child, start)
+    if start is not None:  # a first relationship event locks its category
+        event = idx.events[start]
+        rel = child.relationship
+        if event.kind == "relationship" and rel.category is None:
+            child.relationship = RelationshipState(event.owner_id, rel.completed,
+                                                   rel.xp)
+        child.active_event = ActiveEvent(start, 0, clock + event.time_limit, clock)
         entries.append((clock, TRACE_EVENT_START, start))
 
     counted = 0

@@ -9,7 +9,8 @@ diagnostics. The file format is documented in docs/tuning-schema.md.
 The parser, the serializer and the differ all walk one field plan per
 dataclass, so the three cannot disagree about the schema. The same plan
 reads and writes the experiment suite's entries (`Codec`): goals,
-heuristics, scenarios, agents and policies.
+heuristics, scenarios, agents and policies. A field typed as a union of
+dataclasses is a tagged choice: the object's `kind` names its member.
 
 Configs are immutable after parse and safe to share across concurrent
 simulation trials.
@@ -39,6 +40,15 @@ from .errors import (
 SCHEMA_VERSION = 1
 
 EVENT_KINDS = ("career", "relationship")
+
+
+class InvalidField(ValueError):
+    """A dataclass check that fails one field. Decoding reports it at the
+    field's path, as a SchemaError `<path>.<field>: <reason>`."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
 
 
 def absent(factory: Callable[[], Any]) -> Any:
@@ -278,6 +288,7 @@ class _Field(NamedTuple):
     key: str  # the JSON name
     # int | float | str | bool | a dataclass | (list, kind)
     # | (dict, key type, kind) | ("choice", allowed values)
+    # | ("tagged", {kind: member dataclass})
     kind: Any
     absent: Callable[[], Any] | None  # the value of an absent key; None: required
     default: Any  # the dataclass default, never written; MISSING: none
@@ -299,8 +310,10 @@ def _kind(tp: Any) -> Any:
         key, value = get_args(tp)
         return (dict, key, _kind(value))
     if origin is Union or origin is UnionType:  # X | None: the field decides null
-        (inner,) = [arg for arg in get_args(tp) if arg is not type(None)]
-        return _kind(inner)
+        members = [arg for arg in get_args(tp) if arg is not type(None)]
+        if len(members) > 1:  # each member names itself by a `kind` class variable
+            return ("tagged", {member.kind: member for member in members})
+        return _kind(members[0])
     return tp
 
 
@@ -341,7 +354,7 @@ class Codec:
 
     def to_dict(self) -> dict:
         """The JSON form; a field equal to its dataclass default is left out."""
-        return _encode(self)
+        return _encode(type(self), self)
 
 
 def _expect(obj: Any, path: str, kind: type) -> Any:
@@ -391,6 +404,13 @@ def _decode(kind: Any, value: Any, path: str) -> Any:
                     _decode(kind[2], item, f"{path}.{key}")
                 for key, item in _expect(value, path, dict).items()
             }
+        if kind[0] == "tagged":  # `kind` names the member, the first if absent
+            members = kind[1]
+            tag = _expect(value, path, dict).get("kind", next(iter(members)))
+            if _expect(tag, f"{path}.kind", str) not in members:
+                raise SchemaError(f"{path}.kind: must be one of {tuple(members)}")
+            rest = {key: item for key, item in value.items() if key != "kind"}
+            return _decode(members[tag], rest, path)
         if _expect(value, path, str) not in kind[1]:
             raise SchemaError(f"{path}: must be one of {kind[1]}")
         return value
@@ -411,22 +431,31 @@ def _decode(kind: Any, value: Any, path: str) -> Any:
             args[f.attr] = _decode(f.kind, value[f.key], f"{path}.{f.key}")
     if kind is Fraction and args["denominator"] <= 0:
         raise SchemaError(f"{path}: den must be positive")
-    return kind(**args)
+    try:
+        return kind(**args)
+    except InvalidField as exc:
+        raise SchemaError(f"{path}.{exc.field}: {exc.reason}") from None
 
 
-def _encode(value: Any) -> Any:
-    """JSON form of a decoded value; fields equal to their default are left out."""
-    if dataclasses.is_dataclass(value) or type(value) is Fraction:
-        return {
-            f.key: _encode(item)
-            for f in _plan(type(value)).fields
-            if (item := getattr(value, f.attr)) != f.default
-        }
-    if isinstance(value, list):
-        return [_encode(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _encode(item) for key, item in sorted(value.items())}
-    return value
+def _encode(kind: Any, value: Any) -> Any:
+    """JSON form of a value decoded as kind; fields equal to their default
+    are left out, and a tagged choice's member writes its `kind` first."""
+    if kind in _SCALARS or value is None:
+        return value
+    if type(kind) is tuple:
+        if kind[0] is list:
+            return [_encode(kind[1], item) for item in value]
+        if kind[0] is dict:
+            return {str(key): _encode(kind[2], item)
+                    for key, item in sorted(value.items())}
+        if kind[0] == "tagged":
+            return {"kind": value.kind, **_encode(type(value), value)}
+        return value
+    return {
+        f.key: _encode(f.kind, item)
+        for f in _plan(kind).fields
+        if (item := getattr(value, f.attr)) != f.default
+    }
 
 
 def _flatten(value: Any, prefix: str, out: dict[str, Any]) -> None:
@@ -495,7 +524,7 @@ def build_config(doc: Any) -> TuningConfig:
 
 
 def config_to_dict(config: TuningConfig) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **_encode(config)}
+    return {"schema_version": SCHEMA_VERSION, **_encode(TuningConfig, config)}
 
 
 def serialize_tuning(config: TuningConfig, indent: int = 2) -> str:
@@ -812,14 +841,17 @@ def diff_builds(a: TuningConfig, b: TuningConfig) -> BuildDiff:
 def event_step_curve(
     config: TuningConfig, event_id: str
 ) -> list[tuple[int, int]]:
-    """Cumulative step payoff: (xp_threshold, total career XP up to that step)."""
+    """Cumulative step payoff: (xp_threshold, total reward up to that step),
+    in the XP currency the event progresses: career XP for career events,
+    relationship XP for relationship events."""
     event = config.index().events.get(event_id)
     if event is None:
         raise UnknownEvent(event_id)
+    currency = "career_xp" if event.kind == "career" else "relationship_xp"
     curve = []
     total = 0
     for step in event.steps:
-        total += step.reward.career_xp
+        total += getattr(step.reward, currency)
         curve.append((step.xp_threshold, total))
     return curve
 
@@ -830,31 +862,25 @@ def flag_step_anomalies(
     """Flag event steps whose marginal payoff collapses relative to step 1.
 
     A step is anomalous when its marginal reward per marginal threshold
-    unit falls below anomaly_ratio times the first step's ratio; zero
-    marginal reward over a positive marginal threshold is always flagged.
-    Reward value is the XP currency the event progresses: career XP for
-    career events, relationship XP for relationship events.
+    unit, read from the event's step curve, falls below anomaly_ratio
+    times the first step's ratio; zero marginal reward over a positive
+    marginal threshold is always flagged. Where an id is duplicated, the
+    event checked is the one the engine plays (see `ConfigIndex`).
     """
     diags = []
-    for event in config.events:
+    for event in config.index().events.values():
         if len(event.steps) < 2 or event.steps[0].xp_threshold <= 0:
             continue
-
-        def value(step: EventStep) -> int:
-            if event.kind == "career":
-                return step.reward.career_xp
-            return step.reward.relationship_xp
-
-        first = event.steps[0]
-        base_ratio = value(first) / first.xp_threshold
-        prev_threshold = first.xp_threshold
-        for i, step in enumerate(event.steps[1:], start=2):
-            span = step.xp_threshold - prev_threshold
-            prev_threshold = step.xp_threshold
+        curve = event_step_curve(config, event.id)
+        prev_threshold, prev_total = curve[0]
+        base_ratio = prev_total / prev_threshold
+        for i, (threshold, total) in enumerate(curve[1:], start=2):
+            span, reward = threshold - prev_threshold, total - prev_total
+            prev_threshold, prev_total = threshold, total
             if span <= 0:
                 continue  # already an error reported by validate()
-            marginal = value(step) / span
-            if value(step) == 0:
+            marginal = reward / span
+            if reward == 0:
                 diags.append(_warn(
                     event.id,
                     f"step {i} adds {span} XP of effort for zero marginal reward",

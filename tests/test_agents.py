@@ -12,10 +12,9 @@ from playtest.agents import (
     Decision,
     GoalSpec,
     HeuristicSpec,
-    astar_decide,
+    build_evaluator,
     decision_edges,
     goal_satisfied,
-    heuristic_eval,
     run_episode,
 )
 from playtest.sim import (
@@ -63,7 +62,7 @@ class TestHeuristic:
         goal = career_goal("barista", 1)
         state = initial_state(desk_base, ScenarioOverrides(career="barista"), 7)
         spec = HeuristicSpec(weights={"career_xp": 1.0})
-        assert heuristic_eval(spec, desk_base, state, goal) == 0.0
+        assert build_evaluator(spec, desk_base, goal)(state) == 0.0
 
     def test_remaining_over_best_yield(self):
         config = single_action_config(career_xp=10)
@@ -71,16 +70,16 @@ class TestHeuristic:
                         max_minutes=1000, max_actions=100)
         state = initial_state(config, ScenarioOverrides(career="clerk"), 7)
         spec = HeuristicSpec(weights={"career_xp": 1.0})
-        assert heuristic_eval(spec, config, state, goal) == pytest.approx(10.0)
+        assert build_evaluator(spec, config, goal)(state) == pytest.approx(10.0)
 
     def test_strictly_decreasing_with_progress(self, desk_base, career_goal):
         goal = career_goal("barista", 2)
         spec = HeuristicSpec(weights={"career_xp": 1.0})
         state = initial_state(desk_base, ScenarioOverrides(career="barista"), 7)
-        start_value = heuristic_eval(spec, desk_base, state, goal)
+        start_value = build_evaluator(spec, desk_base, goal)(state)
         state = step_action(desk_base, state, "brew")
         state = step_action(desk_base, state, "serve")
-        after_serve = heuristic_eval(spec, desk_base, state, goal)
+        after_serve = build_evaluator(spec, desk_base, goal)(state)
         assert after_serve < start_value
 
     def test_normalization_override(self):
@@ -90,15 +89,15 @@ class TestHeuristic:
         state = initial_state(config, ScenarioOverrides(career="clerk"), 7)
         spec = HeuristicSpec(weights={"career_xp": 1.0},
                              normalization={"career_xp": 4.0})
-        assert heuristic_eval(spec, config, state, goal) == pytest.approx(25.0)
+        assert build_evaluator(spec, config, goal)(state) == pytest.approx(25.0)
 
     def test_crafted_item_term(self, desk_base, career_goal):
         goal = career_goal("barista", 2)
         spec = HeuristicSpec(weights={"crafted_item:coffee": 1.0})
         state = initial_state(desk_base, ScenarioOverrides(career="barista"), 7)
-        with_none = heuristic_eval(spec, desk_base, state, goal)
+        with_none = build_evaluator(spec, desk_base, goal)(state)
         stocked = step_action(desk_base, state, "brew")
-        with_coffee = heuristic_eval(spec, desk_base, stocked, goal)
+        with_coffee = build_evaluator(spec, desk_base, goal)(stocked)
         assert with_none == 1.0 and with_coffee == 0.0
 
     def test_non_finite_weight_rejected(self):
@@ -112,16 +111,15 @@ class TestAStarDecide:
         goal = GoalSpec(kind="career_level_reached", career="clerk", level=2,
                         max_minutes=1000, max_actions=100)
         state = initial_state(config, ScenarioOverrides(career="clerk"), 7)
-        decision = astar_decide(config, state,
-                                HeuristicSpec(weights={"career_xp": 1.0}),
-                                goal, rng=random.Random(1))
+        decision = AStarPlanner(HeuristicSpec(weights={"career_xp": 1.0}),
+                                goal).decide(config, state, random.Random(1))
         assert decision == Decision.act("work")
 
     def test_goal_already_satisfied_stops(self, desk_base, career_goal):
         state = initial_state(desk_base, ScenarioOverrides(career="barista"), 7)
-        decision = astar_decide(desk_base, state,
-                                HeuristicSpec(weights={"career_xp": 1.0}),
-                                career_goal("barista", 1), rng=random.Random(1))
+        decision = AStarPlanner(HeuristicSpec(weights={"career_xp": 1.0}),
+                                career_goal("barista", 1)).decide(
+            desk_base, state, random.Random(1))
         assert decision.kind == "stop" and decision.reason == "goal_reached"
 
     def test_deadlocked_root_stops(self, desk_base, career_goal):
@@ -130,9 +128,9 @@ class TestAStarDecide:
             action["requires"] = {"owned_object": "chef_station"}
         config = build_config(doc)
         state = initial_state(config, ScenarioOverrides(), 7)
-        decision = astar_decide(config, state,
-                                HeuristicSpec(weights={"career_xp": 1.0}),
-                                career_goal("barista", 2), rng=random.Random(1))
+        decision = AStarPlanner(HeuristicSpec(weights={"career_xp": 1.0}),
+                                career_goal("barista", 2)).decide(
+            config, state, random.Random(1))
         assert decision.kind == "stop" and decision.reason == "deadlock"
 
     def test_bugged_event_waits_out_the_event(self, bugged_event):
@@ -141,9 +139,8 @@ class TestAStarDecide:
         state = initial_state(bugged_event, ScenarioOverrides(career="clerk"), 7)
         for _ in range(4):  # reach step 1 exactly
             state = step_action(bugged_event, state, "file_report")
-        decision = astar_decide(bugged_event, state,
-                                HeuristicSpec(weights={"career_xp": 1.0}),
-                                goal, rng=random.Random(1))
+        decision = AStarPlanner(HeuristicSpec(weights={"career_xp": 1.0}),
+                                goal).decide(bugged_event, state, random.Random(1))
         assert decision == Decision.wait(state.active_event.deadline)
 
     def test_budget_compliance(self, desk_base, career_goal):
@@ -196,10 +193,10 @@ class TestAStarDecide:
         spec = HeuristicSpec(weights={"relationship_event_complete": 1.0,
                                       "event_xp": 1.0})
         state = initial_state(romance_outlier, ScenarioOverrides(), 7)
-        first = astar_decide(romance_outlier, state, spec, goal,
-                             rng=random.Random(42))
-        second = astar_decide(romance_outlier, state, spec, goal,
-                              rng=random.Random(42))
+        first = AStarPlanner(spec, goal).decide(romance_outlier, state,
+                                                random.Random(42))
+        second = AStarPlanner(spec, goal).decide(romance_outlier, state,
+                                                 random.Random(42))
         assert first == second
 
 

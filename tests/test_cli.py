@@ -242,12 +242,14 @@ class TestRun:
             "top_typo": "SuiteEntryError: top_typo: unknown field(s) ['trail']",
             "no_goal": "SuiteEntryError: no_goal.goal: missing",
             "no_goal_kind": "SuiteEntryError: no_goal_kind.goal.kind: missing",
-            "agent_typo": "ValueError: unknown agent kind 'astra'",
-            "no_policy": "ValueError: a softmax agent needs a policy",
+            "agent_typo": "SuiteEntryError: agent_typo.agent.kind: "
+                "must be one of ('astar', 'softmax', 'comparison')",
+            "no_policy": "SuiteEntryError: no_policy.agent.policy: missing",
             "number_ref": "SuiteEntryError: "
                 "number_ref.tuning_ref: expected str or list, got int",
-            "stray_comparison":
-                "ValueError: a comparison agent is for agent_comparison only",
+            "stray_comparison": "SuiteEntryError: stray_comparison.agent.kind: "
+                "career_progression reads an astar or softmax agent, "
+                "not 'comparison'",
             "negative_budget": "ValueError: node_budget must be >= 1",
             "zero_astar_budget": "ValueError: node_budget must be >= 1",
             "zero_temperature":

@@ -18,12 +18,12 @@ import pytest
 from bfs_oracle import random_desk_config, shortest_actions
 from playtest import agents, experiments, fixtures, sim
 from playtest.agents import GoalSpec, HeuristicSpec
-from playtest.errors import PlaytestError, SuiteEntryError
+from playtest.errors import PlaytestError, SchemaError, SuiteEntryError
 from playtest.experiments import (
-    AgentSpec,
     AggregateStats,
-    AStarSpec,
+    AStarAgent,
     CareerTarget,
+    ComparisonAgent,
     ExperimentConfig,
     SoftmaxSpec,
     TrainSpec,
@@ -70,7 +70,8 @@ def make_xc(study, trials=5, base_seed=100, goal=None, heuristic=None,
                               max_minutes=20_000, max_actions=2_000),
         trials=trials,
         base_seed=base_seed,
-        agent=agent or AgentSpec("astar", node_budget=2000),
+        agent=agent or (ComparisonAgent() if study == "agent_comparison"
+                        else AStarAgent(2000)),
         careers=[CareerTarget(*c) if isinstance(c, tuple) else CareerTarget(**c)
                  for c in careers],
     )
@@ -130,7 +131,7 @@ class TestTrialSeeding:
                         max_minutes=5000, max_actions=200)
         spec = HeuristicSpec(weights={"career_xp": 1.0})
         scenario = ScenarioOverrides(career="barista")
-        agent = AgentSpec("astar", node_budget=2000)
+        agent = AStarAgent(2000)
         first = run_trials(desk_base, scenario, spec, goal, agent, 4, 42)
         second = run_trials(desk_base, scenario, spec, goal, agent, 4, 42)
         assert [(r.seed, r.total_actions, r.state_digest) for r in first] == \
@@ -217,7 +218,7 @@ class TestCareerProgression:
         optimum, _ = shortest_actions(config, scenario, trial_seed(50, 0), goal)
         xc = make_xc("career_progression", trials=2, base_seed=50, goal=goal,
                      heuristic=HeuristicSpec(weights={}),
-                     agent=AgentSpec("astar", node_budget=50_000),
+                     agent=AStarAgent(50_000),
                      careers=[("clerk", 2)])
         assert run_ok(xc, config).groups["clerk"].mean == optimum
 
@@ -279,7 +280,7 @@ class TestBuildComparison:
 
     def test_identity_builds_identical_rows(self, build_a):
         xc = make_xc("build_comparison", trials=2, heuristic=self.heuristic(),
-                     agent=AgentSpec("astar", node_budget=400),
+                     agent=AStarAgent(400),
                      careers=[("barista", 2)])
         rows = run_ok(xc, build_a, build_a).extras["rows"]
         assert len(rows) == 2
@@ -292,7 +293,7 @@ class TestBuildComparison:
         xc = make_xc("build_comparison", trials=2, heuristic=self.heuristic(),
                      goal=GoalSpec(kind="career_level_reached",
                                    max_minutes=50_000, max_actions=3_000),
-                     agent=AgentSpec("astar", node_budget=400),
+                     agent=AStarAgent(400),
                      careers=[("barista", 3)])
         rows = run_ok(xc, build_a, build_b).extras["rows"]
         by_build = {row["build"]: row for row in rows}
@@ -317,8 +318,8 @@ class TestAgentComparison:
                         max_minutes=20_000, max_actions=400)
         xc = make_xc(
             "agent_comparison", trials=120, goal=goal,
-            agent=AgentSpec("comparison", astar=AStarSpec(2000),
-                            softmax=SoftmaxSpec(1.0, train=TrainSpec(300, 0.05, 7))),
+            agent=ComparisonAgent(AStarAgent(2000),
+                                  SoftmaxSpec(1.0, train=TrainSpec(300, 0.05, 7))),
             careers=[("fashion", 2)])
         groups = run_ok(xc, desk_base).groups
         astar_stats, softmax_stats = groups["fashion/astar"], groups["fashion/softmax"]
@@ -363,23 +364,29 @@ class TestSuiteDispatch:
         assert outcome.records == []
 
 
-    @pytest.mark.parametrize("study, fixture, options, error", [
-        ("relationship_balance", "romance_outlier", dict(
-            goal=GoalSpec(kind="any_relationship_chain_done", chain_length=5,
-                          max_minutes=5000, max_actions=300),
-            careers=[{"career": "astronaut", "target_level": 99}]),
+    @pytest.mark.parametrize("study, fixture, changes, error", [
+        ("relationship_balance", "romance_outlier", {
+            "goal": {"kind": "any_relationship_chain_done", "chain_length": 5,
+                     "max_minutes": 5000, "max_actions": 300},
+            "careers": [{"career": "astronaut", "target_level": 99}]},
          "careers: relationship_balance reads no careers"),
-        ("agent_comparison", "desk_base", dict(
-            careers=[{"career": "fashion", "target_level": 2}],
-            agent=AgentSpec("astar", node_budget=1)),
+        ("agent_comparison", "desk_base", {
+            "careers": [{"career": "fashion", "target_level": 2}],
+            "agent": {"kind": "astar", "node_budget": 1}},
          "agent.kind: agent_comparison reads a comparison agent, not 'astar'"),
     ], ids=["careers", "agent_kind"])
     def test_settings_the_study_never_reads_fail(
-            self, request, study, fixture, options, error):
-        # each used to run ok: the careers, or the agent's budget, unread
-        xc = make_xc(study, trials=1, **options)
-        assert failure(xc, request.getfixturevalue(fixture)) == (
-            f"SuiteEntryError: test_{study}.{error}")
+            self, request, study, fixture, changes, error):
+        # each used to run ok: the careers, or the agent's budget, unread.
+        # The error is the one a suite reports, whether the entry fails as
+        # it loads (the agent's kind) or as its study starts (the careers)
+        entry = {**make_xc(study, trials=1).to_dict(), **changes}
+        try:
+            got = failure(ExperimentConfig.from_dict(entry),
+                          request.getfixturevalue(fixture))
+        except SuiteEntryError as exc:
+            got = f"SuiteEntryError: {exc}"
+        assert got == f"SuiteEntryError: test_{study}.{error}"
 
 
 class TestPooledTrials:
@@ -389,8 +396,8 @@ class TestPooledTrials:
             goal=GoalSpec(kind="career_level_reached",
                           max_minutes=20_000, max_actions=400),
             careers=[{"career": "fashion", "target_level": 2}],
-            agent=AgentSpec("comparison", astar=AStarSpec(2000),
-                            softmax=SoftmaxSpec(train=TrainSpec(20, 0.05, 7))))
+            agent=ComparisonAgent(AStarAgent(2000),
+                                  SoftmaxSpec(train=TrainSpec(20, 0.05, 7))))
         sizes = []
         with trial_pool(2, [desk_base]) as pool:
             submit = pool.submit
@@ -425,7 +432,7 @@ class TestPooledTrials:
             trials=3, careers=[{"career": "barista", "target_level": 3}])),
         ("build_comparison", ["build_a", "build_b"], dict(
             trials=2, careers=[{"career": "barista", "target_level": 2}],
-            agent=AgentSpec("astar", node_budget=400))),
+            agent=AStarAgent(400))),
     ])
     def test_every_study_pool_matches_serial(self, request, study, builds, options):
         configs = [request.getfixturevalue(name) for name in builds]
@@ -447,8 +454,8 @@ class TestPooledTrials:
                           max_minutes=20_000, max_actions=400),
             careers=[{"career": "fashion", "target_level": 2},
                      {"career": "barista", "target_level": 2}],
-            agent=AgentSpec("comparison", astar=AStarSpec(2000),
-                            softmax=SoftmaxSpec(train=TrainSpec(10, 0.05, 7))))
+            agent=ComparisonAgent(AStarAgent(2000),
+                                  SoftmaxSpec(train=TrainSpec(10, 0.05, 7))))
         events = []
         with trial_pool(2, [desk_base]) as pool:
             submit = pool.submit
@@ -492,7 +499,7 @@ class TestPooledTrials:
                         max_minutes=20_000, max_actions=400)
         args = (desk_base, ScenarioOverrides(career="barista"),
                 HeuristicSpec({"career_xp": 1.0}), goal,
-                AgentSpec("astar", node_budget=200))
+                AStarAgent(200))
         with trial_pool(2, [desk_base]) as pool:
             for trials in (1, 3, 9, 17):
                 pooled = list(run_trials(*args, trials, 11, pool))
@@ -507,7 +514,7 @@ class TestPooledTrials:
                 HeuristicSpec({"career_xp": 1.0, "crafted_item:dish": 0.5}),
                 GoalSpec(kind="career_level_reached", career="culinary", level=3,
                          max_minutes=20_000, max_actions=2000),
-                AgentSpec("astar", node_budget=2000))
+                AStarAgent(2000))
 
     def test_pooled_group_does_the_serial_search_work(self, monkeypatch):
         # jobs run in this process as a worker would run them, on the
@@ -682,6 +689,76 @@ def test_non_finite_numbers_fail_at_load(path, value):
         ExperimentConfig.from_dict(doc)
 
 
+AGENT_COMPARISON = next(e for e in PAPER_SUITE if e["study"] == "agent_comparison")
+LITERAL_POLICY = {"feature_names": list(agents.FEATURE_NAMES),
+                  "weights": [0.0] * len(agents.FEATURE_NAMES)}
+
+
+@pytest.mark.parametrize("study, agent, error", [
+    ("agent_comparison", {**AGENT_COMPARISON["agent"], "node_budget": 1},
+     "agent: unknown field(s) ['node_budget']"),
+    ("career_progression", {"kind": "astar", "softmax": {"temperature": 3.0}},
+     "agent: unknown field(s) ['softmax']"),
+    ("career_progression", {"kind": "softmax", "node_budget": 5,
+                            "policy": LITERAL_POLICY},
+     "agent: unknown field(s) ['node_budget']"),
+], ids=["comparison_budget", "astar_softmax", "softmax_budget"])
+def test_a_field_the_agent_kind_does_not_read_fails_at_load(study, agent, error):
+    # each used to load, and the study ran without reading the field; for
+    # training beside a literal policy see
+    # test_temperature_next_to_a_literal_policy_fails_at_load
+    doc = json.loads(json.dumps(dict(AGENT_COMPARISON, study=study, agent=agent)))
+    with pytest.raises(SuiteEntryError,
+                       match=f"^agent_comparison\\.{re.escape(error)}$"):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (("goal",), {"kind": "any_relationship_chain_done", "chain_length": -1},
+     "goal.chain_length: must be >= 1"),
+    (("goal",), {"kind": "relationship_chain_done", "category": "romance",
+                 "chain_length": 0}, "goal.chain_length: must be >= 1"),
+    (("goal",), {"kind": "career_level_reached", "career": "fashion",
+                 "level": 0}, "goal.level: must be >= 1"),
+    (("goal",), {"kind": "event_completed", "event": "x", "career": "y"},
+     "goal.career: not read by a 'event_completed' goal"),
+    (("goal",), {"kind": "career_level_reached", "chain_length": 2},
+     "goal.chain_length: not read by a 'career_level_reached' goal"),
+    (("careers", 0, "target_level"), 0, "careers[0].target_level: must be >= 1"),
+], ids=["negative_chain", "zero_chain", "zero_level", "event_with_career",
+        "template_with_chain", "zero_target"])
+def test_goal_settings_that_cannot_hold_fail_at_load(path, value, error):
+    # each used to load: a chain of -1 was done at step 0, so every trial
+    # "reached" its goal at once, and a field the goal's kind never reads
+    # was ignored
+    doc = json.loads(json.dumps(AGENT_COMPARISON))
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    with pytest.raises(SuiteEntryError,
+                       match=f"^agent_comparison\\.{re.escape(error)}$"):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: GoalSpec(kind="any_relationship_chain_done", chain_length=-1),
+     "chain_length: must be >= 1"),
+    (lambda: GoalSpec(kind="career_level_reached", career="barista", level=0),
+     "level: must be >= 1"),
+    (lambda: GoalSpec(kind="event_completed", event="x", career="y"),
+     "career: not read by a 'event_completed' goal"),
+    (lambda: CareerTarget("barista", 0), "target_level: must be >= 1"),
+], ids=["negative_chain", "zero_level", "event_with_career", "zero_target"])
+def test_goal_settings_that_cannot_hold_fail_in_the_python_api(make, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        make()
+
+
+def test_a_goal_read_alone_names_its_field():
+    # `playtest train --goal` and the benchmark read goals on their own
+    with pytest.raises(SchemaError, match=r"^GoalSpec\.level: must be >= 1$"):
+        GoalSpec.from_dict({"kind": "career_level_reached", "career": "barista",
+                            "level": -2})
+
+
 def test_a_float_field_keeps_an_int_that_fits():
     # params in stats.json repeat the entry as written
     doc = json.loads(json.dumps(next(
@@ -707,16 +784,17 @@ def test_unknown_heuristic_term_fails_at_load(field, term):
 
 
 def test_temperature_next_to_a_literal_policy_fails_at_load():
-    # the run used to take the policy's own temperature and ignore this one
+    # the run used to play the policy as given and ignore the temperature,
+    # or the training settings, beside it
     doc = json.loads(json.dumps(next(
         e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
-    doc["agent"]["softmax"] = {"temperature": 5.0, "policy": {
-        "feature_names": list(agents.FEATURE_NAMES),
-        "weights": [0.0] * len(agents.FEATURE_NAMES)}}
-    with pytest.raises(ValueError, match=(
-            "^temperature is not read next to a literal policy$")):
-        ExperimentConfig.from_dict(doc)
-    del doc["agent"]["softmax"]["temperature"]
+    for name, value in (("temperature", 5.0), ("train", {"episodes": 3})):
+        doc["agent"]["softmax"] = {name: value, "policy": LITERAL_POLICY}
+        with pytest.raises(SuiteEntryError, match=(
+                f"^agent_comparison\\.agent\\.softmax\\.{name}: "
+                "not read next to a literal policy$")):
+            ExperimentConfig.from_dict(doc)
+    doc["agent"]["softmax"] = {"policy": LITERAL_POLICY}
     ExperimentConfig.from_dict(doc)
 
 

@@ -13,19 +13,19 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from bfs_oracle import random_desk_config
 from playtest import agents, fixtures, sim
-from playtest.errors import Deadlock, IllegalAction
+from playtest.errors import Deadlock, IllegalAction, SuiteEntryError
+from playtest.experiments import ExperimentConfig
 from playtest.agents import (
     AStarPlanner,
     GoalSpec,
     HeuristicSpec,
     SoftmaxPlanner,
     SoftmaxPolicy,
-    astar_decide,
     goal_satisfied,
     run_episode,
 )
@@ -42,8 +42,6 @@ from playtest.sim import (
     initial_state,
     legal_actions,
     next_availability,
-    start_event,
-    startable_events,
     step_action,
     trace_entries,
 )
@@ -401,10 +399,10 @@ class CheckedPlanner:
     """An AStarPlanner whose every decision is checked against a fresh search.
 
     Before each decision the rng state is copied; a new planner, with no
-    data of its own on the build's graph, and `astar_decide` must then
-    make the same decision with the same expansion count and the same
-    number of tie draws, whether the planner searched or served a stored
-    answer. The graph's state-id table must hold no more ids than it has
+    data of its own on the build's graph, must then make the same decision
+    with the same expansion count and the same number of tie draws, and
+    so must a second one made after it, whether the planner searched or
+    served a stored answer. The graph's state-id table must hold no more ids than it has
     records. `answers` counts each decision's root answer before and
     after it (see `answer_kind`).
     """
@@ -431,8 +429,9 @@ class CheckedPlanner:
         assert decision == expected
         assert planner.last_expanded == fresh.last_expanded
         assert rng.getstate() == fresh_rng.getstate()
-        assert astar_decide(config, state, planner.heuristic, planner.goal,
-                            planner.node_budget, decide_rng) == decision
+        assert AStarPlanner(planner.heuristic, planner.goal,
+                            planner.node_budget).decide(
+            config, state, decide_rng) == decision
         graph = agents._graph(config)
         assert len(graph.ids) <= len(graph.records)
         self.last_expanded = planner.last_expanded
@@ -1416,7 +1415,7 @@ def draw_goal(data, config):
     category = (data.draw(st.sampled_from([c.id for c in config.relationships]))
                 if kind == "relationship_chain_done" else None)
     return GoalSpec(kind=kind, category=category,
-                    chain_length=data.draw(st.integers(0, longest + 1)))
+                    chain_length=data.draw(st.integers(1, longest + 1)))
 
 
 def draw_scenario(data, config):
@@ -1846,8 +1845,6 @@ def step_every_way(config, state):
         untils.append(state.active_event.deadline)
     for until in untils:
         advance_time(config, state, until)
-    for event_id in startable_events(config, state):
-        start_event(config, state, event_id)
     if not legal:
         try:
             close_session_if_idle(config, state)
@@ -1900,8 +1897,6 @@ def public_transitions(config, state):
         untils.add(state.active_event.deadline)
     for until in sorted(untils):
         yield functools.partial(advance_time, config, state, until)
-    for event_id in startable_events(config, state):
-        yield functools.partial(start_event, config, state, event_id)
 
 
 def check_running_count(state):
@@ -2006,3 +2001,105 @@ class TestOneStatePerTransition:
         [outcome] = event_log_entries(closed)
         assert (outcome.event_id, outcome.actions, outcome.completed) == (
             "barista_shift", 2, False)
+
+
+# ---------------------------------------------------------------------------
+# Agent specs: each kind loads the fields it reads, and no other
+# ---------------------------------------------------------------------------
+
+AGENT_ENTRY = next(entry for entry in json.loads(
+    fixtures.path("paper_suite").read_text()) if entry["study"] == "agent_comparison")
+
+# numbers and settings that differ from every default, so a loaded spec
+# writes each field it was given
+POSITIVE = st.floats(0.001, 100.0)
+POLICIES = st.builds(
+    lambda weights, temperature: {"feature_names": list(agents.FEATURE_NAMES),
+                                  "weights": weights, "temperature": temperature},
+    st.lists(st.floats(-5.0, 5.0), min_size=len(agents.FEATURE_NAMES),
+             max_size=len(agents.FEATURE_NAMES)), POSITIVE)
+TRAINING = st.fixed_dictionaries({}, optional={
+    "episodes": st.integers(1, 499),
+    "step_size": POSITIVE.filter(lambda size: size != 0.02),
+    "seed": st.integers(0, 2**31)}).filter(bool)
+# an agent comparison's Softmax half: training settings, or a literal policy
+TRAINED_HALVES = st.fixed_dictionaries(
+    {}, optional={"temperature": POSITIVE, "train": TRAINING}).filter(bool)
+HALF_FORMS = ({"temperature": POSITIVE, "train": TRAINING}, {"policy": POLICIES})
+# each agent kind's fields; a softmax agent's policy is required
+AGENT_KINDS = {
+    "astar": {"node_budget": st.integers(1, 5000)},
+    "softmax": {"policy": POLICIES},
+    "comparison": {
+        "astar": st.fixed_dictionaries({"node_budget": st.integers(1, 5000)}),
+        "softmax": st.one_of(TRAINED_HALVES, st.fixed_dictionaries(HALF_FORMS[1])),
+    },
+}
+POLICY = {"feature_names": list(agents.FEATURE_NAMES),
+          "weights": [0.0] * len(agents.FEATURE_NAMES), "temperature": 1.0}
+
+
+@st.composite
+def agent_specs(draw):
+    """A suite entry's agent of each kind with some of its own fields, and
+    with one field of another kind's plan or with none. A comparison's
+    foreign field may also be one of its Softmax half's other form."""
+    kind = draw(st.sampled_from(sorted(AGENT_KINDS)))
+    own = AGENT_KINDS[kind]
+    agent = {"kind": kind}
+    for name, values in own.items():
+        if kind == "softmax" or draw(st.booleans()):
+            agent[name] = draw(values)
+    foreign = [(name, values) for other in AGENT_KINDS.values()
+               for name, values in other.items() if name not in own]
+    defect = draw(st.sampled_from(
+        ["none", "agent"] + ["half"] * (kind == "comparison")))
+    if defect == "agent":
+        name, values = draw(st.sampled_from(foreign))
+        agent[name] = draw(values)
+    elif defect == "half":
+        half = agent["softmax"] = dict(agent.get("softmax") or draw(TRAINED_HALVES))
+        other = HALF_FORMS[0] if "policy" in half else HALF_FORMS[1]
+        name = draw(st.sampled_from(sorted(other)))
+        half[name] = draw(other[name])
+    return agent
+
+
+def agent_defect(agent):
+    """The path prefix and message end of the error that `agent` must
+    fail with as its entry loads, from each kind's fields; None if it
+    holds no field its kind does not read."""
+    eid = AGENT_ENTRY["id"]
+    extras = sorted(agent.keys() - {"kind"} - AGENT_KINDS[agent["kind"]].keys())
+    if extras:
+        return f"{eid}.agent: ", f"unknown field(s) {extras}"
+    half = agent.get("softmax", {}) if agent["kind"] == "comparison" else {}
+    if "policy" in half and half.keys() & HALF_FORMS[0].keys():
+        return f"{eid}.agent.softmax.", ": not read next to a literal policy"
+    return None
+
+
+class TestAgentSpecs:
+    """A suite entry's agent loads the fields its kind reads and fails at
+    load, naming the agent's path, on a field of another kind."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=300)
+    @given(agent=agent_specs())
+    @example(agent={"kind": "comparison", "node_budget": 1})
+    @example(agent={"kind": "astar", "softmax": {"temperature": 3.0}})
+    @example(agent={"kind": "softmax", "node_budget": 5, "policy": POLICY})
+    @example(agent={"kind": "comparison",
+                    "softmax": {"policy": POLICY, "train": {"episodes": 10}}})
+    def test_an_agent_loads_its_own_fields_only(self, agent):
+        study = ("agent_comparison" if agent["kind"] == "comparison"
+                 else "career_progression")
+        entry = dict(AGENT_ENTRY, study=study, agent=agent)
+        defect = agent_defect(agent)
+        if defect is None:
+            assert ExperimentConfig.from_dict(entry).to_dict()["agent"] == agent
+            return
+        with pytest.raises(SuiteEntryError) as caught:
+            ExperimentConfig.from_dict(entry)
+        start, end = defect
+        message = str(caught.value)
+        assert message.startswith(start) and message.endswith(end)

@@ -2,21 +2,19 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from playtest import fixtures
 from playtest.errors import (
-    CategoryLocked,
-    ChainOrderViolation,
     ClockRegression,
     Deadlock,
-    EventInProgress,
     IllegalAction,
-    RequirementsUnmet,
     UnknownCareer,
 )
 from playtest.sim import (
+    ActiveEvent,
     GameState,
     ScenarioOverrides,
     advance_time,
@@ -25,10 +23,9 @@ from playtest.sim import (
     event_log_entries,
     initial_state,
     legal_actions,
+    legal_moves,
     next_availability,
     RelationshipState,
-    start_event,
-    startable_events,
     state_digest,
     step_action,
     trace_entries,
@@ -165,9 +162,11 @@ class TestPayoutRule:
         for _ in range(serves):
             state = step_action(desk_base, state, "brew")
             state = step_action(desk_base, state, "serve")
-        if serves == 0:
-            state = start_event(desk_base, state, "barista_shift")
         event_spec = desk_base.index().events["barista_shift"]
+        if serves == 0:  # a run that no act has counted toward yet
+            state = replace(state, active_event=ActiveEvent(
+                "barista_shift", 0, state.clock + event_spec.time_limit,
+                state.clock))
         accrued = 0 if state.active_event is None else state.active_event.accrued_xp
         if close_by_timeout:
             assert state.active_event is not None
@@ -226,42 +225,75 @@ class TestAdvanceTime:
         assert after.regen_remainders["energy"] == 1
 
 
+def fixture_doc(name):
+    """Fixture `name` as a JSON document, with its actions and events by id."""
+    doc = json.loads(fixtures.path(name).read_text())
+    return (doc, {action["id"]: action for action in doc["actions"]},
+            {event["id"]: event for event in doc["events"]})
+
+
 class TestStartEvent:
+    """An event starts only implicitly, by an act of one of its actions;
+    an act the start rules bar is not legal."""
+
+    def assert_illegal(self, config, state, action_id):
+        assert action_id not in legal_actions(config, state)
+        with pytest.raises(IllegalAction):
+            apply_action(config, state, action_id)
+
     def test_first_relationship_event_locks_category(self, romance_outlier):
         state = initial_state(romance_outlier, ScenarioOverrides(), 7)
-        after = start_event(romance_outlier, state, "sparks_1")
+        after = apply_action(romance_outlier, state, "flirt")
         assert after.relationship.category == "romance"
         assert after.active_event.event_id == "sparks_1"
         assert after.active_event.deadline == after.clock + 60
 
     def test_category_locked(self, romance_outlier):
         state = initial_state(romance_outlier, ScenarioOverrides(), 7)
-        state = start_event(romance_outlier, state, "sparks_1")
+        state = apply_action(romance_outlier, state, "flirt")
         state = advance_time(romance_outlier, state, state.active_event.deadline)
-        with pytest.raises(CategoryLocked):
-            start_event(romance_outlier, state, "friends_1")
+        assert state.relationship.category == "romance"
+        self.assert_illegal(romance_outlier, state, "chat")  # starts friends_1
 
-    def test_chain_order_enforced(self, romance_outlier):
+    def test_chain_order_enforced(self):
+        # sparks_2 gets an action of its own, which cannot start it first
+        doc, actions, events = fixture_doc("romance_outlier")
+        doc["actions"].append(dict(actions["flirt"], id="flirt_2"))
+        events["sparks_2"]["action_ids"] = ["flirt_2"]
+        config = build_config(doc)
+        state = initial_state(config, ScenarioOverrides(), 7)
+        self.assert_illegal(config, state, "flirt_2")
+        assert apply_action(config, state, "flirt").active_event.event_id == "sparks_1"
+
+    def test_career_requirement_unmet(self):
+        # serve needs no career of its own; barista_shift, its event, does
+        doc, actions, _ = fixture_doc("desk_base")
+        actions["serve"].update(requires={"during_event": True},
+                                consumes_items={})
+        config = build_config(doc)
+        state = initial_state(config, ScenarioOverrides(), 7)
+        self.assert_illegal(config, state, "serve")
+        started = apply_action(config, barista_state(config), "serve")
+        assert started.active_event.event_id == "barista_shift"
+
+    def test_event_in_progress(self, romance_outlier):
         state = initial_state(romance_outlier, ScenarioOverrides(), 7)
-        with pytest.raises(ChainOrderViolation):
-            start_event(romance_outlier, state, "sparks_2")
-
-    def test_career_requirement_unmet(self, desk_base):
-        state = initial_state(desk_base, ScenarioOverrides(), 7)
-        with pytest.raises(RequirementsUnmet):
-            start_event(desk_base, state, "barista_shift")
-
-    def test_event_in_progress(self, desk_base):
-        state = barista_state(desk_base)
-        state = start_event(desk_base, state, "barista_shift")
-        with pytest.raises(EventInProgress):
-            start_event(desk_base, state, "barista_shift")
+        state = step_action(romance_outlier, state, "flirt")
+        # another event's action cannot start it while sparks_1 runs, and
+        # sparks_1's own action counts toward the run instead of a new one
+        assert legal_actions(romance_outlier, state) == ["flirt"]
+        self.assert_illegal(romance_outlier, state, "taunt")
+        again = apply_action(romance_outlier, state, "flirt")
+        assert (again.active_event.event_id, again.active_event.started_at) == (
+            "sparks_1", state.active_event.started_at)
 
     def test_startable_lists_only_eligible(self, desk_base):
-        state = barista_state(desk_base)
+        state = barista_state(desk_base, grant_objects=True)
+        state = step_action(desk_base, state, "brew")  # coffee, for serve
         # the career event plus the first event of each relationship chain;
         # later chain events and other careers' events are not startable
-        assert startable_events(desk_base, state) == [
+        starts = [start for _, start in legal_moves(desk_base.index(), state)]
+        assert sorted(filter(None, starts)) == [
             "barista_shift", "friends_1", "grudge_1", "sparks_1"]
 
 

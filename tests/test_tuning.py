@@ -269,6 +269,11 @@ class TestStepCurve:
         config, eid = self.make([(100, 50), (200, 100)])
         assert event_step_curve(config, eid) == [(100, 50), (200, 150)]
 
+    def test_relationship_events_pay_relationship_xp(self, romance_outlier):
+        # the curve sums the XP currency the event progresses, as the
+        # step-anomaly linter reads it; it used to sum career XP, 0 here
+        assert event_step_curve(romance_outlier, "sparks_1") == [(4, 1), (8, 3)]
+
     def test_bugged_event_shape(self, bugged_event):
         curve = event_step_curve(bugged_event, "audit")
         (t1, v1), (t2, v2) = curve
