@@ -39,9 +39,8 @@ expansion count. A search that runs straight down one path to the goal,
 each node it expands a child of the one before, stores the same kind of
 answer for the records of that path whose own search would pop the same
 nodes in the same order: no state the longer search had closed orders
-theirs otherwise, and every heap entry near a popped node's f was either
-pushed before the record's place on the path or, by its exact g + h and
-later elapsed time, cannot go first at any path cost. An episode commits
+theirs otherwise, and every heap entry that ties a popped node's f and
+clock was pushed before the record's place on the path. An episode commits
 that path's edges in turn, so its later decisions on the path are
 served. Most trials of a group replay one trajectory, so from the second
 trial on most of their decisions are served too, and the rng stream, and
@@ -136,9 +135,10 @@ class GoalSpec(Codec):
 
     def __post_init__(self):
         if self.kind not in GOAL_KINDS:
-            raise ValueError(f"unknown goal kind {self.kind!r}")
-        if self.max_minutes <= 0 or self.max_actions <= 0:
-            raise ValueError("hard limits must be positive")
+            raise InvalidField("kind", f"unknown goal kind {self.kind!r}")
+        for name in ("max_minutes", "max_actions"):
+            if getattr(self, name) <= 0:
+                raise InvalidField(name, "must be positive")
         for name in _GOAL_FIELDS:
             value = getattr(self, name)
             if value is None:
@@ -335,17 +335,19 @@ class HeuristicSpec(Codec):
     normalization: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for term in (*self.weights, *self.normalization):
-            prefix, _, item = term.partition(":")
-            if term not in HEURISTIC_TERMS and not (prefix == "crafted_item" and item):
-                raise ValueError(f"unknown heuristic term {term!r}")
+        for name in ("weights", "normalization"):
+            for term in getattr(self, name):
+                prefix, _, item = term.partition(":")
+                if term not in HEURISTIC_TERMS and not (
+                        prefix == "crafted_item" and item):
+                    raise InvalidField(name, f"unknown heuristic term {term!r}")
         for term, weight in self.weights.items():
             if not math.isfinite(weight):
-                raise ValueError(f"weight for {term!r} is not finite")
+                raise InvalidField(f"weights.{term}", "must be finite")
         for term, scale in self.normalization.items():
             if not (math.isfinite(scale) and scale > 0):
-                raise ValueError(
-                    f"normalization.{term} must be a finite number > 0")
+                raise InvalidField(f"normalization.{term}",
+                                   "must be a finite number > 0")
 
 
 def _default_scale(term: str, config: TuningConfig) -> float:
@@ -641,13 +643,6 @@ def _graph(config: TuningConfig) -> _Graph:
 # a planner's answer for a root whose first search was tie-sensitive
 _TIED = "tied"
 
-# A heap entry whose f is within this share of |f| + g of a chain pop's f
-# is near it for the chain answers: a search from a later chain node
-# computes f = g + h at a smaller g, where rounding can close a gap of a
-# few ulps. The share is 16 ulps of |f| + g, which bounds the shifted f
-# and the shift itself.
-_NEAR = 2.0 ** -48
-
 
 def _store_chain_answers(
     chain: list[_Record], near: int, goal: GoalSpec, answers: dict
@@ -657,18 +652,15 @@ def _store_chain_answers(
 
     `chain` holds the records p_0 … p_{m-1} a search expanded, each popped
     as a child of the one before, and the goal p_m it then popped. A
-    search from p_j pushes a subset of the same entries, with f and
-    elapsed less by p_j's g and elapsed, so it pops p_{j+1} … p_m in
-    turn if two rules hold:
+    search from p_j pushes a subset of the same entries, with the same
+    keys (a record's f and clock are its own), so it pops p_{j+1} … p_m
+    in turn if two rules hold:
 
     (a) at each accepted pop p_k after p_j's expansion, every heap entry
-        near p_k's f (see `_NEAR`) either was pushed by a record before
-        p_j, or has an exact g + h no lower than p_k's and a later
-        elapsed (`near` <= j). A search from p_j never pushes the first
-        kind. The second keeps f >= p_k's f at any g, since the sums are
-        compared exactly and rounding is monotone, and on equal f its
-        elapsed puts p_k first. So neither a tie number nor rounding at
-        the smaller g orders the pop otherwise;
+        with exactly the popped (f, clock) was pushed by a record before
+        p_j (`near` <= j). A search from p_j never pushes it, and every
+        other entry it holds has a greater (f, clock), so no tie number
+        orders the pop otherwise;
     (b) no in-limits child of p_j … p_{m-1} has the state id of p_0 …
         p_{j-1}: this search had closed those ids, a search from p_j
         would push the child.
@@ -745,25 +737,26 @@ class AStarPlanner:
         again.
 
         The random tie number orders two heap entries only if they share
-        (f, elapsed), and two frontier candidates only if they share
-        (f, g, elapsed). So after each accepted pop the search compares the
-        popped f with the heap's new top, which every pop the tie number
-        could decide matches, and the frontier scan finds equal ranks in
-        the comparison that ranks them. A search with no such tie has a
-        decision, expansion count and tie draws (one per push) that depend
-        on the root alone, and stores them as its answer (`_TIED`
+        (f, clock), and two frontier candidates only if they share
+        (f, actions, clock). So after each accepted pop the search compares
+        the popped (f, clock) with the heap's new top, which every pop the
+        tie number could decide matches, and the frontier scan finds equal
+        ranks in the comparison that ranks them. A search with no such tie
+        has a decision, expansion count and tie draws (one per push) that
+        depend on the root alone, and stores them as its answer (`_TIED`
         otherwise); a later search from the root returns them at once. It
         advances `rng` by `getrandbits(64 * draws)`, which leaves the state
         of `draws` calls to `rng.random()`, so every later search draws
         what it would have drawn, and it reports the stored expansion
         count.
 
-        A search that runs straight to the goal, each accepted pop a child
-        of the record expanded just before it, also answers for the
-        records on its way (see `_store_chain_answers`). At a pop with
-        entries near its f, the records up to the pusher of any entry that
-        could go first at a smaller g get no answer (`math.fsum` gives the
-        exact sign of a difference of two g + h).
+        Heap entries are ranked by each record's own values: f = actions +
+        h, then clock. So a record has the same key in a search from any
+        root, and a search that runs straight to the goal, each accepted
+        pop a child of the record expanded just before it, also answers
+        for the records on its way (see `_store_chain_answers`). At a pop
+        that an entry ties on (f, clock), the records up to that entry's
+        pusher get no answer.
         """
         node_budget = self.node_budget
         if node_budget < 1:
@@ -801,22 +794,19 @@ class AStarPlanner:
         records = graph.records
         known.extend([None] * (len(records) - len(known)))
         draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
-        near_share, fsum = _NEAR, math.fsum
-        root_actions = root.actions
-        root_clock = root.clock
 
-        # heap entries: (f, elapsed, tie, seq, g, record, first decision)
+        # heap entries: (actions + h, clock, tie, seq, record, first decision)
         seq = 0
         heap: list[tuple] = []
         closed: dict[int, int] = {}  # state id -> fewest actions expanded at
         chain = [root]  # the records popped, while each is a child of the last
         marks = []  # seq before p_i's expansion: p_i pushed (marks[i], marks[i + 1]]
-        near = 1  # no near entry could reorder a search from p_j, for j >= near
+        near = 1  # no tied entry could reorder a search from p_j, for j >= near
         tied = False
         expanded = 0
-        node, g, first = root, 0, None
+        node, first = root, None
         while True:
-            closed[node.sid] = g
+            closed[node.sid] = node.actions
             expanded += 1
             mark = seq
             edges = node.edges
@@ -832,18 +822,18 @@ class AStarPlanner:
                     h = known[child.n] = evaluate(child.state)
                     if goal_satisfied(goal, child.state):
                         at_goal.add(child)
-                child_g = child.actions - root_actions
+                actions = child.actions
                 best = closed.get(child.sid)
-                if best is not None and best <= child_g:
+                if best is not None and best <= actions:
                     continue
                 seq += 1
-                heappush(heap, (child_g + h, child.clock - root_clock, draw(), seq,
-                                child_g, child, first or decision))
+                heappush(heap, (actions + h, child.clock, draw(), seq, child,
+                                first or decision))
 
             while heap:
-                f, elapsed, tie, pushed, g, node, first = heappop(heap)
+                f, clock, tie, pushed, node, first = heappop(heap)
                 best = closed.get(node.sid)
-                if best is None or best > g:
+                if best is None or best > node.actions:
                     break
             else:
                 first = None
@@ -854,37 +844,29 @@ class AStarPlanner:
                     marks.append(mark)
                 else:
                     chain = None
-            if heap:
-                # off the chain only an exact tie counts
-                top = heap[0]
-                band = (abs(f) + g) * near_share if chain else 0.0
-                if top[0] - f <= band:
-                    tied = tied or top[0] == f and top[1] == elapsed
-                    if chain:
-                        # an entry near f can reorder the searches from its
-                        # pusher and the chain records before it, unless its
-                        # exact g + h is no lower and its later elapsed puts
-                        # this pop first
-                        h = known[node.n]
-                        for e in heap:
-                            if e[0] - f <= band and (
-                                    e[1] <= elapsed
-                                    or fsum((g, h, -e[4], -known[e[5].n])) > 0):
-                                near = max(near, bisect_left(marks, e[3]))
+            if heap and heap[0][0] == f and heap[0][1] == clock:
+                tied = True
+                if chain:
+                    # an entry of the popped (f, clock) can go first in the
+                    # searches from its pusher and the chain records before it
+                    for e in heap:
+                        if e[0] == f and e[1] == clock:
+                            near = max(near, bisect_left(marks, e[3]))
             if at_goal and node in at_goal:
                 if chain is not None and near < expanded:
                     _store_chain_answers(chain, near, goal, answers)
                 break
             if expanded >= node_budget:
                 # Budget ran out: head toward the best frontier node, ranked by
-                # f, then fewest actions, then least elapsed time, then the
+                # f, then fewest actions, then earliest clock, then the
                 # random tie number already drawn.
-                best_key, best_tie, chosen = (f, g, elapsed), tie, first
-                for f, elapsed, tie, _, g, node, first in heap:
+                best_key, best_tie, chosen = (f, node.actions, clock), tie, first
+                for f, clock, tie, _, node, first in heap:
+                    actions = node.actions
                     prev = closed.get(node.sid)
-                    if prev is not None and prev <= g:
+                    if prev is not None and prev <= actions:
                         continue
-                    key = (f, g, elapsed)
+                    key = (f, actions, clock)
                     if key <= best_key:
                         if key == best_key:
                             tied = True
@@ -1056,14 +1038,14 @@ class SoftmaxPolicy(Codec):
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError("temperature must be a finite number > 0")
+            raise InvalidField("temperature", "must be a finite number > 0")
         if self.feature_names != list(FEATURE_NAMES):
-            raise ValueError(f"feature_names must be the {len(FEATURE_NAMES)} "
-                             "features, in order")
+            raise InvalidField("feature_names", f"must be the {len(FEATURE_NAMES)} "
+                                                "features, in order")
         if len(self.weights) != len(self.feature_names):
-            raise ValueError("one weight per feature required")
+            raise InvalidField("weights", "one weight per feature required")
         if any(not math.isfinite(w) for w in self.weights):
-            raise ValueError("weights must be finite")
+            raise InvalidField("weights", "must be finite")
 
     @classmethod
     def zero(cls, temperature: float = 1.0) -> "SoftmaxPolicy":

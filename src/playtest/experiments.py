@@ -114,10 +114,10 @@ def running_means(values: list) -> list[float]:
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-# The settings below are checked as they load, with the messages of the
-# checks that would otherwise fail them in a planner or in training. An
-# agent spec has one class per kind, so a field its kind does not read
-# fails at load as unknown.
+# The settings below are checked as they load, for what the checks in a
+# planner or in training would otherwise fail, and each failed check names
+# its field (`InvalidField`). An agent spec has one class per kind, so a
+# field its kind does not read fails at load as unknown.
 
 @dataclass
 class TrainSpec:  # REINFORCE settings of a trained Softmax policy
@@ -127,9 +127,9 @@ class TrainSpec:  # REINFORCE settings of a trained Softmax policy
 
     def __post_init__(self):
         if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
+            raise InvalidField("episodes", "must be >= 1")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError("step_size must be a finite number > 0")
+            raise InvalidField("step_size", "must be a finite number > 0")
 
 
 @dataclass
@@ -145,7 +145,7 @@ class SoftmaxSpec:
     def __post_init__(self):
         if self.temperature is not None and not (
                 math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError("temperature must be a finite number > 0")
+            raise InvalidField("temperature", "must be a finite number > 0")
         if self.policy is not None:
             for name in ("temperature", "train"):
                 if getattr(self, name) is not None:
@@ -161,7 +161,7 @@ class AStarAgent:  # also an agent comparison's A* half
 
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError("node_budget must be >= 1")
+            raise InvalidField("node_budget", "must be >= 1")
 
 
 @dataclass
@@ -198,7 +198,10 @@ class CareerTarget:  # one career of a career-style study
 @dataclass
 class ExperimentConfig(Codec):
     """One suite entry. Its agent is a `comparison` agent exactly when the
-    study is agent_comparison, the one study that reads both halves."""
+    study is agent_comparison, the one study that reads both halves. Every
+    study but relationship_balance is a career study: it builds each
+    group's goal from `careers` and the limits of `goal`, so its `goal` is
+    a career_level_reached template that sets no career or level."""
 
     id: str
     study: str
@@ -213,9 +216,18 @@ class ExperimentConfig(Codec):
 
     def __post_init__(self):
         if self.study not in STUDIES:
-            raise ValueError(f"unknown study {self.study!r}")
+            raise InvalidField("study", f"unknown study {self.study!r}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidField("trials", "must be >= 1")
+        if self.study != "relationship_balance":
+            kind = self.goal.kind
+            if kind != "career_level_reached":
+                raise InvalidField("goal.kind", f"{self.study} plays "
+                                   f"career_level_reached goals, not {kind!r}")
+            for name in ("career", "level"):
+                if getattr(self.goal, name) is not None:
+                    raise InvalidField(f"goal.{name}", f"{self.study} takes "
+                                       f"each group's {name} from careers")
         pair = self.study == "agent_comparison"
         if pair != (self.agent.kind == "comparison"):
             wanted = "a comparison agent" if pair else "an astar or softmax agent"

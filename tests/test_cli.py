@@ -250,12 +250,16 @@ class TestRun:
             "stray_comparison": "SuiteEntryError: stray_comparison.agent.kind: "
                 "career_progression reads an astar or softmax agent, "
                 "not 'comparison'",
-            "negative_budget": "ValueError: node_budget must be >= 1",
-            "zero_astar_budget": "ValueError: node_budget must be >= 1",
-            "zero_temperature":
-                "ValueError: temperature must be a finite number > 0",
-            "no_episodes": "ValueError: episodes must be >= 1",
-            "zero_step": "ValueError: step_size must be a finite number > 0",
+            "negative_budget": "SuiteEntryError: "
+                "negative_budget.agent.node_budget: must be >= 1",
+            "zero_astar_budget": "SuiteEntryError: "
+                "zero_astar_budget.agent.astar.node_budget: must be >= 1",
+            "zero_temperature": "SuiteEntryError: zero_temperature.agent."
+                "softmax.temperature: must be a finite number > 0",
+            "no_episodes": "SuiteEntryError: "
+                "no_episodes.agent.softmax.train.episodes: must be >= 1",
+            "zero_step": "SuiteEntryError: zero_step.agent.softmax.train."
+                "step_size: must be a finite number > 0",
         }
         # each fails as it loads, before its build is parsed
         assert all(s["build_ids"] == [] for s in stats.values())
@@ -267,7 +271,8 @@ class TestRun:
                  heuristic={"weights": {"carrer_xp": 1.0}})])
         assert (stats["misspelt_term"]["error"],
                 stats["misspelt_term"]["build_ids"]) == (
-            "ValueError: unknown heuristic term 'carrer_xp'", [])
+            "SuiteEntryError: misspelt_term.heuristic.weights: "
+            "unknown heuristic term 'carrer_xp'", [])
 
     def test_non_finite_numbers_fail_alone(self, suite_dir):
         # each used to run, and its stats.json held Infinity or NaN

@@ -216,7 +216,9 @@ class TestCareerProgression:
     def test_tiny_career_matches_oracle(self):
         config, scenario, goal = random_desk_config(3)
         optimum, _ = shortest_actions(config, scenario, trial_seed(50, 0), goal)
-        xc = make_xc("career_progression", trials=2, base_seed=50, goal=goal,
+        # the study builds clerk's level-2 goal from `careers`
+        template = replace(goal, career=None, level=None)
+        xc = make_xc("career_progression", trials=2, base_seed=50, goal=template,
                      heuristic=HeuristicSpec(weights={}),
                      agent=AStarAgent(50_000),
                      careers=[("clerk", 2)])
@@ -637,27 +639,38 @@ def test_single_defect_entries_fail_cleanly_or_round_trip():
 
 
 @pytest.mark.parametrize("path, value, error", [
-    (("agent", "astar", "node_budget"), 0, "node_budget must be >= 1"),
+    (("agent", "astar", "node_budget"), 0,
+     "agent.astar.node_budget: must be >= 1"),
     (("agent", "softmax", "temperature"), 0,
-     "temperature must be a finite number > 0"),
-    (("agent", "softmax", "train", "episodes"), 0, "episodes must be >= 1"),
+     "agent.softmax.temperature: must be a finite number > 0"),
+    (("agent", "softmax", "train", "episodes"), 0,
+     "agent.softmax.train.episodes: must be >= 1"),
     (("agent", "softmax", "train", "step_size"), 0.0,
-     "step_size must be a finite number > 0"),
-    (("agent",), {"kind": "astar", "node_budget": -5}, "node_budget must be >= 1"),
+     "agent.softmax.train.step_size: must be a finite number > 0"),
+    (("agent",), {"kind": "astar", "node_budget": -5},
+     "agent.node_budget: must be >= 1"),
     (("agent",), {"kind": "softmax", "policy": {
         "feature_names": ["a", "b"], "weights": [1.0, 2.0]}},
-     "feature_names must be the 11 features, in order"),
+     "agent.policy.feature_names: must be the 11 features, in order"),
+    (("agent", "softmax"), {"policy": {
+        "feature_names": list(agents.FEATURE_NAMES), "weights": [1.0]}},
+     "agent.softmax.policy.weights: one weight per feature required"),
+    (("agent", "softmax"), {"policy": {
+        "feature_names": list(agents.FEATURE_NAMES),
+        "weights": [0.0] * len(agents.FEATURE_NAMES), "temperature": 0}},
+     "agent.softmax.policy.temperature: must be a finite number > 0"),
 ], ids=["astar_budget", "temperature", "episodes", "step_size", "budget",
-        "feature_names"])
+        "feature_names", "policy_weights", "policy_temperature"])
 def test_agent_settings_that_cannot_run_fail_at_load(path, value, error):
     # each used to load and fail only when its planner or training started,
-    # inside a pool worker at --parallel
+    # inside a pool worker at --parallel; each now names its path
     doc = json.loads(json.dumps(next(
         e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
     if path == ("agent",):
         doc["study"] = "career_progression"
     functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
-    with pytest.raises(ValueError, match=f"^{error}$"):
+    with pytest.raises(SuiteEntryError,
+                       match=f"^agent_comparison\\.{re.escape(error)}$"):
         ExperimentConfig.from_dict(doc)
 
 
@@ -725,14 +738,59 @@ def test_a_field_the_agent_kind_does_not_read_fails_at_load(study, agent, error)
     (("goal",), {"kind": "career_level_reached", "chain_length": 2},
      "goal.chain_length: not read by a 'career_level_reached' goal"),
     (("careers", 0, "target_level"), 0, "careers[0].target_level: must be >= 1"),
+    (("goal", "kind"), "bogus", "goal.kind: unknown goal kind 'bogus'"),
+    (("goal", "max_minutes"), 0, "goal.max_minutes: must be positive"),
+    (("goal", "max_actions"), -3, "goal.max_actions: must be positive"),
 ], ids=["negative_chain", "zero_chain", "zero_level", "event_with_career",
-        "template_with_chain", "zero_target"])
+        "template_with_chain", "zero_target", "goal_kind", "max_minutes",
+        "max_actions"])
 def test_goal_settings_that_cannot_hold_fail_at_load(path, value, error):
     # each used to load: a chain of -1 was done at step 0, so every trial
     # "reached" its goal at once, and a field the goal's kind never reads
     # was ignored
     doc = json.loads(json.dumps(AGENT_COMPARISON))
     functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    with pytest.raises(SuiteEntryError,
+                       match=f"^agent_comparison\\.{re.escape(error)}$"):
+        ExperimentConfig.from_dict(doc)
+
+
+CAREER_STUDIES = sorted(e["study"] for e in PAPER_SUITE
+                        if e["study"] != "relationship_balance")
+
+
+@pytest.mark.parametrize("study", CAREER_STUDIES)
+@pytest.mark.parametrize("goal, error", [
+    ({"kind": "event_completed", "event": "barista_shift"},
+     "goal.kind: {study} plays career_level_reached goals, "
+     "not 'event_completed'"),
+    ({"kind": "career_level_reached", "career": "barista"},
+     "goal.career: {study} takes each group's career from careers"),
+    ({"kind": "career_level_reached", "level": 2},
+     "goal.level: {study} takes each group's level from careers"),
+], ids=["event_goal", "career", "level"])
+def test_a_career_study_rejects_a_goal_template_it_would_ignore(
+        study, goal, error):
+    # each used to load and run: the study builds every group's goal from
+    # `careers` and reads only the template's two limits
+    doc = json.loads(json.dumps(next(e for e in PAPER_SUITE
+                                     if e["study"] == study)))
+    doc["goal"] = {**goal, "max_minutes": 500, "max_actions": 40}
+    with pytest.raises(SuiteEntryError, match=(
+            f"^{study}\\.{re.escape(error.format(study=study))}$")):
+        ExperimentConfig.from_dict(doc)
+    doc["goal"] = {"kind": "career_level_reached", "max_actions": 40}
+    ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("study", "bogus", "study: unknown study 'bogus'"),
+    ("trials", 0, "trials: must be >= 1"),
+], ids=["study", "trials"])
+def test_an_entry_setting_that_cannot_run_fails_with_its_path(
+        field, value, error):
+    # each used to fail as a ValueError that named no path
+    doc = json.loads(json.dumps(dict(AGENT_COMPARISON, **{field: value})))
     with pytest.raises(SuiteEntryError,
                        match=f"^agent_comparison\\.{re.escape(error)}$"):
         ExperimentConfig.from_dict(doc)
@@ -777,7 +835,9 @@ def test_unknown_heuristic_term_fails_at_load(field, term):
         e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
     doc["heuristic"] = {"weights": {"career_xp": 1.0}}
     doc["heuristic"].setdefault(field, {})[term] = 1.0
-    with pytest.raises(ValueError, match=f"^unknown heuristic term {term!r}$"):
+    with pytest.raises(SuiteEntryError, match=(
+            f"^agent_comparison\\.heuristic\\.{field}: "
+            f"unknown heuristic term {re.escape(repr(term))}$")):
         ExperimentConfig.from_dict(doc)
     doc["heuristic"][field] = {"crafted_item:coffee": 1.0, "event_xp": 2.0}
     ExperimentConfig.from_dict(doc)
@@ -800,10 +860,13 @@ def test_temperature_next_to_a_literal_policy_fails_at_load():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("make, error", [
-    (lambda value: TrainSpec(step_size=value), "step_size must be a finite number > 0"),
+    (lambda value: TrainSpec(step_size=value),
+     "step_size: must be a finite number > 0"),
     (lambda value: SoftmaxSpec(temperature=value),
-     "temperature must be a finite number > 0"),
-], ids=["step_size", "temperature"])
+     "temperature: must be a finite number > 0"),
+    (lambda value: HeuristicSpec({"career_xp": value}),
+     "weights.career_xp: must be finite"),
+], ids=["step_size", "temperature", "weight"])
 def test_non_finite_spec_numbers_fail_in_the_python_api(make, error, value):
     # the JSON loader rejects them first; built in Python, each used to load
     # and fail only when training or a decision ran
@@ -817,14 +880,15 @@ def test_normalization_scale_must_be_positive(scale):
     # a negative scale used to load and turn its term into a reward for
     # moving away from the goal, and a zero one fell back to the default
     # scale without a word
-    error = r"^normalization\.career_xp must be a finite number > 0$"
+    error = r"normalization\.career_xp: must be a finite number > 0$"
     doc = json.loads(json.dumps(next(
         e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
     doc["heuristic"] = {"weights": {"career_xp": 1.0},
                         "normalization": {"career_xp": scale}}
-    with pytest.raises(ValueError, match=error):
+    with pytest.raises(SuiteEntryError,
+                       match=r"^agent_comparison\.heuristic\." + error):
         ExperimentConfig.from_dict(doc)
-    with pytest.raises(ValueError, match=error):
+    with pytest.raises(ValueError, match="^" + error):
         HeuristicSpec({"career_xp": 1.0}, {"career_xp": scale})
     doc["heuristic"]["normalization"]["career_xp"] = 0.5
     ExperimentConfig.from_dict(doc)

@@ -20,6 +20,13 @@ The same run counts the engine work the serial suite does: the searches'
 states `sim._successor` builds and the `GameState.dedup_key` calls. A
 change meant to make the engine faster without changing its work keeps
 these counts; one that changes the work updates them and says why.
+
+It also counts the A* decisions by the answer their planner held for the
+root before the call: none (a first search), `_TIED` (a re-search of a
+tie-sensitive root) or a stored answer (served without a search), and
+the nodes the first searches and re-searches expanded. These too change
+only with the searches: ROADMAP item 1 regenerates them along with the
+digests, and the command above prints both.
 """
 
 import hashlib
@@ -70,15 +77,29 @@ WORK = {
     (sim.GameState, "dedup_key"): 5_433,
 }
 
+# A* decisions of the same run by the root's answer before the call, and
+# the nodes expanded by the decisions that were not served
+SEARCHES = {
+    "first": 745,
+    "tied": 4_976,
+    "served": 25_299,
+    "expanded": 196_823,
+}
 
-def suite_digests(out_dir: Path, work: Counter | None = None) -> dict[str, dict[str, str]]:
+
+def suite_digests(out_dir: Path, work: Counter | None = None,
+                  searches: Counter | None = None) -> dict[str, dict[str, str]]:
     """The SHA-256 of each pinned file of a serial `paper_suite --seed 42`
-    run; with `work` given, the calls of each `WORK` entry are added to it."""
+    run; with `work` given, the calls of each `WORK` entry are added to it,
+    and with `searches` given, the counts of `SEARCHES`."""
     with ExitStack() as stack:
         if work is not None:
             for owner, name in WORK:
                 stack.enter_context(mock.patch.object(
                     owner, name, counting(getattr(owner, name), work, name)))
+        if searches is not None:
+            stack.enter_context(mock.patch.object(
+                agents.AStarPlanner, "decide", counting_searches(searches)))
         results = run_suite(fixtures.path("paper_suite"), out_dir, seed_override=42)
     assert [outcome.status for _, outcome in results] == ["ok"] * len(results)
     return {
@@ -97,10 +118,32 @@ def counting(function, work: Counter, name: str):
     return counted
 
 
+def counting_searches(searches: Counter):
+    """`AStarPlanner.decide`, counting each call as `SEARCHES` does. It
+    looks the root up as `decide` does first, which leaves the record in
+    the graph's `at` for `decide` to find, so no engine call is added."""
+    decide = agents.AStarPlanner.decide
+
+    def counted(planner, config, state, rng):
+        graph = agents._graph(config)
+        root = graph.root(state)
+        answer = (planner._answers.get(root)
+                  if planner._generation is graph.generation else None)
+        kind = ("first" if answer is None else
+                "tied" if answer is agents._TIED else "served")
+        searches[kind] += 1
+        decision = decide(planner, config, state, rng)
+        if kind != "served":
+            searches["expanded"] += planner.last_expanded
+        return decision
+    return counted
+
+
 @pytest.fixture(scope="module")
 def suite_run(tmp_path_factory):
-    work = Counter()
-    return suite_digests(tmp_path_factory.mktemp("golden_suite"), work), work
+    work, searches = Counter(), Counter()
+    return (suite_digests(tmp_path_factory.mktemp("golden_suite"), work,
+                          searches), work, searches)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +159,10 @@ def test_engine_work_is_pinned(suite_run):
     assert suite_run[1] == {name: calls for (_, name), calls in WORK.items()}
 
 
+def test_searches_are_pinned(suite_run):
+    assert suite_run[2] == SEARCHES
+
+
 @pytest.mark.parametrize("experiment", sorted(GOLDEN))
 def test_suite_output_matches_golden(digests, experiment):
     assert digests[experiment] == GOLDEN[experiment]
@@ -123,4 +170,6 @@ def test_suite_output_matches_golden(digests, experiment):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as out:
-        print(json.dumps(suite_digests(Path(out)), indent=4))
+        searches = Counter()
+        print(json.dumps(suite_digests(Path(out), searches=searches), indent=4))
+        print(json.dumps(dict(searches), indent=4))

@@ -595,8 +595,8 @@ class TestPlannerMemo:
         assert skipped.getstate() == drawn.getstate()
 
     def test_frontier_tie_is_never_served(self, monkeypatch):
-        # A graph where no two heap entries share (f, elapsed) but two
-        # frontier candidates share (f, g, elapsed): after the root's
+        # A graph where no two heap entries share (f, clock) but two
+        # frontier candidates share (f, actions, clock): after the root's
         # expansion the budget is spent, the cheapest-in-time child is
         # popped, and the tie number picks one of two waits that cost no
         # action. Only the frontier scan's test sees this tie.
@@ -617,7 +617,7 @@ class TestPlannerMemo:
     def test_tie_with_a_later_chain_push_is_never_served(self, monkeypatch):
         # The search from the root runs straight through a and b, then pops
         # the goal x, which b pushed, against a's child c at the same
-        # (f, elapsed). Searching from a, x and c tie again, so the tie
+        # (f, clock). Searching from a, x and c tie again, so the tie
         # number decides between b and c.
         root, a, b = (hand_state(name, n, n) for name, n in
                       (("root", 0), ("a", 1), ("b", 2)))
@@ -642,10 +642,11 @@ class TestPlannerMemo:
         assert graph.check_served(root, a) == graph.check_served(root, b) == 0
         assert graph.check_served(root, c) == graph.SEEDS
 
-    def test_near_tie_is_never_served(self, monkeypatch):
-        # x and y differ by one ulp in f = 2 + h, so the root's search pops
-        # x without a tie and stores its answer; at a, where f = 1 + h,
-        # they round to one value and tie.
+    def test_entries_one_ulp_apart_are_served(self, monkeypatch):
+        # x and y differ by one ulp in f = 2 + h. A search from a, where a
+        # search relative to its root would compute f = 1 + h and see them
+        # tie, computes the same f as the root's search: x goes first from
+        # either root, and a is answered for.
         root, a = hand_state("root", 0, 0), hand_state("a", 1, 1)
         x = hand_state("x", 2, 2, done=("goal",))
         y = hand_state("y", 2, 2, done=("goal",))
@@ -653,17 +654,16 @@ class TestPlannerMemo:
         assert 2 + hx < 2 + hy and 1 + hx == 1 + hy
         graph = HandGraph(monkeypatch, {"root": [a], "a": [x, y]},
                           {"a": 1.0, "x": hx, "y": hy})
-        assert graph.check_served(root, a) == 0
+        assert graph.check_served(root, a) == graph.SEEDS
         planner = graph.planner()
         graph.search(root, random.Random(0), planner)
         assert answer_kind(*planner, root) == "stored"
 
-    def test_near_entry_with_a_lower_exact_cost_is_never_served(
-            self, monkeypatch):
-        # y's f equals x's at the root, where 2 + 2**-52 rounds to 2, and
-        # its elapsed is later, so the root's search pops x first; but y's
-        # exact g + h is the lower, and at a, where f = 1 + h, y's f rounds
-        # below x's and a's search pops y.
+    def test_f_rounded_equal_at_a_later_clock_is_served(self, monkeypatch):
+        # 2 + 2**-52 rounds to 2, so x and y share f and y's later clock
+        # puts x first. Relative to a, where f = 1 + h, y's f would round
+        # below x's; every search computes f = actions + h, so a's search
+        # pops x first too, and a is answered for.
         root, a = hand_state("root", 0, 0), hand_state("a", 1, 1)
         x = hand_state("x", 2, 2, done=("goal",))
         y = hand_state("y", 3, 2, done=("goal",))
@@ -671,31 +671,65 @@ class TestPlannerMemo:
         assert 2 + hx == 2 + hy and 1 + hy < 1 + hx
         graph = HandGraph(monkeypatch, {"root": [a], "a": [x, y]},
                           {"a": 1.0, "x": hx, "y": hy})
-        assert graph.check_served(root, a) == 0
+        assert graph.check_served(root, a) == graph.SEEDS
         planner = graph.planner()
         graph.search(root, random.Random(0), planner)
         assert answer_kind(*planner, root) == "stored"
 
     def test_near_entry_withholds_answers_up_to_its_pusher(self, monkeypatch):
-        # a pushes y, which the root's search finds one ulp above x when it
-        # pops x; at a the two round to one f and tie on (f, elapsed). A
-        # search from b never pushes y, so b is answered for and a is not.
+        # a pushes y, which ties x on (f, clock): the tie number decides
+        # whether the root's search pops x, and a's too. A search from b
+        # never pushes y, so b is answered for whenever the root's search
+        # runs straight to x, and a never is.
         root, a, b = (hand_state(name, n, n) for name, n in
                       (("root", 0), ("a", 1), ("b", 2)))
         x = hand_state("x", 3, 2, done=("goal",))
         y = hand_state("y", 3, 2, done=("goal",))
-        hx, hy = 2.0 ** -52 - 2.0 ** -60, 2.0 ** -52 + 2.0 ** -60
-        assert 2 + hx < 2 + hy and 1 + hx == 1 + hy
         graph = HandGraph(monkeypatch, {"root": [a], "a": [b, y], "b": [x]},
-                          {"a": 1.0, "b": 0.0, "x": hx, "y": hy})
+                          {"a": 1.0, "b": 0.0, "x": 0.0, "y": 0.0})
         assert graph.check_served(root, a) == 0
-        assert graph.check_served(root, b) == graph.SEEDS
+        assert graph.check_served(root, b) > 0
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(data=st.data())
+    def test_chain_answers_match_fresh_searches_near_rounding(self, data):
+        # A straight chain from the root to the goal, each record but the
+        # root with one or two side children, each side a goal or a dead
+        # end, at the chain's next action count. The moves of a record
+        # have h within two 2**-60 of k * 2**-52 or (k + 1) * 2**-52, for
+        # one k of 0 to 3 per record: actions + h rounds these differently
+        # at 1 action and at 2 or 3. Each clock is one of two. So entries
+        # that differ by an ulp, that tie exactly, and that would order
+        # otherwise if f were taken relative to a later root all occur.
+        # Whatever a search from the root answers for, each chain record's
+        # served decision must be a fresh search's.
+        draw = data.draw
+        length = draw(st.integers(2, 3), label="length")
+        chain, children, h = [hand_state("p0", 0, 0)], {}, {}
+        for i in range(length):
+            parent = chain[-1]
+            moves = [hand_state(f"p{i + 1}", parent.clock + draw(st.integers(0, 1)),
+                                i + 1, done=("goal",) if i + 1 == length else ())]
+            chain.append(moves[0])
+            for j in range(draw(st.integers(1, 2)) if i else 0):
+                moves.append(hand_state(
+                    f"s{i}_{j}", parent.clock + draw(st.integers(0, 1)), i + 1,
+                    done=("goal",) if draw(st.booleans()) else ()))
+            children[parent.name] = draw(st.permutations(moves))
+            k = draw(st.integers(0, 3))
+            for move in moves:
+                h[move.name] = max(0.0, (k + draw(st.integers(0, 1))) * 2.0 ** -52
+                                   + draw(st.integers(-2, 2)) * 2.0 ** -60)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            graph = HandGraph(monkeypatch, children, h)
+            graph.SEEDS = 8
+            for record in chain[1:]:
+                graph.check_served(chain[0], record)
 
     def test_equal_f_at_a_later_elapsed_is_served(self, monkeypatch):
         # The benchmark's short episodes: y has x's f with one action fewer
-        # and a later elapsed. Its exact g + h is no lower, so at every g
-        # its f rounds to x's or above and elapsed puts x first: the
-        # root's search answers for a.
+        # and a later clock. Every search computes the same f for both, and
+        # the clock puts x first: the root's search answers for a.
         root, a = hand_state("root", 0, 0), hand_state("a", 1, 1)
         x = hand_state("x", 2, 3, done=("goal",))
         y = hand_state("y", 5, 2)

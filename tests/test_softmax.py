@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bfs_oracle import random_desk_config
 from playtest import agents, fixtures
+from playtest.errors import SchemaError
 from playtest.agents import (
     FAILURE_RETURN,
     FEATURE_NAMES,
@@ -135,10 +136,11 @@ class TestSoftmaxDecide:
             SoftmaxPolicy(["bias"], [1.0, 2.0], temperature=1.0)
         # each used to load, and its weights were applied to the features
         # in FEATURE_NAMES order whatever the names said
-        with pytest.raises(ValueError, match="^feature_names must be"):
+        error = r"^SoftmaxPolicy\.feature_names: must be"
+        with pytest.raises(SchemaError, match=error):
             SoftmaxPolicy.from_dict(
                 {"feature_names": ["a", "b"], "weights": [1.0, 2.0]})
-        with pytest.raises(ValueError, match="^feature_names must be"):
+        with pytest.raises(SchemaError, match=error):
             SoftmaxPolicy.from_dict({
                 "feature_names": list(reversed(FEATURE_NAMES)),
                 "weights": [0.0] * len(FEATURE_NAMES)})
@@ -146,7 +148,7 @@ class TestSoftmaxDecide:
     @pytest.mark.parametrize("temperature", [math.nan, math.inf])
     def test_non_finite_temperature_rejected(self, temperature):
         # a NaN temperature used to load, and every draw took the last move
-        with pytest.raises(ValueError, match="^temperature must be a finite"):
+        with pytest.raises(ValueError, match="^temperature: must be a finite"):
             SoftmaxPolicy(list(FEATURE_NAMES), [0.0] * len(FEATURE_NAMES),
                           temperature=temperature)
 
@@ -223,10 +225,13 @@ class TestTraining:
     def test_non_finite_argument_rejected_before_any_episode(
             self, desk_base, argument, value):
         # each used to play every episode and then fail with "weights must
-        # be finite", or, for an infinite temperature, to train nothing
+        # be finite", or, for an infinite temperature, to train nothing; the
+        # temperature fails as the zero policy is made
         arguments = {"step_size": 0.05, "temperature": 1.0, argument: value}
+        error = {"step_size": "^step_size must be a finite",
+                 "temperature": "^temperature: must be a finite"}[argument]
         with mock.patch.object(agents, "_play", side_effect=AssertionError), \
-                pytest.raises(ValueError, match=f"^{argument} must be a finite"):
+                pytest.raises(ValueError, match=error):
             train_softmax(desk_base, ScenarioOverrides(career="fashion"),
                           self.goal(), episodes=10, rng=random.Random(0),
                           **arguments)
