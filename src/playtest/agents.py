@@ -5,8 +5,8 @@ committing only the first edge of the best plan found, unless an earlier
 search already answered for that move (see below). Search edges are
 the legal actions plus at most one wait edge (to the next availability
 when idle, to the event deadline while an event runs). Frontier ties on
-f are broken by a uniform random draw from the caller's seeded rng, so
-identical seeds give identical decisions.
+(f, clock) are broken by a uniform random draw from the caller's seeded
+rng, so identical seeds give identical decisions.
 
 Agents move on an engine graph of the build (`_graph`): one record per
 dedup key, action count and auto-grant flag, holding the state's
@@ -345,6 +345,9 @@ class HeuristicSpec(Codec):
             if not math.isfinite(weight):
                 raise InvalidField(f"weights.{term}", "must be finite")
         for term, scale in self.normalization.items():
+            if term not in self.weights:
+                raise InvalidField(f"normalization.{term}",
+                                   "not read without a weight")
             if not (math.isfinite(scale) and scale > 0):
                 raise InvalidField(f"normalization.{term}",
                                    "must be a finite number > 0")
@@ -645,16 +648,18 @@ _TIED = "tied"
 
 
 def _store_chain_answers(
-    chain: list[_Record], near: int, goal: GoalSpec, answers: dict
+    chain: list[_Record], marks: list[int], seq: int, near: int,
+    goal: GoalSpec, answers: dict,
 ) -> None:
     """Store in `answers` the answers that searches from the records of a
     straight search would give.
 
     `chain` holds the records p_0 … p_{m-1} a search expanded, each popped
-    as a child of the one before, and the goal p_m it then popped. A
-    search from p_j pushes a subset of the same entries, with the same
-    keys (a record's f and clock are its own), so it pops p_{j+1} … p_m
-    in turn if two rules hold:
+    as a child of the one before, and the goal p_m it then popped.
+    `marks[j]` counts the pushes made before p_j's expansion, and `seq`
+    all of them. A search from p_j pushes a subset of the same entries,
+    with the same keys (a record's f and clock are its own), so it pops
+    p_{j+1} … p_m in turn if two rules hold:
 
     (a) at each accepted pop p_k after p_j's expansion, every heap entry
         with exactly the popped (f, clock) was pushed by a record before
@@ -666,16 +671,14 @@ def _store_chain_answers(
         would push the child.
 
     Such a p_j's answer is its move to p_{j+1}, m - j nodes expanded and
-    the pushes made while expanding p_j … p_{m-1}: one per in-limits
-    child, unless the child has the state id of its parent or of an
-    earlier chain record, closed at no more actions. An answer a record
-    holds is kept.
+    the `seq - marks[j]` pushes made while expanding p_j … p_{m-1}: under
+    (b), a search from p_j skips the same children, and so makes the same
+    pushes. An answer a record holds is kept.
     """
     max_minutes, max_actions = goal.max_minutes, goal.max_actions
     m = len(chain) - 1
     position = {node.sid: i for i, node in enumerate(chain)}
-    low = m  # the earliest chain position of a child of p_j … p_{m-1}
-    draws = 0
+    low = m  # the least chain position of an in-limits child of p_j … p_{m-1}
     for j in range(m - 1, near - 1, -1):
         node, after = chain[j], chain[j + 1]
         for move, child, _ in node.edges:
@@ -683,14 +686,12 @@ def _store_chain_answers(
                 step = move
             if child.clock <= max_minutes and child.actions <= max_actions:
                 i = position.get(child.sid, m)
-                if i > j:
-                    draws += 1
-                elif i < low:
+                if i < low:
                     low = i
         if low < near:
             return
         if low >= j and node not in answers:
-            answers[node] = (step, m - j, draws)
+            answers[node] = (step, m - j, seq - marks[j])
 
 
 class AStarPlanner:
@@ -737,18 +738,18 @@ class AStarPlanner:
         again.
 
         The random tie number orders two heap entries only if they share
-        (f, clock), and two frontier candidates only if they share
-        (f, actions, clock). So after each accepted pop the search compares
-        the popped (f, clock) with the heap's new top, which every pop the
-        tie number could decide matches, and the frontier scan finds equal
-        ranks in the comparison that ranks them. A search with no such tie
-        has a decision, expansion count and tie draws (one per push) that
-        depend on the root alone, and stores them as its answer (`_TIED`
-        otherwise); a later search from the root returns them at once. It
-        advances `rng` by `getrandbits(64 * draws)`, which leaves the state
-        of `draws` calls to `rng.random()`, so every later search draws
-        what it would have drawn, and it reports the stored expansion
-        count.
+        (f, clock). So after each accepted pop the search compares the
+        popped (f, clock) with the heap's new top, which every pop the tie
+        number could decide matches. A search whose budget runs out takes
+        the next pop: it heads toward the node it has just popped, the one
+        it would expand next, so the same test covers its move. A search
+        with no such tie has a decision, expansion count and tie draws (one
+        per push) that depend on the root alone, and stores them as its
+        answer (`_TIED` otherwise); a later search from the root returns
+        them at once. It advances `rng` by `getrandbits(64 * draws)`, which
+        leaves the state of `draws` calls to `rng.random()`, so every later
+        search draws what it would have drawn, and it reports the stored
+        expansion count.
 
         Heap entries are ranked by each record's own values: f = actions +
         h, then clock. So a record has the same key in a search from any
@@ -795,7 +796,8 @@ class AStarPlanner:
         known.extend([None] * (len(records) - len(known)))
         draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
 
-        # heap entries: (actions + h, clock, tie, seq, record, first decision)
+        # heap entries: (actions + h, clock, tie, seq, record, first decision),
+        # popped in that order both to expand and to pick a cut-off's move
         seq = 0
         heap: list[tuple] = []
         closed: dict[int, int] = {}  # state id -> fewest actions expanded at
@@ -831,7 +833,7 @@ class AStarPlanner:
                                 first or decision))
 
             while heap:
-                f, clock, tie, pushed, node, first = heappop(heap)
+                f, clock, _, pushed, node, first = heappop(heap)
                 best = closed.get(node.sid)
                 if best is None or best > node.actions:
                     break
@@ -854,26 +856,11 @@ class AStarPlanner:
                             near = max(near, bisect_left(marks, e[3]))
             if at_goal and node in at_goal:
                 if chain is not None and near < expanded:
-                    _store_chain_answers(chain, near, goal, answers)
+                    _store_chain_answers(chain, marks, seq, near, goal, answers)
                 break
             if expanded >= node_budget:
-                # Budget ran out: head toward the best frontier node, ranked by
-                # f, then fewest actions, then earliest clock, then the
-                # random tie number already drawn.
-                best_key, best_tie, chosen = (f, node.actions, clock), tie, first
-                for f, clock, tie, _, node, first in heap:
-                    actions = node.actions
-                    prev = closed.get(node.sid)
-                    if prev is not None and prev <= actions:
-                        continue
-                    key = (f, actions, clock)
-                    if key <= best_key:
-                        if key == best_key:
-                            tied = True
-                            if tie >= best_tie:
-                                continue
-                        best_key, best_tie, chosen = key, tie, first
-                first = chosen
+                # budget spent: head toward the node just popped, the one
+                # the search would expand next
                 break
 
         decision = Decision.stop("search_exhausted") if first is None else first
@@ -1166,11 +1153,11 @@ def softmax_decide(
     if not moves:
         return Decision.stop("deadlock")
     features = _features(config)
-    chosen, _ = _softmax_sample(
+    pick, _ = _softmax_sample(
         policy.weights, policy.temperature,
         [features[m.action][1] for m in moves], rng,
     )
-    return moves[chosen]
+    return moves[pick]
 
 
 class SoftmaxPlanner:
@@ -1230,10 +1217,10 @@ class SoftmaxPlanner:
         if not edges:
             return Decision.stop("deadlock")
         temperature = self.policy.temperature
-        chosen, probs = _softmax_sample(self.policy.weights, temperature, rows, rng)
+        pick, probs = _softmax_sample(self.policy.weights, temperature, rows, rng)
         if grad is not None:
-            _reinforce(grad, temperature, probs, vectors[chosen], columns)
-        return edges[chosen][0]
+            _reinforce(grad, temperature, probs, vectors[pick], columns)
+        return edges[pick][0]
 
 
 FAILURE_RETURN = -1000.0

@@ -659,11 +659,15 @@ def test_single_defect_entries_fail_cleanly_or_round_trip():
         "feature_names": list(agents.FEATURE_NAMES),
         "weights": [0.0] * len(agents.FEATURE_NAMES), "temperature": 0}},
      "agent.softmax.policy.temperature: must be a finite number > 0"),
+    (("heuristic", "normalization"), {"relationship_xp": 3.0},
+     "heuristic.normalization.relationship_xp: not read without a weight"),
 ], ids=["astar_budget", "temperature", "episodes", "step_size", "budget",
-        "feature_names", "policy_weights", "policy_temperature"])
+        "feature_names", "policy_weights", "policy_temperature",
+        "unweighted_normalization"])
 def test_agent_settings_that_cannot_run_fail_at_load(path, value, error):
     # each used to load and fail only when its planner or training started,
-    # inside a pool worker at --parallel; each now names its path
+    # inside a pool worker at --parallel, or, for the scale of a term with
+    # no weight, load and never be read; each now names its path
     doc = json.loads(json.dumps(next(
         e for e in PAPER_SUITE if e["study"] == "agent_comparison")))
     if path == ("agent",):
@@ -840,6 +844,7 @@ def test_unknown_heuristic_term_fails_at_load(field, term):
             f"unknown heuristic term {re.escape(repr(term))}$")):
         ExperimentConfig.from_dict(doc)
     doc["heuristic"][field] = {"crafted_item:coffee": 1.0, "event_xp": 2.0}
+    doc["heuristic"]["weights"].update(doc["heuristic"][field])
     ExperimentConfig.from_dict(doc)
 
 

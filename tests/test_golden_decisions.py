@@ -54,7 +54,7 @@ TRIALS = {
     # but the state (the node record, say)
     "bugged_event_clerk_level": ("bugged_event", {"career": "clerk"}, CLERK_GOAL,
                                  {"career_level": 1.0}, 2000, 7),
-    # a tight budget, so most decisions come from the frontier scan
+    # a tight budget, so most decisions are budget cut-offs
     "desk_objects_granted": ("desk_objects",
                              {"career": "culinary", "grant_objects": True},
                              dict(LONG_GOAL, career="culinary", max_actions=400),

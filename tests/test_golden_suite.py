@@ -23,7 +23,9 @@ these counts; one that changes the work updates them and says why.
 
 It also counts the A* decisions by the answer their planner held for the
 root before the call: none (a first search), `_TIED` (a re-search of a
-tie-sensitive root) or a stored answer (served without a search), and
+tie-sensitive root) or a stored answer (served without a search), split
+into the answers a search stored for its own root and those a straight
+search stored for the records on its way (`_store_chain_answers`), and
 the nodes the first searches and re-searches expanded. These too change
 only with the searches: ROADMAP item 1 regenerates them along with the
 digests, and the command above prints both.
@@ -82,7 +84,8 @@ WORK = {
 SEARCHES = {
     "first": 745,
     "tied": 4_976,
-    "served": 25_299,
+    "served_root": 1_581,
+    "served_chain": 23_718,
     "expanded": 196_823,
 }
 
@@ -98,8 +101,12 @@ def suite_digests(out_dir: Path, work: Counter | None = None,
                 stack.enter_context(mock.patch.object(
                     owner, name, counting(getattr(owner, name), work, name)))
         if searches is not None:
+            chained = {}
             stack.enter_context(mock.patch.object(
-                agents.AStarPlanner, "decide", counting_searches(searches)))
+                agents, "_store_chain_answers", noting_chain_answers(chained)))
+            stack.enter_context(mock.patch.object(
+                agents.AStarPlanner, "decide",
+                counting_searches(searches, chained)))
         results = run_suite(fixtures.path("paper_suite"), out_dir, seed_override=42)
     assert [outcome.status for _, outcome in results] == ["ok"] * len(results)
     return {
@@ -118,10 +125,27 @@ def counting(function, work: Counter, name: str):
     return counted
 
 
-def counting_searches(searches: Counter):
-    """`AStarPlanner.decide`, counting each call as `SEARCHES` does. It
-    looks the root up as `decide` does first, which leaves the record in
-    the graph's `at` for `decide` to find, so no engine call is added."""
+def noting_chain_answers(chained: dict):
+    """`agents._store_chain_answers`, filing in `chained` each answer table
+    and record it stores an answer for, by their ids. The entries keep
+    both objects alive, so no id is reused while `chained` lives."""
+    store = agents._store_chain_answers
+
+    def noted(chain, *args):
+        answers = args[-1]
+        fresh = [node for node in chain if node not in answers]
+        store(chain, *args)
+        for node in fresh:
+            if node in answers:
+                chained[id(answers), id(node)] = answers, node
+    return noted
+
+
+def counting_searches(searches: Counter, chained: dict):
+    """`AStarPlanner.decide`, counting each call as `SEARCHES` does, a
+    served call by whether its answer is in `chained`. It looks the root
+    up as `decide` does first, which leaves the record in the graph's
+    `at` for `decide` to find, so no engine call is added."""
     decide = agents.AStarPlanner.decide
 
     def counted(planner, config, state, rng):
@@ -130,10 +154,12 @@ def counting_searches(searches: Counter):
         answer = (planner._answers.get(root)
                   if planner._generation is graph.generation else None)
         kind = ("first" if answer is None else
-                "tied" if answer is agents._TIED else "served")
+                "tied" if answer is agents._TIED else
+                "served_chain" if (id(planner._answers), id(root)) in chained else
+                "served_root")
         searches[kind] += 1
         decision = decide(planner, config, state, rng)
-        if kind != "served":
+        if not kind.startswith("served"):
             searches["expanded"] += planner.last_expanded
         return decision
     return counted

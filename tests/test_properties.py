@@ -594,15 +594,29 @@ class TestPlannerMemo:
             drawn.random()
         assert skipped.getstate() == drawn.getstate()
 
-    def test_frontier_tie_is_never_served(self, monkeypatch):
-        # A graph where no two heap entries share (f, clock) but two
-        # frontier candidates share (f, actions, clock): after the root's
-        # expansion the budget is spent, the cheapest-in-time child is
-        # popped, and the tie number picks one of two waits that cost no
-        # action. Only the frontier scan's test sees this tie.
+    def test_cutoff_commits_toward_the_next_pop(self, monkeypatch):
+        # The budget is spent after the root's expansion. act has the least
+        # (f, clock), so the search pops it next and heads for it; the
+        # waits share its f at fewer actions and a later clock, and no tie
+        # number decides between them and act. The root is answered for.
         root = hand_state("root", 0, 0)
         graph = HandGraph(monkeypatch, {"root": [
             hand_state("act", 1, 1), hand_state("wait_a", 10, 0),
+            hand_state("wait_b", 10, 0)]},
+            {"act": 0.5, "wait_a": 1.5, "wait_b": 1.5}, budget=1)
+        for seed in range(12):
+            planner = graph.planner()
+            assert graph.search(root, random.Random(seed), planner)[0] == "act"
+            assert answer_kind(*planner, root) == "stored"
+        assert graph.check_served(root, root) == graph.SEEDS
+
+    def test_cutoff_tie_is_never_served(self, monkeypatch):
+        # As above with act at clock 10: all three children share (f,
+        # clock), so the tie number picks the node the cut-off search pops,
+        # and the test after that pop finds the tie.
+        root = hand_state("root", 0, 0)
+        graph = HandGraph(monkeypatch, {"root": [
+            hand_state("act", 10, 1), hand_state("wait_a", 10, 0),
             hand_state("wait_b", 10, 0)]},
             {"act": 0.5, "wait_a": 1.5, "wait_b": 1.5}, budget=1)
         planner = graph.planner()
@@ -611,7 +625,7 @@ class TestPlannerMemo:
             decision = graph.search(root, random.Random(seed), planner)
             assert decision == graph.search(root, random.Random(seed))
             picked.add(decision[0])
-        assert picked == {"wait_a", "wait_b"}
+        assert picked == {"act", "wait_a", "wait_b"}
         assert answer_kind(*planner, root) == agents._TIED
 
     def test_tie_with_a_later_chain_push_is_never_served(self, monkeypatch):
@@ -641,6 +655,19 @@ class TestPlannerMemo:
             {"a": 3.0, "b": 2.0, "c": 1.0, "back": 5.0, "x": 0.0})
         assert graph.check_served(root, a) == graph.check_served(root, b) == 0
         assert graph.check_served(root, c) == graph.SEEDS
+
+    def test_out_of_limits_back_edge_keeps_chain_answers(self, monkeypatch):
+        # b has a child with the root's dedup key, but beyond the goal's
+        # action limit: no search pushes it, from the root or from a, so
+        # it closes no chain record's answer.
+        root, a, b = (hand_state(name, n, n) for name, n in
+                      (("root", 0), ("a", 1), ("b", 2)))
+        back = hand_state("back", 3, 4, key="root")
+        x = hand_state("x", 3, 3, done=("goal",))
+        graph = HandGraph(monkeypatch, {"root": [a], "a": [b], "b": [back, x]},
+                          {"a": 2.0, "b": 1.0, "x": 0.0})
+        graph.goal = replace(graph.goal, max_actions=3)
+        assert graph.check_served(root, a) == graph.SEEDS
 
     def test_entries_one_ulp_apart_are_served(self, monkeypatch):
         # x and y differ by one ulp in f = 2 + h. A search from a, where a
@@ -1466,10 +1493,12 @@ def check_bound_heuristic(data, config, scenario, goal):
     terms = list(agents.HEURISTIC_TERMS) + [
         f"crafted_item:{item}" for item in items + ["nothing"]]
     weight = st.sampled_from([0.0, 1.0, 0.5, 2.0, -1.5, 0.3])
-    spec = HeuristicSpec(
-        weights=data.draw(st.dictionaries(st.sampled_from(terms), weight)),
-        normalization=data.draw(st.dictionaries(
-            st.sampled_from(terms), st.sampled_from([0.7, 1.0, 3.0, 12.0]))))
+    weights = data.draw(st.dictionaries(st.sampled_from(terms), weight))
+    scales = data.draw(st.dictionaries(
+        st.sampled_from(terms), st.sampled_from([0.7, 1.0, 3.0, 12.0])))
+    # only a weighted term may have a scale
+    spec = HeuristicSpec(weights, {term: scale for term, scale in scales.items()
+                                   if term in weights})
     evaluate = agents.build_evaluator(spec, config, goal)
     for state in walk_states(config, scenario, data.draw(st.integers(0, 2**32 - 1))):
         assert evaluate(state) == reference_heuristic(spec, config, goal, state)
