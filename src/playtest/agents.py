@@ -34,8 +34,9 @@ Every search runs a tie test: could the random tie number have decided
 its result? If not, its decision, expansion count and number of tie
 draws depend on the record alone, and the planner stores them for it.
 Every later search from that record returns the stored decision without
-searching, advances the rng past the stored draws and reports the stored
-expansion count. A search that runs straight down one path to the goal,
+searching and reports the stored expansion count; it leaves an episode's
+stream owing the stored draws (see `_Stream`), and advances any other
+rng past them. A search that runs straight down one path to the goal,
 each node it expands a child of the one before, stores the same kind of
 answer for the records of that path whose own search would pop the same
 nodes in the same order: no state the longer search had closed orders
@@ -44,7 +45,8 @@ clock was pushed before the record's place on the path. An episode commits
 that path's edges in turn, so its later decisions on the path are
 served. Most trials of a group replay one trajectory, so from the second
 trial on most of their decisions are served too, and the rng stream, and
-so every later search, stays what it would have been.
+so every later search, stays what it would have been. Most episodes end
+on served decisions, and the draws they still owe are never made.
 
 The heuristic is bound once per planner and build (`build_evaluator`):
 each term's scale, the career goal's XP target and, for a chain goal,
@@ -707,9 +709,9 @@ class AStarPlanner:
     goal and heuristic read, so a later search that meets known records
     pushes, pops and draws ties as a new planner's would. A decision from
     a record the planner holds an answer for is served: the same
-    decision, the rng advanced past the same tie draws, and
-    `last_expanded` set to the expansion count of the search it replays,
-    though nothing is expanded.
+    decision, the same tie draws owed to an episode's stream (any other
+    rng is advanced past them), and `last_expanded` set to the expansion
+    count of the search it replays, though nothing is expanded.
     """
 
     name = "astar"
@@ -746,10 +748,12 @@ class AStarPlanner:
         with no such tie has a decision, expansion count and tie draws (one
         per push) that depend on the root alone, and stores them as its
         answer (`_TIED` otherwise); a later search from the root returns
-        them at once. It advances `rng` by `getrandbits(64 * draws)`, which
-        leaves the state of `draws` calls to `rng.random()`, so every later
-        search draws what it would have drawn, and it reports the stored
-        expansion count.
+        them at once and reports the stored expansion count. An episode's
+        stream (see `_Stream`) then owes the `draws` calls to
+        `rng.random()`, and any other `rng` is advanced by
+        `getrandbits(64 * draws)`, which leaves the state of those calls.
+        A search pays what the stream owes before it binds its draw, so
+        every later search draws what it would have drawn.
 
         Heap entries are ranked by each record's own values: f = actions +
         h, then clock. So a record has the same key in a search from any
@@ -777,7 +781,10 @@ class AStarPlanner:
         answer = answers.get(root)
         if type(answer) is tuple:
             decision, self.last_expanded, draws = answer
-            rng.getrandbits(64 * draws)
+            if type(rng) in _STREAMS:
+                rng.owe(draws)
+            else:
+                rng.getrandbits(64 * draws)
             return decision
         self.last_expanded = 0
         goal = self.goal
@@ -794,6 +801,8 @@ class AStarPlanner:
         evaluate, known, at_goal = self._evaluate, self._h, self._at_goal
         records = graph.records
         known.extend([None] * (len(records) - len(known)))
+        if type(rng) is _OwingStream:
+            rng.pay()  # so `draw` binds the C method, not the paying one
         draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
 
         # heap entries: (actions + h, clock, tie, seq, record, first decision),
@@ -900,6 +909,70 @@ class TrialRecord:
         return sum(self.wait_intervals) / len(self.wait_intervals)
 
 
+class _Stream(random.Random):
+    """An episode's random stream (see `run_episode`): a `random.Random`
+    that can owe draws. `owe(n)` stands for n calls to `random()` and
+    makes none; the stream then becomes an `_OwingStream`, which pays
+    everything owed, with one `getrandbits(64 * owed)`, before its next
+    `random`, `getrandbits` or `getstate`, and so before every method
+    built on them. `seed` and `setstate` drop the debt unpaid.
+
+    A stream that owes nothing reads through `random.Random`'s own
+    methods, so a draw costs what a plain `Random`'s does.
+    """
+
+    def owe(self, draws: int) -> None:
+        self.owed = draws
+        self.__class__ = _OwingStream
+
+    def pay(self) -> None:
+        """Nothing is owed. A reader bound while the stream owed, as
+        `choices` binds `random`, still calls this after paying."""
+
+    def drop(self) -> None:
+        """Forget what the stream owes, unpaid."""
+        self.__class__ = _Stream
+        self.owed = 0
+
+    def seed(self, a=None, version=2) -> None:
+        self.drop()
+        super().seed(a, version)
+
+    def setstate(self, state: tuple) -> None:
+        self.drop()
+        super().setstate(state)
+
+
+class _OwingStream(_Stream):
+    """A `_Stream` that owes `owed` draws. It defines `getrandbits`, so
+    `random.Random`'s subclass hook keeps `_randbelow_with_getrandbits`,
+    the method every `_Stream` inherits."""
+
+    def owe(self, draws: int) -> None:
+        self.owed += draws
+
+    def pay(self) -> None:
+        owed = self.owed
+        self.drop()
+        self.getrandbits(64 * owed)
+
+    def random(self) -> float:
+        self.pay()
+        return self.random()
+
+    def getrandbits(self, k: int) -> int:
+        self.pay()
+        return self.getrandbits(k)
+
+    def getstate(self) -> tuple:
+        self.pay()
+        return self.getstate()
+
+
+# the classes of an episode's stream
+_STREAMS = (_Stream, _OwingStream)
+
+
 def _play(
     config: TuningConfig,
     state: GameState,
@@ -920,7 +993,8 @@ def _play(
     record if the episode ended on one (else None), the effects in order,
     whether the goal was reached, the stop reason, the decision count,
     the most nodes one decision expanded and the longest decision in
-    seconds.
+    seconds. What `rng` still owes when the loop ends (see `_Stream`)
+    stays unpaid.
     """
     reached = False
     reason = ""
@@ -974,10 +1048,15 @@ def run_episode(
     agent,
     goal: GoalSpec,
 ) -> TrialRecord:
-    """Drive one playthrough: decide, apply, repeat until goal or stop."""
+    """Drive one playthrough: decide, apply, repeat until goal or stop.
+
+    The agent draws from a stream of its own, `_Stream(seed)`, which
+    reads as `random.Random(seed)` does; a planner's served decisions
+    leave their tie draws owed on it, and the episode's end drops them.
+    """
     start = initial_state(config, scenario, seed)
     state, node, path, reached, reason, decisions, max_expanded, max_seconds = _play(
-        config, start, random.Random(seed), agent, goal,
+        config, start, _Stream(seed), agent, goal,
     )
     counters = record(start.counters, state.counters.total_actions, path)
     return TrialRecord(

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from bfs_oracle import random_desk_config, shortest_actions
-from playtest import agents, experiments, fixtures, sim
+from playtest import agents, experiments, fixtures, report, sim
 from playtest.agents import GoalSpec, HeuristicSpec
 from playtest.errors import PlaytestError, SchemaError, SuiteEntryError
 from playtest.experiments import (
@@ -897,6 +897,35 @@ def test_normalization_scale_must_be_positive(scale):
         HeuristicSpec({"career_xp": 1.0}, {"career_xp": scale})
     doc["heuristic"]["normalization"]["career_xp"] = 0.5
     ExperimentConfig.from_dict(doc)
+
+
+FORMATS_DOC = Path(__file__).parent.parent / "docs" / "file-formats.md"
+
+
+def documented_load_errors() -> tuple[dict, list[tuple[str, str]]]:
+    """The entry and the (fields, error) rows of the Load errors table in
+    docs/file-formats.md."""
+    section = FORMATS_DOC.read_text().split("### Load errors\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    entry = json.loads(re.search(r"```json\n(.*?)```", section, re.DOTALL)[1])
+    return entry, re.findall(r"^\| `(.*)` \| `(.*)` \|$", section, re.MULTILINE)
+
+
+def test_documented_load_errors_are_the_errors():
+    # every load error the docs list, each entry loaded as `playtest run`
+    # loads it, from a suite beside the shipped builds: a changed message
+    # must change the table
+    entry, rows = documented_load_errors()
+    suite = fixtures.path("paper_suite")
+    assert report._load(suite, 0, entry, None, {}).error is None
+    assert len(rows) == 45
+    errors = []
+    for fields, _ in rows:
+        loaded = report._load(suite, 0, dict(entry, **json.loads(f"{{{fields}}}")),
+                              None, {})
+        errors.append(loaded.error and experiments.failed_outcome(
+            entry["id"], entry["study"], loaded.error).error)
+    assert errors == [error.replace("<id>", entry["id"]) for _, error in rows]
 
 
 def test_importing_the_package_leaves_the_process_pool_out():

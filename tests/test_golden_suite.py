@@ -26,9 +26,11 @@ root before the call: none (a first search), `_TIED` (a re-search of a
 tie-sensitive root) or a stored answer (served without a search), split
 into the answers a search stored for its own root and those a straight
 search stored for the records on its way (`_store_chain_answers`), and
-the nodes the first searches and re-searches expanded. These too change
-only with the searches: ROADMAP item 1 regenerates them along with the
-digests, and the command above prints both.
+the nodes the first searches and re-searches expanded. It counts the tie
+draws that served decisions leave owed on their episode's stream, and
+those a later read of the stream pays (see `agents._Stream`). These too
+change only with the searches: ROADMAP item 1 regenerates them along
+with the digests, and the command above prints them all.
 """
 
 import hashlib
@@ -89,12 +91,21 @@ SEARCHES = {
     "expanded": 196_823,
 }
 
+# tie draws of the same run: owed by served decisions, and paid by a later
+# read of the episode's stream
+DRAWS = {
+    "owed": 598_261,
+    "paid": 0,
+}
+
 
 def suite_digests(out_dir: Path, work: Counter | None = None,
-                  searches: Counter | None = None) -> dict[str, dict[str, str]]:
+                  searches: Counter | None = None,
+                  draws: Counter | None = None) -> dict[str, dict[str, str]]:
     """The SHA-256 of each pinned file of a serial `paper_suite --seed 42`
     run; with `work` given, the calls of each `WORK` entry are added to it,
-    and with `searches` given, the counts of `SEARCHES`."""
+    with `searches` given, the counts of `SEARCHES`, and with `draws`
+    given, those of `DRAWS`."""
     with ExitStack() as stack:
         if work is not None:
             for owner, name in WORK:
@@ -107,6 +118,9 @@ def suite_digests(out_dir: Path, work: Counter | None = None,
             stack.enter_context(mock.patch.object(
                 agents.AStarPlanner, "decide",
                 counting_searches(searches, chained)))
+        if draws is not None:
+            for owner, name, counted in counting_draws(draws):
+                stack.enter_context(mock.patch.object(owner, name, counted))
         results = run_suite(fixtures.path("paper_suite"), out_dir, seed_override=42)
     assert [outcome.status for _, outcome in results] == ["ok"] * len(results)
     return {
@@ -165,11 +179,32 @@ def counting_searches(searches: Counter, chained: dict):
     return counted
 
 
+def counting_draws(draws: Counter):
+    """(owner, name, wrapper) for the episode stream's methods that owe
+    and pay tie draws, each wrapper adding its draws to `draws`."""
+    def owing(owe):
+        def owed(stream, n):
+            draws["owed"] += n
+            owe(stream, n)
+        return owed
+
+    pay = agents._OwingStream.pay
+
+    def paid(stream):
+        draws["paid"] += stream.owed
+        pay(stream)
+
+    return [(agents._Stream, "owe", owing(agents._Stream.owe)),
+            (agents._OwingStream, "owe", owing(agents._OwingStream.owe)),
+            (agents._OwingStream, "pay", paid)]
+
+
 @pytest.fixture(scope="module")
 def suite_run(tmp_path_factory):
     work, searches = Counter(), Counter()
+    draws = Counter(dict.fromkeys(DRAWS, 0))
     return (suite_digests(tmp_path_factory.mktemp("golden_suite"), work,
-                          searches), work, searches)
+                          searches, draws), work, searches, draws)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +224,10 @@ def test_searches_are_pinned(suite_run):
     assert suite_run[2] == SEARCHES
 
 
+def test_tie_draws_are_pinned(suite_run):
+    assert suite_run[3] == DRAWS
+
+
 @pytest.mark.parametrize("experiment", sorted(GOLDEN))
 def test_suite_output_matches_golden(digests, experiment):
     assert digests[experiment] == GOLDEN[experiment]
@@ -196,6 +235,8 @@ def test_suite_output_matches_golden(digests, experiment):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as out:
-        searches = Counter()
-        print(json.dumps(suite_digests(Path(out), searches=searches), indent=4))
+        searches, draws = Counter(), Counter(dict.fromkeys(DRAWS, 0))
+        print(json.dumps(suite_digests(Path(out), searches=searches,
+                                       draws=draws), indent=4))
         print(json.dumps(dict(searches), indent=4))
+        print(json.dumps(dict(draws), indent=4))

@@ -475,6 +475,41 @@ def play_in_lockstep(planner, runs, seed, max_decisions=400):
     raise AssertionError("episodes did not end")
 
 
+# heuristic, goal and node budget of the benchmark's short A* episodes on
+# romance_outlier (relationship_balance's settings)
+SHORT_EPISODES = (
+    HeuristicSpec({"relationship_event_complete": 1.0, "event_xp": 1.0}),
+    GoalSpec(kind="any_relationship_chain_done", chain_length=5,
+             max_minutes=5000, max_actions=300),
+    2000)
+
+SHIPPED_GROUPS = {
+    "barista": ("desk_base", ScenarioOverrides(career="barista"), GoalSpec(
+        kind="career_level_reached", career="barista", level=3,
+        max_minutes=20_000, max_actions=400), {"career_xp": 1.0}, 200),
+    "clerk": ("bugged_event", ScenarioOverrides(career="clerk"), GoalSpec(
+        kind="career_level_reached", career="clerk", level=2,
+        max_minutes=2000, max_actions=100), {"career_xp": 1.0}, 2000),
+    "romance": ("romance_outlier", ScenarioOverrides(), GoalSpec(
+        kind="any_relationship_chain_done", chain_length=5,
+        max_minutes=5000, max_actions=300),
+        {"relationship_event_complete": 1.0, "event_xp": 1.0}, 300),
+    "chain": ("desk_base", ScenarioOverrides(), GoalSpec(
+        kind="relationship_chain_done", category="friendship", chain_length=3,
+        max_minutes=20_000, max_actions=400),
+        {"relationship_event_complete": 1.0, "event_xp": 1.0}, 100),
+    "granted": ("desk_objects", ScenarioOverrides(career="barista",
+                                                  grant_objects=True), GoalSpec(
+        kind="career_level_reached", career="barista", level=3,
+        max_minutes=20_000, max_actions=400), {"career_xp": 1.0}, 30),
+    "culinary": ("build_b", ScenarioOverrides(career="culinary"), GoalSpec(
+        kind="career_level_reached", career="culinary", level=3,
+        max_minutes=50_000, max_actions=3000),
+        {"career_xp": 2.0, "crafted_item:coffee": 0.5,
+         "crafted_item:dish": 0.5}, 400),
+}
+
+
 class TestPlannerMemo:
     """The cross-decision memo changes no decision of the A* planner."""
 
@@ -587,12 +622,97 @@ class TestPlannerMemo:
 
     @pytest.mark.parametrize("draws", [0, 1, 7, 113])
     def test_served_answer_skips_its_tie_draws(self, draws):
-        # a served answer advances the rng as its search's draws would
+        # A served answer advances the rng as its search's draws would: a
+        # plain Random at once, an episode's stream at its next read,
+        # whichever read that is, in one payment for every answer it owes.
+        # `choice` reads through `_randbelow`, which must stay the
+        # getrandbits one on a stream that owes, and `choices` binds
+        # `random` once and calls it after paying. Seeding a stream or
+        # setting its state drops what it owes.
         skipped, drawn = random.Random(draws), random.Random(draws)
         skipped.getrandbits(64 * draws)
         for _ in range(draws):
             drawn.random()
         assert skipped.getstate() == drawn.getstate()
+        assert (agents._OwingStream._randbelow
+                is random.Random._randbelow_with_getrandbits)
+        reads = (lambda rng: rng.random(), lambda rng: rng.getrandbits(97),
+                 lambda rng: rng.getstate(),
+                 lambda rng: rng.choice(range(10**6)),
+                 lambda rng: rng.choices(range(10**6), k=3))
+        for read in reads:
+            stream, plain = agents._Stream(draws), random.Random()
+            stream.owe(draws // 3)
+            stream.owe(draws - draws // 3)
+            plain.setstate(drawn.getstate())
+            assert read(stream) == read(plain)
+            assert type(stream) is agents._Stream
+            assert stream.getstate() == plain.getstate()
+        restarted = random.Random(5)
+        for restart in (lambda rng: rng.seed(5),
+                        lambda rng: rng.setstate(restarted.getstate())):
+            stream = agents._Stream(draws)
+            stream.owe(draws + 1)
+            restart(stream)
+            assert stream.random() == restarted.random()
+            assert stream.getstate() == restarted.getstate()
+            restarted.seed(5)
+
+    def test_search_after_a_served_decision_pays_what_is_owed(
+            self, monkeypatch):
+        # The root's search runs straight to x and answers for the root
+        # and a. On one stream, the served decisions from the root and a
+        # leave their draws owed, and the first search from s, where y and
+        # z tie, pays them before it binds its draw: every (action,
+        # expanded) and the final rng state equal those of the same calls
+        # on a plain Random, and no draw goes through the paying `random`.
+        root, a, s = (hand_state(name, n, n) for name, n in
+                      (("root", 0), ("a", 1), ("s", 0)))
+        x, y, z = (hand_state(name, 2, 2, done=("goal",))
+                   for name in ("x", "y", "z"))
+        graph = HandGraph(monkeypatch, {"root": [a], "a": [x], "s": [y, z]},
+                          {"a": 1.0, "x": 0.0, "y": 0.0, "z": 0.0})
+        paying = []
+        owing_random = agents._OwingStream.random
+        monkeypatch.setattr(agents._OwingStream, "random",
+                            lambda rng: paying.append(1) or owing_random(rng))
+        picked = set()
+        for seed in range(graph.SEEDS):
+            runs = []
+            for rng in (agents._Stream(seed), random.Random(seed)):
+                planner, config = graph.planner()
+                planner.decide(config, root, random.Random(-seed))
+                moves = []
+                for state in (root, a, s):
+                    if state is s and type(rng) is not random.Random:
+                        assert rng.owed == 3
+                    moves.append((planner.decide(config, state, rng).action,
+                                  planner.last_expanded))
+                runs.append((moves, rng.getstate()))
+            assert runs[0] == runs[1]
+            assert runs[0][0][:2] == [("a", 2), ("x", 1)]
+            picked.add(runs[0][0][2][0])
+        assert picked == {"y", "z"}
+        assert not paying
+
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(build_seed=st.integers(0, 10_000),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
+           node_budget=st.integers(1, 40))
+    def test_episode_stream_plays_as_a_plain_random(self, build_seed, seeds,
+                                                     node_budget):
+        config, scenario, goal = random_desk_config(build_seed)
+        weights = ({"career_xp": 1.0, "event_xp": 0.5}
+                   if goal.kind == "career_level_reached" else
+                   {"relationship_event_complete": 1.0, "event_xp": 1.0})
+        check_stream_records(config, scenario, goal, weights, node_budget,
+                             seeds + seeds)
+
+    @pytest.mark.parametrize("group", sorted(SHIPPED_GROUPS))
+    def test_episode_stream_plays_as_a_plain_random_on_fixtures(self, group):
+        fixture, scenario, goal, weights, budget = SHIPPED_GROUPS[group]
+        check_stream_records(fixtures.load(fixture), scenario, goal, weights,
+                             budget, [5, 5, 6, 7, 5])
 
     def test_cutoff_commits_toward_the_next_pop(self, monkeypatch):
         # The budget is spent after the root's expansion. act has the least
@@ -882,6 +1002,21 @@ class TestPlannerMemo:
                          seed)
 
 
+def check_stream_records(config, scenario, goal, weights, budget, seeds):
+    """One planner's records over `seeds` in turn must equal, field for
+    field (the decision time aside), another's over the same seeds with
+    each episode's stream a plain `random.Random`, on which every served
+    answer replays its tie draws at once."""
+    records = []
+    for stream in (agents._Stream, random.Random):
+        planner = AStarPlanner(HeuristicSpec(weights), goal, budget)
+        with mock.patch.object(agents, "_Stream", stream):
+            records.append([
+                replace(run_episode(config, scenario, seed, planner, goal),
+                        max_decision_seconds=0.0) for seed in seeds])
+    assert records[0] == records[1]
+
+
 def check_replays(first, second, third):
     """Answers of three replays of one seed by one planner: the first
     leaves an answer on each root it searches, the tie-free search's or
@@ -922,41 +1057,6 @@ def check_wrapped_records(config, scenario, goal, weights, budget, seeds):
                            max_decision_seconds=0.0)
                    for agent in (bare, wrapped)]
         assert records[0] == records[1]
-
-
-# heuristic, goal and node budget of the benchmark's short A* episodes on
-# romance_outlier (relationship_balance's settings)
-SHORT_EPISODES = (
-    HeuristicSpec({"relationship_event_complete": 1.0, "event_xp": 1.0}),
-    GoalSpec(kind="any_relationship_chain_done", chain_length=5,
-             max_minutes=5000, max_actions=300),
-    2000)
-
-SHIPPED_GROUPS = {
-    "barista": ("desk_base", ScenarioOverrides(career="barista"), GoalSpec(
-        kind="career_level_reached", career="barista", level=3,
-        max_minutes=20_000, max_actions=400), {"career_xp": 1.0}, 200),
-    "clerk": ("bugged_event", ScenarioOverrides(career="clerk"), GoalSpec(
-        kind="career_level_reached", career="clerk", level=2,
-        max_minutes=2000, max_actions=100), {"career_xp": 1.0}, 2000),
-    "romance": ("romance_outlier", ScenarioOverrides(), GoalSpec(
-        kind="any_relationship_chain_done", chain_length=5,
-        max_minutes=5000, max_actions=300),
-        {"relationship_event_complete": 1.0, "event_xp": 1.0}, 300),
-    "chain": ("desk_base", ScenarioOverrides(), GoalSpec(
-        kind="relationship_chain_done", category="friendship", chain_length=3,
-        max_minutes=20_000, max_actions=400),
-        {"relationship_event_complete": 1.0, "event_xp": 1.0}, 100),
-    "granted": ("desk_objects", ScenarioOverrides(career="barista",
-                                                  grant_objects=True), GoalSpec(
-        kind="career_level_reached", career="barista", level=3,
-        max_minutes=20_000, max_actions=400), {"career_xp": 1.0}, 30),
-    "culinary": ("build_b", ScenarioOverrides(career="culinary"), GoalSpec(
-        kind="career_level_reached", career="culinary", level=3,
-        max_minutes=50_000, max_actions=3000),
-        {"career_xp": 2.0, "crafted_item:coffee": 0.5,
-         "crafted_item:dish": 0.5}, 400),
-}
 
 
 class TestHandedEdges:
