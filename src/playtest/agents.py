@@ -9,15 +9,16 @@ when idle, to the event deadline while an event runs). Frontier ties on
 rng, so identical seeds give identical decisions.
 
 Agents move on an engine graph of the build (`_graph`): one record per
-dedup key, action count and auto-grant flag, holding the state's
-interned id, clock and action count and, once expanded, its edges. The
-agents and running episodes that use a graph hold it, and a table only
-refers to it weakly: the agents alive on a build share one graph, a
-group's agent keeps it for all the group's trials, and an agent made
-afresh starts on an empty one. A graph grown past `_MEMO_LIMIT` records
-is emptied. What depends on an agent's goal, heuristic or budget stays
-with the agent, keyed by record: a planner's heuristic values, goal
-flags and stored answers. No decision changes.
+dedup key, action count and auto-grant flag, holding the state's id,
+clock and action count and, once expanded, its edges. A graph files
+states by clock and builds a state's dedup key only when another state
+shares its clock. The agents and running episodes that use a graph hold
+it, and a table only refers to it weakly: the agents alive on a build
+share one graph, a group's agent keeps it for all the group's trials,
+and an agent made afresh starts on an empty one. A graph grown past
+`_MEMO_LIMIT` records is emptied. What depends on an agent's goal,
+heuristic or budget stays with the agent, keyed by record: a planner's
+heuristic values, goal flags and stored answers. No decision changes.
 
 Search states carry no path history (see `sim`): each edge of a record
 holds the child record and the effects of committing that move. The
@@ -146,7 +147,7 @@ class GoalSpec(Codec):
             if value is None:
                 continue
             if name not in GOAL_KINDS[self.kind]:
-                raise InvalidField(name, f"not read by a {self.kind!r} goal")
+                raise InvalidField(name, f"not read by the {self.kind!r} goal kind")
             if name in ("level", "chain_length") and value < 1:
                 raise InvalidField(name, "must be >= 1")
 
@@ -534,20 +535,20 @@ def build_evaluator(
 # ---------------------------------------------------------------------------
 
 # Records a build's graph keeps; a graph grown past this is emptied at
-# the next root lookup. A record, with its state and interned id, takes
-# about 1.8 KB (build_b A* trials under tracemalloc), so a full graph
-# holds about 36 MB.
+# the next root lookup. A record, with its state and its clock's entry,
+# takes about 1.4 KB (build_b A* trials under tracemalloc), so a full
+# graph holds about 28 MB.
 _MEMO_LIMIT = 20_000
 
 
 class _Record:
     """One node of a build's engine graph: a state under one key (see
     `_Graph.node`), numbered `n` in the order the graph filed them, with
-    the interned id `sid` of its dedup key and its own action count and
-    clock. `state` has no path history (see `sim.act_edge`), except at a
-    root an episode started from. `edges`, filled in at the first
-    expansion, lists (decision, child record, effects an episode records
-    when it commits the edge).
+    the state id `sid` the graph gave its dedup key and its own action
+    count and clock. `state` has no path history (see `sim.act_edge`),
+    except at a root an episode started from. `edges`, filled in at the
+    first expansion, lists (decision, child record, effects an episode
+    records when it commits the edge).
     """
 
     __slots__ = ("n", "sid", "actions", "clock", "state", "edges", "_digest")
@@ -572,13 +573,14 @@ class _Record:
 class _Graph:
     """The engine layer of agents' moves on one build (see `_graph`).
 
-    `ids` interns dedup keys as small ints, and `records` maps (state id,
-    action count, auto-grant flag) to the record. `at` pairs the state of
-    the last root lookup or committed edge (see `_play`) with its record,
-    so a decision from that state object finds its root with no hashing.
-    A root lookup that finds more than `_MEMO_LIMIT` records empties the
-    graph first, under a new `generation` token: data an agent keyed by
-    the old records is stale.
+    `clocks` files states by clock (see `node`) and so gives each a state
+    id, equal for two states exactly when their dedup keys are, and
+    `records` maps (state id, action count, auto-grant flag) to the
+    record. `at` pairs the state of the last root lookup or committed
+    edge (see `_play`) with its record, so a decision from that state
+    object finds its root with no hashing. A root lookup that finds more
+    than `_MEMO_LIMIT` records empties the graph first, under a new
+    `generation` token: data an agent keyed by the old records is stale.
     """
 
     def __init__(self):
@@ -587,17 +589,35 @@ class _Graph:
 
     def _empty(self) -> None:
         self.records: dict[tuple, _Record] = {}
-        self.ids: dict[tuple, int] = {}
+        self.clocks: dict[int, _Record | dict[tuple, int]] = {}
         self.at: tuple[GameState, _Record] | None = None
         self.generation = object()
 
     def node(self, state: GameState) -> _Record:
-        """The record of `state`, made and filed on first sight."""
-        sid = self.ids.setdefault(state.dedup_key(), len(self.ids))
+        """The record of `state`, made and filed on first sight.
+
+        A dedup key leads with its clock, so a state whose clock no filed
+        state has gets a new state id, the number of its record, and no
+        key is built. `clocks` holds that record for its clock until a
+        second state there turns the entry into a dict of their keys'
+        state ids: the first state's key is built then, once, and each
+        later state at that clock costs one key and one hash.
+        """
+        records, clocks = self.records, self.clocks
+        shared = clocks.get(state.clock)
+        if shared is None:
+            n = len(records)
+            record = _Record(n, n, state)
+            clocks[state.clock] = records[
+                n, state.counters.total_actions, state.auto_grant_objects] = record
+            return record
+        if type(shared) is _Record:
+            shared = clocks[state.clock] = {shared.state.dedup_key(): shared.sid}
+        sid = shared.setdefault(state.dedup_key(), len(records))
         key = (sid, state.counters.total_actions, state.auto_grant_objects)
-        record = self.records.get(key)
+        record = records.get(key)
         if record is None:
-            record = self.records[key] = _Record(len(self.records), sid, state)
+            record = records[key] = _Record(len(records), sid, state)
         return record
 
     def root(self, state: GameState) -> _Record:
@@ -613,16 +633,10 @@ class _Graph:
     def expand(self, config: TuningConfig, record: _Record) -> list[tuple]:
         """Fill in `record`'s edges from the engine, filing each child as
         `node` does, and return them."""
-        ids, records = self.ids, self.records
-        edges = []
-        for decision, child, effects in _edges(config, record.state):
-            sid = ids.setdefault(child.dedup_key(), len(ids))
-            key = (sid, child.counters.total_actions, child.auto_grant_objects)
-            node = records.get(key)
-            if node is None:
-                node = records[key] = _Record(len(records), sid, child)
-            edges.append((decision, node, effects))
-        record.edges = edges
+        node = self.node
+        record.edges = edges = [
+            (decision, node(child), effects)
+            for decision, child, effects in _edges(config, record.state)]
         return edges
 
 

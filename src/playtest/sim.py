@@ -197,11 +197,15 @@ class GameState:
 
         Counters, trace, and provenance fields are excluded; expired
         locks and cooldowns and empty inventory slots are normalized
-        away so equivalent states collide.
+        away so equivalent states collide. The key leads with the clock,
+        so states at different clocks never share one: an agents graph
+        builds a key only for a state at a clock another state has (see
+        `agents._Graph.node`).
         """
-        # The key is built once per new search state, so it is written for
-        # speed: each collection becomes its sorted tuple, and one of at
-        # most one entry, already in order, skips the sort.
+        # The key is built once per search state that shares its clock,
+        # so it is written for speed: each collection becomes its sorted
+        # tuple, and one of at most one entry, already in order, skips the
+        # sort.
         clock = self.clock
         career = self.career
         rel = self.relationship

@@ -738,9 +738,9 @@ def test_a_field_the_agent_kind_does_not_read_fails_at_load(study, agent, error)
     (("goal",), {"kind": "career_level_reached", "career": "fashion",
                  "level": 0}, "goal.level: must be >= 1"),
     (("goal",), {"kind": "event_completed", "event": "x", "career": "y"},
-     "goal.career: not read by a 'event_completed' goal"),
+     "goal.career: not read by the 'event_completed' goal kind"),
     (("goal",), {"kind": "career_level_reached", "chain_length": 2},
-     "goal.chain_length: not read by a 'career_level_reached' goal"),
+     "goal.chain_length: not read by the 'career_level_reached' goal kind"),
     (("careers", 0, "target_level"), 0, "careers[0].target_level: must be >= 1"),
     (("goal", "kind"), "bogus", "goal.kind: unknown goal kind 'bogus'"),
     (("goal", "max_minutes"), 0, "goal.max_minutes: must be positive"),
@@ -806,7 +806,7 @@ def test_an_entry_setting_that_cannot_run_fails_with_its_path(
     (lambda: GoalSpec(kind="career_level_reached", career="barista", level=0),
      "level: must be >= 1"),
     (lambda: GoalSpec(kind="event_completed", event="x", career="y"),
-     "career: not read by a 'event_completed' goal"),
+     "career: not read by the 'event_completed' goal kind"),
     (lambda: CareerTarget("barista", 0), "target_level: must be >= 1"),
 ], ids=["negative_chain", "zero_level", "event_with_career", "zero_target"])
 def test_goal_settings_that_cannot_hold_fail_in_the_python_api(make, error):

@@ -331,20 +331,38 @@ def answer_kind(planner, config, state):
     graph = agents._graph(config)
     if planner._generation is not graph.generation:
         return None
-    node = graph.records.get((graph.ids.get(state.dedup_key()),
+    node = graph.records.get((state_id(graph, state),
                               state.counters.total_actions,
                               state.auto_grant_objects))
     answer = planner._answers.get(node)
     return "stored" if type(answer) is tuple else answer
 
 
+def state_id(graph, state):
+    """The state id `graph` gave `state`'s dedup key, or None: a lookup in
+    its clock table that files nothing."""
+    shared = graph.clocks.get(state.clock)
+    if shared is None:
+        return None
+    if type(shared) is agents._Record:
+        shared = {shared.state.dedup_key(): shared.sid}
+    return shared.get(state.dedup_key())
+
+
+def filed_states(graph):
+    """How many states `graph`'s clock table files, one per state id."""
+    return sum(1 if type(shared) is agents._Record else len(shared)
+               for shared in graph.clocks.values())
+
+
 def hand_state(name, clock, actions, key=None, done=()):
-    """A state of a hand-built search graph: its dedup key is `key`, else
-    its name, and it has completed the events in `done`."""
+    """A state of a hand-built search graph: its dedup key is its clock
+    and then `key`, else its name, so it leads with the clock as a
+    `GameState`'s does; it has completed the events in `done`."""
     return SimpleNamespace(
         name=name, clock=clock, auto_grant_objects=False,
         counters=SimpleNamespace(total_actions=actions),
-        events_completed=done, dedup_key=lambda: key or name)
+        events_completed=done, dedup_key=lambda: (clock, key or name))
 
 
 class HandGraph:
@@ -402,9 +420,9 @@ class CheckedPlanner:
     data of its own on the build's graph, must then make the same decision
     with the same expansion count and the same number of tie draws, and
     so must a second one made after it, whether the planner searched or
-    served a stored answer. The graph's state-id table must hold no more ids than it has
-    records. `answers` counts each decision's root answer before and
-    after it (see `answer_kind`).
+    served a stored answer. The graph's clock table must file no more
+    states than it has records. `answers` counts each decision's root
+    answer before and after it (see `answer_kind`).
     """
 
     name = "astar"
@@ -433,7 +451,7 @@ class CheckedPlanner:
                             planner.node_budget).decide(
             config, state, decide_rng) == decision
         graph = agents._graph(config)
-        assert len(graph.ids) <= len(graph.records)
+        assert filed_states(graph) <= len(graph.records)
         self.last_expanded = planner.last_expanded
         return decision
 
@@ -763,12 +781,13 @@ class TestPlannerMemo:
 
     def test_back_edge_to_an_earlier_chain_node_is_never_served(
             self, monkeypatch):
-        # b has a child with the root's dedup key: the search from the root
-        # had closed that key and does not push it; searches from a and b
-        # do. c, past the back edge, is answered for.
+        # b has a child with the root's dedup key, so at the root's clock:
+        # the search from the root had closed that key and does not push
+        # it; searches from a and b do. c, past the back edge, is answered
+        # for.
         root, a, b, c = (hand_state(name, n, n) for name, n in
                          (("root", 0), ("a", 1), ("b", 2), ("c", 3)))
-        back = hand_state("back", 3, 3, key="root")
+        back = hand_state("back", 0, 3, key="root")
         x = hand_state("x", 4, 4, done=("goal",))
         graph = HandGraph(
             monkeypatch, {"root": [a], "a": [b], "b": [c, back], "c": [x]},
@@ -777,12 +796,12 @@ class TestPlannerMemo:
         assert graph.check_served(root, c) == graph.SEEDS
 
     def test_out_of_limits_back_edge_keeps_chain_answers(self, monkeypatch):
-        # b has a child with the root's dedup key, but beyond the goal's
-        # action limit: no search pushes it, from the root or from a, so
-        # it closes no chain record's answer.
+        # b has a child with the root's dedup key, so at the root's clock,
+        # but beyond the goal's action limit: no search pushes it, from the
+        # root or from a, so it closes no chain record's answer.
         root, a, b = (hand_state(name, n, n) for name, n in
                       (("root", 0), ("a", 1), ("b", 2)))
-        back = hand_state("back", 3, 4, key="root")
+        back = hand_state("back", 0, 4, key="root")
         x = hand_state("x", 3, 3, done=("goal",))
         graph = HandGraph(monkeypatch, {"root": [a], "a": [b], "b": [back, x]},
                           {"a": 2.0, "b": 1.0, "x": 0.0})
@@ -958,15 +977,15 @@ class TestPlannerMemo:
     @pytest.mark.parametrize("memo_limit", [agents._MEMO_LIMIT, 3])
     def test_id_table_is_bounded_by_the_records(self, memo_limit,
                                                 monkeypatch):
-        # every interned id belongs to a record, so emptying the records
-        # must empty the id table too; a root lookup empties a graph past
-        # the limit before it files the root
+        # every state the clock table files belongs to a record, so
+        # emptying the records must empty the clock table too; a root
+        # lookup empties a graph past the limit before it files the root
         sizes, generations = [], set()
         root = agents._Graph.root
 
         def sized_root(graph, state):
             record = root(graph, state)
-            sizes.append((len(graph.ids), len(graph.records)))
+            sizes.append((filed_states(graph), len(graph.records)))
             generations.add(graph.generation)
             return record
 
@@ -980,7 +999,8 @@ class TestPlannerMemo:
             run_episode(config, ScenarioOverrides(
                 career="barista", grant_objects=grant), 11, planner, goal)
         assert len(sizes) > 10
-        assert all(ids <= records <= memo_limit + 1 for ids, records in sizes)
+        assert all(filed <= records <= memo_limit + 1
+                   for filed, records in sizes)
         assert (len(generations) > 1) == (memo_limit == 3)
 
     @settings(PROPERTY_SETTINGS, max_examples=15)
@@ -1669,6 +1689,104 @@ class TestDedupKey:
         config = fixtures.load(fixture)
         check_dedup_key(config, draw_scenario(data, config),
                         data.draw(st.integers(0, 2**32 - 1)))
+
+
+def check_state_ids(config, scenario, seeds, rng):
+    """File into one new graph the states of a random walk from each seed
+    and a reordered copy of each, in an order `rng` draws, expanding each
+    record on first sight. Each state looked up and each child an
+    expansion made gets one state id exactly when a plain dict interning
+    dedup keys gives it one id."""
+    graph, made = agents._Graph(), []
+    states = [state for seed in seeds
+              for state in walk_states(config, scenario, seed)]
+    states += [shuffled(state, rng) for state in states]
+    rng.shuffle(states)
+    filed = []
+    edges = agents._edges
+    with mock.patch.object(agents, "_edges", lambda *args: made.append(
+            edges(*args)) or made[-1]):
+        for state in states:
+            record = graph.node(state)
+            filed.append((state, record.sid))
+            if record.edges is None:
+                graph.expand(config, record)
+                filed += [(child, node.sid) for (_, child, _), (_, node, _)
+                          in zip(made[-1], record.edges, strict=True)]
+    by_key, by_sid = {}, {}
+    for state, sid in filed:
+        key = state.dedup_key()
+        assert by_key.setdefault(key, sid) == sid
+        assert by_sid.setdefault(sid, key) == key
+    # the walks share their start, and each copy shares its state's clock
+    assert len(filed) > len(by_key)
+
+
+class TestStateIds:
+    """A graph files states by clock and builds a dedup key only where two
+    states share a clock, yet gives two states one id exactly when their
+    dedup keys are equal, building each state's key at most once."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(build_seed=st.integers(0, 10_000),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    def test_generated_builds(self, build_seed, seeds):
+        config, scenario, _ = random_desk_config(build_seed)
+        check_state_ids(config, scenario, seeds, random.Random(seeds[0]))
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=10)
+    @given(data=st.data())
+    def test_fixtures(self, fixture, data):
+        config = fixtures.load(fixture)
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                                   max_size=3))
+        check_state_ids(config, draw_scenario(data, config), seeds,
+                        random.Random(seeds[0]))
+
+    def test_each_state_key_is_built_once(self, monkeypatch):
+        # the keys a graph builds, by the state each is built for, over
+        # every shipped A* group: each seed's episode with a new planner,
+        # then the seeds again with one planner for all. A new planner's
+        # episode on build_b barista at the astar_long benchmark's
+        # settings meets no shared clock, so builds none; romance_outlier's
+        # searches meet many.
+        built, alive, filing = Counter(), [], []
+        node, key = agents._Graph.node, GameState.dedup_key
+
+        def counting_node(graph, state):
+            filing.append(state)
+            try:
+                return node(graph, state)
+            finally:
+                filing.pop()
+
+        def counting_key(state):
+            if filing:
+                built[id(state)] += 1
+                alive.append(state)  # so no other state takes its id
+            return key(state)
+
+        monkeypatch.setattr(agents._Graph, "node", counting_node)
+        monkeypatch.setattr(GameState, "dedup_key", counting_key)
+        long_barista = ("build_b", ScenarioOverrides(career="barista"),
+                        GoalSpec(kind="career_level_reached", career="barista",
+                                 level=3, max_minutes=50_000, max_actions=3000),
+                        SHIPPED_GROUPS["culinary"][3], 400)
+        groups = dict(SHIPPED_GROUPS, long_barista=long_barista)
+        cold = {}
+        for name, (fixture, scenario, goal, weights, budget) in groups.items():
+            config = fixtures.load(fixture)
+            before = built.total()
+            for seed in range(3):
+                run_episode(config, scenario, seed, AStarPlanner(
+                    HeuristicSpec(weights), goal, budget), goal)
+            cold[name] = built.total() - before
+            shared = AStarPlanner(HeuristicSpec(weights), goal, budget)
+            for seed in range(3):
+                run_episode(config, scenario, seed, shared, goal)
+        assert set(built.values()) == {1}
+        assert cold["long_barista"] == 0 and cold["romance"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -446,7 +446,8 @@ class TestGraphLearner:
             self, monkeypatch):
         # agent_comparison's training on a build no agent has played:
         # 3,633 decisions over 56 states, whose expansions make 112 edges;
-        # only each episode's start and each edge's child are hashed, never
+        # a key is built only for a state at a clock another state has,
+        # once: each episode's start, and 101 of the edges' children, never
         # a committed child again
         calls = {"_edges": 0, "_commit": 0, "dedup_key": 0}
         for owner, name in ((agents, "_edges"), (agents, "_commit"),
@@ -463,7 +464,7 @@ class TestGraphLearner:
                       TestTraining().goal(), episodes=400, step_size=0.05,
                       rng=random.Random(42))
         assert len(decisions) == 3633
-        assert calls == {"_edges": 56, "_commit": 0, "dedup_key": 400 + 112}
+        assert calls == {"_edges": 56, "_commit": 0, "dedup_key": 400 + 101}
 
 
 # finite weights as training clips them, with both zeros and subnormals
