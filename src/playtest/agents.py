@@ -21,7 +21,9 @@ heuristic or budget stays with the agent, keyed by record: a planner's
 heuristic values, goal flags and stored answers. No decision changes.
 
 Search states carry no path history (see `sim`): each edge of a record
-holds the child record and the effects of committing that move. The
+holds the child record and the effects of committing that move. A
+record is expanded in one pass: `_edges` files each child with the
+graph as the engine returns it, and the record keeps that list. The
 episode loop commits a move by the edge of the record the agent found
 for its root (see `_play`): it takes the child's state as it is, hands
 it to the agent next, and adds the effects to the episode's path, whose
@@ -53,7 +55,8 @@ The heuristic is bound once per planner and build (`build_evaluator`):
 each term's scale, the career goal's XP target and, for a chain goal,
 every category's remaining final thresholds and relationship XP for each
 count of completed events are computed then, so evaluating a state is a
-few lookups per weighted term.
+few lookups per weighted term, each an int count. The value is 0 at
+every goal state, so a search tests the goal only on a child scored 0.
 
 The Softmax agent samples the available moves in proportion to
 exp(utility/temperature), where utility is a learned linear function of
@@ -151,14 +154,29 @@ class GoalSpec(Codec):
             if name in ("level", "chain_length") and value < 1:
                 raise InvalidField(name, "must be >= 1")
 
-    def check_complete(self, path: str = "GoalSpec") -> None:
-        """Raise SchemaError, as `<path>.<field>: missing`, for the first
-        field the goal's kind reads that is None. A career study fills
-        `career` and `level` itself, so a goal is checked where it is used
-        as it stands, not when it is built."""
+    def check(self, config: TuningConfig, path: str = "GoalSpec") -> None:
+        """Raise SchemaError, as `<path>.<field>: <reason>`, for the first
+        field the goal's kind reads that is None or names what `config`
+        lacks: a career, a level above the career's cap, a relationship
+        category or an event. A career study fills `career` and `level`
+        itself, so a goal is checked where it is used as it stands, not
+        when it is built."""
         for name in GOAL_KINDS[self.kind]:
             if getattr(self, name) is None:
                 raise SchemaError(f"{path}.{name}: missing")
+        idx = config.index()
+        for name, table, noun in (("career", idx.careers, "career"),
+                                  ("category", idx.relationships, "category"),
+                                  ("event", idx.events, "event")):
+            value = getattr(self, name)
+            if value is not None and value not in table:
+                raise SchemaError(f"{path}.{name}: no {noun} {value!r} "
+                                  f"in build {config.build_id!r}")
+        if self.career is not None:
+            cap = idx.careers[self.career].max_level
+            if self.level > cap:
+                raise SchemaError(f"{path}.level: {self.level} > cap {cap} "
+                                  f"of career {self.career!r}")
 
 
 def goal_satisfied(goal: GoalSpec, state: GameState) -> bool:
@@ -279,19 +297,26 @@ def decision_edges(
 
 
 def _edges(
-    config: TuningConfig, state: GameState
-) -> list[tuple[Decision, GameState, Effects]]:
-    """Every available move with its successor without path history and
-    the effects of committing it, in `available_moves` order: an act
-    takes the event start its listing found, so its legality is checked
-    once, and an idle state's wait is the edge its listing walked."""
+    config: TuningConfig, state: GameState, file: Callable[[GameState], object],
+) -> list[tuple[Decision, object, Effects]]:
+    """Every available move, in `available_moves` order, with `file` of
+    its successor without path history and the effects of committing it.
+    Each successor is filed as the engine returns it, so the list is
+    built in one pass: a graph files its records (see `_Graph.expand`),
+    and a caller that wants the states passes an identity. An act takes
+    the event start its listing found, so its legality is checked once,
+    and an idle state's wait is the edge its listing walked."""
     idx = config.index()
     legal, wait, session_end = _moves(idx, state)
-    edges = [(Decision.act(action.id), *act_edge(idx, state, action, start))
-             for action, start in legal]
+    acts = _ACT_DECISIONS
+    edges = []
+    for action, start in legal:
+        child, effects = act_edge(idx, state, action, start)
+        edges.append((acts.get(action.id) or Decision.act(action.id),
+                      file(child), effects))
     if wait is not None:
-        edges.append((Decision.wait(wait),
-                      *(session_end or wait_edge(idx, state, wait, TRACE_WAIT))))
+        child, effects = session_end or wait_edge(idx, state, wait, TRACE_WAIT)
+        edges.append((Decision.wait(wait), file(child), effects))
     return edges
 
 
@@ -421,65 +446,67 @@ def _chain_remaining(
 
 def _bind_term(
     term: str, config: TuningConfig, goal: GoalSpec
-) -> Callable[[GameState], float] | None:
+) -> Callable[[GameState], int] | None:
     """One heuristic term's remaining quantity as a function of the state,
     or None for a term that is 0 in every state under this goal.
 
+    The quantity is a count clamped at 0, returned as an int. Every count
+    is far below 2**53, so the evaluator's `weight * value / scale` is the
+    float it would be with the count as a float (see `build_evaluator`).
     The function is only called on states that do not satisfy the goal.
     """
     idx = config.index()
     if term.startswith("crafted_item:"):
         item = term.split(":", 1)[1]
-        return lambda state: float(max(0, 1 - state.inventory.get(item, 0)))
+        return lambda state: max(0, 1 - state.inventory.get(item, 0))
 
     if goal.kind == "career_level_reached":
         career, level = goal.career, goal.level
         if term == "career_xp":
             target = idx.careers[career].xp_for_level(level)
 
-            def career_xp(state: GameState) -> float:
+            def career_xp(state: GameState) -> int:
                 own = state.career
                 xp = own.xp if own is not None and own.id == career else 0
-                return float(max(0, target - xp))
+                return max(0, target - xp)
             return career_xp
         if term == "career_level":
-            def career_level(state: GameState) -> float:
+            def career_level(state: GameState) -> int:
                 own = state.career
                 reached = own.level if own is not None and own.id == career else 1
-                return float(max(0, level - reached))
+                return max(0, level - reached)
             return career_level
         if term == "event_xp":
             events = idx.events
 
-            def event_xp(state: GameState) -> float:
+            def event_xp(state: GameState) -> int:
                 event = state.active_event
                 if event is None:
-                    return 0.0
-                return float(max(0, events[event.event_id].final_threshold
-                                 - event.accrued_xp))
+                    return 0
+                return max(0, events[event.event_id].final_threshold
+                           - event.accrued_xp)
             return event_xp
         return None
 
     if goal.kind in ("relationship_chain_done", "any_relationship_chain_done"):
         length = goal.chain_length
         if term == "relationship_event_complete":
-            return lambda state: float(max(0, length - state.relationship.completed))
+            return lambda state: max(0, length - state.relationship.completed)
         if term == "event_xp":
             chain_xp = _chain_remaining(config, goal, _final_threshold)
             in_chain = idx.chain_position
 
-            def chain_event_xp(state: GameState) -> float:
+            def chain_event_xp(state: GameState) -> int:
                 # credits the accrued XP of an active chain event, whatever
                 # its category
                 total = chain_xp(state)
                 event = state.active_event
                 if event is not None and event.event_id in in_chain:
                     total -= event.accrued_xp
-                return float(max(0, total))
+                return max(0, total)
             return chain_event_xp
         if term == "relationship_xp":
-            chain_relationship_xp = _chain_remaining(config, goal, _relationship_xp)
-            return lambda state: float(chain_relationship_xp(state))
+            return _chain_remaining(config, goal, _relationship_xp)
         return None
 
     # event_completed: the goal event is not completed yet
@@ -487,16 +514,16 @@ def _bind_term(
     if term == "event_xp":
         final = target.final_threshold
 
-        def goal_event_xp(state: GameState) -> float:
+        def goal_event_xp(state: GameState) -> int:
             active = state.active_event
             if active is not None and active.event_id == target.id:
-                return float(max(0, final - active.accrued_xp))
-            return float(final)
+                return max(0, final - active.accrued_xp)
+            return final
         return goal_event_xp
     if (term == "career_event_complete" and target.kind == "career"
             or term == "relationship_event_complete"
             and target.kind == "relationship"):
-        return lambda state: 1.0
+        return lambda state: 1
     return None
 
 
@@ -505,10 +532,13 @@ def build_evaluator(
 ):
     """Bind a heuristic to one config and goal; returns state -> float.
 
-    Every value that depends only on the build and the goal is computed
-    here, once: each term's scale, the career goal's XP target and the
-    chain totals. Terms with no weight, or 0 under this goal, are left
-    out, so an evaluation runs only lookups for the terms that count.
+    The value is 0.0 at every state that satisfies the goal, whatever the
+    weights: the planner tests the goal only on a state it scores 0 (see
+    `AStarPlanner.decide`). Every value that depends only on the build
+    and the goal is computed here, once: each term's scale, the career
+    goal's XP target and the chain totals. Terms with no weight, or 0
+    under this goal, are left out, so an evaluation runs only lookups for
+    the terms that count.
     """
     terms = []
     for term, weight in sorted(spec.weights.items()):
@@ -631,12 +661,9 @@ class _Graph:
         return at[1]
 
     def expand(self, config: TuningConfig, record: _Record) -> list[tuple]:
-        """Fill in `record`'s edges from the engine, filing each child as
-        `node` does, and return them."""
-        node = self.node
-        record.edges = edges = [
-            (decision, node(child), effects)
-            for decision, child, effects in _edges(config, record.state)]
+        """Fill in `record`'s edges from the engine and return them: the
+        list `_edges` builds, each child filed by `node` as it is made."""
+        record.edges = edges = _edges(config, record.state, self.node)
         return edges
 
 
@@ -751,7 +778,9 @@ class AStarPlanner:
         return the answer stored for it, which no tie draw decided, and
         set `last_expanded`. A record expanded before is not handed to the
         engine again, and one this planner met before is not evaluated
-        again.
+        again. The evaluator scores every goal state 0 (see
+        `build_evaluator`), as an admissible heuristic does, so a child is
+        tested against the goal only where its h is 0.
 
         The random tie number orders two heap entries only if they share
         (f, clock). So after each accepted pop the search compares the
@@ -845,7 +874,7 @@ class AStarPlanner:
                     if child.actions > max_actions or child.clock > max_minutes:
                         continue
                     h = known[child.n] = evaluate(child.state)
-                    if goal_satisfied(goal, child.state):
+                    if not h and goal_satisfied(goal, child.state):
                         at_goal.add(child)
                 actions = child.actions
                 best = closed.get(child.sid)

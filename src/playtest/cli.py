@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -162,13 +163,21 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _io_failed(path: Path, exc: OSError) -> int:
+    """Report that `path`, or the directory it names, could not be made
+    or written; the exit code."""
+    print(f"error: {exc.filename or path}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_train(args) -> int:
     config = _parse_file(Path(args.tuning))
     if config is None:
         return EXIT_USAGE
     try:
         goal = GoalSpec.from_dict(json.loads(args.goal))
-        goal.check_complete()
+        goal.check(config)
     except (json.JSONDecodeError, PlaytestError, ValueError) as exc:
         print(f"error: invalid --goal: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -180,6 +189,14 @@ def _cmd_train(args) -> int:
         if not (math.isfinite(value) and value > 0):
             print(f"error: {flag} must be > 0", file=sys.stderr)
             return EXIT_USAGE
+
+    out_path = Path(args.out)
+    curve_path = Path(args.curve) if args.curve else out_path.with_suffix(".curve.csv")
+    for path in (out_path, curve_path):
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _io_failed(path, exc)
 
     scenario = ScenarioOverrides(
         career=goal.career if goal.kind == "career_level_reached" else None,
@@ -193,15 +210,17 @@ def _cmd_train(args) -> int:
         temperature=args.temperature,
     )
 
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(policy.to_dict(), indent=2) + "\n")
-    curve_path = Path(args.curve) if args.curve else out_path.with_suffix(".curve.csv")
-    with curve_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["episode", "return"])
-        for i, value in enumerate(returns):
-            writer.writerow([i, value])
+    curve = io.StringIO()
+    writer = csv.writer(curve)
+    writer.writerow(["episode", "return"])
+    writer.writerows(enumerate(returns))
+    for path, text in ((out_path, json.dumps(policy.to_dict(), indent=2) + "\n"),
+                       (curve_path, curve.getvalue())):
+        try:
+            with path.open("w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            return _io_failed(path, exc)
 
     reached = [r for r in returns if r > FAILURE_RETURN]
     tenth = max(1, len(returns) // 10)

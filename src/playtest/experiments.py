@@ -438,8 +438,9 @@ def check_build_count(study: str, count: int) -> None:
 def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
     """Raise if the study cannot run on `configs`: a wrong build count,
     `careers` for relationship_balance (the study reads none), a build
-    with no relationship event or a goal without a field its kind reads
-    for relationship_balance (career studies build their own goals), a
+    with no relationship event or a goal that misses a field its kind
+    reads or names what the build lacks (see `GoalSpec.check`) for
+    relationship_balance (career studies build their own goals), a
     scenario career for a career study (its groups take theirs from
     `careers`), a career missing in a build for build_comparison, an
     unknown career or a target level above its cap, or a scenario
@@ -452,7 +453,7 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
         if not any(e.kind == "relationship" for e in configs[0].events):
             raise NoRelationshipEvents(configs[0].build_id)
         try:
-            xc.goal.check_complete(f"{xc.id}.goal")
+            xc.goal.check(configs[0], f"{xc.id}.goal")
         except SchemaError as exc:
             raise SuiteEntryError(str(exc)) from exc
         initial_state(configs[0], xc.scenario, xc.base_seed)

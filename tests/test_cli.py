@@ -589,6 +589,56 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: invalid --goal: {error}\n"
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("goal, error", [
+        ({"kind": "career_level_reached", "career": "nope", "level": 2},
+         "GoalSpec.career: no career 'nope' in build 'desk_base'"),
+        ({"kind": "career_level_reached", "career": "barista", "level": 4},
+         "GoalSpec.level: 4 > cap 3 of career 'barista'"),
+        ({"kind": "event_completed", "event": "nope"},
+         "GoalSpec.event: no event 'nope' in build 'desk_base'"),
+        ({"kind": "relationship_chain_done", "category": "nope",
+          "chain_length": 2},
+         "GoalSpec.category: no category 'nope' in build 'desk_base'"),
+    ], ids=["career", "level", "event", "category"])
+    def test_goal_the_build_lacks_exit_two(self, tmp_path, capsys, goal, error):
+        # a missing career used to raise UnknownCareer out of training, and
+        # a missing event to train every episode and report deadlock
+        code = main(["train", str(fixtures.path("desk_base")),
+                     "--goal", json.dumps(goal), "--episodes", "5",
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: invalid --goal: {error}\n"
+        assert not (tmp_path / "p.json").exists()
+
+    def test_curve_directory_is_made(self, tmp_path):
+        # a curve in a missing directory used to raise FileNotFoundError
+        # once training had run and the policy was written
+        curve = tmp_path / "curves" / "run" / "c.csv"
+        code = main(["train", str(fixtures.path("desk_base")),
+                     "--goal", self.GOAL, "--episodes", "5",
+                     "--out", str(tmp_path / "out" / "p.json"),
+                     "--curve", str(curve)])
+        assert code == 0
+        assert len(curve.read_text().splitlines()) == 6
+        assert (tmp_path / "out" / "p.json").exists()
+
+    @pytest.mark.parametrize("which", ["out", "curve"])
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, which):
+        # a path that is a directory cannot be written, and a directory
+        # cannot be made where a file is
+        paths = {"out": tmp_path / "p.json", "curve": tmp_path / "c.csv"}
+        paths[which].mkdir()
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        for path, error in ((paths[which], f"{paths[which]}: Is a directory"),
+                            (blocked / "x", f"{blocked}: File exists")):
+            code = main(["train", str(fixtures.path("desk_base")),
+                         "--goal", self.GOAL, "--episodes", "5",
+                         "--out", str(paths["out"]), "--curve",
+                         str(paths["curve"]), f"--{which}", str(path)])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
+
 
 def test_run_csv_summary(tmp_path, capsys):
     (tmp_path / "desk_base.json").write_text(fixtures.path("desk_base").read_text())

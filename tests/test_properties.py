@@ -370,15 +370,22 @@ class HandGraph:
     `children` maps a state's name to its children, each reached by an
     act named after it, and `h` a child's name to its heuristic value,
     patched in for every planner's evaluator. The goal is the event
-    "goal"."""
+    "goal". Every evaluator scores each goal state 0, and the planner
+    tests the goal only there, so a goal child with a nonzero h raises
+    ValueError."""
 
     goal = GoalSpec(kind="event_completed", event="goal")
     SEEDS = 40
 
     def __init__(self, monkeypatch, children, h, budget=2000):
+        for moves in children.values():
+            for child in moves:
+                if goal_satisfied(self.goal, child) and h.get(child.name):
+                    raise ValueError(f"goal state {child.name!r} has h "
+                                     f"{h[child.name]!r}, not 0")
         self.budget = budget
-        monkeypatch.setattr(agents, "_edges", lambda config, at: [
-            (agents.Decision("act", action=child.name), child, ())
+        monkeypatch.setattr(agents, "_edges", lambda config, at, file: [
+            (agents.Decision("act", action=child.name), file(child), ())
             for child in children.get(at.name, ())])
         monkeypatch.setattr(agents, "build_evaluator",
                             lambda *args: lambda at: h[at.name])
@@ -769,14 +776,14 @@ class TestPlannerMemo:
     def test_tie_with_a_later_chain_push_is_never_served(self, monkeypatch):
         # The search from the root runs straight through a and b, then pops
         # the goal x, which b pushed, against a's child c at the same
-        # (f, clock). Searching from a, x and c tie again, so the tie
-        # number decides between b and c.
+        # (f, clock), a goal too. Searching from a, x and c tie again, so
+        # the tie number decides between b and c.
         root, a, b = (hand_state(name, n, n) for name, n in
                       (("root", 0), ("a", 1), ("b", 2)))
-        c = hand_state("c", 3, 2, done=("goal",))
+        c = hand_state("c", 3, 3, done=("goal",))
         x = hand_state("x", 3, 3, done=("goal",))
         graph = HandGraph(monkeypatch, {"root": [a], "a": [b, c], "b": [x]},
-                          {"a": 2.0, "b": 0.5, "c": 1.0, "x": 0.0})
+                          {"a": 2.0, "b": 0.5, "c": 0.0, "x": 0.0})
         assert graph.check_served(root, a) == 0
 
     def test_back_edge_to_an_earlier_chain_node_is_never_served(
@@ -809,34 +816,51 @@ class TestPlannerMemo:
         assert graph.check_served(root, a) == graph.SEEDS
 
     def test_entries_one_ulp_apart_are_served(self, monkeypatch):
-        # x and y differ by one ulp in f = 2 + h. A search from a, where a
-        # search relative to its root would compute f = 1 + h and see them
-        # tie, computes the same f as the root's search: x goes first from
-        # either root, and a is answered for.
+        # x and y differ by one ulp in f = 2 + h, and each reaches a goal
+        # at no further action, so at f = 2 and h = 0. A search from a,
+        # where a search relative to its root would compute f = 1 + h and
+        # see x and y tie, computes the same f as the root's search: x
+        # goes first from either root, then its goal, and a is answered
+        # for.
         root, a = hand_state("root", 0, 0), hand_state("a", 1, 1)
-        x = hand_state("x", 2, 2, done=("goal",))
-        y = hand_state("y", 2, 2, done=("goal",))
+        x, y = hand_state("x", 2, 2), hand_state("y", 2, 2)
+        x_goal = hand_state("x_goal", 3, 2, done=("goal",))
+        y_goal = hand_state("y_goal", 3, 2, done=("goal",))
         hx, hy = 2.0 ** -52 - 2.0 ** -60, 2.0 ** -52 + 2.0 ** -60
         assert 2 + hx < 2 + hy and 1 + hx == 1 + hy
-        graph = HandGraph(monkeypatch, {"root": [a], "a": [x, y]},
-                          {"a": 1.0, "x": hx, "y": hy})
+        graph = HandGraph(
+            monkeypatch,
+            {"root": [a], "a": [x, y], "x": [x_goal], "y": [y_goal]},
+            {"a": 1.0, "x": hx, "y": hy, "x_goal": 0.0, "y_goal": 0.0})
         assert graph.check_served(root, a) == graph.SEEDS
         planner = graph.planner()
         graph.search(root, random.Random(0), planner)
         assert answer_kind(*planner, root) == "stored"
 
+    def test_hand_graph_goal_has_h_zero(self, monkeypatch):
+        # the planner tests the goal only where h is 0, so a hand graph
+        # that scores a goal otherwise does not describe a search
+        root, x = hand_state("root", 0, 0), hand_state("x", 1, 1, done=("goal",))
+        HandGraph(monkeypatch, {"root": [x]}, {"x": 0.0})
+        with pytest.raises(ValueError, match="goal state 'x' has h 2e-16"):
+            HandGraph(monkeypatch, {"root": [x]}, {"x": 2e-16})
+
     def test_f_rounded_equal_at_a_later_clock_is_served(self, monkeypatch):
         # 2 + 2**-52 rounds to 2, so x and y share f and y's later clock
-        # puts x first. Relative to a, where f = 1 + h, y's f would round
+        # puts x first; x's goal, at no further action and a clock before
+        # y's, goes next. Relative to a, where f = 1 + h, y's f would round
         # below x's; every search computes f = actions + h, so a's search
         # pops x first too, and a is answered for.
         root, a = hand_state("root", 0, 0), hand_state("a", 1, 1)
-        x = hand_state("x", 2, 2, done=("goal",))
-        y = hand_state("y", 3, 2, done=("goal",))
+        x, y = hand_state("x", 2, 2), hand_state("y", 4, 2)
+        x_goal = hand_state("x_goal", 3, 2, done=("goal",))
+        y_goal = hand_state("y_goal", 5, 2, done=("goal",))
         hx, hy = 2.0 ** -52, 0.0
         assert 2 + hx == 2 + hy and 1 + hy < 1 + hx
-        graph = HandGraph(monkeypatch, {"root": [a], "a": [x, y]},
-                          {"a": 1.0, "x": hx, "y": hy})
+        graph = HandGraph(
+            monkeypatch,
+            {"root": [a], "a": [x, y], "x": [x_goal], "y": [y_goal]},
+            {"a": 1.0, "x": hx, "y": hy, "x_goal": 0.0, "y_goal": 0.0})
         assert graph.check_served(root, a) == graph.SEEDS
         planner = graph.planner()
         graph.search(root, random.Random(0), planner)
@@ -860,15 +884,18 @@ class TestPlannerMemo:
     @given(data=st.data())
     def test_chain_answers_match_fresh_searches_near_rounding(self, data):
         # A straight chain from the root to the goal, each record but the
-        # root with one or two side children, each side a goal or a dead
-        # end, at the chain's next action count. The moves of a record
-        # have h within two 2**-60 of k * 2**-52 or (k + 1) * 2**-52, for
-        # one k of 0 to 3 per record: actions + h rounds these differently
-        # at 1 action and at 2 or 3. Each clock is one of two. So entries
-        # that differ by an ulp, that tie exactly, and that would order
-        # otherwise if f were taken relative to a later root all occur.
-        # Whatever a search from the root answers for, each chain record's
-        # served decision must be a fresh search's.
+        # root with one or two side children at the chain's next action
+        # count, each side a goal or one move from a goal at no further
+        # action or time. The moves of a record have h within two 2**-60
+        # of k * 2**-52 or (k + 1) * 2**-52, for one k of 0 to 3 per
+        # record: actions + h rounds these differently at 1 action and at
+        # 2 or 3. A goal's h is 0, as every evaluator's is, so which of
+        # two such moves pops first decides which goal the search reaches.
+        # Each clock is one of two. So entries that differ by an ulp, that
+        # tie exactly, and that would order otherwise if f were taken
+        # relative to a later root all occur. Whatever a search from the
+        # root answers for, each chain record's served decision must be a
+        # fresh search's.
         draw = data.draw
         length = draw(st.integers(2, 3), label="length")
         chain, children, h = [hand_state("p0", 0, 0)], {}, {}
@@ -884,8 +911,13 @@ class TestPlannerMemo:
             children[parent.name] = draw(st.permutations(moves))
             k = draw(st.integers(0, 3))
             for move in moves:
-                h[move.name] = max(0.0, (k + draw(st.integers(0, 1))) * 2.0 ** -52
-                                   + draw(st.integers(-2, 2)) * 2.0 ** -60)
+                value = max(0.0, (k + draw(st.integers(0, 1))) * 2.0 ** -52
+                            + draw(st.integers(-2, 2)) * 2.0 ** -60)
+                h[move.name] = 0.0 if move.events_completed else value
+                if move.name[0] == "s" and not move.events_completed:
+                    goal = hand_state(f"{move.name}_goal", move.clock, i + 1,
+                                      done=("goal",))
+                    children[move.name], h[goal.name] = [goal], 0.0
         with pytest.MonkeyPatch.context() as monkeypatch:
             graph = HandGraph(monkeypatch, children, h)
             graph.SEEDS = 8
@@ -1691,28 +1723,78 @@ class TestDedupKey:
                         data.draw(st.integers(0, 2**32 - 1)))
 
 
+def check_planner_edges(config, scenario, seed):
+    """Expand into one new graph each state of a random walk from `seed`
+    that has no record yet. The decisions of the edges must be the
+    public moves, in order, and the graph must file one child per move,
+    in the same order, each with the dedup key, action count and clock of
+    the public transition's successor."""
+    graph = agents._Graph()
+    node, filed = graph.node, []
+    graph.node = lambda state: filed.append(state) or node(state)
+    for state in walk_states(config, scenario, seed):
+        record = node(state)
+        if record.edges is not None:
+            continue
+        filed.clear()
+        edges = graph.expand(config, record)
+        public = agents.decision_edges(config, record.state)
+        moves = agents.available_moves(config, record.state)
+        assert [move for move, _, _ in edges] == [move for move, _ in public] == moves
+        expected = [(successor.dedup_key(), successor.counters.total_actions,
+                     successor.clock) for _, successor in public]
+        assert [(child.dedup_key(), child.counters.total_actions, child.clock)
+                for child in filed] == expected
+        assert [(child.state.dedup_key(), child.actions, child.clock)
+                for _, child, _ in edges] == expected
+
+
+class TestPlannerEdges:
+    """The planner's one-pass edges are the public transitions: the
+    moves of `available_moves`, in order, each filed once as the child
+    that `decision_edges` builds for it."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
+    def test_generated_builds(self, build_seed, seed):
+        config, scenario, _ = random_desk_config(build_seed)
+        check_planner_edges(config, scenario, seed)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=10)
+    @given(data=st.data())
+    def test_fixtures(self, fixture, data):
+        config = fixtures.load(fixture)
+        check_planner_edges(config, draw_scenario(data, config),
+                            data.draw(st.integers(0, 2**32 - 1)))
+
+
 def check_state_ids(config, scenario, seeds, rng):
     """File into one new graph the states of a random walk from each seed
     and a reordered copy of each, in an order `rng` draws, expanding each
     record on first sight. Each state looked up and each child an
     expansion made gets one state id exactly when a plain dict interning
     dedup keys gives it one id."""
-    graph, made = agents._Graph(), []
+    graph = agents._Graph()
     states = [state for seed in seeds
               for state in walk_states(config, scenario, seed)]
     states += [shuffled(state, rng) for state in states]
     rng.shuffle(states)
     filed = []
-    edges = agents._edges
-    with mock.patch.object(agents, "_edges", lambda *args: made.append(
-            edges(*args)) or made[-1]):
-        for state in states:
-            record = graph.node(state)
-            filed.append((state, record.sid))
-            if record.edges is None:
-                graph.expand(config, record)
-                filed += [(child, node.sid) for (_, child, _), (_, node, _)
-                          in zip(made[-1], record.edges, strict=True)]
+    node = graph.node
+
+    def filing(state):
+        # every state the graph files, looked up here or as `_edges` makes
+        # a child, with the id it gets
+        record = node(state)
+        filed.append((state, record.sid))
+        return record
+
+    graph.node = filing
+    for state in states:
+        record = filing(state)
+        if record.edges is None:
+            graph.expand(config, record)
     by_key, by_sid = {}, {}
     for state, sid in filed:
         key = state.dedup_key()
@@ -2115,7 +2197,7 @@ def snapshot(state):
 
 def step_every_way(config, state):
     """Every edge step and public transition the engine takes from `state`."""
-    for decision, _, _ in agents._edges(config, state):
+    for decision, _, _ in agents._edges(config, state, lambda child: child):
         agents._commit(config, state, decision)
     legal = legal_actions(config, state)
     for action_id in legal:
@@ -2208,7 +2290,7 @@ def check_one_state_per_transition(config, scenario, seed):
             # one state per search edge; an idle state's wait walks its
             # session end, which may first step to the event's deadline
             built.clear()
-            edges = agents._edges(config, state)
+            edges = agents._edges(config, state, lambda child: child)
             steps = len(built) - len(edges)
             assert steps == 0 or (steps == 1 and not legal_actions(config, state)
                                   and state.active_event is not None)
