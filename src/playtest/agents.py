@@ -5,8 +5,12 @@ committing only the first edge of the best plan found, unless an earlier
 search already answered for that move (see below). Search edges are
 the legal actions plus at most one wait edge (to the next availability
 when idle, to the event deadline while an event runs). Frontier ties on
-(f, clock) are broken by a uniform random draw from the caller's seeded
-rng, so identical seeds give identical decisions.
+(f, clock) are broken by tie numbers keyed by path: an episode draws one
+64-bit root tie from the caller's seeded rng, and every heap entry's tie
+is a fixed mix of its pusher's tie and its edge (see `_TIE_MULT`). So
+there is one tie order per episode, identical seeds give identical
+decisions, and the player model is a uniform random order, drawn per
+episode, among plans of equal (f, clock).
 
 Agents move on an engine graph of the build (`_graph`): one record per
 dedup key, action count and auto-grant flag, holding the state's id,
@@ -33,23 +37,17 @@ goes through the engine's transition (`_commit`), which raises for an
 act that is not legal.
 
 A planner's answers serve as a transposition table over decisions.
-Every search runs a tie test: could the random tie number have decided
-its result? If not, its decision, expansion count and number of tie
-draws depend on the record alone, and the planner stores them for it.
-Every later search from that record returns the stored decision without
-searching and reports the stored expansion count; it leaves an episode's
-stream owing the stored draws (see `_Stream`), and advances any other
-rng past them. A search that runs straight down one path to the goal,
-each node it expands a child of the one before, stores the same kind of
-answer for the records of that path whose own search would pop the same
-nodes in the same order: no state the longer search had closed orders
-theirs otherwise, and every heap entry that ties a popped node's f and
-clock was pushed before the record's place on the path. An episode commits
-that path's edges in turn, so its later decisions on the path are
-served. Most trials of a group replay one trajectory, so from the second
-trial on most of their decisions are served too, and the rng stream, and
-so every later search, stays what it would have been. Most episodes end
-on served decisions, and the draws they still owe are never made.
+A search is a function of its root record and root tie, and the root tie
+of each later decision in an episode is the tie its record's entry had
+in the search that chose the move before. A search that pops a goal
+answers for every record of its goal path whose own search would pop the
+same entries in the same order (see `_store_path_answers`), so an episode
+commits that path's edges in turn and its later decisions on the path
+are served: each served decision is the search it replaces under the
+episode's tie order, with that search's expansion count. An answer that
+no tie number decided is kept for every later episode too. Most trials
+of a group replay one trajectory, so from the second trial on most of
+their decisions are served without a search.
 
 The heuristic is bound once per planner and build (`build_evaluator`):
 each term's scale, the career goal's XP target and, for a chain goal,
@@ -79,7 +77,6 @@ import heapq
 import math
 import random
 import time
-from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -158,9 +155,10 @@ class GoalSpec(Codec):
         """Raise SchemaError, as `<path>.<field>: <reason>`, for the first
         field the goal's kind reads that is None or names what `config`
         lacks: a career, a level above the career's cap, a relationship
-        category or an event. A career study fills `career` and `level`
-        itself, so a goal is checked where it is used as it stands, not
-        when it is built."""
+        category, a chain length longer than every chain the goal counts
+        (the category's, else the build's) or an event. A career study
+        fills `career` and `level` itself, so a goal is checked where it
+        is used as it stands, not when it is built."""
         for name in GOAL_KINDS[self.kind]:
             if getattr(self, name) is None:
                 raise SchemaError(f"{path}.{name}: missing")
@@ -177,6 +175,15 @@ class GoalSpec(Codec):
             if self.level > cap:
                 raise SchemaError(f"{path}.level: {self.level} > cap {cap} "
                                   f"of career {self.career!r}")
+        if self.chain_length is not None:
+            chains = [len(c.event_chain) for c in config.relationships
+                      if self.category in (None, c.id)]
+            if self.chain_length > max(chains, default=0):
+                where = (f"build {config.build_id!r}" if self.category is None
+                         else f"category {self.category!r}")
+                raise SchemaError(f"{path}.chain_length: {self.chain_length} > "
+                                  f"longest chain {max(chains, default=0)} "
+                                  f"of {where}")
 
 
 def goal_satisfied(goal: GoalSpec, state: GameState) -> bool:
@@ -450,10 +457,12 @@ def _bind_term(
     """One heuristic term's remaining quantity as a function of the state,
     or None for a term that is 0 in every state under this goal.
 
-    The quantity is a count clamped at 0, returned as an int. Every count
-    is far below 2**53, so the evaluator's `weight * value / scale` is the
-    float it would be with the count as a float (see `build_evaluator`).
-    The function is only called on states that do not satisfy the goal.
+    The quantity is an int count, far below 2**53, so the evaluator's
+    `weight * value / scale` is the float it would be with the count as a
+    float (see `build_evaluator`). It is only called on states that do not
+    satisfy the goal, where every count is at least 0: a career at the
+    goal's XP or level has met the goal, and an event closes on the act
+    that takes its XP to its final threshold.
     """
     idx = config.index()
     if term.startswith("crafted_item:"):
@@ -468,13 +477,13 @@ def _bind_term(
             def career_xp(state: GameState) -> int:
                 own = state.career
                 xp = own.xp if own is not None and own.id == career else 0
-                return max(0, target - xp)
+                return target - xp
             return career_xp
         if term == "career_level":
             def career_level(state: GameState) -> int:
                 own = state.career
                 reached = own.level if own is not None and own.id == career else 1
-                return max(0, level - reached)
+                return level - reached
             return career_level
         if term == "event_xp":
             events = idx.events
@@ -483,8 +492,7 @@ def _bind_term(
                 event = state.active_event
                 if event is None:
                     return 0
-                return max(0, events[event.event_id].final_threshold
-                           - event.accrued_xp)
+                return events[event.event_id].final_threshold - event.accrued_xp
             return event_xp
         return None
 
@@ -517,7 +525,7 @@ def _bind_term(
         def goal_event_xp(state: GameState) -> int:
             active = state.active_event
             if active is not None and active.event_id == target.id:
-                return max(0, final - active.accrued_xp)
+                return final - active.accrued_xp
             return final
         return goal_event_xp
     if (term == "career_event_complete" and target.kind == "career"
@@ -615,6 +623,7 @@ class _Graph:
 
     def __init__(self):
         self.episodes = 0  # started on this graph (see `_play`)
+        self.searches = 0  # full A* searches run on this graph
         self._empty()
 
     def _empty(self) -> None:
@@ -686,55 +695,78 @@ def _graph(config: TuningConfig) -> _Graph:
 # Bounded A*
 # ---------------------------------------------------------------------------
 
-# a planner's answer for a root whose first search was tie-sensitive
-_TIED = "tied"
+# Tie numbers. The entry that edge k of a record pushes gets the tie
+# ((t ^ _EDGE_KEYS[k]) * _TIE_MULT) mod 2**64, where t is the tie of the
+# record's own entry, and a root's entry has the root tie. For each edge
+# index this is a bijection of t, siblings get distinct ties, since their
+# keys differ, and the multiply carries every bit of both into the high
+# bits that order the ties. A path's tie is not symmetric in its edges,
+# so two orders of the same moves get unrelated ties.
+_TIE_MASK = (1 << 64) - 1
+_TIE_MULT = 0xD1342543DE82EF95
+_EDGE_KEYS: list[int] = []  # (k + 1) * the 64-bit golden ratio, by edge index
 
 
-def _store_chain_answers(
-    chain: list[_Record], marks: list[int], seq: int, near: int,
-    goal: GoalSpec, answers: dict,
-) -> None:
-    """Store in `answers` the answers that searches from the records of a
-    straight search would give.
+def _store_path_answers(
+    tree: list[tuple], path: list[int], goal_edge: int, skips: list[tuple],
+    tied: list[tuple], wide: dict, keyed: dict,
+) -> tuple[Decision, int, int, GameState]:
+    """Store the answers of a search that popped a goal for every record
+    of its goal path, and return the root's.
 
-    `chain` holds the records p_0 … p_{m-1} a search expanded, each popped
-    as a child of the one before, and the goal p_m it then popped.
-    `marks[j]` counts the pushes made before p_j's expansion, and `seq`
-    all of them. A search from p_j pushes a subset of the same entries,
-    with the same keys (a record's f and clock are its own), so it pops
-    p_{j+1} … p_m in turn if two rules hold:
+    `tree` holds each expansion's (tie, pusher's expansion index, index of
+    the pusher's edge, record), the root's first; `path` the expansion
+    indices of the goal path p_0 … p_{m-1}, each pushed by the one before,
+    and `goal_edge` the index of p_{m-1}'s edge to the goal p_m. A search
+    from p_j under p_j's tie pushes the entries of p_j's pop subtree with
+    the same keys and tie numbers, so it pops them in the same order, up
+    to p_m, unless a closure made outside that subtree skipped one of its
+    pushes or pops: `skips` holds (the skipped entry's pusher, the closer)
+    for each skip. p_j's answer is then its move to p_{j+1}, with the
+    expansions of its subtree as the count.
 
-    (a) at each accepted pop p_k after p_j's expansion, every heap entry
-        with exactly the popped (f, clock) was pushed by a record before
-        p_j (`near` <= j). A search from p_j never pushes it, and every
-        other entry it holds has a greater (f, clock), so no tie number
-        orders the pop otherwise;
-    (b) no in-limits child of p_j … p_{m-1} has the state id of p_0 …
-        p_{j-1}: this search had closed those ids, a search from p_j
-        would push the child.
-
-    Such a p_j's answer is its move to p_{j+1}, m - j nodes expanded and
-    the `seq - marks[j]` pushes made while expanding p_j … p_{m-1}: under
-    (b), a search from p_j skips the same children, and so makes the same
-    pushes. An answer a record holds is kept.
+    `tied` holds, for each accepted pop that entries of equal (f, clock)
+    tied, its pusher and theirs. An answer whose subtree never held such
+    a pop and one of its rivals is the same under every root tie and
+    goes in `wide` by record; the rest go in `keyed` by record, each with
+    its root tie.
     """
-    max_minutes, max_actions = goal.max_minutes, goal.max_actions
-    m = len(chain) - 1
-    position = {node.sid: i for i, node in enumerate(chain)}
-    low = m  # the least chain position of an in-limits child of p_j … p_{m-1}
-    for j in range(m - 1, near - 1, -1):
-        node, after = chain[j], chain[j + 1]
-        for move, child, _ in node.edges:
-            if child is after:
-                step = move
-            if child.clock <= max_minutes and child.actions <= max_actions:
-                i = position.get(child.sid, m)
-                if i < low:
-                    low = i
-        if low < near:
-            return
-        if low >= j and node not in answers:
-            answers[node] = (step, m - j, seq - marks[j])
+    m = len(path)
+    # each expansion's branch point: its last ancestor (itself included)
+    # on the goal path; p_j's subtree holds the expansions at j or more
+    branch = [-1] * len(tree)
+    for j, e in enumerate(path):
+        branch[e] = j
+    sizes = [0] * m
+    for e, entry in enumerate(tree):
+        b = branch[e]
+        if b < 0:
+            branch[e] = b = branch[entry[1]]
+        sizes[b] += 1
+    cut = [0] * (m + 1)
+    for pusher, closer in skips:
+        outside, under = branch[closer], branch[pusher]
+        if outside < under:
+            cut[outside + 1] += 1
+            cut[under + 1] -= 1
+    wide_from = 1 + max([min(branch[pusher], max(branch[e] for e in others))
+                         for pusher, others in tied], default=-1)
+    cuts = list(accumulate(cut))  # the skips that p_j's search would make
+    keys = _EDGE_KEYS
+    expanded = 0
+    k = goal_edge
+    for j in range(m - 1, -1, -1):
+        expanded += sizes[j]
+        tie, _, edge, node = tree[path[j]]
+        decision, child, _ = node.edges[k]
+        answer = (decision, expanded, keys[k], child.state)
+        if not cuts[j]:
+            if j >= wide_from:
+                wide[node] = answer
+            else:
+                keyed[node] = (tie, answer)
+        k = edge
+    return answer
 
 
 class AStarPlanner:
@@ -743,16 +775,15 @@ class AStarPlanner:
 
     The planner searches the build's engine graph (see `_graph`), which
     it holds, and keeps its own data for the graph's current generation:
-    the heuristic value of each in-limits record it met, in a list by
-    record number, so a push looks it up as cheaply as an attribute; the
-    records it found at its goal; and its answers by record. A record's
-    key fixes everything that shapes future dynamics and everything the
-    goal and heuristic read, so a later search that meets known records
-    pushes, pops and draws ties as a new planner's would. A decision from
-    a record the planner holds an answer for is served: the same
-    decision, the same tie draws owed to an episode's stream (any other
-    rng is advanced past them), and `last_expanded` set to the expansion
-    count of the search it replays, though nothing is expanded.
+    each in-limits record's heuristic value, in a list by record number;
+    the records it found at its goal; and its answers. A record's key
+    fixes everything the dynamics, the goal and the heuristic read, so a
+    later search pushes and pops as a new planner's would. A search is a
+    function of its root record and root tie (see `decide`). A served
+    decision is the stored one, with `last_expanded` the expansion count
+    of the search it stands for. Answers no tie number decided are kept
+    by record for the generation, the rest with their root tie for the
+    episode.
     """
 
     name = "astar"
@@ -767,47 +798,24 @@ class AStarPlanner:
         self.goal = goal
         self.node_budget = node_budget
         self.last_expanded = 0
+        self.last_tie = 0
         self._config: TuningConfig | None = None
         self._graph: _Graph | None = None
         self._generation: object | None = None
+        self._next: tuple[GameState, int] | None = None
 
     def decide(
         self, config: TuningConfig, state: GameState, rng: random.Random
     ) -> Decision:
-        """Run one bounded best-first search from the record of `state`, or
-        return the answer stored for it, which no tie draw decided, and
-        set `last_expanded`. A record expanded before is not handed to the
-        engine again, and one this planner met before is not evaluated
-        again. The evaluator scores every goal state 0 (see
-        `build_evaluator`), as an admissible heuristic does, so a child is
-        tested against the goal only where its h is 0.
-
-        The random tie number orders two heap entries only if they share
-        (f, clock). So after each accepted pop the search compares the
-        popped (f, clock) with the heap's new top, which every pop the tie
-        number could decide matches. A search whose budget runs out takes
-        the next pop: it heads toward the node it has just popped, the one
-        it would expand next, so the same test covers its move. A search
-        with no such tie has a decision, expansion count and tie draws (one
-        per push) that depend on the root alone, and stores them as its
-        answer (`_TIED` otherwise); a later search from the root returns
-        them at once and reports the stored expansion count. An episode's
-        stream (see `_Stream`) then owes the `draws` calls to
-        `rng.random()`, and any other `rng` is advanced by
-        `getrandbits(64 * draws)`, which leaves the state of those calls.
-        A search pays what the stream owes before it binds its draw, so
-        every later search draws what it would have drawn.
-
-        Heap entries are ranked by each record's own values: f = actions +
-        h, then clock. So a record has the same key in a search from any
-        root, and a search that runs straight to the goal, each accepted
-        pop a child of the record expanded just before it, also answers
-        for the records on its way (see `_store_chain_answers`). At a pop
-        that an entry ties on (f, clock), the records up to that entry's
-        pusher get no answer.
+        """The move from `state`, stored or searched; sets `last_expanded`
+        and `last_tie`. From the child state of the last move's edge, as an
+        episode hands it on, the root tie is that edge's entry's tie in the
+        last search; any other state starts an episode, with root tie
+        `rng.getrandbits(64)`, the planner's one draw. So a search from a
+        later node of a goal path pops what the search that found the path
+        popped below it, in the same order, under the same tie numbers.
         """
-        node_budget = self.node_budget
-        if node_budget < 1:
+        if self.node_budget < 1:
             raise ValueError("node_budget must be >= 1")
         if config is not self._config:
             self._config, self._graph = config, _graph(config)
@@ -819,55 +827,90 @@ class AStarPlanner:
             self._generation = graph.generation
             self._h: list[float | None] = []
             self._at_goal: set[_Record] = set()
-            self._answers: dict[_Record, str | tuple] = {}
-        answers = self._answers
-        answer = answers.get(root)
-        if type(answer) is tuple:
-            decision, self.last_expanded, draws = answer
-            if type(rng) in _STREAMS:
-                rng.owe(draws)
-            else:
-                rng.getrandbits(64 * draws)
-            return decision
-        self.last_expanded = 0
+            self._wide: dict[_Record, tuple] = {}
+            self._keyed: dict[_Record, tuple[int, tuple]] = {}
+        follow = self._next
+        if follow is not None and follow[0] is state:
+            tie = follow[1]
+        else:
+            tie = rng.getrandbits(64)
+            self._keyed = {}  # keyed by the ties of an earlier episode
+        self.last_tie = tie
+        answer = self._wide.get(root)
+        if answer is None:
+            held = self._keyed.get(root)
+            answer = (held[1] if held is not None and held[0] == tie
+                      else self._search(config, root, tie))
+        decision, self.last_expanded, key, child = answer
+        # the next root's tie: the tie of the answer's edge's entry
+        self._next = None if key is None else (
+            child, ((tie ^ key) * _TIE_MULT) & _TIE_MASK)
+        return decision
+
+    def _search(
+        self, config: TuningConfig, root: _Record, tie: int,
+    ) -> tuple[Decision, int, int | None, GameState | None]:
+        """One bounded best-first search from `root` under root tie `tie`:
+        (decision, nodes expanded, the key of the decision's edge and its
+        child state, or None for a stop). A record expanded before is not
+        handed to the engine again, and one this planner met before is not
+        evaluated again. The evaluator scores every goal state 0 (see
+        `build_evaluator`), as an admissible heuristic does, so a child is
+        tested against the goal only where its h is 0.
+
+        Heap entries are ranked by each record's own values, f = actions
+        + h, then clock, and then by tie number (see `_TIE_MULT`). The tie
+        number orders two entries only if they share (f, clock), so after
+        each accepted pop the search compares the popped (f, clock) with
+        the heap's new top. A search whose budget runs out takes the next
+        pop: it heads toward the node it has just popped, the one it would
+        expand next, so the same test covers its move. A search that pops
+        a goal also answers for the records of its goal path (see
+        `_store_path_answers`).
+        """
         goal = self.goal
         max_minutes, max_actions = goal.max_minutes, goal.max_actions
         if goal_satisfied(goal, root.state):
-            return Decision.stop("goal_reached")
+            return Decision.stop("goal_reached"), 0, None, None
         if root.clock > max_minutes or root.actions > max_actions:
-            return Decision.stop("hard_limit")
+            return Decision.stop("hard_limit"), 0, None, None
+        graph = self._graph
         if root.edges is None:
             graph.expand(config, root)
         if not root.edges:
-            return Decision.stop("deadlock")
+            return Decision.stop("deadlock"), 0, None, None
+        graph.searches += 1
 
+        node_budget = self.node_budget
         evaluate, known, at_goal = self._evaluate, self._h, self._at_goal
         records = graph.records
         known.extend([None] * (len(records) - len(known)))
-        if type(rng) is _OwingStream:
-            rng.pay()  # so `draw` binds the C method, not the paying one
-        draw, heappush, heappop = rng.random, heapq.heappush, heapq.heappop
+        heappush, heappop = heapq.heappush, heapq.heappop
+        keys, mult, mask = _EDGE_KEYS, _TIE_MULT, _TIE_MASK
 
-        # heap entries: (actions + h, clock, tie, seq, record, first decision),
-        # popped in that order both to expand and to pick a cut-off's move
-        seq = 0
+        # heap entries: (actions + h, clock, tie, pusher's expansion index,
+        # the edge's index in the pusher's edges, record), popped in that
+        # order both to expand and to pick a cut-off's move
         heap: list[tuple] = []
-        closed: dict[int, int] = {}  # state id -> fewest actions expanded at
-        chain = [root]  # the records popped, while each is a child of the last
-        marks = []  # seq before p_i's expansion: p_i pushed (marks[i], marks[i + 1]]
-        near = 1  # no tied entry could reorder a search from p_j, for j >= near
-        tied = False
+        closed: dict[int, int] = {}  # state id -> its last expansion's index
+        closed_at: list[int] = []  # each expansion's action count
+        tree: list[tuple] = []  # per expansion: (tie, pusher, edge index, record)
+        skips: list[tuple[int, int]] = []  # (pusher, closer) of each skip
+        tied: list[tuple] = []  # pushers of each tied accepted pop and rivals
+        node, pusher, k = root, -1, None
         expanded = 0
-        node, first = root, None
         while True:
-            closed[node.sid] = node.actions
-            expanded += 1
-            mark = seq
+            closed[node.sid] = expanded
+            closed_at.append(node.actions)
+            tree.append((tie, pusher, k, node))
             edges = node.edges
             if edges is None:
                 edges = graph.expand(config, node)
                 known.extend([None] * (len(records) - len(known)))
-            for decision, child, _ in edges:
+            if len(edges) > len(keys):
+                keys.extend((i + 1) * 0x9E3779B97F4A7C15 & mask
+                            for i in range(len(keys), len(edges)))
+            for k, (_, child, _) in enumerate(edges):
                 # None: not met yet, or beyond the limits
                 h = known[child.n]
                 if h is None:
@@ -877,49 +920,51 @@ class AStarPlanner:
                     if not h and goal_satisfied(goal, child.state):
                         at_goal.add(child)
                 actions = child.actions
-                best = closed.get(child.sid)
-                if best is not None and best <= actions:
+                closer = closed.get(child.sid)
+                if closer is not None and closed_at[closer] <= actions:
+                    skips.append((expanded, closer))
                     continue
-                seq += 1
-                heappush(heap, (actions + h, child.clock, draw(), seq, child,
-                                first or decision))
+                # the child's tie (see `_TIE_MULT`)
+                heappush(heap, (actions + h, child.clock,
+                                ((tie ^ keys[k]) * mult) & mask, expanded, k,
+                                child))
+            expanded += 1
 
             while heap:
-                f, clock, _, pushed, node, first = heappop(heap)
-                best = closed.get(node.sid)
-                if best is None or best > node.actions:
+                f, clock, tie, pusher, k, node = heappop(heap)
+                closer = closed.get(node.sid)
+                if closer is None or closed_at[closer] > node.actions:
                     break
+                skips.append((pusher, closer))
             else:
-                first = None
+                # nothing left to pop: no plan within the limits
+                answer = (Decision.stop("search_exhausted"), expanded, None, None)
                 break
-            if chain is not None:
-                if pushed > mark:
-                    chain.append(node)
-                    marks.append(mark)
-                else:
-                    chain = None
             if heap and heap[0][0] == f and heap[0][1] == clock:
-                tied = True
-                if chain:
-                    # an entry of the popped (f, clock) can go first in the
-                    # searches from its pusher and the chain records before it
-                    for e in heap:
-                        if e[0] == f and e[1] == clock:
-                            near = max(near, bisect_left(marks, e[3]))
-            if at_goal and node in at_goal:
-                if chain is not None and near < expanded:
-                    _store_chain_answers(chain, marks, seq, near, goal, answers)
-                break
-            if expanded >= node_budget:
-                # budget spent: head toward the node just popped, the one
-                # the search would expand next
+                tied.append((pusher, [e[3] for e in heap
+                                      if e[0] == f and e[1] == clock]))
+            if at_goal and node in at_goal or expanded >= node_budget:
+                # the goal, or the budget spent: head toward the node just
+                # popped, the one the search would expand next
+                path = []
+                while pusher >= 0:
+                    path.append(pusher)
+                    pusher = tree[pusher][1]
+                path.reverse()
+                if node in at_goal:
+                    return _store_path_answers(tree, path, k, skips, tied,
+                                               self._wide, self._keyed)
+                if len(path) > 1:
+                    k = tree[path[1]][2]
+                decision, child, _ = root.edges[k]
+                answer = (decision, expanded, keys[k], child.state)
                 break
 
-        decision = Decision.stop("search_exhausted") if first is None else first
-        if answer is None:
-            answers[root] = _TIED if tied else (decision, expanded, seq)
-        self.last_expanded = expanded
-        return decision
+        if tied:
+            self._keyed[root] = (tree[0][0], answer)
+        else:
+            self._wide[root] = answer
+        return answer
 
 
 # ---------------------------------------------------------------------------
@@ -941,6 +986,7 @@ class TrialRecord:
     clock: int
     event_log: list
     decisions: int
+    searches: int
     max_nodes_expanded: int
     max_decision_seconds: float
     state_digest: str
@@ -952,77 +998,14 @@ class TrialRecord:
         return sum(self.wait_intervals) / len(self.wait_intervals)
 
 
-class _Stream(random.Random):
-    """An episode's random stream (see `run_episode`): a `random.Random`
-    that can owe draws. `owe(n)` stands for n calls to `random()` and
-    makes none; the stream then becomes an `_OwingStream`, which pays
-    everything owed, with one `getrandbits(64 * owed)`, before its next
-    `random`, `getrandbits` or `getstate`, and so before every method
-    built on them. `seed` and `setstate` drop the debt unpaid.
-
-    A stream that owes nothing reads through `random.Random`'s own
-    methods, so a draw costs what a plain `Random`'s does.
-    """
-
-    def owe(self, draws: int) -> None:
-        self.owed = draws
-        self.__class__ = _OwingStream
-
-    def pay(self) -> None:
-        """Nothing is owed. A reader bound while the stream owed, as
-        `choices` binds `random`, still calls this after paying."""
-
-    def drop(self) -> None:
-        """Forget what the stream owes, unpaid."""
-        self.__class__ = _Stream
-        self.owed = 0
-
-    def seed(self, a=None, version=2) -> None:
-        self.drop()
-        super().seed(a, version)
-
-    def setstate(self, state: tuple) -> None:
-        self.drop()
-        super().setstate(state)
-
-
-class _OwingStream(_Stream):
-    """A `_Stream` that owes `owed` draws. It defines `getrandbits`, so
-    `random.Random`'s subclass hook keeps `_randbelow_with_getrandbits`,
-    the method every `_Stream` inherits."""
-
-    def owe(self, draws: int) -> None:
-        self.owed += draws
-
-    def pay(self) -> None:
-        owed = self.owed
-        self.drop()
-        self.getrandbits(64 * owed)
-
-    def random(self) -> float:
-        self.pay()
-        return self.random()
-
-    def getrandbits(self, k: int) -> int:
-        self.pay()
-        return self.getrandbits(k)
-
-    def getstate(self) -> tuple:
-        self.pay()
-        return self.getstate()
-
-
-# the classes of an episode's stream
-_STREAMS = (_Stream, _OwingStream)
-
-
 def _play(
     config: TuningConfig,
     state: GameState,
     rng: random.Random,
     agent,
     goal: GoalSpec,
-) -> tuple[GameState, _Record | None, list[Effects], bool, str, int, int, float]:
+) -> tuple[GameState, _Record | None, list[Effects], bool, str, int, int, int,
+           float]:
     """The decide/commit loop of every episode, evaluated or trained.
 
     Stops at the goal or a hard limit, else asks the agent for a move
@@ -1035,9 +1018,9 @@ def _play(
     history writes them with `sim.record`. Returns the final state, its
     record if the episode ended on one (else None), the effects in order,
     whether the goal was reached, the stop reason, the decision count,
-    the most nodes one decision expanded and the longest decision in
-    seconds. What `rng` still owes when the loop ends (see `_Stream`)
-    stays unpaid.
+    the full searches those decisions ran (the graph's count, so a
+    wrapped planner's count too), the most nodes one decision expanded
+    and the longest decision in seconds.
     """
     reached = False
     reason = ""
@@ -1047,6 +1030,7 @@ def _play(
     path = []
     graph = _graph(config)
     graph.episodes += 1
+    searches = graph.searches
 
     while True:
         if goal_satisfied(goal, state):
@@ -1081,7 +1065,9 @@ def _play(
         path.append(effects)
     at = graph.at
     node = at[1] if at is not None and at[0] is state else None
-    return state, node, path, reached, reason, decisions, max_expanded, max_seconds
+    searches = graph.searches - searches
+    return (state, node, path, reached, reason, decisions, searches, max_expanded,
+            max_seconds)
 
 
 def run_episode(
@@ -1093,14 +1079,13 @@ def run_episode(
 ) -> TrialRecord:
     """Drive one playthrough: decide, apply, repeat until goal or stop.
 
-    The agent draws from a stream of its own, `_Stream(seed)`, which
-    reads as `random.Random(seed)` does; a planner's served decisions
-    leave their tie draws owed on it, and the episode's end drops them.
+    The agent draws from `random.Random(seed)`: an A* planner takes one
+    root tie from it (see `AStarPlanner.decide`), a Softmax agent one
+    number per decision.
     """
     start = initial_state(config, scenario, seed)
-    state, node, path, reached, reason, decisions, max_expanded, max_seconds = _play(
-        config, start, _Stream(seed), agent, goal,
-    )
+    (state, node, path, reached, reason, decisions, searches, max_expanded,
+     max_seconds) = _play(config, start, random.Random(seed), agent, goal)
     counters = record(start.counters, state.counters.total_actions, path)
     return TrialRecord(
         seed=seed,
@@ -1114,6 +1099,7 @@ def run_episode(
         clock=state.clock,
         event_log=_chain_entries(counters.event_log),
         decisions=decisions,
+        searches=searches,
         max_nodes_expanded=max_expanded,
         max_decision_seconds=max_seconds,
         state_digest=state_digest(state) if node is None else node.digest(),

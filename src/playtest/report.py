@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 TRIAL_FIELDS = (
     "experiment", "study", "group", "trial", "seed", "agent",
     "goal_reached", "reason", "total_actions", "event_actions", "sessions",
-    "mean_wait_minutes", "clock_minutes", "decisions",
+    "mean_wait_minutes", "clock_minutes", "decisions", "searches",
     "max_nodes_expanded", "max_decision_seconds", "digest",
 )
 
@@ -94,6 +94,7 @@ def _write_trials(path: Path, outcome: ExperimentOutcome) -> None:
                 "mean_wait_minutes": f"{record.mean_wait:.3f}",
                 "clock_minutes": record.clock,
                 "decisions": record.decisions,
+                "searches": record.searches,
                 "max_nodes_expanded": record.max_nodes_expanded,
                 "max_decision_seconds": f"{record.max_decision_seconds:.6f}",
                 "digest": record.state_digest,

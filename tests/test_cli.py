@@ -599,10 +599,16 @@ class TestTrain:
         ({"kind": "relationship_chain_done", "category": "nope",
           "chain_length": 2},
          "GoalSpec.category: no category 'nope' in build 'desk_base'"),
-    ], ids=["career", "level", "event", "category"])
+        ({"kind": "relationship_chain_done", "category": "friendship",
+          "chain_length": 9},
+         "GoalSpec.chain_length: 9 > longest chain 5 of category 'friendship'"),
+        ({"kind": "any_relationship_chain_done", "chain_length": 9},
+         "GoalSpec.chain_length: 9 > longest chain 5 of build 'desk_base'"),
+    ], ids=["career", "level", "event", "category", "chain", "any_chain"])
     def test_goal_the_build_lacks_exit_two(self, tmp_path, capsys, goal, error):
         # a missing career used to raise UnknownCareer out of training, and
-        # a missing event to train every episode and report deadlock
+        # a missing event or a chain longer than the build's to train
+        # every episode and report deadlock
         code = main(["train", str(fixtures.path("desk_base")),
                      "--goal", json.dumps(goal), "--episodes", "5",
                      "--out", str(tmp_path / "p.json")])

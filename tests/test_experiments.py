@@ -918,7 +918,7 @@ def test_documented_load_errors_are_the_errors():
     entry, rows = documented_load_errors()
     suite = fixtures.path("paper_suite")
     assert report._load(suite, 0, entry, None, {}).error is None
-    assert len(rows) == 49
+    assert len(rows) == 50
     errors = []
     for fields, _ in rows:
         loaded = report._load(suite, 0, dict(entry, **json.loads(f"{{{fields}}}")),

@@ -8,7 +8,7 @@ refactor, an optimization) shows here as soon as one byte moves.
 Criterion 8 checks that runs agree with one another; this checks that
 they agree with the commit the digests were taken at.
 
-ROADMAP item 1 (the trial-seed change, which adds `distinct` to
+ROADMAP item 2 (the trial-seed change, which adds `distinct` to
 `stats.json`) is expected to change these bytes; it regenerates the table
 and reports the group means before and after. Regenerate, only for an
 intended change of the suite's output:
@@ -23,16 +23,12 @@ has). A change meant to make the engine faster without changing its
 work keeps these counts; one that changes the work updates them and says
 why.
 
-It also counts the A* decisions by the answer their planner held for the
-root before the call: none (a first search), `_TIED` (a re-search of a
-tie-sensitive root) or a stored answer (served without a search), split
-into the answers a search stored for its own root and those a straight
-search stored for the records on its way (`_store_chain_answers`), and
-the nodes the first searches and re-searches expanded. It counts the tie
-draws that served decisions leave owed on their episode's stream, and
-those a later read of the stream pays (see `agents._Stream`). These too
-change only with the searches: ROADMAP item 1 regenerates them along
-with the digests, and the command above prints them all.
+It also counts the A* decisions by how they were made: a full search,
+or served from a stored answer, one no tie number decided (kept for
+every root tie) or one kept for the episode's own root tie (see
+`agents._store_path_answers`), and the nodes the full searches expanded.
+These too change only with the searches: ROADMAP item 2 regenerates them
+along with the digests, and the command above prints them all.
 """
 
 import hashlib
@@ -69,60 +65,43 @@ GOLDEN = {
         "chartdata.json": "3d9b83ddff1c70a246f2f2f60647aa0c50515f0ebf3212cdc3d96be988583c4c",
     },
     "relationship_balance": {
-        "stats.json": "a41d6496bdb65b3a20cfcf3f8082ebaad593dbe4b5202d7645f974f19b385457",
-        "chartdata.json": "5e237cc612b9e19f19244155dfcc9dbff671ed312374f78f60c50c46ef6a8d3e",
+        "stats.json": "12c9c419b962c1f7e4c1f2b6b76ce7d9a09ec7041206cd4d3f84b57c56c88f4b",
+        "chartdata.json": "3aa39b981d6acea8878c6b02ee6945c65b3b46e503ee4ec14c8d25073559ed0a",
     },
 }
 
 
 # engine calls counted in the same serial run: (owner, name) -> calls
 WORK = {
-    (agents, "_edges"): 2_061,
+    (agents, "_edges"): 1_830,
     (agents, "_commit"): 9,
-    (sim, "_successor"): 3_403,
-    (sim.GameState, "dedup_key"): 4_411,
+    (sim, "_successor"): 2_987,
+    (sim.GameState, "dedup_key"): 3_987,
 }
 
-# A* decisions of the same run by the root's answer before the call, and
-# the nodes expanded by the decisions that were not served
+# A* decisions of the same run by how they were made, and the nodes the
+# full searches expanded
 SEARCHES = {
-    "first": 745,
-    "tied": 4_976,
-    "served_root": 1_581,
-    "served_chain": 23_718,
-    "expanded": 196_823,
-}
-
-# tie draws of the same run: owed by served decisions, and paid by a later
-# read of the episode's stream
-DRAWS = {
-    "owed": 598_261,
-    "paid": 0,
+    "searched": 2_147,
+    "served_wide": 25_337,
+    "served_keyed": 3_536,
+    "expanded": 54_512,
 }
 
 
 def suite_digests(out_dir: Path, work: Counter | None = None,
-                  searches: Counter | None = None,
-                  draws: Counter | None = None) -> dict[str, dict[str, str]]:
+                  searches: Counter | None = None) -> dict[str, dict[str, str]]:
     """The SHA-256 of each pinned file of a serial `paper_suite --seed 42`
     run; with `work` given, the calls of each `WORK` entry are added to it,
-    with `searches` given, the counts of `SEARCHES`, and with `draws`
-    given, those of `DRAWS`."""
+    and with `searches` given, the counts of `SEARCHES`."""
     with ExitStack() as stack:
         if work is not None:
             for owner, name in WORK:
                 stack.enter_context(mock.patch.object(
                     owner, name, counting(getattr(owner, name), work, name)))
         if searches is not None:
-            chained = {}
             stack.enter_context(mock.patch.object(
-                agents, "_store_chain_answers", noting_chain_answers(chained)))
-            stack.enter_context(mock.patch.object(
-                agents.AStarPlanner, "decide",
-                counting_searches(searches, chained)))
-        if draws is not None:
-            for owner, name, counted in counting_draws(draws):
-                stack.enter_context(mock.patch.object(owner, name, counted))
+                agents.AStarPlanner, "decide", counting_searches(searches)))
         results = run_suite(fixtures.path("paper_suite"), out_dir, seed_override=42)
     assert [outcome.status for _, outcome in results] == ["ok"] * len(results)
     return {
@@ -141,72 +120,34 @@ def counting(function, work: Counter, name: str):
     return counted
 
 
-def noting_chain_answers(chained: dict):
-    """`agents._store_chain_answers`, filing in `chained` each answer table
-    and record it stores an answer for, by their ids. The entries keep
-    both objects alive, so no id is reused while `chained` lives."""
-    store = agents._store_chain_answers
-
-    def noted(chain, *args):
-        answers = args[-1]
-        fresh = [node for node in chain if node not in answers]
-        store(chain, *args)
-        for node in fresh:
-            if node in answers:
-                chained[id(answers), id(node)] = answers, node
-    return noted
-
-
-def counting_searches(searches: Counter, chained: dict):
-    """`AStarPlanner.decide`, counting each call as `SEARCHES` does, a
-    served call by whether its answer is in `chained`. It looks the root
-    up as `decide` does first, which leaves the record in the graph's
-    `at` for `decide` to find, so no engine call is added."""
+def counting_searches(searches: Counter):
+    """`AStarPlanner.decide`, counting each call as `SEARCHES` does: a
+    call that ran a search by the graph's search count, and a served one
+    by where the planner holds its root's answer. `decide` leaves its
+    root as the graph's `at`, so no engine call is added."""
     decide = agents.AStarPlanner.decide
 
     def counted(planner, config, state, rng):
         graph = agents._graph(config)
-        root = graph.root(state)
-        answer = (planner._answers.get(root)
-                  if planner._generation is graph.generation else None)
-        kind = ("first" if answer is None else
-                "tied" if answer is agents._TIED else
-                "served_chain" if (id(planner._answers), id(root)) in chained else
-                "served_root")
-        searches[kind] += 1
+        before = graph.searches
         decision = decide(planner, config, state, rng)
-        if not kind.startswith("served"):
+        if graph.searches > before:
+            searches["searched"] += 1
             searches["expanded"] += planner.last_expanded
+        elif planner.last_expanded:
+            searches["served_wide" if graph.at[1] in planner._wide
+                     else "served_keyed"] += 1
+        else:
+            searches["stop"] += 1
         return decision
     return counted
-
-
-def counting_draws(draws: Counter):
-    """(owner, name, wrapper) for the episode stream's methods that owe
-    and pay tie draws, each wrapper adding its draws to `draws`."""
-    def owing(owe):
-        def owed(stream, n):
-            draws["owed"] += n
-            owe(stream, n)
-        return owed
-
-    pay = agents._OwingStream.pay
-
-    def paid(stream):
-        draws["paid"] += stream.owed
-        pay(stream)
-
-    return [(agents._Stream, "owe", owing(agents._Stream.owe)),
-            (agents._OwingStream, "owe", owing(agents._OwingStream.owe)),
-            (agents._OwingStream, "pay", paid)]
 
 
 @pytest.fixture(scope="module")
 def suite_run(tmp_path_factory):
     work, searches = Counter(), Counter()
-    draws = Counter(dict.fromkeys(DRAWS, 0))
     return (suite_digests(tmp_path_factory.mktemp("golden_suite"), work,
-                          searches, draws), work, searches, draws)
+                          searches), work, searches)
 
 
 @pytest.fixture(scope="module")
@@ -226,10 +167,6 @@ def test_searches_are_pinned(suite_run):
     assert suite_run[2] == SEARCHES
 
 
-def test_tie_draws_are_pinned(suite_run):
-    assert suite_run[3] == DRAWS
-
-
 @pytest.mark.parametrize("experiment", sorted(GOLDEN))
 def test_suite_output_matches_golden(digests, experiment):
     assert digests[experiment] == GOLDEN[experiment]
@@ -237,8 +174,7 @@ def test_suite_output_matches_golden(digests, experiment):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as out:
-        searches, draws = Counter(), Counter(dict.fromkeys(DRAWS, 0))
-        print(json.dumps(suite_digests(Path(out), searches=searches,
-                                       draws=draws), indent=4))
+        work, searches = Counter(), Counter()
+        print(json.dumps(suite_digests(Path(out), work, searches), indent=4))
+        print(json.dumps(dict(work), indent=4))
         print(json.dumps(dict(searches), indent=4))
-        print(json.dumps(dict(draws), indent=4))

@@ -1,5 +1,6 @@
 """Invariant suites: randomized walks asserting the engine's contracts."""
 
+import copy
 import functools
 import heapq
 import json
@@ -324,18 +325,51 @@ class TestTieRealization:
         assert abs(frequency - 0.5) <= 0.05
 
 
+class FixedTie:
+    """An rng whose one 64-bit draw is `tie`: a new planner given it
+    searches under root tie `tie`."""
+
+    def __init__(self, tie):
+        self.tie = tie
+
+    def getrandbits(self, k):
+        assert k == 64
+        return self.tie
+
+
 def answer_kind(planner, config, state):
     """What `planner` holds as its answer for the record of `state` in
-    `config`'s graph: None, `_TIED` or "stored" for a tie-free search's
-    answer."""
+    `config`'s graph: "wide" for an answer no tie number decided, kept
+    for every root tie, "keyed" for answers kept for some root ties of
+    the current episode, or None."""
     graph = agents._graph(config)
     if planner._generation is not graph.generation:
         return None
     node = graph.records.get((state_id(graph, state),
                               state.counters.total_actions,
                               state.auto_grant_objects))
-    answer = planner._answers.get(node)
-    return "stored" if type(answer) is tuple else answer
+    if node in planner._wide:
+        return "wide"
+    return "keyed" if node in planner._keyed else None
+
+
+def checked_decide(planner, config, state, rng):
+    """`planner.decide`, checked against two new planners, made one after
+    the other, each searching from `state` under the planner's root tie:
+    each must make the same decision with the same expansion count,
+    whether the planner searched or served a stored answer. Returns the
+    decision and how it was made: "searched", "served" or "stop" (a
+    stop without a search, at the goal, a hard limit or a dead end)."""
+    graph = agents._graph(config)
+    searches = graph.searches
+    decision = planner.decide(config, state, rng)
+    how = ("searched" if graph.searches > searches else
+           "served" if planner.last_expanded else "stop")
+    for _ in range(2):
+        fresh = AStarPlanner(planner.heuristic, planner.goal, planner.node_budget)
+        assert fresh.decide(config, state, FixedTie(planner.last_tie)) == decision
+        assert fresh.last_expanded == planner.last_expanded
+    return decision, how
 
 
 def state_id(graph, state):
@@ -403,33 +437,50 @@ class HandGraph:
         decision = planner.decide(config, state, rng)
         return decision.action, planner.last_expanded, rng.getstate()
 
+    def walk(self, start, rng, planner=None):
+        """An episode from `start`: each decision checked (see
+        `checked_decide`) and its move committed by its record's edge,
+        until a stop. Returns each decision's (state name, action, how
+        it was made)."""
+        planner, config = planner or self.planner()
+        graph = agents._graph(config)
+        state, moves = start, []
+        while True:
+            decision, how = checked_decide(planner, config, state, rng)
+            moves.append((state.name, decision.action, how))
+            if decision.kind == "stop":
+                return moves
+            state = next(child.state for move, child, _ in graph.at[1].edges
+                         if move == decision)
+
     def check_served(self, start, later):
-        """For each of `SEEDS` seeds, search from `start`, then from `later`
-        with the same planner: that must equal a new planner's search
-        from `later` with the same rng state. Returns how many times
-        `later` held a stored answer, and so was served."""
+        """For each of `SEEDS` seeds, an episode from `start`: how many
+        times it was served at `later`, each served decision checked."""
+        return sum(("served" in {how for name, _, how in self.walk(
+            start, random.Random(seed)) if name == later.name})
+            for seed in range(self.SEEDS))
+
+    def check_reused(self, start, later):
+        """For each of `SEEDS` seeds, a search from `start`, then with the
+        same planner a decision from `later` that starts another episode
+        (a copy of the state, with another seed's root tie), checked:
+        how many times that decision was served."""
         served = 0
         for seed in range(self.SEEDS):
-            planner, rng = self.planner(), random.Random(seed)
-            self.search(start, rng, planner)
-            fresh_rng = random.Random()
-            fresh_rng.setstate(rng.getstate())
-            served += answer_kind(*planner, later) == "stored"
-            assert (self.search(later, rng, planner)
-                    == self.search(later, fresh_rng))
+            planner, config = self.planner()
+            planner.decide(config, start, random.Random(seed))
+            _, how = checked_decide(planner, config, copy.copy(later),
+                                    random.Random(seed + self.SEEDS))
+            served += how == "served"
         return served
 
 
 class CheckedPlanner:
-    """An AStarPlanner whose every decision is checked against a fresh search.
-
-    Before each decision the rng state is copied; a new planner, with no
-    data of its own on the build's graph, must then make the same decision
-    with the same expansion count and the same number of tie draws, and
-    so must a second one made after it, whether the planner searched or
-    served a stored answer. The graph's clock table must file no more
-    states than it has records. `answers` counts each decision's root
-    answer before and after it (see `answer_kind`).
+    """An AStarPlanner whose every decision is checked against fresh
+    searches under its root tie (see `checked_decide`). The graph's clock
+    table must file no more states than it has records. `answers` counts
+    each decision by how it was made and the answer the planner then
+    holds for its root (see `answer_kind`).
     """
 
     name = "astar"
@@ -441,22 +492,8 @@ class CheckedPlanner:
 
     def decide(self, config, state, rng):
         planner = self.planner
-        start = rng.getstate()
-        fresh_rng, decide_rng = random.Random(), random.Random()
-        fresh_rng.setstate(start)
-        decide_rng.setstate(start)
-        fresh = AStarPlanner(planner.heuristic, planner.goal, planner.node_budget)
-        expected = fresh.decide(config, state, fresh_rng)
-
-        before = answer_kind(planner, config, state)
-        decision = planner.decide(config, state, rng)
-        self.answers[before, answer_kind(planner, config, state)] += 1
-        assert decision == expected
-        assert planner.last_expanded == fresh.last_expanded
-        assert rng.getstate() == fresh_rng.getstate()
-        assert AStarPlanner(planner.heuristic, planner.goal,
-                            planner.node_budget).decide(
-            config, state, decide_rng) == decision
+        decision, how = checked_decide(planner, config, state, rng)
+        self.answers[how, answer_kind(planner, config, state)] += 1
         graph = agents._graph(config)
         assert filed_states(graph) <= len(graph.records)
         self.last_expanded = planner.last_expanded
@@ -633,92 +670,21 @@ class TestPlannerMemo:
 
     def test_replays_serve_tie_free_decisions_on_barista(self, desk_base):
         # barista's first decision is tie-sensitive: seeds 6 to 8 start
-        # from seed 5's first root with other tie draws, and a served
-        # answer there would differ from a fresh search's
+        # from seed 5's first root under other root ties, and a served
+        # answer there would differ from a fresh search's. Each episode
+        # searches once, at its first root, and that search answers for
+        # the rest of its plan, the end of it for every root tie
         goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
                         max_minutes=20_000, max_actions=400)
         planner = CheckedPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200)
-        first, second, third, *_ = planner.replay(
+        episodes = planner.replay(
             desk_base, ScenarioOverrides(career="barista"), [5, 5, 5, 6, 7, 8],
             goal)
-        check_replays(first, second, third)
-        assert first[None, "stored"] > 0
-        assert first[None, agents._TIED] > 0
-
-    @pytest.mark.parametrize("draws", [0, 1, 7, 113])
-    def test_served_answer_skips_its_tie_draws(self, draws):
-        # A served answer advances the rng as its search's draws would: a
-        # plain Random at once, an episode's stream at its next read,
-        # whichever read that is, in one payment for every answer it owes.
-        # `choice` reads through `_randbelow`, which must stay the
-        # getrandbits one on a stream that owes, and `choices` binds
-        # `random` once and calls it after paying. Seeding a stream or
-        # setting its state drops what it owes.
-        skipped, drawn = random.Random(draws), random.Random(draws)
-        skipped.getrandbits(64 * draws)
-        for _ in range(draws):
-            drawn.random()
-        assert skipped.getstate() == drawn.getstate()
-        assert (agents._OwingStream._randbelow
-                is random.Random._randbelow_with_getrandbits)
-        reads = (lambda rng: rng.random(), lambda rng: rng.getrandbits(97),
-                 lambda rng: rng.getstate(),
-                 lambda rng: rng.choice(range(10**6)),
-                 lambda rng: rng.choices(range(10**6), k=3))
-        for read in reads:
-            stream, plain = agents._Stream(draws), random.Random()
-            stream.owe(draws // 3)
-            stream.owe(draws - draws // 3)
-            plain.setstate(drawn.getstate())
-            assert read(stream) == read(plain)
-            assert type(stream) is agents._Stream
-            assert stream.getstate() == plain.getstate()
-        restarted = random.Random(5)
-        for restart in (lambda rng: rng.seed(5),
-                        lambda rng: rng.setstate(restarted.getstate())):
-            stream = agents._Stream(draws)
-            stream.owe(draws + 1)
-            restart(stream)
-            assert stream.random() == restarted.random()
-            assert stream.getstate() == restarted.getstate()
-            restarted.seed(5)
-
-    def test_search_after_a_served_decision_pays_what_is_owed(
-            self, monkeypatch):
-        # The root's search runs straight to x and answers for the root
-        # and a. On one stream, the served decisions from the root and a
-        # leave their draws owed, and the first search from s, where y and
-        # z tie, pays them before it binds its draw: every (action,
-        # expanded) and the final rng state equal those of the same calls
-        # on a plain Random, and no draw goes through the paying `random`.
-        root, a, s = (hand_state(name, n, n) for name, n in
-                      (("root", 0), ("a", 1), ("s", 0)))
-        x, y, z = (hand_state(name, 2, 2, done=("goal",))
-                   for name in ("x", "y", "z"))
-        graph = HandGraph(monkeypatch, {"root": [a], "a": [x], "s": [y, z]},
-                          {"a": 1.0, "x": 0.0, "y": 0.0, "z": 0.0})
-        paying = []
-        owing_random = agents._OwingStream.random
-        monkeypatch.setattr(agents._OwingStream, "random",
-                            lambda rng: paying.append(1) or owing_random(rng))
-        picked = set()
-        for seed in range(graph.SEEDS):
-            runs = []
-            for rng in (agents._Stream(seed), random.Random(seed)):
-                planner, config = graph.planner()
-                planner.decide(config, root, random.Random(-seed))
-                moves = []
-                for state in (root, a, s):
-                    if state is s and type(rng) is not random.Random:
-                        assert rng.owed == 3
-                    moves.append((planner.decide(config, state, rng).action,
-                                  planner.last_expanded))
-                runs.append((moves, rng.getstate()))
-            assert runs[0] == runs[1]
-            assert runs[0][0][:2] == [("a", 2), ("x", 1)]
-            picked.add(runs[0][0][2][0])
-        assert picked == {"y", "z"}
-        assert not paying
+        check_replays(*episodes[:3])
+        for answers in episodes:
+            assert answers["searched", "keyed"] == answers.total() - (
+                answers["served", "keyed"] + answers["served", "wide"]) == 1
+            assert answers["served", "keyed"] > 0 and answers["served", "wide"] > 0
 
     @settings(PROPERTY_SETTINGS, max_examples=100)
     @given(build_seed=st.integers(0, 10_000),
@@ -743,7 +709,8 @@ class TestPlannerMemo:
         # The budget is spent after the root's expansion. act has the least
         # (f, clock), so the search pops it next and heads for it; the
         # waits share its f at fewer actions and a later clock, and no tie
-        # number decides between them and act. The root is answered for.
+        # number decides between them and act. The root is answered for,
+        # for every root tie.
         root = hand_state("root", 0, 0)
         graph = HandGraph(monkeypatch, {"root": [
             hand_state("act", 1, 1), hand_state("wait_a", 10, 0),
@@ -752,13 +719,14 @@ class TestPlannerMemo:
         for seed in range(12):
             planner = graph.planner()
             assert graph.search(root, random.Random(seed), planner)[0] == "act"
-            assert answer_kind(*planner, root) == "stored"
-        assert graph.check_served(root, root) == graph.SEEDS
+            assert answer_kind(*planner, root) == "wide"
+        assert graph.check_reused(root, root) == graph.SEEDS
 
     def test_cutoff_tie_is_never_served(self, monkeypatch):
         # As above with act at clock 10: all three children share (f,
         # clock), so the tie number picks the node the cut-off search pops,
-        # and the test after that pop finds the tie.
+        # and the test after that pop finds the tie. The answer is kept
+        # for its root tie only, so no other episode is served it.
         root = hand_state("root", 0, 0)
         graph = HandGraph(monkeypatch, {"root": [
             hand_state("act", 10, 1), hand_state("wait_a", 10, 0),
@@ -771,20 +739,23 @@ class TestPlannerMemo:
             assert decision == graph.search(root, random.Random(seed))
             picked.add(decision[0])
         assert picked == {"act", "wait_a", "wait_b"}
-        assert answer_kind(*planner, root) == agents._TIED
+        assert answer_kind(*planner, root) == "keyed"
+        assert graph.check_reused(root, root) == 0
 
     def test_tie_with_a_later_chain_push_is_never_served(self, monkeypatch):
-        # The search from the root runs straight through a and b, then pops
-        # the goal x, which b pushed, against a's child c at the same
-        # (f, clock), a goal too. Searching from a, x and c tie again, so
-        # the tie number decides between b and c.
+        # The search from the root runs through a and b, then pops the goal
+        # x, which b pushed, against a's child c at the same (f, clock), a
+        # goal too. Searching from a, x and c tie again, so the tie number
+        # decides between b and c: a is served in the episode, under its
+        # tie, and never in another.
         root, a, b = (hand_state(name, n, n) for name, n in
                       (("root", 0), ("a", 1), ("b", 2)))
         c = hand_state("c", 3, 3, done=("goal",))
         x = hand_state("x", 3, 3, done=("goal",))
         graph = HandGraph(monkeypatch, {"root": [a], "a": [b, c], "b": [x]},
                           {"a": 2.0, "b": 0.5, "c": 0.0, "x": 0.0})
-        assert graph.check_served(root, a) == 0
+        assert graph.check_served(root, a) == graph.SEEDS
+        assert graph.check_reused(root, a) == 0
 
     def test_back_edge_to_an_earlier_chain_node_is_never_served(
             self, monkeypatch):
@@ -799,8 +770,14 @@ class TestPlannerMemo:
         graph = HandGraph(
             monkeypatch, {"root": [a], "a": [b], "b": [c, back], "c": [x]},
             {"a": 3.0, "b": 2.0, "c": 1.0, "back": 5.0, "x": 0.0})
-        assert graph.check_served(root, a) == graph.check_served(root, b) == 0
-        assert graph.check_served(root, c) == graph.SEEDS
+        planner = graph.planner()
+        graph.search(root, random.Random(0), planner)
+        assert [answer_kind(*planner, state) for state in (root, a, b, c)] == [
+            "wide", None, None, "wide"]
+        assert graph.check_reused(root, a) == graph.check_reused(root, b) == 0
+        assert graph.check_reused(root, c) == graph.SEEDS
+        # the episode searches again from a, which answers for b
+        assert graph.check_served(root, b) == graph.SEEDS
 
     def test_out_of_limits_back_edge_keeps_chain_answers(self, monkeypatch):
         # b has a child with the root's dedup key, so at the root's clock,
@@ -813,7 +790,28 @@ class TestPlannerMemo:
         graph = HandGraph(monkeypatch, {"root": [a], "a": [b], "b": [back, x]},
                           {"a": 2.0, "b": 1.0, "x": 0.0})
         graph.goal = replace(graph.goal, max_actions=3)
-        assert graph.check_served(root, a) == graph.SEEDS
+        assert graph.check_reused(root, a) == graph.SEEDS
+
+    def test_transposition_closed_outside_is_never_served(self, monkeypatch):
+        # The root's children a and b both reach s, a dead end. The root's
+        # search expands a and then s, before b (each has the lesser f),
+        # so b's push of s is skipped; a search from b pushes and expands
+        # s, one node more. b is on the goal path, and the closure made
+        # outside its subtree withholds its answer.
+        root = hand_state("root", 0, 0)
+        a, b = hand_state("a", 1, 1), hand_state("b", 2, 1)
+        s = hand_state("s", 3, 2)
+        y = hand_state("y", 4, 2)
+        x = hand_state("x", 5, 3, done=("goal",))
+        graph = HandGraph(
+            monkeypatch, {"root": [a, b], "a": [s], "b": [s, y], "y": [x]},
+            {"a": 1.0, "b": 1.5, "s": 0.1, "y": 1.0, "x": 0.0})
+        planner = graph.planner()
+        graph.search(root, random.Random(0), planner)
+        assert [answer_kind(*planner, state) for state in (root, b, y)] == [
+            "wide", None, "wide"]
+        assert graph.check_served(root, b) == 0
+        assert graph.check_served(root, y) == graph.SEEDS
 
     def test_entries_one_ulp_apart_are_served(self, monkeypatch):
         # x and y differ by one ulp in f = 2 + h, and each reaches a goal
@@ -832,10 +830,10 @@ class TestPlannerMemo:
             monkeypatch,
             {"root": [a], "a": [x, y], "x": [x_goal], "y": [y_goal]},
             {"a": 1.0, "x": hx, "y": hy, "x_goal": 0.0, "y_goal": 0.0})
-        assert graph.check_served(root, a) == graph.SEEDS
+        assert graph.check_reused(root, a) == graph.SEEDS
         planner = graph.planner()
         graph.search(root, random.Random(0), planner)
-        assert answer_kind(*planner, root) == "stored"
+        assert answer_kind(*planner, root) == "wide"
 
     def test_hand_graph_goal_has_h_zero(self, monkeypatch):
         # the planner tests the goal only where h is 0, so a hand graph
@@ -861,24 +859,26 @@ class TestPlannerMemo:
             monkeypatch,
             {"root": [a], "a": [x, y], "x": [x_goal], "y": [y_goal]},
             {"a": 1.0, "x": hx, "y": hy, "x_goal": 0.0, "y_goal": 0.0})
-        assert graph.check_served(root, a) == graph.SEEDS
+        assert graph.check_reused(root, a) == graph.SEEDS
         planner = graph.planner()
         graph.search(root, random.Random(0), planner)
-        assert answer_kind(*planner, root) == "stored"
+        assert answer_kind(*planner, root) == "wide"
 
     def test_near_entry_withholds_answers_up_to_its_pusher(self, monkeypatch):
         # a pushes y, which ties x on (f, clock): the tie number decides
-        # whether the root's search pops x, and a's too. A search from b
-        # never pushes y, so b is answered for whenever the root's search
-        # runs straight to x, and a never is.
+        # whether the root's search pops x, and a's too, so their answers
+        # are kept for their root ties only. A search from b never pushes
+        # y, so b's answer is kept for every root tie whenever the root's
+        # search pops x.
         root, a, b = (hand_state(name, n, n) for name, n in
                       (("root", 0), ("a", 1), ("b", 2)))
         x = hand_state("x", 3, 2, done=("goal",))
         y = hand_state("y", 3, 2, done=("goal",))
         graph = HandGraph(monkeypatch, {"root": [a], "a": [b, y], "b": [x]},
                           {"a": 1.0, "b": 0.0, "x": 0.0, "y": 0.0})
-        assert graph.check_served(root, a) == 0
-        assert graph.check_served(root, b) > 0
+        assert graph.check_reused(root, a) == 0
+        assert 0 < graph.check_reused(root, b) < graph.SEEDS
+        assert graph.check_served(root, a) == graph.SEEDS
 
     @settings(PROPERTY_SETTINGS, max_examples=60)
     @given(data=st.data())
@@ -893,9 +893,9 @@ class TestPlannerMemo:
         # two such moves pops first decides which goal the search reaches.
         # Each clock is one of two. So entries that differ by an ulp, that
         # tie exactly, and that would order otherwise if f were taken
-        # relative to a later root all occur. Whatever a search from the
-        # root answers for, each chain record's served decision must be a
-        # fresh search's.
+        # relative to a later root all occur. Every decision of an
+        # episode from the root, served or searched, and of a later
+        # episode from each chain record, must be a fresh search's.
         draw = data.draw
         length = draw(st.integers(2, 3), label="length")
         chain, children, h = [hand_state("p0", 0, 0)], {}, {}
@@ -923,6 +923,7 @@ class TestPlannerMemo:
             graph.SEEDS = 8
             for record in chain[1:]:
                 graph.check_served(chain[0], record)
+                graph.check_reused(chain[0], record)
 
     def test_equal_f_at_a_later_elapsed_is_served(self, monkeypatch):
         # The benchmark's short episodes: y has x's f with one action fewer
@@ -933,7 +934,7 @@ class TestPlannerMemo:
         y = hand_state("y", 5, 2)
         graph = HandGraph(monkeypatch, {"root": [a], "a": [x, y]},
                           {"a": 2.0, "x": 0.0, "y": 1.0})
-        assert graph.check_served(root, a) == graph.SEEDS
+        assert graph.check_reused(root, a) == graph.SEEDS
 
     @settings(PROPERTY_SETTINGS, max_examples=250)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -944,23 +945,23 @@ class TestPlannerMemo:
         run_episode(romance_outlier, ScenarioOverrides(), seed, planner,
                     planner.planner.goal)
 
-    def test_short_episodes_search_twice(self, romance_outlier):
-        # Seeds 0 to 99, a new planner each: each episode's first search
-        # leaves its path; the second runs straight to the goal past many
-        # entries of equal f and later elapsed, and answers for the 18
-        # decisions after it. Which answers are stored rests on float
-        # comparisons, so the count is pinned on every Python version.
+    def test_short_episodes_search_once(self, romance_outlier):
+        # Seeds 0 to 99, a new planner each: each episode's one search, at
+        # its first root, reaches the goal past many entries of equal f and
+        # later elapsed, and answers for the 19 decisions after it. Which
+        # answers are stored rests on float comparisons, so the count is
+        # pinned on every Python version.
         searches, served = Counter(), 0
         for seed in range(100):
             planner = CheckedPlanner(*SHORT_EPISODES)
             run_episode(romance_outlier, ScenarioOverrides(), seed, planner,
                         planner.planner.goal)
-            hits = sum(n for (before, _), n in planner.answers.items()
-                       if before == "stored")
+            hits = sum(n for (how, _), n in planner.answers.items()
+                       if how == "served")
             searches[planner.answers.total() - hits] += 1
             served += hits
-        assert searches == Counter({2: 100})
-        assert served == 1800
+        assert searches == Counter({1: 100})
+        assert served == 1900
 
     def test_third_replay_pushes_nothing(self, build_b, monkeypatch):
         # every search of this episode is tie-free, and the first runs
@@ -1054,33 +1055,154 @@ class TestPlannerMemo:
                          seed)
 
 
+@st.composite
+def hand_graphs(draw):
+    """A layered hand graph (see `HandGraph`): (root, children, h).
+
+    Each layer holds one to three states at its action count and one of
+    two clocks; each state moves to some states of the next layer, which
+    it shares with its siblings (transpositions), and some states have a
+    back edge: a child with the dedup key and clock of a state of an
+    earlier layer, at more actions, a dead end. The last layer is all
+    goals, and any other state may be one. A state's h is one of a few
+    multiples of 0.5 (0 at a goal), so entries often tie on (f, clock).
+    """
+    layers = [[hand_state("n0_0", 0, 0)]]
+    h = {"n0_0": 1.0}
+    for i in range(1, draw(st.integers(2, 4)) + 1):
+        layer = []
+        for j in range(draw(st.integers(1, 3))):
+            goal = draw(st.booleans()) if i > 1 else False
+            state = hand_state(f"n{i}_{j}", i + draw(st.integers(0, 1)), i,
+                               done=("goal",) if goal else ())
+            layer.append(state)
+            h[state.name] = 0.0 if goal else draw(st.sampled_from([0.5, 1.0, 1.5]))
+        layers.append(layer)
+    for state in layers[-1]:
+        state.events_completed = ("goal",)
+        h[state.name] = 0.0
+    children = {}
+    for i, layer in enumerate(layers[:-1]):
+        for state in layer:
+            if state.events_completed:
+                continue
+            moves = draw(st.lists(st.sampled_from(layers[i + 1]), min_size=1,
+                                  max_size=3, unique_by=lambda s: s.name))
+            if i and draw(st.booleans()):
+                earlier = draw(st.sampled_from([s for layer in layers[:i]
+                                                for s in layer]))
+                back = hand_state(f"b_{state.name}", earlier.clock, i + 1,
+                                  key=earlier.name)
+                moves.append(back)
+                h[back.name] = draw(st.sampled_from([0.5, 1.0]))
+            children[state.name] = draw(st.permutations(moves))
+    return layers[0][0], children, h
+
+
+class TestServedDecisions:
+    """Every decision a planner serves, whether a root's answer or a goal
+    path's, kept for every root tie or for one, is the search a new
+    planner makes from that record under the same root tie: the same
+    decision and the same expansion count (see `checked_decide`)."""
+
+    PROPERTY_SETTINGS = settings(
+        PROPERTY_SETTINGS, phases=[p for p in Phase if p is not Phase.shrink])
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(build_seed=st.integers(0, 10_000),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3),
+           node_budget=st.integers(1, 40))
+    def test_served_decisions_on_generated_builds(self, build_seed, seeds,
+                                                  node_budget):
+        # one planner over several seeds, each played twice: later
+        # episodes meet earlier answers under other root ties
+        config, scenario, goal = random_desk_config(build_seed)
+        weights = ({"career_xp": 1.0, "event_xp": 0.5}
+                   if goal.kind == "career_level_reached" else
+                   {"relationship_event_complete": 1.0, "event_xp": 1.0})
+        planner = CheckedPlanner(HeuristicSpec(weights), goal, node_budget)
+        planner.replay(config, scenario, seeds + seeds, goal)
+
+    @pytest.mark.parametrize("group", sorted(SHIPPED_GROUPS))
+    def test_served_decisions_on_fixtures(self, group):
+        fixture, scenario, goal, weights, budget = SHIPPED_GROUPS[group]
+        planner = CheckedPlanner(HeuristicSpec(weights), goal, budget)
+        planner.replay(fixtures.load(fixture), scenario, [5, 5, 6, 7, 5], goal)
+
+    @settings(PROPERTY_SETTINGS, max_examples=150)
+    @given(graph=hand_graphs(),
+           budget=st.integers(1, 12))
+    def test_served_decisions_on_hand_graphs(self, graph, budget):
+        # four episodes from the root by one planner, each under its own
+        # root tie, and a later episode from every state
+        root, children, h = graph
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            hand = HandGraph(monkeypatch, children, h, budget)
+            hand.SEEDS = 4
+            planner = hand.planner()
+            for seed in range(hand.SEEDS):
+                hand.walk(root, random.Random(seed), planner)
+            states = {child.name: child for moves in children.values()
+                      for child in moves}
+            for state in states.values():
+                checked_decide(planner[0], planner[1], copy.copy(state),
+                               random.Random(len(state.name)))
+
+
+class ReadCounting(random.Random):
+    """A `random.Random` that notes each read of its numbers in `reads`."""
+
+    def __init__(self, seed, reads):
+        self.reads = reads
+        super().__init__(seed)
+
+    def random(self):
+        self.reads.append("random")
+        return super().random()
+
+    def getrandbits(self, k):
+        self.reads.append(k)
+        return super().getrandbits(k)
+
+
+def same_play(record):
+    """A trial record without its work and timing: what a trial played."""
+    return replace(record, max_decision_seconds=0.0, searches=0)
+
+
 def check_stream_records(config, scenario, goal, weights, budget, seeds):
-    """One planner's records over `seeds` in turn must equal, field for
-    field (the decision time aside), another's over the same seeds with
-    each episode's stream a plain `random.Random`, on which every served
-    answer replays its tie draws at once."""
+    """An episode's stream is `random.Random(seed)`, and an A* episode
+    reads it once, one 64-bit root tie at its first decision. One
+    planner's records over `seeds` in turn must equal, field for field
+    (the decision time and the search count aside), those of a new
+    planner per seed."""
     records = []
-    for stream in (agents._Stream, random.Random):
+    for shared in (True, False):
         planner = AStarPlanner(HeuristicSpec(weights), goal, budget)
-        with mock.patch.object(agents, "_Stream", stream):
-            records.append([
-                replace(run_episode(config, scenario, seed, planner, goal),
-                        max_decision_seconds=0.0) for seed in seeds])
+        played = []
+        for seed in seeds:
+            reads = []
+            stream = functools.partial(ReadCounting, reads=reads)
+            with mock.patch.object(agents, "random",
+                                   SimpleNamespace(Random=stream)):
+                record = run_episode(config, scenario, seed, planner if shared
+                                     else AStarPlanner(HeuristicSpec(weights),
+                                                       goal, budget), goal)
+            assert reads == ([64] if record.decisions else [])
+            played.append(same_play(record))
+        records.append(played)
     assert records[0] == records[1]
 
 
 def check_replays(first, second, third):
-    """Answers of three replays of one seed by one planner: the first
-    leaves an answer on each root it searches, the tie-free search's or
-    `_TIED`, and serves the roots a straight search answered for; the
-    second and third serve exactly the tie-free answers."""
-    unsearched = first[None, None]
-    stored = first[None, "stored"] + first["stored", "stored"]
-    tied = first[None, agents._TIED]
-    assert stored + tied + unsearched == first.total()
-    assert second == third == Counter({
-        (None, None): unsearched, ("stored", "stored"): stored,
-        (agents._TIED, agents._TIED): tied})
+    """Answers of three replays of one seed by one planner: the second
+    and third are the same, searching no more than the first, and every
+    decision the first served from an answer kept for every root tie is
+    served again."""
+    assert second == third and second.total() == first.total()
+    assert (sum(n for (how, _), n in second.items() if how == "searched")
+            <= sum(n for (how, _), n in first.items() if how == "searched"))
+    assert second["served", "wide"] >= first["served", "wide"]
 
 
 class ForwardingPlanner:
@@ -1171,8 +1293,10 @@ class TestHandedEdges:
         assert per_decision[0] == 1 and sum(per_decision) == len(hashes) == 1
         assert len(per_decision) == records[2].decisions > 1
         assert not engine
-        assert records[2] == replace(records[0], max_decision_seconds=(
-            records[2].max_decision_seconds))
+        assert same_play(records[2]) == same_play(records[0])
+        # the first root is tie-sensitive: each episode searches it, over
+        # records the graph holds, and is served the rest of its plan
+        assert records[2].searches == records[0].searches == 1
 
     def test_wrapped_replay_commits_with_no_engine_step(self, monkeypatch):
         # behind a wrapper, which passes nothing on but the decision, every
@@ -1194,8 +1318,8 @@ class TestHandedEdges:
         calls.clear()
         again = run_episode(config, scenario, 5, wrapped, goal)
         assert not calls
-        assert again == replace(first, max_decision_seconds=(
-            again.max_decision_seconds))
+        assert same_play(again) == same_play(first)
+        assert again.searches == first.searches == 1
 
 
 def other_goal(goal):
@@ -1258,8 +1382,10 @@ class TestSharedGraph:
                 agent, agent_goal = shared_graph_players(own, goal, budgets)[i]
                 alone = [run_episode(own, scenario, seed, agent, agent_goal)
                          for seed in seeds]
-                assert [replace(r, max_decision_seconds=0.0) for r in alone] == [
-                    replace(r, max_decision_seconds=0.0) for r in records]
+                # an agent's search count is work, and it depends on what
+                # the graph held: an emptied graph serves less
+                assert [same_play(r) for r in alone] == [
+                    same_play(r) for r in records]
 
     def test_emptied_graph_leaves_no_stale_records_with_an_agent(
             self, monkeypatch):
@@ -1270,7 +1396,7 @@ class TestSharedGraph:
         fixture, scenario, goal, weights, budget = SHIPPED_GROUPS["barista"]
         holder = CheckedPlanner(HeuristicSpec(weights), goal, budget)
         first = run_episode(config, scenario, 5, holder, goal)
-        held = set(holder.planner._answers)
+        held = set(holder.planner._wide)
         assert held
 
         monkeypatch.setattr(agents, "_MEMO_LIMIT", 3)
@@ -1283,10 +1409,10 @@ class TestSharedGraph:
 
         again = run_episode(config, scenario, 5, holder, goal)
         planner, current = holder.planner, set(agents._graph(config).records.values())
-        assert set(planner._answers) <= current and planner._at_goal <= current
+        assert set(planner._wide) <= current and planner._at_goal <= current
+        assert set(planner._keyed) <= current
         assert len(planner._h) <= len(current)
-        assert again == replace(first, max_decision_seconds=(
-            again.max_decision_seconds))
+        assert same_play(again) == same_play(first)
 
     def test_agent_off_the_graph_steps_from_its_own_state(self):
         # a planner's expanded root record, three brews in, is the graph's
@@ -1333,8 +1459,8 @@ class TestSharedGraph:
         planner = AStarPlanner(HeuristicSpec(weights), goal)
 
         def play_round():
-            return [replace(run_episode(config, scenario, seed, planner, goal),
-                            max_decision_seconds=0.0) for seed in range(10)]
+            return [same_play(run_episode(config, scenario, seed, planner, goal))
+                    for seed in range(10)]
 
         first = play_round()
         assert calls["_edges"] > 0 and calls["_commit"] == 0
@@ -1656,8 +1782,40 @@ def check_bound_heuristic(data, config, scenario, goal):
         assert evaluate(state) == reference_heuristic(spec, config, goal, state)
 
 
+def check_terms_not_negative(data, config, scenario, goal):
+    """Every term `_bind_term` binds under `goal` counts at least 0 on each
+    random-walk state that does not satisfy the goal."""
+    items = sorted({item for a in config.actions for item in a.rewards.items})
+    bound = [agents._bind_term(term, config, goal)
+             for term in list(agents.HEURISTIC_TERMS)
+             + [f"crafted_item:{item}" for item in items]]
+    states = [state for state in walk_states(
+        config, scenario, data.draw(st.integers(0, 2**32 - 1)))
+        if not goal_satisfied(goal, state)]
+    for remaining in filter(None, bound):
+        for state in states:
+            assert remaining(state) >= 0
+
+
 class TestBoundHeuristic:
     """The evaluator bound once per planner equals the per-term reference."""
+
+    @pytest.mark.parametrize("style", sorted(STYLE_SEEDS))
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(data=st.data())
+    def test_terms_are_not_negative_below_the_goal(self, style, data):
+        config, scenario, _ = random_desk_config(
+            data.draw(st.sampled_from(STYLE_SEEDS[style])))
+        check_terms_not_negative(data, config, scenario, draw_goal(data, config))
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @settings(PROPERTY_SETTINGS, max_examples=15)
+    @given(data=st.data())
+    def test_terms_are_not_negative_below_the_goal_on_fixtures(self, fixture,
+                                                               data):
+        config = fixtures.load(fixture)
+        check_terms_not_negative(data, config, draw_scenario(data, config),
+                                 draw_goal(data, config))
 
     @pytest.mark.parametrize("style", sorted(STYLE_SEEDS))
     @settings(PROPERTY_SETTINGS, max_examples=40)
