@@ -22,7 +22,8 @@ share one graph, a group's agent keeps it for all the group's trials,
 and an agent made afresh starts on an empty one. A graph grown past
 `_MEMO_LIMIT` records is emptied. What depends on an agent's goal,
 heuristic or budget stays with the agent, keyed by record: a planner's
-heuristic values, goal flags and stored answers. No decision changes.
+heuristic values and answers. A record keeps what depends only on it
+and the build: its edges and its Softmax move table. No decision changes.
 
 Search states carry no path history (see `sim`): each edge of a record
 holds the child record and the effects of committing that move. A
@@ -45,16 +46,16 @@ same entries in the same order (see `_store_path_answers`), so an episode
 commits that path's edges in turn and its later decisions on the path
 are served: each served decision is the search it replaces under the
 episode's tie order, with that search's expansion count. An answer that
-no tie number decided is kept for every later episode too. Most trials
-of a group replay one trajectory, so from the second trial on most of
-their decisions are served without a search.
+no tie number decided serves every root tie, any other its own, so a
+replay of a seed is served throughout. Most trials of a group replay
+one trajectory, so from the second on most decisions are served.
 
 The heuristic is bound once per planner and build (`build_evaluator`):
 each term's scale, the career goal's XP target and, for a chain goal,
 every category's remaining final thresholds and relationship XP for each
 count of completed events are computed then, so evaluating a state is a
 few lookups per weighted term, each an int count. The value is 0 at
-every goal state, so a search tests the goal only on a child scored 0.
+every goal state, so a search tests the goal only on a pop scored 0.
 
 The Softmax agent samples the available moves in proportion to
 exp(utility/temperature), where utility is a learned linear function of
@@ -253,7 +254,7 @@ def _timeouts(idx: ConfigIndex) -> dict[str, float]:
     return table
 
 
-def _moves(
+def _listing(
     idx: ConfigIndex, state: GameState
 ) -> tuple[list[tuple[ActionSpec, str | None]], int | None, tuple | None]:
     """The moves of `available_moves`: the legal actions, each with the
@@ -284,7 +285,7 @@ def available_moves(config: TuningConfig, state: GameState) -> list[Decision]:
     wait jumps to the next availability, which already accounts for the
     deadline.
     """
-    legal, wait, _ = _moves(config.index(), state)
+    legal, wait, _ = _listing(config.index(), state)
     moves = [Decision.act(action.id) for action, _ in legal]
     if wait is not None:
         moves.append(Decision.wait(wait))
@@ -314,7 +315,7 @@ def _edges(
     the event start its listing found, so its legality is checked once,
     and an idle state's wait is the edge its listing walked."""
     idx = config.index()
-    legal, wait, session_end = _moves(idx, state)
+    legal, wait, session_end = _listing(idx, state)
     acts = _ACT_DECISIONS
     edges = []
     for action, start in legal:
@@ -586,10 +587,11 @@ class _Record:
     count and clock. `state` has no path history (see `sim.act_edge`),
     except at a root an episode started from. `edges`, filled in at the
     first expansion, lists (decision, child record, effects an episode
-    records when it commits the edge).
+    records when it commits the edge); `moves`, the Softmax move table
+    (see `SoftmaxPlanner`), filled in at a Softmax decision there.
     """
 
-    __slots__ = ("n", "sid", "actions", "clock", "state", "edges", "_digest")
+    __slots__ = ("n", "sid", "actions", "clock", "state", "edges", "moves", "_digest")
 
     def __init__(self, n: int, sid: int, state: GameState):
         self.n = n
@@ -598,6 +600,7 @@ class _Record:
         self.clock = state.clock
         self.state = state
         self.edges: list[tuple[Decision, _Record, Effects]] | None = None
+        self.moves: tuple | None = None
         self._digest: str | None = None
 
     def digest(self) -> str:
@@ -709,10 +712,10 @@ _EDGE_KEYS: list[int] = []  # (k + 1) * the 64-bit golden ratio, by edge index
 
 def _store_path_answers(
     tree: list[tuple], path: list[int], goal_edge: int, skips: list[tuple],
-    tied: list[tuple], wide: dict, keyed: dict,
-) -> tuple[Decision, int, int, GameState]:
-    """Store the answers of a search that popped a goal for every record
-    of its goal path, and return the root's.
+    tied: list[tuple], answers: dict,
+) -> tuple[int | None, Decision, int, int, GameState]:
+    """Store in `answers` the answers of a search for every record of
+    `path`, and return the root's: the search's one answer writer.
 
     `tree` holds each expansion's (tie, pusher's expansion index, index of
     the pusher's edge, record), the root's first; `path` the expansion
@@ -723,13 +726,15 @@ def _store_path_answers(
     to p_m, unless a closure made outside that subtree skipped one of its
     pushes or pops: `skips` holds (the skipped entry's pusher, the closer)
     for each skip. p_j's answer is then its move to p_{j+1}, with the
-    expansions of its subtree as the count.
+    expansions of its subtree as the count. A search cut off by its budget
+    passes its root alone, with the root's edge toward the next pop.
 
     `tied` holds, for each accepted pop that entries of equal (f, clock)
     tied, its pusher and theirs. An answer whose subtree never held such
-    a pop and one of its rivals is the same under every root tie and
-    goes in `wide` by record; the rest go in `keyed` by record, each with
-    its root tie.
+    a pop and one of its rivals is the same under every root tie, and its
+    tie is None; any other's is its root tie, and it does not replace a
+    tie-free answer. An answer is (tie, decision, expansion count, the key
+    of the decision's edge, its child state).
     """
     m = len(path)
     # each expansion's branch point: its last ancestor (itself included)
@@ -759,12 +764,12 @@ def _store_path_answers(
         expanded += sizes[j]
         tie, _, edge, node = tree[path[j]]
         decision, child, _ = node.edges[k]
-        answer = (decision, expanded, keys[k], child.state)
-        if not cuts[j]:
-            if j >= wide_from:
-                wide[node] = answer
-            else:
-                keyed[node] = (tie, answer)
+        answer = (None if j >= wide_from else tie, decision, expanded, keys[k],
+                  child.state)
+        # a keyed answer never replaces a tie-free one
+        if not cuts[j] and (answer[0] is None
+                            or answers.get(node, answer)[0] is not None):
+            answers[node] = answer
         k = edge
     return answer
 
@@ -775,15 +780,14 @@ class AStarPlanner:
 
     The planner searches the build's engine graph (see `_graph`), which
     it holds, and keeps its own data for the graph's current generation:
-    each in-limits record's heuristic value, in a list by record number;
-    the records it found at its goal; and its answers. A record's key
-    fixes everything the dynamics, the goal and the heuristic read, so a
-    later search pushes and pops as a new planner's would. A search is a
-    function of its root record and root tie (see `decide`). A served
-    decision is the stored one, with `last_expanded` the expansion count
-    of the search it stands for. Answers no tie number decided are kept
-    by record for the generation, the rest with their root tie for the
-    episode.
+    each in-limits record's heuristic value, in a list by record number,
+    and `_answers`, one answer per record, each with the root tie it
+    holds for, or None if no tie number decided it. A record's key fixes
+    everything the dynamics, the goal and the heuristic read, so a later
+    search pushes and pops as a new planner's would. A search is a
+    function of its root record and root tie (see `decide`), so an answer
+    holds for the generation. A served decision is the stored one, with
+    `last_expanded` the expansion count of the search it stands for.
     """
 
     name = "astar"
@@ -814,6 +818,8 @@ class AStarPlanner:
         `rng.getrandbits(64)`, the planner's one draw. So a search from a
         later node of a goal path pops what the search that found the path
         popped below it, in the same order, under the same tie numbers.
+        The root's answer is served if it holds for every root tie or for
+        this one.
         """
         if self.node_budget < 1:
             raise ValueError("node_budget must be >= 1")
@@ -826,22 +832,15 @@ class AStarPlanner:
             # a new graph, or this one was emptied
             self._generation = graph.generation
             self._h: list[float | None] = []
-            self._at_goal: set[_Record] = set()
-            self._wide: dict[_Record, tuple] = {}
-            self._keyed: dict[_Record, tuple[int, tuple]] = {}
+            self._answers: dict[_Record, tuple] = {}
         follow = self._next
-        if follow is not None and follow[0] is state:
-            tie = follow[1]
-        else:
-            tie = rng.getrandbits(64)
-            self._keyed = {}  # keyed by the ties of an earlier episode
+        tie = (follow[1] if follow is not None and follow[0] is state
+               else rng.getrandbits(64))
         self.last_tie = tie
-        answer = self._wide.get(root)
-        if answer is None:
-            held = self._keyed.get(root)
-            answer = (held[1] if held is not None and held[0] == tie
-                      else self._search(config, root, tie))
-        decision, self.last_expanded, key, child = answer
+        answer = self._answers.get(root)
+        if answer is None or answer[0] is not None and answer[0] != tie:
+            answer = self._search(config, root, tie)
+        _, decision, self.last_expanded, key, child = answer
         # the next root's tie: the tie of the answer's edge's entry
         self._next = None if key is None else (
             child, ((tie ^ key) * _TIE_MULT) & _TIE_MASK)
@@ -849,14 +848,14 @@ class AStarPlanner:
 
     def _search(
         self, config: TuningConfig, root: _Record, tie: int,
-    ) -> tuple[Decision, int, int | None, GameState | None]:
+    ) -> tuple[int | None, Decision, int, int | None, GameState | None]:
         """One bounded best-first search from `root` under root tie `tie`:
-        (decision, nodes expanded, the key of the decision's edge and its
-        child state, or None for a stop). A record expanded before is not
-        handed to the engine again, and one this planner met before is not
-        evaluated again. The evaluator scores every goal state 0 (see
-        `build_evaluator`), as an admissible heuristic does, so a child is
-        tested against the goal only where its h is 0.
+        its answer (see `_store_path_answers`), with no key or child state
+        for a stop. A record expanded before is not handed to the engine
+        again, and one this planner met before is not evaluated again. The
+        evaluator scores every goal state 0 (see `build_evaluator`), as an
+        admissible heuristic does, so a popped record is tested against the
+        goal only where its h is 0.
 
         Heap entries are ranked by each record's own values, f = actions
         + h, then clock, and then by tie number (see `_TIE_MULT`). The tie
@@ -865,24 +864,24 @@ class AStarPlanner:
         the heap's new top. A search whose budget runs out takes the next
         pop: it heads toward the node it has just popped, the one it would
         expand next, so the same test covers its move. A search that pops
-        a goal also answers for the records of its goal path (see
-        `_store_path_answers`).
+        a goal answers for the records of its goal path, one cut off for
+        its root (see `_store_path_answers`).
         """
         goal = self.goal
         max_minutes, max_actions = goal.max_minutes, goal.max_actions
         if goal_satisfied(goal, root.state):
-            return Decision.stop("goal_reached"), 0, None, None
+            return None, Decision.stop("goal_reached"), 0, None, None
         if root.clock > max_minutes or root.actions > max_actions:
-            return Decision.stop("hard_limit"), 0, None, None
+            return None, Decision.stop("hard_limit"), 0, None, None
         graph = self._graph
         if root.edges is None:
             graph.expand(config, root)
         if not root.edges:
-            return Decision.stop("deadlock"), 0, None, None
+            return None, Decision.stop("deadlock"), 0, None, None
         graph.searches += 1
 
         node_budget = self.node_budget
-        evaluate, known, at_goal = self._evaluate, self._h, self._at_goal
+        evaluate, known = self._evaluate, self._h
         records = graph.records
         known.extend([None] * (len(records) - len(known)))
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -917,8 +916,6 @@ class AStarPlanner:
                     if child.actions > max_actions or child.clock > max_minutes:
                         continue
                     h = known[child.n] = evaluate(child.state)
-                    if not h and goal_satisfied(goal, child.state):
-                        at_goal.add(child)
                 actions = child.actions
                 closer = closed.get(child.sid)
                 if closer is not None and closed_at[closer] <= actions:
@@ -938,33 +935,28 @@ class AStarPlanner:
                 skips.append((pusher, closer))
             else:
                 # nothing left to pop: no plan within the limits
-                answer = (Decision.stop("search_exhausted"), expanded, None, None)
-                break
+                answer = self._answers[root] = (
+                    tree[0][0] if tied else None,
+                    Decision.stop("search_exhausted"), expanded, None, None)
+                return answer
             if heap and heap[0][0] == f and heap[0][1] == clock:
                 tied.append((pusher, [e[3] for e in heap
                                       if e[0] == f and e[1] == clock]))
-            if at_goal and node in at_goal or expanded >= node_budget:
-                # the goal, or the budget spent: head toward the node just
-                # popped, the one the search would expand next
+            at_goal = not known[node.n] and goal_satisfied(goal, node.state)
+            if at_goal or expanded >= node_budget:
                 path = []
                 while pusher >= 0:
                     path.append(pusher)
                     pusher = tree[pusher][1]
                 path.reverse()
-                if node in at_goal:
-                    return _store_path_answers(tree, path, k, skips, tied,
-                                               self._wide, self._keyed)
-                if len(path) > 1:
-                    k = tree[path[1]][2]
-                decision, child, _ = root.edges[k]
-                answer = (decision, expanded, keys[k], child.state)
-                break
-
-        if tied:
-            self._keyed[root] = (tree[0][0], answer)
-        else:
-            self._wide[root] = answer
-        return answer
+                if not at_goal:
+                    # the budget spent: the root heads toward the node just
+                    # popped, the one the search would expand next
+                    if len(path) > 1:
+                        k = tree[path[1]][2]
+                    path = path[:1]
+                return _store_path_answers(tree, path, k, skips, tied,
+                                           self._answers)
 
 
 # ---------------------------------------------------------------------------
@@ -1280,11 +1272,11 @@ class SoftmaxPlanner:
     A learner, and a group's agent once its graph (see `_graph`) has
     served an earlier episode, meet their states again: they sample their
     root record's edges, in `available_moves` order, so the engine
-    expands each state once. They keep each record's feature rows and
-    nonzero columns for the graph's current generation. Otherwise the
-    agent decides by `softmax_decide`: one made per trial has nothing to
-    reuse, and expanding every state it stands on costs several engine
-    steps per decision.
+    expands each state once. Each record keeps its move table, (edges,
+    feature rows, feature vectors, nonzero columns), for every Softmax
+    agent on the graph. Otherwise the agent decides by `softmax_decide`:
+    one made per trial has nothing to reuse, and expanding every state it
+    stands on costs several engine steps per decision.
     """
 
     name = "softmax"
@@ -1295,7 +1287,6 @@ class SoftmaxPlanner:
         self.policy = policy
         self._config: TuningConfig | None = None
         self._graph: _Graph | None = None
-        self._generation: object | None = None
 
     def decide(
         self, config: TuningConfig, state: GameState, rng: random.Random
@@ -1307,11 +1298,7 @@ class SoftmaxPlanner:
         if grad is None and graph.episodes < 2:
             return softmax_decide(self.policy, config, state, rng)
         root = graph.root(state)
-        if graph.generation is not self._generation:
-            # a new graph, or this one was emptied
-            self._generation = graph.generation
-            self._moves: dict[_Record, tuple] = {}
-        moves = self._moves.get(root)
+        moves = root.moves
         if moves is None:
             edges = root.edges
             if edges is None:
@@ -1319,7 +1306,7 @@ class SoftmaxPlanner:
             features = _features(config)
             table = [features[edge[0].action] for edge in edges]
             rows = [pairs for _, pairs in table]
-            moves = self._moves[root] = (
+            moves = root.moves = (
                 edges, rows, [vector for vector, _ in table], _columns(rows))
         edges, rows, vectors, columns = moves
         if not edges:

@@ -60,11 +60,3 @@ class SuiteEntryError(PlaytestError):
 
 class NoRelationshipEvents(PlaytestError):
     pass
-
-
-class TargetAboveCap(PlaytestError):
-    pass
-
-
-class CareerMissingInBuild(PlaytestError):
-    pass

@@ -43,15 +43,7 @@ from .agents import (
     run_episode,
     train_softmax,
 )
-from .errors import (
-    CareerMissingInBuild,
-    NoRelationshipEvents,
-    PlaytestError,
-    SchemaError,
-    SuiteEntryError,
-    TargetAboveCap,
-    UnknownCareer,
-)
+from .errors import NoRelationshipEvents, PlaytestError, SchemaError, SuiteEntryError
 from .sim import ScenarioOverrides, initial_state
 from .tuning import Codec, InvalidField, TuningConfig, absent
 from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing.py
@@ -442,9 +434,9 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
     reads or names what the build lacks (see `GoalSpec.check`) for
     relationship_balance (career studies build their own goals), a
     scenario career for a career study (its groups take theirs from
-    `careers`), a career missing in a build for build_comparison, an
-    unknown career or a target level above its cap, or a scenario
-    `initial_state` rejects on a group's build. The agent's kind is
+    `careers`), a career a build lacks or a target level above its cap
+    (see `_career_groups`), or a scenario `initial_state` rejects on a
+    group's build. The agent's kind is
     checked as the entry is built (see `ExperimentConfig`). The runner
     checks before it starts any group, and a suite checks each entry as
     it loads it."""
@@ -464,14 +456,6 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
     if xc.scenario.career is not None:
         raise SuiteEntryError(f"{xc.id}.scenario.career: {xc.study} takes each "
                               "group's career from careers")
-    if xc.study == "build_comparison":
-        for cfg in configs:
-            idx = cfg.index()
-            for entry in xc.careers:
-                if entry.career not in idx.careers:
-                    raise CareerMissingInBuild(
-                        f"{entry.career!r} missing in {cfg.build_id!r}"
-                    )
     for cfg in configs:
         for _, _, scenario, _, _ in _career_groups(cfg, xc):
             initial_state(cfg, scenario, xc.base_seed)
@@ -540,17 +524,21 @@ def _action_reducer(
 
 def _career_groups(config: TuningConfig, xc: ExperimentConfig) -> list[Group]:
     """One group per career of xc, keyed by the career: xc's scenario and
-    agent, starting in that career, with a goal of its target level."""
+    agent, starting in that career, with a goal of its target level.
+    Raises SuiteEntryError, in `GoalSpec.check`'s words, for a row whose
+    career the build lacks or whose target level is above the cap."""
     idx = config.index()
     groups = []
-    for entry in xc.careers:
-        career = entry.career
+    for i, entry in enumerate(xc.careers):
+        career, path = entry.career, f"{xc.id}.careers[{i}]"
         spec = idx.careers.get(career)
         if spec is None:
-            raise UnknownCareer(career)
+            raise SuiteEntryError(f"{path}.career: no career {career!r} in "
+                                  f"build {config.build_id!r}")
         level = spec.max_level if entry.target_level is None else entry.target_level
         if level > spec.max_level:
-            raise TargetAboveCap(f"{career}: level {level} > cap {spec.max_level}")
+            raise SuiteEntryError(f"{path}.target_level: {level} > cap "
+                                  f"{spec.max_level} of career {career!r}")
         goal = GoalSpec(kind="career_level_reached", career=career, level=level,
                         max_minutes=xc.goal.max_minutes,
                         max_actions=xc.goal.max_actions)

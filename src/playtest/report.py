@@ -223,7 +223,10 @@ def run_suite(
     Tuning paths are resolved relative to the suite file. Results are
     written under out_dir/<experiment id>/ and also returned in suite
     order for programmatic use. Every entry and build is loaded first,
-    and a build file that several entries name is parsed once; an entry
+    and a suite in which an entry's name (its `id`, else
+    `experiment_<index>`) is not one path component or repeats an earlier
+    entry's raises PlaytestError before anything runs or is written. A
+    build file that several entries name is parsed once; an entry
     that names the wrong number of builds for its study fails before any
     of them is parsed, and one its study cannot run on its builds
     (`check_entry`) fails as it loads. A pool receives no build that
@@ -248,6 +251,16 @@ def run_suite(
         _load(suite_path, i, entry, seed_override, builds)
         for i, entry in enumerate(entries)
     ]
+    names: dict[str, int] = {}
+    for i, entry in enumerate(loaded):
+        name = entry.id
+        if name == ".." or "\0" in name or Path(name).parts != (name,):
+            raise PlaytestError(f"suite entry {i}: name {name!r} is not one "
+                                "path component")
+        if name in names:
+            raise PlaytestError(f"suite entry {i}: name {name!r} repeats "
+                                f"entry {names[name]}'s")
+        names[name] = i
     pool = None
     if parallel > 1:
         pool = trial_pool(parallel, [c for entry in loaded if entry.error is None

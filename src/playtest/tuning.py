@@ -196,7 +196,7 @@ class ConfigIndex:
     those fields that the build's play reaches. Three tables are filled
     at their first use: `ready`, each action's ready-time inputs (see
     `sim._next_ready`); `timeouts`, the least XP at which each event's
-    timeout pays (see `agents._moves`); and `features`, the Softmax
+    timeout pays (see `agents._listing`); and `features`, the Softmax
     agent's feature table (see `agents._features`). None of the four is
     pickled: a build sent to a worker arrives with each empty.
     """

@@ -416,12 +416,15 @@ class TestRun:
 
     @pytest.mark.parametrize("changes, error", [
         ({"careers": [{"career": "astronaut", "target_level": 2}]},
-         "UnknownCareer: astronaut"),
+         "SuiteEntryError: bad.careers[0].career: no career 'astronaut' in "
+         "build 'desk_objects'"),
         ({"careers": [{"career": "barista", "target_level": 9}]},
-         "TargetAboveCap: barista: level 9 > cap 5"),
+         "SuiteEntryError: bad.careers[0].target_level: 9 > cap 5 of career "
+         "'barista'"),
         ({"study": "build_comparison",
           "tuning_ref": ["desk_objects.json", "romance_outlier.json"]},
-         "CareerMissingInBuild: 'barista' missing in 'romance_outlier'"),
+         "SuiteEntryError: bad.careers[0].career: no career 'barista' in "
+         "build 'romance_outlier'"),
         ({"study": "relationship_balance"},
          "NoRelationshipEvents: desk_objects"),
         ({"study": "relationship_balance", "tuning_ref": "romance_outlier.json",
@@ -489,6 +492,34 @@ class TestRun:
         assert main(["run", str(suite_dir), "--out",
                      str(suite_dir / "dir_out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("names, error", [
+        (["../escaped"], "suite entry 0: name '../escaped' is not one path "
+                         "component"),
+        ([""], "suite entry 0: name '' is not one path component"),
+        (["."], "suite entry 0: name '.' is not one path component"),
+        ([".."], "suite entry 0: name '..' is not one path component"),
+        (["careers_mini", "a/b"], "suite entry 1: name 'a/b' is not one path "
+                                  "component"),
+        (["twice", "other", "twice"], "suite entry 2: name 'twice' repeats "
+                                      "entry 0's"),
+        # a default name counts as well
+        ([None, "experiment_0"], "suite entry 1: name 'experiment_0' repeats "
+                                 "entry 0's"),
+    ])
+    def test_entry_name_that_is_no_directory_exit_two(
+            self, suite_dir, capsys, names, error):
+        # such a suite used to run: `../escaped` wrote outside --out, ``
+        # into --out itself, and a repeated id over the earlier entry
+        entries = [dict(MINI_SUITE[0], id=name) if name is not None
+                   else "not an entry" for name in names]
+        (suite_dir / "names.json").write_text(json.dumps(entries))
+        out_dir = suite_dir / "out" / "run"
+        before = sorted(suite_dir.rglob("*"))
+        assert main(["run", str(suite_dir / "names.json"),
+                     "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(suite_dir.rglob("*")) == before
 
     def test_negative_parallel_exit_two(self, suite_dir, capsys):
         # it used to run serially

@@ -233,11 +233,15 @@ class TestCareerProgression:
 
     def test_unknown_career(self, desk_base):
         xc = make_xc("career_progression", careers=[("astronaut", 2)])
-        assert failure(xc, desk_base).startswith("UnknownCareer:")
+        assert failure(xc, desk_base) == (
+            f"SuiteEntryError: {xc.id}.careers[0].career: no career "
+            "'astronaut' in build 'desk_base'")
 
     def test_target_above_cap(self, desk_base):
         xc = make_xc("career_progression", careers=[("barista", 99)])
-        assert failure(xc, desk_base).startswith("TargetAboveCap:")
+        assert failure(xc, desk_base) == (
+            f"SuiteEntryError: {xc.id}.careers[0].target_level: 99 > cap 3 "
+            "of career 'barista'")
 
 
 class TestObjectImpact:
@@ -311,7 +315,9 @@ class TestBuildComparison:
     def test_missing_career_raises(self, build_a, desk_base):
         xc = make_xc("build_comparison", trials=1,
                      careers=[{"career": "medical", "target_level": 2}])
-        assert failure(xc, build_a, desk_base).startswith("CareerMissingInBuild:")
+        assert failure(xc, build_a, desk_base) == (
+            f"SuiteEntryError: {xc.id}.careers[0].career: no career "
+            "'medical' in build 'build_A'")
 
 
 class TestAgentComparison:

@@ -24,8 +24,9 @@ work keeps these counts; one that changes the work updates them and says
 why.
 
 It also counts the A* decisions by how they were made: a full search,
-or served from a stored answer, one no tie number decided (kept for
-every root tie) or one kept for the episode's own root tie (see
+or served from the planner's one answer for the root's record, either
+one no tie number decided (served under every root tie) or one kept
+with its root tie (served under that tie only; see
 `agents._store_path_answers`), and the nodes the full searches expanded.
 These too change only with the searches: ROADMAP item 2 regenerates them
 along with the digests, and the command above prints them all.
@@ -135,7 +136,7 @@ def counting_searches(searches: Counter):
             searches["searched"] += 1
             searches["expanded"] += planner.last_expanded
         elif planner.last_expanded:
-            searches["served_wide" if graph.at[1] in planner._wide
+            searches["served_wide" if planner._answers[graph.at[1]][0] is None
                      else "served_keyed"] += 1
         else:
             searches["stop"] += 1

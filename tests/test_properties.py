@@ -340,17 +340,16 @@ class FixedTie:
 def answer_kind(planner, config, state):
     """What `planner` holds as its answer for the record of `state` in
     `config`'s graph: "wide" for an answer no tie number decided, kept
-    for every root tie, "keyed" for answers kept for some root ties of
-    the current episode, or None."""
+    for every root tie, "keyed" for one kept for one root tie, or None."""
     graph = agents._graph(config)
     if planner._generation is not graph.generation:
         return None
-    node = graph.records.get((state_id(graph, state),
-                              state.counters.total_actions,
-                              state.auto_grant_objects))
-    if node in planner._wide:
-        return "wide"
-    return "keyed" if node in planner._keyed else None
+    held = planner._answers.get(graph.records.get((
+        state_id(graph, state), state.counters.total_actions,
+        state.auto_grant_objects)))
+    if held is None:
+        return None
+    return "wide" if held[0] is None else "keyed"
 
 
 def checked_decide(planner, config, state, rng):
@@ -671,19 +670,21 @@ class TestPlannerMemo:
     def test_replays_serve_tie_free_decisions_on_barista(self, desk_base):
         # barista's first decision is tie-sensitive: seeds 6 to 8 start
         # from seed 5's first root under other root ties, and a served
-        # answer there would differ from a fresh search's. Each episode
-        # searches once, at its first root, and that search answers for
-        # the rest of its plan, the end of it for every root tie
+        # answer there would differ from a fresh search's. Each seed's
+        # first episode searches once, at its first root, and that search
+        # answers for the rest of its plan, the end of it for every root
+        # tie; a replay of the seed is served throughout
         goal = GoalSpec(kind="career_level_reached", career="barista", level=3,
                         max_minutes=20_000, max_actions=400)
         planner = CheckedPlanner(HeuristicSpec({"career_xp": 1.0}), goal, 200)
+        seeds = [5, 5, 5, 6, 7, 8]
         episodes = planner.replay(
-            desk_base, ScenarioOverrides(career="barista"), [5, 5, 5, 6, 7, 8],
-            goal)
+            desk_base, ScenarioOverrides(career="barista"), seeds, goal)
         check_replays(*episodes[:3])
-        for answers in episodes:
+        for i, answers in enumerate(episodes):
+            searches = 0 if seeds[i] in seeds[:i] else 1
             assert answers["searched", "keyed"] == answers.total() - (
-                answers["served", "keyed"] + answers["served", "wide"]) == 1
+                answers["served", "keyed"] + answers["served", "wide"]) == searches
             assert answers["served", "keyed"] > 0 and answers["served", "wide"] > 0
 
     @settings(PROPERTY_SETTINGS, max_examples=100)
@@ -1123,6 +1124,24 @@ class TestServedDecisions:
         planner = CheckedPlanner(HeuristicSpec(weights), goal, node_budget)
         planner.replay(config, scenario, seeds + seeds, goal)
 
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1),
+           other=st.integers(0, 2**32 - 1), node_budget=st.integers(1, 40))
+    def test_replay_is_served_throughout(self, build_seed, seed, other,
+                                         node_budget):
+        # an answer is kept for the graph's generation with the root tie
+        # it holds for, so a replay of a seed, whose roots and root ties
+        # are the first run's, is served at every decision
+        config, scenario, goal = random_desk_config(build_seed)
+        weights = ({"career_xp": 1.0, "event_xp": 0.5}
+                   if goal.kind == "career_level_reached" else
+                   {"relationship_event_complete": 1.0, "event_xp": 1.0})
+        planner = CheckedPlanner(HeuristicSpec(weights), goal, node_budget)
+        first, again, _ = planner.replay(config, scenario, [seed, seed, other],
+                                         goal)
+        assert again.total() == first.total()
+        assert sum(n for (how, _), n in again.items() if how == "searched") == 0
+
     @pytest.mark.parametrize("group", sorted(SHIPPED_GROUPS))
     def test_served_decisions_on_fixtures(self, group):
         fixture, scenario, goal, weights, budget = SHIPPED_GROUPS[group]
@@ -1294,9 +1313,11 @@ class TestHandedEdges:
         assert len(per_decision) == records[2].decisions > 1
         assert not engine
         assert same_play(records[2]) == same_play(records[0])
-        # the first root is tie-sensitive: each episode searches it, over
-        # records the graph holds, and is served the rest of its plan
-        assert records[2].searches == records[0].searches == 1
+        # the first root is tie-sensitive: the first episode searches it
+        # and is served the rest of its plan, and a replay is served
+        # throughout, the first root under the same root tie
+        assert records[0].searches == 1
+        assert records[1].searches == records[2].searches == 0
 
     def test_wrapped_replay_commits_with_no_engine_step(self, monkeypatch):
         # behind a wrapper, which passes nothing on but the decision, every
@@ -1319,7 +1340,7 @@ class TestHandedEdges:
         again = run_episode(config, scenario, 5, wrapped, goal)
         assert not calls
         assert same_play(again) == same_play(first)
-        assert again.searches == first.searches == 1
+        assert first.searches == 1 and again.searches == 0
 
 
 def other_goal(goal):
@@ -1396,7 +1417,7 @@ class TestSharedGraph:
         fixture, scenario, goal, weights, budget = SHIPPED_GROUPS["barista"]
         holder = CheckedPlanner(HeuristicSpec(weights), goal, budget)
         first = run_episode(config, scenario, 5, holder, goal)
-        held = set(holder.planner._wide)
+        held = set(holder.planner._answers)
         assert held
 
         monkeypatch.setattr(agents, "_MEMO_LIMIT", 3)
@@ -1409,8 +1430,7 @@ class TestSharedGraph:
 
         again = run_episode(config, scenario, 5, holder, goal)
         planner, current = holder.planner, set(agents._graph(config).records.values())
-        assert set(planner._wide) <= current and planner._at_goal <= current
-        assert set(planner._keyed) <= current
+        assert set(planner._answers) <= current
         assert len(planner._h) <= len(current)
         assert same_play(again) == same_play(first)
 
