@@ -732,9 +732,12 @@ def _store_path_answers(
     `tied` holds, for each accepted pop that entries of equal (f, clock)
     tied, its pusher and theirs. An answer whose subtree never held such
     a pop and one of its rivals is the same under every root tie, and its
-    tie is None; any other's is its root tie, and it does not replace a
-    tie-free answer. An answer is (tie, decision, expansion count, the key
-    of the decision's edge, its child state).
+    tie is None; any other's is its root tie. A search that meets no such
+    pop pops by (f, clock) alone, so whether a record's search meets one
+    does not depend on its root tie: an answer that replaces a record's
+    earlier one agrees with it on whether its tie is None. An answer is
+    (tie, decision, expansion count, the key of the decision's edge, its
+    child state).
     """
     m = len(path)
     # each expansion's branch point: its last ancestor (itself included)
@@ -766,9 +769,7 @@ def _store_path_answers(
         decision, child, _ = node.edges[k]
         answer = (None if j >= wide_from else tie, decision, expanded, keys[k],
                   child.state)
-        # a keyed answer never replaces a tie-free one
-        if not cuts[j] and (answer[0] is None
-                            or answers.get(node, answer)[0] is not None):
+        if not cuts[j]:
             answers[node] = answer
         k = edge
     return answer

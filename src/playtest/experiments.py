@@ -9,16 +9,17 @@ parallelism can never change results. The reducer turns the records
 into statistics, extras and charts, reducing integer action counts in
 an order-independent way.
 
-One runner serves every study. `start_experiment` starts each group
-whose agent is known; the function it returns starts the groups that
-waited for a trained Softmax policy, then reads every group in order and
-reduces. Without a pool a group runs as it is started. On a pool from
-`trial_pool`, starting only submits jobs, so a suite can hand the pool
-every job before it reads any result. Each worker receives the suite's
-parsed builds once, through the pool initializer. A job carries one
-whole group, with its build's key instead of the build, and the worker
-plays its trials as a serial run does, with one agent, so a pooled suite
-does the serial suite's search work, spread over the workers by group.
+One runner serves every study. `start_experiment` starts every group
+at once, a group that trains its Softmax policy first; the function it
+returns reads each group in order and reduces. Without a pool a group
+runs as it is started. On a pool from `trial_pool`, starting only
+submits jobs, so a suite can hand the pool every job before it reads any
+result. Each worker receives the suite's parsed builds once, through the
+pool initializer. A job carries one whole group, with its build's key
+instead of the build, and the worker plays it as a serial run does: one
+agent, trained first if the group trains its policy, plays its trials.
+So a pooled suite does the serial suite's search and training work,
+spread over the workers by group.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import os
 import random
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, ClassVar
@@ -49,7 +50,7 @@ from .tuning import Codec, InvalidField, TuningConfig, absent
 from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing.py
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
 # ---------------------------------------------------------------------------
 # Aggregation
@@ -287,72 +288,71 @@ def trial_pool(workers: int, configs: list[TuningConfig]) -> ProcessPoolExecutor
     )
 
 
-def _agent_for(agent: AStarAgent | SoftmaxAgent, heuristic: HeuristicSpec,
-               goal: GoalSpec, config: TuningConfig):
-    if agent.kind == "softmax":
-        return SoftmaxPlanner(agent.policy, config)
-    budget = agent.node_budget
-    return AStarPlanner(heuristic, goal,
-                        DEFAULT_NODE_BUDGET if budget is None else budget)
+def _agent_for(
+    agent: AStarAgent | SoftmaxAgent | SoftmaxSpec, heuristic: HeuristicSpec,
+    config: TuningConfig, scenario: ScenarioOverrides, goal: GoalSpec,
+    base_seed: int,
+) -> tuple[AStarPlanner | SoftmaxPlanner, SoftmaxPolicy | None]:
+    """The agent that plays a group, and the Softmax policy it plays (None
+    for A*). An agent comparison's SoftmaxSpec with no literal policy
+    trains one here, seeded by its train seed, else by `base_seed`."""
+    if isinstance(agent, AStarAgent):
+        budget = agent.node_budget
+        return AStarPlanner(heuristic, goal, DEFAULT_NODE_BUDGET
+                            if budget is None else budget), None
+    policy = agent.policy
+    if policy is None:
+        train = agent.train or TrainSpec()
+        policy, _ = train_softmax(
+            config, scenario, goal, episodes=train.episodes,
+            step_size=train.step_size,
+            rng=random.Random(base_seed if train.seed is None else train.seed),
+            temperature=1.0 if agent.temperature is None else agent.temperature,
+        )
+    return SoftmaxPlanner(policy, config), policy
+
+
+GroupResult = tuple[list[TrialRecord], "SoftmaxPolicy | None"]
 
 
 def _run_group(
     config: TuningConfig, scenario: ScenarioOverrides, heuristic: HeuristicSpec,
-    goal: GoalSpec, agent_spec: AgentSpec, trials: int, base_seed: int,
-) -> list[TrialRecord]:
-    """One group's trials in trial index order, all played by one agent."""
-    agent = _agent_for(agent_spec, heuristic, goal, config)
+    goal: GoalSpec, agent_spec: AgentSpec | SoftmaxSpec, trials: int,
+    base_seed: int,
+) -> GroupResult:
+    """One group's trials in trial index order, all played by one agent,
+    and the Softmax policy that agent played (None for A*)."""
+    agent, policy = _agent_for(agent_spec, heuristic, config, scenario, goal,
+                               base_seed)
     return [run_episode(config, scenario, trial_seed(base_seed, i), agent, goal)
-            for i in range(trials)]
+            for i in range(trials)], policy
 
 
-def _run_group_in_worker(key: int, *args) -> list[TrialRecord]:
+def _run_group_in_worker(key: int, *args) -> GroupResult:
     return _run_group(_worker_builds[key], *args)
 
 
-def _records(job: Future) -> Iterator[TrialRecord]:
-    # a generator function, so the job is not waited for until a read
-    yield from job.result()
-
-
 def run_trials(
-    config: TuningConfig,
-    scenario: ScenarioOverrides,
-    heuristic: HeuristicSpec,
-    goal: GoalSpec,
-    agent_spec: AgentSpec,
-    trials: int,
-    base_seed: int,
-    pool: ProcessPoolExecutor | None = None,
-) -> Iterable[TrialRecord]:
-    """Run seeded trials; records come in trial index order either way.
+    config: TuningConfig, scenario: ScenarioOverrides, heuristic: HeuristicSpec,
+    goal: GoalSpec, agent_spec: AgentSpec | SoftmaxSpec, trials: int,
+    base_seed: int, pool: ProcessPoolExecutor | None = None,
+) -> Callable[[], GroupResult]:
+    """Start one group of seeded trials; the returned function gives its
+    records, in trial index order, and the Softmax policy its agent played
+    (None for A*).
 
-    Without a pool the trials run now, one agent serving them all, and the
-    list of records is returned. With a pool from `trial_pool` the whole
-    group is submitted as one job, which a worker plays exactly as a
-    serial run does, so pooled and serial runs do the same search work.
-    The returned iterator waits for the job when its first record is
-    read, and raises the job's exception there; read it once.
+    Without a pool the group runs now, one agent serving all its trials.
+    With a pool from `trial_pool` the whole group is submitted as one job,
+    which a worker plays exactly as a serial run does, so pooled and
+    serial runs do the same search and training work. The returned
+    function is then the job's `result`: it waits for the job, and raises
+    the job's exception.
     """
     args = (scenario, heuristic, goal, agent_spec, trials, base_seed)
     if pool is None:
-        return _run_group(config, *args)
-    return _records(pool.submit(_run_group_in_worker, id(config), *args))
-
-
-def _train_policy(
-    config: TuningConfig, scenario: ScenarioOverrides, goal: GoalSpec,
-    episodes: int, step_size: float, seed: int, temperature: float,
-) -> SoftmaxPolicy:
-    policy, _ = train_softmax(
-        config, scenario, goal, episodes=episodes, step_size=step_size,
-        rng=random.Random(seed), temperature=temperature,
-    )
-    return policy
-
-
-def _train_in_worker(key: int, *args) -> SoftmaxPolicy:
-    return _train_policy(_worker_builds[key], *args)
+        result = _run_group(config, *args)
+        return lambda: result
+    return pool.submit(_run_group_in_worker, id(config), *args).result
 
 
 # ---------------------------------------------------------------------------
@@ -385,35 +385,26 @@ def failed_outcome(
     experiment_id: str, study: str, exc: Exception, build_ids: Iterable[str] = (),
 ) -> ExperimentOutcome:
     """The outcome of an experiment that raised `exc`: no groups or records."""
-    return ExperimentOutcome(
-        experiment_id=experiment_id,
-        study=study,
-        build_ids=list(build_ids),
-        groups={},
-        extras={},
-        charts=[],
-        records=[],
-        status="failed",
-        error=f"{type(exc).__name__}: {exc}",
-    )
+    return ExperimentOutcome(experiment_id, study, list(build_ids), {}, {}, [], [],
+                             status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # The study runner
 # ---------------------------------------------------------------------------
-# A study is a function (configs, xc, pool) -> (groups, reduce). A group is
-# (key, config, scenario, goal, agent spec); the spec may be a function of no
-# arguments that returns it, for an agent not known yet (a Softmax policy in
-# training). Each group runs xc.trials trials. `reduce` takes each group's
-# (key, records) in group order and returns (statistics, extras, charts,
-# (group key, trial index, record) tuples).
+# A study is a function (configs, xc) -> (groups, reduce). A group is
+# (key, config, scenario, goal, agent spec), one job that runs xc.trials
+# trials; an agent comparison's Softmax spec trains its policy in that job
+# unless it gives one. `reduce` takes each group's (key, records, policy
+# its agent played or None) in group order and returns (statistics,
+# extras, charts, (group key, trial index, record) tuples).
 
 Group = tuple[str, TuningConfig, ScenarioOverrides, GoalSpec,
-              "AgentSpec | Callable[[], AgentSpec]"]
-Done = list[tuple[str, list[TrialRecord]]]
+              "AgentSpec | SoftmaxSpec"]
+Done = list[tuple[str, list[TrialRecord], "SoftmaxPolicy | None"]]
 Reduction = tuple[dict[str, AggregateStats], dict, list[dict],
                   list[tuple[str, int, TrialRecord]]]
-Study = Callable[[list[TuningConfig], ExperimentConfig, "ProcessPoolExecutor | None"],
+Study = Callable[[list[TuningConfig], ExperimentConfig],
                  tuple[list[Group], Callable[[Done], Reduction]]]
 Read = Callable[[], ExperimentOutcome]
 
@@ -428,19 +419,23 @@ def check_build_count(study: str, count: int) -> None:
 
 
 def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
-    """Raise if the study cannot run on `configs`: a wrong build count,
-    `careers` for relationship_balance (the study reads none), a build
-    with no relationship event or a goal that misses a field its kind
-    reads or names what the build lacks (see `GoalSpec.check`) for
+    """Raise if the study cannot run on `configs`: a wrong build count, a
+    build_comparison of one build twice, `careers` for
+    relationship_balance (the study reads none), a build with no
+    relationship event or a goal that misses a field its kind reads or
+    names what the build lacks (see `GoalSpec.check`) for
     relationship_balance (career studies build their own goals), a
     scenario career for a career study (its groups take theirs from
-    `careers`), a career a build lacks or a target level above its cap
-    (see `_career_groups`), or a scenario `initial_state` rejects on a
-    group's build. The agent's kind is
+    `careers`), a career listed twice, a career a build lacks or a target
+    level above its cap (see `_career_groups`), or a scenario
+    `initial_state` rejects on a group's build. The agent's kind is
     checked as the entry is built (see `ExperimentConfig`). The runner
     checks before it starts any group, and a suite checks each entry as
     it loads it."""
     check_build_count(xc.study, len(configs))
+    if configs[1:] and configs[1].build_id == configs[0].build_id:
+        raise SuiteEntryError(f"{xc.id}.tuning_ref[1]: build "
+                              f"{configs[1].build_id!r} repeats tuning_ref[0]'s")
     if xc.study == "relationship_balance":
         if not any(e.kind == "relationship" for e in configs[0].events):
             raise NoRelationshipEvents(configs[0].build_id)
@@ -465,27 +460,28 @@ def _start_study(
     xc: ExperimentConfig, configs: list[TuningConfig],
     pool: ProcessPoolExecutor | None,
 ) -> Read:
-    """Start the study's groups; the returned function reads its outcome.
+    """Start every group of the study; the returned function reads its
+    outcome.
 
-    A group whose agent spec is known starts now. The others start when
-    the outcome is read, each after its spec is known and all before any
-    batch is read.
+    A group that trains its Softmax policy, its entry's longest job,
+    starts first; the others follow in group order.
     """
     check_entry(xc, configs)
-    groups, reduce = _STUDIES[xc.study](configs, xc, pool)
+    groups, reduce = _STUDIES[xc.study](configs, xc)
 
-    def start(group: Group) -> Iterable[TrialRecord]:
-        _, config, scenario, goal, agent = group
-        return run_trials(config, scenario, xc.heuristic, goal,
-                          agent() if callable(agent) else agent,
-                          xc.trials, xc.base_seed, pool)
+    def trains(i: int) -> bool:
+        agent = groups[i][-1]
+        return isinstance(agent, SoftmaxSpec) and agent.policy is None
 
-    known = [None if callable(group[-1]) else start(group) for group in groups]
+    results: list = [None] * len(groups)
+    for i in sorted(range(len(groups)), key=trains, reverse=True):
+        _, config, scenario, goal, agent = groups[i]
+        results[i] = run_trials(config, scenario, xc.heuristic, goal, agent,
+                                xc.trials, xc.base_seed, pool)
 
     def read() -> ExperimentOutcome:
-        batches = [start(g) if b is None else b for g, b in zip(groups, known)]
         stats, extras, charts, records = reduce(
-            [(group[0], list(batch)) for group, batch in zip(groups, batches)])
+            [(group[0], *result()) for group, result in zip(groups, results)])
         return ExperimentOutcome(
             xc.id, xc.study, [c.build_id for c in configs],
             stats, extras, charts, records,
@@ -514,9 +510,10 @@ def _action_reducer(
     def reduce(done: Done) -> Reduction:
         stats = {
             key: AggregateStats.from_values(key, [r.total_actions for r in records])
-            for key, records in done
+            for key, records, _ in done
         }
-        tagged = [(key, i, r) for key, records in done for i, r in enumerate(records)]
+        tagged = [(key, i, r) for key, records, _ in done
+                  for i, r in enumerate(records)]
         return stats, extras(done, stats), [_bar_chart(chart, stats)], tagged
 
     return reduce
@@ -525,12 +522,17 @@ def _action_reducer(
 def _career_groups(config: TuningConfig, xc: ExperimentConfig) -> list[Group]:
     """One group per career of xc, keyed by the career: xc's scenario and
     agent, starting in that career, with a goal of its target level.
-    Raises SuiteEntryError, in `GoalSpec.check`'s words, for a row whose
-    career the build lacks or whose target level is above the cap."""
+    Raises SuiteEntryError for a row whose career an earlier row names,
+    and, in `GoalSpec.check`'s words, for one whose career the build
+    lacks or whose target level is above the cap."""
     idx = config.index()
     groups = []
     for i, entry in enumerate(xc.careers):
         career, path = entry.career, f"{xc.id}.careers[{i}]"
+        earlier = [e.career for e in xc.careers[:i]]
+        if career in earlier:
+            raise SuiteEntryError(f"{path}.career: {career!r} repeats "
+                                  f"careers[{earlier.index(career)}]")
         spec = idx.careers.get(career)
         if spec is None:
             raise SuiteEntryError(f"{path}.career: no career {career!r} in "
@@ -549,11 +551,11 @@ def _career_groups(config: TuningConfig, xc: ExperimentConfig) -> list[Group]:
 
 # --- relationship balance ---------------------------------------------------
 
-def _relationship_balance_study(configs, xc, pool):
+def _relationship_balance_study(configs, xc):
     config = configs[0]
 
     def reduce(done: Done) -> Reduction:
-        [(_, records)] = done
+        [(_, records, _)] = done
         values: dict[str, list[int]] = {}
         category_counts: dict[str, int] = {}
         tagged = []
@@ -578,7 +580,7 @@ def _relationship_balance_study(configs, xc, pool):
 
 # --- career progression -----------------------------------------------------
 
-def _career_progression_study(configs, xc, pool):
+def _career_progression_study(configs, xc):
     groups = _career_groups(configs[0], xc)
     targets = {career: goal.level for career, _, _, goal, _ in groups}
     return groups, _action_reducer(
@@ -587,7 +589,7 @@ def _career_progression_study(configs, xc, pool):
 
 # --- object impact -----------------------------------------------------------
 
-def _object_impact_study(configs, xc, pool):
+def _object_impact_study(configs, xc):
     config = configs[0]
     careers = _career_groups(config, xc)
 
@@ -623,7 +625,7 @@ def _object_impact_study(configs, xc, pool):
 
 # --- build comparison --------------------------------------------------------
 
-def _build_comparison_study(configs, xc, pool):
+def _build_comparison_study(configs, xc):
     groups = [
         (f"{career}/{config.build_id}", config, *rest)
         for cfg in configs
@@ -632,7 +634,7 @@ def _build_comparison_study(configs, xc, pool):
 
     def rows(done: Done, stats: dict[str, AggregateStats]) -> dict:
         out = []
-        for (_, config, scenario, _, _), (_, records) in zip(groups, done):
+        for (_, config, scenario, _, _), (_, records, _) in zip(groups, done):
             all_waits = [w for r in records for w in r.wait_intervals]
             out.append({
                 "build": config.build_id,
@@ -651,50 +653,24 @@ def _build_comparison_study(configs, xc, pool):
 
 # --- agent comparison --------------------------------------------------------
 
-def _start_policy(
-    config: TuningConfig, xc: ExperimentConfig, scenario: ScenarioOverrides,
-    goal: GoalSpec, pool: ProcessPoolExecutor | None,
-) -> Callable[[], SoftmaxPolicy]:
-    """Start training one career's Softmax policy, unless the entry gives it."""
-    spec = xc.agent.softmax
-    if spec.policy is not None:
-        return lambda: spec.policy
-    train = spec.train or TrainSpec()
-    args = (
-        scenario, goal, train.episodes, train.step_size,
-        xc.base_seed if train.seed is None else train.seed,
-        1.0 if spec.temperature is None else spec.temperature,
-    )
-    if pool is None:
-        policy = _train_policy(config, *args)
-        return lambda: policy
-    return pool.submit(_train_in_worker, id(config), *args).result
-
-
-def _softmax_spec(policy: Callable[[], SoftmaxPolicy]) -> SoftmaxAgent:
-    return SoftmaxAgent(policy())
-
-
-def _agent_comparison_study(configs, xc, pool):
+def _agent_comparison_study(configs, xc):
     config = configs[0]
-    astar = xc.agent.astar
-    groups, policies = [], {}
+    astar, softmax = xc.agent.astar, xc.agent.softmax
+    groups, careers = [], []
     for career, _, scenario, goal, _ in _career_groups(config, xc):
-        # training starts here, before any A* group; each Softmax group
-        # starts once its policy is read
-        policy = policies[career] = _start_policy(config, xc, scenario, goal, pool)
+        careers.append(career)
         groups += [(f"{career}/astar", config, scenario, goal, astar),
-                   (f"{career}/softmax", config, scenario, goal,
-                    partial(_softmax_spec, policy))]
+                   (f"{career}/softmax", config, scenario, goal, softmax)]
 
     def comparison(done: Done, stats: dict[str, AggregateStats]) -> dict:
+        policies = {key: policy for key, _, policy in done}
         return {"comparison": {
             career: {
                 "astar": stats[f"{career}/astar"].to_dict(),
                 "softmax": stats[f"{career}/softmax"].to_dict(),
-                "policy": policy().to_dict(),
+                "policy": policies[f"{career}/softmax"].to_dict(),
             }
-            for career, policy in policies.items()
+            for career in careers
         }}
 
     by_group = _action_reducer("total_actions_by_career_and_agent", comparison)
@@ -704,7 +680,7 @@ def _agent_comparison_study(configs, xc, pool):
         return stats, extras, charts + [
             {"name": f"convergence/{key}", "kind": "series",
              "series": running_means([r.total_actions for r in records])}
-            for key, records in done
+            for key, records, _ in done
         ], tagged
 
     return groups, reduce
@@ -725,8 +701,7 @@ STUDIES = tuple(_STUDIES)
 
 
 def start_experiment(
-    xc: ExperimentConfig,
-    configs: list[TuningConfig],
+    xc: ExperimentConfig, configs: list[TuningConfig],
     pool: ProcessPoolExecutor | None = None,
 ) -> Read:
     """Start one configured study; the returned function reads its outcome.
@@ -757,8 +732,7 @@ def start_experiment(
 
 
 def run_experiment(
-    xc: ExperimentConfig,
-    configs: list[TuningConfig],
+    xc: ExperimentConfig, configs: list[TuningConfig],
     pool: ProcessPoolExecutor | None = None,
 ) -> ExperimentOutcome:
     """Run one configured study against its parsed tuning config(s)."""

@@ -232,8 +232,8 @@ def run_suite(
     (`check_entry`) fails as it loads. A pool receives no build that
     only failed entries name.
     Serially, each experiment then runs and is written in turn. With
-    `parallel` > 1, every trial batch and training run of the suite is
-    handed to one process pool before any result is read; the
+    `parallel` > 1, every group of the suite, Softmax training and all,
+    is handed to one process pool before any result is read; the
     experiments are then read and written in suite order.
 
     An exception while an experiment loads, runs or is read fails that

@@ -6,6 +6,7 @@ import math
 import operator
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -132,8 +133,8 @@ class TestTrialSeeding:
         spec = HeuristicSpec(weights={"career_xp": 1.0})
         scenario = ScenarioOverrides(career="barista")
         agent = AStarAgent(2000)
-        first = run_trials(desk_base, scenario, spec, goal, agent, 4, 42)
-        second = run_trials(desk_base, scenario, spec, goal, agent, 4, 42)
+        first, _ = run_trials(desk_base, scenario, spec, goal, agent, 4, 42)()
+        second, _ = run_trials(desk_base, scenario, spec, goal, agent, 4, 42)()
         assert [(r.seed, r.total_actions, r.state_digest) for r in first] == \
                [(r.seed, r.total_actions, r.state_digest) for r in second]
 
@@ -288,7 +289,9 @@ class TestBuildComparison:
         xc = make_xc("build_comparison", trials=2, heuristic=self.heuristic(),
                      agent=AStarAgent(400),
                      careers=[("barista", 2)])
-        rows = run_ok(xc, build_a, build_a).extras["rows"]
+        # one build under a second build id: a build listed twice fails
+        twin = replace(build_a, build_id="build_A_twin", _index=None)
+        rows = run_ok(xc, build_a, twin).extras["rows"]
         assert len(rows) == 2
         first, second = rows
         for key in ("event_actions", "total_actions", "sessions",
@@ -454,8 +457,7 @@ class TestPooledTrials:
         assert [(g, i, r.state_digest) for g, i, r in pooled.records] == [
             (g, i, r.state_digest) for g, i, r in serial.records]
 
-    def test_training_first_and_each_softmax_group_after_its_policy(
-            self, desk_base):
+    def test_starting_submits_every_group_training_first(self, desk_base):
         xc = make_xc(
             "agent_comparison", trials=2,
             goal=GoalSpec(kind="career_level_reached",
@@ -469,20 +471,20 @@ class TestPooledTrials:
             submit = pool.submit
 
             def recording_submit(fn, *args, **kwargs):
-                if fn is experiments._run_group_in_worker:
-                    _, scenario, _, _, agent, _, _ = args
-                    events.append((agent.kind, scenario.career))
+                # every job is one whole group; a Softmax group trains in it
+                assert fn is experiments._run_group_in_worker
+                _, scenario, _, _, agent, _, _ = args
+                group = ("astar" if isinstance(agent, AStarAgent) else "train",
+                         scenario.career)
+                events.append(("submit", *group))
                 future = submit(fn, *args, **kwargs)
-                if fn is experiments._train_in_worker:
-                    career = args[1].career  # (build key, scenario, ...)
-                    events.append(("train", career))
-                    result = future.result
+                result = future.result
 
-                    def reading(*a, **k):
-                        events.append(("read", career))
-                        return result(*a, **k)
+                def reading(*a, **k):
+                    events.append(("read", *group))
+                    return result(*a, **k)
 
-                    future.result = reading
+                future.result = reading
                 return future
 
             pool.submit = recording_submit
@@ -490,14 +492,51 @@ class TestPooledTrials:
             started = list(events)
             outcome = read()
         assert outcome.status == "ok"
-        # starting trains every policy, then starts every A* group, and
-        # waits for no policy
-        assert started == [("train", "fashion"), ("train", "barista"),
-                           ("astar", "fashion"), ("astar", "barista")]
-        softmax = [i for i, (kind, _) in enumerate(events) if kind == "softmax"]
-        assert len(softmax) == 2
-        for i in softmax:
-            assert ("read", events[i][1]) in events[len(started):i]
+        # starting submits every group, each training group first, and
+        # waits for none; the read takes them in group order
+        assert started == [("submit", "train", "fashion"),
+                           ("submit", "train", "barista"),
+                           ("submit", "astar", "fashion"),
+                           ("submit", "astar", "barista")]
+        assert events[len(started):] == [("read", "astar", "fashion"),
+                                          ("read", "train", "fashion"),
+                                          ("read", "astar", "barista"),
+                                          ("read", "train", "barista")]
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "inline_pool"])
+    def test_each_career_trains_once_in_its_softmax_group(
+            self, desk_base, monkeypatch, pooled):
+        xc = make_xc(
+            "agent_comparison", trials=2,
+            goal=GoalSpec(kind="career_level_reached",
+                          max_minutes=20_000, max_actions=400),
+            careers=[{"career": "fashion", "target_level": 2},
+                     {"career": "barista", "target_level": 2}],
+            agent=ComparisonAgent(AStarAgent(2000),
+                                  SoftmaxSpec(0.5, train=TrainSpec(10, 0.05))))
+        trained = []
+
+        def train(config, scenario, *args, **kwargs):
+            trained.append(scenario.career)
+            return agents.train_softmax(config, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_softmax", train)
+        monkeypatch.setattr(experiments, "_worker_builds",
+                            {id(desk_base): desk_base})
+        pool = InlinePool() if pooled else None
+        outcome = run_experiment(xc, [desk_base], pool)
+        assert outcome.status == "ok"
+        assert trained == ["fashion", "barista"]
+        if pooled:
+            assert (pool.jobs, pool.reads) == (4, 4)
+        for career in ("fashion", "barista"):
+            goal = GoalSpec(kind="career_level_reached", career=career, level=2,
+                            max_minutes=20_000, max_actions=400)
+            # the train spec sets no seed: the experiment's base seed
+            policy, _ = agents.train_softmax(
+                desk_base, ScenarioOverrides(career=career), goal, episodes=10,
+                step_size=0.05, rng=random.Random(xc.base_seed), temperature=0.5)
+            assert outcome.extras["comparison"][career]["policy"] == policy.to_dict()
 
     def test_uneven_chunks_match_serial(self, desk_base):
         # a pooled group is one job whatever its trial count; the name dates
@@ -510,8 +549,8 @@ class TestPooledTrials:
                 AStarAgent(200))
         with trial_pool(2, [desk_base]) as pool:
             for trials in (1, 3, 9, 17):
-                pooled = list(run_trials(*args, trials, 11, pool))
-                serial = run_trials(*args, trials, 11)
+                pooled, _ = run_trials(*args, trials, 11, pool)()
+                serial, _ = run_trials(*args, trials, 11)()
                 assert [r.seed for r in pooled] == [
                     trial_seed(11, i) for i in range(trials)]
                 # whole records: digests, decisions and max_nodes_expanded too
@@ -534,10 +573,10 @@ class TestPooledTrials:
                             lambda *args: calls.append(1) or edges(*args))
         monkeypatch.setattr(experiments, "_worker_builds",
                             {id(config): pickle.loads(pickle.dumps(config))})
-        serial = run_trials(config, *self.CULINARY, 12, 2001)
+        serial, _ = run_trials(config, *self.CULINARY, 12, 2001)()
         serial_calls, calls[:] = len(calls), []
         pool = InlinePool()
-        pooled = list(run_trials(config, *self.CULINARY, 12, 2001, pool))
+        pooled, _ = run_trials(config, *self.CULINARY, 12, 2001, pool)()
         assert len(calls) == serial_calls > 0
         assert len({r.state_digest for r in serial}) > 1
         assert [replace(r, max_decision_seconds=0.0) for r in pooled] == [
@@ -552,7 +591,7 @@ class TestPooledTrials:
         batch = run_trials(desk_base, *self.CULINARY, 2, 2001, pool)
         # a batch that waited here would keep the pool to one group at a time
         assert (pool.jobs, pool.reads) == (1, 0)
-        assert len(list(batch)) == 2 and pool.reads == 1
+        assert len(batch()[0]) == 2 and pool.reads == 1
 
     def test_pickled_build_leaves_its_graph_behind(self):
         # a pool worker receives each build pickled; the engine graph of
@@ -793,6 +832,36 @@ def test_a_career_study_rejects_a_goal_template_it_would_ignore(
     ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("study", CAREER_STUDIES)
+def test_a_career_listed_twice_fails_at_load(study):
+    # each used to run ok, and its two rows shared one group key: stats.json
+    # kept one group holding the later row's trials alone
+    doc = json.loads(json.dumps(next(e for e in PAPER_SUITE
+                                     if e["study"] == study)))
+    career = doc["careers"][0]["career"]
+    doc["careers"].append({"career": career})
+    loaded = report._load(fixtures.path("paper_suite"), 0, doc, None, {})
+    assert f"{type(loaded.error).__name__}: {loaded.error}" == (
+        f"SuiteEntryError: {study}.careers[{len(doc['careers']) - 1}].career: "
+        f"{career!r} repeats careers[0]")
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["one_file", "two_files"])
+def test_a_build_listed_twice_fails_at_load(tmp_path, copy):
+    # it used to run ok, and each career's two groups shared one key: one
+    # group per career in stats.json, beside two rows
+    doc = json.loads(json.dumps(next(e for e in PAPER_SUITE
+                                     if e["study"] == "build_comparison")))
+    first = fixtures.path("build_a")
+    second = tmp_path / "build_a_copy.json"
+    second.write_bytes(first.read_bytes())
+    doc["tuning_ref"] = [str(first), str(second if copy else first)]
+    loaded = report._load(fixtures.path("paper_suite"), 0, doc, None, {})
+    assert f"{type(loaded.error).__name__}: {loaded.error}" == (
+        "SuiteEntryError: build_comparison.tuning_ref[1]: build 'build_A' "
+        "repeats tuning_ref[0]'s")
+
+
 @pytest.mark.parametrize("field, value, error", [
     ("study", "bogus", "study: unknown study 'bogus'"),
     ("trials", 0, "trials: must be >= 1"),
@@ -924,7 +993,7 @@ def test_documented_load_errors_are_the_errors():
     entry, rows = documented_load_errors()
     suite = fixtures.path("paper_suite")
     assert report._load(suite, 0, entry, None, {}).error is None
-    assert len(rows) == 50
+    assert len(rows) == 52
     errors = []
     for fields, _ in rows:
         loaded = report._load(suite, 0, dict(entry, **json.loads(f"{{{fields}}}")),

@@ -1100,6 +1100,58 @@ def hand_graphs(draw):
     return layers[0][0], children, h
 
 
+def serve_generated(build_seed, seeds, node_budget):
+    """One checked planner (see `CheckedPlanner`) over a generated build:
+    each seed played twice, so later episodes meet earlier answers under
+    other root ties."""
+    config, scenario, goal = random_desk_config(build_seed)
+    weights = ({"career_xp": 1.0, "event_xp": 0.5}
+               if goal.kind == "career_level_reached" else
+               {"relationship_event_complete": 1.0, "event_xp": 1.0})
+    planner = CheckedPlanner(HeuristicSpec(weights), goal, node_budget)
+    planner.replay(config, scenario, seeds + seeds, goal)
+
+
+def serve_hand_graph(monkeypatch, graph, budget):
+    """Four checked episodes (see `HandGraph.walk`) from a hand graph's
+    root by one planner, each under its own root tie, and a later checked
+    decision from every state."""
+    root, children, h = graph
+    hand = HandGraph(monkeypatch, children, h, budget)
+    hand.SEEDS = 4
+    planner = hand.planner()
+    for seed in range(hand.SEEDS):
+        hand.walk(root, random.Random(seed), planner)
+    states = {child.name: child for moves in children.values()
+              for child in moves}
+    for state in states.values():
+        checked_decide(planner[0], planner[1], copy.copy(state),
+                       random.Random(len(state.name)))
+
+
+class TieFlagChecked:
+    """A planner's answer table as `_store_path_answers` writes it, checked:
+    an answer stored for a record that already holds one must agree with
+    it on whether a tie number decided it (its tie is None or not)."""
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def __setitem__(self, record, answer):
+        held = self.answers.get(record)
+        assert held is None or (held[0] is None) == (answer[0] is None), (
+            held, answer)
+        self.answers[record] = answer
+
+
+def check_tie_flags(monkeypatch):
+    """Route every answer `_store_path_answers` stores through
+    `TieFlagChecked`."""
+    store = agents._store_path_answers
+    monkeypatch.setattr(agents, "_store_path_answers", lambda *args: store(
+        *args[:-1], TieFlagChecked(args[-1])))
+
+
 class TestServedDecisions:
     """Every decision a planner serves, whether a root's answer or a goal
     path's, kept for every root tie or for one, is the search a new
@@ -1115,14 +1167,7 @@ class TestServedDecisions:
            node_budget=st.integers(1, 40))
     def test_served_decisions_on_generated_builds(self, build_seed, seeds,
                                                   node_budget):
-        # one planner over several seeds, each played twice: later
-        # episodes meet earlier answers under other root ties
-        config, scenario, goal = random_desk_config(build_seed)
-        weights = ({"career_xp": 1.0, "event_xp": 0.5}
-                   if goal.kind == "career_level_reached" else
-                   {"relationship_event_complete": 1.0, "event_xp": 1.0})
-        planner = CheckedPlanner(HeuristicSpec(weights), goal, node_budget)
-        planner.replay(config, scenario, seeds + seeds, goal)
+        serve_generated(build_seed, seeds, node_budget)
 
     @settings(PROPERTY_SETTINGS, max_examples=40)
     @given(build_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1),
@@ -1152,20 +1197,33 @@ class TestServedDecisions:
     @given(graph=hand_graphs(),
            budget=st.integers(1, 12))
     def test_served_decisions_on_hand_graphs(self, graph, budget):
-        # four episodes from the root by one planner, each under its own
-        # root tie, and a later episode from every state
-        root, children, h = graph
         with pytest.MonkeyPatch.context() as monkeypatch:
-            hand = HandGraph(monkeypatch, children, h, budget)
-            hand.SEEDS = 4
-            planner = hand.planner()
-            for seed in range(hand.SEEDS):
-                hand.walk(root, random.Random(seed), planner)
-            states = {child.name: child for moves in children.values()
-                      for child in moves}
-            for state in states.values():
-                checked_decide(planner[0], planner[1], copy.copy(state),
-                               random.Random(len(state.name)))
+            serve_hand_graph(monkeypatch, graph, budget)
+
+    # `_store_path_answers` lets a later search's answer replace a record's
+    # answer. Whether a search meets a tie does not depend on its root tie
+    # (one that meets none pops by (f, clock) alone), so the two agree on
+    # whether a tie decided them: a keyed answer never replaces a tie-free
+    # one, or a tie-free one a keyed one
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(build_seed=st.integers(0, 10_000),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3),
+           node_budget=st.integers(1, 40))
+    def test_a_stored_answer_keeps_its_tie_flag_on_generated_builds(
+            self, build_seed, seeds, node_budget):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_tie_flags(monkeypatch)
+            serve_generated(build_seed, seeds, node_budget)
+
+    @settings(PROPERTY_SETTINGS, max_examples=150)
+    @given(graph=hand_graphs(),
+           budget=st.integers(1, 12))
+    def test_a_stored_answer_keeps_its_tie_flag_on_hand_graphs(self, graph,
+                                                               budget):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_tie_flags(monkeypatch)
+            serve_hand_graph(monkeypatch, graph, budget)
 
 
 class ReadCounting(random.Random):

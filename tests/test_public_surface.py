@@ -49,3 +49,47 @@ def test_every_export_has_a_reader():
     reads = name_reads()
     unread = {name for name in exported_names() if not reads[name]}
     assert unread == NO_READER_YET
+
+
+def private_definitions():
+    """(module, name) for each private name a module of the package binds
+    at its top level, by `def`, `class` or assignment; dunders aside."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            yield from ((path.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__"))
+
+
+def package_reads():
+    """The names the package's modules read: loaded as a name, as an
+    attribute, by an import, or as a string that is the name alone, as
+    `getattr` takes it (any other string matches no name). The name a `def`, `class` or assignment binds is
+    no read."""
+    reads = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reads.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    return reads
+
+
+def test_every_private_name_has_a_reader():
+    # a helper left behind when its last caller goes is dead code
+    reads = package_reads()
+    assert [(module, name) for module, name in private_definitions()
+            if name not in reads] == []
