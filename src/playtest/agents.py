@@ -51,11 +51,13 @@ replay of a seed is served throughout. Most trials of a group replay
 one trajectory, so from the second on most decisions are served.
 
 The heuristic is bound once per planner and build (`build_evaluator`):
-each term's scale, the career goal's XP target and, for a chain goal,
-every category's remaining final thresholds and relationship XP for each
-count of completed events are computed then, so evaluating a state is a
-few lookups per weighted term, each an int count. The value is 0 at
-every goal state, so a search tests the goal only on a pop scored 0.
+one evaluator for the goal's kind, with each term's weight and scale,
+the career goal's XP target and, for a chain goal, every category's
+remaining final thresholds and relationship XP for each count of
+completed events computed then. It tests the goal and counts each
+weighted term in place, an int from a few lookups, with no call per
+term. The value is 0 at every goal state, so a search tests the goal
+only on a pop scored 0.
 
 The Softmax agent samples the available moves in proportion to
 exp(utility/temperature), where utility is a learned linear function of
@@ -412,9 +414,11 @@ def _relationship_xp(event: EventSpec) -> int:
 
 def _chain_remaining(
     config: TuningConfig, goal: GoalSpec, cost: Callable[[EventSpec], int],
-) -> Callable[[GameState], int]:
-    """A function of the state: `cost(event)` summed over the chain events
-    still to finish before the chain goal.
+) -> dict[str | None, list[int]]:
+    """`cost(event)` summed over the chain events still to finish before
+    the chain goal, by the state's locked category (None if unlocked) and
+    then by its count of completed events, for each count below the
+    goal's chain length.
 
     A goal on one category counts the locked category, else the goal's.
     A goal on any chain counts the cheapest category long enough,
@@ -423,9 +427,8 @@ def _chain_remaining(
     branches tied across symmetric categories, which is what lets
     repeated seeded runs sample every category.
 
-    Every category's sum for each count of completed events is computed
-    here, so the function only looks it up: each chain's costs summed
-    from its end, which equals summing them in order, since they are ints.
+    Each chain's costs are summed from its end, which equals summing them
+    in order, since they are ints.
     """
     idx = config.index()
     length = goal.chain_length
@@ -435,138 +438,142 @@ def _chain_remaining(
         costs += [0] * (length - len(costs))
         totals[c.id] = list(accumulate(reversed(costs)))[::-1]
     if goal.kind == "relationship_chain_done":
-        def remaining(state: GameState) -> int:
-            rel = state.relationship
-            if rel.completed >= length:
-                return 0
-            return totals[rel.category or goal.category][rel.completed]
-        return remaining
-
+        return {**totals, None: totals[goal.category]}
     long_enough = [totals[c.id] for c in config.relationships
                    if len(c.event_chain) >= length]
     cheapest = list(map(min, zip(*long_enough))) if long_enough else [0] * length
-
-    def remaining_any(state: GameState) -> int:
-        done = state.relationship.completed
-        return cheapest[done] if done < length else 0
-    return remaining_any
-
-
-def _bind_term(
-    term: str, config: TuningConfig, goal: GoalSpec
-) -> Callable[[GameState], int] | None:
-    """One heuristic term's remaining quantity as a function of the state,
-    or None for a term that is 0 in every state under this goal.
-
-    The quantity is an int count, far below 2**53, so the evaluator's
-    `weight * value / scale` is the float it would be with the count as a
-    float (see `build_evaluator`). It is only called on states that do not
-    satisfy the goal, where every count is at least 0: a career at the
-    goal's XP or level has met the goal, and an event closes on the act
-    that takes its XP to its final threshold.
-    """
-    idx = config.index()
-    if term.startswith("crafted_item:"):
-        item = term.split(":", 1)[1]
-        return lambda state: max(0, 1 - state.inventory.get(item, 0))
-
-    if goal.kind == "career_level_reached":
-        career, level = goal.career, goal.level
-        if term == "career_xp":
-            target = idx.careers[career].xp_for_level(level)
-
-            def career_xp(state: GameState) -> int:
-                own = state.career
-                xp = own.xp if own is not None and own.id == career else 0
-                return target - xp
-            return career_xp
-        if term == "career_level":
-            def career_level(state: GameState) -> int:
-                own = state.career
-                reached = own.level if own is not None and own.id == career else 1
-                return level - reached
-            return career_level
-        if term == "event_xp":
-            events = idx.events
-
-            def event_xp(state: GameState) -> int:
-                event = state.active_event
-                if event is None:
-                    return 0
-                return events[event.event_id].final_threshold - event.accrued_xp
-            return event_xp
-        return None
-
-    if goal.kind in ("relationship_chain_done", "any_relationship_chain_done"):
-        length = goal.chain_length
-        if term == "relationship_event_complete":
-            return lambda state: max(0, length - state.relationship.completed)
-        if term == "event_xp":
-            chain_xp = _chain_remaining(config, goal, _final_threshold)
-            in_chain = idx.chain_position
-
-            def chain_event_xp(state: GameState) -> int:
-                # credits the accrued XP of an active chain event, whatever
-                # its category
-                total = chain_xp(state)
-                event = state.active_event
-                if event is not None and event.event_id in in_chain:
-                    total -= event.accrued_xp
-                return max(0, total)
-            return chain_event_xp
-        if term == "relationship_xp":
-            return _chain_remaining(config, goal, _relationship_xp)
-        return None
-
-    # event_completed: the goal event is not completed yet
-    target = idx.events[goal.event]
-    if term == "event_xp":
-        final = target.final_threshold
-
-        def goal_event_xp(state: GameState) -> int:
-            active = state.active_event
-            if active is not None and active.event_id == target.id:
-                return final - active.accrued_xp
-            return final
-        return goal_event_xp
-    if (term == "career_event_complete" and target.kind == "career"
-            or term == "relationship_event_complete"
-            and target.kind == "relationship"):
-        return lambda state: 1
-    return None
+    return dict.fromkeys([None, *totals], cheapest)
 
 
 def build_evaluator(
     spec: HeuristicSpec, config: TuningConfig, goal: GoalSpec
-):
+) -> Callable[[GameState], float]:
     """Bind a heuristic to one config and goal; returns state -> float.
 
     The value is 0.0 at every state that satisfies the goal, whatever the
     weights: the planner tests the goal only on a state it scores 0 (see
-    `AStarPlanner.decide`). Every value that depends only on the build
-    and the goal is computed here, once: each term's scale, the career
-    goal's XP target and the chain totals. Terms with no weight, or 0
-    under this goal, are left out, so an evaluation runs only lookups for
-    the terms that count.
+    `AStarPlanner.decide`). Elsewhere it is the sum of `weight * count /
+    scale` over the weighted terms, added in sorted term-name order, where
+    each count is an int, far below 2**53, and a term whose count is 0
+    adds nothing. Crafted-item terms count 1 while the item is not held.
+
+    The goal's kind picks one evaluator, which tests the goal and counts
+    every term the kind reads inline: a term with no weight, or none the
+    kind reads, adds nothing. What depends only on the build and the goal
+    is bound here, once: each term's weight and scale (its normalization,
+    else `_default_scale`), each crafted term's `weight / scale`, the
+    career goal's XP target and, for a chain goal, every category's
+    remaining final thresholds and relationship XP by count of completed
+    events (`_chain_remaining`). A count below the goal is at least 0: a
+    career at the goal's XP or level has met the goal, and an event
+    closes on the act that takes its XP to its final threshold. Two
+    counts can fall below 0 and add nothing then: a held crafted item's,
+    and a chain goal's `event_xp`, which credits an active chain event's
+    accrued XP whatever its category.
     """
-    terms = []
-    for term, weight in sorted(spec.weights.items()):
-        remaining = _bind_term(term, config, goal) if weight != 0.0 else None
-        if remaining is not None:
-            terms.append((remaining, weight,
-                          spec.normalization.get(term) or _default_scale(term, config)))
+    idx = config.index()
 
-    def evaluate(state: GameState) -> float:
-        if goal_satisfied(goal, state):
+    def bound(term: str) -> tuple[float, float]:
+        return (spec.weights.get(term, 0.0),
+                spec.normalization.get(term) or _default_scale(term, config))
+
+    # (item, weight / scale); `weight * 1 / scale` is the same float
+    crafted = tuple((term.split(":", 1)[1], weight / bound(term)[1])
+                    for term, weight in sorted(spec.weights.items())
+                    if weight and term.startswith("crafted_item:"))
+
+    if goal.kind == "career_level_reached":
+        career, level = goal.career, goal.level
+        (w_level, s_level), (w_xp, s_xp), (w_event, s_event) = map(
+            bound, ("career_level", "career_xp", "event_xp"))
+        target = idx.careers[career].xp_for_level(level)
+        events = idx.events
+
+        def evaluate_career(state: GameState) -> float:
+            own = state.career
+            if own is not None and own.id == career:
+                if own.level >= level:
+                    return 0.0
+                reached, xp = own.level, own.xp
+            else:
+                reached, xp = 1, 0
+            h = 0.0
+            if w_level and (left := level - reached):
+                h += w_level * left / s_level
+            if w_xp and (left := target - xp):
+                h += w_xp * left / s_xp
+            for item, share in crafted:
+                if state.inventory.get(item, 0) < 1:
+                    h += share
+            if w_event and (event := state.active_event) is not None:
+                if left := events[event.event_id].final_threshold - event.accrued_xp:
+                    h += w_event * left / s_event
+            return h
+        return evaluate_career
+
+    if goal.kind in ("relationship_chain_done", "any_relationship_chain_done"):
+        length, category = goal.chain_length, goal.category
+        any_chain = goal.kind == "any_relationship_chain_done"
+        (w_event, s_event), (w_done, s_done), (w_xp, s_xp) = map(
+            bound, ("event_xp", "relationship_event_complete", "relationship_xp"))
+        finals = _chain_remaining(config, goal, _final_threshold)
+        rewards = _chain_remaining(config, goal, _relationship_xp)
+        in_chain = idx.chain_position
+
+        def evaluate_chain(state: GameState) -> float:
+            rel = state.relationship
+            done = rel.completed
+            if done >= length and (any_chain or rel.category == category):
+                return 0.0
+            h = 0.0
+            for item, share in crafted:
+                if state.inventory.get(item, 0) < 1:
+                    h += share
+            if done >= length:
+                # a longer chain of another category: every chain count is 0
+                return h
+            if w_event:
+                left = finals[rel.category][done]
+                event = state.active_event
+                if event is not None and event.event_id in in_chain:
+                    left -= event.accrued_xp
+                if left > 0:
+                    h += w_event * left / s_event
+            if w_done:
+                h += w_done * (length - done) / s_done
+            if w_xp and (left := rewards[rel.category][done]):
+                h += w_xp * left / s_xp
+            return h
+        return evaluate_chain
+
+    # event_completed: the career and the relationship term count 1 for a
+    # goal event of their kind. Only a weighted term reads the event, so a
+    # goal may name none (a search that cannot end, say).
+    event_id = goal.event
+    (w_career, s_career), (w_event, s_event), (w_rel, s_rel) = map(
+        bound, ("career_event_complete", "event_xp", "relationship_event_complete"))
+    target = idx.events[event_id] if w_career or w_event or w_rel else None
+    final = target.final_threshold if w_event else 0
+    # summed from 0.0, as every term is, so a -0.0 quotient adds up to 0.0
+    first = 0.0 + (w_career / s_career if w_career and target.kind == "career"
+                   else 0.0)
+    last = w_rel / s_rel if w_rel and target.kind == "relationship" else 0.0
+
+    def evaluate_event(state: GameState) -> float:
+        if event_id in state.events_completed:
             return 0.0
-        total = 0.0
-        for remaining, weight, scale in terms:
-            value = remaining(state)
-            if value:
-                total += weight * value / scale
-        return total
-
-    return evaluate
+        h = first
+        for item, share in crafted:
+            if state.inventory.get(item, 0) < 1:
+                h += share
+        if w_event:
+            active = state.active_event
+            left = (final - active.accrued_xp
+                    if active is not None and active.event_id == event_id else final)
+            if left:
+                h += w_event * left / s_event
+        return h + last
+    return evaluate_event
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,10 @@ def _cmd_train(args) -> int:
 
     out_path = Path(args.out)
     curve_path = Path(args.curve) if args.curve else out_path.with_suffix(".curve.csv")
+    if out_path.resolve() == curve_path.resolve():
+        print(f"error: --curve and --out name one file: {out_path.resolve()}",
+              file=sys.stderr)
+        return EXIT_USAGE
     for path in (out_path, curve_path):
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

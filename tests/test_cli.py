@@ -569,6 +569,21 @@ class TestTrain:
         assert curve[0] == "episode,return"
         assert len(curve) == 61
 
+    @pytest.mark.parametrize("curve", ["p.json", "sub/../p.json", "link.json"])
+    def test_curve_that_is_the_policy_file_exit_two(self, tmp_path, capsys,
+                                                    monkeypatch, curve):
+        # the curve's CSV used to overwrite the policy, with exit 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.json").symlink_to(tmp_path / "p.json")
+        code = main(["train", str(fixtures.path("desk_base")),
+                     "--goal", self.GOAL, "--episodes", "5",
+                     "--out", "p.json", "--curve", curve])
+        assert code == 2
+        policy = tmp_path.resolve() / "p.json"
+        assert capsys.readouterr().err == (
+            f"error: --curve and --out name one file: {policy}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json"]
+
     def test_zero_episodes_usage_error(self, tmp_path):
         code = main(["train", str(fixtures.path("desk_base")),
                      "--goal", self.GOAL, "--episodes", "0",

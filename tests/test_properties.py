@@ -1861,22 +1861,62 @@ def check_bound_heuristic(data, config, scenario, goal):
 
 
 def check_terms_not_negative(data, config, scenario, goal):
-    """Every term `_bind_term` binds under `goal` counts at least 0 on each
-    random-walk state that does not satisfy the goal."""
+    """Each term alone, at weight 1.0 and normalization 1.0, scores at
+    least 0 under `goal` on each random-walk state that does not satisfy
+    the goal. The evaluator skips a crafted item's count and a chain
+    goal's `event_xp` below 0 and adds every other count as it is, so
+    this checks that each of those is at least 0 there."""
     items = sorted({item for a in config.actions for item in a.rewards.items})
-    bound = [agents._bind_term(term, config, goal)
-             for term in list(agents.HEURISTIC_TERMS)
-             + [f"crafted_item:{item}" for item in items]]
+    evaluators = [agents.build_evaluator(HeuristicSpec({term: 1.0}, {term: 1.0}),
+                                         config, goal)
+                  for term in list(agents.HEURISTIC_TERMS)
+                  + [f"crafted_item:{item}" for item in items]]
     states = [state for state in walk_states(
         config, scenario, data.draw(st.integers(0, 2**32 - 1)))
         if not goal_satisfied(goal, state)]
-    for remaining in filter(None, bound):
+    for evaluate in evaluators:
         for state in states:
-            assert remaining(state) >= 0
+            assert evaluate(state) >= 0
+
+
+def every_goal(config):
+    """One goal of each kind the build can name: each career at its cap,
+    each category's whole chain, the longest chain of any category and
+    each event."""
+    longest = max((len(c.event_chain) for c in config.relationships), default=0)
+    return [
+        *(GoalSpec(kind="career_level_reached", career=c.id, level=c.max_level)
+          for c in config.careers),
+        *(GoalSpec(kind="relationship_chain_done", category=c.id,
+                   chain_length=len(c.event_chain))
+          for c in config.relationships if c.event_chain),
+        *([GoalSpec(kind="any_relationship_chain_done", chain_length=longest)]
+          if longest else []),
+        *(GoalSpec(kind="event_completed", event=e.id) for e in config.events),
+    ]
 
 
 class TestBoundHeuristic:
     """The evaluator bound once per planner equals the per-term reference."""
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_terms_add_in_sorted_name_order(self, fixture):
+        # every term is weighted, two of them by items that no act grants,
+        # so each state sums several terms, with weights and scales whose
+        # float sum depends on the order the terms are added in
+        config = fixtures.load(fixture)
+        items = sorted({item for a in config.actions for item in a.rewards.items})
+        terms = [*agents.HEURISTIC_TERMS, *(
+            f"crafted_item:{item}" for item in ["ghost_b", *items, "ghost_a"])]
+        spec = HeuristicSpec({t: 0.1 * (i + 1) for i, t in enumerate(terms)},
+                             {t: (0.7, 3.0, 1.0)[i % 3] for i, t in enumerate(terms)})
+        for goal in every_goal(config):
+            evaluate = agents.build_evaluator(spec, config, goal)
+            for seed in range(3):
+                for state in walk_states(
+                        config, ScenarioOverrides(career=goal.career), seed):
+                    assert evaluate(state) == reference_heuristic(
+                        spec, config, goal, state)
 
     @pytest.mark.parametrize("style", sorted(STYLE_SEEDS))
     @settings(PROPERTY_SETTINGS, max_examples=40)

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "playtest"
 
 # exported with no reader yet: the per-trial traces planned in ROADMAP
-# item 3 are to read it
+# item 1 are to read it
 NO_READER_YET = {"trace_to_jsonl"}
 
 
