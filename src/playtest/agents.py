@@ -460,11 +460,12 @@ def build_evaluator(
     The goal's kind picks one evaluator, which tests the goal and counts
     every term the kind reads inline: a term with no weight, or none the
     kind reads, adds nothing. What depends only on the build and the goal
-    is bound here, once: each term's weight and scale (its normalization,
-    else `_default_scale`), each crafted term's `weight / scale`, the
-    career goal's XP target and, for a chain goal, every category's
-    remaining final thresholds and relationship XP by count of completed
-    events (`_chain_remaining`). A count below the goal is at least 0: a
+    is bound here, once: each term's weight, each weighted term's scale
+    (its normalization, else `_default_scale`), each crafted term's
+    `weight / scale`, the career goal's XP target and, for a chain goal,
+    every category's remaining final thresholds and relationship XP by
+    count of completed events (`_chain_remaining`), each table only for
+    its weighted term. A count below the goal is at least 0: a
     career at the goal's XP or level has met the goal, and an event
     closes on the act that takes its XP to its final threshold. Two
     counts can fall below 0 and add nothing then: a held crafted item's,
@@ -474,8 +475,11 @@ def build_evaluator(
     idx = config.index()
 
     def bound(term: str) -> tuple[float, float]:
-        return (spec.weights.get(term, 0.0),
-                spec.normalization.get(term) or _default_scale(term, config))
+        # an unweighted term is never read, so its scale is not computed
+        weight = spec.weights.get(term, 0.0)
+        if not weight:
+            return weight, 1.0
+        return weight, spec.normalization.get(term) or _default_scale(term, config)
 
     # (item, weight / scale); `weight * 1 / scale` is the same float
     crafted = tuple((term.split(":", 1)[1], weight / bound(term)[1])
@@ -516,8 +520,8 @@ def build_evaluator(
         any_chain = goal.kind == "any_relationship_chain_done"
         (w_event, s_event), (w_done, s_done), (w_xp, s_xp) = map(
             bound, ("event_xp", "relationship_event_complete", "relationship_xp"))
-        finals = _chain_remaining(config, goal, _final_threshold)
-        rewards = _chain_remaining(config, goal, _relationship_xp)
+        finals = _chain_remaining(config, goal, _final_threshold) if w_event else None
+        rewards = _chain_remaining(config, goal, _relationship_xp) if w_xp else None
         in_chain = idx.chain_position
 
         def evaluate_chain(state: GameState) -> float:

@@ -1918,6 +1918,27 @@ class TestBoundHeuristic:
                     assert evaluate(state) == reference_heuristic(
                         spec, config, goal, state)
 
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_binding_reads_weighted_terms_only(self, fixture, monkeypatch):
+        # every planner binds its evaluator at its first decision, so an
+        # unweighted term's scale or chain table would cost each trial
+        scaled, tables = [], []
+        default_scale, chain_remaining = agents._default_scale, agents._chain_remaining
+        monkeypatch.setattr(agents, "_default_scale", lambda term, config: (
+            scaled.append(term), default_scale(term, config))[1])
+        monkeypatch.setattr(agents, "_chain_remaining", lambda config, goal, cost: (
+            tables.append(cost), chain_remaining(config, goal, cost))[1])
+        config = fixtures.load(fixture)
+        for term in agents.HEURISTIC_TERMS:
+            for goal in every_goal(config):
+                scaled.clear(), tables.clear()
+                agents.build_evaluator(HeuristicSpec({term: 1.0}), config, goal)
+                assert set(scaled) <= {term}
+                assert tables == ([agents._final_threshold] if term == "event_xp"
+                                  else [agents._relationship_xp]
+                                  if term == "relationship_xp" else []
+                                  ) * ("chain" in goal.kind)
+
     @pytest.mark.parametrize("style", sorted(STYLE_SEEDS))
     @settings(PROPERTY_SETTINGS, max_examples=40)
     @given(data=st.data())
