@@ -9,17 +9,18 @@ parallelism can never change results. The reducer turns the records
 into statistics, extras and charts, reducing integer action counts in
 an order-independent way.
 
-One runner serves every study. `start_experiment` starts every group
-at once, a group that trains its Softmax policy first; the function it
-returns reads each group in order and reduces. Without a pool a group
-runs as it is started. On a pool from `trial_pool`, starting only
-submits jobs, so a suite can hand the pool every job before it reads any
-result. Each worker receives the suite's parsed builds once, through the
-pool initializer. A job carries one whole group, with its build's key
-instead of the build, and the worker plays it as a serial run does: one
-agent, trained first if the group trains its policy, plays its trials.
-So a pooled suite does the serial suite's search and training work,
-spread over the workers by group.
+One runner serves every study. `check_entry` builds the study's groups
+once and tests their start states; `start_experiment` starts the groups
+it returns at once, a group that trains its Softmax policy first, and
+the function it returns reads each group in order and reduces. Without
+a pool a group runs as it is started. On a pool from `trial_pool`,
+starting only submits jobs, so a suite can hand the pool every job
+before it reads any result. Each worker receives the suite's parsed
+builds once, through the pool initializer. A job carries one whole
+group, with its build's key instead of the build, and the worker plays
+it as a serial run does: one agent, trained first if the group trains
+its policy, plays its trials. So a pooled suite does the serial suite's
+search and training work, spread over the workers by group.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import random
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import TYPE_CHECKING, ClassVar
 
 from .agents import (
@@ -58,7 +58,6 @@ if TYPE_CHECKING:
 
 @dataclass
 class AggregateStats:
-    group_key: str
     count: int
     mean: float
     variance: float  # population variance
@@ -66,7 +65,7 @@ class AggregateStats:
     max: float
 
     @classmethod
-    def from_values(cls, group_key: str, values: list) -> "AggregateStats":
+    def from_values(cls, values: list) -> "AggregateStats":
         if not values:
             raise ValueError("AggregateStats requires at least one value")
         n = len(values)
@@ -76,7 +75,6 @@ class AggregateStats:
         sumsq = sum(v * v for v in values)
         variance = (sumsq - total * total / n) / n
         return cls(
-            group_key=group_key,
             count=n,
             mean=mean,
             variance=max(0.0, variance),
@@ -288,42 +286,34 @@ def trial_pool(workers: int, configs: list[TuningConfig]) -> ProcessPoolExecutor
     )
 
 
-def _agent_for(
-    agent: AStarAgent | SoftmaxAgent | SoftmaxSpec, heuristic: HeuristicSpec,
-    config: TuningConfig, scenario: ScenarioOverrides, goal: GoalSpec,
-    base_seed: int,
-) -> tuple[AStarPlanner | SoftmaxPlanner, SoftmaxPolicy | None]:
-    """The agent that plays a group, and the Softmax policy it plays (None
-    for A*). An agent comparison's SoftmaxSpec with no literal policy
-    trains one here, seeded by its train seed, else by `base_seed`."""
-    if isinstance(agent, AStarAgent):
-        budget = agent.node_budget
-        return AStarPlanner(heuristic, goal, DEFAULT_NODE_BUDGET
-                            if budget is None else budget), None
-    policy = agent.policy
-    if policy is None:
-        train = agent.train or TrainSpec()
-        policy, _ = train_softmax(
-            config, scenario, goal, episodes=train.episodes,
-            step_size=train.step_size,
-            rng=random.Random(base_seed if train.seed is None else train.seed),
-            temperature=1.0 if agent.temperature is None else agent.temperature,
-        )
-    return SoftmaxPlanner(policy, config), policy
-
-
 GroupResult = tuple[list[TrialRecord], "SoftmaxPolicy | None"]
 
 
 def _run_group(
     config: TuningConfig, scenario: ScenarioOverrides, heuristic: HeuristicSpec,
-    goal: GoalSpec, agent_spec: AgentSpec | SoftmaxSpec, trials: int,
+    goal: GoalSpec, spec: AgentSpec | SoftmaxSpec, trials: int,
     base_seed: int,
 ) -> GroupResult:
     """One group's trials in trial index order, all played by one agent,
-    and the Softmax policy that agent played (None for A*)."""
-    agent, policy = _agent_for(agent_spec, heuristic, config, scenario, goal,
-                               base_seed)
+    and the Softmax policy that agent played (None for A*). An agent
+    comparison's SoftmaxSpec with no literal policy trains one first,
+    seeded by its train seed, else by `base_seed`."""
+    policy = None
+    if isinstance(spec, AStarAgent):
+        budget = spec.node_budget
+        agent = AStarPlanner(heuristic, goal, DEFAULT_NODE_BUDGET
+                             if budget is None else budget)
+    else:
+        policy = spec.policy
+        if policy is None:
+            train = spec.train or TrainSpec()
+            policy, _ = train_softmax(
+                config, scenario, goal, episodes=train.episodes,
+                step_size=train.step_size,
+                rng=random.Random(base_seed if train.seed is None else train.seed),
+                temperature=1.0 if spec.temperature is None else spec.temperature,
+            )
+        agent = SoftmaxPlanner(policy, config)
     return [run_episode(config, scenario, trial_seed(base_seed, i), agent, goal)
             for i in range(trials)], policy
 
@@ -418,76 +408,63 @@ def check_build_count(study: str, count: int) -> None:
                             f"{'two tuning files' if pair else 'one tuning file'}")
 
 
-def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> None:
-    """Raise if the study cannot run on `configs`: a wrong build count, a
-    build_comparison of one build twice, `careers` for
-    relationship_balance (the study reads none), a build with no
-    relationship event or a goal that misses a field its kind reads or
-    names what the build lacks (see `GoalSpec.check`) for
-    relationship_balance (career studies build their own goals), a
-    scenario career for a career study (its groups take theirs from
-    `careers`), a career listed twice, a career a build lacks or a target
-    level above its cap (see `_career_groups`), or a scenario
-    `initial_state` rejects on a group's build. The agent's kind is
-    checked as the entry is built (see `ExperimentConfig`). The runner
-    checks before it starts any group, and a suite checks each entry as
-    it loads it."""
+def check_entry(
+    xc: ExperimentConfig, configs: list[TuningConfig],
+) -> tuple[list[Group], Callable[[Done], Reduction]]:
+    """The study's groups on `configs` and its reducer, which
+    `start_experiment` runs. Raise if the study cannot run there: a wrong
+    build count, a build_comparison of one build twice, a scenario career
+    for a career study (its groups take theirs from `careers`), a career
+    listed twice, a career a build lacks or a target level above its cap
+    (see `_career_groups`), or a group's scenario that `initial_state`
+    rejects on its build. For relationship_balance, which takes its goal
+    as it stands: a build with no relationship event, a goal that misses
+    a field its kind reads or names what the build lacks (see
+    `GoalSpec.check`), a scenario category that locks the goal out, and
+    `careers`, which it never reads. The agent's kind is checked as the
+    entry is built (see `ExperimentConfig`)."""
     check_build_count(xc.study, len(configs))
     if configs[1:] and configs[1].build_id == configs[0].build_id:
         raise SuiteEntryError(f"{xc.id}.tuning_ref[1]: build "
                               f"{configs[1].build_id!r} repeats tuning_ref[0]'s")
-    if xc.study == "relationship_balance":
+    balance = xc.study == "relationship_balance"
+    if balance:
         if not any(e.kind == "relationship" for e in configs[0].events):
             raise NoRelationshipEvents(configs[0].build_id)
         try:
             xc.goal.check(configs[0], f"{xc.id}.goal")
         except SchemaError as exc:
             raise SuiteEntryError(str(exc)) from exc
-        initial_state(configs[0], xc.scenario, xc.base_seed)
-        if xc.careers:
-            raise SuiteEntryError(f"{xc.id}.careers: relationship_balance "
-                                  "reads no careers")
-        return
-    if xc.scenario.career is not None:
+    elif xc.scenario.career is not None:
         raise SuiteEntryError(f"{xc.id}.scenario.career: {xc.study} takes each "
                               "group's career from careers")
-    for cfg in configs:
-        for _, _, scenario, _, _ in _career_groups(cfg, xc):
-            initial_state(cfg, scenario, xc.base_seed)
-
-
-def _start_study(
-    xc: ExperimentConfig, configs: list[TuningConfig],
-    pool: ProcessPoolExecutor | None,
-) -> Read:
-    """Start every group of the study; the returned function reads its
-    outcome.
-
-    A group that trains its Softmax policy, its entry's longest job,
-    starts first; the others follow in group order.
-    """
-    check_entry(xc, configs)
     groups, reduce = _STUDIES[xc.study](configs, xc)
-
-    def trains(i: int) -> bool:
-        agent = groups[i][-1]
-        return isinstance(agent, SoftmaxSpec) and agent.policy is None
-
-    results: list = [None] * len(groups)
-    for i in sorted(range(len(groups)), key=trains, reverse=True):
-        _, config, scenario, goal, agent = groups[i]
-        results[i] = run_trials(config, scenario, xc.heuristic, goal, agent,
-                                xc.trials, xc.base_seed, pool)
-
-    def read() -> ExperimentOutcome:
-        stats, extras, charts, records = reduce(
-            [(group[0], *result()) for group, result in zip(groups, results)])
-        return ExperimentOutcome(
-            xc.id, xc.study, [c.build_id for c in configs],
-            stats, extras, charts, records,
-        )
-
-    return read
+    for _, config, scenario, _, _ in groups:
+        initial_state(config, scenario, xc.base_seed)
+    if not balance:
+        return groups, reduce
+    # a relationship locked to one category from the first state (see
+    # `initial_state`) meets no goal on another category's chain or event,
+    # nor one longer than its own chain
+    locked, goal = xc.scenario.relationship_category, xc.goal
+    if locked is not None:
+        idx = configs[0].index()
+        owner = idx.chain_position.get(goal.event, (locked,))[0]
+        chain = len(idx.relationships[locked].event_chain)
+        path = (f"{xc.id}.scenario.relationship_category: {locked!r} locks "
+                "out the goal's")
+        if goal.category not in (None, locked):
+            raise SuiteEntryError(f"{path} category {goal.category!r}")
+        if owner != locked:
+            raise SuiteEntryError(f"{path} event {goal.event!r} of category "
+                                  f"{owner!r}")
+        if (goal.chain_length or 0) > chain:
+            raise SuiteEntryError(f"{path} chain_length {goal.chain_length}, "
+                                  f"longer than its chain of {chain}")
+    if xc.careers:
+        raise SuiteEntryError(f"{xc.id}.careers: relationship_balance "
+                              "reads no careers")
+    return groups, reduce
 
 
 def _bar_chart(name: str, groups: dict[str, AggregateStats]) -> dict:
@@ -509,7 +486,7 @@ def _action_reducer(
     one bar chart named `chart`; `extras(done, statistics)` adds the rest."""
     def reduce(done: Done) -> Reduction:
         stats = {
-            key: AggregateStats.from_values(key, [r.total_actions for r in records])
+            key: AggregateStats.from_values([r.total_actions for r in records])
             for key, records, _ in done
         }
         tagged = [(key, i, r) for key, records, _ in done
@@ -571,7 +548,7 @@ def _relationship_balance_study(configs, xc):
                     values.setdefault(key, []).append(outcome.actions)
             category_counts[category] = category_counts.get(category, 0) + 1
             tagged.append((category, i, record))
-        groups = {k: AggregateStats.from_values(k, v) for k, v in values.items()}
+        groups = {k: AggregateStats.from_values(v) for k, v in values.items()}
         return (groups, {"category_trials": dict(sorted(category_counts.items()))},
                 [_bar_chart("event_actions_by_category_index", groups)], tagged)
 
@@ -704,31 +681,42 @@ def start_experiment(
     xc: ExperimentConfig, configs: list[TuningConfig],
     pool: ProcessPoolExecutor | None = None,
 ) -> Read:
-    """Start one configured study; the returned function reads its outcome.
+    """Check one configured study and start the groups `check_entry`
+    returns; the returned function reads its outcome.
 
-    A PlaytestError raised while starting or reading becomes a failed
-    outcome naming the builds. The outcome's duration runs from the start
-    to the last result read.
+    A group that trains its Softmax policy, its entry's longest job,
+    starts first; the others follow in group order. A PlaytestError raised
+    while checking, starting or reading becomes a failed outcome naming
+    the builds. The outcome's duration runs from the start to the last
+    result read.
     """
     started = time.perf_counter()
-
-    def fail(exc: PlaytestError) -> ExperimentOutcome:
-        return failed_outcome(xc.id, xc.study, exc, [c.build_id for c in configs])
-
+    build_ids = [c.build_id for c in configs]
+    failure = None
     try:
-        read = _start_study(xc, configs, pool)
+        groups, reduce = check_entry(xc, configs)
+        trains = [isinstance(agent, SoftmaxSpec) and agent.policy is None
+                  for *_, agent in groups]
+        results: list = [None] * len(groups)
+        for i in sorted(range(len(groups)), key=trains.__getitem__, reverse=True):
+            _, config, scenario, goal, agent = groups[i]
+            results[i] = run_trials(config, scenario, xc.heuristic, goal, agent,
+                                    xc.trials, xc.base_seed, pool)
     except PlaytestError as exc:
-        read = partial(fail, exc)
+        failure = exc
 
-    def finish() -> ExperimentOutcome:
+    def read() -> ExperimentOutcome:
         try:
-            outcome = read()
+            if failure is not None:
+                raise failure
+            outcome = ExperimentOutcome(xc.id, xc.study, build_ids, *reduce(
+                [(group[0], *result()) for group, result in zip(groups, results)]))
         except PlaytestError as exc:
-            outcome = fail(exc)
+            outcome = failed_outcome(xc.id, xc.study, exc, build_ids)
         outcome.duration_seconds = time.perf_counter() - started
         return outcome
 
-    return finish
+    return read
 
 
 def run_experiment(

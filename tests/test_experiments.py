@@ -94,32 +94,32 @@ def failure(xc, *configs):
 
 class TestAggregateStats:
     def test_basic_moments(self):
-        stats = AggregateStats.from_values("k", [2, 4, 4, 4, 5, 5, 7, 9])
+        stats = AggregateStats.from_values([2, 4, 4, 4, 5, 5, 7, 9])
         assert stats.count == 8
         assert stats.mean == 5.0
         assert stats.variance == 4.0  # population variance
         assert (stats.min, stats.max) == (2.0, 9.0)
 
     def test_bounds_invariant(self):
-        stats = AggregateStats.from_values("k", [3, 11, 7])
+        stats = AggregateStats.from_values([3, 11, 7])
         assert stats.min <= stats.mean <= stats.max
         assert stats.variance >= 0
 
     def test_union_of_batches_equals_combined(self):
         a = [4, 8, 15, 16]
         b = [23, 42]
-        merged = AggregateStats.from_values("k", a + b)
+        merged = AggregateStats.from_values(a + b)
         n = merged.count
         mean_check = (sum(a) + sum(b)) / n
         assert merged.mean == mean_check
         # exact integer accumulation: recomputing from the union in any
         # order gives identical floats
-        shuffled = AggregateStats.from_values("k", b + a)
+        shuffled = AggregateStats.from_values(b + a)
         assert (shuffled.mean, shuffled.variance) == (merged.mean, merged.variance)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            AggregateStats.from_values("k", [])
+            AggregateStats.from_values([])
 
 
 class TestTrialSeeding:
@@ -193,6 +193,34 @@ class TestRelationshipBalance:
         xc = make_xc("relationship_balance", goal=self.goal(),
                      heuristic=self.heuristic())
         assert failure(xc, build_a).startswith("NoRelationshipEvents:")
+
+    @pytest.mark.parametrize("goal, error", [
+        (GoalSpec(kind="relationship_chain_done", category="friendship",
+                  chain_length=2), "category 'friendship'"),
+        (GoalSpec(kind="event_completed", event="friends_3"),
+         "event 'friends_3' of category 'friendship'"),
+        (GoalSpec(kind="any_relationship_chain_done", chain_length=3),
+         "chain_length 3, longer than its chain of 2"),
+    ], ids=["category", "event", "chain_length"])
+    def test_a_locked_category_that_rules_out_the_goal_fails(self, goal, error):
+        # each used to run: the scenario locks the relationship to romance
+        # from the first state, so every trial played out its limits and
+        # none could reach the goal
+        from playtest.tuning import build_config
+        doc = json.loads(fixtures.path("romance_outlier").read_text())
+        romance = next(r for r in doc["relationships"] if r["id"] == "romance")
+        romance["event_chain"] = romance["event_chain"][:2]
+        config = build_config(doc)
+        goal = replace(goal, max_minutes=500, max_actions=30)
+        xc = make_xc("relationship_balance", trials=1, goal=goal,
+                     heuristic=self.heuristic(),
+                     scenario=ScenarioOverrides(relationship_category="romance"))
+        assert failure(xc, config) == (
+            "SuiteEntryError: test_relationship_balance.scenario."
+            f"relationship_category: 'romance' locks out the goal's {error}")
+        # from friendship, whose chain is whole, the same entry checks cleanly
+        friendship = ScenarioOverrides(relationship_category="friendship")
+        experiments.check_entry(replace(xc, scenario=friendship), [config])
 
 
 class TestCareerProgression:
@@ -502,6 +530,33 @@ class TestPooledTrials:
                                           ("read", "train", "fashion"),
                                           ("read", "astar", "barista"),
                                           ("read", "train", "barista")]
+
+    def test_a_career_entry_builds_its_groups_once_per_check(
+            self, desk_base, tmp_path, monkeypatch):
+        # checking an entry builds the groups it runs: run_experiment
+        # builds them once, and run_suite once as the entry loads and once
+        # as it runs
+        calls = []
+
+        def counting(config, xc):
+            calls.append(xc.id)
+            return career_groups(config, xc)
+
+        career_groups = experiments._career_groups
+        monkeypatch.setattr(experiments, "_career_groups", counting)
+        xc = make_xc("career_progression", trials=1, careers=[("barista", 2)])
+        assert run_experiment(xc, [desk_base]).status == "ok"
+        assert calls == [xc.id]
+        entry = {"id": "careers", "study": "career_progression",
+                 "tuning_ref": str(fixtures.path("desk_base")), "trials": 1,
+                 "goal": {"kind": "career_level_reached", "max_actions": 100},
+                 "careers": [{"career": "barista", "target_level": 2}]}
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps([entry]))
+        calls.clear()
+        [(_, outcome)] = report.run_suite(suite, tmp_path / "out")
+        assert outcome.status == "ok"
+        assert calls == ["careers", "careers"]
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "inline_pool"])
     def test_each_career_trains_once_in_its_softmax_group(
@@ -993,7 +1048,7 @@ def test_documented_load_errors_are_the_errors():
     entry, rows = documented_load_errors()
     suite = fixtures.path("paper_suite")
     assert report._load(suite, 0, entry, None, {}).error is None
-    assert len(rows) == 52
+    assert len(rows) == 54
     errors = []
     for fields, _ in rows:
         loaded = report._load(suite, 0, dict(entry, **json.loads(f"{{{fields}}}")),
