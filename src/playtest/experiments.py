@@ -15,12 +15,16 @@ it returns at once, a group that trains its Softmax policy first, and
 the function it returns reads each group in order and reduces. Without
 a pool a group runs as it is started. On a pool from `trial_pool`,
 starting only submits jobs, so a suite can hand the pool every job
-before it reads any result. Each worker receives the suite's parsed
-builds once, through the pool initializer. A job carries one whole
-group, with its build's key instead of the build, and the worker plays
-it as a serial run does: one agent, trained first if the group trains
-its policy, plays its trials. So a pooled suite does the serial suite's
-search and training work, spread over the workers by group.
+before it reads any result. The first read forks the workers, at most
+one per CPU and each pinned to its own, and they inherit the parsed
+builds and the jobs: nothing is sent to a worker, and each sends back
+its results pickled. A job is one whole group, and the worker plays it
+as a serial run does: one agent, trained first if the group trains its
+policy, plays its trials. So a pooled suite does the serial suite's
+search and training work, spread over the workers by group. The pool
+forks explicitly, whatever `multiprocessing`'s default start method
+(`forkserver` from Python 3.14), and `report.run_suite` runs serially
+on a platform without `os.fork`.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from __future__ import annotations
 import math
 import os
 import random
+import select
+import struct
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, ClassVar
+from typing import ClassVar
 
 from .agents import (
     DEFAULT_NODE_BUDGET,
@@ -48,9 +54,6 @@ from .errors import NoRelationshipEvents, PlaytestError, SchemaError, SuiteEntry
 from .sim import ScenarioOverrides, initial_state
 from .tuning import Codec, InvalidField, TuningConfig, absent
 from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing.py
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 # ---------------------------------------------------------------------------
 # Aggregation
@@ -251,39 +254,205 @@ def trial_seed(base_seed: int, index: int) -> int:
 # Trial batches (serial or process-parallel, identical results either way)
 # ---------------------------------------------------------------------------
 
-# In a pool worker: the suite's builds, keyed by the parent's id() of each
-_worker_builds: dict[int, TuningConfig] = {}
+_CLAIM = struct.Struct("<I")  # one job index in a round's claim queue
+_HEAD = struct.Struct("<IQ")  # a worker's message: job index, payload size
+# jobs per round: their indexes fill one page, which every pipe holds
+# before any worker reads it
+_ROUND = 4096 // _CLAIM.size
 
 
-def _install_builds(builds: dict[int, TuningConfig]) -> None:
-    _worker_builds.update(builds)
+class WorkerDied(RuntimeError):
+    """A pool worker ended inside a job, before it sent the job's result."""
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
+def _available_cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else all of the machine's."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
 
 
-def trial_pool(workers: int, configs: list[TuningConfig]) -> ProcessPoolExecutor:
-    """A process pool whose workers each receive `configs` once, at start.
+def _read_exact(fd: int, size: int) -> bytes:
+    """`size` bytes from `fd`, or fewer if the writer ends first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
-    It starts `workers` processes, or one per available CPU if that is
-    fewer: a worker beyond the CPU count only adds switching. Jobs name
-    their build by its id() in this process, so only batches of these
-    configs may run on the pool, and the caller keeps them alive until
-    the pool is shut down.
+
+def _send(fd: int, index: int, payload: bytes = b"") -> None:
+    """Write one message; an empty payload says job `index` is claimed."""
+    data = memoryview(_HEAD.pack(index, len(payload)) + payload)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+@dataclass
+class _Worker:
+    pid: int
+    fd: int  # the read end of the pipe it sends its messages on
+    cpu: int
+    queue: int  # the read end of its round's claim queue
+    job: int | None = None  # the job it claimed and has not answered
+
+
+@dataclass
+class _Job:
+    """A job submitted to a TrialPool."""
+
+    pool: TrialPool
+    index: int
+
+    def result(self):
+        """The job's return value; raises the exception the job raised."""
+        return self.pool._result(self.index)
+
+
+class TrialPool:
+    """A fork-join pool of worker processes, each pinned to one of `cpus`.
+
+    `submit` only records a job. The first read after new jobs forks a
+    round of workers for them: one per CPU of `cpus`, and no more than
+    the jobs. A worker inherits all the parent holds, the jobs and the
+    builds they name included, so no job is pickled. The workers claim
+    the round's jobs in submit order from one shared queue, a pipe of job
+    indexes written before they start, and each sends back on its own
+    pipe the index it claims, then the job's pickled return value or
+    exception. A worker that dies fails only the job it claimed, with
+    WorkerDied naming its exit status, and a new worker on its CPU
+    claims the rest of its round. A job whose exception cannot be
+    pickled fails the same way. `close` kills and reaps every worker.
     """
-    # imported here: it loads multiprocessing, which a serial run never needs
-    from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(
-        max_workers=min(workers, _available_cpus()),
-        initializer=_install_builds,
-        initargs=({id(config): config for config in configs},),
-    )
+    def __init__(self, cpus: list[int]):
+        self.cpus = cpus
+        self._jobs: list[tuple[Callable, tuple]] = []
+        self._forked = 0  # jobs handed to a round so far
+        self._done: dict[int, tuple[bool, object]] = {}  # (ok, value) by job
+        self._workers: dict[int, _Worker] = {}  # by the fd it sends on
+        self._queues: list[int] = []
+        self._poll = select.poll()
+
+    def __enter__(self) -> TrialPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def submit(self, fn: Callable, *args) -> _Job:
+        self._jobs.append((fn, args))
+        return _Job(self, len(self._jobs) - 1)
+
+    def _result(self, index: int):
+        while index >= self._forked:
+            self._fork_round()
+        while index not in self._done:
+            if not self._workers:  # its worker died between claim and report
+                self._done[index] = (False, WorkerDied("no pool worker ran the job"))
+                break
+            for fd, _ in self._poll.poll():
+                self._take(self._workers[fd])
+        ok, value = self._done[index]
+        if not ok:
+            raise value
+        return value
+
+    def _fork_round(self) -> None:
+        jobs = range(self._forked, min(len(self._jobs), self._forked + _ROUND))
+        queue, claims = os.pipe()
+        os.write(claims, b"".join(map(_CLAIM.pack, jobs)))
+        os.close(claims)
+        self._queues.append(queue)
+        self._forked = jobs.stop
+        for cpu in self.cpus[:len(jobs)]:
+            self._fork(queue, cpu)
+
+    def _fork(self, queue: int, cpu: int) -> None:
+        fd, out = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the worker, which never returns from here
+            status = 1
+            try:
+                if hasattr(os, "sched_setaffinity"):
+                    os.sched_setaffinity(0, {cpu})
+                self._work(queue, out)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(out)
+        self._workers[fd] = _Worker(pid, fd, cpu, queue)
+        self._poll.register(fd, select.POLLIN)
+
+    def _work(self, queue: int, out: int) -> None:
+        """A worker's loop: claim jobs until the queue is empty."""
+        import pickle
+
+        while claim := os.read(queue, _CLAIM.size):
+            [index] = _CLAIM.unpack(claim)
+            _send(out, index)
+            fn, args = self._jobs[index]
+            try:
+                payload = pickle.dumps((True, fn(*args)), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            _send(out, index, payload)
+
+    def _take(self, worker: _Worker) -> None:
+        """Take in one message from `worker`, or bury it if it has ended."""
+        import pickle
+
+        head = _read_exact(worker.fd, _HEAD.size)
+        if len(head) == _HEAD.size:
+            index, size = _HEAD.unpack(head)
+            if not size:
+                worker.job = index
+                return
+            payload = _read_exact(worker.fd, size)
+            if len(payload) == size:
+                worker.job = None
+                try:
+                    self._done[index] = pickle.loads(payload)
+                except Exception as exc:  # a class that cannot be rebuilt
+                    self._done[index] = (False, exc)
+                return
+        self._bury(worker)
+
+    def _bury(self, worker: _Worker) -> None:
+        """Reap a worker that has ended; if it ended inside a job, fail
+        the job and fork a worker to take its place."""
+        self._poll.unregister(worker.fd)
+        os.close(worker.fd)
+        del self._workers[worker.fd]
+        _, status = os.waitpid(worker.pid, 0)
+        if worker.job is not None:
+            code = os.waitstatus_to_exitcode(status)
+            self._done[worker.job] = (False, WorkerDied(
+                f"a pool worker exited with status {code}"))
+            self._fork(worker.queue, worker.cpu)
+
+    def close(self) -> None:
+        """Kill and reap every worker, and close the pool's pipes."""
+        import signal
+
+        for worker in self._workers.values():
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+            os.close(worker.fd)
+            self._poll.unregister(worker.fd)
+        for queue in self._queues:
+            os.close(queue)
+        self._workers, self._queues = {}, []
+
+
+def trial_pool(workers: int) -> TrialPool:
+    """A TrialPool of `workers` processes, or of one per available CPU if
+    that is fewer: a worker beyond the CPU count only adds switching."""
+    return TrialPool(_available_cpus()[:workers])
 
 
 GroupResult = tuple[list[TrialRecord], "SoftmaxPolicy | None"]
@@ -318,14 +487,10 @@ def _run_group(
             for i in range(trials)], policy
 
 
-def _run_group_in_worker(key: int, *args) -> GroupResult:
-    return _run_group(_worker_builds[key], *args)
-
-
 def run_trials(
     config: TuningConfig, scenario: ScenarioOverrides, heuristic: HeuristicSpec,
     goal: GoalSpec, agent_spec: AgentSpec | SoftmaxSpec, trials: int,
-    base_seed: int, pool: ProcessPoolExecutor | None = None,
+    base_seed: int, pool: TrialPool | None = None,
 ) -> Callable[[], GroupResult]:
     """Start one group of seeded trials; the returned function gives its
     records, in trial index order, and the Softmax policy its agent played
@@ -336,13 +501,23 @@ def run_trials(
     which a worker plays exactly as a serial run does, so pooled and
     serial runs do the same search and training work. The returned
     function is then the job's `result`: it waits for the job, and raises
-    the job's exception.
+    the job's exception. An exception raised while the job is submitted
+    is raised by the returned function too, so it fails the group's
+    experiment as it is read.
     """
-    args = (scenario, heuristic, goal, agent_spec, trials, base_seed)
+    args = (config, scenario, heuristic, goal, agent_spec, trials, base_seed)
     if pool is None:
-        result = _run_group(config, *args)
+        result = _run_group(*args)
         return lambda: result
-    return pool.submit(_run_group_in_worker, id(config), *args).result
+    try:
+        return pool.submit(_run_group, *args).result
+    except Exception as exc:
+        failure = exc
+
+    def fail() -> GroupResult:
+        raise failure
+
+    return fail
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +569,8 @@ Group = tuple[str, TuningConfig, ScenarioOverrides, GoalSpec,
 Done = list[tuple[str, list[TrialRecord], "SoftmaxPolicy | None"]]
 Reduction = tuple[dict[str, AggregateStats], dict, list[dict],
                   list[tuple[str, int, TrialRecord]]]
-Study = Callable[[list[TuningConfig], ExperimentConfig],
-                 tuple[list[Group], Callable[[Done], Reduction]]]
+Checked = tuple[list[Group], Callable[[Done], Reduction]]
+Study = Callable[[list[TuningConfig], ExperimentConfig], Checked]
 Read = Callable[[], ExperimentOutcome]
 
 
@@ -408,9 +583,7 @@ def check_build_count(study: str, count: int) -> None:
                             f"{'two tuning files' if pair else 'one tuning file'}")
 
 
-def check_entry(
-    xc: ExperimentConfig, configs: list[TuningConfig],
-) -> tuple[list[Group], Callable[[Done], Reduction]]:
+def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> Checked:
     """The study's groups on `configs` and its reducer, which
     `start_experiment` runs. Raise if the study cannot run there: a wrong
     build count, a build_comparison of one build twice, a scenario career
@@ -679,10 +852,12 @@ STUDIES = tuple(_STUDIES)
 
 def start_experiment(
     xc: ExperimentConfig, configs: list[TuningConfig],
-    pool: ProcessPoolExecutor | None = None,
+    pool: TrialPool | None = None, checked: Checked | None = None,
 ) -> Read:
     """Check one configured study and start the groups `check_entry`
-    returns; the returned function reads its outcome.
+    returns; the returned function reads its outcome. `checked` is what
+    `check_entry` already returned for `xc` on `configs`, if anything, so
+    a suite that checks its entries as they load builds their groups once.
 
     A group that trains its Softmax policy, its entry's longest job,
     starts first; the others follow in group order. A PlaytestError raised
@@ -694,7 +869,7 @@ def start_experiment(
     build_ids = [c.build_id for c in configs]
     failure = None
     try:
-        groups, reduce = check_entry(xc, configs)
+        groups, reduce = checked or check_entry(xc, configs)
         trains = [isinstance(agent, SoftmaxSpec) and agent.policy is None
                   for *_, agent in groups]
         results: list = [None] * len(groups)
@@ -721,7 +896,7 @@ def start_experiment(
 
 def run_experiment(
     xc: ExperimentConfig, configs: list[TuningConfig],
-    pool: ProcessPoolExecutor | None = None,
+    pool: TrialPool | None = None, checked: Checked | None = None,
 ) -> ExperimentOutcome:
     """Run one configured study against its parsed tuning config(s)."""
-    return start_experiment(xc, configs, pool)()
+    return start_experiment(xc, configs, pool, checked)()

@@ -10,17 +10,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import PlaytestError
 from .experiments import (
+    Checked,
     ExperimentConfig,
     ExperimentOutcome,
     Read,
+    TrialPool,
     check_build_count,
     check_entry,
     failed_outcome,
@@ -29,9 +31,6 @@ from .experiments import (
     trial_pool,
 )
 from .tuning import TuningConfig, parse_tuning
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 TRIAL_FIELDS = (
     "experiment", "study", "group", "trial", "seed", "agent",
@@ -145,6 +144,7 @@ class _Entry:
     files: list[Path]  # the suite file and the entry's tuning files
     xc: ExperimentConfig | None = None
     configs: list[TuningConfig] = field(default_factory=list)
+    checked: Checked | None = None  # check_entry's groups and reducer
     error: Exception | None = None
 
 
@@ -190,26 +190,25 @@ def _load(
         loaded.files += paths
         check_build_count(loaded.xc.study, len(paths))
         loaded.configs = [_parse_once(p, builds) for p in paths]
-        check_entry(loaded.xc, loaded.configs)
+        loaded.checked = check_entry(loaded.xc, loaded.configs)
     except Exception as exc:
         loaded.error = exc
     return loaded
 
 
-def _reader(entry: _Entry, pool: ProcessPoolExecutor | None) -> Read:
+def _reader(entry: _Entry, pool: TrialPool | None) -> Read:
     """Return the function that reads the entry's outcome.
 
     Serially the experiment runs when it is read. On a pool its jobs are
-    submitted now; every value they use was checked as the entry loaded, so
-    an exception while they are handed to the pool ends the suite, as a
-    broken pool does.
+    submitted now, and run when the pool is first read.
     """
     if entry.error is not None:
         return partial(failed_outcome, entry.id, entry.study, entry.error,
                        [c.build_id for c in entry.configs])
     if pool is None:
-        return partial(run_experiment, entry.xc, entry.configs)
-    return start_experiment(entry.xc, entry.configs, pool)
+        return partial(run_experiment, entry.xc, entry.configs, None,
+                       entry.checked)
+    return start_experiment(entry.xc, entry.configs, pool, entry.checked)
 
 
 def run_suite(
@@ -229,17 +228,21 @@ def run_suite(
     build file that several entries name is parsed once; an entry
     that names the wrong number of builds for its study fails before any
     of them is parsed, and one its study cannot run on its builds
-    (`check_entry`) fails as it loads. A pool receives no build that
-    only failed entries name.
+    (`check_entry`, which builds the groups the entry then runs) fails
+    as it loads and submits no job.
     Serially, each experiment then runs and is written in turn. With
     `parallel` > 1, every group of the suite, Softmax training and all,
-    is handed to one process pool before any result is read; the
-    experiments are then read and written in suite order.
+    is submitted to one fork-join pool (`trial_pool`) before any result
+    is read; the first read forks min(`parallel`, CPUs) workers, and the
+    experiments are then read and written in suite order. Without
+    `os.fork` the suite runs serially.
 
-    An exception while an experiment loads, runs or is read fails that
-    experiment alone, except on a pool: an exception raised while jobs
-    are submitted ends the suite, and a worker that dies
-    (BrokenProcessPool) fails every experiment not yet read.
+    An exception while an experiment loads, starts, runs or is read
+    fails that experiment alone, and so does a pool worker that dies
+    inside one of its groups (WorkerDied, naming the exit status). An
+    exception raised by `run_trials` itself, as perfbench's set-up probe
+    raises one from a replacement, leaves run_suite. No worker outlives
+    run_suite, however it ends.
     """
     suite_path = Path(suite_path)
     entries = json.loads(suite_path.read_text())
@@ -261,10 +264,7 @@ def run_suite(
             raise PlaytestError(f"suite entry {i}: name {name!r} repeats "
                                 f"entry {names[name]}'s")
         names[name] = i
-    pool = None
-    if parallel > 1:
-        pool = trial_pool(parallel, [c for entry in loaded if entry.error is None
-                                     for c in entry.configs])
+    pool = trial_pool(parallel) if parallel > 1 and hasattr(os, "fork") else None
     results = []
     try:
         readers = [_reader(entry, pool) for entry in loaded]
@@ -279,5 +279,5 @@ def run_suite(
             results.append((entry.xc, outcome))
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pool.close()
     return results

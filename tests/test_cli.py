@@ -1,7 +1,7 @@
 """Command-line interface: exit codes, output formats, suite execution."""
 
 import json
-import multiprocessing
+import os
 
 import pytest
 
@@ -45,6 +45,27 @@ def write_unlocks_null(directory):
     path = directory / "unlocks_null.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def record_jobs(monkeypatch):
+    """Make the pool that run_suite starts record the build of each job
+    submitted to it; returns the list of their build ids."""
+    shipped = []
+    make_pool = report.trial_pool
+
+    def recording(workers):
+        pool = make_pool(workers)
+        submit = pool.submit
+
+        def recording_submit(fn, config, *args):
+            shipped.append(config.build_id)
+            return submit(fn, config, *args)
+
+        pool.submit = recording_submit
+        return pool
+
+    monkeypatch.setattr(report, "trial_pool", recording)
+    return shipped
 
 
 UNLOCKS_NULL_ERROR = "careers[1].object_unlocks: expected list, got NoneType"
@@ -328,16 +349,27 @@ class TestRun:
                 ]
                 assert others == [first, first], (experiment, output)
 
-    @pytest.mark.skipif(
-        multiprocessing.get_all_start_methods()[0] != "fork",
-        reason="the patched run_episode reaches pool workers only by fork")
-    @pytest.mark.parametrize("parallel", ["0", "2"])
-    def test_trial_exception_fails_one_experiment(
-            self, suite_dir, monkeypatch, parallel):
+    def run_beside_doomed(self, suite_dir, parallel):
+        """Run "doomed", careers_mini on a copy of desk_base of that build
+        id, ahead of careers_mini, then careers_mini alone; careers_mini
+        must write the same bytes both times. Returns doomed's stats."""
         doc = json.loads(fixtures.path("desk_base").read_text())
         doc["build_id"] = "doomed"
         (suite_dir / "doomed.json").write_text(json.dumps(doc))
         doomed = dict(MINI_SUITE[0], id="doomed", tuning_ref="doomed.json")
+        for name, suite in (("with", [doomed, MINI_SUITE[0]]),
+                            ("without", [MINI_SUITE[0]])):
+            (suite_dir / f"{name}.json").write_text(json.dumps(suite))
+            main(["run", str(suite_dir / f"{name}.json"), "--out",
+                  str(suite_dir / name), "--parallel", parallel])
+        for output in ("stats.json", "chartdata.json"):
+            assert ((suite_dir / "with/careers_mini" / output).read_bytes()
+                    == (suite_dir / "without/careers_mini" / output).read_bytes())
+        return json.loads((suite_dir / "with/doomed/stats.json").read_text())
+
+    @pytest.mark.parametrize("parallel", ["0", "2"])
+    def test_trial_exception_fails_one_experiment(
+            self, suite_dir, monkeypatch, parallel):
         run_episode = experiments.run_episode
 
         def failing(config, *args):
@@ -346,17 +378,88 @@ class TestRun:
             return run_episode(config, *args)
 
         monkeypatch.setattr(experiments, "run_episode", failing)
-        for name, suite in (("with", [doomed, MINI_SUITE[0]]),
-                            ("without", [MINI_SUITE[0]])):
-            (suite_dir / f"{name}.json").write_text(json.dumps(suite))
-            main(["run", str(suite_dir / f"{name}.json"), "--out",
-                  str(suite_dir / name), "--parallel", parallel])
-        stats = json.loads((suite_dir / "with/doomed/stats.json").read_text())
+        stats = self.run_beside_doomed(suite_dir, parallel)
         assert (stats["status"], stats["error"]) == (
             "failed", "RuntimeError: trial failed")
-        for output in ("stats.json", "chartdata.json"):
-            assert ((suite_dir / "with/careers_mini" / output).read_bytes()
-                    == (suite_dir / "without/careers_mini" / output).read_bytes())
+
+    def test_worker_that_dies_fails_one_experiment(self, suite_dir, monkeypatch):
+        run_episode = experiments.run_episode
+
+        def dying(config, *args):
+            if config.build_id == "doomed":
+                os._exit(3)
+            return run_episode(config, *args)
+
+        monkeypatch.setattr(experiments, "run_episode", dying)
+        stats = self.run_beside_doomed(suite_dir, "2")
+        assert (stats["status"], stats["error"], stats["build_ids"]) == (
+            "failed", "WorkerDied: a pool worker exited with status 3", ["doomed"])
+
+    def test_start_that_raises_fails_one_experiment(self, suite_dir, monkeypatch):
+        submit = experiments.TrialPool.submit
+
+        def refusing(pool, fn, config, *args):
+            if config.build_id == "doomed":
+                raise RuntimeError("start failed")
+            return submit(pool, fn, config, *args)
+
+        monkeypatch.setattr(experiments.TrialPool, "submit", refusing)
+        stats = self.run_beside_doomed(suite_dir, "2")
+        assert (stats["status"], stats["error"], stats["build_ids"]) == (
+            "failed", "RuntimeError: start failed", ["doomed"])
+
+    @pytest.mark.parametrize("case", ["returns", "job_raises", "read_raises",
+                                      "first_pooled_trial_raises"])
+    def test_no_process_outlives_run_suite(self, suite_dir, monkeypatch, case):
+        class Stop(BaseException):
+            """Passes every handler in run_suite."""
+
+        class FirstTrial(Exception):
+            """As perfbench/setup_probe.py raises it, with a worker up."""
+
+        raised = None
+        if case == "job_raises":
+            def failing(*args):
+                raise RuntimeError("trial failed")
+
+            monkeypatch.setattr(experiments, "run_episode", failing)
+        elif case == "read_raises":
+            # the second read raises while the workers may still be playing
+            start, reads = report.start_experiment, []
+
+            def interrupted(*args):
+                read = start(*args)
+
+                def reading():
+                    if reads:
+                        raise Stop
+                    reads.append(read)
+                    return read()
+
+                return reading
+
+            monkeypatch.setattr(report, "start_experiment", interrupted)
+            raised = Stop
+        elif case == "first_pooled_trial_raises":
+            def stop_at_pool(*args):
+                assert args[-1].submit(int).result() == 0
+                raise FirstTrial
+
+            monkeypatch.setattr(experiments, "run_trials", stop_at_pool)
+            raised = FirstTrial
+        suite = [MINI_SUITE[0], dict(MINI_SUITE[0], id="careers_again")]
+        (suite_dir / "twice.json").write_text(json.dumps(suite))
+        try:
+            results = report.run_suite(suite_dir / "twice.json", suite_dir / "out",
+                                       parallel=2)
+        except BaseException as exc:
+            assert type(exc) is raised
+        else:
+            assert raised is None
+            assert [outcome.status for _, outcome in results] == (
+                ["failed"] * 2 if case == "job_raises" else ["ok"] * 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_shared_build_parsed_once(self, suite_dir, monkeypatch):
         write_unlocks_null(suite_dir)
@@ -392,23 +495,19 @@ class TestRun:
                           tuning_ref=["desk_objects.json", "romance_outlier.json"])
         (suite_dir / "counts.json").write_text(
             json.dumps([two_builds, MINI_SUITE[0]]))
-        parsed, shipped = [], []
-        parse, pool = report.parse_tuning, report.trial_pool
+        parsed = []
+        parse = report.parse_tuning
 
         def counting(text):
             parsed.append(json.loads(text)["build_id"])
             return parse(text)
 
-        def recording(workers, configs):
-            shipped.append([config.build_id for config in configs])
-            return pool(workers, configs)
-
         monkeypatch.setattr(report, "parse_tuning", counting)
-        monkeypatch.setattr(report, "trial_pool", recording)
+        shipped = record_jobs(monkeypatch)
         results = report.run_suite(suite_dir / "counts.json", suite_dir / "out",
                                    parallel=2)
         assert parsed == ["desk_base"]
-        assert shipped == [["desk_base"]]
+        assert shipped == ["desk_base"]  # careers_mini's one group
         stats = json.loads((suite_dir / "out/two_builds/stats.json").read_text())
         assert (stats["status"], stats["error"]) == (
             "failed", "PlaytestError: career_progression needs exactly one tuning file")
@@ -450,17 +549,10 @@ class TestRun:
         bad = {**MINI_SUITE[0], "id": "bad", "tuning_ref": "desk_objects.json",
                **changes}
         (suite_dir / "checks.json").write_text(json.dumps([bad, MINI_SUITE[0]]))
-        shipped = []
-        pool = report.trial_pool
-
-        def recording(workers, configs):
-            shipped.append([config.build_id for config in configs])
-            return pool(workers, configs)
-
-        monkeypatch.setattr(report, "trial_pool", recording)
+        shipped = record_jobs(monkeypatch)
         results = report.run_suite(suite_dir / "checks.json", suite_dir / "out",
                                    parallel=2)
-        assert shipped == [["desk_base"]]
+        assert shipped == ["desk_base"]  # careers_mini's one group
         stats = json.loads((suite_dir / "out/bad/stats.json").read_text())
         assert (stats["status"], stats["error"]) == ("failed", error)
         assert [outcome.status for _, outcome in results] == ["failed", "ok"]

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from pathlib import Path
 from dataclasses import replace
@@ -35,6 +36,7 @@ from playtest.experiments import (
     trial_seed,
 )
 from playtest.sim import ScenarioOverrides
+from playtest.tuning import TuningConfig
 from test_tuning import DELETE, MUTANT_VALUES, key_paths
 
 
@@ -429,7 +431,7 @@ class TestSuiteDispatch:
 
 
 class TestPooledTrials:
-    def test_pool_matches_serial_and_payloads_carry_no_build(self, desk_base):
+    def test_pool_matches_serial_and_pickles_no_build(self, desk_base, monkeypatch):
         xc = make_xc(
             "agent_comparison", trials=4,
             goal=GoalSpec(kind="career_level_reached",
@@ -437,25 +439,33 @@ class TestPooledTrials:
             careers=[{"career": "fashion", "target_level": 2}],
             agent=ComparisonAgent(AStarAgent(2000),
                                   SoftmaxSpec(train=TrainSpec(20, 0.05, 7))))
-        sizes = []
-        with trial_pool(2, [desk_base]) as pool:
+
+        def unpicklable(self, protocol):
+            raise AssertionError("a build was pickled")
+
+        # the workers inherit the build; neither a job nor a result carries it
+        monkeypatch.setattr(TuningConfig, "__reduce_ex__", unpicklable)
+        with pytest.raises(AssertionError, match="a build was pickled"):
+            pickle.dumps(desk_base)
+        jobs = []
+        with trial_pool(2) as pool:
             submit = pool.submit
 
-            def recording_submit(fn, *args, **kwargs):
-                if fn is experiments._run_group_in_worker:
-                    sizes.append(len(pickle.dumps(args)))
-                return submit(fn, *args, **kwargs)
+            def recording_submit(fn, *args):
+                jobs.append(fn)
+                return submit(fn, *args)
 
             pool.submit = recording_submit
             pooled = run_experiment(xc, [desk_base], pool)
+        monkeypatch.undo()
         serial = run_experiment(xc, [desk_base])
         assert pooled.status == serial.status == "ok"
         assert (pooled.groups, pooled.extras, pooled.charts) == (
             serial.groups, serial.extras, serial.charts)
         assert [(g, i, r.state_digest) for g, i, r in pooled.records] == [
             (g, i, r.state_digest) for g, i, r in serial.records]
-        # one job per group; the build text alone is about 15 KB
-        assert len(sizes) == 2 and max(sizes) < 1024
+        # one job per group
+        assert jobs == [experiments._run_group] * 2
 
     @pytest.mark.parametrize("study, builds, options", [
         ("relationship_balance", ["romance_outlier"], dict(
@@ -476,7 +486,7 @@ class TestPooledTrials:
     def test_every_study_pool_matches_serial(self, request, study, builds, options):
         configs = [request.getfixturevalue(name) for name in builds]
         xc = make_xc(study, **options)
-        with trial_pool(2, configs) as pool:
+        with trial_pool(2) as pool:
             pooled = run_experiment(xc, configs, pool)
         serial = run_experiment(xc, configs)
         assert pooled.status == serial.status == "ok"
@@ -495,12 +505,12 @@ class TestPooledTrials:
             agent=ComparisonAgent(AStarAgent(2000),
                                   SoftmaxSpec(train=TrainSpec(10, 0.05, 7))))
         events = []
-        with trial_pool(2, [desk_base]) as pool:
+        with trial_pool(2) as pool:
             submit = pool.submit
 
             def recording_submit(fn, *args, **kwargs):
                 # every job is one whole group; a Softmax group trains in it
-                assert fn is experiments._run_group_in_worker
+                assert fn is experiments._run_group
                 _, scenario, _, _, agent, _, _ = args
                 group = ("astar" if isinstance(agent, AStarAgent) else "train",
                          scenario.career)
@@ -534,8 +544,7 @@ class TestPooledTrials:
     def test_a_career_entry_builds_its_groups_once_per_check(
             self, desk_base, tmp_path, monkeypatch):
         # checking an entry builds the groups it runs: run_experiment
-        # builds them once, and run_suite once as the entry loads and once
-        # as it runs
+        # builds them once, and run_suite once, as the entry loads
         calls = []
 
         def counting(config, xc):
@@ -556,7 +565,7 @@ class TestPooledTrials:
         calls.clear()
         [(_, outcome)] = report.run_suite(suite, tmp_path / "out")
         assert outcome.status == "ok"
-        assert calls == ["careers", "careers"]
+        assert calls == ["careers"]
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "inline_pool"])
     def test_each_career_trains_once_in_its_softmax_group(
@@ -576,8 +585,6 @@ class TestPooledTrials:
             return agents.train_softmax(config, scenario, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "train_softmax", train)
-        monkeypatch.setattr(experiments, "_worker_builds",
-                            {id(desk_base): desk_base})
         pool = InlinePool() if pooled else None
         outcome = run_experiment(xc, [desk_base], pool)
         assert outcome.status == "ok"
@@ -602,7 +609,7 @@ class TestPooledTrials:
         args = (desk_base, ScenarioOverrides(career="barista"),
                 HeuristicSpec({"career_xp": 1.0}), goal,
                 AStarAgent(200))
-        with trial_pool(2, [desk_base]) as pool:
+        with trial_pool(2) as pool:
             for trials in (1, 3, 9, 17):
                 pooled, _ = run_trials(*args, trials, 11, pool)()
                 serial, _ = run_trials(*args, trials, 11)()
@@ -620,28 +627,25 @@ class TestPooledTrials:
 
     def test_pooled_group_does_the_serial_search_work(self, monkeypatch):
         # jobs run in this process as a worker would run them, on the
-        # build as a worker receives it: unpickled, with no graph
-        config = fixtures.load("desk_base")
+        # build as a worker inherits it: forked before any group ran, so
+        # with no graph
         edges = agents._edges
         calls = []
         monkeypatch.setattr(agents, "_edges",
                             lambda *args: calls.append(1) or edges(*args))
-        monkeypatch.setattr(experiments, "_worker_builds",
-                            {id(config): pickle.loads(pickle.dumps(config))})
-        serial, _ = run_trials(config, *self.CULINARY, 12, 2001)()
+        serial, _ = run_trials(fixtures.load("desk_base"), *self.CULINARY, 12,
+                               2001)()
         serial_calls, calls[:] = len(calls), []
         pool = InlinePool()
-        pooled, _ = run_trials(config, *self.CULINARY, 12, 2001, pool)()
+        pooled, _ = run_trials(fixtures.load("desk_base"), *self.CULINARY, 12,
+                               2001, pool)()
         assert len(calls) == serial_calls > 0
         assert len({r.state_digest for r in serial}) > 1
         assert [replace(r, max_decision_seconds=0.0) for r in pooled] == [
             replace(r, max_decision_seconds=0.0) for r in serial]
         assert pool.jobs == 1
 
-    def test_pooled_batch_waits_for_its_job_only_when_read(
-            self, desk_base, monkeypatch):
-        monkeypatch.setattr(experiments, "_worker_builds",
-                            {id(desk_base): desk_base})
+    def test_pooled_batch_waits_for_its_job_only_when_read(self, desk_base):
         pool = InlinePool()
         batch = run_trials(desk_base, *self.CULINARY, 2, 2001, pool)
         # a batch that waited here would keep the pool to one group at a time
@@ -649,9 +653,8 @@ class TestPooledTrials:
         assert len(batch()[0]) == 2 and pool.reads == 1
 
     def test_pickled_build_leaves_its_graph_behind(self):
-        # a pool worker receives each build pickled; the engine graph of
-        # a planner alive in the parent stays behind, and so do the
-        # index's memos
+        # a pickled build leaves the engine graph of a planner alive in
+        # this process behind, and so do the index's memos
         config = fixtures.load("desk_base")
         fresh = fixtures.load("desk_base")
         fresh.index()
@@ -680,16 +683,65 @@ class TestPooledTrials:
             self, monkeypatch, cpus, asked, started):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        pool = trial_pool(asked, [])  # no job is submitted: no process starts
-        assert pool._max_workers == started
-        pool.shutdown()
+        with trial_pool(asked) as pool:  # no job is read: no process starts
+            assert pool.cpus == list(range(started))
 
     def test_pool_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        pool = trial_pool(8, [])
-        assert pool._max_workers == 3
-        pool.shutdown()
+        with trial_pool(8) as pool:
+            assert pool.cpus == [0, 1, 2]
+
+    def test_jobs_past_one_round_fork_another(self, monkeypatch):
+        # a round's job indexes must fit in one pipe write; later jobs
+        # wait for the next round, and a job's exception is its read's
+        monkeypatch.setattr(experiments, "_ROUND", 2)
+
+        def square(i):
+            if i == 3:
+                raise ValueError("job 3")
+            return i * i
+
+        with trial_pool(2) as pool:
+            jobs = [pool.submit(square, i) for i in range(5)]
+            answers = [job.result() for job in jobs[:3]]
+            with pytest.raises(ValueError, match="job 3"):
+                jobs[3].result()
+            answers.append(jobs[4].result())
+            assert len(pool._queues) == 3
+        assert answers == [0, 1, 4, 16]
+
+    def test_a_dead_worker_fails_its_job_and_is_replaced(self):
+        # the pool's one worker dies in the first job; a new one runs the rest
+        with trial_pool(1) as pool:
+            dying, after = pool.submit(os._exit, 3), pool.submit(int)
+            with pytest.raises(experiments.WorkerDied,
+                               match="a pool worker exited with status 3"):
+                dying.result()
+            assert after.result() == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform pins no process to a CPU")
+    def test_each_worker_runs_on_a_cpu_of_its_own(self):
+        before = os.sched_getaffinity(0)
+        if len(before) < 2:
+            pytest.skip("needs two CPUs")
+        two = set(sorted(before)[:2])
+
+        def where():
+            time.sleep(0.05)  # long enough for both workers to claim a job
+            return os.getpid(), os.sched_getaffinity(0)
+
+        os.sched_setaffinity(0, two)
+        try:
+            with trial_pool(8) as pool:
+                jobs = [pool.submit(where) for _ in range(6)]
+                seen = dict(job.result() for job in jobs)
+        finally:
+            os.sched_setaffinity(0, before)
+        assert len(seen) == 2
+        assert all(len(cpus) == 1 for cpus in seen.values())
+        assert set().union(*seen.values()) == two
 
 
 # ---------------------------------------------------------------------------
