@@ -29,26 +29,13 @@ from .tuning import (
     diff_builds,
     flag_step_anomalies,
     parse_tuning,
+    read_document,
     validate,
 )
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _load_document(path: Path):
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise TuningSyntaxError(f"{path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TuningSyntaxError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
 
 
 def _cmd_validate(args) -> int:
@@ -61,9 +48,11 @@ def _cmd_validate(args) -> int:
     for name in args.paths:
         path = Path(name)
         try:
-            config = build_config(_load_document(path))
-        except (TuningSyntaxError, SchemaError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            config = build_config(read_document(path.read_text()))
+        except (OSError, TuningSyntaxError, SchemaError) as exc:
+            # a schema error names its field's path, the others the file's
+            where = "" if isinstance(exc, SchemaError) else f"{path}: "
+            print(f"error: {where}{exc}", file=sys.stderr)
             return EXIT_USAGE
         diagnostics = validate(config)
         diagnostics += flag_step_anomalies(config, args.anomaly_ratio)
@@ -124,41 +113,30 @@ def _cmd_run(args) -> int:
     except (PlaytestError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    rows = [{"experiment": o.experiment_id, "study": o.study,
+             "status": o.status, "error": o.error, "groups": len(o.groups),
+             "trials": len(o.records), "seconds": o.duration_seconds}
+            for _, o in results]
     if args.format == "json":
-        print(json.dumps([
-            {
-                "experiment": outcome.experiment_id,
-                "study": outcome.study,
-                "status": outcome.status,
-                "error": outcome.error,
-                "groups": len(outcome.groups),
-                "trials": len(outcome.records),
-                "seconds": round(outcome.duration_seconds, 3),
-            }
-            for _, outcome in results
-        ], indent=2))
+        print(json.dumps([{**row, "seconds": round(row["seconds"], 3)}
+                          for row in rows], indent=2))
     elif args.format == "csv":
+        columns = ("experiment", "study", "status", "groups", "trials")
         writer = csv.writer(sys.stdout)
-        writer.writerow(["experiment", "study", "status", "groups",
-                         "trials", "seconds"])
-        for _, outcome in results:
-            writer.writerow([
-                outcome.experiment_id, outcome.study, outcome.status,
-                len(outcome.groups), len(outcome.records),
-                f"{outcome.duration_seconds:.3f}",
-            ])
+        writer.writerow([*columns, "seconds"])
+        writer.writerows([*(row[c] for c in columns), f"{row['seconds']:.3f}"]
+                         for row in rows)
     else:
-        width = max((len(o.experiment_id) for _, o in results), default=10)
+        width = max((len(row["experiment"]) for row in rows), default=10)
         print(f"{'experiment':<{width}}  {'status':<7} {'groups':>6} "
               f"{'trials':>6} {'seconds':>8}")
-        for _, outcome in results:
-            print(f"{outcome.experiment_id:<{width}}  {outcome.status:<7} "
-                  f"{len(outcome.groups):>6} {len(outcome.records):>6} "
-                  f"{outcome.duration_seconds:>8.2f}")
-            if outcome.error:
-                print(f"  {outcome.error}")
+        for row in rows:
+            print("{experiment:<{width}}  {status:<7} {groups:>6} {trials:>6} "
+                  "{seconds:>8.2f}".format(width=width, **row))
+            if row["error"]:
+                print(f"  {row['error']}")
         print(f"results written to {out_dir}")
-    if any(outcome.status != "ok" for _, outcome in results):
+    if any(row["status"] != "ok" for row in rows):
         return EXIT_FAILURE
     return EXIT_OK
 

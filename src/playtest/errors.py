@@ -23,6 +23,9 @@ class DanglingReference(PlaytestError):
         self.site = site
         self.ref = ref
 
+    def __reduce__(self):
+        return type(self), (self.site, self.ref)
+
 
 class InvariantViolation(PlaytestError):
     """A declared tuning rule does not hold (named in the message)."""

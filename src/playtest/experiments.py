@@ -60,7 +60,7 @@ from .tuning import serialize_tuning  # noqa: F401  wrapped by perfbench/tracing
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AggregateStats:
+class AggregateStats(Codec):
     count: int
     mean: float
     variance: float  # population variance
@@ -84,15 +84,6 @@ class AggregateStats:
             min=float(min(values)),
             max=float(max(values)),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "min": self.min,
-            "max": self.max,
-        }
 
 
 def running_means(values: list) -> list[float]:

@@ -50,6 +50,9 @@ class InvalidField(ValueError):
         super().__init__(f"{field}: {reason}")
         self.field, self.reason = field, reason
 
+    def __reduce__(self):
+        return type(self), (self.field, self.reason)
+
 
 def absent(factory: Callable[[], Any]) -> Any:
     """A field with no dataclass default whose JSON key may be left out:
@@ -197,8 +200,8 @@ class ConfigIndex:
     at their first use: `ready`, each action's ready-time inputs (see
     `sim._next_ready`); `timeouts`, the least XP at which each event's
     timeout pays (see `agents._listing`); and `features`, the Softmax
-    agent's feature table (see `agents._features`). None of the four is
-    pickled: a build sent to a worker arrives with each empty.
+    agent's feature table (see `agents._features`). A pool worker forks
+    with the four as they stand (see `experiments.TrialPool`).
     """
 
     def __init__(self, config: TuningConfig):
@@ -261,10 +264,6 @@ class ConfigIndex:
         self.ready: dict[str, tuple] | None = None
         self.timeouts: dict[str, float] | None = None
         self.features: dict[str | None, tuple] | None = None
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "gates": {}, "ready": None, "timeouts": None,
-                "features": None}
 
 
 @dataclass
@@ -475,22 +474,26 @@ def _flatten(value: Any, prefix: str, out: dict[str, Any]) -> None:
         out[prefix] = value
 
 
-def parse_tuning(text: str) -> TuningConfig:
-    """Parse one tuning document, raising on the first defect found.
-
-    Raises TuningSyntaxError for malformed JSON, SchemaError for
-    structural problems, and DanglingReference / InvariantViolation for
-    the first semantic rule the document breaks. The returned config
-    satisfies every declared invariant.
-    """
+def read_document(text: str) -> Any:
+    """The JSON document `text` holds; TuningSyntaxError, naming the line
+    and column, if it is malformed."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise TuningSyntaxError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
 
-    config = build_config(doc)
+
+def parse_tuning(text: str) -> TuningConfig:
+    """Parse one tuning document, raising on the first defect found.
+
+    Raises TuningSyntaxError for malformed JSON (see `read_document`),
+    SchemaError for structural problems, and DanglingReference /
+    InvariantViolation for the first semantic rule the document breaks.
+    The returned config satisfies every declared invariant.
+    """
+    config = build_config(read_document(text))
     for diag in validate(config):
         if diag.severity != "error":
             continue

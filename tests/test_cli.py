@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -570,6 +571,27 @@ class TestRun:
         assert (stats["status"], stats["error"], stats["build_ids"]) == (
             "failed", "RuntimeError: group failed", ["desk_base"])
 
+    def test_failed_training_writes_one_error_serially_and_pooled(
+            self, suite_dir):
+        # a temperature this small trains NaN weights, which the trained
+        # policy rejects; a pooled run used to fail with the TypeError of
+        # rebuilding that InvalidField in the parent
+        suite = json.loads(fixtures.path("paper_suite").read_text())
+        entry = next(e for e in suite if e["study"] == "agent_comparison")
+        entry["agent"]["softmax"]["temperature"] = 1e-310
+        entry["agent"]["softmax"]["train"]["episodes"] = 20
+        entry.update(trials=3, careers=[{"career": "barista",
+                                         "target_level": 2}])
+        (suite_dir / "nan.json").write_text(json.dumps([entry]))
+        written = []
+        for parallel in (0, 2):
+            out_dir = suite_dir / f"out_{parallel}"
+            report.run_suite(suite_dir / "nan.json", out_dir, parallel=parallel)
+            written.append((out_dir / "agent_comparison/stats.json").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["error"] == (
+            "InvalidField: weights: must be finite")
+
     def test_playtest_out_env_default(self, suite_dir, monkeypatch, capsys):
         target = suite_dir / "env_out"
         monkeypatch.setenv("PLAYTEST_OUT", str(target))
@@ -793,3 +815,82 @@ def test_run_csv_summary(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "experiment,study,status,groups,trials,seconds"
     assert lines[1].startswith("careers_mini,career_progression,ok")
+
+
+class TestRunSummary:
+    """The summary `run` prints in each format: one row per experiment,
+    in suite order. Its seconds are the only values a run does not fix."""
+
+    COLUMNS = ["experiment", "study", "status", "error", "groups", "trials",
+               "seconds"]
+
+    def summary(self, suite_dir, capsys, form):
+        out_dir = suite_dir / "out"
+        assert main(["run", str(suite_dir / "suite.json"), "--out",
+                     str(out_dir), "--format", form]) == 1
+        return capsys.readouterr().out, out_dir
+
+    def missing(self, suite_dir):
+        return ("FileNotFoundError: [Errno 2] No such file or directory: "
+                f"'{suite_dir / 'no_such_file.json'}'")
+
+    def test_json(self, suite_dir, capsys):
+        out, _ = self.summary(suite_dir, capsys, "json")
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert [list(row) for row in payload] == [self.COLUMNS] * 2
+        seconds = [row.pop("seconds") for row in payload]
+        assert all(type(s) is float and round(s, 3) == s for s in seconds)
+        assert payload == [
+            {"experiment": "careers_mini", "study": "career_progression",
+             "status": "ok", "error": None, "groups": 1, "trials": 2},
+            {"experiment": "broken_ref", "study": "career_progression",
+             "status": "failed", "error": self.missing(suite_dir),
+             "groups": 0, "trials": 0},
+        ]
+
+    def test_csv(self, suite_dir, capsys):
+        out, _ = self.summary(suite_dir, capsys, "csv")
+        assert re.fullmatch(
+            r"experiment,study,status,groups,trials,seconds\r\n"
+            r"careers_mini,career_progression,ok,1,2,\d+\.\d{3}\r\n"
+            r"broken_ref,career_progression,failed,0,0,\d+\.\d{3}\r\n", out)
+
+    def test_text(self, suite_dir, capsys):
+        out, out_dir = self.summary(suite_dir, capsys, "text")
+        seconds = r"(?=.{8}$) *\d+\.\d\d"  # right-aligned in 8 columns
+        patterns = [
+            re.escape("experiment    status  groups trials  seconds"),
+            re.escape("careers_mini  ok           1      2 ") + seconds,
+            re.escape("broken_ref    failed       0      0 ") + seconds,
+            re.escape(f"  {self.missing(suite_dir)}"),
+            re.escape(f"results written to {out_dir}"),
+        ]
+        lines = out.split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == len(patterns)
+        for pattern, line in zip(patterns, lines):
+            assert re.fullmatch(pattern, line), line
+
+
+@pytest.mark.parametrize("command", ["validate", "diff", "train"])
+@pytest.mark.parametrize("content, error", [
+    (None, "[Errno 2] No such file or directory: '{path}'"),
+    ("{not json", "invalid JSON at line 1 column 2: Expecting property name "
+                  "enclosed in double quotes"),
+])
+def test_unreadable_tuning_file_error_line(tmp_path, capsys, command, content,
+                                           error):
+    path = tmp_path / "tuning.json"
+    if content is not None:
+        path.write_text(content)
+    argv = {
+        "validate": ["validate", str(path)],
+        "diff": ["diff", str(fixtures.path("desk_base")), str(path)],
+        "train": ["train", str(path), "--goal", TestTrain.GOAL, "--episodes",
+                  "2", "--out", str(tmp_path / "policy.json")],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {path}: {error.replace('{path}', str(path))}\n")

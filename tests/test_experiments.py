@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from bfs_oracle import random_desk_config, shortest_actions
-from playtest import agents, experiments, fixtures, report, sim
+from playtest import agents, errors, experiments, fixtures, report
 from playtest.agents import GoalSpec, HeuristicSpec
 from playtest.errors import PlaytestError, SchemaError, SuiteEntryError
 from playtest.experiments import (
@@ -29,6 +29,7 @@ from playtest.experiments import (
     ExperimentConfig,
     SoftmaxSpec,
     TrainSpec,
+    WorkerDied,
     run_experiment,
     run_trials,
     start_experiment,
@@ -36,7 +37,7 @@ from playtest.experiments import (
     trial_seed,
 )
 from playtest.sim import ScenarioOverrides
-from playtest.tuning import TuningConfig
+from playtest.tuning import InvalidField, TuningConfig
 from test_tuning import DELETE, MUTANT_VALUES, key_paths
 
 
@@ -122,6 +123,15 @@ class TestAggregateStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             AggregateStats.from_values([])
+
+    def test_json_form_writes_every_field(self):
+        # the stats.json entry of a group, and of each agent comparison half
+        stats = AggregateStats.from_values([3, 11, 7])
+        data = stats.to_dict()
+        assert data == {"count": 3, "mean": 7.0, "variance": 32 / 3,
+                        "min": 3.0, "max": 11.0}
+        assert list(data) == ["count", "mean", "variance", "min", "max"]
+        assert AggregateStats.from_dict(json.loads(json.dumps(data))) == stats
 
 
 class TestTrialSeeding:
@@ -654,10 +664,8 @@ class TestPooledTrials:
 
     def test_pickled_build_leaves_its_graph_behind(self):
         # a pickled build leaves the engine graph of a planner alive in
-        # this process behind, and so do the index's memos
+        # this process behind
         config = fixtures.load("desk_base")
-        fresh = fixtures.load("desk_base")
-        fresh.index()
         goal = GoalSpec(kind="career_level_reached", career="barista", level=2,
                         max_minutes=20_000, max_actions=400)
         planner = agents.AStarPlanner(HeuristicSpec({"career_xp": 1.0}), goal)
@@ -666,16 +674,25 @@ class TestPooledTrials:
         agents.run_episode(config, ScenarioOverrides(career="barista"), 1,
                            agents.SoftmaxPlanner(agents.SoftmaxPolicy.zero(),
                                                  config), goal)
-        assert agents._graph(config).records
-        # a drained start is idle: its session end reads the ready times
-        drained = ScenarioOverrides(career="barista", initial_resources={"energy": 0})
-        assert sim.next_availability(config, sim.initial_state(config, drained, 1))
-        idx = config.index()
-        assert idx.gates and idx.ready and idx.timeouts and idx.features
-        data = pickle.dumps(config)
-        assert len(data) <= len(pickle.dumps(fresh))
-        assert not agents._graph(pickle.loads(data)).records
-        assert agents._graph(config).records
+        records = len(agents._graph(config).records)
+        assert records
+        assert not agents._graph(pickle.loads(pickle.dumps(config))).records
+        assert len(agents._graph(config).records) == records
+
+    @pytest.mark.parametrize("cls", sorted(
+        [value for value in vars(errors).values() if isinstance(value, type)
+         and issubclass(value, Exception)] + [InvalidField, WorkerDied],
+        key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+    def test_exceptions_survive_pickle(self, cls):
+        # a pool worker sends back the exception its job raised, pickled;
+        # one that could not be rebuilt used to fail its experiment with a
+        # TypeError where a serial run names the exception
+        args = {errors.DanglingReference: ("actions[0].requires", "chef"),
+                InvalidField: ("weights", "must be finite")}.get(cls, ("why",))
+        exc = cls(*args)
+        again = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+        assert (type(again), str(again)) == (cls, str(exc))
+        assert vars(again) == vars(exc)
 
     @pytest.mark.parametrize("cpus, asked, started", [(1, 8, 1), (2, 8, 2),
                                                       (4, 2, 2), (1, 2, 1)])
