@@ -1347,7 +1347,7 @@ def train_softmax(
 
     Every episode runs through the evaluation loop with a Softmax agent
     that collects its gradient. Returns the trained policy and the
-    per-episode return curve.
+    per-episode return curve; raises ValueError once a weight turns NaN.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -1376,5 +1376,8 @@ def train_softmax(
                 weights[i] = WEIGHT_CLIP
             elif weights[i] < -WEIGHT_CLIP:
                 weights[i] = -WEIGHT_CLIP
+            elif math.isnan(weights[i]):  # a NaN passes both clips
+                raise ValueError(f"training episode {episode}: weights are not "
+                                 f"finite at temperature {temperature!r}")
 
     return SoftmaxPolicy(list(FEATURE_NAMES), weights, temperature), returns

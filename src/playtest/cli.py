@@ -50,9 +50,7 @@ def _cmd_validate(args) -> int:
         try:
             config = build_config(read_document(path.read_text()))
         except (OSError, TuningSyntaxError, SchemaError) as exc:
-            # a schema error names its field's path, the others the file's
-            where = "" if isinstance(exc, SchemaError) else f"{path}: "
-            print(f"error: {where}{exc}", file=sys.stderr)
+            print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         diagnostics = validate(config)
         diagnostics += flag_step_anomalies(config, args.anomaly_ratio)
@@ -101,16 +99,11 @@ def _cmd_run(args) -> int:
     if args.parallel < 0:
         print("error: --parallel must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    suite = Path(args.suite)
-    if not suite.exists():
-        print(f"error: suite file {suite} not found", file=sys.stderr)
-        return EXIT_USAGE
     out_dir = Path(args.out)
     try:
-        results = run_suite(
-            suite, out_dir, seed_override=args.seed, parallel=args.parallel
-        )
-    except (PlaytestError, json.JSONDecodeError, OSError) as exc:
+        results = run_suite(Path(args.suite), out_dir, seed_override=args.seed,
+                            parallel=args.parallel)
+    except (PlaytestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = [{"experiment": o.experiment_id, "study": o.study,

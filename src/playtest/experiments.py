@@ -9,22 +9,22 @@ parallelism can never change results. The reducer turns the records
 into statistics, extras and charts, reducing integer action counts in
 an order-independent way.
 
-One runner serves every study. `check_entry` builds the study's groups
-once and tests their start states; `start_experiment` starts the groups
-it returns at once, a group that trains its Softmax policy first, and
-the function it returns reads each group in order and reduces. Without
-a pool a group runs as it is started. On a pool from `trial_pool`,
-starting only submits jobs, so a suite can hand the pool every job
-before it reads any result. The first read forks the workers, at most
-one per CPU and each pinned to its own, and they inherit the parsed
-builds and the jobs: nothing is sent to a worker, and each sends back
-its results pickled. A job is one whole group, and the worker plays it
-as a serial run does: one agent, trained first if the group trains its
-policy, plays its trials. So a pooled suite does the serial suite's
-search and training work, spread over the workers by group. The pool
-forks explicitly, whatever `multiprocessing`'s default start method
-(`forkserver` from Python 3.14), and `report.run_suite` runs serially
-on a platform without `os.fork`.
+One runner serves every study. `start_experiment` checks an entry
+(`check_entry` builds the study's groups once and tests their start
+states), then starts its groups at once, a group that trains its Softmax
+policy first, and the function it returns reads each group in order and
+reduces. On a pool from `trial_pool`, starting only submits jobs, so a
+suite can hand the pool every job before it reads any result. The first
+read forks the workers, at most one per CPU and each pinned to its own,
+and they inherit the parsed builds and the jobs: nothing is sent to a
+worker, and each sends back its results pickled. A job is one whole
+group, and the worker plays it as a serial run does: one agent, trained
+first if the group trains its policy, plays its trials. So a pooled
+suite does the serial suite's search and training work, spread over the
+workers by group. The pool forks explicitly, whatever
+`multiprocessing`'s default start method (`forkserver` from Python
+3.14), and `report.run_suite` runs serially on a platform without
+`os.fork`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import struct
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import ClassVar
 
 from .agents import (
@@ -487,19 +488,18 @@ def run_trials(
     records, in trial index order, and the Softmax policy its agent played
     (None for A*).
 
-    Without a pool the group runs now, one agent serving all its trials.
-    With a pool from `trial_pool` the whole group is submitted as one job,
-    which a worker plays exactly as a serial run does, so pooled and
-    serial runs do the same search and training work. The returned
-    function is then the job's `result`: it waits for the job, and raises
-    the job's exception. An exception raised while the job is submitted
-    is raised by the returned function too, so it fails the group's
-    experiment as it is read.
+    Without a pool the returned function plays the group when called,
+    one agent serving all its trials. With a pool from `trial_pool` the
+    whole group is submitted as one job, which a worker plays exactly as
+    a serial run does, so pooled and serial runs do the same search and
+    training work. The returned function is then the job's `result`: it
+    waits for the job, and raises the job's exception. An exception
+    raised while the job is submitted is raised by the returned function
+    too, so it fails the group's experiment as it is read.
     """
     args = (config, scenario, heuristic, goal, agent_spec, trials, base_seed)
     if pool is None:
-        result = _run_group(*args)
-        return lambda: result
+        return partial(_run_group, *args)
     try:
         return pool.submit(_run_group, *args).result
     except Exception as exc:
@@ -843,41 +843,38 @@ STUDIES = tuple(_STUDIES)
 
 def start_experiment(
     xc: ExperimentConfig, configs: list[TuningConfig],
-    pool: TrialPool | None = None, checked: Checked | None = None,
+    pool: TrialPool | None = None,
 ) -> Read:
-    """Check one configured study and start the groups `check_entry`
-    returns; the returned function reads its outcome. `checked` is what
-    `check_entry` already returned for `xc` on `configs`, if anything, so
-    a suite that checks its entries as they load builds their groups once.
+    """Check one configured study (`check_entry`) and start the groups it
+    returns; the returned function reads its outcome. An exception the
+    check raises becomes a failed outcome naming the builds.
 
     A group that trains its Softmax policy, its entry's longest job,
-    starts first; the others follow in group order. A PlaytestError raised
-    while checking, starting or reading becomes a failed outcome naming
-    the builds. The outcome's duration runs from the start to the last
-    result read.
+    starts first; the others follow in group order. Without a pool no
+    group runs until the read, which takes them in group order. An
+    exception a group or the reducer raises as the outcome is read
+    becomes the failed outcome. The outcome's duration runs from the
+    start to the last result read.
     """
     started = time.perf_counter()
     build_ids = [c.build_id for c in configs]
-    failure = None
     try:
-        groups, reduce = checked or check_entry(xc, configs)
-        trains = [isinstance(agent, SoftmaxSpec) and agent.policy is None
-                  for *_, agent in groups]
-        results: list = [None] * len(groups)
-        for i in sorted(range(len(groups)), key=trains.__getitem__, reverse=True):
-            _, config, scenario, goal, agent = groups[i]
-            results[i] = run_trials(config, scenario, xc.heuristic, goal, agent,
-                                    xc.trials, xc.base_seed, pool)
-    except PlaytestError as exc:
-        failure = exc
+        groups, reduce = check_entry(xc, configs)
+    except Exception as exc:
+        return partial(failed_outcome, xc.id, xc.study, exc, build_ids)
+    trains = [isinstance(agent, SoftmaxSpec) and agent.policy is None
+              for *_, agent in groups]
+    results: list = [None] * len(groups)
+    for i in sorted(range(len(groups)), key=trains.__getitem__, reverse=True):
+        _, config, scenario, goal, agent = groups[i]
+        results[i] = run_trials(config, scenario, xc.heuristic, goal, agent,
+                                xc.trials, xc.base_seed, pool)
 
     def read() -> ExperimentOutcome:
         try:
-            if failure is not None:
-                raise failure
             outcome = ExperimentOutcome(xc.id, xc.study, build_ids, *reduce(
                 [(group[0], *result()) for group, result in zip(groups, results)]))
-        except PlaytestError as exc:
+        except Exception as exc:
             outcome = failed_outcome(xc.id, xc.study, exc, build_ids)
         outcome.duration_seconds = time.perf_counter() - started
         return outcome
@@ -887,7 +884,7 @@ def start_experiment(
 
 def run_experiment(
     xc: ExperimentConfig, configs: list[TuningConfig],
-    pool: TrialPool | None = None, checked: Checked | None = None,
+    pool: TrialPool | None = None,
 ) -> ExperimentOutcome:
     """Run one configured study against its parsed tuning config(s)."""
-    return start_experiment(xc, configs, pool, checked)()
+    return start_experiment(xc, configs, pool)()

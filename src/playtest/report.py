@@ -18,19 +18,17 @@ from pathlib import Path
 
 from .errors import PlaytestError
 from .experiments import (
-    Checked,
     ExperimentConfig,
     ExperimentOutcome,
     Read,
     TrialPool,
     check_build_count,
-    check_entry,
     failed_outcome,
     run_experiment,
     start_experiment,
     trial_pool,
 )
-from .tuning import TuningConfig, parse_tuning
+from .tuning import TuningConfig, parse_tuning, read_document
 
 TRIAL_FIELDS = (
     "experiment", "study", "group", "trial", "seed", "agent",
@@ -144,7 +142,6 @@ class _Entry:
     files: list[Path]  # the suite file and the entry's tuning files
     xc: ExperimentConfig | None = None
     configs: list[TuningConfig] = field(default_factory=list)
-    checked: Checked | None = None  # check_entry's groups and reducer
     error: Exception | None = None
 
 
@@ -190,7 +187,6 @@ def _load(
         loaded.files += paths
         check_build_count(loaded.xc.study, len(paths))
         loaded.configs = [_parse_once(p, builds) for p in paths]
-        loaded.checked = check_entry(loaded.xc, loaded.configs)
     except Exception as exc:
         loaded.error = exc
     return loaded
@@ -199,16 +195,15 @@ def _load(
 def _reader(entry: _Entry, pool: TrialPool | None) -> Read:
     """Return the function that reads the entry's outcome.
 
-    Serially the experiment runs when it is read. On a pool its jobs are
-    submitted now, and run when the pool is first read.
+    Serially the experiment starts when it is read. On a pool it starts
+    now, and its jobs run when the pool is first read.
     """
     if entry.error is not None:
         return partial(failed_outcome, entry.id, entry.study, entry.error,
                        [c.build_id for c in entry.configs])
     if pool is None:
-        return partial(run_experiment, entry.xc, entry.configs, None,
-                       entry.checked)
-    return start_experiment(entry.xc, entry.configs, pool, entry.checked)
+        return partial(run_experiment, entry.xc, entry.configs)
+    return start_experiment(entry.xc, entry.configs, pool)
 
 
 def run_suite(
@@ -221,31 +216,34 @@ def run_suite(
 
     Tuning paths are resolved relative to the suite file. Results are
     written under out_dir/<experiment id>/ and also returned in suite
-    order for programmatic use. Every entry and build is loaded first,
-    and a suite in which an entry's name (its `id`, else
+    order for programmatic use. A suite file that cannot be read or is
+    not JSON raises PlaytestError naming the file. Every entry and build
+    is loaded first, and a suite in which an entry's name (its `id`, else
     `experiment_<index>`) is not one path component or repeats an earlier
     entry's raises PlaytestError before anything runs or is written. A
-    build file that several entries name is parsed once; an entry
-    that names the wrong number of builds for its study fails before any
-    of them is parsed, and one its study cannot run on its builds
-    (`check_entry`, which builds the groups the entry then runs) fails
-    as it loads and submits no job.
-    Serially, each experiment then runs and is written in turn. With
-    `parallel` > 1, every group of the suite, Softmax training and all,
-    is submitted to one fork-join pool (`trial_pool`) before any result
-    is read; the first read forks min(`parallel`, CPUs) workers, and the
-    experiments are then read and written in suite order. Without
-    `os.fork` the suite runs serially.
+    build file that several entries name is parsed once; an entry that
+    names the wrong number of builds for its study fails as it loads,
+    and one its study cannot run on its builds as it starts
+    (`start_experiment`), before any of its groups runs.
+    Serially, each experiment then starts, runs and is written in turn.
+    With `parallel` > 1, every group of the suite, Softmax training and
+    all, is submitted to one fork-join pool (`trial_pool`) before any
+    result is read; the first read forks min(`parallel`, CPUs) workers,
+    and the experiments are then read and written in suite order.
+    Without `os.fork` the suite runs serially.
 
-    An exception while an experiment loads, starts, runs or is read
+    An exception while an experiment loads, is checked, runs or is read
     fails that experiment alone, and so does a pool worker that dies
     inside one of its groups (WorkerDied, naming the exit status). An
     exception raised by `run_trials` itself, as perfbench's set-up probe
-    raises one from a replacement, leaves run_suite. No worker outlives
-    run_suite, however it ends.
+    raises one from a replacement, leaves run_suite, serially or pooled.
+    No worker outlives run_suite, however it ends.
     """
     suite_path = Path(suite_path)
-    entries = json.loads(suite_path.read_text())
+    try:
+        entries = read_document(suite_path.read_text())
+    except (OSError, PlaytestError) as exc:
+        raise PlaytestError(f"{suite_path}: {exc}") from exc
     if not isinstance(entries, list):
         raise PlaytestError("suite file must contain a JSON list")
 
@@ -269,11 +267,7 @@ def run_suite(
     try:
         readers = [_reader(entry, pool) for entry in loaded]
         for entry, read in zip(loaded, readers):
-            try:
-                outcome = read()
-            except Exception as exc:
-                outcome = failed_outcome(entry.id, entry.study, exc,
-                                         [c.build_id for c in entry.configs])
+            outcome = read()
             existing = [p for p in entry.files if p.exists()]
             write_experiment(out_dir / entry.id, entry.xc, outcome, existing)
             results.append((entry.xc, outcome))

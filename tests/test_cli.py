@@ -409,6 +409,39 @@ class TestRun:
         assert (stats["status"], stats["error"], stats["build_ids"]) == (
             "failed", "RuntimeError: start failed", ["doomed"])
 
+    @pytest.mark.parametrize("parallel", ["0", "2"])
+    def test_check_that_raises_fails_one_experiment(
+            self, suite_dir, monkeypatch, parallel):
+        # an exception that is no PlaytestError, raised while the entry is
+        # checked as it starts
+        career_groups = experiments._career_groups
+
+        def failing(config, xc):
+            if config.build_id == "doomed":
+                raise RuntimeError("check failed")
+            return career_groups(config, xc)
+
+        monkeypatch.setattr(experiments, "_career_groups", failing)
+        stats = self.run_beside_doomed(suite_dir, parallel)
+        assert (stats["status"], stats["error"], stats["build_ids"]) == (
+            "failed", "RuntimeError: check failed", ["doomed"])
+
+    @pytest.mark.parametrize("parallel", [0, 2])
+    def test_run_trials_that_raises_leaves_run_suite(
+            self, suite_dir, monkeypatch, parallel):
+        # a serial run used to fail the experiment and go on
+        class Refused(Exception):
+            pass
+
+        def refusing(*args):
+            raise Refused
+
+        monkeypatch.setattr(experiments, "run_trials", refusing)
+        with pytest.raises(Refused):
+            report.run_suite(suite_dir / "suite.json", suite_dir / "out",
+                             parallel=parallel)
+        assert not (suite_dir / "out").exists()
+
     @pytest.mark.parametrize("case", ["returns", "job_raises", "read_raises",
                                       "first_pooled_trial_raises"])
     def test_no_process_outlives_run_suite(self, suite_dir, monkeypatch, case):
@@ -560,8 +593,8 @@ class TestRun:
 
     def test_error_while_a_group_runs_names_the_builds(self, suite_dir,
                                                        monkeypatch):
-        # an exception that is no PlaytestError leaves the experiment
-        # through its read, not through the study runner
+        # an exception that is no PlaytestError, raised by a group as its
+        # experiment is read, fails that experiment with its builds
         def failing(*args):
             raise RuntimeError("group failed")
 
@@ -573,9 +606,11 @@ class TestRun:
 
     def test_failed_training_writes_one_error_serially_and_pooled(
             self, suite_dir):
-        # a temperature this small trains NaN weights, which the trained
-        # policy rejects; a pooled run used to fail with the TypeError of
-        # rebuilding that InvalidField in the parent
+        # a temperature this small turns the weights NaN in the first
+        # episode, and training stops there; it used to train every episode
+        # before the trained policy rejected the weights (InvalidField), and
+        # a pooled run to fail with the TypeError of rebuilding that
+        # InvalidField in the parent
         suite = json.loads(fixtures.path("paper_suite").read_text())
         entry = next(e for e in suite if e["study"] == "agent_comparison")
         entry["agent"]["softmax"]["temperature"] = 1e-310
@@ -590,7 +625,8 @@ class TestRun:
             written.append((out_dir / "agent_comparison/stats.json").read_bytes())
         assert written[0] == written[1]
         assert json.loads(written[0])["error"] == (
-            "InvalidField: weights: must be finite")
+            "ValueError: training episode 0: weights are not finite at "
+            "temperature 1e-310")
 
     def test_playtest_out_env_default(self, suite_dir, monkeypatch, capsys):
         target = suite_dir / "env_out"
@@ -598,8 +634,28 @@ class TestRun:
         main(["run", str(suite_dir / "suite.json")])
         assert (target / "careers_mini" / "stats.json").exists()
 
-    def test_missing_suite_exit_two(self):
-        assert main(["run", "no_suite.json"]) == 2
+    @staticmethod
+    def run_error_line(tmp_path, capsys, path) -> str:
+        """What `playtest run` on the suite at `path` prints to stderr; it
+        must print nothing else, exit 2 and write nothing."""
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "out").exists()
+        return err
+
+    def test_missing_suite_exit_two(self, tmp_path, capsys):
+        # it used to print a line of its own, unlike a missing tuning file
+        path = tmp_path / "no_suite.json"
+        assert self.run_error_line(tmp_path, capsys, path) == (
+            f"error: {path}: [Errno 2] No such file or directory: '{path}'\n")
+
+    def test_truncated_suite_exit_two(self, tmp_path, capsys):
+        # it used to print json's message alone, naming no file
+        path = tmp_path / "suite.json"
+        path.write_text('[\n  {"id": "cut')
+        assert self.run_error_line(tmp_path, capsys, path) == (
+            f"error: {path}: invalid JSON at line 2 column 10: Unterminated "
+            "string starting at\n")
 
     def test_directory_suite_exit_two(self, suite_dir, capsys):
         # it used to end in an IsADirectoryError traceback
@@ -878,6 +934,10 @@ class TestRunSummary:
     (None, "[Errno 2] No such file or directory: '{path}'"),
     ("{not json", "invalid JSON at line 1 column 2: Expecting property name "
                   "enclosed in double quotes"),
+    # validate used to print a schema error without the file's path
+    ('{"schema_version": 1}', "document: missing required field(s) "
+                              "['build_id', 'resources', 'actions', 'events', "
+                              "'careers', 'relationships', 'objects']"),
 ])
 def test_unreadable_tuning_file_error_line(tmp_path, capsys, command, content,
                                            error):

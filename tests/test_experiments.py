@@ -551,10 +551,34 @@ class TestPooledTrials:
                                           ("read", "astar", "barista"),
                                           ("read", "train", "barista")]
 
+    def test_serial_start_plays_nothing_until_read(self, desk_base, monkeypatch):
+        # a serial group used to run, training and all, as it started,
+        # and a pooled one as it was read
+        played = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                played.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("run_episode", "train_softmax"):
+            monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+        xc = make_xc("agent_comparison", trials=2,
+                     careers=[{"career": "barista", "target_level": 2}],
+                     agent=ComparisonAgent(AStarAgent(2000),
+                                           SoftmaxSpec(train=TrainSpec(5, 0.05, 7))))
+        read = start_experiment(xc, [desk_base])
+        assert played == []
+        assert read().status == "ok"
+        # the read plays the groups in group order: A*, then Softmax
+        assert played == ["run_episode"] * 2 + ["train_softmax"] + [
+            "run_episode"] * 2
+
     def test_a_career_entry_builds_its_groups_once_per_check(
             self, desk_base, tmp_path, monkeypatch):
         # checking an entry builds the groups it runs: run_experiment
-        # builds them once, and run_suite once, as the entry loads
+        # builds them once, and run_suite once, as the entry starts
         calls = []
 
         def counting(config, xc):
@@ -956,6 +980,19 @@ def test_a_career_study_rejects_a_goal_template_it_would_ignore(
     ExperimentConfig.from_dict(doc)
 
 
+def load_error(suite: Path, entry) -> Exception | None:
+    """The error `entry` fails with before any of its groups runs: as
+    `report._load` loads it, else as `check_entry` checks it when it
+    starts."""
+    loaded = report._load(suite, 0, entry, None, {})
+    if loaded.error is None:
+        try:
+            experiments.check_entry(loaded.xc, loaded.configs)
+        except Exception as exc:
+            return exc
+    return loaded.error
+
+
 @pytest.mark.parametrize("study", CAREER_STUDIES)
 def test_a_career_listed_twice_fails_at_load(study):
     # each used to run ok, and its two rows shared one group key: stats.json
@@ -964,8 +1001,8 @@ def test_a_career_listed_twice_fails_at_load(study):
                                      if e["study"] == study)))
     career = doc["careers"][0]["career"]
     doc["careers"].append({"career": career})
-    loaded = report._load(fixtures.path("paper_suite"), 0, doc, None, {})
-    assert f"{type(loaded.error).__name__}: {loaded.error}" == (
+    error = load_error(fixtures.path("paper_suite"), doc)
+    assert f"{type(error).__name__}: {error}" == (
         f"SuiteEntryError: {study}.careers[{len(doc['careers']) - 1}].career: "
         f"{career!r} repeats careers[0]")
 
@@ -980,8 +1017,8 @@ def test_a_build_listed_twice_fails_at_load(tmp_path, copy):
     second = tmp_path / "build_a_copy.json"
     second.write_bytes(first.read_bytes())
     doc["tuning_ref"] = [str(first), str(second if copy else first)]
-    loaded = report._load(fixtures.path("paper_suite"), 0, doc, None, {})
-    assert f"{type(loaded.error).__name__}: {loaded.error}" == (
+    error = load_error(fixtures.path("paper_suite"), doc)
+    assert f"{type(error).__name__}: {error}" == (
         "SuiteEntryError: build_comparison.tuning_ref[1]: build 'build_A' "
         "repeats tuning_ref[0]'s")
 
@@ -1111,19 +1148,18 @@ def documented_load_errors() -> tuple[dict, list[tuple[str, str]]]:
 
 
 def test_documented_load_errors_are_the_errors():
-    # every load error the docs list, each entry loaded as `playtest run`
-    # loads it, from a suite beside the shipped builds: a changed message
-    # must change the table
+    # every load error the docs list, each entry loaded and checked as
+    # `playtest run` loads and starts it, from a suite beside the shipped
+    # builds: a changed message must change the table
     entry, rows = documented_load_errors()
     suite = fixtures.path("paper_suite")
-    assert report._load(suite, 0, entry, None, {}).error is None
+    assert load_error(suite, entry) is None
     assert len(rows) == 54
     errors = []
     for fields, _ in rows:
-        loaded = report._load(suite, 0, dict(entry, **json.loads(f"{{{fields}}}")),
-                              None, {})
-        errors.append(loaded.error and experiments.failed_outcome(
-            entry["id"], entry["study"], loaded.error).error)
+        error = load_error(suite, dict(entry, **json.loads(f"{{{fields}}}")))
+        errors.append(error and experiments.failed_outcome(
+            entry["id"], entry["study"], error).error)
     assert errors == [error.replace("<id>", entry["id"]) for _, error in rows]
 
 
