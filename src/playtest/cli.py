@@ -1,8 +1,8 @@
 """Command-line interface: validate, run, diff, train.
 
 Exit codes: 0 success, 1 domain failure (validation errors, failed
-experiments, unreachable training goal), 2 usage, I/O, or syntax
-problems. All randomness flows from explicit seeds; repeated runs with
+experiments, unreachable training goal, training weights that turn
+NaN), 2 usage, I/O, or syntax problems. All randomness flows from explicit seeds; repeated runs with
 the same seed produce byte-identical stats.json files.
 """
 
@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
         writer.writerows([*(row[c] for c in columns), f"{row['seconds']:.3f}"]
                          for row in rows)
     else:
-        width = max((len(row["experiment"]) for row in rows), default=10)
+        width = max([len("experiment"), *(len(row["experiment"]) for row in rows)])
         print(f"{'experiment':<{width}}  {'status':<7} {'groups':>6} "
               f"{'trials':>6} {'seconds':>8}")
         for row in rows:
@@ -177,13 +177,17 @@ def _cmd_train(args) -> int:
         career=goal.career if goal.kind == "career_level_reached" else None,
         grant_objects=args.grant_objects,
     )
-    policy, returns = train_softmax(
-        config, scenario, goal,
-        episodes=args.episodes,
-        step_size=args.step_size,
-        rng=random.Random(args.seed),
-        temperature=args.temperature,
-    )
+    try:
+        policy, returns = train_softmax(
+            config, scenario, goal,
+            episodes=args.episodes,
+            step_size=args.step_size,
+            rng=random.Random(args.seed),
+            temperature=args.temperature,
+        )
+    except ValueError as exc:  # the weights turned NaN
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
     curve = io.StringIO()
     writer = csv.writer(curve)

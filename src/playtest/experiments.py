@@ -183,11 +183,15 @@ class CareerTarget:  # one career of a career-style study
 
 @dataclass
 class ExperimentConfig(Codec):
-    """One suite entry. Its agent is a `comparison` agent exactly when the
-    study is agent_comparison, the one study that reads both halves. Every
-    study but relationship_balance is a career study: it builds each
-    group's goal from `careers` and the limits of `goal`, so its `goal` is
-    a career_level_reached template that sets no career or level."""
+    """One suite entry, checked by every rule that reads no build (the
+    rules that read one are `check_entry`'s). Its agent is a `comparison`
+    agent exactly when the study is agent_comparison, the one study that
+    reads both halves. Every study but relationship_balance is a career
+    study: it builds each group's goal from `careers` and the limits of
+    `goal`, and starts each group in its row's career, so its `goal` is a
+    career_level_reached template that sets no career or level, its
+    scenario sets no career, and no two rows name one career.
+    relationship_balance reads no `careers`."""
 
     id: str
     study: str
@@ -219,6 +223,17 @@ class ExperimentConfig(Codec):
             wanted = "a comparison agent" if pair else "an astar or softmax agent"
             raise InvalidField("agent.kind", f"{self.study} reads {wanted}, "
                                              f"not {self.agent.kind!r}")
+        if self.study == "relationship_balance":
+            if self.careers:
+                raise InvalidField("careers", "relationship_balance reads no careers")
+        elif self.scenario.career is not None:
+            raise InvalidField("scenario.career", f"{self.study} takes each "
+                               "group's career from careers")
+        careers = [entry.career for entry in self.careers]
+        for i, career in enumerate(careers):
+            if (first := careers.index(career)) < i:
+                raise InvalidField(f"careers[{i}].career",
+                                   f"{career!r} repeats careers[{first}]")
 
     @classmethod
     def from_dict(cls, data, path: str | None = None) -> "ExperimentConfig":
@@ -493,22 +508,12 @@ def run_trials(
     whole group is submitted as one job, which a worker plays exactly as
     a serial run does, so pooled and serial runs do the same search and
     training work. The returned function is then the job's `result`: it
-    waits for the job, and raises the job's exception. An exception
-    raised while the job is submitted is raised by the returned function
-    too, so it fails the group's experiment as it is read.
+    waits for the job, and raises the job's exception.
     """
     args = (config, scenario, heuristic, goal, agent_spec, trials, base_seed)
     if pool is None:
         return partial(_run_group, *args)
-    try:
-        return pool.submit(_run_group, *args).result
-    except Exception as exc:
-        failure = exc
-
-    def fail() -> GroupResult:
-        raise failure
-
-    return fail
+    return pool.submit(_run_group, *args).result
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +581,15 @@ def check_build_count(study: str, count: int) -> None:
 
 def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> Checked:
     """The study's groups on `configs` and its reducer, which
-    `start_experiment` runs. Raise if the study cannot run there: a wrong
-    build count, a build_comparison of one build twice, a scenario career
-    for a career study (its groups take theirs from `careers`), a career
-    listed twice, a career a build lacks or a target level above its cap
-    (see `_career_groups`), or a group's scenario that `initial_state`
-    rejects on its build. For relationship_balance, which takes its goal
-    as it stands: a build with no relationship event, a goal that misses
-    a field its kind reads or names what the build lacks (see
-    `GoalSpec.check`), a scenario category that locks the goal out, and
-    `careers`, which it never reads. The agent's kind is checked as the
-    entry is built (see `ExperimentConfig`)."""
+    `start_experiment` runs. Raise if a rule that reads a build fails:
+    a wrong build count, a build_comparison of one build twice, a career
+    a build lacks or a target level above its cap (see `_career_groups`),
+    or a group's scenario that `initial_state` rejects on its build. For
+    relationship_balance, which takes its goal as it stands: a build with
+    no relationship event, a goal that misses a field its kind reads or
+    names what the build lacks (see `GoalSpec.check`), and a scenario
+    category that locks the goal out. Every rule that reads no build is
+    checked as the entry is built (see `ExperimentConfig`)."""
     check_build_count(xc.study, len(configs))
     if configs[1:] and configs[1].build_id == configs[0].build_id:
         raise SuiteEntryError(f"{xc.id}.tuning_ref[1]: build "
@@ -599,19 +602,14 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> Checked:
             xc.goal.check(configs[0], f"{xc.id}.goal")
         except SchemaError as exc:
             raise SuiteEntryError(str(exc)) from exc
-    elif xc.scenario.career is not None:
-        raise SuiteEntryError(f"{xc.id}.scenario.career: {xc.study} takes each "
-                              "group's career from careers")
     groups, reduce = _STUDIES[xc.study](configs, xc)
     for _, config, scenario, _, _ in groups:
         initial_state(config, scenario, xc.base_seed)
-    if not balance:
-        return groups, reduce
     # a relationship locked to one category from the first state (see
     # `initial_state`) meets no goal on another category's chain or event,
     # nor one longer than its own chain
     locked, goal = xc.scenario.relationship_category, xc.goal
-    if locked is not None:
+    if balance and locked is not None:
         idx = configs[0].index()
         owner = idx.chain_position.get(goal.event, (locked,))[0]
         chain = len(idx.relationships[locked].event_chain)
@@ -625,9 +623,6 @@ def check_entry(xc: ExperimentConfig, configs: list[TuningConfig]) -> Checked:
         if (goal.chain_length or 0) > chain:
             raise SuiteEntryError(f"{path} chain_length {goal.chain_length}, "
                                   f"longer than its chain of {chain}")
-    if xc.careers:
-        raise SuiteEntryError(f"{xc.id}.careers: relationship_balance "
-                              "reads no careers")
     return groups, reduce
 
 
@@ -663,17 +658,12 @@ def _action_reducer(
 def _career_groups(config: TuningConfig, xc: ExperimentConfig) -> list[Group]:
     """One group per career of xc, keyed by the career: xc's scenario and
     agent, starting in that career, with a goal of its target level.
-    Raises SuiteEntryError for a row whose career an earlier row names,
-    and, in `GoalSpec.check`'s words, for one whose career the build
-    lacks or whose target level is above the cap."""
+    Raises SuiteEntryError, in `GoalSpec.check`'s words, for a row whose
+    career the build lacks or whose target level is above the cap."""
     idx = config.index()
     groups = []
     for i, entry in enumerate(xc.careers):
         career, path = entry.career, f"{xc.id}.careers[{i}]"
-        earlier = [e.career for e in xc.careers[:i]]
-        if career in earlier:
-            raise SuiteEntryError(f"{path}.career: {career!r} repeats "
-                                  f"careers[{earlier.index(career)}]")
         spec = idx.careers.get(career)
         if spec is None:
             raise SuiteEntryError(f"{path}.career: no career {career!r} in "

@@ -396,19 +396,6 @@ class TestRun:
         assert (stats["status"], stats["error"], stats["build_ids"]) == (
             "failed", "WorkerDied: a pool worker exited with status 3", ["doomed"])
 
-    def test_start_that_raises_fails_one_experiment(self, suite_dir, monkeypatch):
-        submit = experiments.TrialPool.submit
-
-        def refusing(pool, fn, config, *args):
-            if config.build_id == "doomed":
-                raise RuntimeError("start failed")
-            return submit(pool, fn, config, *args)
-
-        monkeypatch.setattr(experiments.TrialPool, "submit", refusing)
-        stats = self.run_beside_doomed(suite_dir, "2")
-        assert (stats["status"], stats["error"], stats["build_ids"]) == (
-            "failed", "RuntimeError: start failed", ["doomed"])
-
     @pytest.mark.parametrize("parallel", ["0", "2"])
     def test_check_that_raises_fails_one_experiment(
             self, suite_dir, monkeypatch, parallel):
@@ -426,17 +413,22 @@ class TestRun:
         assert (stats["status"], stats["error"], stats["build_ids"]) == (
             "failed", "RuntimeError: check failed", ["doomed"])
 
-    @pytest.mark.parametrize("parallel", [0, 2])
+    @pytest.mark.parametrize("owner, name, parallel", [
+        (experiments, "run_trials", 0),
+        (experiments, "run_trials", 2),
+        (experiments.TrialPool, "submit", 2),
+    ], ids=["0", "2", "submit"])
     def test_run_trials_that_raises_leaves_run_suite(
-            self, suite_dir, monkeypatch, parallel):
-        # a serial run used to fail the experiment and go on
+            self, suite_dir, monkeypatch, owner, name, parallel):
+        # a serial run used to fail the experiment and go on, and so did a
+        # pooled run whose submit raised
         class Refused(Exception):
             pass
 
         def refusing(*args):
             raise Refused
 
-        monkeypatch.setattr(experiments, "run_trials", refusing)
+        monkeypatch.setattr(owner, name, refusing)
         with pytest.raises(Refused):
             report.run_suite(suite_dir / "suite.json", suite_dir / "out",
                              parallel=parallel)
@@ -547,6 +539,47 @@ class TestRun:
             "failed", "PlaytestError: career_progression needs exactly one tuning file")
         assert [outcome.status for _, outcome in results] == ["failed", "ok"]
 
+    @pytest.mark.parametrize("parallel", [0, 2])
+    @pytest.mark.parametrize("changes, error", [
+        ({"scenario": {"career": "barista"}},
+         "bad.scenario.career: career_progression takes each group's career "
+         "from careers"),
+        ({"careers": [{"career": "barista"}, {"career": "fashion"},
+                      {"career": "barista", "target_level": 2}]},
+         "bad.careers[2].career: 'barista' repeats careers[0]"),
+        ({"study": "relationship_balance",
+          "goal": {"kind": "any_relationship_chain_done", "chain_length": 2}},
+         "bad.careers: relationship_balance reads no careers"),
+    ], ids=["scenario_career", "repeated_career", "balance_careers"])
+    def test_entry_a_build_free_rule_rejects_is_never_parsed(
+            self, suite_dir, monkeypatch, changes, error, parallel):
+        # each rule reads no build, yet used to run as the entry started:
+        # its build was parsed, and stats.json held build_ids and params
+        (suite_dir / "desk_objects.json").write_text(
+            fixtures.path("desk_objects").read_text())
+        bad = {**MINI_SUITE[0], "id": "bad", "tuning_ref": "desk_objects.json",
+               **changes}
+        (suite_dir / "rules.json").write_text(json.dumps([bad, MINI_SUITE[0]]))
+        parsed = []
+        parse = report.parse_tuning
+
+        def counting(text):
+            parsed.append(json.loads(text)["build_id"])
+            return parse(text)
+
+        monkeypatch.setattr(report, "parse_tuning", counting)
+        results = report.run_suite(suite_dir / "rules.json", suite_dir / "out",
+                                   parallel=parallel)
+        assert parsed == ["desk_base"]  # careers_mini's build alone
+        written = suite_dir / "out/bad"
+        assert sorted(p.name for p in written.iterdir()) == [
+            "bundle.json", "stats.json"]
+        stats = json.loads((written / "stats.json").read_text())
+        assert (stats["status"], stats["error"], stats["build_ids"]) == (
+            "failed", f"SuiteEntryError: {error}", [])
+        assert "params" not in stats
+        assert [outcome.status for _, outcome in results] == ["failed", "ok"]
+
     @pytest.mark.parametrize("changes, error", [
         ({"careers": [{"career": "astronaut", "target_level": 2}]},
          "SuiteEntryError: bad.careers[0].career: no career 'astronaut' in "
@@ -558,15 +591,16 @@ class TestRun:
           "tuning_ref": ["desk_objects.json", "romance_outlier.json"]},
          "SuiteEntryError: bad.careers[0].career: no career 'barista' in "
          "build 'romance_outlier'"),
-        ({"study": "relationship_balance"},
+        ({"study": "relationship_balance", "careers": []},
          "NoRelationshipEvents: desk_objects"),
         ({"study": "relationship_balance", "tuning_ref": "romance_outlier.json",
-          "goal": {"kind": "any_relationship_chain_done", "max_actions": 300}},
+          "goal": {"kind": "any_relationship_chain_done", "max_actions": 300},
+          "careers": []},
          "SuiteEntryError: bad.goal.chain_length: missing"),
         ({"study": "relationship_balance", "tuning_ref": "romance_outlier.json",
           "goal": {"kind": "any_relationship_chain_done", "chain_length": 5,
                    "max_actions": 300},
-          "scenario": {"relationship_category": "nosuch"}},
+          "scenario": {"relationship_category": "nosuch"}, "careers": []},
          "DanglingReference: scenario.relationship_category references "
          "unknown id 'nosuch'"),
         ({"scenario": {"initial_resources": {"gold": 3}}},
@@ -754,6 +788,19 @@ class TestTrain:
             f"error: --curve and --out name one file: {policy}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json"]
 
+    def test_weights_that_turn_nan_exit_one(self, tmp_path, capsys):
+        # it used to end in a ValueError traceback
+        goal = json.dumps({"kind": "career_level_reached", "career": "barista",
+                           "level": 2})
+        code = main(["train", str(fixtures.path("desk_base")), "--goal", goal,
+                     "--temperature", "1e-310", "--episodes", "3",
+                     "--out", str(tmp_path / "policy.json")])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: training episode 0: weights "
+                                           "are not finite at temperature "
+                                           "1e-310\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_episodes_usage_error(self, tmp_path):
         code = main(["train", str(fixtures.path("desk_base")),
                      "--goal", self.GOAL, "--episodes", "0",
@@ -912,13 +959,15 @@ class TestRunSummary:
             r"careers_mini,career_progression,ok,1,2,\d+\.\d{3}\r\n"
             r"broken_ref,career_progression,failed,0,0,\d+\.\d{3}\r\n", out)
 
-    def test_text(self, suite_dir, capsys):
+    def text_lines(self, suite_dir, capsys, header, *rows):
+        """Check the text summary line by line: `header`, then each row's
+        text before its seconds, then broken_ref's error and the out
+        directory."""
         out, out_dir = self.summary(suite_dir, capsys, "text")
         seconds = r"(?=.{8}$) *\d+\.\d\d"  # right-aligned in 8 columns
         patterns = [
-            re.escape("experiment    status  groups trials  seconds"),
-            re.escape("careers_mini  ok           1      2 ") + seconds,
-            re.escape("broken_ref    failed       0      0 ") + seconds,
+            re.escape(header),
+            *(re.escape(row) + seconds for row in rows),
             re.escape(f"  {self.missing(suite_dir)}"),
             re.escape(f"results written to {out_dir}"),
         ]
@@ -927,6 +976,22 @@ class TestRunSummary:
         assert len(lines) == len(patterns)
         for pattern, line in zip(patterns, lines):
             assert re.fullmatch(pattern, line), line
+
+    def test_text(self, suite_dir, capsys):
+        self.text_lines(suite_dir, capsys,
+                        "experiment    status  groups trials  seconds",
+                        "careers_mini  ok           1      2 ",
+                        "broken_ref    failed       0      0 ")
+
+    def test_text_with_ids_shorter_than_the_header(self, suite_dir, capsys):
+        # the column used to be as wide as the longest id, so these rows
+        # started their status under the header's `experiment`
+        (suite_dir / "suite.json").write_text(json.dumps(
+            [dict(MINI_SUITE[0], id="a"), dict(MINI_SUITE[1], id="bb")]))
+        self.text_lines(suite_dir, capsys,
+                        "experiment  status  groups trials  seconds",
+                        "a           ok           1      2 ",
+                        "bb          failed       0      0 ")
 
 
 @pytest.mark.parametrize("command", ["validate", "diff", "train"])

@@ -405,8 +405,8 @@ class TestSuiteDispatch:
     ])
     def test_wrong_build_count_fails(self, desk_base, desk_objects, study, builds):
         # a build the study would not read fails it instead of being ignored
-        xc = make_xc(study, trials=1,
-                     careers=[{"career": "barista", "target_level": 2}])
+        careers = [] if study == "relationship_balance" else [("barista", 2)]
+        xc = make_xc(study, trials=1, careers=careers)
         outcome = run_experiment(xc, [desk_base, desk_objects, desk_base][:builds])
         wanted = ("two tuning files" if study == "build_comparison"
                   else "one tuning file")
@@ -415,29 +415,24 @@ class TestSuiteDispatch:
         assert outcome.records == []
 
 
-    @pytest.mark.parametrize("study, fixture, changes, error", [
-        ("relationship_balance", "romance_outlier", {
+    @pytest.mark.parametrize("study, changes, error", [
+        ("relationship_balance", {
             "goal": {"kind": "any_relationship_chain_done", "chain_length": 5,
                      "max_minutes": 5000, "max_actions": 300},
             "careers": [{"career": "astronaut", "target_level": 99}]},
          "careers: relationship_balance reads no careers"),
-        ("agent_comparison", "desk_base", {
+        ("agent_comparison", {
             "careers": [{"career": "fashion", "target_level": 2}],
             "agent": {"kind": "astar", "node_budget": 1}},
          "agent.kind: agent_comparison reads a comparison agent, not 'astar'"),
     ], ids=["careers", "agent_kind"])
-    def test_settings_the_study_never_reads_fail(
-            self, request, study, fixture, changes, error):
+    def test_settings_the_study_never_reads_fail(self, study, changes, error):
         # each used to run ok: the careers, or the agent's budget, unread.
-        # The error is the one a suite reports, whether the entry fails as
-        # it loads (the agent's kind) or as its study starts (the careers)
+        # Neither reads a build, so each fails as the entry loads
         entry = {**make_xc(study, trials=1).to_dict(), **changes}
-        try:
-            got = failure(ExperimentConfig.from_dict(entry),
-                          request.getfixturevalue(fixture))
-        except SuiteEntryError as exc:
-            got = f"SuiteEntryError: {exc}"
-        assert got == f"SuiteEntryError: test_{study}.{error}"
+        with pytest.raises(SuiteEntryError,
+                           match=f"^{re.escape(f'test_{study}.{error}')}$"):
+            ExperimentConfig.from_dict(entry)
 
 
 class TestPooledTrials:
@@ -1044,9 +1039,19 @@ def test_an_entry_setting_that_cannot_run_fails_with_its_path(
     (lambda: GoalSpec(kind="event_completed", event="x", career="y"),
      "career: not read by the 'event_completed' goal kind"),
     (lambda: CareerTarget("barista", 0), "target_level: must be >= 1"),
-], ids=["negative_chain", "zero_level", "event_with_career", "zero_target"])
+    (lambda: make_xc("career_progression", careers=[("barista",)],
+                     scenario=ScenarioOverrides(career="barista")),
+     "scenario.career: career_progression takes each group's career from "
+     "careers"),
+    (lambda: make_xc("object_impact", careers=[("barista",), ("barista", 2)]),
+     "careers[1].career: 'barista' repeats careers[0]"),
+    (lambda: make_xc("relationship_balance", careers=[("barista",)]),
+     "careers: relationship_balance reads no careers"),
+], ids=["negative_chain", "zero_level", "event_with_career", "zero_target",
+        "scenario_career", "repeated_career", "balance_careers"])
 def test_goal_settings_that_cannot_hold_fail_in_the_python_api(make, error):
-    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+    # the last three used to build, and failed only as the entry started
+    with pytest.raises(InvalidField, match=f"^{re.escape(error)}$"):
         make()
 
 
